@@ -34,19 +34,13 @@ from .hamiltonian import (
     hubbard_parameters,
     solve,
 )
-from .integrals import (
-    build_tables,
-    coulomb_element,
-    i0e,
-    impurity_element,
-    kinetic_element,
-    potential_element,
-)
+from .crosscheck import oracle_comparisons, sample_device
+from .integrals import build_tables, i0e
 from .model import (
     DeviceParams,
-    HBAR2_OVER_2ME,
     Impurity,
     config_to_objects,
+    control_point,
     derive_constants,
     read_config,
     validate_params,
@@ -70,7 +64,7 @@ from .noise import (
 )
 from .orbitals import build_basis, overlap_matrix
 from .potential import constraint_report, eval_potential
-from .quadrature import OracleRefusal, quadrature_oracle
+from .quadrature import OracleRefusal
 
 # ---------------------------------------------------------------------------
 # formatting / output helpers
@@ -132,19 +126,28 @@ def _provenance(sub: str, args, base: DeviceParams, mode: AssemblyMode,
     return lines
 
 
+MAX_GRID_POINTS = 100_000
+
+
 def _parse_range(spec: str) -> list[float]:
     """'lo:hi:step' -> inclusive grid lo, lo+step, ... (hi included
-    whenever it sits on the grid to within a relative half-ulp guard)."""
+    whenever it sits on the grid to within a relative half-ulp guard).
+    Grids of more than MAX_GRID_POINTS points are rejected unbuilt."""
     try:
         lo_s, hi_s, step_s = spec.split(":")
         lo, hi, step = float(lo_s), float(hi_s), float(step_s)
     except ValueError:
         raise ValueError(f"expected 'lo:hi:step', got {spec!r}") from None
+    if not all(map(math.isfinite, (lo, hi, step))):
+        raise ValueError(f"range {spec!r}: lo, hi and step must be finite")
     if step <= 0:
-        raise ValueError(f"range step must be positive, got {step}")
+        raise ValueError(f"range {spec!r}: step must be positive, got {step}")
     if hi < lo:
-        raise ValueError(f"range upper bound {hi} below lower bound {lo}")
-    n = int(math.floor((hi - lo) / step + 0.5)) + 1
+        raise ValueError(f"range {spec!r}: upper bound {hi} below lower bound {lo}")
+    span = (hi - lo) / step  # grid intervals, before rounding
+    if span + 0.5 >= MAX_GRID_POINTS:
+        raise ValueError(f"range {spec!r}: more than {MAX_GRID_POINTS} points")
+    n = int(math.floor(span + 0.5)) + 1
     vals = [lo + k * step for k in range(n)]
     guard = step * 1e-9
     return [v for v in vals if v <= hi + guard]
@@ -158,22 +161,18 @@ def _parse_xy(spec: str) -> tuple[float, float]:
         raise ValueError(f"expected 'X_nm,Y_nm', got {spec!r}") from None
 
 
-def _resolve(args, *, default_impurity_wanted: bool = False,
-             default_q: float = -1.0):
+def _resolve(args, *, default_impurity_wanted: bool = False):
     """Combine defaults, --config, and flags into (params, impurity, mode)."""
     base = DeviceParams()
     imp: Impurity | None = None
     if args.config:
         base, _scheme, imp = config_to_objects(read_config(args.config))
-    if args.impurity:
-        x, y = _parse_xy(args.impurity)
-        q = args.charge_e if args.charge_e is not None else (imp.q if imp else default_q)
-        imp = Impurity(x, y, q)
-    elif args.charge_e is not None and imp is not None:
-        imp = Impurity(imp.x_c, imp.y_c, args.charge_e)
     if imp is None and default_impurity_wanted:
-        q = args.charge_e if args.charge_e is not None else default_q
-        imp = default_impurity(base, q)
+        imp = default_impurity(base)
+    if args.impurity:
+        imp = Impurity(*_parse_xy(args.impurity), imp.q if imp else -1.0)
+    if args.charge_e is not None and imp is not None:
+        imp = Impurity(imp.x_c, imp.y_c, args.charge_e)
     return base, imp, AssemblyMode(args.mode)
 
 
@@ -254,8 +253,15 @@ def cmd_exchange_barrier(args) -> int:
 
 
 def cmd_noise_compare(args) -> int:
-    """Relative noise of both schemes, and their ratio chi, at matched J."""
-    base, imp, mode = _resolve(args, default_impurity_wanted=True)
+    """Relative noise of both schemes, and their ratio chi, at matched J.
+
+    ``near-impurity`` runs the same comparison; without an impurity it
+    places a weak charge close to the dots: q = -0.01 e at (-1.5 a, 0.5 a)."""
+    near = args.subcommand == "near-impurity"
+    base, imp, mode = _resolve(args, default_impurity_wanted=not near)
+    if imp is None:  # near-impurity given no impurity
+        q = args.charge_e if args.charge_e is not None else -0.01
+        imp = Impurity(-1.5 * base.a, 0.5 * base.a, q)
     grid = matched_j_grid(base, n=args.points, j_max_ghz=args.j_max, mode=mode)
     rows, failures = [], []
     for j_ghz in grid:
@@ -265,7 +271,7 @@ def cmd_noise_compare(args) -> int:
         except (CalibrationError, ValueError) as exc:
             rows.append((float(j_ghz), math.nan, math.nan, math.nan))
             failures.append(f"J = {_fmt(float(j_ghz))} GHz: {exc}")
-    header = _provenance("noise-compare", args, base, mode, imp, (
+    header = _provenance(args.subcommand, args, base, mode, imp, (
         f"points = {args.points}",
         f"j_max_ghz = {_fmt(args.j_max)}",
     ))
@@ -286,14 +292,11 @@ def cmd_qfactor(args) -> int:
     rel_ref = abs(delta_J("tilt", eps_ref, base, imp, mode, xi_fixed=base.xi).rel_noise)
     rows = []
     for j_ghz in j_values:
-        eps_star = calibrate_tilt(j_ghz, base.xi, base, mode)
-        xi_star = calibrate_barrier(j_ghz, base, mode)
-        rel_t = abs(delta_J("tilt", eps_star, base, imp, mode, xi_fixed=base.xi).rel_noise)
-        rel_b = abs(delta_J("barrier", xi_star, base, imp, mode).rel_noise)
+        rec = improvement_factor(j_ghz, imp, base, mode, xi_fixed=base.xi)
         rows.append((
             j_ghz,
-            quality_factor(j_ghz, QualityModel(rel_t)),
-            quality_factor(j_ghz, QualityModel(rel_b)),
+            quality_factor(j_ghz, QualityModel(abs(rec.rel_tilt))),
+            quality_factor(j_ghz, QualityModel(abs(rec.rel_barrier))),
             quality_factor(j_ghz, QualityModel(rel_ref)),
         ))
     header = _provenance("qfactor", args, base, mode, imp, (
@@ -339,32 +342,6 @@ def cmd_impurity_scan(args) -> int:
     return 0
 
 
-def cmd_near_impurity(args) -> int:
-    """Matched-J noise comparison for a weak charge close to the dots
-    (default: q = -0.01 e at (-1.5 a, 0.5 a))."""
-    base, imp, mode = _resolve(args, default_impurity_wanted=False)
-    if imp is None:
-        q = args.charge_e if args.charge_e is not None else -0.01
-        imp = Impurity(-1.5 * base.a, 0.5 * base.a, q)
-    grid = matched_j_grid(base, n=args.points, j_max_ghz=args.j_max, mode=mode)
-    rows, failures = [], []
-    for j_ghz in grid:
-        try:
-            rec = improvement_factor(float(j_ghz), imp, base, mode, xi_fixed=base.xi)
-            rows.append((rec.J_ghz, rec.rel_tilt, rec.rel_barrier, rec.chi))
-        except (CalibrationError, ValueError) as exc:
-            rows.append((float(j_ghz), math.nan, math.nan, math.nan))
-            failures.append(f"J = {_fmt(float(j_ghz))} GHz: {exc}")
-    header = _provenance("near-impurity", args, base, mode, imp, (
-        f"points = {args.points}",
-        f"j_max_ghz = {_fmt(args.j_max)}",
-    ))
-    _emit(args.out, header, ChiRecord.CSV_FIELDS, rows)
-    for msg in failures:
-        print(f"dqdsim: error: {msg}", file=sys.stderr)
-    return 2 if failures else 0
-
-
 def cmd_potential_profile(args) -> int:
     """Confinement potential along a horizontal cut (default y = 0,
     x in [-3a, 3a])."""
@@ -391,69 +368,16 @@ def cmd_potential_profile(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _sample_device(rng: np.random.Generator) -> DeviceParams:
-    """Random device on the supported grid: a/a_B in [0.5, 3],
-    eps in [0, 1] meV, xi in [0, 1.5] meV (a fixed at 100 nm)."""
-    a = 100.0
-    ratio = rng.uniform(0.5, 3.0)
-    a_B = a / ratio
-    kin = HBAR2_OVER_2ME / 0.067
-    return DeviceParams(a=a, hbar_omega0=2.0 * kin / a_B**2,
-                        epsilon=float(rng.uniform(0.0, 1.0)),
-                        xi=float(rng.uniform(0.0, 1.5)))
-
-
-def _sample_impurity(rng: np.random.Generator, a: float) -> Impurity:
-    radius = float(rng.uniform(1.5, 20.0)) * a
-    angle = float(rng.uniform(0.0, 2.0 * math.pi))
-    return Impurity(radius * math.cos(angle), radius * math.sin(angle), -1.0)
-
-
-_ELEMENT_LIST = (
-    ("kinetic", (0, 0)), ("kinetic", (0, 1)),
-    ("potential", (0, 0)), ("potential", (0, 1)), ("potential", (1, 1)),
-    ("coulomb", (0, 0, 0, 0)), ("coulomb", (0, 1, 0, 1)),
-    ("coulomb", (0, 1, 1, 0)), ("coulomb", (1, 0, 0, 0)),
-    ("impurity", (0, 0)), ("impurity", (0, 1)), ("impurity", (1, 1)),
-)
-
-_CLOSED_FORMS = {
-    "kinetic": kinetic_element,
-    "potential": potential_element,
-    "coulomb": coulomb_element,
-    "impurity": impurity_element,
-}
-
-
 def _check_elements_vs_oracle(rng: np.random.Generator, n_sets: int):
     """Worst relative disagreement between closed forms and quadrature."""
-    worst = 0.0
-    worst_label = ""
-    for _ in range(n_sets):
-        params = _sample_device(rng)
-        imp = _sample_impurity(rng, params.a)
-        basis = build_basis(params)
-        for kind, idx in _ELEMENT_LIST:
-            if kind == "impurity":
-                closed = impurity_element(*idx, imp, params, basis)
-                oracle = quadrature_oracle(("impurity", *idx, imp), params).value
-            elif kind == "kinetic":
-                closed = kinetic_element(*idx, params, basis)
-                oracle = quadrature_oracle(("kinetic", *idx), params).value
-            elif kind == "potential":
-                closed = potential_element(*idx, params, basis)
-                oracle = quadrature_oracle(("potential", *idx), params).value
-            else:
-                closed = coulomb_element(*idx, params, basis)
-                oracle = quadrature_oracle(("coulomb", *idx), params).value
-            rel = abs(closed - oracle) / max(abs(oracle), 1e-9)
-            if rel > worst:
-                worst = rel
-                worst_label = f"{kind}{idx} at a/a_B = {_fmt(params.a / derive_constants(params).fock_darwin_radius)}"
-    return worst, worst_label
+    params, kind, idx, _closed, _oracle, rel = max(oracle_comparisons(rng, n_sets),
+                                                   key=lambda c: c[-1])
+    a_over_aB = params.a / derive_constants(params).fock_darwin_radius
+    return rel, f"{kind}{idx} at a/a_B = {_fmt(a_over_aB)}"
 
 
-def _run_validate(args) -> int:
+def cmd_validate(args) -> int:
+    """Run the built-in cross-check suite; exit 1 if any check fails."""
     quick = args.quick
     rng = np.random.default_rng(args.seed)
     checks: list[tuple[str, bool, str]] = []
@@ -503,7 +427,7 @@ def _run_validate(args) -> int:
         # 3. orthonormalized basis
         worst_orth = 0.0
         for _ in range(4):
-            basis = build_basis(_sample_device(rng))
+            basis = build_basis(sample_device(rng))
             g = basis.M @ overlap_matrix(basis) @ basis.M
             worst_orth = max(worst_orth, float(np.max(np.abs(g - np.eye(2)))))
         add("orthonormalization", worst_orth <= 1e-12,
@@ -564,11 +488,9 @@ def _run_validate(args) -> int:
         # 7. monotonic trends
         base = DeviceParams()
         eps_grid = [0.0, 0.2, 0.4, 0.6, 0.8, 1.0]
-        j_eps = [exchange_J(dataclasses.replace(base, epsilon=e, xi=1.3))
-                 for e in eps_grid]
+        j_eps = [exchange_J(control_point("tilt", base, e)) for e in eps_grid]
         xi_grid = [0.5, 0.7, 0.9, 1.1, 1.3]
-        j_xi = [exchange_J(dataclasses.replace(base, epsilon=0.0, xi=x))
-                for x in xi_grid]
+        j_xi = [exchange_J(control_point("barrier", base, x)) for x in xi_grid]
         add("exchange-monotonic",
             all(b > a for a, b in zip(j_eps, j_eps[1:]))
             and all(b < a for a, b in zip(j_xi, j_xi[1:])),
@@ -617,8 +539,8 @@ def _run_validate(args) -> int:
             for tgt in targets:
                 eps_star = calibrate_tilt(tgt, 1.3, base)
                 xi_star = calibrate_barrier(tgt, base)
-                jt = exchange_J_ghz(dataclasses.replace(base, epsilon=eps_star, xi=1.3))
-                jb = exchange_J_ghz(dataclasses.replace(base, epsilon=0.0, xi=xi_star))
+                jt = exchange_J_ghz(control_point("tilt", base, eps_star))
+                jb = exchange_J_ghz(control_point("barrier", base, xi_star))
                 worst_cal = max(worst_cal, abs(jt - tgt) / tgt, abs(jb - tgt) / tgt)
             add("calibration", worst_cal <= 1e-6,
                 f"worst |J(c*) - target|/target = {_fmt(worst_cal)}")
@@ -641,10 +563,6 @@ def _run_validate(args) -> int:
     return 1 if failed else 0
 
 
-def cmd_validate(args) -> int:
-    return _run_validate(args)
-
-
 # ---------------------------------------------------------------------------
 # parser
 # ---------------------------------------------------------------------------
@@ -664,6 +582,16 @@ def _add_common(p: argparse.ArgumentParser) -> None:
                    help="impurity charge in units of e")
     p.add_argument("--seed", type=int, default=0,
                    help="seed for randomized self-checks")
+
+
+def _add_matched_j(sub, name: str, help_text: str) -> None:
+    """A subcommand run by cmd_noise_compare."""
+    p = sub.add_parser(name, help=help_text)
+    _add_common(p)
+    p.add_argument("--points", type=int, default=25, help="matched-J grid size")
+    p.add_argument("--j-max", type=float, default=1.0, metavar="GHZ",
+                   help="upper end of the matched-J grid")
+    p.set_defaults(func=cmd_noise_compare)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -695,13 +623,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--xi-range", metavar="LO:HI:STEP", help="barrier grid [meV]")
     p.set_defaults(func=cmd_exchange_barrier)
 
-    p = sub.add_parser("noise-compare",
-                       help="tilt vs barrier noise at matched J, with chi")
-    _add_common(p)
-    p.add_argument("--points", type=int, default=25, help="matched-J grid size")
-    p.add_argument("--j-max", type=float, default=1.0, metavar="GHZ",
-                   help="upper end of the matched-J grid")
-    p.set_defaults(func=cmd_noise_compare)
+    _add_matched_j(sub, "noise-compare", "tilt vs barrier noise at matched J, with chi")
 
     p = sub.add_parser("qfactor", help="oscillation quality factor vs J")
     _add_common(p)
@@ -717,13 +639,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="impurity distances in units of a")
     p.set_defaults(func=cmd_impurity_scan)
 
-    p = sub.add_parser("near-impurity",
-                       help="matched-J comparison for a weak nearby charge")
-    _add_common(p)
-    p.add_argument("--points", type=int, default=25, help="matched-J grid size")
-    p.add_argument("--j-max", type=float, default=1.0, metavar="GHZ",
-                   help="upper end of the matched-J grid")
-    p.set_defaults(func=cmd_near_impurity)
+    _add_matched_j(sub, "near-impurity", "matched-J comparison for a weak nearby charge")
 
     p = sub.add_parser("potential-profile",
                        help="confinement potential along a horizontal cut")

@@ -6,6 +6,7 @@ elementary charge e, masses in units of the bare electron mass.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 
 # --- fundamental combinations in meV/nm units -------------------------------
@@ -64,35 +65,35 @@ class Impurity:
     y_c: float
     q: float = -1.0
 
+    def __post_init__(self):
+        for name in ("x_c", "y_c", "q"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"impurity {name} must be finite, got {getattr(self, name)}")
+
 
 # -- control schemes ----------------------------------------------------------
 
-@dataclass(frozen=True)
-class TiltControl:
-    """Vary epsilon at fixed barrier amplitude."""
-    xi: float = 1.3
-
-    name = "tilt"
-
-    def apply(self, params: DeviceParams, value: float) -> DeviceParams:
-        return dataclasses.replace(params, epsilon=value, xi=self.xi)
-
-
-@dataclass(frozen=True)
-class BarrierControl:
-    """Vary xi; detuning is held at exactly zero."""
-
-    name = "barrier"
-
-    def apply(self, params: DeviceParams, value: float) -> DeviceParams:
+def control_point(scheme: str, params: DeviceParams, value: float,
+                  xi_fixed: float = 1.3) -> DeviceParams:
+    """The device at one control value: "tilt" sets epsilon at barrier
+    amplitude xi_fixed, "barrier" sets xi at zero detuning."""
+    if scheme == "tilt":
+        return dataclasses.replace(params, epsilon=value, xi=xi_fixed)
+    if scheme == "barrier":
         return dataclasses.replace(params, epsilon=0.0, xi=value)
+    raise ValueError(f"unknown scheme {scheme!r}")
 
 
 def derive_constants(params: DeviceParams) -> DerivedConstants:
-    """Populate DerivedConstants; rejects non-positive inputs."""
+    """Populate DerivedConstants; rejects non-positive or non-finite inputs."""
     for name in ("a", "hbar_omega0", "m_eff", "eps_r"):
-        if getattr(params, name) <= 0:
-            raise ValueError(f"{name} must be positive, got {getattr(params, name)}")
+        v = getattr(params, name)
+        if not 0 < v < math.inf:
+            raise ValueError(f"{name} must be positive and finite, got {v}")
+    for name in ("epsilon", "xi"):
+        v = getattr(params, name)
+        if not math.isfinite(v):
+            raise ValueError(f"{name} must be finite, got {v}")
     kin = HBAR2_OVER_2ME / params.m_eff            # hbar^2/(2 m*)
     a_B2 = 2.0 * kin / params.hbar_omega0          # a_B^2 = (hbar^2/m*)/(hbar w0)
     m_omega2 = params.hbar_omega0**2 / (2.0 * kin)  # m* w0^2 in meV/nm^2
@@ -125,7 +126,7 @@ class ValidationReport:
 
 
 def validate_params(params: DeviceParams) -> ValidationReport:
-    """Check positivity and that the central barrier actually exists.
+    """Check finite, positive inputs and that the central barrier exists.
 
     The inter-dot stationary point at x=0 is a maximum only if the
     one-sided curvature of the full potential is non-positive there:
@@ -140,8 +141,11 @@ def validate_params(params: DeviceParams) -> ValidationReport:
     checks = []
     for name in ("a", "hbar_omega0", "m_eff", "eps_r"):
         v = getattr(params, name)
-        checks.append(CheckResult(f"{name} > 0", v > 0, min(v, 0.0)))
-    if checks[-1].passed and all(c.passed for c in checks):
+        checks.append(CheckResult(f"0 < {name} < inf", 0 < v < math.inf, min(v, 0.0)))
+    for name in ("epsilon", "xi"):
+        v = getattr(params, name)
+        checks.append(CheckResult(f"{name} finite", math.isfinite(v), 0.0))
+    if all(c.passed for c in checks):
         consts = derive_constants(params)
         base = params.a**2 * consts.m_omega2 - 12.0 * consts.barrier_height
         for label, mu in (("well 1 (x=-a)", params.mu1), ("well 2 (x=+a)", params.mu2)):
@@ -184,6 +188,7 @@ def config_to_objects(cfg: dict[str, str]) -> tuple[DeviceParams, str | None, Im
         if key in cfg:
             kwargs[field_name] = conv(cfg[key])
     params = DeviceParams(**kwargs)
+    derive_constants(params)  # names a non-positive or non-finite device value
     scheme = cfg.get("control.scheme")
     if scheme is not None and scheme not in ("tilt", "barrier"):
         raise ValueError(f"control.scheme must be 'tilt' or 'barrier', got {scheme!r}")

@@ -2,17 +2,14 @@
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
 from scipy.optimize import brentq
 
-from .hamiltonian import (AssemblyMode, exchange_J_ghz, hubbard_parameters,
-                          solve)
-from .model import BarrierControl, DeviceParams, Impurity, TiltControl
+from .hamiltonian import AssemblyMode, exchange_J_ghz, hubbard_parameters
+from .model import DeviceParams, Impurity, control_point
 
 DEFAULT_IMPURITY_SCALE = 6.0  # R_c = (-6a, 6a) is the reference noise source
 
@@ -36,19 +33,11 @@ class NoiseRecord:
                   "delta_J_ghz", "rel_noise")
 
 
-def _scheme(name: str, xi_fixed: float):
-    if name == "tilt":
-        return TiltControl(xi=xi_fixed)
-    if name == "barrier":
-        return BarrierControl()
-    raise ValueError(f"unknown scheme {name!r}")
-
-
 def delta_J(scheme: str, value: float, base: DeviceParams,
             imp: Impurity, mode: AssemblyMode = AssemblyMode.PAPER,
             xi_fixed: float = 1.3) -> NoiseRecord:
     """Evaluate J with and without the impurity at one control point."""
-    params = _scheme(scheme, xi_fixed).apply(base, value)
+    params = control_point(scheme, base, value, xi_fixed)
     j_clean = exchange_J_ghz(params, None, mode)
     j_imp = exchange_J_ghz(params, imp, mode)
     return NoiseRecord(
@@ -70,7 +59,6 @@ class CalibrationError(ValueError):
 
 TILT_BRACKET = (0.0, 1.5)
 BARRIER_BRACKET = (0.3, 1.3)
-_CAL_RTOL = 1e-8
 _CAL_MAXITER = 200
 
 
@@ -96,13 +84,16 @@ def _calibrate(j_target_ghz, f_of_control, lo, hi, label):
     return float(root)
 
 
+def _clean_j(scheme: str, base: DeviceParams, mode: AssemblyMode, xi_fixed: float = 1.3):
+    """Clean J [GHz] as a function of the scheme's control value."""
+    return lambda value: exchange_J_ghz(control_point(scheme, base, value, xi_fixed), None, mode)
+
+
 def calibrate_tilt(j_target_ghz: float, xi_fixed: float = 1.3,
                    base: DeviceParams = DeviceParams(),
                    mode: AssemblyMode = AssemblyMode.PAPER) -> float:
     """Detuning epsilon* >= 0 with clean J(epsilon*) = target."""
-    ctrl = TiltControl(xi=xi_fixed)
-    return _calibrate(j_target_ghz,
-                      lambda e: exchange_J_ghz(ctrl.apply(base, e), None, mode),
+    return _calibrate(j_target_ghz, _clean_j("tilt", base, mode, xi_fixed),
                       *TILT_BRACKET, label="calibrate_tilt")
 
 
@@ -110,9 +101,7 @@ def calibrate_barrier(j_target_ghz: float,
                       base: DeviceParams = DeviceParams(),
                       mode: AssemblyMode = AssemblyMode.PAPER) -> float:
     """Barrier amplitude xi* with clean J(xi*) = target (J decreasing in xi)."""
-    ctrl = BarrierControl()
-    return _calibrate(j_target_ghz,
-                      lambda x: exchange_J_ghz(ctrl.apply(base, x), None, mode),
+    return _calibrate(j_target_ghz, _clean_j("barrier", base, mode),
                       *BARRIER_BRACKET, label="calibrate_barrier")
 
 
@@ -154,7 +143,7 @@ def improvement_factor(j_target_ghz: float, imp: Impurity,
 def matched_j_grid(base: DeviceParams, n: int = 25, j_max_ghz: float = 1.0,
                    mode: AssemblyMode = AssemblyMode.PAPER) -> np.ndarray:
     """Geometric grid from the common starting point J0 up to j_max."""
-    j0 = exchange_J_ghz(TiltControl(xi=base.xi).apply(base, 0.0), None, mode)
+    j0 = _clean_j("tilt", base, mode, base.xi)(0.0)
     return j0 * (j_max_ghz / j0) ** (np.arange(n) / (n - 1))
 
 
@@ -228,34 +217,21 @@ def t_star_ns(sigma_ghz: float) -> float:
 # sweeps
 # ---------------------------------------------------------------------------
 
-def _sweep_point(args) -> NoiseRecord:
-    scheme, value, base, imp, mode, xi_fixed = args
-    try:
-        return delta_J(scheme, value, base, imp, mode, xi_fixed=xi_fixed)
-    except Exception as exc:  # record and continue
-        return NoiseRecord(scheme=scheme, control_mev=value,
-                           J_clean_ghz=math.nan, J_imp_ghz=math.nan,
-                           delta_J_ghz=math.nan, rel_noise=math.nan,
-                           impurity=imp, error=f"{type(exc).__name__}: {exc}")
-
-
-def thread_count() -> int:
-    try:
-        return max(1, int(os.environ.get("DQDSIM_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
 def sweep(scheme: str, values, base: DeviceParams, imp: Impurity,
           mode: AssemblyMode = AssemblyMode.PAPER, xi_fixed: float = 1.3) -> list[NoiseRecord]:
     """One NoiseRecord per control value, in input order; per-point errors
     are captured on the record instead of aborting the sweep."""
-    jobs = [(scheme, float(v), base, imp, mode, xi_fixed) for v in values]
-    workers = thread_count()
-    if workers > 1 and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(_sweep_point, jobs))
-    return [_sweep_point(j) for j in jobs]
+    records = []
+    for value in map(float, values):
+        try:
+            records.append(delta_J(scheme, value, base, imp, mode, xi_fixed=xi_fixed))
+        except Exception as exc:  # record and continue
+            records.append(NoiseRecord(
+                scheme=scheme, control_mev=value,
+                J_clean_ghz=math.nan, J_imp_ghz=math.nan,
+                delta_J_ghz=math.nan, rel_noise=math.nan,
+                impurity=imp, error=f"{type(exc).__name__}: {exc}"))
+    return records
 
 
 # ---------------------------------------------------------------------------
@@ -271,11 +247,7 @@ def sweet_spot_check(xi: float, base: DeviceParams = DeviceParams(),
     extrapolation; the difference of the two estimates bounds the
     leading truncation term.
     """
-    ctrl = TiltControl(xi=xi)
-
-    def j(eps):
-        return exchange_J_ghz(ctrl.apply(base, eps), None, mode)
-
+    j = _clean_j("tilt", base, mode, xi)
     d1 = (j(+h) - j(-h)) / (2.0 * h)
     d2 = (j(+h / 2) - j(-h / 2)) / h
     richardson = (4.0 * d2 - d1) / 3.0

@@ -18,7 +18,6 @@ import scipy.optimize
 from dqdsim import (
     AssemblyMode,
     DeviceParams,
-    HBAR2_OVER_2ME,
     Impurity,
     QualityModel,
     T0_VECTOR,
@@ -26,7 +25,6 @@ from dqdsim import (
     calibrate_barrier,
     calibrate_tilt,
     constraint_report,
-    coulomb_element,
     default_impurity,
     delta_J,
     envelope_numeric,
@@ -34,55 +32,16 @@ from dqdsim import (
     exchange_J_ghz,
     hubbard_noise_estimate,
     hubbard_parameters,
-    impurity_element,
     improvement_factor,
-    kinetic_element,
     matched_j_grid,
-    potential_element,
-    quadrature_oracle,
     quality_factor,
     solve,
     sweet_spot_check,
     validate_params,
 )
+from dqdsim.crosscheck import ELEMENT_KINDS, oracle_comparisons, sample_impurity
 
 RNG_SEED = 20260819
-
-# One representative element of every closed-form family.
-ELEMENT_KINDS = (
-    ("kinetic", (0, 0)), ("kinetic", (0, 1)),
-    ("potential", (0, 0)), ("potential", (0, 1)), ("potential", (1, 1)),
-    ("coulomb", (0, 0, 0, 0)), ("coulomb", (0, 1, 0, 1)),
-    ("coulomb", (0, 1, 1, 0)), ("coulomb", (1, 0, 0, 0)),
-    ("impurity", (0, 0)), ("impurity", (0, 1)), ("impurity", (1, 1)),
-)
-
-CLOSED_FORMS = {
-    "kinetic": kinetic_element,
-    "potential": potential_element,
-    "coulomb": coulomb_element,
-    "impurity": impurity_element,
-}
-
-
-def sample_device(rng):
-    """Device with a/a_B uniform in [0.5, 3] plus random controls."""
-    a = 100.0
-    ratio = rng.uniform(0.5, 3.0)
-    a_B = a / ratio
-    kinetic_scale = HBAR2_OVER_2ME / 0.067
-    return DeviceParams(
-        a=a,
-        hbar_omega0=2.0 * kinetic_scale / a_B**2,
-        epsilon=rng.uniform(0.0, 1.0),
-        xi=rng.uniform(0.0, 1.5),
-    )
-
-
-def sample_impurity(rng, a):
-    radius = rng.uniform(1.5, 20.0) * a
-    angle = rng.uniform(0.0, 2.0 * math.pi)
-    return Impurity(radius * math.cos(angle), radius * math.sin(angle), q=-1.0)
 
 
 def test_a01_closed_forms_match_quadrature_oracle():
@@ -93,22 +52,13 @@ def test_a01_closed_forms_match_quadrature_oracle():
     worst = 0.0
     failures = []
     n_sets = 52
-    for k in range(n_sets):
-        params = sample_device(rng)
-        imp = sample_impurity(rng, params.a)
-        for kind, idx in ELEMENT_KINDS:
-            if kind == "impurity":
-                closed = CLOSED_FORMS[kind](*idx, imp, params)
-                oracle = quadrature_oracle((kind, *idx, imp), params)
-            else:
-                closed = CLOSED_FORMS[kind](*idx, params)
-                oracle = quadrature_oracle((kind, *idx), params)
-            rel = abs(closed - oracle.value) / max(abs(oracle.value), 1e-9)
-            worst = max(worst, rel)
-            if rel > 1e-6:
-                failures.append(
-                    f"set {k} {kind}{idx}: closed={closed:.12g} "
-                    f"oracle={oracle.value:.12g} rel={rel:.3e}")
+    comparisons = oracle_comparisons(rng, n_sets)
+    for n, (_params, kind, idx, closed, oracle, rel) in enumerate(comparisons):
+        worst = max(worst, rel)
+        if rel > 1e-6:
+            failures.append(
+                f"set {n // len(ELEMENT_KINDS)} {kind}{idx}: closed={closed:.12g} "
+                f"oracle={oracle:.12g} rel={rel:.3e}")
     elapsed = time.monotonic() - start
     assert not failures, (
         f"{len(failures)}/{n_sets * len(ELEMENT_KINDS)} elements off "

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from dqdsim import DeviceParams, eval_potential, __version__
+from dqdsim.cli import MAX_GRID_POINTS, main
 
 CLI = [sys.executable, "-m", "dqdsim.cli"]
 
@@ -89,6 +90,27 @@ def test_writes_to_stdout_without_out_flag():
     assert len(rows) == 4  # header + 3 grid points
 
 
+# Impurity provenance (x_nm, y_nm, charge_e) of the matched-J commands.
+IMPURITY_RESOLUTION = {
+    ("near-impurity",): ("-150", "50", "-0.01"),
+    ("near-impurity", "--impurity=-450,300"): ("-450", "300", "-1"),
+    ("near-impurity", "--charge-e", "-0.2"): ("-150", "50", "-0.2"),
+    ("noise-compare",): ("-600", "600", "-1"),
+}
+
+
+@pytest.mark.parametrize("invocation,expected", IMPURITY_RESOLUTION.items(),
+                         ids=[" ".join(inv) for inv in IMPURITY_RESOLUTION])
+def test_matched_j_commands_resolve_their_impurity(invocation, expected, tmp_path):
+    out = tmp_path / "out.csv"
+    assert main([*invocation, "--points", "2", "--j-max", "0.1", "--out", str(out)]) == 0
+    text = out.read_text()
+    x, y, q = expected
+    assert f"# subcommand = {invocation[0]}\n" in text
+    assert (f"# impurity.x_nm = {x}\n# impurity.y_nm = {y}\n"
+            f"# impurity.charge_e = {q}\n") in text
+
+
 def test_reruns_are_byte_identical(tmp_path):
     cases = [
         ("spectrum", "--eps-range", "0:0.3:0.1"),
@@ -127,6 +149,12 @@ class TestConfig:
         assert proc.returncode == 2
         assert "unknown config keys" in proc.stderr
 
+    def test_nonfinite_device_is_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "device.cfg"
+        cfg.write_text("device.hbar_omega0_mev = inf\n")
+        assert main(["spectrum", "--config", str(cfg), "--eps-range", "0:0.1:0.1"]) == 2
+        assert "hbar_omega0 must be positive and finite" in capsys.readouterr().err
+
     def test_flags_override_config(self, tmp_path):
         cfg = tmp_path / "device.cfg"
         cfg.write_text("impurity.x_nm = -600\nimpurity.y_nm = 600\n"
@@ -151,6 +179,11 @@ class TestFlags:
         assert "# impurity.y_nm = 300" in text
         assert "# impurity.charge_e = -0.25" in text
 
+    def test_nonfinite_impurity_is_rejected(self, capsys):
+        assert main(["exchange-tilt", "--eps-range", "0:0.2:0.2",
+                     "--impurity=nan,300"]) == 2
+        assert "impurity x_c must be finite" in capsys.readouterr().err
+
     def test_seed_lands_in_header(self, tmp_path):
         out = tmp_path / "out.csv"
         run_cli("spectrum", "--eps-range", "0:0.1:0.1", "--seed", "7",
@@ -164,13 +197,18 @@ class TestFlags:
                 "--out", str(full))
         assert data_rows(paper.read_text()) != data_rows(full.read_text())
 
-    @pytest.mark.parametrize("bad", ["1:0:0.1", "0:1:-0.1", "0:1", "a:b:c"])
+    # Non-finite and oversized grids are rejected before they are built,
+    # so none is ever allocated.
+    @pytest.mark.parametrize("bad", [
+        "1:0:0.1", "0:1:-0.1", "0:1", "a:b:c",
+        "0:inf:0.5", "nan:nan:1", "0:1:inf", "-inf:0:1",
+        "0:1e9:1", "-1e308:1e308:1e-300", f"0:{MAX_GRID_POINTS}:1"])
     def test_malformed_range_is_rejected(self, bad):
         proc = subprocess.run(
-            CLI + ["spectrum", "--eps-range", bad],
+            CLI + ["spectrum", f"--eps-range={bad}"],
             capture_output=True, text=True, timeout=60)
         assert proc.returncode == 2
-        assert proc.stderr.strip()
+        assert repr(bad) in proc.stderr
 
 
 class TestContent:

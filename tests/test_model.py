@@ -7,14 +7,13 @@ import pytest
 from hypothesis import given, strategies as st
 
 from dqdsim import (
-    BarrierControl,
     COULOMB_VACUUM,
     DeviceParams,
     HBAR2_OVER_2ME,
     Impurity,
     MEV_TO_GHZ,
-    TiltControl,
     config_to_objects,
+    control_point,
     derive_constants,
     read_config,
     validate_params,
@@ -58,6 +57,13 @@ class TestDerivedConstants:
         with pytest.raises(ValueError, match=field):
             derive_constants(bad)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["a", "hbar_omega0", "m_eff", "eps_r", "epsilon", "xi"])
+    def test_rejects_nonfinite(self, field, value):
+        bad = dataclasses.replace(DeviceParams(), **{field: value})
+        with pytest.raises(ValueError, match=f"^{field} must be .*finite"):
+            derive_constants(bad)
+
     @given(w0=st.floats(0.05, 5.0), m=st.floats(0.02, 1.0))
     def test_radius_scaling(self, w0, m):
         # a_B ~ 1/sqrt(m* w0): doubling both halves a_B^2 twice over
@@ -82,18 +88,27 @@ class TestDetuningConvention:
         assert p.mu1 == 0.0 and p.mu2 == 0.0
 
 
+class TestImpurity:
+    @pytest.mark.parametrize("field", ["x_c", "y_c", "q"])
+    def test_rejects_nonfinite(self, field):
+        kwargs = {"x_c": -600.0, "y_c": 600.0, "q": -1.0, field: math.nan}
+        with pytest.raises(ValueError, match=f"impurity {field} must be finite"):
+            Impurity(**kwargs)
+
+
 class TestControls:
     def test_tilt_sets_epsilon_and_fixes_barrier(self):
-        p = TiltControl(xi=1.1).apply(DeviceParams(xi=0.7), 0.42)
+        p = control_point("tilt", DeviceParams(xi=0.7), 0.42, xi_fixed=1.1)
         assert p.epsilon == 0.42 and p.xi == 1.1
 
     def test_barrier_sets_xi_and_zeroes_detuning(self):
-        p = BarrierControl().apply(DeviceParams(epsilon=0.9), 0.8)
+        p = control_point("barrier", DeviceParams(epsilon=0.9), 0.8)
         assert p.xi == 0.8 and p.epsilon == 0.0
 
     def test_names(self):
-        assert TiltControl().name == "tilt"
-        assert BarrierControl().name == "barrier"
+        # A scheme is its name: "tilt" and "barrier" above, nothing else.
+        with pytest.raises(ValueError, match="unknown scheme 'magnetic'"):
+            control_point("magnetic", DeviceParams(), 0.1)
 
 
 class TestValidateParams:
@@ -110,6 +125,12 @@ class TestValidateParams:
         # shallow side needs 6 eps <= 16 xi.
         assert not validate_params(DeviceParams(epsilon=1.0, xi=0.3)).ok
         assert validate_params(DeviceParams(epsilon=1.0, xi=0.4)).ok
+
+    @pytest.mark.parametrize("field", ["a", "hbar_omega0", "eps_r", "epsilon", "xi"])
+    def test_nonfinite_input_fails_its_check(self, field):
+        report = validate_params(dataclasses.replace(DeviceParams(), **{field: math.nan}))
+        failed = [c.name for c in report.checks if not c.passed]
+        assert len(failed) == 1 and field in failed[0].split()
 
     def test_report_lists_named_checks(self):
         report = validate_params(DeviceParams())
@@ -147,6 +168,10 @@ class TestConfig:
     def test_unknown_key_rejected(self):
         with pytest.raises(ValueError, match="unknown config keys"):
             config_to_objects({"device.bogus": "1"})
+
+    def test_nonfinite_device_rejected(self):
+        with pytest.raises(ValueError, match="^a must be positive and finite, got nan"):
+            config_to_objects({"device.a_nm": "nan"})
 
     def test_bad_scheme_rejected(self):
         with pytest.raises(ValueError, match="scheme"):

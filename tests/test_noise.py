@@ -29,7 +29,6 @@ from dqdsim import (
     sweep,
     sweet_spot_check,
     t_star_ns,
-    thread_count,
 )
 
 # Frozen reference values at the default device with the default
@@ -231,20 +230,17 @@ class TestSweep:
             assert math.isnan(r.J_clean_ghz) and math.isnan(r.rel_noise)
             assert "m_eff" in r.error
 
-    def test_parallel_matches_serial(self, params, impurity, monkeypatch):
-        values = [0.0, 0.3, 0.6]
-        serial = sweep("tilt", values, params, impurity)
-        monkeypatch.setenv("DQDSIM_THREADS", "2")
-        assert thread_count() == 2
-        parallel = sweep("tilt", values, params, impurity)
-        assert parallel == serial
+    def test_captures_nonfinite_controls_per_point(self, params, impurity):
+        recs = sweep("barrier", [0.9, math.nan], params, impurity)
+        assert recs[0].error is None and math.isfinite(recs[0].rel_noise)
+        assert math.isnan(recs[1].rel_noise)
+        assert "xi must be finite" in recs[1].error
 
-    def test_thread_count_parsing(self, monkeypatch):
-        monkeypatch.delenv("DQDSIM_THREADS", raising=False)
-        assert thread_count() == 1
-        monkeypatch.setenv("DQDSIM_THREADS", "4")
-        assert thread_count() == 4
-        monkeypatch.setenv("DQDSIM_THREADS", "not-a-number")
-        assert thread_count() == 1
-        monkeypatch.setenv("DQDSIM_THREADS", "0")
-        assert thread_count() == 1
+    @pytest.mark.parametrize("field,value", [
+        ("a", math.nan), ("hbar_omega0", math.inf), ("eps_r", math.nan)])
+    def test_captures_nonfinite_device_per_point(self, impurity, field, value):
+        bad = dataclasses.replace(DeviceParams(), **{field: value})
+        recs = sweep("tilt", [0.0, 0.2], bad, impurity)
+        for r in recs:
+            assert math.isnan(r.rel_noise)
+            assert r.error.startswith(f"ValueError: {field} must be positive and finite")
