@@ -9,7 +9,6 @@ import numpy as np
 
 from .integrals import coulomb_element, impurity_element, kinetic_element, potential_element
 from .model import HBAR2_OVER_2ME, DeviceParams, Impurity
-from .orbitals import build_basis
 from .quadrature import quadrature_oracle
 
 # One representative element of every closed-form family.
@@ -53,9 +52,8 @@ def oracle_comparisons(rng: np.random.Generator, n_sets: int):
     for _ in range(n_sets):
         params = sample_device(rng)
         imp = sample_impurity(rng, params.a)
-        basis = build_basis(params)
         for kind, idx in ELEMENT_KINDS:
             extra = (imp,) if kind == "impurity" else ()
-            closed = CLOSED_FORMS[kind](*idx, *extra, params, basis)
+            closed = CLOSED_FORMS[kind](*idx, *extra, params)
             oracle = quadrature_oracle((kind, *idx, *extra), params).value
             yield params, kind, idx, closed, oracle, abs(closed - oracle) / max(abs(oracle), 1e-9)

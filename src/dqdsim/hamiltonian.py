@@ -13,25 +13,27 @@ Two assembly modes:
   corners, and correlated-hopping corrections w1/w2 on the hops — the
   complete Slater-Condon expansion over the orthonormalized orbitals.
 
-Hopping, interaction, and exchange parameters are computed from the
-symmetric (epsilon = 0) potential at the operating barrier height;
-detuning enters exactly as the chemical potentials mu1 = -eps/2,
-mu2 = +eps/2 on the diagonal.  Evaluating the one-body integrals over
-the tilt-deformed quartic instead amplifies the effective detuning by
-~3.9x at the default soft confinement (the mu-dependent cubic/quartic
-tails have large moments when a_B ~ a), which is not what the
-chemical-potential form of the model means by epsilon.
+The integral tables of the symmetric (epsilon = 0), barrier-free device
+are built once, with the confinement of the Gaussian bump per meV of xi;
+a control point adds xi times that bump, and detuning enters exactly as
+the chemical potentials mu1 = -eps/2, mu2 = +eps/2 on the diagonal.
+Evaluating the one-body integrals over the tilt-deformed quartic instead
+amplifies the effective detuning by ~3.9x at the default soft confinement
+(the mu-dependent cubic/quartic tails have large moments when a_B ~ a),
+which is not what the chemical-potential form of the model means by
+epsilon.
 """
 from __future__ import annotations
 
 import dataclasses
 import enum
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .integrals import IntegralTables, build_tables
+from .integrals import IntegralTables, build_tables, impurity_table
 from .model import DeviceParams, Impurity, derive_constants
 from .orbitals import OrbitalBasis, build_basis
 
@@ -73,21 +75,10 @@ class HubbardParams:
         return self.t
 
 
-def hubbard_parameters(params: DeviceParams,
-                       basis: OrbitalBasis | None = None,
-                       tables: IntegralTables | None = None,
-                       imp: Impurity | None = None) -> HubbardParams:
-    """Transform integral tables by the Lowdin matrix and read off the model.
-
-    If `tables` is not supplied they are built from the symmetric
-    (epsilon = 0) potential at params.xi; the device detuning is applied
-    through the chemical potentials.  Supplying `tables` directly leaves
-    their shape asymmetry in the extracted mu's (useful for gauge tests).
-    """
-    if basis is None:
-        basis = build_basis(params)
-    if tables is None:
-        tables = build_tables(dataclasses.replace(params, epsilon=0.0), basis, imp)
+def hubbard_from_tables(params: DeviceParams, basis: OrbitalBasis,
+                        tables: IntegralTables) -> HubbardParams:
+    """Transform integral tables by the Lowdin matrix and read off the model;
+    the device detuning adds to the per-dot depths of the tables."""
     M = basis.M
 
     h = M @ tables.one_body @ M
@@ -114,6 +105,25 @@ def hubbard_parameters(params: DeviceParams,
         corr_hop2=float(V4[1, 1, 1, 0]),
         offset=float(offset),
     )
+
+
+@functools.lru_cache(maxsize=1)
+def _device(params: DeviceParams):
+    """What the controls never change, for a device at epsilon = xi = 0:
+    its basis, its tables, and the bump's confinement per meV of xi."""
+    tables = build_tables(params)
+    bump = build_tables(dataclasses.replace(params, xi=1.0)).confinement - tables.confinement
+    return build_basis(params), tables, bump
+
+
+def hubbard_parameters(params: DeviceParams, imp: Impurity | None = None) -> HubbardParams:
+    """The model at one control point: the device's tables at epsilon = 0
+    plus params.xi times the bump, plus the impurity elements."""
+    derive_constants(params)  # names a non-finite control before it reaches the tables
+    basis, tables, bump = _device(dataclasses.replace(params, epsilon=0.0, xi=0.0))
+    W = None if imp is None else impurity_table(imp, params)
+    return hubbard_from_tables(params, basis, dataclasses.replace(
+        tables, confinement=tables.confinement + params.xi * bump, impurity=W))
 
 
 def assemble_matrix(hp: HubbardParams, mode: AssemblyMode = AssemblyMode.PAPER) -> np.ndarray:
@@ -206,9 +216,7 @@ T0_VECTOR = np.array([0.0, 1.0, -1.0, 0.0]) / math.sqrt(2.0)
 
 
 def solve(params: DeviceParams, imp: Impurity | None = None,
-          mode: AssemblyMode = AssemblyMode.PAPER,
-          basis: OrbitalBasis | None = None,
-          tables: IntegralTables | None = None) -> SpectrumResult:
+          mode: AssemblyMode = AssemblyMode.PAPER) -> SpectrumResult:
     """Assemble and diagonalize the two-electron model at one parameter point.
 
     J is the signed singlet-triplet splitting E(T0) - E(S): the T0 vector
@@ -216,7 +224,7 @@ def solve(params: DeviceParams, imp: Impurity | None = None,
     overlap), and E(S) is the lowest remaining level.  A negative J means
     the triplet has dropped below the singlet.
     """
-    hp = hubbard_parameters(params, basis=basis, tables=tables, imp=imp)
+    hp = hubbard_parameters(params, imp)
     H = assemble_matrix(hp, mode)
     evals, evecs = jacobi_eigh(H)
     i_t0 = int(np.argmax(np.abs(T0_VECTOR @ evecs)))

@@ -30,7 +30,7 @@ from .model import Impurity
 
 __all__ = [
     "i0e", "kinetic_element", "potential_element", "coulomb_element",
-    "impurity_element", "IntegralTables", "build_tables",
+    "impurity_element", "impurity_table", "IntegralTables", "build_tables",
 ]
 
 # --------------------------------------------------------------------------
@@ -133,23 +133,21 @@ def _pair_geometry(basis: OrbitalBasis, i: int, j: int):
     return d2, P, s_ij
 
 
-def kinetic_element(i: int, j: int, params: DeviceParams, basis: OrbitalBasis | None = None) -> float:
+def kinetic_element(i: int, j: int, params: DeviceParams) -> float:
     """<phi_i| -hbar^2/(2 m*) lap |phi_j>  [meV]."""
-    if basis is None:
-        basis = build_basis(params)
+    basis = build_basis(params)
     d2, _, s_ij = _pair_geometry(basis, i, j)
     return 0.5 * params.hbar_omega0 * s_ij * (1.0 - d2 / (4.0 * basis.a_B**2))
 
 
-def potential_element(i: int, j: int, params: DeviceParams, basis: OrbitalBasis | None = None) -> float:
+def potential_element(i: int, j: int, params: DeviceParams) -> float:
     """<phi_i| V |phi_j> for the full confinement potential  [meV]."""
-    if basis is None:
-        basis = build_basis(params)
+    basis = build_basis(params)
     consts = derive_constants(params)
     _, P, s_ij = _pair_geometry(basis, i, j)
     v = 0.5 * basis.a_B**2  # per-axis variance of the pair Gaussian
 
-    left, right = quartic_pieces(params, consts)
+    left, right = quartic_pieces(params)
     mx = float(P[0])
     q_left = _shift_poly(left.poly_coeffs(), left.center)
     q_right = _shift_poly(right.poly_coeffs(), right.center)
@@ -168,14 +166,12 @@ def potential_element(i: int, j: int, params: DeviceParams, basis: OrbitalBasis 
     return s_ij * (e_vx + e_y + e_g)
 
 
-def impurity_element(i: int, j: int, imp: Impurity, params: DeviceParams,
-                     basis: OrbitalBasis | None = None) -> float:
+def impurity_element(i: int, j: int, imp: Impurity, params: DeviceParams) -> float:
     """<phi_i| (-q) e^2/(4 pi kappa |r - R_c|) |phi_j>  [meV].
 
     Positive (repulsive) for q = -1 against the -e electrons.
     """
-    if basis is None:
-        basis = build_basis(params)
+    basis = build_basis(params)
     consts = derive_constants(params)
     aB2 = basis.a_B**2
     R = basis.R
@@ -186,16 +182,19 @@ def impurity_element(i: int, j: int, imp: Impurity, params: DeviceParams,
     return (-imp.q) * pref * s_ij * i0e(arg)
 
 
+def impurity_table(imp: Impurity, params: DeviceParams) -> np.ndarray:
+    """(2, 2) matrix of impurity_element over the dot basis  [meV]."""
+    return np.array([[impurity_element(i, j, imp, params) for j in range(2)] for i in range(2)])
+
+
 # --------------------------------------------------------------------------
 # two-body Coulomb element (chemist pairing)
 # --------------------------------------------------------------------------
 
-def coulomb_element(i: int, j: int, k: int, l: int, params: DeviceParams,
-                    basis: OrbitalBasis | None = None) -> float:
+def coulomb_element(i: int, j: int, k: int, l: int, params: DeviceParams) -> float:
     """(ij|kl) = integral of rho_ij(r1) rho_kl(r2) e^2/(4 pi kappa r12),
     with rho_ij = phi_i phi_j  [meV]."""
-    if basis is None:
-        basis = build_basis(params)
+    basis = build_basis(params)
     consts = derive_constants(params)
     aB2 = basis.a_B**2
     R = basis.R
@@ -229,27 +228,19 @@ class IntegralTables:
         return self.kinetic + self.confinement
 
 
-def build_tables(params: DeviceParams, basis: OrbitalBasis | None = None,
-                 imp: Impurity | None = None) -> IntegralTables:
-    if basis is None:
-        basis = build_basis(params)
+def build_tables(params: DeviceParams, imp: Impurity | None = None) -> IntegralTables:
     T = np.empty((2, 2))
     V = np.empty((2, 2))
     for i in range(2):
         for j in range(2):
-            T[i, j] = kinetic_element(i, j, params, basis)
-            V[i, j] = potential_element(i, j, params, basis)
+            T[i, j] = kinetic_element(i, j, params)
+            V[i, j] = potential_element(i, j, params)
     # physicist-ordered tensor from chemist pairings: <ij|v|kl> = (ik|jl)
     V4 = np.empty((2, 2, 2, 2))
     for i in range(2):
         for j in range(2):
             for k in range(2):
                 for l in range(2):
-                    V4[i, j, k, l] = coulomb_element(i, k, j, l, params, basis)
-    W = None
-    if imp is not None:
-        W = np.empty((2, 2))
-        for i in range(2):
-            for j in range(2):
-                W[i, j] = impurity_element(i, j, imp, params, basis)
+                    V4[i, j, k, l] = coulomb_element(i, k, j, l, params)
+    W = None if imp is None else impurity_table(imp, params)
     return IntegralTables(kinetic=T, confinement=V, coulomb=V4, impurity=W)

@@ -181,17 +181,14 @@ def read_config(path: str) -> dict[str, str]:
     return out
 
 
-def config_to_objects(cfg: dict[str, str]) -> tuple[DeviceParams, str | None, Impurity | None]:
-    """Map a flat config dict onto (DeviceParams, scheme name, Impurity)."""
+def config_to_objects(cfg: dict[str, str]) -> tuple[DeviceParams, Impurity | None]:
+    """Map a flat config dict onto (DeviceParams, Impurity)."""
     kwargs = {}
     for key, (field_name, conv) in _CONFIG_KEYS.items():
         if key in cfg:
             kwargs[field_name] = conv(cfg[key])
     params = DeviceParams(**kwargs)
     derive_constants(params)  # names a non-positive or non-finite device value
-    scheme = cfg.get("control.scheme")
-    if scheme is not None and scheme not in ("tilt", "barrier"):
-        raise ValueError(f"control.scheme must be 'tilt' or 'barrier', got {scheme!r}")
     imp = None
     if "impurity.x_nm" in cfg or "impurity.y_nm" in cfg:
         imp = Impurity(
@@ -199,8 +196,8 @@ def config_to_objects(cfg: dict[str, str]) -> tuple[DeviceParams, str | None, Im
             y_c=float(cfg.get("impurity.y_nm", 0.0)),
             q=float(cfg.get("impurity.charge_e", -1.0)),
         )
-    known = set(_CONFIG_KEYS) | {"control.scheme", "impurity.x_nm", "impurity.y_nm", "impurity.charge_e"}
+    known = set(_CONFIG_KEYS) | {"impurity.x_nm", "impurity.y_nm", "impurity.charge_e"}
     unknown = set(cfg) - known
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
-    return params, scheme, imp
+    return params, imp

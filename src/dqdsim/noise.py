@@ -143,6 +143,10 @@ def improvement_factor(j_target_ghz: float, imp: Impurity,
 def matched_j_grid(base: DeviceParams, n: int = 25, j_max_ghz: float = 1.0,
                    mode: AssemblyMode = AssemblyMode.PAPER) -> np.ndarray:
     """Geometric grid from the common starting point J0 up to j_max."""
+    if n < 2:
+        raise ValueError(f"--points must be at least 2, got {n}")
+    if not 0 < j_max_ghz < math.inf:
+        raise ValueError(f"--j-max must be positive and finite, got {j_max_ghz}")
     j0 = _clean_j("tilt", base, mode, base.xi)(0.0)
     return j0 * (j_max_ghz / j0) ** (np.arange(n) / (n - 1))
 

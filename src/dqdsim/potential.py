@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import DeviceParams, DerivedConstants, derive_constants
+from .model import DeviceParams, derive_constants
 
 
 @dataclass(frozen=True)
@@ -52,11 +52,9 @@ class QuarticPiece:
         return np.array([-self.mu, 0.0, 0.5 * self.k2, self.c3, self.c4])
 
 
-def quartic_pieces(params: DeviceParams,
-                   consts: DerivedConstants | None = None) -> tuple[QuarticPiece, QuarticPiece]:
+def quartic_pieces(params: DeviceParams) -> tuple[QuarticPiece, QuarticPiece]:
     """(left piece for x<0 about -a with mu1, right piece for x>=0 about +a with mu2)."""
-    if consts is None:
-        consts = derive_constants(params)
+    consts = derive_constants(params)
     a = params.a
     aw = a**2 * consts.m_omega2
     C = consts.barrier_height
@@ -73,9 +71,9 @@ def quartic_pieces(params: DeviceParams,
     return left, right
 
 
-def eval_vx(x, params: DeviceParams, consts: DerivedConstants | None = None):
+def eval_vx(x, params: DeviceParams):
     """Longitudinal double-well part V_x(x); vectorized."""
-    left, right = quartic_pieces(params, consts)
+    left, right = quartic_pieces(params)
     x = np.asarray(x, dtype=float)
     return np.where(x < 0, left(x), right(x))
 
@@ -87,25 +85,22 @@ def gaussian_barrier(x, y, params: DeviceParams):
     return params.xi * np.exp(-8.0 * (x**2 + y**2) / params.a**2)
 
 
-def eval_potential(x, y, params: DeviceParams, consts: DerivedConstants | None = None):
+def eval_potential(x, y, params: DeviceParams):
     """Full 2D confinement potential, vectorized over x and y."""
-    if consts is None:
-        consts = derive_constants(params)
+    consts = derive_constants(params)
     y = np.asarray(y, dtype=float)
-    return eval_vx(x, params, consts) + 0.5 * consts.m_omega2 * y**2 + gaussian_barrier(x, y, params)
+    return eval_vx(x, params) + 0.5 * consts.m_omega2 * y**2 + gaussian_barrier(x, y, params)
 
 
-def constraint_report(params: DeviceParams,
-                      consts: DerivedConstants | None = None) -> list[tuple[str, float, float, float]]:
+def constraint_report(params: DeviceParams) -> list[tuple[str, float, float, float]]:
     """Evaluate the junction/well constraints on V_x analytically.
 
     Returns rows (name, value, expected, relative residual).  Covers both
     one-sided values at the origin, both well bottoms, and the curvature
     at each bottom.
     """
-    if consts is None:
-        consts = derive_constants(params)
-    left, right = quartic_pieces(params, consts)
+    consts = derive_constants(params)
+    left, right = quartic_pieces(params)
     a, C = params.a, consts.barrier_height
 
     def rel(v, e):
@@ -127,15 +122,13 @@ def constraint_report(params: DeviceParams,
     return rows
 
 
-def central_curvatures(params: DeviceParams,
-                       consts: DerivedConstants | None = None) -> tuple[float, float]:
+def central_curvatures(params: DeviceParams) -> tuple[float, float]:
     """One-sided d2V/dx2 at x=0 of the full potential (quartic + Gaussian).
 
     Closed form: (a^2 m* w0^2 - 12 mu_i - 12 C - 16 xi) / a^2.  Both must
     be <= 0 for the stationary point at the origin to be a barrier top.
     """
-    if consts is None:
-        consts = derive_constants(params)
+    consts = derive_constants(params)
     base = params.a**2 * consts.m_omega2 - 12.0 * consts.barrier_height
     cl = (base - 12.0 * params.mu1 - 16.0 * params.xi) / params.a**2
     cr = (base - 12.0 * params.mu2 - 16.0 * params.xi) / params.a**2

@@ -33,5 +33,5 @@ def impurity(params):
 
 
 @pytest.fixture(scope="session")
-def tables(params, basis, impurity):
-    return build_tables(params, basis, impurity)
+def tables(params, impurity):
+    return build_tables(params, imp=impurity)

@@ -210,6 +210,19 @@ class TestFlags:
         assert proc.returncode == 2
         assert repr(bad) in proc.stderr
 
+    # A matched-J grid needs two points and a finite, positive upper end;
+    # a bad one is rejected before any row is written or any J evaluated.
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("command", ["noise-compare", "near-impurity"])
+    @pytest.mark.parametrize("flags", [
+        ("--points", "1"), ("--points", "0"), ("--points", "-3"),
+        ("--j-max", "nan"), ("--j-max", "inf"), ("--j-max", "0"), ("--j-max", "-1")])
+    def test_bad_matched_j_grid_is_rejected(self, command, flags, tmp_path, capsys):
+        out = tmp_path / "out.csv"
+        assert main([command, *flags, "--out", str(out)]) == 2
+        assert f"error: {flags[0]} must be" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestContent:
     def test_potential_profile_matches_library(self, tmp_path):

@@ -12,6 +12,7 @@ from dqdsim import (
     HubbardParams,
     T0_VECTOR,
     assemble_matrix,
+    build_basis,
     build_tables,
     exchange_J,
     exchange_J_ghz,
@@ -21,6 +22,8 @@ from dqdsim import (
     overlap_matrix,
     solve,
 )
+from dqdsim.crosscheck import sample_device, sample_impurity
+from dqdsim.hamiltonian import hubbard_from_tables
 
 # Frozen from high-precision evaluation at the default device
 # (a = 100 nm, hbar_omega0 = 0.1 meV, epsilon = 0, xi = 1.3); the Z
@@ -242,14 +245,39 @@ class TestSolve:
         barriers = [exchange_J(DeviceParams(xi=x)) for x in (0.5, 0.8, 1.1, 1.3)]
         assert all(b < a for a, b in zip(barriers, barriers[1:]))
 
-    def test_global_energy_shift_leaves_exchange_unchanged(self, params, basis):
-        # Shifting the one-body operator by c*S only moves the trace.
-        tables = build_tables(params, basis)
+    def test_global_energy_shift_leaves_exchange_unchanged(self, basis, impurity):
+        # Shifting the one-body operator by c*S only moves the trace: the
+        # common level takes the shift and every other parameter stays.
+        point = DeviceParams(epsilon=0.37, xi=1.1)
+        tables = build_tables(dataclasses.replace(point, epsilon=0.0), imp=impurity)
         shifted = dataclasses.replace(
             tables, confinement=tables.confinement + 3.7 * overlap_matrix(basis))
-        j0 = solve(params, tables=tables).J
-        j1 = solve(params, tables=shifted).J
-        assert j1 == pytest.approx(j0, rel=1e-9)
+        ref = dataclasses.asdict(hubbard_from_tables(point, basis, tables))
+        moved = dataclasses.asdict(hubbard_from_tables(point, basis, shifted))
+        assert moved.pop("offset") - ref.pop("offset") == pytest.approx(3.7, rel=0, abs=1e-12)
+        for name, value in ref.items():
+            assert moved[name] == pytest.approx(value, rel=0, abs=1e-12), name
+
+
+class TestDeviceBuiltOnce:
+    """hubbard_parameters builds each device once and applies the controls
+    on top; that must agree with a build of the tables from scratch."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), eps=st.floats(-1.0, 1.0),
+           xi=st.floats(0.0, 1.5), with_impurity=st.booleans())
+    def test_matches_a_build_from_scratch(self, seed, eps, xi, with_impurity):
+        rng = np.random.default_rng(seed)
+        device = sample_device(rng)
+        imp = sample_impurity(rng, device.a) if with_impurity else None
+        # The second point of the same device reuses the first one's build.
+        for point in (dataclasses.replace(device, epsilon=eps, xi=xi),
+                      dataclasses.replace(device, epsilon=-eps, xi=1.5 - xi)):
+            fresh = hubbard_from_tables(point, build_basis(point), build_tables(
+                dataclasses.replace(point, epsilon=0.0), imp=imp))
+            got = dataclasses.asdict(hubbard_parameters(point, imp))
+            for name, value in dataclasses.asdict(fresh).items():
+                assert got[name] == pytest.approx(value, rel=0, abs=1e-14), name
 
 
 class TestPerturbativeEstimate:

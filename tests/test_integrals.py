@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from dqdsim import (
     DeviceParams,
     Impurity,
-    build_basis,
     build_tables,
     coulomb_element,
     impurity_element,
@@ -41,27 +40,27 @@ DEVICES = st.builds(
 
 
 class TestFrozenValues:
-    def test_kinetic(self, params, basis):
-        assert kinetic_element(0, 0, params, basis) == pytest.approx(KIN_00, rel=1e-13)
-        assert kinetic_element(1, 1, params, basis) == pytest.approx(KIN_00, rel=1e-13)
-        assert kinetic_element(0, 1, params, basis) == pytest.approx(KIN_01, rel=1e-13)
+    def test_kinetic(self, params):
+        assert kinetic_element(0, 0, params) == pytest.approx(KIN_00, rel=1e-13)
+        assert kinetic_element(1, 1, params) == pytest.approx(KIN_00, rel=1e-13)
+        assert kinetic_element(0, 1, params) == pytest.approx(KIN_01, rel=1e-13)
 
-    def test_confinement(self, params, basis):
-        assert potential_element(0, 0, params, basis) == pytest.approx(POT_00, rel=1e-13)
+    def test_confinement(self, params):
+        assert potential_element(0, 0, params) == pytest.approx(POT_00, rel=1e-13)
         # Untilted device: the two dots are equivalent.
-        assert potential_element(1, 1, params, basis) == pytest.approx(POT_00, rel=1e-13)
-        assert potential_element(0, 1, params, basis) == pytest.approx(POT_01, rel=1e-13)
+        assert potential_element(1, 1, params) == pytest.approx(POT_00, rel=1e-13)
+        assert potential_element(0, 1, params) == pytest.approx(POT_01, rel=1e-13)
 
-    def test_coulomb(self, params, basis):
-        assert coulomb_element(0, 0, 0, 0, params, basis) == pytest.approx(U_ONSITE, rel=1e-13)
-        assert coulomb_element(0, 0, 1, 1, params, basis) == pytest.approx(U_INTERDOT, rel=1e-13)
-        assert coulomb_element(0, 1, 0, 1, params, basis) == pytest.approx(EXCHANGE_RAW, rel=1e-13)
-        assert coulomb_element(0, 0, 0, 1, params, basis) == pytest.approx(MIXED_RAW, rel=1e-13)
+    def test_coulomb(self, params):
+        assert coulomb_element(0, 0, 0, 0, params) == pytest.approx(U_ONSITE, rel=1e-13)
+        assert coulomb_element(0, 0, 1, 1, params) == pytest.approx(U_INTERDOT, rel=1e-13)
+        assert coulomb_element(0, 1, 0, 1, params) == pytest.approx(EXCHANGE_RAW, rel=1e-13)
+        assert coulomb_element(0, 0, 0, 1, params) == pytest.approx(MIXED_RAW, rel=1e-13)
 
-    def test_impurity(self, params, basis, impurity):
-        assert impurity_element(0, 0, impurity, params, basis) == pytest.approx(W_11, rel=1e-13)
-        assert impurity_element(1, 1, impurity, params, basis) == pytest.approx(W_22, rel=1e-13)
-        assert impurity_element(0, 1, impurity, params, basis) == pytest.approx(W_12, rel=1e-13)
+    def test_impurity(self, params, impurity):
+        assert impurity_element(0, 0, impurity, params) == pytest.approx(W_11, rel=1e-13)
+        assert impurity_element(1, 1, impurity, params) == pytest.approx(W_22, rel=1e-13)
+        assert impurity_element(0, 1, impurity, params) == pytest.approx(W_12, rel=1e-13)
 
     def test_repulsion_ordering(self):
         # Same-dot repulsion beats inter-dot repulsion beats the overlap term.
@@ -72,18 +71,16 @@ class TestSymmetries:
     @settings(max_examples=40)
     @given(d=DEVICES, i=IDX, j=IDX)
     def test_kinetic_is_symmetric(self, d, i, j):
-        b = build_basis(d)
-        assert kinetic_element(i, j, d, b) == pytest.approx(
-            kinetic_element(j, i, d, b), rel=1e-13)
+        assert kinetic_element(i, j, d) == pytest.approx(
+            kinetic_element(j, i, d), rel=1e-13)
 
     @settings(max_examples=25, deadline=None)
     @given(d=DEVICES, i=IDX, j=IDX, k=IDX, l=IDX)
     def test_coulomb_pair_symmetries(self, d, i, j, k, l):
-        b = build_basis(d)
-        v = coulomb_element(i, j, k, l, d, b)
-        assert coulomb_element(j, i, k, l, d, b) == pytest.approx(v, rel=1e-12)
-        assert coulomb_element(i, j, l, k, d, b) == pytest.approx(v, rel=1e-12)
-        assert coulomb_element(k, l, i, j, d, b) == pytest.approx(v, rel=1e-12)
+        v = coulomb_element(i, j, k, l, d)
+        assert coulomb_element(j, i, k, l, d) == pytest.approx(v, rel=1e-12)
+        assert coulomb_element(i, j, l, k, d) == pytest.approx(v, rel=1e-12)
+        assert coulomb_element(k, l, i, j, d) == pytest.approx(v, rel=1e-12)
 
     @settings(max_examples=30)
     @given(
@@ -92,54 +89,52 @@ class TestSymmetries:
         y=st.floats(-2000.0, 2000.0),
     )
     def test_impurity_mirror_relations(self, d, x, y):
-        b = build_basis(d)
         here = Impurity(x_c=x, y_c=y)
         flipped_x = Impurity(x_c=-x, y_c=y)
         flipped_y = Impurity(x_c=x, y_c=-y)
         # The dots sit at (-a, 0) and (+a, 0): mirroring the charge in x
         # swaps the diagonal elements, mirroring in y changes nothing.
-        assert impurity_element(0, 0, here, d, b) == pytest.approx(
-            impurity_element(1, 1, flipped_x, d, b), rel=1e-12)
-        assert impurity_element(0, 1, here, d, b) == pytest.approx(
-            impurity_element(0, 1, flipped_x, d, b), rel=1e-12)
+        assert impurity_element(0, 0, here, d) == pytest.approx(
+            impurity_element(1, 1, flipped_x, d), rel=1e-12)
+        assert impurity_element(0, 1, here, d) == pytest.approx(
+            impurity_element(0, 1, flipped_x, d), rel=1e-12)
         for i in range(2):
             for j in range(2):
-                assert impurity_element(i, j, here, d, b) == pytest.approx(
-                    impurity_element(i, j, flipped_y, d, b), rel=1e-12)
+                assert impurity_element(i, j, here, d) == pytest.approx(
+                    impurity_element(i, j, flipped_y, d), rel=1e-12)
 
-    def test_impurity_linear_in_charge(self, params, basis):
+    def test_impurity_linear_in_charge(self, params):
         base = Impurity(x_c=-600.0, y_c=600.0, q=-1.0)
         double = Impurity(x_c=-600.0, y_c=600.0, q=-2.0)
         opposite = Impurity(x_c=-600.0, y_c=600.0, q=1.0)
-        w = impurity_element(0, 0, base, params, basis)
-        assert impurity_element(0, 0, double, params, basis) == pytest.approx(2 * w, rel=1e-13)
-        assert impurity_element(0, 0, opposite, params, basis) == pytest.approx(-w, rel=1e-13)
+        w = impurity_element(0, 0, base, params)
+        assert impurity_element(0, 0, double, params) == pytest.approx(2 * w, rel=1e-13)
+        assert impurity_element(0, 0, opposite, params) == pytest.approx(-w, rel=1e-13)
 
-    def test_attractive_charge_raises_nearest_dot_most(self, params, basis):
+    def test_attractive_charge_raises_nearest_dot_most(self, params):
         # A negative charge repels electrons: the dot closer to it
         # (dot 1 at -a) picks up the larger energy shift.
         imp = Impurity(x_c=-600.0, y_c=600.0, q=-1.0)
-        assert impurity_element(0, 0, imp, params, basis) > impurity_element(
-            1, 1, imp, params, basis) > 0.0
+        assert impurity_element(0, 0, imp, params) > impurity_element(
+            1, 1, imp, params) > 0.0
 
 
 class TestEdgeBehavior:
-    def test_far_impurity_falls_off_like_inverse_distance(self, params, basis):
+    def test_far_impurity_falls_off_like_inverse_distance(self, params):
         near = Impurity(x_c=0.0, y_c=2000.0)
         far = Impurity(x_c=0.0, y_c=20000.0)
-        w_near = impurity_element(0, 0, near, params, basis)
-        w_far = impurity_element(0, 0, far, params, basis)
+        w_near = impurity_element(0, 0, near, params)
+        w_far = impurity_element(0, 0, far, params)
         assert w_far == pytest.approx(w_near / 10.0, rel=2e-3)
 
     def test_everything_finite_at_extreme_settings(self):
         d = DeviceParams(hbar_omega0=0.5, epsilon=1.0, xi=1.5)
-        b = build_basis(d)
         imp = Impurity(x_c=-2000.0, y_c=2000.0)
         vals = [
-            kinetic_element(0, 1, d, b),
-            potential_element(0, 1, d, b),
-            coulomb_element(0, 1, 1, 0, d, b),
-            impurity_element(0, 1, imp, d, b),
+            kinetic_element(0, 1, d),
+            potential_element(0, 1, d),
+            coulomb_element(0, 1, 1, 0, d),
+            impurity_element(0, 1, imp, d),
         ]
         assert all(np.isfinite(vals))
 
@@ -150,23 +145,23 @@ class TestTables:
             tables.one_body, tables.kinetic + tables.confinement,
             rtol=0.0, atol=0.0)
 
-    def test_entries_match_element_functions(self, params, basis, impurity, tables):
+    def test_entries_match_element_functions(self, params, impurity, tables):
         for i in range(2):
             for j in range(2):
-                assert tables.kinetic[i, j] == kinetic_element(i, j, params, basis)
-                assert tables.confinement[i, j] == potential_element(i, j, params, basis)
+                assert tables.kinetic[i, j] == kinetic_element(i, j, params)
+                assert tables.confinement[i, j] == potential_element(i, j, params)
                 assert tables.impurity[i, j] == impurity_element(
-                    i, j, impurity, params, basis)
+                    i, j, impurity, params)
 
-    def test_coulomb_tensor_uses_bra_bra_ket_ket_order(self, params, basis, tables):
+    def test_coulomb_tensor_uses_bra_bra_ket_ket_order(self, params, tables):
         # tables.coulomb[i, j, k, l] = <ij|kl> = (ik|jl) in pair notation.
         for i in range(2):
             for j in range(2):
                 for k in range(2):
                     for l in range(2):
                         assert tables.coulomb[i, j, k, l] == coulomb_element(
-                            i, k, j, l, params, basis)
+                            i, k, j, l, params)
 
-    def test_without_impurity_table_is_absent(self, params, basis):
-        t = build_tables(params, basis, None)
+    def test_without_impurity_table_is_absent(self, params):
+        t = build_tables(params)
         assert t.impurity is None

@@ -145,25 +145,23 @@ class TestConfig:
             "# comment line\n"
             "device.a_nm = 80\n"
             "device.hbar_omega0_mev = 0.15  # trailing comment\n"
-            "control.scheme = barrier\n"
             "control.xi_mev = 1.1\n"
             "impurity.x_nm = -480\n"
             "impurity.y_nm = 480\n"
             "impurity.charge_e = -0.5\n",
             encoding="utf-8")
-        params, scheme, imp = config_to_objects(read_config(str(cfg)))
+        params, imp = config_to_objects(read_config(str(cfg)))
         assert params.a == 80.0
         assert params.hbar_omega0 == 0.15
         assert params.xi == 1.1
-        assert scheme == "barrier"
         assert imp == Impurity(-480.0, 480.0, -0.5)
 
     def test_defaults_when_empty(self, tmp_path):
         cfg = tmp_path / "empty.cfg"
         cfg.write_text("# nothing\n", encoding="utf-8")
-        params, scheme, imp = config_to_objects(read_config(str(cfg)))
+        params, imp = config_to_objects(read_config(str(cfg)))
         assert params == DeviceParams()
-        assert scheme is None and imp is None
+        assert imp is None
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ValueError, match="unknown config keys"):
@@ -174,8 +172,10 @@ class TestConfig:
             config_to_objects({"device.a_nm": "nan"})
 
     def test_bad_scheme_rejected(self):
-        with pytest.raises(ValueError, match="scheme"):
-            config_to_objects({"control.scheme": "diagonal"})
+        # No subcommand reads a scheme from a config, so the key is unknown.
+        for value in ("diagonal", "barrier"):
+            with pytest.raises(ValueError, match=r"unknown config keys: \['control.scheme'\]"):
+                config_to_objects({"control.scheme": value})
 
     def test_missing_equals_rejected(self, tmp_path):
         cfg = tmp_path / "bad.cfg"

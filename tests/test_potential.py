@@ -48,7 +48,7 @@ def test_well_bottoms_follow_detuning():
 
 
 def test_pieces_meet_continuously_at_origin(params, consts):
-    left, right = quartic_pieces(params, consts)
+    left, right = quartic_pieces(params)
     assert float(left(0.0)) == pytest.approx(consts.barrier_height, rel=1e-13)
     assert float(right(0.0)) == pytest.approx(consts.barrier_height, rel=1e-13)
     assert float(left.deriv(0.0)) == pytest.approx(0.0, abs=1e-18)

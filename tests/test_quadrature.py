@@ -34,45 +34,45 @@ class TestAgreementWithClosedForms:
         assert rel(res.value, basis.s) < 1e-9
 
     @pytest.mark.parametrize("i,j", [(0, 0), (0, 1)])
-    def test_kinetic(self, params, basis, i, j):
+    def test_kinetic(self, params, i, j):
         res = quadrature_oracle(("kinetic", i, j), params)
-        assert rel(res.value, kinetic_element(i, j, params, basis)) < 1e-7
+        assert rel(res.value, kinetic_element(i, j, params)) < 1e-7
 
     @pytest.mark.parametrize("i,j", [(0, 0), (0, 1), (1, 1)])
-    def test_confinement(self, basis, i, j):
+    def test_confinement(self, i, j):
         tilted = DeviceParams(epsilon=0.4, xi=0.9)
         res = quadrature_oracle(("potential", i, j), tilted)
         assert rel(res.value, potential_element(i, j, tilted)) < 1e-6
 
     @pytest.mark.parametrize("idx", [(0, 0, 0, 0), (0, 1, 0, 1), (0, 0, 1, 1), (0, 1, 1, 0)])
-    def test_coulomb(self, params, basis, idx):
+    def test_coulomb(self, params, idx):
         res = quadrature_oracle(("coulomb", *idx), params)
-        assert rel(res.value, coulomb_element(*idx, params, basis)) < 1e-6
+        assert rel(res.value, coulomb_element(*idx, params)) < 1e-6
 
     @pytest.mark.parametrize("i,j", [(0, 0), (0, 1), (1, 1)])
-    def test_impurity(self, params, basis, impurity, i, j):
+    def test_impurity(self, params, impurity, i, j):
         res = quadrature_oracle(("impurity", i, j, impurity), params)
-        assert rel(res.value, impurity_element(i, j, impurity, params, basis)) < 1e-6
+        assert rel(res.value, impurity_element(i, j, impurity, params)) < 1e-6
 
 
 class TestImpurityDistanceRegimes:
     """The impurity kernel switches integration strategy with distance;
     both branches must track the closed form."""
 
-    def test_near_charge(self, params, basis):
+    def test_near_charge(self, params):
         imp = Impurity(x_c=-1.7 * params.a, y_c=0.8 * params.a)
         res = quadrature_oracle(("impurity", 0, 0, imp), params)
-        assert rel(res.value, impurity_element(0, 0, imp, params, basis)) < 1e-6
+        assert rel(res.value, impurity_element(0, 0, imp, params)) < 1e-6
 
-    def test_moderate_distance(self, params, basis):
+    def test_moderate_distance(self, params):
         imp = Impurity(x_c=-2.0 * params.a, y_c=2.0 * params.a)
         res = quadrature_oracle(("impurity", 0, 1, imp), params)
-        assert rel(res.value, impurity_element(0, 1, imp, params, basis)) < 1e-6
+        assert rel(res.value, impurity_element(0, 1, imp, params)) < 1e-6
 
-    def test_far_charge(self, params, basis):
+    def test_far_charge(self, params):
         imp = Impurity(x_c=9.0 * params.a, y_c=-12.0 * params.a)  # |R| = 15 a
         res = quadrature_oracle(("impurity", 0, 0, imp), params)
-        assert rel(res.value, impurity_element(0, 0, imp, params, basis)) < 1e-7
+        assert rel(res.value, impurity_element(0, 0, imp, params)) < 1e-7
 
     def test_far_charge_small_orbitals(self):
         # Stiff case: tight orbitals, charge twenty spacings out.
