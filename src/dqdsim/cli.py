@@ -325,12 +325,15 @@ def cmd_impurity_scan(args) -> int:
     q = args.charge_e if args.charge_e is not None else -1.0
     radii = ([float(r) for r in args.radii.split(",")] if args.radii
              else [1.5, 2.0, 3.0, 4.0, 5.0, 6.0, 8.0, 10.0, 12.0, 16.0, 20.0])
+    # The clean J of both operating points does not depend on the impurity.
+    points = (control_point("tilt", base, eps_star, base.xi),
+              control_point("barrier", base, xi_star))
+    j_clean = [exchange_J_ghz(p, None, mode) for p in points]
     rows = []
     for name, (ux, uy) in _SCAN_DIRECTIONS.items():
         for r_over_a in radii:
             imp = Impurity(r_over_a * base.a * ux, r_over_a * base.a * uy, q)
-            rel_t = delta_J("tilt", eps_star, base, imp, mode, xi_fixed=base.xi).rel_noise
-            rel_b = delta_J("barrier", xi_star, base, imp, mode).rel_noise
+            rel_t, rel_b = ((exchange_J_ghz(p, imp, mode) - j) / j for p, j in zip(points, j_clean))
             rows.append((name, r_over_a, rel_t, rel_b))
     header = _provenance("impurity-scan", args, base, mode, None, (
         f"J_target_mhz = {_fmt(args.J_mhz)}",

@@ -14,9 +14,10 @@ Two assembly modes:
   complete Slater-Condon expansion over the orthonormalized orbitals.
 
 The integral tables of the symmetric (epsilon = 0), barrier-free device
-are built once, with the confinement of the Gaussian bump per meV of xi;
-a control point adds xi times that bump, and detuning enters exactly as
-the chemical potentials mu1 = -eps/2, mu2 = +eps/2 on the diagonal.
+are built once, with the confinement of the Gaussian bump per meV of xi,
+and so is the matrix of the most recent impurity on that device; a control
+point adds xi times that bump, and detuning enters exactly as the chemical
+potentials mu1 = -eps/2, mu2 = +eps/2 on the diagonal.
 Evaluating the one-body integrals over the tilt-deformed quartic instead
 amplifies the effective detuning by ~3.9x at the default soft confinement
 (the mu-dependent cubic/quartic tails have large moments when a_B ~ a),
@@ -116,12 +117,22 @@ def _device(params: DeviceParams):
     return build_basis(params), tables, bump
 
 
+@functools.lru_cache(maxsize=1)
+def _impurity(params: DeviceParams, imp: Impurity) -> np.ndarray:
+    """The impurity's 2x2 matrix for a device at epsilon = xi = 0; neither
+    control changes it.  Read-only, since every caller shares it."""
+    W = impurity_table(imp, params)
+    W.flags.writeable = False
+    return W
+
+
 def hubbard_parameters(params: DeviceParams, imp: Impurity | None = None) -> HubbardParams:
     """The model at one control point: the device's tables at epsilon = 0
     plus params.xi times the bump, plus the impurity elements."""
     derive_constants(params)  # names a non-finite control before it reaches the tables
-    basis, tables, bump = _device(dataclasses.replace(params, epsilon=0.0, xi=0.0))
-    W = None if imp is None else impurity_table(imp, params)
+    device = dataclasses.replace(params, epsilon=0.0, xi=0.0)
+    basis, tables, bump = _device(device)
+    W = None if imp is None else _impurity(device, imp)
     return hubbard_from_tables(params, basis, dataclasses.replace(
         tables, confinement=tables.confinement + params.xi * bump, impurity=W))
 

@@ -171,20 +171,22 @@ def impurity_element(i: int, j: int, imp: Impurity, params: DeviceParams) -> flo
 
     Positive (repulsive) for q = -1 against the -e electrons.
     """
+    return float(impurity_table(imp, params)[i, j])
+
+
+def impurity_table(imp: Impurity, params: DeviceParams) -> np.ndarray:
+    """(2, 2) matrix of impurity_element over the dot basis  [meV]; one
+    i0e call evaluates the four Bessel factors."""
     basis = build_basis(params)
     consts = derive_constants(params)
     aB2 = basis.a_B**2
     R = basis.R
     rc = np.array([imp.x_c, imp.y_c])
-    s_ij = math.exp(-float(np.sum((R[i] - R[j]) ** 2)) / (4.0 * aB2))
-    arg = float(np.sum((R[i] + R[j] - 2.0 * rc) ** 2)) / (8.0 * aB2)
+    pairs = [(i, j) for i in range(2) for j in range(2)]
+    s = np.array([math.exp(-float(np.sum((R[i] - R[j]) ** 2)) / (4.0 * aB2)) for i, j in pairs])
+    arg = np.array([float(np.sum((R[i] + R[j] - 2.0 * rc) ** 2)) / (8.0 * aB2) for i, j in pairs])
     pref = consts.coulomb_scale * math.sqrt(math.pi) / basis.a_B
-    return (-imp.q) * pref * s_ij * i0e(arg)
-
-
-def impurity_table(imp: Impurity, params: DeviceParams) -> np.ndarray:
-    """(2, 2) matrix of impurity_element over the dot basis  [meV]."""
-    return np.array([[impurity_element(i, j, imp, params) for j in range(2)] for i in range(2)])
+    return ((-imp.q) * pref * s * i0e(arg)).reshape(2, 2)
 
 
 # --------------------------------------------------------------------------

@@ -6,7 +6,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
-from scipy.optimize import brentq
 
 from .hamiltonian import AssemblyMode, exchange_J_ghz, hubbard_parameters
 from .model import DeviceParams, Impurity, control_point
@@ -62,24 +61,66 @@ BARRIER_BRACKET = (0.3, 1.3)
 _CAL_MAXITER = 200
 
 
+def _brentq(f, xpre, xcur, fpre, fcur, xtol, rtol, maxiter, label):
+    """Root of f between xpre and xcur, where f takes the values fpre and
+    fcur of opposite signs: Brent's method, step for step as the C solver
+    behind scipy.optimize.brentq, so the roots are bit-identical.  Returns
+    (root, f(root)); f is evaluated once per step and never at the ends."""
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(maxiter):
+        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur, fcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry  # good short step
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = f(xcur)
+    raise CalibrationError(f"{label}: no root within {maxiter} iterations; last at {xcur!r} meV")
+
+
 def _calibrate(j_target_ghz, f_of_control, lo, hi, label):
-    f_lo = f_of_control(lo) - j_target_ghz
-    f_hi = f_of_control(hi) - j_target_ghz
+    def miss(c):
+        d = f_of_control(c) - j_target_ghz
+        if math.isnan(d):
+            raise CalibrationError(f"{label}: J - target is NaN at {c!r} meV "
+                                   f"for target {j_target_ghz:.6g} GHz")
+        return d
+
+    f_lo = miss(lo)
+    f_hi = miss(hi)
     if f_lo == 0.0:
         return lo
     if f_hi == 0.0:
         return hi
-    if f_lo * f_hi > 0:
+    if (f_lo < 0) == (f_hi < 0):
         raise CalibrationError(
             f"{label}: target {j_target_ghz:.6g} GHz outside "
             f"[{min(f_lo, f_hi) + j_target_ghz:.6g}, {max(f_lo, f_hi) + j_target_ghz:.6g}] GHz "
             f"reachable on the bracket [{lo}, {hi}] meV")
-    root = brentq(lambda c: f_of_control(c) - j_target_ghz, lo, hi,
-                  xtol=1e-13, rtol=8.9e-16, maxiter=_CAL_MAXITER)
-    achieved = f_of_control(root)
-    if abs(achieved - j_target_ghz) > 1e-6 * j_target_ghz:
+    root, f_root = _brentq(miss, lo, hi, f_lo, f_hi, xtol=1e-13, rtol=8.9e-16,
+                           maxiter=_CAL_MAXITER, label=label)
+    if abs(f_root) > 1e-6 * j_target_ghz:
         raise CalibrationError(
-            f"{label}: root-finder landed at J = {achieved:.9g} GHz "
+            f"{label}: root-finder landed at J = {f_root + j_target_ghz:.9g} GHz "
             f"for target {j_target_ghz:.9g} GHz")
     return float(root)
 
@@ -148,6 +189,9 @@ def matched_j_grid(base: DeviceParams, n: int = 25, j_max_ghz: float = 1.0,
     if not 0 < j_max_ghz < math.inf:
         raise ValueError(f"--j-max must be positive and finite, got {j_max_ghz}")
     j0 = _clean_j("tilt", base, mode, base.xi)(0.0)
+    if not 0 < j0 < math.inf:
+        raise ValueError(f"{AssemblyMode(mode).value} mode: the matched-J grid starts at "
+                         f"J0 = J(epsilon = 0) = {j0:.6g} GHz, which must be positive and finite")
     return j0 * (j_max_ghz / j0) ** (np.arange(n) / (n - 1))
 
 

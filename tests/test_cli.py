@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from dqdsim import DeviceParams, eval_potential, __version__
+from dqdsim import DeviceParams, eval_potential, noise, __version__
 from dqdsim.cli import MAX_GRID_POINTS, main
 
 CLI = [sys.executable, "-m", "dqdsim.cli"]
@@ -32,6 +32,13 @@ def test_version():
 
 def test_no_subcommand_is_an_error():
     run_cli(expect=2)
+
+
+def test_cli_does_not_import_scipy():
+    code = "import sys, dqdsim.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 class TestValidate:
@@ -216,12 +223,23 @@ class TestFlags:
     @pytest.mark.parametrize("command", ["noise-compare", "near-impurity"])
     @pytest.mark.parametrize("flags", [
         ("--points", "1"), ("--points", "0"), ("--points", "-3"),
-        ("--j-max", "nan"), ("--j-max", "inf"), ("--j-max", "0"), ("--j-max", "-1")])
+        ("--j-max", "nan"), ("--j-max", "inf"), ("--j-max", "0"), ("--j-max", "-1"),
+        ("--mode", "full")])  # the default device has J0 = -19.19 GHz in full mode
     def test_bad_matched_j_grid_is_rejected(self, command, flags, tmp_path, capsys):
         out = tmp_path / "out.csv"
         assert main([command, *flags, "--out", str(out)]) == 2
-        assert f"error: {flags[0]} must be" in capsys.readouterr().err
+        message = {"--mode": "full mode: the matched-J grid starts at J0 = "}.get(
+            flags[0], f"{flags[0]} must be")
+        assert f"error: {message}" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_unconverged_calibration_is_reported(self, monkeypatch, tmp_path, capsys):
+        monkeypatch.setattr(noise, "_CAL_MAXITER", 2)
+        out = tmp_path / "out.csv"
+        assert main(["noise-compare", "--points", "2", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "calibrate_tilt: no root within 2 iterations" in err
+        assert len(data_rows(out.read_text())) == 1 + 2
 
 
 class TestContent:

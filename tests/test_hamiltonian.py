@@ -279,6 +279,25 @@ class TestDeviceBuiltOnce:
             for name, value in dataclasses.asdict(fresh).items():
                 assert got[name] == pytest.approx(value, rel=0, abs=1e-14), name
 
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), eps=st.floats(-1.0, 1.0),
+           xi=st.floats(0.0, 1.5))
+    def test_alternating_impurities_are_never_stale(self, seed, eps, xi):
+        # Impurity A, then B, then A again on one device: each matrix comes
+        # from its own impurity, whatever the previous call cached.
+        rng = np.random.default_rng(seed)
+        device = sample_device(rng)
+        imp_a = sample_impurity(rng, device.a)
+        imp_b = sample_impurity(rng, device.a)
+        for imp in (imp_a, imp_b, imp_a):
+            for point in (dataclasses.replace(device, epsilon=eps, xi=xi),
+                          dataclasses.replace(device, epsilon=-eps, xi=1.5 - xi)):
+                fresh = hubbard_from_tables(point, build_basis(point), build_tables(
+                    dataclasses.replace(point, epsilon=0.0), imp=imp))
+                got = dataclasses.asdict(hubbard_parameters(point, imp))
+                for name, value in dataclasses.asdict(fresh).items():
+                    assert got[name] == pytest.approx(value, rel=0, abs=1e-14), name
+
 
 class TestPerturbativeEstimate:
     def test_matches_exact_at_weak_coupling(self, params):

@@ -1,4 +1,6 @@
 """Tests for the closed-form one- and two-body matrix elements."""
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,6 +15,10 @@ from dqdsim import (
     kinetic_element,
     potential_element,
 )
+from dqdsim.crosscheck import sample_device, sample_impurity
+from dqdsim.integrals import i0e, impurity_table
+from dqdsim.model import derive_constants
+from dqdsim.orbitals import build_basis
 
 # Frozen from high-precision evaluation at the default device
 # (a = 100 nm, hbar_omega0 = 0.1 meV, epsilon = 0, xi = 1.3) with the
@@ -165,3 +171,34 @@ class TestTables:
     def test_without_impurity_table_is_absent(self, params):
         t = build_tables(params)
         assert t.impurity is None
+
+
+def _impurity_element_scalar(i, j, imp, params):
+    """One impurity element with its own scalar i0e call: the formula
+    that impurity_table evaluates for all four elements at once."""
+    basis = build_basis(params)
+    aB2 = basis.a_B**2
+    R = basis.R
+    rc = np.array([imp.x_c, imp.y_c])
+    s_ij = math.exp(-float(np.sum((R[i] - R[j]) ** 2)) / (4.0 * aB2))
+    arg = float(np.sum((R[i] + R[j] - 2.0 * rc) ** 2)) / (8.0 * aB2)
+    pref = derive_constants(params).coulomb_scale * math.sqrt(math.pi) / basis.a_B
+    return (-imp.q) * pref * s_ij * i0e(arg), arg
+
+
+class TestImpurityTable:
+    def test_bit_equal_to_one_element_at_a_time(self):
+        # sample_impurity draws radii out to 20a, so both i0e branches run.
+        rng = np.random.default_rng(20)
+        args = []
+        for _ in range(300):
+            params = sample_device(rng)
+            imp = sample_impurity(rng, params.a)
+            table = impurity_table(imp, params)
+            for i in range(2):
+                for j in range(2):
+                    ref, arg = _impurity_element_scalar(i, j, imp, params)
+                    assert table[i, j] == ref, (params, imp, i, j)
+                    assert impurity_element(i, j, imp, params) == ref
+                    args.append(arg)
+        assert min(args) < 20.0 < max(args)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from dqdsim import (
+    AssemblyMode,
     BARRIER_BRACKET,
     CalibrationError,
     ChiRecord,
@@ -30,6 +31,8 @@ from dqdsim import (
     sweet_spot_check,
     t_star_ns,
 )
+from dqdsim import noise
+from dqdsim.model import control_point
 
 # Frozen reference values at the default device with the default
 # impurity at (-600, 600) nm, charge -e.
@@ -111,6 +114,70 @@ class TestCalibration:
         with pytest.raises(CalibrationError, match="reachable"):
             calibrate_barrier(1e-4)  # below J at the widest barrier
 
+    def test_nan_target_is_named(self):
+        with pytest.raises(CalibrationError, match="calibrate_tilt: J - target is NaN"):
+            calibrate_tilt(math.nan)
+
+    def test_running_out_of_steps_names_the_calibration(self, monkeypatch):
+        monkeypatch.setattr(noise, "_CAL_MAXITER", 2)
+        for calibrate in (calibrate_tilt, calibrate_barrier):
+            with pytest.raises(CalibrationError,
+                               match=f"{calibrate.__name__}: no root within 2 iterations"):
+                calibrate(0.242)
+
+
+class TestBrent:
+    """noise._brentq takes the same steps as scipy.optimize.brentq, from
+    the bracket values that the calibration has already computed."""
+
+    def test_bit_equal_to_scipy_on_synthetic_brackets(self):
+        from scipy.optimize import brentq
+        rng = np.random.default_rng(11)
+        shapes = (lambda x, c: x * (1.0 + c * x * x),
+                  lambda x, c: math.tanh(c * x) + 0.1 * x**3,
+                  lambda x, c: math.expm1(c * x),
+                  lambda x, c: math.atan(c * x) - 0.3 * math.sin(x))
+        for k in range(2000):
+            r, c = rng.uniform(-2.0, 2.0), rng.uniform(0.1, 5.0)
+            a, b = r - rng.uniform(0.01, 3.0), r + rng.uniform(0.01, 3.0)
+            if k % 2:
+                a, b = b, a
+            xtol = 10.0 ** rng.uniform(-15.0, -3.0)
+            maxiter = int(rng.integers(5, 200))
+
+            def f(x, shape=shapes[k % len(shapes)]):
+                return shape(x - r, c)
+            fa, fb = f(a), f(b)
+            if fa == 0.0 or fb == 0.0 or (fa < 0) == (fb < 0):
+                continue
+            try:
+                ref = brentq(f, a, b, xtol=xtol, rtol=8.9e-16, maxiter=maxiter)
+            except RuntimeError:  # scipy ran out of steps
+                with pytest.raises(CalibrationError, match=f"no root within {maxiter}"):
+                    noise._brentq(f, a, b, fa, fb, xtol, 8.9e-16, maxiter, "synthetic")
+                continue
+            root, f_root = noise._brentq(f, a, b, fa, fb, xtol, 8.9e-16, maxiter, "synthetic")
+            assert root == ref and f_root == f(root), (k, a, b)
+
+    @pytest.mark.parametrize("target", [0.05, 0.242, 0.9])
+    @pytest.mark.parametrize("scheme", ["tilt", "barrier"])
+    def test_calibrations_match_scipy_with_three_fewer_j_evaluations(
+            self, monkeypatch, scheme, target):
+        from scipy.optimize import brentq
+        base = DeviceParams()
+        bracket = TILT_BRACKET if scheme == "tilt" else BARRIER_BRACKET
+        ref, info = brentq(
+            lambda c: exchange_J_ghz(control_point(scheme, base, c)) - target, *bracket,
+            xtol=1e-13, rtol=8.9e-16, maxiter=noise._CAL_MAXITER, full_output=True)
+        calls = []
+        real = noise.exchange_J_ghz
+        monkeypatch.setattr(noise, "exchange_J_ghz", lambda *a: calls.append(a) or real(*a))
+        got = calibrate_tilt(target) if scheme == "tilt" else calibrate_barrier(target)
+        assert got == ref
+        # The scipy path evaluated J at both ends, then scipy's own
+        # function calls, then once more at the root.
+        assert len(calls) == (2 + info.function_calls + 1) - 3
+
 
 class TestMatchedGrid:
     def test_geometric_from_common_origin(self, params):
@@ -126,6 +193,11 @@ class TestMatchedGrid:
         grid = matched_j_grid(params, n=7, j_max_ghz=0.5)
         assert grid.shape == (7,)
         assert grid[-1] == pytest.approx(0.5, rel=1e-12)
+
+    def test_rejects_a_negative_starting_point(self, params):
+        # In full mode the default device has J0 < 0 at zero detuning.
+        with pytest.raises(ValueError, match=r"full mode: .* J0 = J\(epsilon = 0\) = -19\.186"):
+            matched_j_grid(params, mode=AssemblyMode.FULL)
 
 
 class TestImprovementFactor:
