@@ -17,6 +17,8 @@ from dqdsim import (
     hubbard_exchange_estimate,
     hubbard_parameters,
     solve,
+    solve_many,
+    unwrap,
 )
 
 
@@ -37,9 +39,9 @@ def sweep_eps(xi=1.3):
           "(exact diagonalization vs 2t^2 perturbative estimate):")
     print(f"  {'eps [meV]':>9s} {'J exact [GHz]':>14s} {'J est [GHz]':>12s} "
           f"{'rel diff':>9s}")
-    for eps in [0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7]:
-        p = DeviceParams(epsilon=eps, xi=xi)
-        res = solve(p)
+    eps_values = [0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7]
+    results = unwrap(solve_many([(DeviceParams(epsilon=eps, xi=xi), None) for eps in eps_values]))
+    for eps, res in zip(eps_values, results):
         est = hubbard_exchange_estimate(res.hubbard) * MEV_TO_GHZ
         j = res.J * MEV_TO_GHZ
         print(f"  {eps:9.2f} {j:14.6f} {est:12.6f} {abs(est - j) / abs(j):9.2%}")
@@ -54,9 +56,9 @@ def sweep_xi():
           "(lowering xi opens the inter-dot channel):")
     print(f"  {'xi [meV]':>8s} {'J exact [GHz]':>14s} {'t [meV]':>11s} "
           f"{'J est [GHz]':>12s} {'rel diff':>9s}")
-    for xi in [0.5, 0.7, 0.9, 1.1, 1.3, 1.5]:
-        p = DeviceParams(epsilon=0.0, xi=xi)
-        res = solve(p)
+    xi_values = [0.5, 0.7, 0.9, 1.1, 1.3, 1.5]
+    results = unwrap(solve_many([(DeviceParams(epsilon=0.0, xi=xi), None) for xi in xi_values]))
+    for xi, res in zip(xi_values, results):
         est = hubbard_exchange_estimate(res.hubbard) * MEV_TO_GHZ
         j = res.J * MEV_TO_GHZ
         print(f"  {xi:8.2f} {j:14.6f} {res.hubbard.t:11.3e} {est:12.6f} "

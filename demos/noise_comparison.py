@@ -12,14 +12,14 @@ the improvement factor chi = |dJ/J|_tilt / |dJ/J|_barrier.
 
 from dqdsim import (
     DeviceParams,
-    calibrate_barrier,
-    calibrate_tilt,
+    calibrate_many,
     default_impurity,
-    delta_J,
     improvement_factor,
+    improvement_factors,
     matched_j_grid,
     sweep,
     sweet_spot_check,
+    unwrap,
 )
 
 
@@ -58,11 +58,12 @@ def matched_comparison(base, imp):
     print("matched-J comparison (each scheme calibrated to the same clean J):")
     print(f"  {'J [GHz]':>9s} {'eps* [meV]':>10s} {'xi* [meV]':>9s} "
           f"{'|dJ/J| tilt':>12s} {'|dJ/J| barrier':>15s} {'chi':>9s}")
-    grid = matched_j_grid(base, n=9)
-    for j in grid:
-        rec = improvement_factor(float(j), imp, base)
-        eps_star = calibrate_tilt(float(j))
-        xi_star = calibrate_barrier(float(j))
+    grid = [float(j) for j in matched_j_grid(base, n=9)]
+    # Every calibration of the table steps in lockstep, one stacked solve a step.
+    recs = unwrap(improvement_factors(grid, imp, base))
+    controls = unwrap(calibrate_many(
+        [(scheme, j, base.xi) for j in grid for scheme in ("tilt", "barrier")], base))
+    for rec, eps_star, xi_star in zip(recs, controls[0::2], controls[1::2]):
         print(f"  {rec.J_ghz:9.4f} {eps_star:10.4f} {xi_star:9.4f} "
               f"{abs(rec.rel_tilt):12.4%} {abs(rec.rel_barrier):15.4%} "
               f"{rec.chi:9.2f}")

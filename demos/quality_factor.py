@@ -19,11 +19,12 @@ from dqdsim import (
     default_impurity,
     envelope_closed,
     envelope_numeric,
-    improvement_factor,
+    improvement_factors,
     matched_j_grid,
     quality_factor,
     sigma_total,
     t_star_ns,
+    unwrap,
 )
 
 
@@ -59,13 +60,13 @@ def impurity_driven_q(base, imp):
           "(sigma = |dJ| from the impurity shift):")
     print(f"  {'J [GHz]':>8s} {'sigma_tilt':>11s} {'sigma_barr':>11s} "
           f"{'Q tilt':>9s} {'Q barrier':>10s}")
-    for j in matched_j_grid(base, n=8, j_max_ghz=0.5):
-        rec = improvement_factor(float(j), imp, base)
-        sig_t = abs(rec.rel_tilt) * float(j)
-        sig_b = abs(rec.rel_barrier) * float(j)
-        q_t = quality_factor(float(j), QualityModel(sigma_rel=abs(rec.rel_tilt)))
-        q_b = quality_factor(float(j), QualityModel(sigma_rel=abs(rec.rel_barrier)))
-        print(f"  {float(j):8.4f} {sig_t:11.5f} {sig_b:11.5f} "
+    grid = [float(j) for j in matched_j_grid(base, n=8, j_max_ghz=0.5)]
+    for j, rec in zip(grid, unwrap(improvement_factors(grid, imp, base))):
+        sig_t = abs(rec.rel_tilt) * j
+        sig_b = abs(rec.rel_barrier) * j
+        q_t = quality_factor(j, QualityModel(sigma_rel=abs(rec.rel_tilt)))
+        q_b = quality_factor(j, QualityModel(sigma_rel=abs(rec.rel_barrier)))
+        print(f"  {j:8.4f} {sig_t:11.5f} {sig_b:11.5f} "
               f"{q_t:9.4f} {q_b:10.4f}")
     print("\n  with a single dominant impurity sigma tracks J's sensitivity, "
           "so Q_barrier rises\n  as the barrier scheme gets relatively "

@@ -29,11 +29,11 @@ from .hamiltonian import (
     T0_VECTOR,
     assemble_matrix,
     exchange_J,
-    exchange_J_ghz,
     hubbard_exchange_estimate,
     hubbard_from_tables,
     hubbard_parameters,
-    solve,
+    solve_many,
+    unwrap,
 )
 from .crosscheck import oracle_comparisons, sample_device
 from .integrals import build_tables, i0e
@@ -51,14 +51,13 @@ from .noise import (
     ChiRecord,
     NoiseRecord,
     QualityModel,
-    calibrate_barrier,
-    calibrate_tilt,
+    calibrate_many,
     default_impurity,
-    delta_J,
     envelope_closed,
     envelope_numeric,
-    improvement_factor,
+    improvement_factors,
     matched_j_grid,
+    noise_records,
     quality_factor,
     sweep,
     sweet_spot_check,
@@ -197,13 +196,11 @@ def cmd_spectrum(args) -> int:
     eps_values = _parse_range(args.eps_range or "0:1:0.01")
     xi_values = _parse_range(args.xi_range) if args.xi_range else [1.3, 1.0]
     ghz = derive_constants(base).frequency_conversion
-    rows = []
-    for xi in xi_values:
-        for eps in eps_values:
-            point = dataclasses.replace(base, epsilon=eps, xi=xi)
-            res = solve(point, imp, mode)
-            rows.append((eps, xi, float(res.eigenvalues[0]), float(res.eigenvalues[1]),
-                         res.J, res.J * ghz))
+    grid = [(eps, xi) for xi in xi_values for eps in eps_values]
+    results = unwrap(solve_many(
+        [(dataclasses.replace(base, epsilon=eps, xi=xi), imp) for eps, xi in grid], mode))
+    rows = [(eps, xi, float(res.eigenvalues[0]), float(res.eigenvalues[1]), res.J, res.J * ghz)
+            for (eps, xi), res in zip(grid, results)]
     header = _provenance("spectrum", args, base, mode, imp, (
         f"eps_range = {args.eps_range or '0:1:0.01'}",
         f"xi_values = {','.join(_fmt(x) for x in xi_values)}",
@@ -263,15 +260,16 @@ def cmd_noise_compare(args) -> int:
     if imp is None:  # near-impurity given no impurity
         q = args.charge_e if args.charge_e is not None else -0.01
         imp = Impurity(-1.5 * base.a, 0.5 * base.a, q)
-    grid = matched_j_grid(base, n=args.points, j_max_ghz=args.j_max, mode=mode)
+    grid = [float(j) for j in matched_j_grid(base, n=args.points, j_max_ghz=args.j_max, mode=mode)]
     rows, failures = [], []
-    for j_ghz in grid:
-        try:
-            rec = improvement_factor(float(j_ghz), imp, base, mode, xi_fixed=base.xi)
+    for j_ghz, rec in zip(grid, improvement_factors(grid, imp, base, mode, xi_fixed=base.xi)):
+        if isinstance(rec, ChiRecord):
             rows.append((rec.J_ghz, rec.rel_tilt, rec.rel_barrier, rec.chi))
-        except (CalibrationError, ValueError) as exc:
-            rows.append((float(j_ghz), math.nan, math.nan, math.nan))
-            failures.append(f"J = {_fmt(float(j_ghz))} GHz: {exc}")
+        elif isinstance(rec, ValueError):  # CalibrationError included
+            rows.append((j_ghz, math.nan, math.nan, math.nan))
+            failures.append(f"J = {_fmt(j_ghz)} GHz: {rec}")
+        else:
+            raise rec
     header = _provenance(args.subcommand, args, base, mode, imp, (
         f"points = {args.points}",
         f"j_max_ghz = {_fmt(args.j_max)}",
@@ -289,15 +287,24 @@ def cmd_qfactor(args) -> int:
     base, imp, mode = _resolve(args, default_impurity_wanted=True)
     j_values = _parse_range(args.j_range or "0.15:0.9:0.05")
     ref_j = 0.242  # GHz (1 ueV)
-    eps_ref = calibrate_tilt(ref_j, base.xi, base, mode)
-    rel_ref = abs(delta_J("tilt", eps_ref, base, imp, mode, xi_fixed=base.xi).rel_noise)
+    # One lockstep run calibrates the reference and both schemes at every J.
+    requests = [("tilt", ref_j, base.xi)] + [
+        (scheme, j_ghz, base.xi) for j_ghz in j_values for scheme in ("tilt", "barrier")]
+    controls = calibrate_many(requests, base, mode)
+    records = noise_records([(scheme, c, xi) for (scheme, _, xi), c in zip(requests, controls)],
+                            base, imp, mode)
+    # The first failure is reported in the order of the steps: the
+    # reference, then at each J both calibrations before both records.
+    (ref,) = unwrap(records[:1])
+    rel_ref = abs(ref.rel_noise)
     rows = []
-    for j_ghz in j_values:
-        rec = improvement_factor(j_ghz, imp, base, mode, xi_fixed=base.xi)
+    for k, j_ghz in enumerate(j_values):
+        t, b = 1 + 2 * k, 2 + 2 * k
+        rec_t, rec_b = unwrap([controls[t], controls[b], records[t], records[b]])[2:]
         rows.append((
             j_ghz,
-            quality_factor(j_ghz, QualityModel(abs(rec.rel_tilt))),
-            quality_factor(j_ghz, QualityModel(abs(rec.rel_barrier))),
+            quality_factor(j_ghz, QualityModel(abs(rec_t.rel_noise))),
+            quality_factor(j_ghz, QualityModel(abs(rec_b.rel_noise))),
             quality_factor(j_ghz, QualityModel(rel_ref)),
         ))
     header = _provenance("qfactor", args, base, mode, imp, (
@@ -315,26 +322,42 @@ _SCAN_DIRECTIONS = {
 }
 
 
+def _positive_finite(flag: str, values: list[float]) -> None:
+    for v in values:
+        if not 0 < v < math.inf:
+            raise ValueError(f"{flag} must be positive and finite, got {_fmt(v)}")
+
+
 def cmd_impurity_scan(args) -> int:
     """Relative noise of both schemes versus impurity distance, for an
     impurity moved outward along three directions at matched clean J."""
     base, _imp, mode = _resolve(args)
+    try:
+        radii = ([float(r) for r in args.radii.split(",")] if args.radii
+                 else [1.5, 2.0, 3.0, 4.0, 5.0, 6.0, 8.0, 10.0, 12.0, 16.0, 20.0])
+    except ValueError:
+        raise ValueError(f"--radii expects comma-separated numbers, got {args.radii!r}") from None
+    _positive_finite("--J-mhz", [args.J_mhz])
+    _positive_finite("--radii", radii)
     j_target_ghz = args.J_mhz / 1e3
-    eps_star = calibrate_tilt(j_target_ghz, base.xi, base, mode)
-    xi_star = calibrate_barrier(j_target_ghz, base, mode)
+    eps_star, xi_star = unwrap(calibrate_many(
+        [("tilt", j_target_ghz, base.xi), ("barrier", j_target_ghz, base.xi)], base, mode))
     q = args.charge_e if args.charge_e is not None else -1.0
-    radii = ([float(r) for r in args.radii.split(",")] if args.radii
-             else [1.5, 2.0, 3.0, 4.0, 5.0, 6.0, 8.0, 10.0, 12.0, 16.0, 20.0])
-    # The clean J of both operating points does not depend on the impurity.
+    impurities = [(name, r_over_a, Impurity(r_over_a * base.a * ux, r_over_a * base.a * uy, q))
+                  for name, (ux, uy) in _SCAN_DIRECTIONS.items() for r_over_a in radii]
+    # One stacked solve: the clean J of both operating points, which does not
+    # depend on the impurity, then each impurity at both.
     points = (control_point("tilt", base, eps_star, base.xi),
               control_point("barrier", base, xi_star))
-    j_clean = [exchange_J_ghz(p, None, mode) for p in points]
+    ghz = derive_constants(base).frequency_conversion
+    results = unwrap(solve_many([(p, None) for p in points]
+                                + [(p, imp) for _, _, imp in impurities for p in points], mode))
+    j_clean = [res.J * ghz for res in results[:2]]
+    j_imp = [res.J * ghz for res in results[2:]]
     rows = []
-    for name, (ux, uy) in _SCAN_DIRECTIONS.items():
-        for r_over_a in radii:
-            imp = Impurity(r_over_a * base.a * ux, r_over_a * base.a * uy, q)
-            rel_t, rel_b = ((exchange_J_ghz(p, imp, mode) - j) / j for p, j in zip(points, j_clean))
-            rows.append((name, r_over_a, rel_t, rel_b))
+    for k, (name, r_over_a, _) in enumerate(impurities):
+        rel_t, rel_b = ((j - j0) / j0 for j, j0 in zip(j_imp[2 * k:2 * k + 2], j_clean))
+        rows.append((name, r_over_a, rel_t, rel_b))
     header = _provenance("impurity-scan", args, base, mode, None, (
         f"J_target_mhz = {_fmt(args.J_mhz)}",
         f"charge_e = {_fmt(q)}",
@@ -463,16 +486,16 @@ def cmd_validate(args) -> int:
         # 6. spectral identities at a detuned, impurity-perturbed point
         params = DeviceParams(epsilon=0.37, xi=1.1)
         imp = default_impurity(params)
-        res = solve(params, imp)
+        res, mirrored = unwrap(solve_many([
+            (params, imp),
+            (dataclasses.replace(params, epsilon=-params.epsilon), Impurity(-imp.x_c, imp.y_c, imp.q)),
+        ]))
         H = assemble_matrix(res.hubbard, res.mode)
         scale = float(np.max(np.abs(H)))
         d_t0 = float(np.max(np.abs(H @ T0_VECTOR - res.t0_energy * T0_VECTOR))) / scale
         resid = float(np.max(np.abs(H @ res.eigenvectors
                                     - res.eigenvectors * res.eigenvalues))) / scale
-        j_plus = exchange_J(params, imp)
-        j_minus = exchange_J(dataclasses.replace(params, epsilon=-params.epsilon),
-                             Impurity(-imp.x_c, imp.y_c, imp.q))
-        d_mirror = abs(j_plus - j_minus) / j_plus
+        d_mirror = abs(res.J - mirrored.J) / res.J
         add("spectral-identities",
             d_t0 <= 1e-12 and resid <= 1e-10 and d_mirror <= 1e-10,
             f"T0 defect {_fmt(d_t0)}, eigenresidual {_fmt(resid)}, "
@@ -495,9 +518,11 @@ def cmd_validate(args) -> int:
         # 7. monotonic trends
         base = DeviceParams()
         eps_grid = [0.0, 0.2, 0.4, 0.6, 0.8, 1.0]
-        j_eps = [exchange_J(control_point("tilt", base, e)) for e in eps_grid]
         xi_grid = [0.5, 0.7, 0.9, 1.1, 1.3]
-        j_xi = [exchange_J(control_point("barrier", base, x)) for x in xi_grid]
+        js = [res.J for res in unwrap(solve_many(
+            [(control_point("tilt", base, e), None) for e in eps_grid]
+            + [(control_point("barrier", base, x), None) for x in xi_grid]))]
+        j_eps, j_xi = js[:len(eps_grid)], js[len(eps_grid):]
         add("exchange-monotonic",
             all(b > a for a, b in zip(j_eps, j_eps[1:]))
             and all(b < a for a, b in zip(j_xi, j_xi[1:])),
@@ -507,7 +532,7 @@ def cmd_validate(args) -> int:
         n_match = 4 if quick else 8
         grid = matched_j_grid(base, n=n_match, j_max_ghz=1.0)
         try:
-            recs = [improvement_factor(float(j), imp0, base) for j in grid]
+            recs = unwrap(improvement_factors([float(j) for j in grid], imp0, base))
             rel_t = [abs(r.rel_tilt) for r in recs]
             rel_b = [abs(r.rel_barrier) for r in recs]
             chi = [r.chi for r in recs]
@@ -541,14 +566,14 @@ def cmd_validate(args) -> int:
 
         # 10. calibration round trips
         targets = (0.242,) if quick else (0.15, 0.242, 0.5)
-        worst_cal = 0.0
+        requests = [(scheme, tgt, 1.3) for tgt in targets for scheme in ("tilt", "barrier")]
         try:
-            for tgt in targets:
-                eps_star = calibrate_tilt(tgt, 1.3, base)
-                xi_star = calibrate_barrier(tgt, base)
-                jt = exchange_J_ghz(control_point("tilt", base, eps_star))
-                jb = exchange_J_ghz(control_point("barrier", base, xi_star))
-                worst_cal = max(worst_cal, abs(jt - tgt) / tgt, abs(jb - tgt) / tgt)
+            controls = unwrap(calibrate_many(requests, base))
+            achieved = unwrap(solve_many([(control_point(scheme, base, c), None)
+                                          for (scheme, _, _), c in zip(requests, controls)]))
+            ghz = derive_constants(base).frequency_conversion
+            worst_cal = max(abs(res.J * ghz - tgt) / tgt
+                            for (_, tgt, _), res in zip(requests, achieved))
             add("calibration", worst_cal <= 1e-6,
                 f"worst |J(c*) - target|/target = {_fmt(worst_cal)}")
         except CalibrationError as exc:

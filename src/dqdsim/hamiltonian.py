@@ -76,12 +76,27 @@ class HubbardParams:
         return self.t
 
 
+def _two_body(M: np.ndarray, coulomb: np.ndarray) -> dict[str, float]:
+    """The two-body parameters of the model: the Coulomb tensor transformed
+    by the Lowdin matrix M, read off as HubbardParams fields."""
+    V4 = np.einsum("pi,qj,rk,sl,ijkl->pqrs", M, M, M, M, coulomb)
+    return dict(U1=float(V4[0, 0, 0, 0]), U2=float(V4[1, 1, 1, 1]), U12=float(V4[0, 1, 0, 1]),
+                exchange_k=float(V4[0, 1, 1, 0]),
+                corr_hop1=float(V4[1, 0, 0, 0]),
+                corr_hop2=float(V4[1, 1, 1, 0]))
+
+
 def hubbard_from_tables(params: DeviceParams, basis: OrbitalBasis,
                         tables: IntegralTables) -> HubbardParams:
     """Transform integral tables by the Lowdin matrix and read off the model;
     the device detuning adds to the per-dot depths of the tables."""
-    M = basis.M
+    return _hubbard(params, basis.M, tables, _two_body(basis.M, tables.coulomb))
 
+
+def _hubbard(params: DeviceParams, M: np.ndarray, tables: IntegralTables,
+             two_body: dict[str, float]) -> HubbardParams:
+    """The model from the one-body and impurity tables, given the two-body
+    parameters that _two_body read off the same basis."""
     h = M @ tables.one_body @ M
     offset = 0.5 * (h[0, 0] + h[1, 1])
     # mu_i = -(h_ii - offset) extracts the per-dot depth of the table
@@ -90,31 +105,27 @@ def hubbard_from_tables(params: DeviceParams, basis: OrbitalBasis,
     mu2 = -(h[1, 1] - offset) + params.mu2
     t = -h[0, 1]
 
-    V4 = np.einsum("pi,qj,rk,sl,ijkl->pqrs", M, M, M, M, tables.coulomb)
     Zt1 = Zt2 = Zt12 = 0.0
     if tables.impurity is not None:
         Wt = M @ tables.impurity @ M
         Zt1, Zt2, Zt12 = Wt[0, 0], Wt[1, 1], Wt[0, 1]
 
     return HubbardParams(
-        t=float(t),
-        U1=float(V4[0, 0, 0, 0]), U2=float(V4[1, 1, 1, 1]), U12=float(V4[0, 1, 0, 1]),
-        mu1=float(mu1), mu2=float(mu2),
+        t=float(t), mu1=float(mu1), mu2=float(mu2),
         Zt1=float(Zt1), Zt2=float(Zt2), Zt12=float(Zt12),
-        exchange_k=float(V4[0, 1, 1, 0]),
-        corr_hop1=float(V4[1, 0, 0, 0]),
-        corr_hop2=float(V4[1, 1, 1, 0]),
-        offset=float(offset),
+        offset=float(offset), **two_body,
     )
 
 
 @functools.lru_cache(maxsize=1)
 def _device(params: DeviceParams):
     """What the controls never change, for a device at epsilon = xi = 0:
-    its basis, its tables, and the bump's confinement per meV of xi."""
+    its basis, its tables, the bump's confinement per meV of xi, and the
+    two-body parameters."""
     tables = build_tables(params)
     bump = build_tables(dataclasses.replace(params, xi=1.0)).confinement - tables.confinement
-    return build_basis(params), tables, bump
+    basis = build_basis(params)
+    return basis, tables, bump, _two_body(basis.M, tables.coulomb)
 
 
 @functools.lru_cache(maxsize=1)
@@ -131,10 +142,10 @@ def hubbard_parameters(params: DeviceParams, imp: Impurity | None = None) -> Hub
     plus params.xi times the bump, plus the impurity elements."""
     derive_constants(params)  # names a non-finite control before it reaches the tables
     device = dataclasses.replace(params, epsilon=0.0, xi=0.0)
-    basis, tables, bump = _device(device)
+    basis, tables, bump, two_body = _device(device)
     W = None if imp is None else _impurity(device, imp)
-    return hubbard_from_tables(params, basis, dataclasses.replace(
-        tables, confinement=tables.confinement + params.xi * bump, impurity=W))
+    return _hubbard(params, basis.M, dataclasses.replace(
+        tables, confinement=tables.confinement + params.xi * bump, impurity=W), two_body)
 
 
 def assemble_matrix(hp: HubbardParams, mode: AssemblyMode = AssemblyMode.PAPER) -> np.ndarray:
@@ -161,56 +172,87 @@ def assemble_matrix(hp: HubbardParams, mode: AssemblyMode = AssemblyMode.PAPER) 
 
 
 # ---------------------------------------------------------------------------
-# eigensolver: deterministic cyclic Jacobi
+# eigensolver: deterministic cyclic Jacobi over a stack of matrices
 # ---------------------------------------------------------------------------
 
-def jacobi_eigh(A: np.ndarray, tol: float = 1e-14, max_sweeps: int = 60):
-    """Eigen-decomposition of a small symmetric matrix by cyclic Jacobi.
+_ASYMMETRIC = "matrix must be symmetric"
 
-    Returns (eigenvalues ascending, eigenvectors as columns).  Rotations
-    are applied in a fixed (p, q) order so the result is bit-reproducible;
-    eigenvector signs are fixed by making the first non-negligible
-    component positive.
+
+def _asymmetric(A: np.ndarray) -> np.ndarray:
+    """For each matrix of a stack (N, n, n): whether it differs from its
+    transpose by more than 1e-12 of its largest entry (NaN counts)."""
+    atol = 1e-12 * np.fmax(1.0, np.abs(A).max(axis=(-2, -1)))
+    close = np.isclose(A, np.swapaxes(A, -1, -2), rtol=0, atol=atol[:, None, None])
+    return ~close.all(axis=(-2, -1))
+
+
+def jacobi_eigh(A: np.ndarray, tol: float = 1e-14, max_sweeps: int = 60):
+    """Eigen-decomposition of small symmetric matrices by cyclic Jacobi.
+
+    A is one (n, n) matrix or a stack (N, n, n).  Returns (eigenvalues
+    ascending, eigenvectors as columns), stacked like A.  Rotations are
+    applied in a fixed (p, q) order so the result is bit-reproducible, and
+    every matrix of a stack takes exactly the rotations it would take
+    alone: a matrix leaves the stack once it has converged, and a rotation
+    it skips (|a_pq| <= 1e-300) is masked out, never applied as an identity
+    (which would turn -0 into +0).  Eigenvector signs are fixed by making
+    the first non-negligible component positive.
     """
     A = np.array(A, dtype=float)
-    if not np.allclose(A, A.T, rtol=0, atol=1e-12 * max(1.0, np.abs(A).max())):
-        raise ValueError("matrix must be symmetric")
-    A = 0.5 * (A + A.T)
-    n = A.shape[0]
-    V = np.eye(n)
-    scale = max(1.0, np.abs(A).max())
+    single = A.ndim == 2
+    if single:
+        A = A[None]
+    if _asymmetric(A).any():
+        raise ValueError(_ASYMMETRIC)
+    A = 0.5 * (A + np.swapaxes(A, -1, -2))
+    n = A.shape[-1]
+    V = np.broadcast_to(np.eye(n), A.shape).copy()
+    pairs = [(p, q) for p in range(n - 1) for q in range(p + 1, n)]
+    # The matrices still rotating: their indices in the stack and their state.
+    live = np.arange(len(A))
+    a, v, limit = A, V, tol * np.fmax(1.0, np.abs(A).max(axis=(-2, -1)))
     for _ in range(max_sweeps):
-        off = math.sqrt(sum(A[p, q] ** 2 for p in range(n) for q in range(p + 1, n)))
-        if off <= tol * scale:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = A[p, q]
-                if abs(apq) <= 1e-300:
-                    continue
-                tau = (A[q, q] - A[p, p]) / (2.0 * apq)
-                if tau >= 0:
-                    tphi = 1.0 / (tau + math.sqrt(1.0 + tau * tau))
-                else:
-                    tphi = -1.0 / (-tau + math.sqrt(1.0 + tau * tau))
-                c = 1.0 / math.sqrt(1.0 + tphi * tphi)
-                s = tphi * c
-                rot = np.eye(n)
-                rot[p, p] = rot[q, q] = c
-                rot[p, q] = s
-                rot[q, p] = -s
-                A = rot.T @ A @ rot
-                V = V @ rot
-    evals = np.diag(A).copy()
-    order = np.argsort(evals, kind="stable")
-    evals = evals[order]
-    V = V[:, order]
-    for col in range(n):
-        v = V[:, col]
-        nz = np.flatnonzero(np.abs(v) > 1e-12)
-        if nz.size and v[nz[0]] < 0:
-            V[:, col] = -v
-    return evals, V
+        off = np.zeros(len(a))
+        for p, q in pairs:
+            # float_power rounds like the libm pow behind a lone scalar's
+            # ** 2; x * x differs in the last bit now and then.
+            off = off + np.float_power(a[:, p, q], 2)
+        done = np.sqrt(off) <= limit
+        if done.any():
+            A[live[done]], V[live[done]] = a[done], v[done]
+            live, a, v, limit = live[~done], a[~done], v[~done], limit[~done]
+            if not live.size:
+                break
+        for p, q in pairs:
+            apq = a[:, p, q]
+            on = ~(np.abs(apq) <= 1e-300)
+            if not on.any():
+                continue
+            tau = (a[:, q, q] - a[:, p, p]) / (2.0 * np.where(on, apq, 1.0))
+            tphi = 1.0 / (np.abs(tau) + np.sqrt(1.0 + tau * tau))
+            tphi = np.where(tau >= 0, tphi, -tphi)
+            c = 1.0 / np.sqrt(1.0 + tphi * tphi)
+            s = tphi * c
+            rot = np.broadcast_to(np.eye(n), a.shape).copy()
+            rot[:, p, p] = rot[:, q, q] = c
+            rot[:, p, q] = s
+            rot[:, q, p] = -s
+            a_rot = np.swapaxes(rot, -1, -2) @ a @ rot
+            v_rot = v @ rot
+            if on.all():
+                a, v = a_rot, v_rot
+            else:
+                a = np.where(on[:, None, None], a_rot, a)
+                v = np.where(on[:, None, None], v_rot, v)
+    A[live], V[live] = a, v
+    diag = np.diagonal(A, axis1=-2, axis2=-1)
+    order = np.argsort(diag, axis=-1, kind="stable")
+    evals = np.take_along_axis(diag, order, axis=-1)
+    V = np.take_along_axis(V, order[:, None, :], axis=-1)
+    big = np.abs(V) > 1e-12
+    lead = np.take_along_axis(V, np.argmax(big, axis=-2)[:, None, :], axis=-2)[:, 0, :]
+    V = np.where((big.any(axis=-2) & (lead < 0))[:, None, :], -V, V)
+    return (evals[0], V[0]) if single else (evals, V)
 
 
 @dataclass(frozen=True)
@@ -226,26 +268,63 @@ class SpectrumResult:
 T0_VECTOR = np.array([0.0, 1.0, -1.0, 0.0]) / math.sqrt(2.0)
 
 
-def solve(params: DeviceParams, imp: Impurity | None = None,
-          mode: AssemblyMode = AssemblyMode.PAPER) -> SpectrumResult:
-    """Assemble and diagonalize the two-electron model at one parameter point.
+def solve_many(points, mode: AssemblyMode = AssemblyMode.PAPER) -> list:
+    """Assemble the model at each (params, imp) point and diagonalize all
+    of them in one stacked eigensolve.
 
-    J is the signed singlet-triplet splitting E(T0) - E(S): the T0 vector
-    is an exact eigenvector of every assembly (its eigenpair is found by
+    Each entry of the result is the point's SpectrumResult, or the
+    exception that point raised (a bad control, a matrix that is not
+    symmetric, ...); a failing point never stops the others.  J is the
+    signed singlet-triplet splitting E(T0) - E(S): the T0 vector is an
+    exact eigenvector of every assembly (its eigenpair is found by
     overlap), and E(S) is the lowest remaining level.  A negative J means
     the triplet has dropped below the singlet.
     """
-    hp = hubbard_parameters(params, imp)
-    H = assemble_matrix(hp, mode)
-    evals, evecs = jacobi_eigh(H)
-    i_t0 = int(np.argmax(np.abs(T0_VECTOR @ evecs)))
-    e_singlet = float(np.min(np.delete(evals, i_t0)))
-    return SpectrumResult(
-        eigenvalues=evals, eigenvectors=evecs,
-        J=float(evals[i_t0]) - e_singlet,
-        t0_energy=float(T0_VECTOR @ H @ T0_VECTOR),
-        hubbard=hp, mode=mode,
-    )
+    out: list = [None] * len(points)
+    built = []  # (index, hubbard parameters, matrix) of each assembled point
+    for i, (params, imp) in enumerate(points):
+        try:
+            hp = hubbard_parameters(params, imp)
+            built.append((i, hp, assemble_matrix(hp, mode)))
+        except Exception as exc:  # the point's own failure
+            out[i] = exc
+    if built:
+        H = np.array([h for _, _, h in built])
+        bad = _asymmetric(H)
+        for k in np.flatnonzero(bad):
+            out[built[k][0]] = ValueError(_ASYMMETRIC)
+        built = [b for b, skip in zip(built, bad) if not skip]
+        H = H[~bad]
+    if built:
+        evals, evecs = jacobi_eigh(H)
+        i_t0 = np.argmax(np.abs(T0_VECTOR @ evecs), axis=-1)
+        # Per slice a (1, n) @ (n,) product: the same dot as T0 @ H @ T0 on
+        # one matrix, which (K, n) @ (n,) is not, bit for bit.
+        t0_energy = ((T0_VECTOR @ H)[:, None, :] @ T0_VECTOR)[:, 0]
+        for k, (i, hp, _) in enumerate(built):
+            levels = evals[k].tolist()
+            e_t0 = levels.pop(i_t0[k])
+            out[i] = SpectrumResult(
+                eigenvalues=evals[k], eigenvectors=evecs[k], J=e_t0 - min(levels),
+                t0_energy=float(t0_energy[k]), hubbard=hp, mode=mode)
+    return out
+
+
+def unwrap(results: list) -> list:
+    """The entries of a batched call's result, raising the first exception
+    among them."""
+    for res in results:
+        if isinstance(res, Exception):
+            raise res
+    return results
+
+
+def solve(params: DeviceParams, imp: Impurity | None = None,
+          mode: AssemblyMode = AssemblyMode.PAPER) -> SpectrumResult:
+    """Assemble and diagonalize the two-electron model at one parameter
+    point (see solve_many); raises what the point raises."""
+    (res,) = unwrap(solve_many([(params, imp)], mode))
+    return res
 
 
 def exchange_J(params: DeviceParams, imp: Impurity | None = None,
@@ -257,7 +336,6 @@ def exchange_J(params: DeviceParams, imp: Impurity | None = None,
 def exchange_J_ghz(params: DeviceParams, imp: Impurity | None = None,
                    mode: AssemblyMode = AssemblyMode.PAPER) -> float:
     return exchange_J(params, imp, mode) * derive_constants(params).frequency_conversion
-
 
 def hubbard_exchange_estimate(hp: HubbardParams) -> float:
     """Second-order estimate J ~ 2t^2/(dU+eps) + 2t^2/(dU-eps)  [meV]."""

@@ -7,8 +7,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
 
-from .hamiltonian import AssemblyMode, exchange_J_ghz, hubbard_parameters
-from .model import DeviceParams, Impurity, control_point
+from .hamiltonian import AssemblyMode, exchange_J_ghz, hubbard_parameters, solve_many, unwrap
+from .model import DeviceParams, Impurity, control_point, derive_constants
 
 DEFAULT_IMPURITY_SCALE = 6.0  # R_c = (-6a, 6a) is the reference noise source
 
@@ -32,20 +32,58 @@ class NoiseRecord:
                   "delta_J_ghz", "rel_noise")
 
 
+def _j_ghz(points, mode: AssemblyMode) -> list:
+    """J [GHz] at each (params, imp) point from one stacked solve, or the
+    exception that point raised."""
+    return [res if isinstance(res, Exception)
+            else res.J * derive_constants(params).frequency_conversion
+            for (params, _), res in zip(points, solve_many(points, mode))]
+
+
+def noise_records(controls, base: DeviceParams, imp: Impurity,
+                  mode: AssemblyMode = AssemblyMode.PAPER) -> list:
+    """The NoiseRecord of each (scheme, value, xi_fixed) control: J with
+    and without the impurity there, every point in one stacked solve.
+
+    An entry is the exception its control raised instead; a control whose
+    value is an exception (a failed calibration) passes it through."""
+    controls = list(controls)
+    out: list = [None] * len(controls)
+    points, owners = [], []
+    for i, (scheme, value, xi_fixed) in enumerate(controls):
+        if isinstance(value, Exception):
+            out[i] = value
+            continue
+        try:
+            params = control_point(scheme, base, value, xi_fixed)
+        except ValueError as exc:
+            out[i] = exc
+            continue
+        points += [(params, None), (params, imp)]
+        owners.append(i)
+    js = _j_ghz(points, mode)
+    for i, j_clean, j_imp in zip(owners, js[0::2], js[1::2]):
+        scheme, value, _ = controls[i]
+        try:
+            j_clean, j_imp = unwrap([j_clean, j_imp])
+            out[i] = NoiseRecord(
+                scheme=scheme, control_mev=value,
+                J_clean_ghz=j_clean, J_imp_ghz=j_imp,
+                delta_J_ghz=j_imp - j_clean,
+                rel_noise=(j_imp - j_clean) / j_clean,
+                impurity=imp,
+            )
+        except Exception as exc:  # the point's own failure
+            out[i] = exc
+    return out
+
+
 def delta_J(scheme: str, value: float, base: DeviceParams,
             imp: Impurity, mode: AssemblyMode = AssemblyMode.PAPER,
             xi_fixed: float = 1.3) -> NoiseRecord:
     """Evaluate J with and without the impurity at one control point."""
-    params = control_point(scheme, base, value, xi_fixed)
-    j_clean = exchange_J_ghz(params, None, mode)
-    j_imp = exchange_J_ghz(params, imp, mode)
-    return NoiseRecord(
-        scheme=scheme, control_mev=value,
-        J_clean_ghz=j_clean, J_imp_ghz=j_imp,
-        delta_J_ghz=j_imp - j_clean,
-        rel_noise=(j_imp - j_clean) / j_clean,
-        impurity=imp,
-    )
+    (rec,) = unwrap(noise_records([(scheme, value, xi_fixed)], base, imp, mode))
+    return rec
 
 
 # ---------------------------------------------------------------------------
@@ -58,14 +96,17 @@ class CalibrationError(ValueError):
 
 TILT_BRACKET = (0.0, 1.5)
 BARRIER_BRACKET = (0.3, 1.3)
+_BRACKETS = {"tilt": TILT_BRACKET, "barrier": BARRIER_BRACKET}
 _CAL_MAXITER = 200
 
 
-def _brentq(f, xpre, xcur, fpre, fcur, xtol, rtol, maxiter, label):
+def _brent(xpre, xcur, fpre, fcur, xtol, rtol, maxiter, label):
     """Root of f between xpre and xcur, where f takes the values fpre and
     fcur of opposite signs: Brent's method, step for step as the C solver
-    behind scipy.optimize.brentq, so the roots are bit-identical.  Returns
-    (root, f(root)); f is evaluated once per step and never at the ends."""
+    behind scipy.optimize.brentq, so the roots are bit-identical.
+
+    A generator: it yields each x where it needs f and receives f(x), once
+    per step and never at the ends, and returns (root, f(root))."""
     xblk = fblk = spre = scur = 0.0
     for _ in range(maxiter):
         if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
@@ -93,20 +134,37 @@ def _brentq(f, xpre, xcur, fpre, fcur, xtol, rtol, maxiter, label):
             spre = scur = sbis
         xpre, fpre = xcur, fcur
         xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
-        fcur = f(xcur)
+        fcur = yield xcur
     raise CalibrationError(f"{label}: no root within {maxiter} iterations; last at {xcur!r} meV")
 
 
-def _calibrate(j_target_ghz, f_of_control, lo, hi, label):
-    def miss(c):
-        d = f_of_control(c) - j_target_ghz
+def _brentq(f, xpre, xcur, fpre, fcur, xtol, rtol, maxiter, label):
+    """_brent with f evaluated at each step as it asks: returns (root, f(root))."""
+    steps = _brent(xpre, xcur, fpre, fcur, xtol, rtol, maxiter, label)
+    try:
+        x = next(steps)
+        while True:
+            x = steps.send(f(x))
+    except StopIteration as stop:
+        return stop.value
+
+
+def _calibration(j_target_ghz, lo, hi, j_lo, j_hi, label):
+    """One calibration on the bracket [lo, hi], given the clean J [GHz] at
+    its ends.  A generator: it yields each control value whose clean J it
+    needs and receives that J, or the exception its solve raised; it
+    returns the control value at which J meets the target."""
+    def miss(c, j):
+        if isinstance(j, Exception):
+            raise j
+        d = j - j_target_ghz
         if math.isnan(d):
             raise CalibrationError(f"{label}: J - target is NaN at {c!r} meV "
                                    f"for target {j_target_ghz:.6g} GHz")
         return d
 
-    f_lo = miss(lo)
-    f_hi = miss(hi)
+    f_lo = miss(lo, j_lo)
+    f_hi = miss(hi, j_hi)
     if f_lo == 0.0:
         return lo
     if f_hi == 0.0:
@@ -116,8 +174,14 @@ def _calibrate(j_target_ghz, f_of_control, lo, hi, label):
             f"{label}: target {j_target_ghz:.6g} GHz outside "
             f"[{min(f_lo, f_hi) + j_target_ghz:.6g}, {max(f_lo, f_hi) + j_target_ghz:.6g}] GHz "
             f"reachable on the bracket [{lo}, {hi}] meV")
-    root, f_root = _brentq(miss, lo, hi, f_lo, f_hi, xtol=1e-13, rtol=8.9e-16,
-                           maxiter=_CAL_MAXITER, label=label)
+    steps = _brent(lo, hi, f_lo, f_hi, xtol=1e-13, rtol=8.9e-16,
+                   maxiter=_CAL_MAXITER, label=label)
+    try:
+        c = next(steps)
+        while True:
+            c = steps.send(miss(c, (yield c)))
+    except StopIteration as stop:
+        root, f_root = stop.value
     if abs(f_root) > 1e-6 * j_target_ghz:
         raise CalibrationError(
             f"{label}: root-finder landed at J = {f_root + j_target_ghz:.9g} GHz "
@@ -125,25 +189,63 @@ def _calibrate(j_target_ghz, f_of_control, lo, hi, label):
     return float(root)
 
 
-def _clean_j(scheme: str, base: DeviceParams, mode: AssemblyMode, xi_fixed: float = 1.3):
-    """Clean J [GHz] as a function of the scheme's control value."""
-    return lambda value: exchange_J_ghz(control_point(scheme, base, value, xi_fixed), None, mode)
+def calibrate_many(requests, base: DeviceParams = DeviceParams(),
+                   mode: AssemblyMode = AssemblyMode.PAPER) -> list:
+    """The control value of each (scheme, target_ghz, xi_fixed) request at
+    which the clean J meets the target; xi_fixed only matters to "tilt".
+
+    Each calibration takes the steps of Brent's method on its scheme's
+    bracket, and all of them advance in lockstep: every round evaluates
+    the pending step of each unfinished calibration in one stacked solve.
+    J at the bracket ends does not depend on the target, so it is
+    evaluated once per end.  An entry is the exception its calibration
+    raised instead."""
+    requests = list(requests)
+    for scheme, _, _ in requests:
+        if scheme not in _BRACKETS:
+            raise ValueError(f"unknown scheme {scheme!r}")
+
+    def point(k, value):
+        scheme, _, xi_fixed = requests[k]
+        return control_point(scheme, base, value, xi_fixed), None
+
+    ends = {point(k, c): None for k, (scheme, _, _) in enumerate(requests)
+            for c in _BRACKETS[scheme]}
+    ends = dict(zip(ends, _j_ghz(list(ends), mode)))
+    steps = {k: _calibration(target, *_BRACKETS[scheme],
+                             *(ends[point(k, c)] for c in _BRACKETS[scheme]),
+                             label=f"calibrate_{scheme}")
+             for k, (scheme, target, _) in enumerate(requests)}
+    out: list = [None] * len(requests)
+    received = dict.fromkeys(steps)  # None starts each generator
+    while received:
+        asks = {}
+        for k, j in received.items():
+            try:
+                asks[k] = steps[k].send(j)
+            except StopIteration as stop:
+                out[k] = stop.value
+            except Exception as exc:  # this calibration's own failure
+                out[k] = exc
+        points = [point(k, c) for k, c in asks.items()]
+        received = dict(zip(asks, _j_ghz(points, mode))) if points else {}
+    return out
 
 
 def calibrate_tilt(j_target_ghz: float, xi_fixed: float = 1.3,
                    base: DeviceParams = DeviceParams(),
                    mode: AssemblyMode = AssemblyMode.PAPER) -> float:
     """Detuning epsilon* >= 0 with clean J(epsilon*) = target."""
-    return _calibrate(j_target_ghz, _clean_j("tilt", base, mode, xi_fixed),
-                      *TILT_BRACKET, label="calibrate_tilt")
+    (eps,) = unwrap(calibrate_many([("tilt", j_target_ghz, xi_fixed)], base, mode))
+    return eps
 
 
 def calibrate_barrier(j_target_ghz: float,
                       base: DeviceParams = DeviceParams(),
                       mode: AssemblyMode = AssemblyMode.PAPER) -> float:
     """Barrier amplitude xi* with clean J(xi*) = target (J decreasing in xi)."""
-    return _calibrate(j_target_ghz, _clean_j("barrier", base, mode),
-                      *BARRIER_BRACKET, label="calibrate_barrier")
+    (xi,) = unwrap(calibrate_many([("barrier", j_target_ghz, 1.3)], base, mode))
+    return xi
 
 
 # ---------------------------------------------------------------------------
@@ -160,6 +262,37 @@ class ChiRecord:
     CSV_FIELDS = ("J_ghz", "rel_tilt", "rel_barrier", "chi")
 
 
+def improvement_factors(targets, imp: Impurity,
+                        base: DeviceParams = DeviceParams(),
+                        mode: AssemblyMode = AssemblyMode.PAPER,
+                        xi_fixed: float = 1.3) -> list:
+    """improvement_factor at each target: every calibration in lockstep,
+    then both noise records of every target in one stacked solve.
+
+    An entry is its target's first exception instead, in the order tilt
+    calibration, barrier calibration, tilt record, barrier record."""
+    targets = list(targets)
+    requests = [(scheme, j, xi_fixed) for j in targets for scheme in ("tilt", "barrier")]
+    controls = calibrate_many(requests, base, mode)
+    records = noise_records([(scheme, c, x) for (scheme, _, x), c in zip(requests, controls)],
+                            base, imp, mode)
+    out = []
+    for k, j in enumerate(targets):
+        steps = controls[2 * k:2 * k + 2] + records[2 * k:2 * k + 2]
+        failed = [r for r in steps if isinstance(r, Exception)]
+        out.append(failed[0] if failed else _chi(j, *steps[2:]))
+    return out
+
+
+def _chi(j_target_ghz: float, rec_t: NoiseRecord, rec_b: NoiseRecord) -> ChiRecord:
+    if rec_b.rel_noise == 0.0:
+        chi = math.inf if rec_t.rel_noise != 0.0 else 1.0
+    else:
+        chi = abs(rec_t.rel_noise) / abs(rec_b.rel_noise)
+    return ChiRecord(J_ghz=j_target_ghz, rel_tilt=rec_t.rel_noise,
+                     rel_barrier=rec_b.rel_noise, chi=chi)
+
+
 def improvement_factor(j_target_ghz: float, imp: Impurity,
                        base: DeviceParams = DeviceParams(),
                        mode: AssemblyMode = AssemblyMode.PAPER,
@@ -169,16 +302,8 @@ def improvement_factor(j_target_ghz: float, imp: Impurity,
     A vanishing barrier noise is signaled by chi = +inf rather than an
     exception: matched-J comparisons remain well-defined pointwise.
     """
-    eps = calibrate_tilt(j_target_ghz, xi_fixed, base, mode)
-    xi = calibrate_barrier(j_target_ghz, base, mode)
-    rec_t = delta_J("tilt", eps, base, imp, mode, xi_fixed=xi_fixed)
-    rec_b = delta_J("barrier", xi, base, imp, mode)
-    if rec_b.rel_noise == 0.0:
-        chi = math.inf if rec_t.rel_noise != 0.0 else 1.0
-    else:
-        chi = abs(rec_t.rel_noise) / abs(rec_b.rel_noise)
-    return ChiRecord(J_ghz=j_target_ghz, rel_tilt=rec_t.rel_noise,
-                     rel_barrier=rec_b.rel_noise, chi=chi)
+    (rec,) = unwrap(improvement_factors([j_target_ghz], imp, base, mode, xi_fixed))
+    return rec
 
 
 def matched_j_grid(base: DeviceParams, n: int = 25, j_max_ghz: float = 1.0,
@@ -188,7 +313,7 @@ def matched_j_grid(base: DeviceParams, n: int = 25, j_max_ghz: float = 1.0,
         raise ValueError(f"--points must be at least 2, got {n}")
     if not 0 < j_max_ghz < math.inf:
         raise ValueError(f"--j-max must be positive and finite, got {j_max_ghz}")
-    j0 = _clean_j("tilt", base, mode, base.xi)(0.0)
+    j0 = exchange_J_ghz(control_point("tilt", base, 0.0, base.xi), None, mode)
     if not 0 < j0 < math.inf:
         raise ValueError(f"{AssemblyMode(mode).value} mode: the matched-J grid starts at "
                          f"J0 = J(epsilon = 0) = {j0:.6g} GHz, which must be positive and finite")
@@ -267,19 +392,17 @@ def t_star_ns(sigma_ghz: float) -> float:
 
 def sweep(scheme: str, values, base: DeviceParams, imp: Impurity,
           mode: AssemblyMode = AssemblyMode.PAPER, xi_fixed: float = 1.3) -> list[NoiseRecord]:
-    """One NoiseRecord per control value, in input order; per-point errors
-    are captured on the record instead of aborting the sweep."""
-    records = []
-    for value in map(float, values):
-        try:
-            records.append(delta_J(scheme, value, base, imp, mode, xi_fixed=xi_fixed))
-        except Exception as exc:  # record and continue
-            records.append(NoiseRecord(
+    """One NoiseRecord per control value, in input order, from one stacked
+    solve; per-point errors are captured on the record instead of aborting
+    the sweep."""
+    values = [float(v) for v in values]
+    records = noise_records([(scheme, v, xi_fixed) for v in values], base, imp, mode)
+    return [rec if isinstance(rec, NoiseRecord) else NoiseRecord(
                 scheme=scheme, control_mev=value,
                 J_clean_ghz=math.nan, J_imp_ghz=math.nan,
                 delta_J_ghz=math.nan, rel_noise=math.nan,
-                impurity=imp, error=f"{type(exc).__name__}: {exc}"))
-    return records
+                impurity=imp, error=f"{type(rec).__name__}: {rec}")
+            for value, rec in zip(values, records)]
 
 
 # ---------------------------------------------------------------------------
@@ -295,8 +418,9 @@ def sweet_spot_check(xi: float, base: DeviceParams = DeviceParams(),
     extrapolation; the difference of the two estimates bounds the
     leading truncation term.
     """
-    j = _clean_j("tilt", base, mode, xi)
-    d1 = (j(+h) - j(-h)) / (2.0 * h)
-    d2 = (j(+h / 2) - j(-h / 2)) / h
+    j_plus, j_minus, j_half_plus, j_half_minus = unwrap(_j_ghz(
+        [(control_point("tilt", base, e, xi), None) for e in (+h, -h, +h / 2, -h / 2)], mode))
+    d1 = (j_plus - j_minus) / (2.0 * h)
+    d2 = (j_half_plus - j_half_minus) / h
     richardson = (4.0 * d2 - d1) / 3.0
     return richardson, abs(d2 - d1) / 3.0

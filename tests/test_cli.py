@@ -6,7 +6,8 @@ import sys
 import numpy as np
 import pytest
 
-from dqdsim import DeviceParams, eval_potential, noise, __version__
+from dqdsim import (CalibrationError, DeviceParams, calibrate_barrier, calibrate_tilt, cli,
+                    eval_potential, matched_j_grid, noise, __version__)
 from dqdsim.cli import MAX_GRID_POINTS, main
 
 CLI = [sys.executable, "-m", "dqdsim.cli"]
@@ -240,6 +241,54 @@ class TestFlags:
         err = capsys.readouterr().err
         assert "calibrate_tilt: no root within 2 iterations" in err
         assert len(data_rows(out.read_text())) == 1 + 2
+
+
+    def test_calibrations_that_run_out_fail_only_their_rows(self, monkeypatch, tmp_path, capsys):
+        full, cut = tmp_path / "full.csv", tmp_path / "cut.csv"
+        assert main(["noise-compare", "--points", "8", "--out", str(full)]) == 0
+        monkeypatch.setattr(noise, "_CAL_MAXITER", 12)
+        # Each calibration on its own: the first failure of each J, tilt first.
+        expected = []
+        for j in map(float, matched_j_grid(DeviceParams(), n=8)):
+            try:
+                calibrate_tilt(j)
+                calibrate_barrier(j)
+            except CalibrationError as exc:
+                expected.append(f"dqdsim: error: J = {cli._fmt(j)} GHz: {exc}")
+        assert 0 < len(expected) < 8
+        capsys.readouterr()
+        assert main(["noise-compare", "--points", "8", "--out", str(cut)]) == 2
+        assert capsys.readouterr().err.splitlines() == expected
+        failed = 0
+        for whole, part in zip(data_rows(full.read_text()), data_rows(cut.read_text()),
+                               strict=True):
+            if part != whole:
+                assert part == whole.split(",")[0] + ",nan,nan,nan"
+                failed += 1
+        assert failed == len(expected)
+
+    # impurity-scan checks its target and its radii before any calibration.
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("flags,message", [
+        (("--J-mhz", "inf"), "--J-mhz must be positive and finite, got inf"),
+        (("--J-mhz", "nan"), "--J-mhz must be positive and finite, got nan"),
+        (("--J-mhz", "0"), "--J-mhz must be positive and finite, got 0"),
+        (("--J-mhz", "-5"), "--J-mhz must be positive and finite, got -5"),
+        (("--radii", "nan"), "--radii must be positive and finite, got nan"),
+        (("--radii", "6,inf"), "--radii must be positive and finite, got inf"),
+        (("--radii", "0"), "--radii must be positive and finite, got 0"),
+        (("--radii=-2,6",), "--radii must be positive and finite, got -2"),
+        (("--radii", "6,abc"), "--radii expects comma-separated numbers, got '6,abc'"),
+    ])
+    def test_bad_impurity_scan_input_is_rejected(self, flags, message, monkeypatch,
+                                                 tmp_path, capsys):
+        def no_calibration(*args, **kwargs):
+            raise AssertionError("calibrated before the flags were checked")
+        monkeypatch.setattr(cli, "calibrate_many", no_calibration)
+        out = tmp_path / "out.csv"
+        assert main(["impurity-scan", *flags, "--out", str(out)]) == 2
+        assert f"dqdsim: error: {message}\n" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestContent:

@@ -1,5 +1,7 @@
 """Tests for the two-electron model assembly and eigensolver."""
 import dataclasses
+import functools
+import math
 
 import numpy as np
 import pytest
@@ -22,8 +24,9 @@ from dqdsim import (
     overlap_matrix,
     solve,
 )
+from dqdsim import hamiltonian
 from dqdsim.crosscheck import sample_device, sample_impurity
-from dqdsim.hamiltonian import hubbard_from_tables
+from dqdsim.hamiltonian import hubbard_from_tables, solve_many
 
 # Frozen from high-precision evaluation at the default device
 # (a = 100 nm, hbar_omega0 = 0.1 meV, epsilon = 0, xi = 1.3); the Z
@@ -73,6 +76,121 @@ def random_symmetric(seed, n=4, scale=1.0):
     rng = np.random.default_rng(seed)
     B = rng.normal(size=(n, n)) * scale
     return 0.5 * (B + B.T)
+
+
+def lone_jacobi(A, tol=1e-14, max_sweeps=60):
+    """Cyclic Jacobi on one matrix as a plain loop, one rotation matrix at a
+    time: the reference that every matrix of a stack must reproduce bit for
+    bit, sign of zero included."""
+    A = np.array(A, dtype=float)
+    if not np.allclose(A, A.T, rtol=0, atol=1e-12 * max(1.0, np.abs(A).max())):
+        raise ValueError("matrix must be symmetric")
+    A = 0.5 * (A + A.T)
+    n = A.shape[0]
+    V = np.eye(n)
+    scale = max(1.0, np.abs(A).max())
+    for _ in range(max_sweeps):
+        off = math.sqrt(sum(A[p, q] ** 2 for p in range(n) for q in range(p + 1, n)))
+        if off <= tol * scale:
+            break
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                apq = A[p, q]
+                if abs(apq) <= 1e-300:
+                    continue
+                tau = (A[q, q] - A[p, p]) / (2.0 * apq)
+                if tau >= 0:
+                    tphi = 1.0 / (tau + math.sqrt(1.0 + tau * tau))
+                else:
+                    tphi = -1.0 / (-tau + math.sqrt(1.0 + tau * tau))
+                c = 1.0 / math.sqrt(1.0 + tphi * tphi)
+                s = tphi * c
+                rot = np.eye(n)
+                rot[p, p] = rot[q, q] = c
+                rot[p, q] = s
+                rot[q, p] = -s
+                A = rot.T @ A @ rot
+                V = V @ rot
+    evals = np.diag(A).copy()
+    order = np.argsort(evals, kind="stable")
+    evals = evals[order]
+    V = V[:, order]
+    for col in range(n):
+        v = V[:, col]
+        nz = np.flatnonzero(np.abs(v) > 1e-12)
+        if nz.size and v[nz[0]] < 0:
+            V[:, col] = -v
+    return evals, V
+
+
+def same_bits(got, want) -> bool:
+    """Arrays equal bit for bit, so -0.0 differs from +0.0."""
+    return all(np.array_equal(np.ascontiguousarray(g, dtype=float).view(np.uint64),
+                              np.ascontiguousarray(w, dtype=float).view(np.uint64))
+               for g, w in zip(got, want))
+
+
+def sweeps_to_converge(A) -> int:
+    full = lone_jacobi(A)
+    k = 0
+    while not same_bits(lone_jacobi(A, max_sweeps=k), full):
+        k += 1
+    return k
+
+
+@functools.lru_cache(maxsize=1)
+def matrices_by_sweeps() -> dict:
+    """Three symmetric matrices each that the lone solver diagonalizes in
+    exactly 2, 3 and 4 sweeps (the smaller the couplings, the fewer)."""
+    rng = np.random.default_rng(5)
+    found = {2: [], 3: [], 4: []}
+    for k in range(300):
+        coupling = (1e-5, 1e-2, 1.0)[k % 3]
+        B = random_symmetric(int(rng.integers(2**32)))
+        A = np.diag(rng.normal(size=4) * 3) + coupling * (B - np.diag(np.diag(B)))
+        sweeps = sweeps_to_converge(A)
+        if sweeps in found and len(found[sweeps]) < 3:
+            found[sweeps].append(A)
+    assert all(len(v) == 3 for v in found.values()), {k: len(v) for k, v in found.items()}
+    return found
+
+
+def device_matrix(rng):
+    """The 4x4 model of a sampled device at a random control point, in a
+    random assembly mode, with or without a sampled impurity."""
+    device = sample_device(rng)
+    imp = sample_impurity(rng, device.a) if rng.random() < 0.5 else None
+    point = dataclasses.replace(device, epsilon=float(rng.uniform(-1.0, 1.0)),
+                                xi=float(rng.uniform(0.0, 1.5)))
+    mode = (AssemblyMode.PAPER, AssemblyMode.FULL)[int(rng.integers(2))]
+    return assemble_matrix(hubbard_parameters(point, imp), mode)
+
+
+def diagonal_matrix(rng):
+    # Converged before the first sweep; a rotation of any kind would turn
+    # its -0.0 eigenvalue into +0.0.
+    return np.diag([-0.0, *rng.normal(size=3)])
+
+
+def negative_zero_coupling(rng):
+    A = random_symmetric(int(rng.integers(2**32)))
+    p, q = sorted(rng.choice(4, size=2, replace=False))
+    A[p, q] = A[q, p] = -0.0
+    return A
+
+
+def converging_in(sweeps):
+    return lambda rng: matrices_by_sweeps()[sweeps][int(rng.integers(3))]
+
+
+MATRIX_KINDS = {
+    "device": device_matrix,
+    "diagonal": diagonal_matrix,
+    "negative-zero": negative_zero_coupling,
+    "2-sweeps": converging_in(2),
+    "3-sweeps": converging_in(3),
+    "4-sweeps": converging_in(4),
+}
 
 
 class TestHubbardParameters:
@@ -205,6 +323,107 @@ class TestJacobiEigensolver:
         e1, v1 = jacobi_eigh(A)
         e2, v2 = jacobi_eigh(A)
         assert np.array_equal(e1, e2) and np.array_equal(v1, v2)
+
+
+# numpy's floating-point warnings are RuntimeWarnings.  Only they are made
+# errors here: hypothesis's failure report trips a DeprecationWarning of its
+# own, which under "error" would abort the whole run.
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestStackedJacobi:
+    """Every matrix of a stack takes exactly the rotations it takes alone."""
+
+    def check_stack(self, stack):
+        evals, evecs = jacobi_eigh(np.array(stack))
+        for A, e, v in zip(stack, evals, evecs):
+            assert same_bits((e, v), jacobi_eigh(A))
+            assert same_bits((e, v), lone_jacobi(A))
+
+    def test_sweep_counts_are_as_named(self):
+        for sweeps, matrices in matrices_by_sweeps().items():
+            assert [sweeps_to_converge(A) for A in matrices] == [sweeps] * 3
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1),
+           kinds=st.lists(st.sampled_from(sorted(MATRIX_KINDS)), min_size=1, max_size=9))
+    def test_each_matrix_matches_its_lone_solve(self, seed, kinds):
+        rng = np.random.default_rng(seed)
+        self.check_stack([MATRIX_KINDS[k](rng) for k in kinds])
+
+    def test_every_kind_in_one_stack(self):
+        rng = np.random.default_rng(2)
+        stack = [make(rng) for make in MATRIX_KINDS.values() for _ in range(3)]
+        self.check_stack(stack)
+        self.check_stack(stack[::-1])
+
+    def test_a_converged_matrix_keeps_its_negative_zero(self):
+        A = np.diag([-0.0, 1.0, 2.0, 3.0])
+        evals, _ = jacobi_eigh(np.array([A, random_symmetric(1)]))
+        assert math.copysign(1.0, evals[0, 0]) == -1.0
+
+    def test_stack_with_an_asymmetric_matrix_is_rejected(self):
+        bad = random_symmetric(2)
+        bad[0, 1] += 1e-3
+        with pytest.raises(ValueError, match="matrix must be symmetric"):
+            jacobi_eigh(np.array([random_symmetric(1), bad]))
+
+    def test_shapes(self):
+        A = random_symmetric(3)
+        evals, evecs = jacobi_eigh(A)
+        assert evals.shape == (4,) and evecs.shape == (4, 4)
+        evals, evecs = jacobi_eigh(np.array([A, A]))
+        assert evals.shape == (2, 4) and evecs.shape == (2, 4, 4)
+
+
+@pytest.mark.filterwarnings("error")
+class TestSolveMany:
+    POINTS = [(0.0, 1.3), (0.37, 1.1), (-0.5, 0.6), (0.9, 1.3)]
+
+    @pytest.mark.parametrize("mode", [AssemblyMode.PAPER, AssemblyMode.FULL])
+    def test_each_point_matches_a_lone_solve(self, impurity, mode):
+        points = [(DeviceParams(epsilon=e, xi=x), imp)
+                  for e, x in self.POINTS for imp in (None, impurity)]
+        for (params, imp), res in zip(points, solve_many(points, mode)):
+            # The solve of one point as a plain loop over one matrix.
+            hp = hubbard_parameters(params, imp)
+            H = assemble_matrix(hp, mode)
+            evals, evecs = lone_jacobi(H)
+            i = int(np.argmax(np.abs(T0_VECTOR @ evecs)))
+            assert same_bits((res.eigenvalues, res.eigenvectors), (evals, evecs))
+            assert res.J == float(evals[i]) - float(np.min(np.delete(evals, i)))
+            assert res.t0_energy == float(T0_VECTOR @ H @ T0_VECTOR)
+            assert res.hubbard == hp and res.mode == mode
+
+    def test_a_failing_point_fails_alone(self, monkeypatch):
+        # A NaN and an asymmetric matrix among good ones, plus a bad device.
+        real = hamiltonian.assemble_matrix
+
+        def corrupted(hp, mode=AssemblyMode.PAPER):
+            H = real(hp, mode)
+            if hp.detuning == pytest.approx(0.1):
+                H[0, 0] = math.nan
+            if hp.detuning == pytest.approx(0.3):
+                H[0, 1] += 1e-3
+            return H
+
+        good = [DeviceParams(epsilon=e) for e in (0.0, 0.2)]
+        expected = [solve(p) for p in good]
+        monkeypatch.setattr(hamiltonian, "assemble_matrix", corrupted)
+        points = [good[0], DeviceParams(epsilon=0.1), good[1], DeviceParams(epsilon=0.3),
+                  DeviceParams(m_eff=-0.067)]
+        results = solve_many([(p, None) for p in points])
+        for k in (1, 3):
+            assert isinstance(results[k], ValueError)
+            assert str(results[k]) == "matrix must be symmetric"
+        assert "m_eff must be positive and finite" in str(results[4])
+        for res, want in zip(results[0::2], expected):
+            assert same_bits((res.eigenvalues, res.eigenvectors),
+                             (want.eigenvalues, want.eigenvectors))
+            assert res.J == want.J
+        with pytest.raises(ValueError, match="matrix must be symmetric"):
+            solve(DeviceParams(epsilon=0.1))
+
+    def test_no_points(self):
+        assert solve_many([]) == []
 
 
 class TestSolve:

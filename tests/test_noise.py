@@ -31,8 +31,9 @@ from dqdsim import (
     sweet_spot_check,
     t_star_ns,
 )
-from dqdsim import noise
+from dqdsim import hamiltonian, noise
 from dqdsim.model import control_point
+from dqdsim.noise import calibrate_many, improvement_factors
 
 # Frozen reference values at the default device with the default
 # impurity at (-600, 600) nm, charge -e.
@@ -41,6 +42,37 @@ REL_NOISE_AT_J0 = 0.09185829016258289
 EPS_STAR_242MHZ = 0.727583279863922
 XI_STAR_242MHZ = 0.9745470770110896
 DELTA_U = 0.7814953236075299
+
+
+# Synthetic f(x - r, c) with a root at x = r for c > 0.
+SHAPES = (lambda x, c: x * (1.0 + c * x * x),
+          lambda x, c: math.tanh(c * x) + 0.1 * x**3,
+          lambda x, c: math.expm1(c * x),
+          lambda x, c: math.atan(c * x) - 0.3 * math.sin(x))
+
+
+def lone_calibration(j_of, lo, hi, target, label):
+    """One calibration on its own, as before the lockstep: J at both ends,
+    then noise._brentq.  Returns (the root, or the message of the error
+    that ended it, and the controls evaluated between the ends)."""
+    evaluated = []
+
+    def miss(c):
+        evaluated.append(c)
+        return j_of(c) - target
+
+    f_lo, f_hi = j_of(lo) - target, j_of(hi) - target
+    assert (f_lo < 0) != (f_hi < 0)
+    try:
+        root, _ = noise._brentq(miss, lo, hi, f_lo, f_hi, 1e-13, 8.9e-16,
+                                noise._CAL_MAXITER, label)
+    except CalibrationError as exc:
+        return str(exc), evaluated
+    return root, evaluated
+
+
+def outcome(result):
+    return str(result) if isinstance(result, Exception) else result
 
 
 class TestDefaultImpurity:
@@ -133,10 +165,7 @@ class TestBrent:
     def test_bit_equal_to_scipy_on_synthetic_brackets(self):
         from scipy.optimize import brentq
         rng = np.random.default_rng(11)
-        shapes = (lambda x, c: x * (1.0 + c * x * x),
-                  lambda x, c: math.tanh(c * x) + 0.1 * x**3,
-                  lambda x, c: math.expm1(c * x),
-                  lambda x, c: math.atan(c * x) - 0.3 * math.sin(x))
+        shapes = SHAPES
         for k in range(2000):
             r, c = rng.uniform(-2.0, 2.0), rng.uniform(0.1, 5.0)
             a, b = r - rng.uniform(0.01, 3.0), r + rng.uniform(0.01, 3.0)
@@ -169,14 +198,101 @@ class TestBrent:
         ref, info = brentq(
             lambda c: exchange_J_ghz(control_point(scheme, base, c)) - target, *bracket,
             xtol=1e-13, rtol=8.9e-16, maxiter=noise._CAL_MAXITER, full_output=True)
+        # Each J evaluation builds the model once, in whatever stack it is solved.
         calls = []
-        real = noise.exchange_J_ghz
-        monkeypatch.setattr(noise, "exchange_J_ghz", lambda *a: calls.append(a) or real(*a))
+        real = hamiltonian.hubbard_parameters
+        monkeypatch.setattr(hamiltonian, "hubbard_parameters",
+                            lambda *a: calls.append(a) or real(*a))
         got = calibrate_tilt(target) if scheme == "tilt" else calibrate_barrier(target)
         assert got == ref
         # The scipy path evaluated J at both ends, then scipy's own
         # function calls, then once more at the root.
         assert len(calls) == (2 + info.function_calls + 1) - 3
+
+
+class TestLockstep:
+    """calibrate_many advances every calibration in lockstep, one stacked
+    solve per round; each calibration takes the steps it takes alone."""
+
+    def test_synthetic_brackets_match_one_at_a_time(self, monkeypatch):
+        rng = np.random.default_rng(11)
+        lo, hi = TILT_BRACKET
+        for k in range(60):
+            shape, r, c = SHAPES[k % len(SHAPES)], rng.uniform(lo, hi), rng.uniform(0.1, 5.0)
+
+            def j_of(x, shape=shape, r=r, c=c):
+                return 10.0 + shape(x - r, c)
+            targets = [j_of(x) for x in rng.uniform(lo, hi, size=int(rng.integers(1, 8)))]
+            refs = [lone_calibration(j_of, lo, hi, t, "calibrate_tilt") for t in targets]
+            rounds = []
+
+            def fake_j_ghz(points, mode, j_of=j_of):
+                rounds.append([params.epsilon for params, _ in points])
+                return [j_of(params.epsilon) for params, _ in points]
+            monkeypatch.setattr(noise, "_j_ghz", fake_j_ghz)
+            got = calibrate_many([("tilt", t, 1.3) for t in targets])
+            assert [outcome(g) for g in got] == [root for root, _ in refs], k
+            # The ends once, then one round per step of the longest calibration,
+            # holding the pending step of each calibration still running.
+            assert rounds[0] == [lo, hi]
+            assert len(rounds) == 1 + max(len(e) for _, e in refs)
+            assert sorted(sum(rounds[1:], [])) == sorted(sum((e for _, e in refs), []))
+
+    TARGETS = (0.05, 0.15, 0.242, 0.5, 0.9)
+
+    def lone_references(self):
+        base = DeviceParams()
+        requests = [(scheme, t, 1.3) for t in self.TARGETS for scheme in ("tilt", "barrier")]
+        refs = [lone_calibration(lambda c, s=scheme: exchange_J_ghz(control_point(s, base, c)),
+                                 *(TILT_BRACKET if scheme == "tilt" else BARRIER_BRACKET),
+                                 t, f"calibrate_{scheme}")
+                for scheme, t, _ in requests]
+        return requests, refs
+
+    def count_j_evaluations(self, monkeypatch):
+        calls = []
+        real = hamiltonian.hubbard_parameters
+        monkeypatch.setattr(hamiltonian, "hubbard_parameters",
+                            lambda *a: calls.append(a) or real(*a))
+        return calls
+
+    def test_real_targets_match_one_at_a_time(self, monkeypatch):
+        requests, refs = self.lone_references()
+        calls = self.count_j_evaluations(monkeypatch)
+        got = calibrate_many(requests)
+        assert got == [root for root, _ in refs]
+        # J once at each bracket end, then the steps: the tilt bracket starts
+        # where the barrier bracket ends (epsilon = 0, xi = 1.3), so 3 ends.
+        assert len(calls) == 3 + sum(len(e) for _, e in refs)
+
+    def test_running_out_of_steps_fails_only_that_calibration(self, monkeypatch):
+        monkeypatch.setattr(noise, "_CAL_MAXITER", 13)
+        requests, refs = self.lone_references()
+        failed = [isinstance(root, str) for root, _ in refs]
+        assert any(failed) and not all(failed)
+        got = calibrate_many(requests)
+        for g, (root, _) in zip(got, refs):
+            if isinstance(root, str):
+                assert isinstance(g, CalibrationError) and str(g) == root
+                assert "no root within 13 iterations" in root
+            else:
+                assert g == root
+
+    def test_improvement_factors_match_one_at_a_time(self, impurity):
+        targets = [0.05, 0.242, 0.9]
+        got = improvement_factors(targets, impurity)
+        assert got == [improvement_factor(t, impurity) for t in targets]
+
+    def test_failing_targets_fail_alone(self, impurity):
+        got = improvement_factors([0.242, 1e6, 0.5], impurity)
+        assert got[0] == improvement_factor(0.242, impurity)
+        assert got[2] == improvement_factor(0.5, impurity)
+        assert isinstance(got[1], CalibrationError)
+        assert str(got[1]).startswith("calibrate_tilt: target 1e+06 GHz outside")
+
+    def test_unknown_scheme(self):
+        with pytest.raises(ValueError, match="unknown scheme 'magnetic'"):
+            calibrate_many([("magnetic", 0.242, 1.3)])
 
 
 class TestMatchedGrid:
