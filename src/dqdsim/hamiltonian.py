@@ -14,10 +14,11 @@ Two assembly modes:
   complete Slater-Condon expansion over the orthonormalized orbitals.
 
 The integral tables of the symmetric (epsilon = 0), barrier-free device
-are built once, with the confinement of the Gaussian bump per meV of xi,
-and so is the matrix of the most recent impurity on that device; a control
-point adds xi times that bump, and detuning enters exactly as the chemical
-potentials mu1 = -eps/2, mu2 = +eps/2 on the diagonal.
+are built once, with the confinement of the Gaussian bump per meV of xi.
+A batch of points is built per device as arrays over its points: each
+distinct impurity's matrix once, from one Bessel call for all of them; a
+control point adds xi times the bump, and detuning enters exactly as the
+chemical potentials mu1 = -eps/2, mu2 = +eps/2 on the diagonal.
 Evaluating the one-body integrals over the tilt-deformed quartic instead
 amplifies the effective detuning by ~3.9x at the default soft confinement
 (the mu-dependent cubic/quartic tails have large moments when a_B ~ a),
@@ -35,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .integrals import IntegralTables, build_tables, impurity_table
-from .model import DeviceParams, Impurity, derive_constants
+from .model import MEV_TO_GHZ, DeviceParams, Impurity, check_controls, derive_constants
 from .orbitals import OrbitalBasis, build_basis
 
 
@@ -90,31 +91,40 @@ def hubbard_from_tables(params: DeviceParams, basis: OrbitalBasis,
                         tables: IntegralTables) -> HubbardParams:
     """Transform integral tables by the Lowdin matrix and read off the model;
     the device detuning adds to the per-dot depths of the tables."""
-    return _hubbard(params, basis.M, tables, _two_body(basis.M, tables.coulomb))
+    (hp,) = _unstack(_hubbard(basis.M, tables.one_body, params.mu1, params.mu2,
+                              tables.impurity, _two_body(basis.M, tables.coulomb)))
+    return hp
 
 
-def _hubbard(params: DeviceParams, M: np.ndarray, tables: IntegralTables,
+def _hubbard(M: np.ndarray, one_body: np.ndarray, mu1, mu2, impurity: np.ndarray | None,
              two_body: dict[str, float]) -> HubbardParams:
-    """The model from the one-body and impurity tables, given the two-body
-    parameters that _two_body read off the same basis."""
-    h = M @ tables.one_body @ M
-    offset = 0.5 * (h[0, 0] + h[1, 1])
+    """The model of each point of a stack, from its one-body matrix and its
+    impurity matrix (..., 2, 2), or no impurity anywhere, and its device
+    chemical potentials (...), given the two-body parameters that
+    _two_body read off the same basis.  The fields that vary are arrays
+    over the leading axes; _unstack splits them into one model per point."""
+    h = M @ one_body @ M
+    offset = 0.5 * (h[..., 0, 0] + h[..., 1, 1])
     # mu_i = -(h_ii - offset) extracts the per-dot depth of the table
     # potential (zero for the symmetric shape); device detuning adds on top.
-    mu1 = -(h[0, 0] - offset) + params.mu1
-    mu2 = -(h[1, 1] - offset) + params.mu2
-    t = -h[0, 1]
+    mu1 = -(h[..., 0, 0] - offset) + mu1
+    mu2 = -(h[..., 1, 1] - offset) + mu2
 
     Zt1 = Zt2 = Zt12 = 0.0
-    if tables.impurity is not None:
-        Wt = M @ tables.impurity @ M
-        Zt1, Zt2, Zt12 = Wt[0, 0], Wt[1, 1], Wt[0, 1]
+    if impurity is not None:
+        Wt = M @ impurity @ M
+        Zt1, Zt2, Zt12 = Wt[..., 0, 0], Wt[..., 1, 1], Wt[..., 0, 1]
 
-    return HubbardParams(
-        t=float(t), mu1=float(mu1), mu2=float(mu2),
-        Zt1=float(Zt1), Zt2=float(Zt2), Zt12=float(Zt12),
-        offset=float(offset), **two_body,
-    )
+    return HubbardParams(t=-h[..., 0, 1], mu1=mu1, mu2=mu2, Zt1=Zt1, Zt2=Zt2, Zt12=Zt12,
+                         offset=offset, **two_body)
+
+
+def _unstack(hp: HubbardParams) -> list[HubbardParams]:
+    """One HubbardParams of floats per point of a stacked one."""
+    shape = np.shape(hp.t)
+    columns = [np.broadcast_to(getattr(hp, f.name), shape).ravel().tolist()
+               for f in dataclasses.fields(hp)]
+    return [HubbardParams(*row) for row in zip(*columns)]
 
 
 @functools.lru_cache(maxsize=1)
@@ -128,31 +138,38 @@ def _device(params: DeviceParams):
     return basis, tables, bump, _two_body(basis.M, tables.coulomb)
 
 
-@functools.lru_cache(maxsize=1)
-def _impurity(params: DeviceParams, imp: Impurity) -> np.ndarray:
-    """The impurity's 2x2 matrix for a device at epsilon = xi = 0; neither
-    control changes it.  Read-only, since every caller shares it."""
-    W = impurity_table(imp, params)
-    W.flags.writeable = False
-    return W
+def _model(device: DeviceParams, points) -> HubbardParams:
+    """The model at each (params, imp) point of one device, stacked: the
+    device's tables at epsilon = xi = 0 plus params.xi times the bump, plus
+    the impurity's matrix, built once for each distinct impurity."""
+    basis, tables, bump, two_body = _device(device)
+    xi = np.array([params.xi for params, _ in points])
+    one_body = tables.kinetic + (tables.confinement + xi[:, None, None] * bump)
+    imps = list(dict.fromkeys(imp for _, imp in points if imp is not None))
+    W = None
+    if imps:
+        # Row 0 is the zero matrix of a point without an impurity.
+        table = np.concatenate([np.zeros((1, 2, 2)), impurity_table(imps, device)])
+        row = {imp: k for k, imp in enumerate(imps, 1)}
+        W = table[[row.get(imp, 0) for _, imp in points]]
+    return _hubbard(basis.M, one_body, np.array([params.mu1 for params, _ in points]),
+                    np.array([params.mu2 for params, _ in points]), W, two_body)
 
 
 def hubbard_parameters(params: DeviceParams, imp: Impurity | None = None) -> HubbardParams:
     """The model at one control point: the device's tables at epsilon = 0
     plus params.xi times the bump, plus the impurity elements."""
-    derive_constants(params)  # names a non-finite control before it reaches the tables
-    device = dataclasses.replace(params, epsilon=0.0, xi=0.0)
-    basis, tables, bump, two_body = _device(device)
-    W = None if imp is None else _impurity(device, imp)
-    return _hubbard(params, basis.M, dataclasses.replace(
-        tables, confinement=tables.confinement + params.xi * bump, impurity=W), two_body)
+    derive_constants(params)  # names a bad device field, then a non-finite control
+    (hp,) = _unstack(_model(dataclasses.replace(params, epsilon=0.0, xi=0.0), [(params, imp)]))
+    return hp
 
 
 def assemble_matrix(hp: HubbardParams, mode: AssemblyMode = AssemblyMode.PAPER) -> np.ndarray:
+    """The 4x4 matrix of the model; fields that are arrays over points give
+    a stack of matrices (..., 4, 4)."""
     d02 = hp.U2 - 2 * hp.mu2 + 2 * hp.Zt2
     d11 = hp.U12 - hp.mu1 - hp.mu2 + hp.Zt1 + hp.Zt2
     d20 = hp.U1 - 2 * hp.mu1 + 2 * hp.Zt1
-    H = np.diag([d02, d11, d11, d20])
 
     if mode == AssemblyMode.PAPER:
         hop2 = hop1 = -hp.t + hp.Zt12
@@ -164,10 +181,13 @@ def assemble_matrix(hp: HubbardParams, mode: AssemblyMode = AssemblyMode.PAPER) 
     else:  # pragma: no cover
         raise ValueError(mode)
 
-    H[0, 1] = H[1, 0] = H[0, 2] = H[2, 0] = hop2
-    H[1, 3] = H[3, 1] = H[2, 3] = H[3, 2] = hop1
-    H[1, 2] = H[2, 1] = k
-    H[0, 3] = H[3, 0] = k
+    H = np.zeros(np.broadcast(d02, d11, d20, hop1, hop2, k).shape + (4, 4))
+    H[..., 0, 0], H[..., 3, 3] = d02, d20
+    H[..., 1, 1] = H[..., 2, 2] = d11
+    H[..., 0, 1] = H[..., 1, 0] = H[..., 0, 2] = H[..., 2, 0] = hop2
+    H[..., 1, 3] = H[..., 3, 1] = H[..., 2, 3] = H[..., 3, 2] = hop1
+    H[..., 1, 2] = H[..., 2, 1] = k
+    H[..., 0, 3] = H[..., 3, 0] = k
     return H
 
 
@@ -272,28 +292,57 @@ def solve_many(points, mode: AssemblyMode = AssemblyMode.PAPER) -> list:
     """Assemble the model at each (params, imp) point and diagonalize all
     of them in one stacked eigensolve.
 
+    The model is built per device, as arrays over its points: the device
+    is checked once (a bad device field fails each of its points), then
+    each point's controls, and the points that pass are assembled in one
+    array pass, with each distinct impurity's matrix built once.
+
     Each entry of the result is the point's SpectrumResult, or the
-    exception that point raised (a bad control, a matrix that is not
-    symmetric, ...); a failing point never stops the others.  J is the
+    exception that point raised (a bad device or control, a matrix that is
+    not symmetric, ...); a failing point never stops the others.  J is the
     signed singlet-triplet splitting E(T0) - E(S): the T0 vector is an
     exact eigenvector of every assembly (its eigenpair is found by
     overlap), and E(S) is the lowest remaining level.  A negative J means
     the triplet has dropped below the singlet.
     """
     out: list = [None] * len(points)
-    built = []  # (index, hubbard parameters, matrix) of each assembled point
-    for i, (params, imp) in enumerate(points):
+    groups: dict[tuple, list[int]] = {}  # device fields -> indices of its points
+    for i, (params, _) in enumerate(points):
+        groups.setdefault((params.a, params.hbar_omega0, params.m_eff, params.eps_r), []).append(i)
+    built, hubbard, stacks = [], [], []  # indices, models and matrices of assembled points
+    for members in groups.values():
+        device = dataclasses.replace(points[members[0]][0], epsilon=0.0, xi=0.0)
         try:
-            hp = hubbard_parameters(params, imp)
-            built.append((i, hp, assemble_matrix(hp, mode)))
-        except Exception as exc:  # the point's own failure
-            out[i] = exc
+            derive_constants(device)
+        except Exception as exc:  # the device's own failure
+            for i in members:
+                out[i] = exc
+            continue
+        ok = []
+        for i in members:
+            try:
+                check_controls(points[i][0])
+                ok.append(i)
+            except Exception as exc:  # the point's own failure
+                out[i] = exc
+        if not ok:
+            continue
+        try:
+            hp = _model(device, [points[i] for i in ok])
+            stacks.append(assemble_matrix(hp, mode))
+        except Exception as exc:  # the device's own failure
+            for i in ok:
+                out[i] = exc
+            continue
+        built += ok
+        hubbard += _unstack(hp)
     if built:
-        H = np.array([h for _, _, h in built])
+        H = np.concatenate(stacks)
         bad = _asymmetric(H)
         for k in np.flatnonzero(bad):
-            out[built[k][0]] = ValueError(_ASYMMETRIC)
-        built = [b for b, skip in zip(built, bad) if not skip]
+            out[built[k]] = ValueError(_ASYMMETRIC)
+        built = [i for i, skip in zip(built, bad) if not skip]
+        hubbard = [hp for hp, skip in zip(hubbard, bad) if not skip]
         H = H[~bad]
     if built:
         evals, evecs = jacobi_eigh(H)
@@ -301,7 +350,7 @@ def solve_many(points, mode: AssemblyMode = AssemblyMode.PAPER) -> list:
         # Per slice a (1, n) @ (n,) product: the same dot as T0 @ H @ T0 on
         # one matrix, which (K, n) @ (n,) is not, bit for bit.
         t0_energy = ((T0_VECTOR @ H)[:, None, :] @ T0_VECTOR)[:, 0]
-        for k, (i, hp, _) in enumerate(built):
+        for k, (i, hp) in enumerate(zip(built, hubbard)):
             levels = evals[k].tolist()
             e_t0 = levels.pop(i_t0[k])
             out[i] = SpectrumResult(
@@ -335,7 +384,8 @@ def exchange_J(params: DeviceParams, imp: Impurity | None = None,
 
 def exchange_J_ghz(params: DeviceParams, imp: Impurity | None = None,
                    mode: AssemblyMode = AssemblyMode.PAPER) -> float:
-    return exchange_J(params, imp, mode) * derive_constants(params).frequency_conversion
+    return exchange_J(params, imp, mode) * MEV_TO_GHZ
+
 
 def hubbard_exchange_estimate(hp: HubbardParams) -> float:
     """Second-order estimate J ~ 2t^2/(dU+eps) + 2t^2/(dU-eps)  [meV]."""

@@ -171,22 +171,25 @@ def impurity_element(i: int, j: int, imp: Impurity, params: DeviceParams) -> flo
 
     Positive (repulsive) for q = -1 against the -e electrons.
     """
-    return float(impurity_table(imp, params)[i, j])
+    return float(impurity_table([imp], params)[0, i, j])
 
 
-def impurity_table(imp: Impurity, params: DeviceParams) -> np.ndarray:
-    """(2, 2) matrix of impurity_element over the dot basis  [meV]; one
-    i0e call evaluates the four Bessel factors."""
+def impurity_table(imps, params: DeviceParams) -> np.ndarray:
+    """(K, 2, 2) matrices of impurity_element over the dot basis, one per
+    impurity of the sequence imps  [meV]; one i0e call evaluates all 4K
+    Bessel factors."""
     basis = build_basis(params)
     consts = derive_constants(params)
     aB2 = basis.a_B**2
     R = basis.R
-    rc = np.array([imp.x_c, imp.y_c])
     pairs = [(i, j) for i in range(2) for j in range(2)]
     s = np.array([math.exp(-float(np.sum((R[i] - R[j]) ** 2)) / (4.0 * aB2)) for i, j in pairs])
-    arg = np.array([float(np.sum((R[i] + R[j] - 2.0 * rc) ** 2)) / (8.0 * aB2) for i, j in pairs])
+    midpoints = np.array([R[i] + R[j] for i, j in pairs])                 # (4, 2)
+    rc = np.array([[imp.x_c, imp.y_c] for imp in imps]).reshape(-1, 1, 2)  # (K, 1, 2)
+    arg = np.sum((midpoints - 2.0 * rc) ** 2, axis=-1) / (8.0 * aB2)      # (K, 4)
     pref = consts.coulomb_scale * math.sqrt(math.pi) / basis.a_B
-    return ((-imp.q) * pref * s * i0e(arg)).reshape(2, 2)
+    charge = np.array([-imp.q for imp in imps])
+    return (charge[:, None] * pref * s * i0e(arg)).reshape(-1, 2, 2)
 
 
 # --------------------------------------------------------------------------
@@ -244,5 +247,5 @@ def build_tables(params: DeviceParams, imp: Impurity | None = None) -> IntegralT
             for k in range(2):
                 for l in range(2):
                     V4[i, j, k, l] = coulomb_element(i, k, j, l, params)
-    W = None if imp is None else impurity_table(imp, params)
+    W = None if imp is None else impurity_table([imp], params)[0]
     return IntegralTables(kinetic=T, confinement=V, coulomb=V4, impurity=W)

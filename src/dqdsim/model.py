@@ -84,16 +84,21 @@ def control_point(scheme: str, params: DeviceParams, value: float,
     raise ValueError(f"unknown scheme {scheme!r}")
 
 
+def check_controls(params: DeviceParams) -> None:
+    """Reject a non-finite detuning or barrier amplitude, naming it."""
+    for name in ("epsilon", "xi"):
+        v = getattr(params, name)
+        if not math.isfinite(v):
+            raise ValueError(f"{name} must be finite, got {v}")
+
+
 def derive_constants(params: DeviceParams) -> DerivedConstants:
     """Populate DerivedConstants; rejects non-positive or non-finite inputs."""
     for name in ("a", "hbar_omega0", "m_eff", "eps_r"):
         v = getattr(params, name)
         if not 0 < v < math.inf:
             raise ValueError(f"{name} must be positive and finite, got {v}")
-    for name in ("epsilon", "xi"):
-        v = getattr(params, name)
-        if not math.isfinite(v):
-            raise ValueError(f"{name} must be finite, got {v}")
+    check_controls(params)
     kin = HBAR2_OVER_2ME / params.m_eff            # hbar^2/(2 m*)
     a_B2 = 2.0 * kin / params.hbar_omega0          # a_B^2 = (hbar^2/m*)/(hbar w0)
     m_omega2 = params.hbar_omega0**2 / (2.0 * kin)  # m* w0^2 in meV/nm^2

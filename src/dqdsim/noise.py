@@ -8,7 +8,7 @@ import numpy as np
 from numpy.polynomial.hermite import hermgauss
 
 from .hamiltonian import AssemblyMode, exchange_J_ghz, hubbard_parameters, solve_many, unwrap
-from .model import DeviceParams, Impurity, control_point, derive_constants
+from .model import MEV_TO_GHZ, DeviceParams, Impurity, control_point
 
 DEFAULT_IMPURITY_SCALE = 6.0  # R_c = (-6a, 6a) is the reference noise source
 
@@ -35,9 +35,8 @@ class NoiseRecord:
 def _j_ghz(points, mode: AssemblyMode) -> list:
     """J [GHz] at each (params, imp) point from one stacked solve, or the
     exception that point raised."""
-    return [res if isinstance(res, Exception)
-            else res.J * derive_constants(params).frequency_conversion
-            for (params, _), res in zip(points, solve_many(points, mode))]
+    return [res if isinstance(res, Exception) else res.J * MEV_TO_GHZ
+            for res in solve_many(points, mode)]
 
 
 def noise_records(controls, base: DeviceParams, imp: Impurity,

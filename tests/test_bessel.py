@@ -4,7 +4,7 @@ import importlib.util
 import numpy as np
 import pytest
 import scipy.special
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dqdsim import i0e
@@ -75,3 +75,33 @@ def test_integral_representation_identity():
     for x in (0.5, 5.0, 19.9, 20.1, 50.0, 700.0):
         ref = float(np.mean(np.exp(x * (np.cos(theta) - 1.0))))
         assert float(i0e(x)) == pytest.approx(ref, rel=5e-13)
+
+
+# Either side of the series/asymptotic switch at 20, and the far ends.
+BATCH_EDGES = (0.0, 1e-300, 20.0 - 1e-6, 20.0, 20.0 + 1e-6, 1e5)
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).view(np.int64)
+
+
+@settings(max_examples=200, deadline=None)
+@given(xs=st.lists(st.floats(-1e5, 1e5), max_size=40), seed=st.integers(0, 2**32 - 1))
+def test_batch_is_bit_identical_to_one_at_a_time(xs, seed):
+    # Each series stops at the batch's longest one: the terms an element
+    # adds after its own stopping rule fired are below half an ulp of its
+    # sum, so they round away.
+    x = np.array([*xs, *BATCH_EDGES])
+    np.random.default_rng(seed).shuffle(x)
+    alone = np.array([i0e(v) for v in x])
+    assert np.array_equal(_bits(i0e(x)), _bits(alone))
+
+
+def test_dense_batch_is_bit_identical_in_any_chunking():
+    x = np.concatenate([np.logspace(-300, 5, 2000), np.linspace(15.0, 25.0, 2001),
+                        BATCH_EDGES])
+    np.random.default_rng(5).shuffle(x)
+    alone = np.array([i0e(v) for v in x])
+    assert np.array_equal(_bits(i0e(x)), _bits(alone))
+    chunks = np.concatenate([i0e(c) for c in np.array_split(x, 97)])
+    assert np.array_equal(_bits(chunks), _bits(alone))

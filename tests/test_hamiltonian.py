@@ -2,6 +2,7 @@
 import dataclasses
 import functools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -395,14 +396,13 @@ class TestSolveMany:
 
     def test_a_failing_point_fails_alone(self, monkeypatch):
         # A NaN and an asymmetric matrix among good ones, plus a bad device.
+        # assemble_matrix builds each device's points as one stack.
         real = hamiltonian.assemble_matrix
 
         def corrupted(hp, mode=AssemblyMode.PAPER):
             H = real(hp, mode)
-            if hp.detuning == pytest.approx(0.1):
-                H[0, 0] = math.nan
-            if hp.detuning == pytest.approx(0.3):
-                H[0, 1] += 1e-3
+            H[np.isclose(hp.detuning, 0.1), 0, 0] = math.nan
+            H[np.isclose(hp.detuning, 0.3), 0, 1] += 1e-3
             return H
 
         good = [DeviceParams(epsilon=e) for e in (0.0, 0.2)]
@@ -424,6 +424,78 @@ class TestSolveMany:
 
     def test_no_points(self):
         assert solve_many([]) == []
+
+
+def recording_assembly(calls: list):
+    """assemble_matrix that records each call's stacked model and matrices."""
+    real = hamiltonian.assemble_matrix
+
+    def record(hp, mode=AssemblyMode.PAPER):
+        H = real(hp, mode)
+        calls.append((hp, H))
+        return H
+    return mock.patch.object(hamiltonian, "assemble_matrix", record)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestStackedModel:
+    """solve_many builds the model of each device's points as arrays; each
+    point's model, matrix and solve equal those of the point alone."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 16),
+           mode=st.sampled_from(list(AssemblyMode)))
+    def test_each_point_matches_a_one_point_solve(self, seed, n, mode):
+        rng = np.random.default_rng(seed)
+        devices = [sample_device(rng) for _ in range(int(rng.integers(1, 4)))]
+        # Absent, repeated and distinct impurities.
+        imps = [None, *(sample_impurity(rng, 100.0) for _ in range(int(rng.integers(1, 4))))]
+        points = []
+        for _ in range(n):
+            device = devices[int(rng.integers(len(devices)))]
+            points.append((dataclasses.replace(device, epsilon=float(rng.uniform(-1.0, 1.0)),
+                                               xi=float(rng.uniform(0.0, 1.5))),
+                           imps[int(rng.integers(len(imps)))]))
+        calls = []
+        with recording_assembly(calls):
+            results = solve_many(points, mode)
+        # One assembly per device, each row the matrix of its own model.
+        assert len(calls) == len({dataclasses.replace(p, epsilon=0.0, xi=0.0)
+                                  for p, _ in points})
+        matrices = {}
+        for hp, H in calls:
+            assert H.shape == (len(H), 4, 4)
+            for one, row in zip(hamiltonian._unstack(hp), H):
+                matrices.setdefault(one, []).append(row)
+        for (params, imp), res in zip(points, results):
+            alone = solve(params, imp, mode)
+            hp = hubbard_parameters(params, imp)
+            assert res.hubbard == alone.hubbard == hp
+            assert same_bits(dataclasses.astuple(res.hubbard), dataclasses.astuple(hp))
+            H = assemble_matrix(hp, mode)
+            assert all(same_bits(row, H) for row in matrices[res.hubbard])
+            assert same_bits((res.eigenvalues, res.eigenvectors, res.J, res.t0_energy),
+                             (alone.eigenvalues, alone.eigenvectors, alone.J, alone.t0_energy))
+
+    @pytest.mark.parametrize("field,value,message", [
+        ("m_eff", -0.067, "m_eff must be positive and finite, got -0.067"),
+        ("epsilon", math.nan, "epsilon must be finite, got nan"),
+        ("xi", math.inf, "xi must be finite, got inf"),
+    ])
+    def test_a_bad_point_fails_alone_with_its_message(self, impurity, field, value, message):
+        good = [(DeviceParams(epsilon=e, xi=x), imp)
+                for e, x in ((0.0, 1.3), (0.4, 0.9)) for imp in (None, impurity)]
+        bad = (dataclasses.replace(DeviceParams(), **{field: value}), impurity)
+        with pytest.raises(ValueError) as lone:
+            solve(*bad)
+        assert str(lone.value) == message
+        results = solve_many([good[0], good[1], bad, good[2], good[3]])
+        assert isinstance(results[2], ValueError) and str(results[2]) == message
+        for (params, imp), res in zip(good, results[:2] + results[3:]):
+            alone = solve(params, imp)
+            assert res.hubbard == alone.hubbard
+            assert same_bits((res.eigenvalues, res.eigenvectors),
+                             (alone.eigenvalues, alone.eigenvectors))
 
 
 class TestSolve:
@@ -503,7 +575,7 @@ class TestDeviceBuiltOnce:
            xi=st.floats(0.0, 1.5))
     def test_alternating_impurities_are_never_stale(self, seed, eps, xi):
         # Impurity A, then B, then A again on one device: each matrix comes
-        # from its own impurity, whatever the previous call cached.
+        # from its own impurity, whatever the previous call built.
         rng = np.random.default_rng(seed)
         device = sample_device(rng)
         imp_a = sample_impurity(rng, device.a)

@@ -1,4 +1,5 @@
 """Tests for the closed-form one- and two-body matrix elements."""
+import dataclasses
 import math
 
 import numpy as np
@@ -194,7 +195,7 @@ class TestImpurityTable:
         for _ in range(300):
             params = sample_device(rng)
             imp = sample_impurity(rng, params.a)
-            table = impurity_table(imp, params)
+            (table,) = impurity_table([imp], params)
             for i in range(2):
                 for j in range(2):
                     ref, arg = _impurity_element_scalar(i, j, imp, params)
@@ -202,3 +203,16 @@ class TestImpurityTable:
                     assert impurity_element(i, j, imp, params) == ref
                     args.append(arg)
         assert min(args) < 20.0 < max(args)
+
+    @settings(max_examples=50, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 12))
+    def test_many_impurities_are_bit_equal_to_one_at_a_time(self, seed, k):
+        rng = np.random.default_rng(seed)
+        params = sample_device(rng)
+        imps = [sample_impurity(rng, params.a) for _ in range(k)]
+        imps[-1] = dataclasses.replace(imps[-1], q=float(rng.uniform(-2.0, 2.0)))
+        table = impurity_table(imps, params)
+        assert table.shape == (k, 2, 2)
+        for imp, W in zip(imps, table):
+            (alone,) = impurity_table([imp], params)
+            assert np.array_equal(W.view(np.int64), alone.view(np.int64)), imp

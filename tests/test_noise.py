@@ -51,6 +51,16 @@ SHAPES = (lambda x, c: x * (1.0 + c * x * x),
           lambda x, c: math.atan(c * x) - 0.3 * math.sin(x))
 
 
+def count_j_evaluations(monkeypatch) -> list:
+    """The matrices that solves hand to the eigensolver from now on: one
+    per J evaluation, whatever stack it is solved in."""
+    calls = []
+    real = hamiltonian.jacobi_eigh
+    monkeypatch.setattr(hamiltonian, "jacobi_eigh",
+                        lambda A, *a, **kw: calls.extend(A) or real(A, *a, **kw))
+    return calls
+
+
 def lone_calibration(j_of, lo, hi, target, label):
     """One calibration on its own, as before the lockstep: J at both ends,
     then noise._brentq.  Returns (the root, or the message of the error
@@ -198,11 +208,8 @@ class TestBrent:
         ref, info = brentq(
             lambda c: exchange_J_ghz(control_point(scheme, base, c)) - target, *bracket,
             xtol=1e-13, rtol=8.9e-16, maxiter=noise._CAL_MAXITER, full_output=True)
-        # Each J evaluation builds the model once, in whatever stack it is solved.
-        calls = []
-        real = hamiltonian.hubbard_parameters
-        monkeypatch.setattr(hamiltonian, "hubbard_parameters",
-                            lambda *a: calls.append(a) or real(*a))
+        # Each J evaluation is one matrix of a stacked eigensolve.
+        calls = count_j_evaluations(monkeypatch)
         got = calibrate_tilt(target) if scheme == "tilt" else calibrate_barrier(target)
         assert got == ref
         # The scipy path evaluated J at both ends, then scipy's own
@@ -249,16 +256,9 @@ class TestLockstep:
                 for scheme, t, _ in requests]
         return requests, refs
 
-    def count_j_evaluations(self, monkeypatch):
-        calls = []
-        real = hamiltonian.hubbard_parameters
-        monkeypatch.setattr(hamiltonian, "hubbard_parameters",
-                            lambda *a: calls.append(a) or real(*a))
-        return calls
-
     def test_real_targets_match_one_at_a_time(self, monkeypatch):
         requests, refs = self.lone_references()
-        calls = self.count_j_evaluations(monkeypatch)
+        calls = count_j_evaluations(monkeypatch)
         got = calibrate_many(requests)
         assert got == [root for root, _ in refs]
         # J once at each bracket end, then the steps: the tilt bracket starts
