@@ -47,7 +47,7 @@ def control_axis_tables(base, imp):
 
 
 def sweet_spot(base):
-    slope, err = sweet_spot_check(base.xi, base)
+    slope, err = sweet_spot_check(base)
     print(f"sweet spot: dJ/d eps at eps = 0, xi = {base.xi:g} is "
           f"{slope:.3e} GHz/meV (error estimate {err:.1e})")
     print("  => barrier control always operates where the leading tilt-noise "
@@ -62,7 +62,7 @@ def matched_comparison(base, imp):
     # Every calibration of the table steps in lockstep, one stacked solve a step.
     recs = unwrap(improvement_factors(grid, imp, base))
     controls = unwrap(calibrate_many(
-        [(scheme, j, base.xi) for j in grid for scheme in ("tilt", "barrier")], base))
+        [(scheme, j) for j in grid for scheme in ("tilt", "barrier")], base))
     for rec, eps_star, xi_star in zip(recs, controls[0::2], controls[1::2]):
         print(f"  {rec.J_ghz:9.4f} {eps_star:10.4f} {xi_star:9.4f} "
               f"{abs(rec.rel_tilt):12.4%} {abs(rec.rel_barrier):15.4%} "

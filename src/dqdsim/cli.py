@@ -38,6 +38,7 @@ from .hamiltonian import (
 from .crosscheck import oracle_comparisons, sample_device
 from .integrals import build_tables, i0e
 from .model import (
+    MEV_TO_GHZ,
     DeviceParams,
     Impurity,
     config_to_objects,
@@ -169,10 +170,11 @@ def _resolve(args, *, default_impurity_wanted: bool = False):
         base, imp = config_to_objects(read_config(args.config))
     if imp is None and default_impurity_wanted:
         imp = default_impurity(base)
-    if args.impurity:
-        imp = Impurity(*_parse_xy(args.impurity), imp.q if imp else -1.0)
-    if args.charge_e is not None and imp is not None:
-        imp = Impurity(imp.x_c, imp.y_c, args.charge_e)
+    if "impurity" in args:  # the subcommand takes --impurity and --charge-e
+        if args.impurity:
+            imp = Impurity(*_parse_xy(args.impurity), imp.q if imp else -1.0)
+        if args.charge_e is not None and imp is not None:
+            imp = Impurity(imp.x_c, imp.y_c, args.charge_e)
     return base, imp, AssemblyMode(args.mode)
 
 
@@ -195,12 +197,11 @@ def cmd_spectrum(args) -> int:
     base, imp, mode = _resolve(args)
     eps_values = _parse_range(args.eps_range or "0:1:0.01")
     xi_values = _parse_range(args.xi_range) if args.xi_range else [1.3, 1.0]
-    ghz = derive_constants(base).frequency_conversion
     grid = [(eps, xi) for xi in xi_values for eps in eps_values]
     results = unwrap(solve_many(
         [(dataclasses.replace(base, epsilon=eps, xi=xi), imp) for eps, xi in grid], mode))
-    rows = [(eps, xi, float(res.eigenvalues[0]), float(res.eigenvalues[1]), res.J, res.J * ghz)
-            for (eps, xi), res in zip(grid, results)]
+    rows = [(eps, xi, float(res.eigenvalues[0]), float(res.eigenvalues[1]),
+             res.J, res.J * MEV_TO_GHZ) for (eps, xi), res in zip(grid, results)]
     header = _provenance("spectrum", args, base, mode, imp, (
         f"eps_range = {args.eps_range or '0:1:0.01'}",
         f"xi_values = {','.join(_fmt(x) for x in xi_values)}",
@@ -219,7 +220,7 @@ def cmd_exchange_tilt(args) -> int:
     """J and impurity-induced dJ versus detuning at fixed barrier."""
     base, imp, mode = _resolve(args, default_impurity_wanted=True)
     eps_values = _parse_range(args.eps_range or "0:1:0.01")
-    records = sweep("tilt", eps_values, base, imp, mode, xi_fixed=base.xi)
+    records = sweep("tilt", eps_values, base, imp, mode)
     header = _provenance("exchange-tilt", args, base, mode, imp, (
         f"eps_range = {args.eps_range or '0:1:0.01'}",
     ))
@@ -262,7 +263,7 @@ def cmd_noise_compare(args) -> int:
         imp = Impurity(-1.5 * base.a, 0.5 * base.a, q)
     grid = [float(j) for j in matched_j_grid(base, n=args.points, j_max_ghz=args.j_max, mode=mode)]
     rows, failures = [], []
-    for j_ghz, rec in zip(grid, improvement_factors(grid, imp, base, mode, xi_fixed=base.xi)):
+    for j_ghz, rec in zip(grid, improvement_factors(grid, imp, base, mode)):
         if isinstance(rec, ChiRecord):
             rows.append((rec.J_ghz, rec.rel_tilt, rec.rel_barrier, rec.chi))
         elif isinstance(rec, ValueError):  # CalibrationError included
@@ -288,10 +289,10 @@ def cmd_qfactor(args) -> int:
     j_values = _parse_range(args.j_range or "0.15:0.9:0.05")
     ref_j = 0.242  # GHz (1 ueV)
     # One lockstep run calibrates the reference and both schemes at every J.
-    requests = [("tilt", ref_j, base.xi)] + [
-        (scheme, j_ghz, base.xi) for j_ghz in j_values for scheme in ("tilt", "barrier")]
+    requests = [("tilt", ref_j)] + [
+        (scheme, j_ghz) for j_ghz in j_values for scheme in ("tilt", "barrier")]
     controls = calibrate_many(requests, base, mode)
-    records = noise_records([(scheme, c, xi) for (scheme, _, xi), c in zip(requests, controls)],
+    records = noise_records([(scheme, c) for (scheme, _), c in zip(requests, controls)],
                             base, imp, mode)
     # The first failure is reported in the order of the steps: the
     # reference, then at each J both calibrations before both records.
@@ -341,19 +342,17 @@ def cmd_impurity_scan(args) -> int:
     _positive_finite("--radii", radii)
     j_target_ghz = args.J_mhz / 1e3
     eps_star, xi_star = unwrap(calibrate_many(
-        [("tilt", j_target_ghz, base.xi), ("barrier", j_target_ghz, base.xi)], base, mode))
+        [("tilt", j_target_ghz), ("barrier", j_target_ghz)], base, mode))
     q = args.charge_e if args.charge_e is not None else -1.0
     impurities = [(name, r_over_a, Impurity(r_over_a * base.a * ux, r_over_a * base.a * uy, q))
                   for name, (ux, uy) in _SCAN_DIRECTIONS.items() for r_over_a in radii]
     # One stacked solve: the clean J of both operating points, which does not
     # depend on the impurity, then each impurity at both.
-    points = (control_point("tilt", base, eps_star, base.xi),
-              control_point("barrier", base, xi_star))
-    ghz = derive_constants(base).frequency_conversion
+    points = (control_point("tilt", base, eps_star), control_point("barrier", base, xi_star))
     results = unwrap(solve_many([(p, None) for p in points]
                                 + [(p, imp) for _, _, imp in impurities for p in points], mode))
-    j_clean = [res.J * ghz for res in results[:2]]
-    j_imp = [res.J * ghz for res in results[2:]]
+    j_clean = [res.J * MEV_TO_GHZ for res in results[:2]]
+    j_imp = [res.J * MEV_TO_GHZ for res in results[2:]]
     rows = []
     for k, (name, r_over_a, _) in enumerate(impurities):
         rel_t, rel_b = ((j - j0) / j0 for j, j0 in zip(j_imp[2 * k:2 * k + 2], j_clean))
@@ -547,7 +546,7 @@ def cmd_validate(args) -> int:
             add("matched-noise-trends", False, str(exc))
 
         # 8. detuning sweet spot at zero tilt
-        slope, err = sweet_spot_check(1.3, base)
+        slope, err = sweet_spot_check(base)
         add("sweet-spot", abs(slope) <= max(1e-8, 10.0 * err),
             f"dJ/deps = {_fmt(slope)} GHz/meV (err est {_fmt(err)})")
 
@@ -566,14 +565,13 @@ def cmd_validate(args) -> int:
 
         # 10. calibration round trips
         targets = (0.242,) if quick else (0.15, 0.242, 0.5)
-        requests = [(scheme, tgt, 1.3) for tgt in targets for scheme in ("tilt", "barrier")]
+        requests = [(scheme, tgt) for tgt in targets for scheme in ("tilt", "barrier")]
         try:
             controls = unwrap(calibrate_many(requests, base))
             achieved = unwrap(solve_many([(control_point(scheme, base, c), None)
-                                          for (scheme, _, _), c in zip(requests, controls)]))
-            ghz = derive_constants(base).frequency_conversion
-            worst_cal = max(abs(res.J * ghz - tgt) / tgt
-                            for (_, tgt, _), res in zip(requests, achieved))
+                                          for (scheme, _), c in zip(requests, controls)]))
+            worst_cal = max(abs(res.J * MEV_TO_GHZ - tgt) / tgt
+                            for (_, tgt), res in zip(requests, achieved))
             add("calibration", worst_cal <= 1e-6,
                 f"worst |J(c*) - target|/target = {_fmt(worst_cal)}")
         except CalibrationError as exc:
@@ -600,7 +598,8 @@ def cmd_validate(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
+def _add_common(p: argparse.ArgumentParser, impurity: bool = True) -> None:
+    """The flags of a CSV subcommand; --impurity and --charge-e only with impurity."""
     p.add_argument("--config", metavar="PATH",
                    help="'key = value' settings file ('#' comments)")
     p.add_argument("--out", metavar="PATH",
@@ -608,10 +607,11 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--mode", choices=("paper", "full"), default="paper",
                    help="4x4 assembly: nearest-neighbor hopping only (paper) "
                         "or all two-body terms (full)")
-    p.add_argument("--impurity", metavar="X_NM,Y_NM",
-                   help="impurity position in nm")
-    p.add_argument("--charge-e", type=float, default=None, metavar="Q",
-                   help="impurity charge in units of e")
+    if impurity:
+        p.add_argument("--impurity", metavar="X_NM,Y_NM",
+                       help="impurity position in nm")
+        p.add_argument("--charge-e", type=float, default=None, metavar="Q",
+                       help="impurity charge in units of e")
     p.add_argument("--seed", type=int, default=0,
                    help="seed for randomized self-checks")
 
@@ -664,7 +664,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("impurity-scan",
                        help="noise vs impurity distance along three directions")
-    _add_common(p)
+    _add_common(p, impurity=False)
+    p.add_argument("--charge-e", type=float, default=None, metavar="Q",
+                   help="charge of each scanned impurity in units of e (default: -1)")
     p.add_argument("--J-mhz", type=float, default=242.0, metavar="MHZ",
                    help="clean J both schemes are calibrated to")
     p.add_argument("--radii", metavar="R1,R2,...",
@@ -675,13 +677,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("potential-profile",
                        help="confinement potential along a horizontal cut")
-    _add_common(p)
+    _add_common(p, impurity=False)
     p.add_argument("--x-range", metavar="LO:HI:STEP", help="x grid [nm]")
     p.add_argument("--y-nm", type=float, default=0.0, help="cut height [nm]")
     p.set_defaults(func=cmd_potential_profile)
 
     p = sub.add_parser("validate", help="run the built-in cross-check suite")
-    _add_common(p)
+    p.add_argument("--seed", type=int, default=0,
+                   help="seed for randomized self-checks")
     p.add_argument("--quick", action="store_true",
                    help="reduced sampling (finishes in a few seconds)")
     p.add_argument("--corrupt-bessel", action="store_true",

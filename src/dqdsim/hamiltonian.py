@@ -70,12 +70,6 @@ class HubbardParams:
     def detuning(self) -> float:
         return self.mu2 - self.mu1
 
-    def t_eff(self, mode: AssemblyMode = AssemblyMode.PAPER) -> float:
-        """Hopping including the correlated-hopping reduction in full mode."""
-        if mode == AssemblyMode.FULL:
-            return self.t - 0.5 * (self.corr_hop1 + self.corr_hop2)
-        return self.t
-
 
 def _two_body(M: np.ndarray, coulomb: np.ndarray) -> dict[str, float]:
     """The two-body parameters of the model: the Coulomb tensor transformed
@@ -206,7 +200,7 @@ def _asymmetric(A: np.ndarray) -> np.ndarray:
     return ~close.all(axis=(-2, -1))
 
 
-def jacobi_eigh(A: np.ndarray, tol: float = 1e-14, max_sweeps: int = 60):
+def jacobi_eigh(A: np.ndarray):
     """Eigen-decomposition of small symmetric matrices by cyclic Jacobi.
 
     A is one (n, n) matrix or a stack (N, n, n).  Returns (eigenvalues
@@ -215,8 +209,10 @@ def jacobi_eigh(A: np.ndarray, tol: float = 1e-14, max_sweeps: int = 60):
     every matrix of a stack takes exactly the rotations it would take
     alone: a matrix leaves the stack once it has converged, and a rotation
     it skips (|a_pq| <= 1e-300) is masked out, never applied as an identity
-    (which would turn -0 into +0).  Eigenvector signs are fixed by making
-    the first non-negligible component positive.
+    (which would turn -0 into +0).  A matrix has converged once the norm
+    of its upper off-diagonal is at most 1e-14 max(1, max |A|), and stops
+    after 60 sweeps either way.  Eigenvector signs are fixed by making the
+    first non-negligible component positive.
     """
     A = np.array(A, dtype=float)
     single = A.ndim == 2
@@ -230,8 +226,8 @@ def jacobi_eigh(A: np.ndarray, tol: float = 1e-14, max_sweeps: int = 60):
     pairs = [(p, q) for p in range(n - 1) for q in range(p + 1, n)]
     # The matrices still rotating: their indices in the stack and their state.
     live = np.arange(len(A))
-    a, v, limit = A, V, tol * np.fmax(1.0, np.abs(A).max(axis=(-2, -1)))
-    for _ in range(max_sweeps):
+    a, v, limit = A, V, 1e-14 * np.fmax(1.0, np.abs(A).max(axis=(-2, -1)))
+    for _ in range(60):
         off = np.zeros(len(a))
         for p, q in pairs:
             # float_power rounds like the libm pow behind a lone scalar's

@@ -54,7 +54,6 @@ class DerivedConstants:
     barrier_height: float        # C = a^2 m* w0^2 / 12 [meV]
     kinetic_scale: float         # hbar^2/(2 m*) [meV nm^2]
     coulomb_scale: float         # e^2/(4 pi kappa) [meV nm]
-    frequency_conversion: float  # GHz per meV
     m_omega2: float              # m* w0^2 [meV / nm^2]
 
 
@@ -73,12 +72,11 @@ class Impurity:
 
 # -- control schemes ----------------------------------------------------------
 
-def control_point(scheme: str, params: DeviceParams, value: float,
-                  xi_fixed: float = 1.3) -> DeviceParams:
-    """The device at one control value: "tilt" sets epsilon at barrier
-    amplitude xi_fixed, "barrier" sets xi at zero detuning."""
+def control_point(scheme: str, params: DeviceParams, value: float) -> DeviceParams:
+    """The device at one control value: "tilt" sets epsilon at the device's
+    own barrier amplitude, "barrier" sets xi at zero detuning."""
     if scheme == "tilt":
-        return dataclasses.replace(params, epsilon=value, xi=xi_fixed)
+        return dataclasses.replace(params, epsilon=value)
     if scheme == "barrier":
         return dataclasses.replace(params, epsilon=0.0, xi=value)
     raise ValueError(f"unknown scheme {scheme!r}")
@@ -107,7 +105,6 @@ def derive_constants(params: DeviceParams) -> DerivedConstants:
         barrier_height=params.a**2 * m_omega2 / 12.0,
         kinetic_scale=kin,
         coulomb_scale=COULOMB_VACUUM / params.eps_r,
-        frequency_conversion=MEV_TO_GHZ,
         m_omega2=m_omega2,
     )
 
@@ -131,18 +128,8 @@ class ValidationReport:
 
 
 def validate_params(params: DeviceParams) -> ValidationReport:
-    """Check finite, positive inputs and that the central barrier exists.
-
-    The inter-dot stationary point at x=0 is a maximum only if the
-    one-sided curvature of the full potential is non-positive there:
-
-        V''(0-/+) = (a^2 m* w0^2 - 12 mu_i - 12 C - 16 xi) / a^2 <= 0
-
-    The -16 xi/a^2 term is the central curvature of the Gaussian barrier
-    (sigma = a/4); without it the pure-quartic construction sits exactly
-    at the degenerate point a^2 m* w0^2 = 12 C and any tilt would tip the
-    shallow side over.
-    """
+    """Check finite, positive inputs and that the central barrier exists:
+    both one-sided central_curvatures are non-positive."""
     checks = []
     for name in ("a", "hbar_omega0", "m_eff", "eps_r"):
         v = getattr(params, name)
@@ -151,12 +138,27 @@ def validate_params(params: DeviceParams) -> ValidationReport:
         v = getattr(params, name)
         checks.append(CheckResult(f"{name} finite", math.isfinite(v), 0.0))
     if all(c.passed for c in checks):
-        consts = derive_constants(params)
-        base = params.a**2 * consts.m_omega2 - 12.0 * consts.barrier_height
-        for label, mu in (("well 1 (x=-a)", params.mu1), ("well 2 (x=+a)", params.mu2)):
-            resid = (base - 12.0 * mu - 16.0 * params.xi) / params.a**2
+        wells = ("well 1 (x=-a)", "well 2 (x=+a)")
+        for label, resid in zip(wells, central_curvatures(params)):
             checks.append(CheckResult(f"barrier exists vs {label}", resid <= 0.0, resid))
     return ValidationReport(checks=tuple(checks))
+
+
+def central_curvatures(params: DeviceParams) -> tuple[float, float]:
+    """One-sided d2V/dx2 at x=0 of the full potential (quartic + Gaussian).
+
+    Closed form: (a^2 m* w0^2 - 12 mu_i - 12 C - 16 xi) / a^2.  Both must
+    be <= 0 for the stationary point at the origin to be a barrier top.
+    The -16 xi/a^2 term is the central curvature of the Gaussian barrier
+    (sigma = a/4); without it the pure-quartic construction sits exactly
+    at the degenerate point a^2 m* w0^2 = 12 C and any tilt would tip the
+    shallow side over.
+    """
+    consts = derive_constants(params)
+    base = params.a**2 * consts.m_omega2 - 12.0 * consts.barrier_height
+    cl = (base - 12.0 * params.mu1 - 16.0 * params.xi) / params.a**2
+    cr = (base - 12.0 * params.mu2 - 16.0 * params.xi) / params.a**2
+    return cl, cr
 
 
 # -- config file --------------------------------------------------------------

@@ -41,20 +41,20 @@ def _j_ghz(points, mode: AssemblyMode) -> list:
 
 def noise_records(controls, base: DeviceParams, imp: Impurity,
                   mode: AssemblyMode = AssemblyMode.PAPER) -> list:
-    """The NoiseRecord of each (scheme, value, xi_fixed) control: J with
-    and without the impurity there, every point in one stacked solve.
+    """The NoiseRecord of each (scheme, value) control: J with and without
+    the impurity there, every point in one stacked solve.
 
     An entry is the exception its control raised instead; a control whose
     value is an exception (a failed calibration) passes it through."""
     controls = list(controls)
     out: list = [None] * len(controls)
     points, owners = [], []
-    for i, (scheme, value, xi_fixed) in enumerate(controls):
+    for i, (scheme, value) in enumerate(controls):
         if isinstance(value, Exception):
             out[i] = value
             continue
         try:
-            params = control_point(scheme, base, value, xi_fixed)
+            params = control_point(scheme, base, value)
         except ValueError as exc:
             out[i] = exc
             continue
@@ -62,7 +62,7 @@ def noise_records(controls, base: DeviceParams, imp: Impurity,
         owners.append(i)
     js = _j_ghz(points, mode)
     for i, j_clean, j_imp in zip(owners, js[0::2], js[1::2]):
-        scheme, value, _ = controls[i]
+        scheme, value = controls[i]
         try:
             j_clean, j_imp = unwrap([j_clean, j_imp])
             out[i] = NoiseRecord(
@@ -78,10 +78,9 @@ def noise_records(controls, base: DeviceParams, imp: Impurity,
 
 
 def delta_J(scheme: str, value: float, base: DeviceParams,
-            imp: Impurity, mode: AssemblyMode = AssemblyMode.PAPER,
-            xi_fixed: float = 1.3) -> NoiseRecord:
+            imp: Impurity, mode: AssemblyMode = AssemblyMode.PAPER) -> NoiseRecord:
     """Evaluate J with and without the impurity at one control point."""
-    (rec,) = unwrap(noise_records([(scheme, value, xi_fixed)], base, imp, mode))
+    (rec,) = unwrap(noise_records([(scheme, value)], base, imp, mode))
     return rec
 
 
@@ -190,8 +189,8 @@ def _calibration(j_target_ghz, lo, hi, j_lo, j_hi, label):
 
 def calibrate_many(requests, base: DeviceParams = DeviceParams(),
                    mode: AssemblyMode = AssemblyMode.PAPER) -> list:
-    """The control value of each (scheme, target_ghz, xi_fixed) request at
-    which the clean J meets the target; xi_fixed only matters to "tilt".
+    """The control value of each (scheme, target_ghz) request at which the
+    clean J meets the target.
 
     Each calibration takes the steps of Brent's method on its scheme's
     bracket, and all of them advance in lockstep: every round evaluates
@@ -200,21 +199,20 @@ def calibrate_many(requests, base: DeviceParams = DeviceParams(),
     evaluated once per end.  An entry is the exception its calibration
     raised instead."""
     requests = list(requests)
-    for scheme, _, _ in requests:
+    for scheme, _ in requests:
         if scheme not in _BRACKETS:
             raise ValueError(f"unknown scheme {scheme!r}")
 
     def point(k, value):
-        scheme, _, xi_fixed = requests[k]
-        return control_point(scheme, base, value, xi_fixed), None
+        return control_point(requests[k][0], base, value), None
 
-    ends = {point(k, c): None for k, (scheme, _, _) in enumerate(requests)
+    ends = {point(k, c): None for k, (scheme, _) in enumerate(requests)
             for c in _BRACKETS[scheme]}
     ends = dict(zip(ends, _j_ghz(list(ends), mode)))
     steps = {k: _calibration(target, *_BRACKETS[scheme],
                              *(ends[point(k, c)] for c in _BRACKETS[scheme]),
                              label=f"calibrate_{scheme}")
-             for k, (scheme, target, _) in enumerate(requests)}
+             for k, (scheme, target) in enumerate(requests)}
     out: list = [None] * len(requests)
     received = dict.fromkeys(steps)  # None starts each generator
     while received:
@@ -231,11 +229,12 @@ def calibrate_many(requests, base: DeviceParams = DeviceParams(),
     return out
 
 
-def calibrate_tilt(j_target_ghz: float, xi_fixed: float = 1.3,
+def calibrate_tilt(j_target_ghz: float,
                    base: DeviceParams = DeviceParams(),
                    mode: AssemblyMode = AssemblyMode.PAPER) -> float:
-    """Detuning epsilon* >= 0 with clean J(epsilon*) = target."""
-    (eps,) = unwrap(calibrate_many([("tilt", j_target_ghz, xi_fixed)], base, mode))
+    """Detuning epsilon* >= 0 with clean J(epsilon*) = target at the
+    device's own barrier amplitude."""
+    (eps,) = unwrap(calibrate_many([("tilt", j_target_ghz)], base, mode))
     return eps
 
 
@@ -243,7 +242,7 @@ def calibrate_barrier(j_target_ghz: float,
                       base: DeviceParams = DeviceParams(),
                       mode: AssemblyMode = AssemblyMode.PAPER) -> float:
     """Barrier amplitude xi* with clean J(xi*) = target (J decreasing in xi)."""
-    (xi,) = unwrap(calibrate_many([("barrier", j_target_ghz, 1.3)], base, mode))
+    (xi,) = unwrap(calibrate_many([("barrier", j_target_ghz)], base, mode))
     return xi
 
 
@@ -263,17 +262,16 @@ class ChiRecord:
 
 def improvement_factors(targets, imp: Impurity,
                         base: DeviceParams = DeviceParams(),
-                        mode: AssemblyMode = AssemblyMode.PAPER,
-                        xi_fixed: float = 1.3) -> list:
+                        mode: AssemblyMode = AssemblyMode.PAPER) -> list:
     """improvement_factor at each target: every calibration in lockstep,
     then both noise records of every target in one stacked solve.
 
     An entry is its target's first exception instead, in the order tilt
     calibration, barrier calibration, tilt record, barrier record."""
     targets = list(targets)
-    requests = [(scheme, j, xi_fixed) for j in targets for scheme in ("tilt", "barrier")]
+    requests = [(scheme, j) for j in targets for scheme in ("tilt", "barrier")]
     controls = calibrate_many(requests, base, mode)
-    records = noise_records([(scheme, c, x) for (scheme, _, x), c in zip(requests, controls)],
+    records = noise_records([(scheme, c) for (scheme, _), c in zip(requests, controls)],
                             base, imp, mode)
     out = []
     for k, j in enumerate(targets):
@@ -294,14 +292,13 @@ def _chi(j_target_ghz: float, rec_t: NoiseRecord, rec_b: NoiseRecord) -> ChiReco
 
 def improvement_factor(j_target_ghz: float, imp: Impurity,
                        base: DeviceParams = DeviceParams(),
-                       mode: AssemblyMode = AssemblyMode.PAPER,
-                       xi_fixed: float = 1.3) -> ChiRecord:
+                       mode: AssemblyMode = AssemblyMode.PAPER) -> ChiRecord:
     """chi = (dJ/J)_tilt / (dJ/J)_barrier at matched clean J.
 
     A vanishing barrier noise is signaled by chi = +inf rather than an
     exception: matched-J comparisons remain well-defined pointwise.
     """
-    (rec,) = unwrap(improvement_factors([j_target_ghz], imp, base, mode, xi_fixed))
+    (rec,) = unwrap(improvement_factors([j_target_ghz], imp, base, mode))
     return rec
 
 
@@ -312,7 +309,7 @@ def matched_j_grid(base: DeviceParams, n: int = 25, j_max_ghz: float = 1.0,
         raise ValueError(f"--points must be at least 2, got {n}")
     if not 0 < j_max_ghz < math.inf:
         raise ValueError(f"--j-max must be positive and finite, got {j_max_ghz}")
-    j0 = exchange_J_ghz(control_point("tilt", base, 0.0, base.xi), None, mode)
+    j0 = exchange_J_ghz(control_point("tilt", base, 0.0), None, mode)
     if not 0 < j0 < math.inf:
         raise ValueError(f"{AssemblyMode(mode).value} mode: the matched-J grid starts at "
                          f"J0 = J(epsilon = 0) = {j0:.6g} GHz, which must be positive and finite")
@@ -390,12 +387,12 @@ def t_star_ns(sigma_ghz: float) -> float:
 # ---------------------------------------------------------------------------
 
 def sweep(scheme: str, values, base: DeviceParams, imp: Impurity,
-          mode: AssemblyMode = AssemblyMode.PAPER, xi_fixed: float = 1.3) -> list[NoiseRecord]:
+          mode: AssemblyMode = AssemblyMode.PAPER) -> list[NoiseRecord]:
     """One NoiseRecord per control value, in input order, from one stacked
     solve; per-point errors are captured on the record instead of aborting
     the sweep."""
     values = [float(v) for v in values]
-    records = noise_records([(scheme, v, xi_fixed) for v in values], base, imp, mode)
+    records = noise_records([(scheme, v) for v in values], base, imp, mode)
     return [rec if isinstance(rec, NoiseRecord) else NoiseRecord(
                 scheme=scheme, control_mev=value,
                 J_clean_ghz=math.nan, J_imp_ghz=math.nan,
@@ -408,17 +405,18 @@ def sweep(scheme: str, values, base: DeviceParams, imp: Impurity,
 # sweet spot
 # ---------------------------------------------------------------------------
 
-def sweet_spot_check(xi: float, base: DeviceParams = DeviceParams(),
+def sweet_spot_check(base: DeviceParams = DeviceParams(),
                      mode: AssemblyMode = AssemblyMode.PAPER,
                      h: float = 1e-3) -> tuple[float, float]:
-    """(dJ/d eps at eps = 0 [GHz/meV], truncation-error estimate).
+    """(dJ/d eps at eps = 0 [GHz/meV], truncation-error estimate) at the
+    device's own barrier amplitude.
 
     Central differences at steps h and h/2 combined by Richardson
     extrapolation; the difference of the two estimates bounds the
     leading truncation term.
     """
     j_plus, j_minus, j_half_plus, j_half_minus = unwrap(_j_ghz(
-        [(control_point("tilt", base, e, xi), None) for e in (+h, -h, +h / 2, -h / 2)], mode))
+        [(control_point("tilt", base, e), None) for e in (+h, -h, +h / 2, -h / 2)], mode))
     d1 = (j_plus - j_minus) / (2.0 * h)
     d2 = (j_half_plus - j_half_minus) / h
     richardson = (4.0 * d2 - d1) / 3.0

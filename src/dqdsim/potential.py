@@ -24,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import DeviceParams, derive_constants
+from .model import central_curvatures  # noqa: F401  (defined in model, importable here)
 
 
 @dataclass(frozen=True)
@@ -121,15 +122,3 @@ def constraint_report(params: DeviceParams) -> list[tuple[str, float, float, flo
         rows.append((name, value, expected, rel(value, expected)))
     return rows
 
-
-def central_curvatures(params: DeviceParams) -> tuple[float, float]:
-    """One-sided d2V/dx2 at x=0 of the full potential (quartic + Gaussian).
-
-    Closed form: (a^2 m* w0^2 - 12 mu_i - 12 C - 16 xi) / a^2.  Both must
-    be <= 0 for the stationary point at the origin to be a barrier top.
-    """
-    consts = derive_constants(params)
-    base = params.a**2 * consts.m_omega2 - 12.0 * consts.barrier_height
-    cl = (base - 12.0 * params.mu1 - 16.0 * params.xi) / params.a**2
-    cr = (base - 12.0 * params.mu2 - 16.0 * params.xi) / params.a**2
-    return cl, cr

@@ -186,36 +186,36 @@ def _two_res(f, coarse, fine, floor):
     return v2, err
 
 
-def oracle_overlap(params, i, j, basis=None, n=80):
-    basis = basis or build_basis(params)
+def oracle_overlap(params, i, j, n=80):
+    basis = build_basis(params)
     v, e = _two_res(lambda m: _overlap_once(basis, i, j, m), (n,), (n + n // 2,), 1e-12)
     return OracleResult(v, e, e < 1e-9)
 
 
-def oracle_kinetic(params, i, j, basis=None, n=80):
-    basis = basis or build_basis(params)
+def oracle_kinetic(params, i, j, n=80):
+    basis = build_basis(params)
     v, e = _two_res(lambda m: _kinetic_once(params, basis, i, j, m),
                     (n,), (n + n // 2,), 1e-12 * params.hbar_omega0)
     return OracleResult(v, e, e < 1e-9)
 
 
-def oracle_potential(params, i, j, basis=None, n=150):
-    basis = basis or build_basis(params)
+def oracle_potential(params, i, j, n=150):
+    basis = build_basis(params)
     floor = 1e-9 * max(params.hbar_omega0, abs(params.xi), 1e-3)
     v, e = _two_res(lambda nx, ny: _potential_once(params, basis, i, j, nx, ny),
                     (n, n), (n + n // 2, n + n // 2), floor)
     return OracleResult(v, e, e < 1e-7)
 
 
-def oracle_impurity(params, i, j, imp, basis=None, n_rad=180, n_ang=256):
-    basis = basis or build_basis(params)
+def oracle_impurity(params, i, j, imp, n_rad=180, n_ang=256):
+    basis = build_basis(params)
     v, e = _two_res(lambda nr, na: _impurity_once(params, basis, i, j, imp, nr, na),
                     (n_rad, n_ang), (n_rad + n_rad // 2, n_ang + n_ang // 2), 1e-15)
     return OracleResult(v, e, e < 1e-9)
 
 
-def oracle_coulomb(params, i, j, k, l, basis=None, n_rad=180, n_ang=256):
-    basis = basis or build_basis(params)
+def oracle_coulomb(params, i, j, k, l, n_rad=180, n_ang=256):
+    basis = build_basis(params)
     v, e = _two_res(lambda nr, na: _coulomb_once(params, basis, i, j, k, l, nr, na),
                     (n_rad, n_ang), (n_rad + n_rad // 2, n_ang + n_ang // 2), 1e-15)
     return OracleResult(v, e, e < 1e-9)

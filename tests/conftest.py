@@ -1,6 +1,9 @@
 """Shared fixtures: the default device, its basis/tables, and the
 reference impurity used across the suite."""
 
+import os
+from pathlib import Path
+
 import pytest
 
 from dqdsim import (
@@ -10,6 +13,11 @@ from dqdsim import (
     default_impurity,
     derive_constants,
 )
+
+# pyproject's pythonpath puts src on this process's path; the CLI tests'
+# subprocesses import the package from the same checkout.
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
 
 
 @pytest.fixture(scope="session")

@@ -116,7 +116,7 @@ def test_a04_untilted_point_is_a_sweet_spot():
     """Clean-device |dJ/d eps| at eps = 0 is <= 1e-6 J per meV for
     barriers 0.6, 1.0, and 1.3 meV."""
     for xi in (0.6, 1.0, 1.3):
-        slope, err = sweet_spot_check(xi)
+        slope, err = sweet_spot_check(DeviceParams(xi=xi))
         j0 = exchange_J_ghz(DeviceParams(epsilon=0.0, xi=xi))
         assert abs(slope) <= 1e-6 * j0, (
             f"xi={xi}: slope {slope:.3e} GHz/meV vs bound {1e-6 * j0:.3e}")
@@ -216,7 +216,7 @@ def test_a07_perturbative_noise_estimate():
     for xi in (0.9, 1.1):
         p = DeviceParams(xi=xi)
         est = hubbard_noise_estimate(p, default_impurity(p))
-        exact = delta_J("tilt", 0.0, p, default_impurity(p), xi_fixed=xi).rel_noise
+        exact = delta_J("tilt", 0.0, p, default_impurity(p)).rel_noise
         disc = abs(est - exact) / abs(exact)
         assert disc <= 0.20, f"xi={xi}: estimate off by {disc:.3f}"
 
@@ -229,7 +229,7 @@ def test_a07_perturbative_noise_estimate():
         hp = hubbard_parameters(p)
         ratios.append(hp.t / hp.delta_u)
         est = hubbard_noise_estimate(p, probe)
-        exact = delta_J("tilt", 0.0, p, probe, xi_fixed=xi).rel_noise
+        exact = delta_J("tilt", 0.0, p, probe).rel_noise
         discrepancies.append(abs(est - exact) / abs(exact))
     assert ratios[0] > ratios[1] > ratios[2] > 0.0
     assert discrepancies[0] > discrepancies[1] > discrepancies[2], (

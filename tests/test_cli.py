@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from dqdsim import (CalibrationError, DeviceParams, calibrate_barrier, calibrate_tilt, cli,
-                    eval_potential, matched_j_grid, noise, __version__)
+                    default_impurity, eval_potential, improvement_factors, matched_j_grid,
+                    noise, __version__)
 from dqdsim.cli import MAX_GRID_POINTS, main
 
 CLI = [sys.executable, "-m", "dqdsim.cli"]
@@ -290,6 +291,28 @@ class TestFlags:
         assert f"dqdsim: error: {message}\n" in capsys.readouterr().err
         assert not out.exists()
 
+    # Flags a subcommand does not read are not registered: argparse rejects
+    # them before anything runs, so no output file appears.
+    @pytest.mark.parametrize("argv", [
+        ("validate", "--quick", "--config", "device.cfg"),
+        ("validate", "--quick", "--out", "out.csv"),
+        ("validate", "--quick", "--mode", "full"),
+        ("validate", "--quick", "--impurity=-450,300"),
+        ("validate", "--quick", "--charge-e", "-0.5"),
+        ("impurity-scan", "--radii", "6", "--impurity=-450,300", "--out", "out.csv"),
+        ("potential-profile", "--impurity=-450,300", "--out", "out.csv"),
+        ("potential-profile", "--charge-e", "-0.5", "--out", "out.csv"),
+    ], ids=["validate --config", "validate --out", "validate --mode", "validate --impurity",
+            "validate --charge-e", "impurity-scan --impurity", "potential-profile --impurity",
+            "potential-profile --charge-e"])
+    def test_unread_flags_are_rejected(self, argv, monkeypatch, tmp_path, capsys):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exit_:
+            main(list(argv))
+        assert exit_.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestContent:
     def test_potential_profile_matches_library(self, tmp_path):
@@ -315,6 +338,19 @@ class TestContent:
         assert len([ln for ln in zoom_part.splitlines()
                     if ln and not ln.startswith("#")]) == 51
         assert main_rows[0].startswith("scheme,")
+
+    def test_noise_compare_matches_library_at_a_non_default_barrier(self, tmp_path):
+        # Tilt control detunes at the device's own barrier, in the CLI and
+        # in the library alike.
+        cfg, out = tmp_path / "device.cfg", tmp_path / "out.csv"
+        cfg.write_text("control.xi_mev = 1.1\n")
+        assert main(["noise-compare", "--config", str(cfg), "--points", "3",
+                     "--j-max", "0.5", "--out", str(out)]) == 0
+        base = DeviceParams(xi=1.1)
+        grid = [float(j) for j in matched_j_grid(base, n=3, j_max_ghz=0.5)]
+        expected = [",".join(f"{v:.12g}" for v in (r.J_ghz, r.rel_tilt, r.rel_barrier, r.chi))
+                    for r in improvement_factors(grid, default_impurity(base), base)]
+        assert data_rows(out.read_text())[1:] == expected
 
     def test_impurity_scan_header_reports_operating_point(self, tmp_path):
         out = tmp_path / "out.csv"

@@ -206,7 +206,6 @@ class TestHubbardParameters:
         assert hp.corr_hop2 == pytest.approx(CORR_HOP_2, rel=1e-13)
         assert hp.delta_u == pytest.approx(DELTA_U, rel=1e-13)
         assert hp.Zt1 == hp.Zt2 == hp.Zt12 == 0.0
-        assert hp.t_eff() == pytest.approx(T_HOP, rel=1e-13)
 
     def test_impurity_terms(self, params, impurity):
         hp = hubbard_parameters(params, imp=impurity)

@@ -98,8 +98,8 @@ class TestImpurity:
 
 class TestControls:
     def test_tilt_sets_epsilon_and_fixes_barrier(self):
-        p = control_point("tilt", DeviceParams(xi=0.7), 0.42, xi_fixed=1.1)
-        assert p.epsilon == 0.42 and p.xi == 1.1
+        p = control_point("tilt", DeviceParams(xi=0.7), 0.42)
+        assert p.epsilon == 0.42 and p.xi == 0.7
 
     def test_barrier_sets_xi_and_zeroes_detuning(self):
         p = control_point("barrier", DeviceParams(epsilon=0.9), 0.8)

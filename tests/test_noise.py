@@ -237,7 +237,7 @@ class TestLockstep:
                 rounds.append([params.epsilon for params, _ in points])
                 return [j_of(params.epsilon) for params, _ in points]
             monkeypatch.setattr(noise, "_j_ghz", fake_j_ghz)
-            got = calibrate_many([("tilt", t, 1.3) for t in targets])
+            got = calibrate_many([("tilt", t) for t in targets])
             assert [outcome(g) for g in got] == [root for root, _ in refs], k
             # The ends once, then one round per step of the longest calibration,
             # holding the pending step of each calibration still running.
@@ -249,11 +249,11 @@ class TestLockstep:
 
     def lone_references(self):
         base = DeviceParams()
-        requests = [(scheme, t, 1.3) for t in self.TARGETS for scheme in ("tilt", "barrier")]
+        requests = [(scheme, t) for t in self.TARGETS for scheme in ("tilt", "barrier")]
         refs = [lone_calibration(lambda c, s=scheme: exchange_J_ghz(control_point(s, base, c)),
                                  *(TILT_BRACKET if scheme == "tilt" else BARRIER_BRACKET),
                                  t, f"calibrate_{scheme}")
-                for scheme, t, _ in requests]
+                for scheme, t in requests]
         return requests, refs
 
     def test_real_targets_match_one_at_a_time(self, monkeypatch):
@@ -292,7 +292,7 @@ class TestLockstep:
 
     def test_unknown_scheme(self):
         with pytest.raises(ValueError, match="unknown scheme 'magnetic'"):
-            calibrate_many([("magnetic", 0.242, 1.3)])
+            calibrate_many([("magnetic", 0.242)])
 
 
 class TestMatchedGrid:
@@ -359,7 +359,7 @@ class TestHubbardNoiseEstimate:
 class TestSweetSpot:
     @pytest.mark.parametrize("xi", [0.6, 1.0, 1.3])
     def test_untilted_point_is_first_order_insensitive(self, xi):
-        slope, err = sweet_spot_check(xi)
+        slope, err = sweet_spot_check(DeviceParams(xi=xi))
         j0 = exchange_J_ghz(DeviceParams(epsilon=0.0, xi=xi))
         assert abs(slope) <= 1e-6 * j0  # GHz per meV
         assert err <= 1e-6 * j0
