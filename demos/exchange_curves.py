@@ -39,12 +39,12 @@ def sweep_eps(xi=1.3):
           "(exact diagonalization vs 2t^2 perturbative estimate):")
     print(f"  {'eps [meV]':>9s} {'J exact [GHz]':>14s} {'J est [GHz]':>12s} "
           f"{'rel diff':>9s}")
-    eps_values = [0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7]
-    results = unwrap(solve_many([(DeviceParams(epsilon=eps, xi=xi), None) for eps in eps_values]))
-    for eps, res in zip(eps_values, results):
-        est = hubbard_exchange_estimate(res.hubbard) * MEV_TO_GHZ
+    points = [DeviceParams(epsilon=eps, xi=xi) for eps in [0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7]]
+    results = unwrap(solve_many([(p, None) for p in points]))
+    for p, res in zip(points, results):
+        est = hubbard_exchange_estimate(hubbard_parameters(p)) * MEV_TO_GHZ
         j = res.J * MEV_TO_GHZ
-        print(f"  {eps:9.2f} {j:14.6f} {est:12.6f} {abs(est - j) / abs(j):9.2%}")
+        print(f"  {p.epsilon:9.2f} {j:14.6f} {est:12.6f} {abs(est - j) / abs(j):9.2%}")
     hp = hubbard_parameters(DeviceParams(epsilon=0.0, xi=xi))
     print(f"  (charge-transfer anticrossing at |eps| = dU = {hp.delta_u:.4f} meV; "
           "the estimate has its pole there)")
@@ -56,12 +56,13 @@ def sweep_xi():
           "(lowering xi opens the inter-dot channel):")
     print(f"  {'xi [meV]':>8s} {'J exact [GHz]':>14s} {'t [meV]':>11s} "
           f"{'J est [GHz]':>12s} {'rel diff':>9s}")
-    xi_values = [0.5, 0.7, 0.9, 1.1, 1.3, 1.5]
-    results = unwrap(solve_many([(DeviceParams(epsilon=0.0, xi=xi), None) for xi in xi_values]))
-    for xi, res in zip(xi_values, results):
-        est = hubbard_exchange_estimate(res.hubbard) * MEV_TO_GHZ
+    points = [DeviceParams(epsilon=0.0, xi=xi) for xi in [0.5, 0.7, 0.9, 1.1, 1.3, 1.5]]
+    results = unwrap(solve_many([(p, None) for p in points]))
+    for p, res in zip(points, results):
+        hp = hubbard_parameters(p)
+        est = hubbard_exchange_estimate(hp) * MEV_TO_GHZ
         j = res.J * MEV_TO_GHZ
-        print(f"  {xi:8.2f} {j:14.6f} {res.hubbard.t:11.3e} {est:12.6f} "
+        print(f"  {p.xi:8.2f} {j:14.6f} {hp.t:11.3e} {est:12.6f} "
               f"{abs(est - j) / abs(j):9.2%}")
     print("  (near xi = 1.5 the bare hopping t crosses zero, so both J and the "
           "estimate collapse\n   and their ratio is no longer meaningful)")

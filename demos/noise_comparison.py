@@ -31,7 +31,7 @@ def control_axis_tables(base, imp):
     print("tilt scheme (xi fixed at 1.3 meV), sweeping detuning:")
     print(f"  {'eps [meV]':>9s} {'J clean [GHz]':>14s} {'J w/ imp [GHz]':>15s} "
           f"{'dJ/J':>8s}")
-    for r in sweep("tilt", eps_values, base, imp):
+    for r in unwrap(sweep("tilt", eps_values, base, imp)):
         print(f"  {r.control_mev:9.2f} {r.J_clean_ghz:14.6f} "
               f"{r.J_imp_ghz:15.6f} {r.rel_noise:8.2%}")
     print()
@@ -40,7 +40,7 @@ def control_axis_tables(base, imp):
     print("barrier scheme (detuning held at 0), sweeping barrier amplitude:")
     print(f"  {'xi [meV]':>9s} {'J clean [GHz]':>14s} {'J w/ imp [GHz]':>15s} "
           f"{'dJ/J':>8s}")
-    for r in sweep("barrier", xi_values, base, imp):
+    for r in unwrap(sweep("barrier", xi_values, base, imp)):
         print(f"  {r.control_mev:9.2f} {r.J_clean_ghz:14.6f} "
               f"{r.J_imp_ghz:15.6f} {r.rel_noise:8.2%}")
     print()

@@ -103,12 +103,12 @@ def _emit(path: str | None, header_lines: list[str], fieldnames, rows) -> None:
             fh.write(text)
 
 
-def _provenance(sub: str, args, base: DeviceParams, mode: AssemblyMode,
+def _provenance(sub: str, args, base: DeviceParams, mode: AssemblyMode | None,
                 imp: Impurity | None = None, extra: tuple[str, ...] = ()) -> list[str]:
-    lines = [
-        f"dqdsim {__version__}",
-        f"subcommand = {sub}",
-        f"mode = {mode.value}",
+    lines = [f"dqdsim {__version__}", f"subcommand = {sub}"]
+    if mode is not None:
+        lines.append(f"mode = {mode.value}")
+    lines += [
         f"device.a_nm = {_fmt(base.a)}",
         f"device.hbar_omega0_mev = {_fmt(base.hbar_omega0)}",
         f"device.m_eff = {_fmt(base.m_eff)}",
@@ -163,7 +163,8 @@ def _parse_xy(spec: str) -> tuple[float, float]:
 
 
 def _resolve(args, *, default_impurity_wanted: bool = False):
-    """Combine defaults, --config, and flags into (params, impurity, mode)."""
+    """Combine defaults, --config, and flags into (params, impurity, mode);
+    mode is None for a subcommand without --mode."""
     base = DeviceParams()
     imp: Impurity | None = None
     if args.config:
@@ -175,16 +176,29 @@ def _resolve(args, *, default_impurity_wanted: bool = False):
             imp = Impurity(*_parse_xy(args.impurity), imp.q if imp else -1.0)
         if args.charge_e is not None and imp is not None:
             imp = Impurity(imp.x_c, imp.y_c, args.charge_e)
-    return base, imp, AssemblyMode(args.mode)
+    return base, imp, AssemblyMode(args.mode) if "mode" in args else None
 
 
-def _report_sweep_errors(records) -> int:
-    """Print captured per-point failures to stderr; 2 if any, else 0."""
-    bad = [r for r in records if getattr(r, "error", None)]
-    for rec in bad:
-        print(f"dqdsim: error at {rec.scheme} control {_fmt(rec.control_mev)} meV: "
-              f"{rec.error}", file=sys.stderr)
-    return 2 if bad else 0
+def _sweep_rows(scheme: str, values: list[float], base: DeviceParams, imp: Impurity,
+                mode: AssemblyMode, failures: list[str]) -> list[tuple]:
+    """The CSV row of each control value of a sweep: its NoiseRecord, or
+    NaN where the value failed, whose message is appended to failures."""
+    rows = []
+    for value, rec in zip(values, sweep(scheme, values, base, imp, mode)):
+        if isinstance(rec, NoiseRecord):
+            rows.append(tuple(getattr(rec, f) for f in NoiseRecord.CSV_FIELDS))
+        else:
+            rows.append((scheme, value) + (math.nan,) * 4)
+            failures.append(f"dqdsim: error at {scheme} control {_fmt(value)} meV: "
+                            f"{type(rec).__name__}: {rec}")
+    return rows
+
+
+def _report(failures: list[str]) -> int:
+    """Print the per-point failure lines to stderr; 2 if any, else 0."""
+    for msg in failures:
+        print(msg, file=sys.stderr)
+    return 2 if failures else 0
 
 
 # ---------------------------------------------------------------------------
@@ -195,6 +209,9 @@ def _report_sweep_errors(records) -> int:
 def cmd_spectrum(args) -> int:
     """Lowest two-electron levels and their splitting along a detuning sweep."""
     base, imp, mode = _resolve(args)
+    if args.charge_e is not None and imp is None:
+        raise ValueError("--charge-e given without --impurity or a config impurity: "
+                         "there is no impurity to charge")
     eps_values = _parse_range(args.eps_range or "0:1:0.01")
     xi_values = _parse_range(args.xi_range) if args.xi_range else [1.3, 1.0]
     grid = [(eps, xi) for xi in xi_values for eps in eps_values]
@@ -211,21 +228,17 @@ def cmd_spectrum(args) -> int:
     return 0
 
 
-def _noise_rows(records) -> list[tuple]:
-    return [(r.scheme, r.control_mev, r.J_clean_ghz, r.J_imp_ghz,
-             r.delta_J_ghz, r.rel_noise) for r in records]
-
-
 def cmd_exchange_tilt(args) -> int:
     """J and impurity-induced dJ versus detuning at fixed barrier."""
     base, imp, mode = _resolve(args, default_impurity_wanted=True)
     eps_values = _parse_range(args.eps_range or "0:1:0.01")
-    records = sweep("tilt", eps_values, base, imp, mode)
+    failures: list[str] = []
+    rows = _sweep_rows("tilt", eps_values, base, imp, mode, failures)
     header = _provenance("exchange-tilt", args, base, mode, imp, (
         f"eps_range = {args.eps_range or '0:1:0.01'}",
     ))
-    _emit(args.out, header, NoiseRecord.CSV_FIELDS, _noise_rows(records))
-    return _report_sweep_errors(records)
+    _emit(args.out, header, NoiseRecord.CSV_FIELDS, rows)
+    return _report(failures)
 
 
 def cmd_exchange_barrier(args) -> int:
@@ -236,19 +249,17 @@ def cmd_exchange_barrier(args) -> int:
     """
     base, imp, mode = _resolve(args, default_impurity_wanted=True)
     main_spec = args.xi_range or "0.5:1.3:0.01"
-    records = sweep("barrier", _parse_range(main_spec), base, imp, mode)
-    rows: list = _noise_rows(records)
+    failures: list[str] = []
+    rows: list = _sweep_rows("barrier", _parse_range(main_spec), base, imp, mode, failures)
     if not args.xi_range:
         zoom_spec = "0.5:0.6:0.002"
-        zoom = sweep("barrier", _parse_range(zoom_spec), base, imp, mode)
         rows.append(f"zoom xi_range = {zoom_spec}")
-        rows.extend(_noise_rows(zoom))
-        records = records + zoom
+        rows += _sweep_rows("barrier", _parse_range(zoom_spec), base, imp, mode, failures)
     header = _provenance("exchange-barrier", args, base, mode, imp, (
         f"xi_range = {main_spec}",
     ))
     _emit(args.out, header, NoiseRecord.CSV_FIELDS, rows)
-    return _report_sweep_errors(records)
+    return _report(failures)
 
 
 def cmd_noise_compare(args) -> int:
@@ -268,7 +279,7 @@ def cmd_noise_compare(args) -> int:
             rows.append((rec.J_ghz, rec.rel_tilt, rec.rel_barrier, rec.chi))
         elif isinstance(rec, ValueError):  # CalibrationError included
             rows.append((j_ghz, math.nan, math.nan, math.nan))
-            failures.append(f"J = {_fmt(j_ghz)} GHz: {rec}")
+            failures.append(f"dqdsim: error: J = {_fmt(j_ghz)} GHz: {rec}")
         else:
             raise rec
     header = _provenance(args.subcommand, args, base, mode, imp, (
@@ -276,9 +287,7 @@ def cmd_noise_compare(args) -> int:
         f"j_max_ghz = {_fmt(args.j_max)}",
     ))
     _emit(args.out, header, ChiRecord.CSV_FIELDS, rows)
-    for msg in failures:
-        print(f"dqdsim: error: {msg}", file=sys.stderr)
-    return 2 if failures else 0
+    return _report(failures)
 
 
 def cmd_qfactor(args) -> int:
@@ -371,7 +380,7 @@ def cmd_impurity_scan(args) -> int:
 def cmd_potential_profile(args) -> int:
     """Confinement potential along a horizontal cut (default y = 0,
     x in [-3a, 3a])."""
-    base, _imp, mode = _resolve(args)
+    base, _imp, _mode = _resolve(args)
     if args.x_range:
         xs = _parse_range(args.x_range)
         x_spec = args.x_range
@@ -381,7 +390,7 @@ def cmd_potential_profile(args) -> int:
     y = args.y_nm
     values = eval_potential(np.asarray(xs), y, base)
     rows = [(x, y, float(v)) for x, v in zip(xs, values)]
-    header = _provenance("potential-profile", args, base, mode, None, (
+    header = _provenance("potential-profile", args, base, None, None, (
         f"x_range_nm = {x_spec}",
         f"y_nm = {_fmt(y)}",
     ))
@@ -489,7 +498,7 @@ def cmd_validate(args) -> int:
             (params, imp),
             (dataclasses.replace(params, epsilon=-params.epsilon), Impurity(-imp.x_c, imp.y_c, imp.q)),
         ]))
-        H = assemble_matrix(res.hubbard, res.mode)
+        H = assemble_matrix(hubbard_parameters(params, imp))
         scale = float(np.max(np.abs(H)))
         d_t0 = float(np.max(np.abs(H @ T0_VECTOR - res.t0_energy * T0_VECTOR))) / scale
         resid = float(np.max(np.abs(H @ res.eigenvectors
@@ -598,22 +607,25 @@ def cmd_validate(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_common(p: argparse.ArgumentParser, impurity: bool = True) -> None:
-    """The flags of a CSV subcommand; --impurity and --charge-e only with impurity."""
+def _add_common(p: argparse.ArgumentParser, impurity: bool = True, mode: bool = True) -> None:
+    """The flags of a CSV subcommand; --impurity and --charge-e only with
+    impurity, --mode only with mode."""
     p.add_argument("--config", metavar="PATH",
                    help="'key = value' settings file ('#' comments)")
     p.add_argument("--out", metavar="PATH",
                    help="output CSV path (default: stdout)")
-    p.add_argument("--mode", choices=("paper", "full"), default="paper",
-                   help="4x4 assembly: nearest-neighbor hopping only (paper) "
-                        "or all two-body terms (full)")
+    if mode:
+        p.add_argument("--mode", choices=("paper", "full"), default="paper",
+                       help="4x4 assembly: nearest-neighbor hopping only (paper) "
+                            "or all two-body terms (full)")
     if impurity:
         p.add_argument("--impurity", metavar="X_NM,Y_NM",
                        help="impurity position in nm")
         p.add_argument("--charge-e", type=float, default=None, metavar="Q",
                        help="impurity charge in units of e")
     p.add_argument("--seed", type=int, default=0,
-                   help="seed for randomized self-checks")
+                   help="recorded in the header as 'seed = N'; only validate "
+                        "draws random numbers")
 
 
 def _add_matched_j(sub, name: str, help_text: str) -> None:
@@ -677,7 +689,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("potential-profile",
                        help="confinement potential along a horizontal cut")
-    _add_common(p, impurity=False)
+    _add_common(p, impurity=False, mode=False)
     p.add_argument("--x-range", metavar="LO:HI:STEP", help="x grid [nm]")
     p.add_argument("--y-nm", type=float, default=0.0, help="cut height [nm]")
     p.set_defaults(func=cmd_potential_profile)

@@ -277,8 +277,6 @@ class SpectrumResult:
     eigenvectors: np.ndarray     # columns
     J: float                     # E(T0) - E(lowest singlet), meV
     t0_energy: float             # Rayleigh quotient of the T0 vector
-    hubbard: HubbardParams
-    mode: AssemblyMode
 
 
 T0_VECTOR = np.array([0.0, 1.0, -1.0, 0.0]) / math.sqrt(2.0)
@@ -305,7 +303,7 @@ def solve_many(points, mode: AssemblyMode = AssemblyMode.PAPER) -> list:
     groups: dict[tuple, list[int]] = {}  # device fields -> indices of its points
     for i, (params, _) in enumerate(points):
         groups.setdefault((params.a, params.hbar_omega0, params.m_eff, params.eps_r), []).append(i)
-    built, hubbard, stacks = [], [], []  # indices, models and matrices of assembled points
+    built, stacks = [], []  # indices and matrices of assembled points
     for members in groups.values():
         device = dataclasses.replace(points[members[0]][0], epsilon=0.0, xi=0.0)
         try:
@@ -324,21 +322,18 @@ def solve_many(points, mode: AssemblyMode = AssemblyMode.PAPER) -> list:
         if not ok:
             continue
         try:
-            hp = _model(device, [points[i] for i in ok])
-            stacks.append(assemble_matrix(hp, mode))
+            stacks.append(assemble_matrix(_model(device, [points[i] for i in ok]), mode))
         except Exception as exc:  # the device's own failure
             for i in ok:
                 out[i] = exc
             continue
         built += ok
-        hubbard += _unstack(hp)
     if built:
         H = np.concatenate(stacks)
         bad = _asymmetric(H)
         for k in np.flatnonzero(bad):
             out[built[k]] = ValueError(_ASYMMETRIC)
         built = [i for i, skip in zip(built, bad) if not skip]
-        hubbard = [hp for hp, skip in zip(hubbard, bad) if not skip]
         H = H[~bad]
     if built:
         evals, evecs = jacobi_eigh(H)
@@ -346,12 +341,11 @@ def solve_many(points, mode: AssemblyMode = AssemblyMode.PAPER) -> list:
         # Per slice a (1, n) @ (n,) product: the same dot as T0 @ H @ T0 on
         # one matrix, which (K, n) @ (n,) is not, bit for bit.
         t0_energy = ((T0_VECTOR @ H)[:, None, :] @ T0_VECTOR)[:, 0]
-        for k, (i, hp) in enumerate(zip(built, hubbard)):
+        for k, i in enumerate(built):
             levels = evals[k].tolist()
             e_t0 = levels.pop(i_t0[k])
-            out[i] = SpectrumResult(
-                eigenvalues=evals[k], eigenvectors=evecs[k], J=e_t0 - min(levels),
-                t0_energy=float(t0_energy[k]), hubbard=hp, mode=mode)
+            out[i] = SpectrumResult(eigenvalues=evals[k], eigenvectors=evecs[k],
+                                    J=e_t0 - min(levels), t0_energy=float(t0_energy[k]))
     return out
 
 

@@ -86,15 +86,14 @@ def i0e(x):
 # Gaussian moment helpers (scalar)
 # --------------------------------------------------------------------------
 
-def _half_moments(m: float, v: float, kmax: int = 4) -> np.ndarray:
-    """I_k = int_0^inf x^k N(x; m, v) dx for k = 0..kmax."""
+def _half_moments(m: float, v: float) -> np.ndarray:
+    """I_k = int_0^inf x^k N(x; m, v) dx for k = 0..4."""
     sig = math.sqrt(v)
-    i = np.empty(kmax + 1)
+    i = np.empty(5)
     n0 = math.exp(-0.5 * m * m / v) / math.sqrt(2.0 * math.pi * v)
     i[0] = 0.5 * (1.0 + math.erf(m / (sig * math.sqrt(2.0))))
-    if kmax >= 1:
-        i[1] = m * i[0] + v * n0
-    for k in range(1, kmax):
+    i[1] = m * i[0] + v * n0
+    for k in range(1, 4):
         i[k + 1] = m * i[k] + k * v * i[k - 1]
     return i
 

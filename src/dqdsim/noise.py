@@ -25,8 +25,6 @@ class NoiseRecord:
     J_imp_ghz: float
     delta_J_ghz: float
     rel_noise: float
-    impurity: Impurity | None = None
-    error: str | None = None
 
     CSV_FIELDS = ("scheme", "control_mev", "J_clean_ghz", "J_imp_ghz",
                   "delta_J_ghz", "rel_noise")
@@ -70,7 +68,6 @@ def noise_records(controls, base: DeviceParams, imp: Impurity,
                 J_clean_ghz=j_clean, J_imp_ghz=j_imp,
                 delta_J_ghz=j_imp - j_clean,
                 rel_noise=(j_imp - j_clean) / j_clean,
-                impurity=imp,
             )
         except Exception as exc:  # the point's own failure
             out[i] = exc
@@ -368,9 +365,9 @@ def envelope_closed(sigma_ghz: float, t_ns: float) -> float:
     return math.exp(-2.0 * math.pi**2 * sigma_ghz**2 * t_ns**2)
 
 
-def envelope_numeric(j_ghz: float, sigma_ghz: float, t_ns: float, n: int = 80) -> float:
-    """|E exp(2 pi i J' t)| for J' ~ N(J, sigma^2) by Gauss-Hermite."""
-    u, w = hermgauss(n)
+def envelope_numeric(j_ghz: float, sigma_ghz: float, t_ns: float) -> float:
+    """|E exp(2 pi i J' t)| for J' ~ N(J, sigma^2) by 80-point Gauss-Hermite."""
+    u, w = hermgauss(80)
     phase = 2.0 * math.pi * (j_ghz + math.sqrt(2.0) * sigma_ghz * u) * t_ns
     val = np.sum(w * np.exp(1j * phase)) / math.sqrt(math.pi)
     return float(abs(val))
@@ -387,18 +384,10 @@ def t_star_ns(sigma_ghz: float) -> float:
 # ---------------------------------------------------------------------------
 
 def sweep(scheme: str, values, base: DeviceParams, imp: Impurity,
-          mode: AssemblyMode = AssemblyMode.PAPER) -> list[NoiseRecord]:
-    """One NoiseRecord per control value, in input order, from one stacked
-    solve; per-point errors are captured on the record instead of aborting
-    the sweep."""
-    values = [float(v) for v in values]
-    records = noise_records([(scheme, v) for v in values], base, imp, mode)
-    return [rec if isinstance(rec, NoiseRecord) else NoiseRecord(
-                scheme=scheme, control_mev=value,
-                J_clean_ghz=math.nan, J_imp_ghz=math.nan,
-                delta_J_ghz=math.nan, rel_noise=math.nan,
-                impurity=imp, error=f"{type(rec).__name__}: {rec}")
-            for value, rec in zip(values, records)]
+          mode: AssemblyMode = AssemblyMode.PAPER) -> list:
+    """noise_records over one scheme: the NoiseRecord of each control
+    value, in input order, or the exception that value raised."""
+    return noise_records([(scheme, float(v)) for v in values], base, imp, mode)
 
 
 # ---------------------------------------------------------------------------
@@ -406,8 +395,7 @@ def sweep(scheme: str, values, base: DeviceParams, imp: Impurity,
 # ---------------------------------------------------------------------------
 
 def sweet_spot_check(base: DeviceParams = DeviceParams(),
-                     mode: AssemblyMode = AssemblyMode.PAPER,
-                     h: float = 1e-3) -> tuple[float, float]:
+                     mode: AssemblyMode = AssemblyMode.PAPER) -> tuple[float, float]:
     """(dJ/d eps at eps = 0 [GHz/meV], truncation-error estimate) at the
     device's own barrier amplitude.
 
@@ -415,6 +403,7 @@ def sweet_spot_check(base: DeviceParams = DeviceParams(),
     extrapolation; the difference of the two estimates bounds the
     leading truncation term.
     """
+    h = 1e-3  # meV
     j_plus, j_minus, j_half_plus, j_half_minus = unwrap(_j_ghz(
         [(control_point("tilt", base, e), None) for e in (+h, -h, +h / 2, -h / 2)], mode))
     d1 = (j_plus - j_minus) / (2.0 * h)

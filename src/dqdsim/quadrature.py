@@ -16,8 +16,8 @@ integrated numerically:
   normalization), then the relative integral in polar form.
 
 Every oracle evaluates at two resolutions and reports the difference as
-its error estimate; `quadrature_oracle` flags (and by default raises)
-when the estimate exceeds the requested tolerance.
+its error estimate; `quadrature_oracle` raises OracleRefusal when the
+estimate exceeds the requested tolerance.
 """
 from __future__ import annotations
 
@@ -41,7 +41,6 @@ class OracleRefusal(RuntimeError):
 class OracleResult:
     value: float
     error_estimate: float
-    converged: bool
 
 
 # ---------------------------------------------------------------------------
@@ -179,46 +178,40 @@ def _coulomb_once(params, basis, i, j, k, l, n_rad, n_ang):
 # two-resolution wrappers
 # ---------------------------------------------------------------------------
 
-def _two_res(f, coarse, fine, floor):
+def _two_res(f, coarse, fine, floor) -> OracleResult:
     v1 = f(*coarse)
     v2 = f(*fine)
-    err = abs(v1 - v2) / max(abs(v2), floor)
-    return v2, err
+    return OracleResult(v2, abs(v1 - v2) / max(abs(v2), floor))
 
 
-def oracle_overlap(params, i, j, n=80):
+def oracle_overlap(params, i, j):
     basis = build_basis(params)
-    v, e = _two_res(lambda m: _overlap_once(basis, i, j, m), (n,), (n + n // 2,), 1e-12)
-    return OracleResult(v, e, e < 1e-9)
+    return _two_res(lambda m: _overlap_once(basis, i, j, m), (80,), (120,), 1e-12)
 
 
-def oracle_kinetic(params, i, j, n=80):
+def oracle_kinetic(params, i, j):
     basis = build_basis(params)
-    v, e = _two_res(lambda m: _kinetic_once(params, basis, i, j, m),
-                    (n,), (n + n // 2,), 1e-12 * params.hbar_omega0)
-    return OracleResult(v, e, e < 1e-9)
+    return _two_res(lambda m: _kinetic_once(params, basis, i, j, m),
+                    (80,), (120,), 1e-12 * params.hbar_omega0)
 
 
-def oracle_potential(params, i, j, n=150):
+def oracle_potential(params, i, j):
     basis = build_basis(params)
     floor = 1e-9 * max(params.hbar_omega0, abs(params.xi), 1e-3)
-    v, e = _two_res(lambda nx, ny: _potential_once(params, basis, i, j, nx, ny),
-                    (n, n), (n + n // 2, n + n // 2), floor)
-    return OracleResult(v, e, e < 1e-7)
+    return _two_res(lambda nx, ny: _potential_once(params, basis, i, j, nx, ny),
+                    (150, 150), (225, 225), floor)
 
 
-def oracle_impurity(params, i, j, imp, n_rad=180, n_ang=256):
+def oracle_impurity(params, i, j, imp):
     basis = build_basis(params)
-    v, e = _two_res(lambda nr, na: _impurity_once(params, basis, i, j, imp, nr, na),
-                    (n_rad, n_ang), (n_rad + n_rad // 2, n_ang + n_ang // 2), 1e-15)
-    return OracleResult(v, e, e < 1e-9)
+    return _two_res(lambda nr, na: _impurity_once(params, basis, i, j, imp, nr, na),
+                    (180, 256), (270, 384), 1e-15)
 
 
-def oracle_coulomb(params, i, j, k, l, n_rad=180, n_ang=256):
+def oracle_coulomb(params, i, j, k, l):
     basis = build_basis(params)
-    v, e = _two_res(lambda nr, na: _coulomb_once(params, basis, i, j, k, l, nr, na),
-                    (n_rad, n_ang), (n_rad + n_rad // 2, n_ang + n_ang // 2), 1e-15)
-    return OracleResult(v, e, e < 1e-9)
+    return _two_res(lambda nr, na: _coulomb_once(params, basis, i, j, k, l, nr, na),
+                    (180, 256), (270, 384), 1e-15)
 
 
 _DISPATCH = {
@@ -231,7 +224,7 @@ _DISPATCH = {
 
 
 def quadrature_oracle(element_spec: tuple, params: DeviceParams,
-                      rtol: float = 1e-7, **kw) -> OracleResult:
+                      rtol: float = 1e-7) -> OracleResult:
     """Evaluate one element spec, e.g. ("coulomb", 0, 1, 1, 0) or
     ("impurity", 0, 0, imp).  Raises OracleRefusal if the two-resolution
     error estimate exceeds rtol."""
@@ -240,7 +233,7 @@ def quadrature_oracle(element_spec: tuple, params: DeviceParams,
         fn = _DISPATCH[kind]
     except KeyError:
         raise ValueError(f"unknown element kind {kind!r}") from None
-    res = fn(params, *args, **kw)
+    res = fn(params, *args)
     if res.error_estimate > rtol:
         raise OracleRefusal(
             f"{element_spec}: error estimate {res.error_estimate:.3e} exceeds rtol {rtol:.1e}")

@@ -90,6 +90,8 @@ def test_csv_header_and_provenance(invocation, header, tmp_path):
     assert f"# dqdsim {__version__}" in text
     assert f"# subcommand = {invocation[0]}" in text
     assert "# seed = 0" in text
+    # The potential does not depend on the 4x4 assembly.
+    assert ("# mode = paper" in text) == (invocation[0] != "potential-profile")
 
 
 def test_writes_to_stdout_without_out_flag():
@@ -193,6 +195,22 @@ class TestFlags:
                      "--impurity=nan,300"]) == 2
         assert "impurity x_c must be finite" in capsys.readouterr().err
 
+    def test_charge_without_an_impurity_is_rejected(self, monkeypatch, tmp_path, capsys):
+        charged = tmp_path / "charged.csv"
+        assert main(["spectrum", "--eps-range", "0:0.1:0.1", "--impurity=-450,300",
+                     "--charge-e", "-0.5", "--out", str(charged)]) == 0
+        assert "# impurity.charge_e = -0.5" in charged.read_text()
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved before the flags were checked")
+        monkeypatch.setattr(cli, "solve_many", no_solve)
+        out = tmp_path / "out.csv"
+        assert main(["spectrum", "--eps-range", "0:0.1:0.1", "--charge-e", "-0.5",
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "--charge-e" in err and "no impurity to charge" in err
+        assert not out.exists()
+
     def test_seed_lands_in_header(self, tmp_path):
         out = tmp_path / "out.csv"
         run_cli("spectrum", "--eps-range", "0:0.1:0.1", "--seed", "7",
@@ -268,6 +286,34 @@ class TestFlags:
                 failed += 1
         assert failed == len(expected)
 
+    # A control value that fails writes a NaN row and one stderr line; every
+    # other row is that of a run without the failure.
+    @pytest.mark.parametrize("command,flag,spec,scheme", [
+        ("exchange-tilt", "--eps-range", "0:0.2:0.1", "tilt"),
+        ("exchange-barrier", "--xi-range", "0.9:1.1:0.1", "barrier"),
+    ])
+    def test_a_failing_control_fails_only_its_row(self, command, flag, spec, scheme,
+                                                  monkeypatch, tmp_path, capsys):
+        whole, cut = tmp_path / "whole.csv", tmp_path / "cut.csv"
+        assert main([command, flag, spec, "--out", str(whole)]) == 0
+        bad = cli._parse_range(spec)[1]
+        real = noise.control_point
+
+        def failing(scheme_, params, value):
+            if value == bad:
+                raise ValueError("no device at this control")
+            return real(scheme_, params, value)
+        monkeypatch.setattr(noise, "control_point", failing)
+        capsys.readouterr()
+        assert main([command, flag, spec, "--out", str(cut)]) == 2
+        assert capsys.readouterr().err == (
+            f"dqdsim: error at {scheme} control {cli._fmt(bad)} meV: "
+            "ValueError: no device at this control\n")
+        rows = data_rows(whole.read_text())
+        assert rows[2].startswith(f"{scheme},{cli._fmt(bad)},")
+        rows[2] = f"{scheme},{cli._fmt(bad)},nan,nan,nan,nan"
+        assert data_rows(cut.read_text()) == rows
+
     # impurity-scan checks its target and its radii before any calibration.
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("flags,message", [
@@ -302,9 +348,10 @@ class TestFlags:
         ("impurity-scan", "--radii", "6", "--impurity=-450,300", "--out", "out.csv"),
         ("potential-profile", "--impurity=-450,300", "--out", "out.csv"),
         ("potential-profile", "--charge-e", "-0.5", "--out", "out.csv"),
+        ("potential-profile", "--mode", "full", "--out", "out.csv"),
     ], ids=["validate --config", "validate --out", "validate --mode", "validate --impurity",
             "validate --charge-e", "impurity-scan --impurity", "potential-profile --impurity",
-            "potential-profile --charge-e"])
+            "potential-profile --charge-e", "potential-profile --mode"])
     def test_unread_flags_are_rejected(self, argv, monkeypatch, tmp_path, capsys):
         monkeypatch.chdir(tmp_path)
         with pytest.raises(SystemExit) as exit_:

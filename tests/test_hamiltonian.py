@@ -391,7 +391,6 @@ class TestSolveMany:
             assert same_bits((res.eigenvalues, res.eigenvectors), (evals, evecs))
             assert res.J == float(evals[i]) - float(np.min(np.delete(evals, i)))
             assert res.t0_energy == float(T0_VECTOR @ H @ T0_VECTOR)
-            assert res.hubbard == hp and res.mode == mode
 
     def test_a_failing_point_fails_alone(self, monkeypatch):
         # A NaN and an asymmetric matrix among good ones, plus a bad device.
@@ -461,20 +460,26 @@ class TestStackedModel:
         # One assembly per device, each row the matrix of its own model.
         assert len(calls) == len({dataclasses.replace(p, epsilon=0.0, xi=0.0)
                                   for p, _ in points})
-        matrices = {}
-        for hp, H in calls:
+        built = {}  # each point's model, as stacked, with its matrix
+        for stacked, H in calls:
             assert H.shape == (len(H), 4, 4)
-            for one, row in zip(hamiltonian._unstack(hp), H):
-                matrices.setdefault(one, []).append(row)
+            for one, row in zip(hamiltonian._unstack(stacked), H):
+                built.setdefault(one, []).append((one, row))
         for (params, imp), res in zip(points, results):
             alone = solve(params, imp, mode)
             hp = hubbard_parameters(params, imp)
-            assert res.hubbard == alone.hubbard == hp
-            assert same_bits(dataclasses.astuple(res.hubbard), dataclasses.astuple(hp))
             H = assemble_matrix(hp, mode)
-            assert all(same_bits(row, H) for row in matrices[res.hubbard])
+            assert all(same_bits(dataclasses.astuple(one), dataclasses.astuple(hp))
+                       and same_bits(row, H) for one, row in built[hp])
             assert same_bits((res.eigenvalues, res.eigenvectors, res.J, res.t0_energy),
                              (alone.eigenvalues, alone.eigenvectors, alone.J, alone.t0_energy))
+
+    def test_no_model_is_built_per_point(self, impurity, monkeypatch):
+        def per_point(hp):
+            raise AssertionError("a model was built per point")
+        monkeypatch.setattr(hamiltonian, "_unstack", per_point)
+        points = [(DeviceParams(epsilon=e), imp) for e in (0.0, 0.3) for imp in (None, impurity)]
+        assert not [res for res in solve_many(points) if isinstance(res, Exception)]
 
     @pytest.mark.parametrize("field,value,message", [
         ("m_eff", -0.067, "m_eff must be positive and finite, got -0.067"),
@@ -488,13 +493,17 @@ class TestStackedModel:
         with pytest.raises(ValueError) as lone:
             solve(*bad)
         assert str(lone.value) == message
-        results = solve_many([good[0], good[1], bad, good[2], good[3]])
+        calls = []
+        with recording_assembly(calls):
+            results = solve_many([good[0], good[1], bad, good[2], good[3]])
         assert isinstance(results[2], ValueError) and str(results[2]) == message
+        # Only the good points are built, each as its own model.
+        ((stacked, _),) = calls
+        assert hamiltonian._unstack(stacked) == [hubbard_parameters(*point) for point in good]
         for (params, imp), res in zip(good, results[:2] + results[3:]):
             alone = solve(params, imp)
-            assert res.hubbard == alone.hubbard
-            assert same_bits((res.eigenvalues, res.eigenvectors),
-                             (alone.eigenvalues, alone.eigenvectors))
+            assert same_bits((res.eigenvalues, res.eigenvectors, res.J, res.t0_energy),
+                             (alone.eigenvalues, alone.eigenvectors, alone.J, alone.t0_energy))
 
 
 class TestSolve:
@@ -505,7 +514,7 @@ class TestSolve:
         np.testing.assert_allclose(res.eigenvalues, PAPER_EVALS, rtol=1e-12)
         # Clean, untilted: the decoupled state sits exactly at U12.
         assert res.t0_energy == pytest.approx(U_12, rel=1e-14)
-        assert res.mode == AssemblyMode.PAPER
+        assert res.J == solve(params, mode=AssemblyMode.PAPER).J  # the default mode
 
     def test_default_exchange_full_mode(self, params):
         res = solve(params, mode=AssemblyMode.FULL)

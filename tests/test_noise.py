@@ -106,8 +106,7 @@ class TestDeltaJ:
         assert rec.scheme == "tilt" and rec.control_mev == 0.45
         assert rec.delta_J_ghz == pytest.approx(rec.J_imp_ghz - rec.J_clean_ghz)
         assert rec.rel_noise == pytest.approx(rec.delta_J_ghz / rec.J_clean_ghz)
-        assert rec.impurity == impurity
-        assert rec.error is None
+        assert tuple(f.name for f in dataclasses.fields(rec)) == NoiseRecord.CSV_FIELDS
 
     def test_neutral_charge_gives_exact_zero(self, params):
         rec = delta_J("tilt", 0.3, params, Impurity(-600.0, 600.0, q=0.0))
@@ -415,14 +414,14 @@ class TestSweep:
         bad = DeviceParams(m_eff=-0.067)
         recs = sweep("tilt", [0.0, 0.2], bad, impurity)
         for r in recs:
-            assert math.isnan(r.J_clean_ghz) and math.isnan(r.rel_noise)
-            assert "m_eff" in r.error
+            assert isinstance(r, ValueError)
+            assert str(r) == "m_eff must be positive and finite, got -0.067"
 
     def test_captures_nonfinite_controls_per_point(self, params, impurity):
         recs = sweep("barrier", [0.9, math.nan], params, impurity)
-        assert recs[0].error is None and math.isfinite(recs[0].rel_noise)
-        assert math.isnan(recs[1].rel_noise)
-        assert "xi must be finite" in recs[1].error
+        assert isinstance(recs[0], NoiseRecord) and math.isfinite(recs[0].rel_noise)
+        assert isinstance(recs[1], ValueError)
+        assert str(recs[1]) == "xi must be finite, got nan"
 
     @pytest.mark.parametrize("field,value", [
         ("a", math.nan), ("hbar_omega0", math.inf), ("eps_r", math.nan)])
@@ -430,5 +429,5 @@ class TestSweep:
         bad = dataclasses.replace(DeviceParams(), **{field: value})
         recs = sweep("tilt", [0.0, 0.2], bad, impurity)
         for r in recs:
-            assert math.isnan(r.rel_noise)
-            assert r.error.startswith(f"ValueError: {field} must be positive and finite")
+            assert isinstance(r, ValueError)
+            assert str(r).startswith(f"{field} must be positive and finite")
