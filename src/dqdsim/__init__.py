@@ -45,12 +45,6 @@ from .integrals import (
     kinetic_element,
     potential_element,
 )
-from .quadrature import (
-    OracleRefusal,
-    OracleResult,
-    oracle_overlap,
-    quadrature_oracle,
-)
 from .hamiltonian import (
     AssemblyMode,
     HubbardParams,
@@ -92,6 +86,18 @@ from .noise import (
 )
 
 __version__ = "0.1.0"
+
+# The oracle's names, imported on first use: only `dqdsim validate` and the
+# tests need them, and `quadrature` with numpy.polynomial would otherwise be
+# the larger part of the package's own import time.
+_QUADRATURE_NAMES = ("OracleRefusal", "OracleResult", "oracle_overlap", "quadrature_oracle")
+
+
+def __getattr__(name):
+    if name in _QUADRATURE_NAMES:
+        from . import quadrature
+        return getattr(quadrature, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
     "AssemblyMode",

@@ -33,9 +33,9 @@ from .hamiltonian import (
     hubbard_from_tables,
     hubbard_parameters,
     solve_many,
+    solve_stack,
     unwrap,
 )
-from .crosscheck import oracle_comparisons, sample_device
 from .integrals import build_tables, i0e
 from .model import (
     MEV_TO_GHZ,
@@ -43,6 +43,7 @@ from .model import (
     Impurity,
     config_to_objects,
     control_point,
+    control_values,
     derive_constants,
     read_config,
     validate_params,
@@ -65,7 +66,6 @@ from .noise import (
 )
 from .orbitals import build_basis, overlap_matrix
 from .potential import constraint_report, eval_potential
-from .quadrature import OracleRefusal
 
 # ---------------------------------------------------------------------------
 # formatting / output helpers
@@ -73,12 +73,9 @@ from .quadrature import OracleRefusal
 
 
 def _fmt(v) -> str:
-    """Stable scalar formatting: floats as %.12g, everything else via str."""
+    """Stable scalar formatting: floats as %.12g (nan, inf, -inf included),
+    everything else via str."""
     if isinstance(v, float):
-        if math.isnan(v):
-            return "nan"
-        if math.isinf(v):
-            return "inf" if v > 0 else "-inf"
         return f"{v:.12g}"
     return str(v)
 
@@ -168,7 +165,12 @@ def _resolve(args, *, default_impurity_wanted: bool = False):
     base = DeviceParams()
     imp: Impurity | None = None
     if args.config:
-        base, imp = config_to_objects(read_config(args.config))
+        cfg = read_config(args.config)
+        base, imp = config_to_objects(cfg)
+        ignored = sorted(key for key in cfg if key.startswith("impurity."))
+        if ignored and "impurity" not in args:  # the subcommand places no impurity
+            raise ValueError(f"{args.config}: {args.subcommand} takes no impurity from "
+                             f"a config file, but it sets {', '.join(ignored)}")
     if imp is None and default_impurity_wanted:
         imp = default_impurity(base)
     if "impurity" in args:  # the subcommand takes --impurity and --charge-e
@@ -194,6 +196,15 @@ def _sweep_rows(scheme: str, values: list[float], base: DeviceParams, imp: Impur
     return rows
 
 
+def _solved(base: DeviceParams, epsilon, xi, rows, impurities, mode: AssemblyMode):
+    """The eigenvalues and J [meV] of every point of one solve_stack,
+    raising the first failure among them."""
+    failed, _, evals, _, J = solve_stack(base, epsilon, xi, rows, impurities, mode)
+    if failed:
+        raise failed[min(failed)]
+    return evals, J
+
+
 def _report(failures: list[str]) -> int:
     """Print the per-point failure lines to stderr; 2 if any, else 0."""
     for msg in failures:
@@ -215,10 +226,11 @@ def cmd_spectrum(args) -> int:
     eps_values = _parse_range(args.eps_range or "0:1:0.01")
     xi_values = _parse_range(args.xi_range) if args.xi_range else [1.3, 1.0]
     grid = [(eps, xi) for xi in xi_values for eps in eps_values]
-    results = unwrap(solve_many(
-        [(dataclasses.replace(base, epsilon=eps, xi=xi), imp) for eps, xi in grid], mode))
-    rows = [(eps, xi, float(res.eigenvalues[0]), float(res.eigenvalues[1]),
-             res.J, res.J * MEV_TO_GHZ) for (eps, xi), res in zip(grid, results)]
+    epsilon, xi = np.array(grid).T
+    evals, J = _solved(base, epsilon, xi, None if imp is None else np.ones(len(grid), int),
+                       [] if imp is None else [imp], mode)
+    rows = [(eps, xi, e0, e1, j, j * MEV_TO_GHZ)
+            for (eps, xi), (e0, e1), j in zip(grid, evals[:, :2].tolist(), J.tolist())]
     header = _provenance("spectrum", args, base, mode, imp, (
         f"eps_range = {args.eps_range or '0:1:0.01'}",
         f"xi_values = {','.join(_fmt(x) for x in xi_values)}",
@@ -249,12 +261,15 @@ def cmd_exchange_barrier(args) -> int:
     """
     base, imp, mode = _resolve(args, default_impurity_wanted=True)
     main_spec = args.xi_range or "0.5:1.3:0.01"
-    failures: list[str] = []
-    rows: list = _sweep_rows("barrier", _parse_range(main_spec), base, imp, mode, failures)
+    zoom_spec = "0.5:0.6:0.002"
+    values = _parse_range(main_spec)
+    n_main = len(values)
     if not args.xi_range:
-        zoom_spec = "0.5:0.6:0.002"
-        rows.append(f"zoom xi_range = {zoom_spec}")
-        rows += _sweep_rows("barrier", _parse_range(zoom_spec), base, imp, mode, failures)
+        values += _parse_range(zoom_spec)
+    failures: list[str] = []
+    rows: list = _sweep_rows("barrier", values, base, imp, mode, failures)
+    if not args.xi_range:
+        rows.insert(n_main, f"zoom xi_range = {zoom_spec}")
     header = _provenance("exchange-barrier", args, base, mode, imp, (
         f"xi_range = {main_spec}",
     ))
@@ -357,11 +372,12 @@ def cmd_impurity_scan(args) -> int:
                   for name, (ux, uy) in _SCAN_DIRECTIONS.items() for r_over_a in radii]
     # One stacked solve: the clean J of both operating points, which does not
     # depend on the impurity, then each impurity at both.
-    points = (control_point("tilt", base, eps_star), control_point("barrier", base, xi_star))
-    results = unwrap(solve_many([(p, None) for p in points]
-                                + [(p, imp) for _, _, imp in impurities for p in points], mode))
-    j_clean = [res.J * MEV_TO_GHZ for res in results[:2]]
-    j_imp = [res.J * MEV_TO_GHZ for res in results[2:]]
+    settings = [control_values("tilt", base, eps_star), control_values("barrier", base, xi_star)]
+    epsilon, xi = np.array(settings * (1 + len(impurities))).T
+    _, J = _solved(base, epsilon, xi, np.arange(1 + len(impurities)).repeat(2),
+                   [imp for _, _, imp in impurities], mode)
+    js = (J * MEV_TO_GHZ).tolist()
+    j_clean, j_imp = js[:2], js[2:]
     rows = []
     for k, (name, r_over_a, _) in enumerate(impurities):
         rel_t, rel_b = ((j - j0) / j0 for j, j0 in zip(j_imp[2 * k:2 * k + 2], j_clean))
@@ -405,6 +421,8 @@ def cmd_potential_profile(args) -> int:
 
 def _check_elements_vs_oracle(rng: np.random.Generator, n_sets: int):
     """Worst relative disagreement between closed forms and quadrature."""
+    from .crosscheck import oracle_comparisons
+
     params, kind, idx, _closed, _oracle, rel = max(oracle_comparisons(rng, n_sets),
                                                    key=lambda c: c[-1])
     a_over_aB = params.a / derive_constants(params).fock_darwin_radius
@@ -413,6 +431,10 @@ def _check_elements_vs_oracle(rng: np.random.Generator, n_sets: int):
 
 def cmd_validate(args) -> int:
     """Run the built-in cross-check suite; exit 1 if any check fails."""
+    # Only validate needs the oracle's modules, which are slow to import.
+    from .crosscheck import sample_device
+    from .quadrature import OracleRefusal
+
     quick = args.quick
     rng = np.random.default_rng(args.seed)
     checks: list[tuple[str, bool, str]] = []
@@ -628,9 +650,28 @@ def _add_common(p: argparse.ArgumentParser, impurity: bool = True, mode: bool = 
                         "draws random numbers")
 
 
-def _add_matched_j(sub, name: str, help_text: str) -> None:
+def _spectrum_flags(p: argparse.ArgumentParser) -> None:
+    _add_common(p)
+    p.add_argument("--eps-range", metavar="LO:HI:STEP", help="detuning grid [meV]")
+    p.add_argument("--xi-range", metavar="LO:HI:STEP",
+                   help="barrier amplitudes [meV] (default: 1.3 and 1.0)")
+    p.set_defaults(func=cmd_spectrum)
+
+
+def _exchange_tilt_flags(p: argparse.ArgumentParser) -> None:
+    _add_common(p)
+    p.add_argument("--eps-range", metavar="LO:HI:STEP", help="detuning grid [meV]")
+    p.set_defaults(func=cmd_exchange_tilt)
+
+
+def _exchange_barrier_flags(p: argparse.ArgumentParser) -> None:
+    _add_common(p)
+    p.add_argument("--xi-range", metavar="LO:HI:STEP", help="barrier grid [meV]")
+    p.set_defaults(func=cmd_exchange_barrier)
+
+
+def _matched_j_flags(p: argparse.ArgumentParser) -> None:
     """A subcommand run by cmd_noise_compare."""
-    p = sub.add_parser(name, help=help_text)
     _add_common(p)
     p.add_argument("--points", type=int, default=25, help="matched-J grid size")
     p.add_argument("--j-max", type=float, default=1.0, metavar="GHZ",
@@ -638,44 +679,13 @@ def _add_matched_j(sub, name: str, help_text: str) -> None:
     p.set_defaults(func=cmd_noise_compare)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="dqdsim",
-        description="Exchange interaction and charge-noise simulator for a "
-                    "two-electron double quantum dot.")
-    parser.add_argument("--version", action="version",
-                        version=f"dqdsim {__version__}")
-    sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    p = sub.add_parser("spectrum",
-                       help="lowest singlet/triplet levels vs detuning")
-    _add_common(p)
-    p.add_argument("--eps-range", metavar="LO:HI:STEP", help="detuning grid [meV]")
-    p.add_argument("--xi-range", metavar="LO:HI:STEP",
-                   help="barrier amplitudes [meV] (default: 1.3 and 1.0)")
-    p.set_defaults(func=cmd_spectrum)
-
-    p = sub.add_parser("exchange-tilt",
-                       help="J and impurity noise vs detuning")
-    _add_common(p)
-    p.add_argument("--eps-range", metavar="LO:HI:STEP", help="detuning grid [meV]")
-    p.set_defaults(func=cmd_exchange_tilt)
-
-    p = sub.add_parser("exchange-barrier",
-                       help="J and impurity noise vs barrier amplitude")
-    _add_common(p)
-    p.add_argument("--xi-range", metavar="LO:HI:STEP", help="barrier grid [meV]")
-    p.set_defaults(func=cmd_exchange_barrier)
-
-    _add_matched_j(sub, "noise-compare", "tilt vs barrier noise at matched J, with chi")
-
-    p = sub.add_parser("qfactor", help="oscillation quality factor vs J")
+def _qfactor_flags(p: argparse.ArgumentParser) -> None:
     _add_common(p)
     p.add_argument("--j-range", metavar="LO:HI:STEP", help="J grid [GHz]")
     p.set_defaults(func=cmd_qfactor)
 
-    p = sub.add_parser("impurity-scan",
-                       help="noise vs impurity distance along three directions")
+
+def _impurity_scan_flags(p: argparse.ArgumentParser) -> None:
     _add_common(p, impurity=False)
     p.add_argument("--charge-e", type=float, default=None, metavar="Q",
                    help="charge of each scanned impurity in units of e (default: -1)")
@@ -685,16 +695,15 @@ def build_parser() -> argparse.ArgumentParser:
                    help="impurity distances in units of a")
     p.set_defaults(func=cmd_impurity_scan)
 
-    _add_matched_j(sub, "near-impurity", "matched-J comparison for a weak nearby charge")
 
-    p = sub.add_parser("potential-profile",
-                       help="confinement potential along a horizontal cut")
+def _potential_profile_flags(p: argparse.ArgumentParser) -> None:
     _add_common(p, impurity=False, mode=False)
     p.add_argument("--x-range", metavar="LO:HI:STEP", help="x grid [nm]")
     p.add_argument("--y-nm", type=float, default=0.0, help="cut height [nm]")
     p.set_defaults(func=cmd_potential_profile)
 
-    p = sub.add_parser("validate", help="run the built-in cross-check suite")
+
+def _validate_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=0,
                    help="seed for randomized self-checks")
     p.add_argument("--quick", action="store_true",
@@ -704,14 +713,60 @@ def build_parser() -> argparse.ArgumentParser:
                         "confirm the element cross-check fails")
     p.set_defaults(func=cmd_validate)
 
+
+# Each subcommand's help line and the function that adds its flags, in the
+# order of the help listing.
+_SUBCOMMANDS = {
+    "spectrum": ("lowest singlet/triplet levels vs detuning", _spectrum_flags),
+    "exchange-tilt": ("J and impurity noise vs detuning", _exchange_tilt_flags),
+    "exchange-barrier": ("J and impurity noise vs barrier amplitude", _exchange_barrier_flags),
+    "noise-compare": ("tilt vs barrier noise at matched J, with chi", _matched_j_flags),
+    "qfactor": ("oscillation quality factor vs J", _qfactor_flags),
+    "impurity-scan": ("noise vs impurity distance along three directions",
+                      _impurity_scan_flags),
+    "near-impurity": ("matched-J comparison for a weak nearby charge", _matched_j_flags),
+    "potential-profile": ("confinement potential along a horizontal cut",
+                          _potential_profile_flags),
+    "validate": ("run the built-in cross-check suite", _validate_flags),
+}
+
+
+def _parser(names) -> argparse.ArgumentParser:
+    """The parser with the subparsers of the named subcommands.  Its usage
+    line, which an unrecognized-arguments error prints, lists every
+    subcommand either way (the full parser lists them by itself; a metavar
+    on it would rename the argument in its own error messages)."""
+    parser = argparse.ArgumentParser(
+        prog="dqdsim",
+        description="Exchange interaction and charge-noise simulator for a "
+                    "two-electron double quantum dot.")
+    parser.add_argument("--version", action="version",
+                        version=f"dqdsim {__version__}")
+    sub = parser.add_subparsers(dest="subcommand", required=True)
+    for name in names:
+        help_text, add_flags = _SUBCOMMANDS[name]
+        add_flags(sub.add_parser(name, help=help_text))
+    if len(names) < len(_SUBCOMMANDS):
+        sub.metavar = "{" + ",".join(_SUBCOMMANDS) + "}"
     return parser
 
 
+def build_parser() -> argparse.ArgumentParser:
+    return _parser(list(_SUBCOMMANDS))
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # Only the invoked subcommand's parser is built; -h, --version and an
+    # unknown command need all of them.
+    invoked = argv[:1] if argv and argv[0] in _SUBCOMMANDS else list(_SUBCOMMANDS)
+    args = _parser(invoked).parse_args(argv)
     try:
         return args.func(args)
-    except (CalibrationError, OracleRefusal, ValueError, OSError) as exc:
+    except Exception as exc:
+        from .quadrature import OracleRefusal  # only validate runs the oracle
+        if not isinstance(exc, (CalibrationError, OracleRefusal, ValueError, OSError)):
+            raise
         print(f"dqdsim: error: {exc}", file=sys.stderr)
         return 2
 

@@ -132,29 +132,28 @@ def _device(params: DeviceParams):
     return basis, tables, bump, _two_body(basis.M, tables.coulomb)
 
 
-def _model(device: DeviceParams, points) -> HubbardParams:
-    """The model at each (params, imp) point of one device, stacked: the
-    device's tables at epsilon = xi = 0 plus params.xi times the bump, plus
-    the impurity's matrix, built once for each distinct impurity."""
+def _model(device: DeviceParams, epsilon: np.ndarray, xi: np.ndarray, rows: np.ndarray,
+           impurities) -> HubbardParams:
+    """The model at each (epsilon, xi) point of one device, stacked: the
+    device's tables at epsilon = xi = 0 plus xi times the bump, plus the
+    impurity of the point's row (0: none, k: impurities[k - 1]), whose
+    matrix is built once for each impurity."""
     basis, tables, bump, two_body = _device(device)
-    xi = np.array([params.xi for params, _ in points])
     one_body = tables.kinetic + (tables.confinement + xi[:, None, None] * bump)
-    imps = list(dict.fromkeys(imp for _, imp in points if imp is not None))
     W = None
-    if imps:
+    if impurities:
         # Row 0 is the zero matrix of a point without an impurity.
-        table = np.concatenate([np.zeros((1, 2, 2)), impurity_table(imps, device)])
-        row = {imp: k for k, imp in enumerate(imps, 1)}
-        W = table[[row.get(imp, 0) for _, imp in points]]
-    return _hubbard(basis.M, one_body, np.array([params.mu1 for params, _ in points]),
-                    np.array([params.mu2 for params, _ in points]), W, two_body)
+        W = np.concatenate([np.zeros((1, 2, 2)), impurity_table(impurities, device)])[rows]
+    return _hubbard(basis.M, one_body, -0.5 * epsilon, 0.5 * epsilon, W, two_body)
 
 
 def hubbard_parameters(params: DeviceParams, imp: Impurity | None = None) -> HubbardParams:
     """The model at one control point: the device's tables at epsilon = 0
     plus params.xi times the bump, plus the impurity elements."""
     derive_constants(params)  # names a bad device field, then a non-finite control
-    (hp,) = _unstack(_model(dataclasses.replace(params, epsilon=0.0, xi=0.0), [(params, imp)]))
+    (hp,) = _unstack(_model(dataclasses.replace(params, epsilon=0.0, xi=0.0),
+                            np.array([params.epsilon]), np.array([params.xi]),
+                            np.array([0 if imp is None else 1]), [] if imp is None else [imp]))
     return hp
 
 
@@ -237,8 +236,8 @@ def jacobi_eigh(A: np.ndarray):
         if done.any():
             A[live[done]], V[live[done]] = a[done], v[done]
             live, a, v, limit = live[~done], a[~done], v[~done], limit[~done]
-            if not live.size:
-                break
+        if not live.size:
+            break
         for p, q in pairs:
             apq = a[:, p, q]
             on = ~(np.abs(apq) <= 1e-300)
@@ -282,70 +281,87 @@ class SpectrumResult:
 T0_VECTOR = np.array([0.0, 1.0, -1.0, 0.0]) / math.sqrt(2.0)
 
 
-def solve_many(points, mode: AssemblyMode = AssemblyMode.PAPER) -> list:
-    """Assemble the model at each (params, imp) point and diagonalize all
-    of them in one stacked eigensolve.
+def solve_stack(device: DeviceParams, epsilon, xi, rows=None, impurities=(),
+                mode: AssemblyMode = AssemblyMode.PAPER):
+    """Diagonalize the model at arrays of detuning and barrier amplitude on
+    one device (its own controls play no part) in one stacked eigensolve.
 
-    The model is built per device, as arrays over its points: the device
-    is checked once (a bad device field fails each of its points), then
-    each point's controls, and the points that pass are assembled in one
-    array pass, with each distinct impurity's matrix built once.
+    rows[k] is point k's impurity: 0 for none, j for impurities[j - 1]; no
+    point has one without rows.  The device is checked first and raises its
+    own failure (a bad device field).  Returns (failed, H, evals, evecs, J):
+    failed maps the index of each point that failed to its exception (a
+    non-finite control, a matrix that is not symmetric, ...), and the arrays
+    hold the matrices, eigenpairs and J [meV] of the other points, in
+    order.  J is the signed singlet-triplet splitting E(T0) - E(S): the T0
+    vector is an exact eigenvector of every assembly (its eigenpair is
+    found by overlap), and E(S) is the lowest remaining level.  A negative
+    J means the triplet has dropped below the singlet.
+    """
+    device = dataclasses.replace(device, epsilon=0.0, xi=0.0)
+    derive_constants(device)
+    epsilon, xi = np.asarray(epsilon, dtype=float), np.asarray(xi, dtype=float)
+    rows = np.zeros(len(epsilon), dtype=int) if rows is None else np.asarray(rows, dtype=int)
+    finite = np.isfinite(epsilon) & np.isfinite(xi)
+    failed: dict[int, Exception] = {}
+    for i in np.flatnonzero(~finite).tolist():
+        try:
+            check_controls(float(epsilon[i]), float(xi[i]))
+        except ValueError as exc:  # names the non-finite control
+            failed[i] = exc
+    built = np.flatnonzero(finite)
+    try:
+        H = assemble_matrix(_model(device, epsilon[built], xi[built], rows[built], impurities),
+                            mode)
+    except Exception as exc:  # the device's own failure, at each point built
+        failed.update(dict.fromkeys(built.tolist(), exc))
+        H = np.empty((0, 4, 4))
+    try:
+        evals, evecs = jacobi_eigh(H)  # checks each matrix's symmetry
+    except ValueError:  # a matrix that is not symmetric fails alone
+        symmetric = ~_asymmetric(H)
+        failed.update((i, ValueError(_ASYMMETRIC)) for i in built[~symmetric].tolist())
+        H = H[symmetric]
+        evals, evecs = jacobi_eigh(H)
+    i_t0 = np.argmax(np.abs(T0_VECTOR @ evecs), axis=-1)
+    at_t0 = np.arange(evals.shape[-1]) == i_t0[:, None]
+    J = evals[at_t0] - np.where(at_t0, np.inf, evals).min(axis=-1)
+    return failed, H, evals, evecs, J
+
+
+def solve_many(points, mode: AssemblyMode = AssemblyMode.PAPER) -> list:
+    """Assemble the model at each (params, imp) point and diagonalize the
+    points of each device in one solve_stack.
 
     Each entry of the result is the point's SpectrumResult, or the
     exception that point raised (a bad device or control, a matrix that is
-    not symmetric, ...); a failing point never stops the others.  J is the
-    signed singlet-triplet splitting E(T0) - E(S): the T0 vector is an
-    exact eigenvector of every assembly (its eigenpair is found by
-    overlap), and E(S) is the lowest remaining level.  A negative J means
-    the triplet has dropped below the singlet.
+    not symmetric, ...); a failing point never stops the others.
     """
     out: list = [None] * len(points)
     groups: dict[tuple, list[int]] = {}  # device fields -> indices of its points
     for i, (params, _) in enumerate(points):
         groups.setdefault((params.a, params.hbar_omega0, params.m_eff, params.eps_r), []).append(i)
-    built, stacks = [], []  # indices and matrices of assembled points
     for members in groups.values():
-        device = dataclasses.replace(points[members[0]][0], epsilon=0.0, xi=0.0)
+        imps = list(dict.fromkeys(points[i][1] for i in members if points[i][1] is not None))
+        row = {imp: k for k, imp in enumerate(imps, 1)}
         try:
-            derive_constants(device)
+            failed, H, evals, evecs, J = solve_stack(
+                points[members[0]][0], [points[i][0].epsilon for i in members],
+                [points[i][0].xi for i in members],
+                [row.get(points[i][1], 0) for i in members], imps, mode)
         except Exception as exc:  # the device's own failure
             for i in members:
                 out[i] = exc
             continue
-        ok = []
-        for i in members:
-            try:
-                check_controls(points[i][0])
-                ok.append(i)
-            except Exception as exc:  # the point's own failure
-                out[i] = exc
-        if not ok:
-            continue
-        try:
-            stacks.append(assemble_matrix(_model(device, [points[i] for i in ok]), mode))
-        except Exception as exc:  # the device's own failure
-            for i in ok:
-                out[i] = exc
-            continue
-        built += ok
-    if built:
-        H = np.concatenate(stacks)
-        bad = _asymmetric(H)
-        for k in np.flatnonzero(bad):
-            out[built[k]] = ValueError(_ASYMMETRIC)
-        built = [i for i, skip in zip(built, bad) if not skip]
-        H = H[~bad]
-    if built:
-        evals, evecs = jacobi_eigh(H)
-        i_t0 = np.argmax(np.abs(T0_VECTOR @ evecs), axis=-1)
         # Per slice a (1, n) @ (n,) product: the same dot as T0 @ H @ T0 on
         # one matrix, which (K, n) @ (n,) is not, bit for bit.
-        t0_energy = ((T0_VECTOR @ H)[:, None, :] @ T0_VECTOR)[:, 0]
-        for k, i in enumerate(built):
-            levels = evals[k].tolist()
-            e_t0 = levels.pop(i_t0[k])
-            out[i] = SpectrumResult(eigenvalues=evals[k], eigenvectors=evecs[k],
-                                    J=e_t0 - min(levels), t0_energy=float(t0_energy[k]))
+        t0_energy = ((T0_VECTOR @ H)[:, None, :] @ T0_VECTOR)[:, 0].tolist()
+        solved = zip(evals, evecs, J.tolist(), t0_energy)
+        for k, i in enumerate(members):
+            if k in failed:
+                out[i] = failed[k]
+            else:
+                e, v, j, t0 = next(solved)
+                out[i] = SpectrumResult(eigenvalues=e, eigenvectors=v, J=j, t0_energy=t0)
     return out
 
 

@@ -72,20 +72,25 @@ class Impurity:
 
 # -- control schemes ----------------------------------------------------------
 
-def control_point(scheme: str, params: DeviceParams, value: float) -> DeviceParams:
-    """The device at one control value: "tilt" sets epsilon at the device's
-    own barrier amplitude, "barrier" sets xi at zero detuning."""
+def control_values(scheme: str, params: DeviceParams, value: float) -> tuple[float, float]:
+    """(epsilon, xi) at one control value: "tilt" sets epsilon at the
+    device's own barrier amplitude, "barrier" sets xi at zero detuning."""
     if scheme == "tilt":
-        return dataclasses.replace(params, epsilon=value)
+        return value, params.xi
     if scheme == "barrier":
-        return dataclasses.replace(params, epsilon=0.0, xi=value)
+        return 0.0, value
     raise ValueError(f"unknown scheme {scheme!r}")
 
 
-def check_controls(params: DeviceParams) -> None:
+def control_point(scheme: str, params: DeviceParams, value: float) -> DeviceParams:
+    """The device at one control value (see control_values)."""
+    epsilon, xi = control_values(scheme, params, value)
+    return dataclasses.replace(params, epsilon=epsilon, xi=xi)
+
+
+def check_controls(epsilon: float, xi: float) -> None:
     """Reject a non-finite detuning or barrier amplitude, naming it."""
-    for name in ("epsilon", "xi"):
-        v = getattr(params, name)
+    for name, v in (("epsilon", epsilon), ("xi", xi)):
         if not math.isfinite(v):
             raise ValueError(f"{name} must be finite, got {v}")
 
@@ -96,7 +101,7 @@ def derive_constants(params: DeviceParams) -> DerivedConstants:
         v = getattr(params, name)
         if not 0 < v < math.inf:
             raise ValueError(f"{name} must be positive and finite, got {v}")
-    check_controls(params)
+    check_controls(params.epsilon, params.xi)
     kin = HBAR2_OVER_2ME / params.m_eff            # hbar^2/(2 m*)
     a_B2 = 2.0 * kin / params.hbar_omega0          # a_B^2 = (hbar^2/m*)/(hbar w0)
     m_omega2 = params.hbar_omega0**2 / (2.0 * kin)  # m* w0^2 in meV/nm^2

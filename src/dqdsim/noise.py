@@ -5,10 +5,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.hermite import hermgauss
 
-from .hamiltonian import AssemblyMode, exchange_J_ghz, hubbard_parameters, solve_many, unwrap
-from .model import MEV_TO_GHZ, DeviceParams, Impurity, control_point
+from .hamiltonian import AssemblyMode, exchange_J_ghz, hubbard_parameters, solve_stack, unwrap
+from .model import MEV_TO_GHZ, DeviceParams, Impurity, control_point, control_values
 
 DEFAULT_IMPURITY_SCALE = 6.0  # R_c = (-6a, 6a) is the reference noise source
 
@@ -30,11 +29,21 @@ class NoiseRecord:
                   "delta_J_ghz", "rel_noise")
 
 
-def _j_ghz(points, mode: AssemblyMode) -> list:
-    """J [GHz] at each (params, imp) point from one stacked solve, or the
-    exception that point raised."""
-    return [res if isinstance(res, Exception) else res.J * MEV_TO_GHZ
-            for res in solve_many(points, mode)]
+def _j_ghz(base: DeviceParams, settings, mode: AssemblyMode, imp: Impurity | None = None) -> list:
+    """J [GHz] at each (epsilon, xi) setting of the device base from one
+    stacked solve, or the exception that point raised.  With an impurity,
+    each setting is solved clean and then with imp, and the list holds both
+    J, clean first."""
+    epsilon, xi = np.array(settings, dtype=float).reshape(-1, 2).T
+    rows, imps = None, ()
+    if imp is not None:
+        epsilon, xi, rows, imps = epsilon.repeat(2), xi.repeat(2), np.tile([0, 1], len(xi)), [imp]
+    try:
+        failed, _, _, _, J = solve_stack(base, epsilon, xi, rows, imps, mode)
+    except Exception as exc:  # the device's own failure
+        return [exc] * len(epsilon)
+    js = iter((J * MEV_TO_GHZ).tolist())
+    return [failed[i] if i in failed else next(js) for i in range(len(epsilon))]
 
 
 def noise_records(controls, base: DeviceParams, imp: Impurity,
@@ -46,19 +55,18 @@ def noise_records(controls, base: DeviceParams, imp: Impurity,
     value is an exception (a failed calibration) passes it through."""
     controls = list(controls)
     out: list = [None] * len(controls)
-    points, owners = [], []
+    settings, owners = [], []
     for i, (scheme, value) in enumerate(controls):
         if isinstance(value, Exception):
             out[i] = value
             continue
         try:
-            params = control_point(scheme, base, value)
+            settings.append(control_values(scheme, base, value))
         except ValueError as exc:
             out[i] = exc
             continue
-        points += [(params, None), (params, imp)]
         owners.append(i)
-    js = _j_ghz(points, mode)
+    js = _j_ghz(base, settings, mode, imp)
     for i, j_clean, j_imp in zip(owners, js[0::2], js[1::2]):
         scheme, value = controls[i]
         try:
@@ -200,14 +208,14 @@ def calibrate_many(requests, base: DeviceParams = DeviceParams(),
         if scheme not in _BRACKETS:
             raise ValueError(f"unknown scheme {scheme!r}")
 
-    def point(k, value):
-        return control_point(requests[k][0], base, value), None
+    def setting(k, value):
+        return control_values(requests[k][0], base, value)
 
-    ends = {point(k, c): None for k, (scheme, _) in enumerate(requests)
+    ends = {setting(k, c): None for k, (scheme, _) in enumerate(requests)
             for c in _BRACKETS[scheme]}
-    ends = dict(zip(ends, _j_ghz(list(ends), mode)))
+    ends = dict(zip(ends, _j_ghz(base, list(ends), mode)))
     steps = {k: _calibration(target, *_BRACKETS[scheme],
-                             *(ends[point(k, c)] for c in _BRACKETS[scheme]),
+                             *(ends[setting(k, c)] for c in _BRACKETS[scheme]),
                              label=f"calibrate_{scheme}")
              for k, (scheme, target) in enumerate(requests)}
     out: list = [None] * len(requests)
@@ -221,8 +229,8 @@ def calibrate_many(requests, base: DeviceParams = DeviceParams(),
                 out[k] = stop.value
             except Exception as exc:  # this calibration's own failure
                 out[k] = exc
-        points = [point(k, c) for k, c in asks.items()]
-        received = dict(zip(asks, _j_ghz(points, mode))) if points else {}
+        settings = [setting(k, c) for k, c in asks.items()]
+        received = dict(zip(asks, _j_ghz(base, settings, mode))) if settings else {}
     return out
 
 
@@ -367,6 +375,8 @@ def envelope_closed(sigma_ghz: float, t_ns: float) -> float:
 
 def envelope_numeric(j_ghz: float, sigma_ghz: float, t_ns: float) -> float:
     """|E exp(2 pi i J' t)| for J' ~ N(J, sigma^2) by 80-point Gauss-Hermite."""
+    from numpy.polynomial.hermite import hermgauss  # a slow import that only this needs
+
     u, w = hermgauss(80)
     phase = 2.0 * math.pi * (j_ghz + math.sqrt(2.0) * sigma_ghz * u) * t_ns
     val = np.sum(w * np.exp(1j * phase)) / math.sqrt(math.pi)
@@ -405,7 +415,7 @@ def sweet_spot_check(base: DeviceParams = DeviceParams(),
     """
     h = 1e-3  # meV
     j_plus, j_minus, j_half_plus, j_half_minus = unwrap(_j_ghz(
-        [(control_point("tilt", base, e), None) for e in (+h, -h, +h / 2, -h / 2)], mode))
+        base, [control_values("tilt", base, e) for e in (+h, -h, +h / 2, -h / 2)], mode))
     d1 = (j_plus - j_minus) / (2.0 * h)
     d2 = (j_half_plus - j_half_minus) / h
     richardson = (4.0 * d2 - d1) / 3.0

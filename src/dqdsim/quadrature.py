@@ -21,6 +21,7 @@ estimate exceeds the requested tolerance.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -47,6 +48,16 @@ class OracleResult:
 # building blocks
 # ---------------------------------------------------------------------------
 
+@functools.cache
+def _gauss(rule, n: int):
+    """The nodes and weights of a Gauss rule (leggauss or hermgauss),
+    computed once per n since the resolutions are constants; read-only,
+    since every caller shares them."""
+    nodes, weights = rule(n)
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
+
+
 def _pair_log_density(X, Y, Ri, Rj, a_B):
     """log[phi_i(r) phi_j(r)] evaluated elementwise."""
     d1 = (X - Ri[0]) ** 2 + (Y - Ri[1]) ** 2
@@ -61,7 +72,7 @@ def _gh_pair_grid(basis: OrbitalBasis, i: int, j: int, n: int):
     Gaussian is kept in log space against the Hermite weight so nothing
     overflows.
     """
-    t, w = hermgauss(n)
+    t, w = _gauss(hermgauss, n)
     a_B = basis.a_B
     P = 0.5 * (basis.R[i] + basis.R[j])
     X = P[0] + a_B * t[:, None]
@@ -95,7 +106,7 @@ def _split_leggauss_axis(center, sig, n):
     orbitals are much wider than the bump."""
     lo, hi = center - 14.0 * sig, center + 14.0 * sig
     panels = [(lo, 0.0), (0.0, hi)] if lo < 0.0 < hi else [(lo, hi)]
-    tg, wg = leggauss(n)
+    tg, wg = _gauss(leggauss, n)
     nodes, weights = [], []
     for p_lo, p_hi in panels:
         half = 0.5 * (p_hi - p_lo)
@@ -115,7 +126,9 @@ def _potential_once(params, basis, i, j, nx, ny):
     Y = y_nodes[None, :]
     logf = _pair_log_density(X, Y, basis.R[i], basis.R[j], a_B)
     F = np.exp(logf) * wx[:, None] * wy[None, :]
-    V = eval_potential(np.broadcast_to(X, F.shape), np.broadcast_to(Y, F.shape), params)
+    # V broadcasts from the node columns, so the quartic V_x runs on the x
+    # nodes alone.
+    V = eval_potential(X, Y, params)
     return float(np.sum(F * V))
 
 
@@ -133,7 +146,7 @@ def _impurity_once(params, basis, i, j, imp, n_rad, n_ang):
         return float(np.sum(F * kern)) * consts.coulomb_scale * (-imp.q)
     r_max = d + 14.0 * a_B / math.sqrt(2.0)
 
-    tr, wr = leggauss(n_rad)
+    tr, wr = _gauss(leggauss, n_rad)
     rho = 0.5 * r_max * (tr + 1.0)
     w_rho = 0.5 * r_max * wr
     theta = np.arange(n_ang) * (2.0 * math.pi / n_ang)
@@ -162,7 +175,7 @@ def _coulomb_once(params, basis, i, j, k, l, n_rad, n_ang):
     pref = s_ij * s_kl * consts.coulomb_scale / (2.0 * math.pi * a_B**2)
     r_max = float(np.linalg.norm(D)) + 14.0 * a_B
 
-    tr, wr = leggauss(n_rad)
+    tr, wr = _gauss(leggauss, n_rad)
     rho = 0.5 * r_max * (tr + 1.0)
     w_rho = 0.5 * r_max * wr
     theta = np.arange(n_ang) * (2.0 * math.pi / n_ang)

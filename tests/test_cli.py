@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 from dqdsim import (CalibrationError, DeviceParams, calibrate_barrier, calibrate_tilt, cli,
-                    default_impurity, eval_potential, improvement_factors, matched_j_grid,
-                    noise, __version__)
-from dqdsim.cli import MAX_GRID_POINTS, main
+                    default_impurity, eval_potential, hamiltonian, improvement_factors,
+                    matched_j_grid, noise, __version__)
+from dqdsim.cli import MAX_GRID_POINTS, build_parser, main
 
 CLI = [sys.executable, "-m", "dqdsim.cli"]
 
@@ -41,6 +41,86 @@ def test_cli_does_not_import_scipy():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_cli_does_not_import_the_oracle():
+    # Only validate runs the quadrature oracle, and only envelope_numeric
+    # needs numpy.polynomial, so a cold CLI start imports none of them.
+    code = ("import sys, dqdsim.cli; print(sorted(m for m in sys.modules if m.startswith("
+            "('numpy.polynomial', 'dqdsim.quadrature', 'dqdsim.crosscheck'))))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+class TestParser:
+    """main builds the parser of the invoked subcommand alone; it parses and
+    reports exactly as the full parser of build_parser does."""
+
+    ARGV = {
+        "spectrum": ["--eps-range", "0:0.1:0.1", "--mode", "full", "--impurity=-450,300"],
+        "exchange-tilt": ["--charge-e", "-0.5", "--seed", "3"],
+        "exchange-barrier": ["--xi-range", "0.9:1.1:0.1", "--out", "x.csv"],
+        "noise-compare": ["--points", "3", "--j-max", "0.1"],
+        "qfactor": ["--j-range", "0.2:0.4:0.1", "--config", "d.cfg"],
+        "impurity-scan": ["--radii", "6,8", "--J-mhz", "100", "--charge-e", "-2"],
+        "near-impurity": ["--points", "2"],
+        "potential-profile": ["--x-range=-100:100:100", "--y-nm", "25"],
+        "validate": ["--quick", "--corrupt-bessel"],
+    }
+
+    def test_every_subcommand_is_covered(self):
+        assert list(self.ARGV) == list(cli._SUBCOMMANDS)
+
+    @pytest.mark.parametrize("name", list(ARGV))
+    def test_one_subparser_parses_like_the_full_parser(self, name, monkeypatch, capsys):
+        built = []  # the subcommands whose flags are added, in order
+        for n, (help_text, add_flags) in list(cli._SUBCOMMANDS.items()):
+            monkeypatch.setitem(cli._SUBCOMMANDS, n,
+                                (help_text, lambda p, n=n, add=add_flags: built.append(n) or add(p)))
+        for argv in ([name], [name, *self.ARGV[name]]):
+            assert cli._parser([name]).parse_args(argv) == build_parser().parse_args(argv)
+        for argv, code, text in (([name, "-h"], 0, f"usage: dqdsim {name} "),
+                                 ([name, "--bogus"], 2, "unrecognized arguments: --bogus")):
+            full = build_parser()
+            built.clear()
+            with pytest.raises(SystemExit) as exit_:
+                main(argv)
+            assert built == [name]  # main built this subparser alone
+            lazy = capsys.readouterr()
+            assert exit_.value.code == code and text in lazy.out + lazy.err
+            with pytest.raises(SystemExit) as exit_:
+                full.parse_args(argv)
+            assert exit_.value.code == code and capsys.readouterr() == lazy
+
+    @pytest.mark.parametrize("argv,code,stream,text", [
+        (["-h"], 0, "out", "{spectrum,exchange-tilt,exchange-barrier,noise-compare,qfactor,"
+                           "impurity-scan,near-impurity,potential-profile,validate}"),
+        (["--version"], 0, "out", f"dqdsim {__version__}"),
+        (["bogus"], 2, "err", "argument subcommand: invalid choice: 'bogus'"),
+        ([], 2, "err", "the following arguments are required: subcommand"),
+    ])
+    def test_top_level_calls_build_every_subparser(self, argv, code, stream, text, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            main(argv)
+        got = capsys.readouterr()
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(argv)
+        assert exit_.value.code == code and got == capsys.readouterr()
+        assert text in getattr(got, stream)
+        if argv == ["-h"]:
+            for name, (help_text, _) in cli._SUBCOMMANDS.items():
+                assert f"    {name}" in got.out and help_text in got.out
+
+    def test_an_oracle_refusal_is_reported(self, monkeypatch, capsys):
+        from dqdsim.quadrature import OracleRefusal
+
+        def refusing(args):
+            raise OracleRefusal("error estimate 1e-3 exceeds rtol 1e-7")
+        monkeypatch.setattr(cli, "cmd_validate", refusing)
+        assert main(["validate", "--quick"]) == 2
+        assert capsys.readouterr().err == (
+            "dqdsim: error: error estimate 1e-3 exceeds rtol 1e-7\n")
 
 
 class TestValidate:
@@ -166,6 +246,24 @@ class TestConfig:
         assert main(["spectrum", "--config", str(cfg), "--eps-range", "0:0.1:0.1"]) == 2
         assert "hbar_omega0 must be positive and finite" in capsys.readouterr().err
 
+    # The subcommands that place no impurity reject one from a config file
+    # before any solve, and write nothing.
+    @pytest.mark.parametrize("argv", [("potential-profile",), ("impurity-scan", "--radii", "6")])
+    def test_config_impurity_is_rejected_where_unread(self, argv, monkeypatch, tmp_path, capsys):
+        cfg = tmp_path / "imp.cfg"
+        cfg.write_text("impurity.x_nm = -450\nimpurity.y_nm = 300\nimpurity.charge_e = -0.5\n")
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("computed before the config was checked")
+        monkeypatch.setattr(cli, "calibrate_many", no_work)
+        monkeypatch.setattr(cli, "eval_potential", no_work)
+        out = tmp_path / "out.csv"
+        assert main([*argv, "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"dqdsim: error: {cfg}: {argv[0]} takes no impurity from a config file, "
+            "but it sets impurity.charge_e, impurity.x_nm, impurity.y_nm\n")
+        assert not out.exists()
+
     def test_flags_override_config(self, tmp_path):
         cfg = tmp_path / "device.cfg"
         cfg.write_text("impurity.x_nm = -600\nimpurity.y_nm = 600\n"
@@ -203,7 +301,7 @@ class TestFlags:
 
         def no_solve(*args, **kwargs):
             raise AssertionError("solved before the flags were checked")
-        monkeypatch.setattr(cli, "solve_many", no_solve)
+        monkeypatch.setattr(cli, "solve_stack", no_solve)
         out = tmp_path / "out.csv"
         assert main(["spectrum", "--eps-range", "0:0.1:0.1", "--charge-e", "-0.5",
                      "--out", str(out)]) == 2
@@ -297,13 +395,13 @@ class TestFlags:
         whole, cut = tmp_path / "whole.csv", tmp_path / "cut.csv"
         assert main([command, flag, spec, "--out", str(whole)]) == 0
         bad = cli._parse_range(spec)[1]
-        real = noise.control_point
+        real = noise.control_values
 
         def failing(scheme_, params, value):
             if value == bad:
                 raise ValueError("no device at this control")
             return real(scheme_, params, value)
-        monkeypatch.setattr(noise, "control_point", failing)
+        monkeypatch.setattr(noise, "control_values", failing)
         capsys.readouterr()
         assert main([command, flag, spec, "--out", str(cut)]) == 2
         assert capsys.readouterr().err == (
@@ -313,6 +411,18 @@ class TestFlags:
         assert rows[2].startswith(f"{scheme},{cli._fmt(bad)},")
         rows[2] = f"{scheme},{cli._fmt(bad)},nan,nan,nan,nan"
         assert data_rows(cut.read_text()) == rows
+
+    # A default sweep, the barrier's zoom block included, hands the eigensolver
+    # one stack: each control value clean and with the impurity.
+    @pytest.mark.parametrize("command,values", [("exchange-tilt", 101),
+                                                ("exchange-barrier", 81 + 51)])
+    def test_a_default_sweep_is_one_stacked_solve(self, command, values, monkeypatch,
+                                                  tmp_path):
+        stacks = []
+        real = hamiltonian.jacobi_eigh
+        monkeypatch.setattr(hamiltonian, "jacobi_eigh", lambda A: stacks.append(len(A)) or real(A))
+        assert main([command, "--out", str(tmp_path / "out.csv")]) == 0
+        assert stacks == [2 * values]
 
     # impurity-scan checks its target and its radii before any calibration.
     @pytest.mark.filterwarnings("error")

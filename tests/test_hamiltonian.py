@@ -376,21 +376,35 @@ class TestStackedJacobi:
 
 @pytest.mark.filterwarnings("error")
 class TestSolveMany:
-    POINTS = [(0.0, 1.3), (0.37, 1.1), (-0.5, 0.6), (0.9, 1.3)]
+    # Both signs of J, the charge-transfer pole (dU = 0.78 meV), no barrier
+    # and a high one, and a sampled device.
+    POINTS = [(0.0, 1.3), (0.37, 1.1), (-0.5, 0.6), (0.9, 1.3), (0.75, 1.3),
+              (-0.78, 0.9), (1.4, 0.0), (0.05, 1.5), (0.0, 0.3)]
 
     @pytest.mark.parametrize("mode", [AssemblyMode.PAPER, AssemblyMode.FULL])
     def test_each_point_matches_a_lone_solve(self, impurity, mode):
-        points = [(DeviceParams(epsilon=e, xi=x), imp)
+        sampled = sample_device(np.random.default_rng(4))
+        points = [(dataclasses.replace(device, epsilon=e, xi=x), imp)
+                  for device in (DeviceParams(), sampled)
                   for e, x in self.POINTS for imp in (None, impurity)]
-        for (params, imp), res in zip(points, solve_many(points, mode)):
-            # The solve of one point as a plain loop over one matrix.
+        _, _, _, _, kernel_J = hamiltonian.solve_stack(
+            DeviceParams(), [p.epsilon for p, _ in points[:2 * len(self.POINTS)]],
+            [p.xi for p, _ in points[:2 * len(self.POINTS)]],
+            [0, 1] * len(self.POINTS), [impurity], mode)
+        for k, ((params, imp), res) in enumerate(zip(points, solve_many(points, mode))):
+            # The solve of one point as a plain loop over one matrix, and J
+            # as the T0 level minus the lowest of the others.
             hp = hubbard_parameters(params, imp)
             H = assemble_matrix(hp, mode)
             evals, evecs = lone_jacobi(H)
-            i = int(np.argmax(np.abs(T0_VECTOR @ evecs)))
+            levels = evals.tolist()
+            j_lone = levels.pop(int(np.argmax(np.abs(T0_VECTOR @ evecs))))
+            j_lone -= min(levels)
             assert same_bits((res.eigenvalues, res.eigenvectors), (evals, evecs))
-            assert res.J == float(evals[i]) - float(np.min(np.delete(evals, i)))
+            assert same_bits([res.J], [j_lone]) and type(res.J) is float
             assert res.t0_energy == float(T0_VECTOR @ H @ T0_VECTOR)
+            if k < len(kernel_J):
+                assert same_bits([kernel_J[k]], [j_lone])
 
     def test_a_failing_point_fails_alone(self, monkeypatch):
         # A NaN and an asymmetric matrix among good ones, plus a bad device.

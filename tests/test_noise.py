@@ -232,9 +232,9 @@ class TestLockstep:
             refs = [lone_calibration(j_of, lo, hi, t, "calibrate_tilt") for t in targets]
             rounds = []
 
-            def fake_j_ghz(points, mode, j_of=j_of):
-                rounds.append([params.epsilon for params, _ in points])
-                return [j_of(params.epsilon) for params, _ in points]
+            def fake_j_ghz(base, settings, mode, imp=None, j_of=j_of):
+                rounds.append([epsilon for epsilon, _ in settings])
+                return [j_of(epsilon) for epsilon, _ in settings]
             monkeypatch.setattr(noise, "_j_ghz", fake_j_ghz)
             got = calibrate_many([("tilt", t) for t in targets])
             assert [outcome(g) for g in got] == [root for root, _ in refs], k

@@ -6,6 +6,7 @@ elements and (b) that the oracle refuses rather than silently returning
 an unconverged number.
 """
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -15,14 +16,18 @@ from dqdsim import (
     Impurity,
     OracleRefusal,
     OracleResult,
+    build_basis,
     coulomb_element,
     default_impurity,
+    eval_potential,
     impurity_element,
     kinetic_element,
     oracle_overlap,
     potential_element,
     quadrature_oracle,
 )
+from dqdsim import quadrature
+from dqdsim.crosscheck import sample_device
 
 
 def rel(a, b):
@@ -102,6 +107,32 @@ class TestRefusalAndErrors:
         r = OracleResult(value=1.0, error_estimate=1e-12)
         assert (r.value, r.error_estimate) == (1.0, 1e-12)
         assert [f.name for f in dataclasses.fields(r)] == ["value", "error_estimate"]
+
+
+def full_grid_potential_once(params, basis, i, j, nx, ny):
+    """_potential_once as it evaluated V on the full 2-D node grid: the
+    reference that the column evaluation must reproduce bit for bit."""
+    a_B = basis.a_B
+    P = 0.5 * (basis.R[i] + basis.R[j])
+    sig = a_B / math.sqrt(2.0)
+    x_nodes, wx = quadrature._split_leggauss_axis(P[0], sig, nx)
+    y_nodes, wy = quadrature._split_leggauss_axis(P[1], sig, ny)
+    X = x_nodes[:, None]
+    Y = y_nodes[None, :]
+    logf = quadrature._pair_log_density(X, Y, basis.R[i], basis.R[j], a_B)
+    F = np.exp(logf) * wx[:, None] * wy[None, :]
+    V = eval_potential(np.broadcast_to(X, F.shape), np.broadcast_to(Y, F.shape), params)
+    return float(np.sum(F * V))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_potential_from_node_columns_matches_the_full_grid(seed):
+    params = sample_device(np.random.default_rng(seed))
+    basis = build_basis(params)
+    for i, j in ((0, 0), (0, 1), (1, 1)):
+        for n in (150, 225):
+            got = quadrature._potential_once(params, basis, i, j, n, n)
+            assert got == full_grid_potential_once(params, basis, i, j, n, n)
 
 
 def test_oracle_and_closed_form_share_no_code_path(params, impurity):
