@@ -193,25 +193,29 @@ _ASYMMETRIC = "matrix must be symmetric"
 
 def _asymmetric(A: np.ndarray) -> np.ndarray:
     """For each matrix of a stack (N, n, n): whether it differs from its
-    transpose by more than 1e-12 of its largest entry (NaN counts)."""
-    atol = 1e-12 * np.fmax(1.0, np.abs(A).max(axis=(-2, -1)))
-    close = np.isclose(A, np.swapaxes(A, -1, -2), rtol=0, atol=atol[:, None, None])
-    return ~close.all(axis=(-2, -1))
+    transpose by more than 1e-12 of its largest entry (NaN counts).  A
+    matrix equal to its transpose is not scanned."""
+    asym = ~(A == np.swapaxes(A, -1, -2)).all(axis=(-2, -1))
+    if asym.any():
+        B = A[asym]
+        atol = 1e-12 * np.fmax(1.0, np.abs(B).max(axis=(-2, -1), keepdims=True))
+        asym[asym] = ~np.isclose(B, np.swapaxes(B, -1, -2), rtol=0, atol=atol).all(axis=(-2, -1))
+    return asym
 
 
 def jacobi_eigh(A: np.ndarray):
     """Eigen-decomposition of small symmetric matrices by cyclic Jacobi.
 
     A is one (n, n) matrix or a stack (N, n, n).  Returns (eigenvalues
-    ascending, eigenvectors as columns), stacked like A.  Rotations are
-    applied in a fixed (p, q) order so the result is bit-reproducible, and
-    every matrix of a stack takes exactly the rotations it would take
-    alone: a matrix leaves the stack once it has converged, and a rotation
-    it skips (|a_pq| <= 1e-300) is masked out, never applied as an identity
-    (which would turn -0 into +0).  A matrix has converged once the norm
-    of its upper off-diagonal is at most 1e-14 max(1, max |A|), and stops
-    after 60 sweeps either way.  Eigenvector signs are fixed by making the
-    first non-negligible component positive.
+    ascending, eigenvectors as columns), stacked like A.  Each matrix of a
+    stack takes exactly the rotations it takes alone, in a fixed (p, q)
+    order: it leaves the stack once converged, and a rotation it skips
+    (|a_pq| <= 1e-300) is masked out, never applied as an identity (which
+    turns -0 into +0).  A rotation R is two BLAS products over the stack,
+    R^T a and [R^T a; V] R, so each matrix's arithmetic is a lone loop's.  A
+    matrix has converged once the norm of its upper off-diagonal is at most
+    1e-14 max(1, max |A|), and stops after 60 sweeps either way.  Eigenvector
+    signs are fixed by making the first non-negligible component positive.
     """
     A = np.array(A, dtype=float)
     single = A.ndim == 2
@@ -221,45 +225,40 @@ def jacobi_eigh(A: np.ndarray):
         raise ValueError(_ASYMMETRIC)
     A = 0.5 * (A + np.swapaxes(A, -1, -2))
     n = A.shape[-1]
-    V = np.broadcast_to(np.eye(n), A.shape).copy()
-    pairs = [(p, q) for p in range(n - 1) for q in range(p + 1, n)]
-    # The matrices still rotating: their indices in the stack and their state.
-    live = np.arange(len(A))
-    a, v, limit = A, V, 1e-14 * np.fmax(1.0, np.abs(A).max(axis=(-2, -1)))
+    V, upper = np.empty_like(A), np.triu_indices(n, 1)
+    # The matrices still rotating: their indices in the stack, their state
+    # (each matrix over its eigenvectors so far), tolerance and identities.
+    live, limit = np.arange(len(A)), 1e-14 * np.fmax(1.0, np.abs(A).max(axis=(-2, -1)))
+    eye = np.broadcast_to(np.eye(n), A.shape).copy()
+    av = np.concatenate([A, eye], axis=1)
     for _ in range(60):
-        off = np.zeros(len(a))
-        for p, q in pairs:
-            # float_power rounds like the libm pow behind a lone scalar's
-            # ** 2; x * x differs in the last bit now and then.
-            off = off + np.float_power(a[:, p, q], 2)
+        # Pairs add in order; float_power rounds like a lone scalar's ** 2, x * x may not.
+        off = np.add.accumulate(np.float_power(av[:, upper[0], upper[1]], 2), axis=1)[:, -1]
         done = np.sqrt(off) <= limit
         if done.any():
-            A[live[done]], V[live[done]] = a[done], v[done]
-            live, a, v, limit = live[~done], a[~done], v[~done], limit[~done]
+            A[live[done]], V[live[done]] = av[done, :n], av[done, n:]
+            live, av, limit, eye = live[~done], av[~done], limit[~done], eye[~done]
         if not live.size:
             break
-        for p, q in pairs:
-            apq = a[:, p, q]
-            on = ~(np.abs(apq) <= 1e-300)
-            if not on.any():
+        for p, q in zip(*(i.tolist() for i in upper)):
+            apq = av[:, p, q]
+            skip = np.abs(apq) <= 1e-300
+            skipped = np.count_nonzero(skip)
+            if skipped == len(skip):
                 continue
-            tau = (a[:, q, q] - a[:, p, p]) / (2.0 * np.where(on, apq, 1.0))
-            tphi = 1.0 / (np.abs(tau) + np.sqrt(1.0 + tau * tau))
-            tphi = np.where(tau >= 0, tphi, -tphi)
+            if skipped:
+                apq = np.where(skip, 1.0, apq)
+            tau = (av[:, q, q] - av[:, p, p]) / (2.0 * apq)
+            # tan(phi) takes the sign of tau, -0 counting as positive like +0.
+            tphi = np.copysign(1.0 / (np.abs(tau) + np.sqrt(1.0 + tau * tau)), tau + 0.0)
             c = 1.0 / np.sqrt(1.0 + tphi * tphi)
             s = tphi * c
-            rot = np.broadcast_to(np.eye(n), a.shape).copy()
+            rot = eye.copy()
             rot[:, p, p] = rot[:, q, q] = c
-            rot[:, p, q] = s
-            rot[:, q, p] = -s
-            a_rot = np.swapaxes(rot, -1, -2) @ a @ rot
-            v_rot = v @ rot
-            if on.all():
-                a, v = a_rot, v_rot
-            else:
-                a = np.where(on[:, None, None], a_rot, a)
-                v = np.where(on[:, None, None], v_rot, v)
-    A[live], V[live] = a, v
+            rot[:, p, q], rot[:, q, p] = s, -s
+            rotated = np.concatenate([rot.transpose(0, 2, 1) @ av[:, :n], av[:, n:]], axis=1) @ rot
+            av = np.where(skip[:, None, None], av, rotated) if skipped else rotated
+    A[live], V[live] = av[:, :n], av[:, n:]
     diag = np.diagonal(A, axis1=-2, axis2=-1)
     order = np.argsort(diag, axis=-1, kind="stable")
     evals = np.take_along_axis(diag, order, axis=-1)

@@ -208,6 +208,9 @@ def config_to_objects(cfg: dict[str, str]) -> tuple[DeviceParams, Impurity | Non
             y_c=float(cfg.get("impurity.y_nm", 0.0)),
             q=float(cfg.get("impurity.charge_e", -1.0)),
         )
+    elif "impurity.charge_e" in cfg:
+        raise ValueError("impurity.charge_e given without impurity.x_nm or impurity.y_nm: "
+                         "there is no impurity to charge")
     known = set(_CONFIG_KEYS) | {"impurity.x_nm", "impurity.y_nm", "impurity.charge_e"}
     unknown = set(cfg) - known
     if unknown:

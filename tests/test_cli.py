@@ -264,6 +264,24 @@ class TestConfig:
             "but it sets impurity.charge_e, impurity.x_nm, impurity.y_nm\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("subcommand", ["spectrum", "exchange-tilt"])
+    def test_config_charge_without_a_position_is_rejected(self, subcommand, monkeypatch,
+                                                          tmp_path, capsys):
+        cfg = tmp_path / "q.cfg"
+        cfg.write_text("impurity.charge_e = -0.5\n")
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved before the config was checked")
+        monkeypatch.setattr(cli, "solve_stack", no_solve)
+        monkeypatch.setattr(cli, "sweep", no_solve)
+        out = tmp_path / "out.csv"
+        assert main([subcommand, "--eps-range", "0:0.1:0.1", "--config", str(cfg),
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "dqdsim: error: impurity.charge_e given without impurity.x_nm or "
+            "impurity.y_nm: there is no impurity to charge\n")
+        assert not out.exists()
+
     def test_flags_override_config(self, tmp_path):
         cfg = tmp_path / "device.cfg"
         cfg.write_text("impurity.x_nm = -600\nimpurity.y_nm = 600\n"

@@ -25,7 +25,7 @@ from dqdsim import (
     overlap_matrix,
     solve,
 )
-from dqdsim import hamiltonian
+from dqdsim import cli, hamiltonian
 from dqdsim.crosscheck import sample_device, sample_impurity
 from dqdsim.hamiltonian import hubbard_from_tables, solve_many
 
@@ -180,6 +180,26 @@ def negative_zero_coupling(rng):
     return A
 
 
+def equal_levels_negative_coupling(rng):
+    # tau = +0 / (2 a_01) = -0 at the first rotation: tan(phi) must take
+    # the sign of +0, or the rotation turns the other way.
+    A = random_symmetric(int(rng.integers(2**32)))
+    A[1, 1] = A[0, 0]
+    A[0, 1] = A[1, 0] = -abs(A[0, 1])
+    return A
+
+
+def at_the_threshold(rng):
+    # The off-diagonal norm, its squares summed in (p, q) order, is just
+    # within 1e-14: the matrix has converged.  Summed in reverse, or as
+    # the first square plus the sum of the rest, it is just above.
+    A = np.diag([0.1, 0.2, 0.3, 0.4])
+    A[np.triu_indices(4, 1)] = [5.419384952935638e-15, 3.4927199472181973e-15,
+                                4.737909342272195e-15, 2.1025203167926995e-15,
+                                1.810305328036741e-15, 5.318420075865058e-15]
+    return np.triu(A) + np.triu(A, 1).T
+
+
 def converging_in(sweeps):
     return lambda rng: matrices_by_sweeps()[sweeps][int(rng.integers(3))]
 
@@ -191,6 +211,8 @@ MATRIX_KINDS = {
     "2-sweeps": converging_in(2),
     "3-sweeps": converging_in(3),
     "4-sweeps": converging_in(4),
+    "equal-levels": equal_levels_negative_coupling,
+    "threshold": at_the_threshold,
 }
 
 
@@ -355,6 +377,39 @@ class TestStackedJacobi:
         self.check_stack(stack)
         self.check_stack(stack[::-1])
 
+    def test_matrices_leave_while_another_skips_a_pair(self):
+        # The 3x3 block never couples to the last level, so its pairs (0, 3),
+        # (1, 3) and (2, 3) are skipped at every one of its 4 sweeps, while
+        # the others leave the stack after 2, 3 and 4 sweeps: the masked
+        # rotations run on a stack that has lost matrices.
+        block = np.zeros((4, 4))
+        block[:3, :3], block[3, 3] = random_symmetric(0, n=3), 0.5
+        assert sweeps_to_converge(block) == 4
+        stack = [matrices_by_sweeps()[k][0] for k in (2, 3, 4)] + [block]
+        self.check_stack(stack)
+        self.check_stack(stack[::-1])
+
+    # One call of each kind: calibrations in lockstep, one device with
+    # impurities, and a full-mode sweep with its zoom block.
+    @pytest.mark.parametrize("argv", [["noise-compare", "--points", "5"],
+                                      ["impurity-scan", "--radii", "1.5,6,20"],
+                                      ["exchange-barrier", "--mode", "full"]])
+    def test_every_stack_of_a_cli_call_matches_lone_solves(self, argv, monkeypatch, tmp_path):
+        solved = []
+        real = hamiltonian.jacobi_eigh
+        monkeypatch.setattr(hamiltonian, "jacobi_eigh",
+                            lambda A: solved.append((A, real(A))) or solved[-1][1])
+        assert cli.main([*argv, "--out", str(tmp_path / "out.csv")]) == 0
+        assert solved
+        for stack, (evals, evecs) in solved:
+            for A, e, v in zip(stack, evals, evecs):
+                assert same_bits((e, v), lone_jacobi(A))
+
+    def test_a_matrix_at_the_threshold_is_not_rotated(self):
+        A = at_the_threshold(None)
+        assert sweeps_to_converge(A) == 0
+        self.check_stack([A, random_symmetric(1)])
+
     def test_a_converged_matrix_keeps_its_negative_zero(self):
         A = np.diag([-0.0, 1.0, 2.0, 3.0])
         evals, _ = jacobi_eigh(np.array([A, random_symmetric(1)]))
@@ -365,6 +420,30 @@ class TestStackedJacobi:
         bad[0, 1] += 1e-3
         with pytest.raises(ValueError, match="matrix must be symmetric"):
             jacobi_eigh(np.array([random_symmetric(1), bad]))
+
+    def test_a_tiny_asymmetry_is_accepted(self):
+        # Off by 1e-13 of the largest entry: within the check's 1e-12, so the
+        # matrix is solved as its symmetric part, as before the exact test.
+        A = 5.0 * random_symmetric(4)
+        A[0, 2] += 1e-13 * np.abs(A).max()
+        evals, evecs = jacobi_eigh(np.array([random_symmetric(1), A]))
+        assert same_bits((evals[1], evecs[1]), lone_jacobi(A))
+
+    @pytest.mark.parametrize("entry", [(0, 0), (1, 3)])
+    def test_a_nan_matrix_is_rejected(self, entry):
+        bad = random_symmetric(2)
+        bad[entry] = bad[entry[::-1]] = math.nan
+        with pytest.raises(ValueError, match="matrix must be symmetric"):
+            jacobi_eigh(np.array([random_symmetric(1), bad]))
+
+    def test_an_exactly_symmetric_stack_is_not_scanned(self, monkeypatch):
+        stack = np.array([random_symmetric(k) for k in range(5)])
+        want = jacobi_eigh(stack)
+
+        def scan(*args, **kwargs):
+            raise AssertionError("tolerance scan of an exactly symmetric stack")
+        monkeypatch.setattr(np, "isclose", scan)
+        assert same_bits(jacobi_eigh(stack), want)
 
     def test_shapes(self):
         A = random_symmetric(3)
@@ -433,6 +512,26 @@ class TestSolveMany:
             assert res.J == want.J
         with pytest.raises(ValueError, match="matrix must be symmetric"):
             solve(DeviceParams(epsilon=0.1))
+
+    def test_only_the_asymmetric_point_of_a_stack_fails(self, monkeypatch):
+        # Off by 1e-3, point 1 fails; off by 1e-13 of its largest entry,
+        # point 2 is solved as its symmetric part.
+        real, built = hamiltonian.assemble_matrix, []
+
+        def corrupted(hp, mode=AssemblyMode.PAPER):
+            H = real(hp, mode)
+            H[1, 0, 1] += 1e-3
+            H[2, 0, 1] += 1e-13 * np.abs(H[2]).max()
+            built.append(H)
+            return H
+        monkeypatch.setattr(hamiltonian, "assemble_matrix", corrupted)
+        failed, H, evals, evecs, _ = hamiltonian.solve_stack(
+            DeviceParams(), [0.0, 0.1, 0.2, 0.3], [1.3] * 4)
+        assert list(failed) == [1] and str(failed[1]) == "matrix must be symmetric"
+        kept = built[0][[0, 2, 3]]
+        assert same_bits([H], [kept])
+        for A, e, v in zip(kept, evals, evecs):
+            assert same_bits((e, v), lone_jacobi(A))
 
     def test_no_points(self):
         assert solve_many([]) == []

@@ -167,6 +167,13 @@ class TestConfig:
         with pytest.raises(ValueError, match="unknown config keys"):
             config_to_objects({"device.bogus": "1"})
 
+    def test_charge_without_a_position_rejected(self):
+        with pytest.raises(ValueError, match=r"^impurity\.charge_e given without "
+                                             r"impurity\.x_nm or impurity\.y_nm"):
+            config_to_objects({"impurity.charge_e": "-0.5"})
+        _, imp = config_to_objects({"impurity.y_nm": "300", "impurity.charge_e": "-0.5"})
+        assert imp == Impurity(0.0, 300.0, -0.5)
+
     def test_nonfinite_device_rejected(self):
         with pytest.raises(ValueError, match="^a must be positive and finite, got nan"):
             config_to_objects({"device.a_nm": "nan"})
