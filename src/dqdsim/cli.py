@@ -312,7 +312,7 @@ def cmd_qfactor(args) -> int:
     base, imp, mode = _resolve(args, default_impurity_wanted=True)
     j_values = _parse_range(args.j_range or "0.15:0.9:0.05")
     ref_j = 0.242  # GHz (1 ueV)
-    # One lockstep run calibrates the reference and both schemes at every J.
+    # One calibrate_many call calibrates the reference and both schemes at every J.
     requests = [("tilt", ref_j)] + [
         (scheme, j_ghz) for j_ghz in j_values for scheme in ("tilt", "barrier")]
     controls = calibrate_many(requests, base, mode)

@@ -191,16 +191,17 @@ def assemble_matrix(hp: HubbardParams, mode: AssemblyMode = AssemblyMode.PAPER) 
 _ASYMMETRIC = "matrix must be symmetric"
 
 
-def _asymmetric(A: np.ndarray) -> np.ndarray:
-    """For each matrix of a stack (N, n, n): whether it differs from its
-    transpose by more than 1e-12 of its largest entry (NaN counts).  A
-    matrix equal to its transpose is not scanned."""
+def _rejected(A: np.ndarray) -> np.ndarray:
+    """For each matrix of a stack (N, n, n): whether it has an entry that is
+    not finite, or differs from its transpose by more than 1e-12 of its
+    largest entry.  A matrix equal to its transpose is not scanned for the
+    latter."""
     asym = ~(A == np.swapaxes(A, -1, -2)).all(axis=(-2, -1))
     if asym.any():
         B = A[asym]
         atol = 1e-12 * np.fmax(1.0, np.abs(B).max(axis=(-2, -1), keepdims=True))
         asym[asym] = ~np.isclose(B, np.swapaxes(B, -1, -2), rtol=0, atol=atol).all(axis=(-2, -1))
-    return asym
+    return asym | ~np.isfinite(A).all(axis=(-2, -1))
 
 
 def jacobi_eigh(A: np.ndarray):
@@ -216,12 +217,14 @@ def jacobi_eigh(A: np.ndarray):
     matrix has converged once the norm of its upper off-diagonal is at most
     1e-14 max(1, max |A|), and stops after 60 sweeps either way.  Eigenvector
     signs are fixed by making the first non-negligible component positive.
+    A stack with a matrix that is not finite or not symmetric raises
+    ValueError.
     """
     A = np.array(A, dtype=float)
     single = A.ndim == 2
     if single:
         A = A[None]
-    if _asymmetric(A).any():
+    if _rejected(A).any():
         raise ValueError(_ASYMMETRIC)
     A = 0.5 * (A + np.swapaxes(A, -1, -2))
     n = A.shape[-1]
@@ -315,11 +318,11 @@ def solve_stack(device: DeviceParams, epsilon, xi, rows=None, impurities=(),
         failed.update(dict.fromkeys(built.tolist(), exc))
         H = np.empty((0, 4, 4))
     try:
-        evals, evecs = jacobi_eigh(H)  # checks each matrix's symmetry
-    except ValueError:  # a matrix that is not symmetric fails alone
-        symmetric = ~_asymmetric(H)
-        failed.update((i, ValueError(_ASYMMETRIC)) for i in built[~symmetric].tolist())
-        H = H[symmetric]
+        evals, evecs = jacobi_eigh(H)  # checks that each matrix is finite and symmetric
+    except ValueError:  # a matrix that is not fails alone
+        kept = ~_rejected(H)
+        failed.update((i, ValueError(_ASYMMETRIC)) for i in built[~kept].tolist())
+        H = H[kept]
         evals, evecs = jacobi_eigh(H)
     i_t0 = np.argmax(np.abs(T0_VECTOR @ evecs), axis=-1)
     at_t0 = np.arange(evals.shape[-1]) == i_t0[:, None]

@@ -1,13 +1,14 @@
 """Charge-noise metrics, matched-J calibration, chi, and quality factors."""
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .hamiltonian import AssemblyMode, exchange_J_ghz, hubbard_parameters, solve_stack, unwrap
-from .model import MEV_TO_GHZ, DeviceParams, Impurity, control_point, control_values
+from .hamiltonian import AssemblyMode, _model, hubbard_parameters, solve_stack, unwrap
+from .model import MEV_TO_GHZ, DeviceParams, Impurity, control_values
 
 DEFAULT_IMPURITY_SCALE = 6.0  # R_c = (-6a, 6a) is the reference noise source
 
@@ -100,74 +101,25 @@ class CalibrationError(ValueError):
 TILT_BRACKET = (0.0, 1.5)
 BARRIER_BRACKET = (0.3, 1.3)
 _BRACKETS = {"tilt": TILT_BRACKET, "barrier": BARRIER_BRACKET}
-_CAL_MAXITER = 200
 
 
-def _brent(xpre, xcur, fpre, fcur, xtol, rtol, maxiter, label):
-    """Root of f between xpre and xcur, where f takes the values fpre and
-    fcur of opposite signs: Brent's method, step for step as the C solver
-    behind scipy.optimize.brentq, so the roots are bit-identical.
-
-    A generator: it yields each x where it needs f and receives f(x), once
-    per step and never at the ends, and returns (root, f(root))."""
-    xblk = fblk = spre = scur = 0.0
-    for _ in range(maxiter):
-        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0 or abs(sbis) < delta:
-            return xcur, fcur
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:  # interpolate
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:  # extrapolate
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
-                spre, scur = scur, stry  # good short step
-            else:
-                spre = scur = sbis
-        else:
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
-        fcur = yield xcur
-    raise CalibrationError(f"{label}: no root within {maxiter} iterations; last at {xcur!r} meV")
+def _miss(label, j_target_ghz, c, j):
+    """J - target at the control value c, given the clean J [GHz] there or
+    the exception its solve raised."""
+    if isinstance(j, Exception):
+        raise j
+    d = j - j_target_ghz
+    if math.isnan(d):
+        raise CalibrationError(f"{label}: J - target is NaN at {c!r} meV "
+                               f"for target {j_target_ghz:.6g} GHz")
+    return d
 
 
-def _brentq(f, xpre, xcur, fpre, fcur, xtol, rtol, maxiter, label):
-    """_brent with f evaluated at each step as it asks: returns (root, f(root))."""
-    steps = _brent(xpre, xcur, fpre, fcur, xtol, rtol, maxiter, label)
-    try:
-        x = next(steps)
-        while True:
-            x = steps.send(f(x))
-    except StopIteration as stop:
-        return stop.value
-
-
-def _calibration(j_target_ghz, lo, hi, j_lo, j_hi, label):
-    """One calibration on the bracket [lo, hi], given the clean J [GHz] at
-    its ends.  A generator: it yields each control value whose clean J it
-    needs and receives that J, or the exception its solve raised; it
-    returns the control value at which J meets the target."""
-    def miss(c, j):
-        if isinstance(j, Exception):
-            raise j
-        d = j - j_target_ghz
-        if math.isnan(d):
-            raise CalibrationError(f"{label}: J - target is NaN at {c!r} meV "
-                                   f"for target {j_target_ghz:.6g} GHz")
-        return d
-
-    f_lo = miss(lo, j_lo)
-    f_hi = miss(hi, j_hi)
+def _end(j_target_ghz, lo, hi, j_lo, j_hi, label):
+    """The bracket end [lo, hi] at which the clean J [GHz] meets the target
+    exactly, or None when the target lies strictly between J at the ends."""
+    f_lo = _miss(label, j_target_ghz, lo, j_lo)
+    f_hi = _miss(label, j_target_ghz, hi, j_hi)
     if f_lo == 0.0:
         return lo
     if f_hi == 0.0:
@@ -177,19 +129,52 @@ def _calibration(j_target_ghz, lo, hi, j_lo, j_hi, label):
             f"{label}: target {j_target_ghz:.6g} GHz outside "
             f"[{min(f_lo, f_hi) + j_target_ghz:.6g}, {max(f_lo, f_hi) + j_target_ghz:.6g}] GHz "
             f"reachable on the bracket [{lo}, {hi}] meV")
-    steps = _brent(lo, hi, f_lo, f_hi, xtol=1e-13, rtol=8.9e-16,
-                   maxiter=_CAL_MAXITER, label=label)
-    try:
-        c = next(steps)
-        while True:
-            c = steps.send(miss(c, (yield c)))
-    except StopIteration as stop:
-        root, f_root = stop.value
-    if abs(f_root) > 1e-6 * j_target_ghz:
-        raise CalibrationError(
-            f"{label}: root-finder landed at J = {f_root + j_target_ghz:.9g} GHz "
-            f"for target {j_target_ghz:.9g} GHz")
-    return float(root)
+    return None
+
+
+def _quadratic(a, b, c):
+    """Both roots (2, ...) of a y^2 + b y + c = 0, each without cancellation;
+    a root at infinity (a = 0) comes out inf or NaN."""
+    q = -0.5 * (b + np.copysign(np.sqrt(np.maximum(b * b - 4.0 * a * c, 0.0)), b))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.stack([q / a, c / q])
+
+
+def _roots(requests, base: DeviceParams, mode: AssemblyMode) -> list:
+    """The control value of each (scheme, target_ghz) request at which the
+    clean J meets the target, in closed form.
+
+    -J is the lowest eigenvalue of the T0-shifted singlet block
+    B = [[U2 - U12 - D + K, s2, K], [s2, 2K, s1], [K, s1, U1 - U12 + D + K]]
+    over {S(0,2), S(1,1), S(2,0)}, with D = mu2 - mu1, s_i = sqrt(2) h_i and
+    the hops h_i = c_i - t (paper mode: K = c_i = 0).  So det(B + J) = 0 is
+    a quadratic in D at the device's barrier, and at epsilon = 0 one in the
+    hop t, which is affine in xi.  Of its two roots, the one nearest the
+    scheme's bracket is taken."""
+    schemes, targets = zip(*requests)
+    x = np.array(targets) / MEV_TO_GHZ
+    hp = _model(dataclasses.replace(base, epsilon=0.0, xi=0.0), np.zeros(3),
+                np.array([base.xi, 0.0, 1.0]), np.zeros(3, dtype=int), ())
+    k, c1, c2 = ((hp.exchange_k, hp.corr_hop1, hp.corr_hop2) if mode == AssemblyMode.FULL
+                 else (0.0, 0.0, 0.0))
+    a1, a2 = hp.U1 - hp.U12, hp.U2 - hp.U12
+    # The diagonal of B + J is (P - D, m, Q + D), so with A = P - D and C = Q + D
+    # det(B + J) = m (A C - K^2) - s1^2 A - s2^2 C + 2 K s1 s2.
+    P, Q, m = a2 + k + x, a1 + k + x, 2.0 * k + x
+    h1, h2 = c1 - hp.t[0], c2 - hp.t[0]
+    d_star = _quadratic(-m, m * (a2 - a1) + 2.0 * (h1 * h1 - h2 * h2),
+                        m * (P * Q - k * k) - 2.0 * (h1 * h1 * P + h2 * h2 * Q)
+                        + 4.0 * k * h1 * h2)
+    t_star = _quadratic(4.0 * k - 2.0 * (P + Q), 4.0 * (P * c1 + Q * c2 - k * (c1 + c2)),
+                        m * (P * Q - k * k) - 2.0 * (P * c1 * c1 + Q * c2 * c2)
+                        + 4.0 * k * c1 * c2)
+    eps_star = d_star - (hp.mu2[0] - hp.mu1[0])
+    xi_star = (t_star - hp.t[1]) / (hp.t[2] - hp.t[1])
+    roots = np.where(np.array(schemes) == "tilt", eps_star, xi_star)
+    lo, hi = np.array([_BRACKETS[s] for s in schemes]).T
+    outside = np.fmax(np.fmax(lo - roots, roots - hi), 0.0)
+    nearest = np.argmin(np.where(np.isnan(outside), np.inf, outside), axis=0)
+    return np.take_along_axis(roots, nearest[None], axis=0)[0].tolist()
 
 
 def calibrate_many(requests, base: DeviceParams = DeviceParams(),
@@ -197,11 +182,11 @@ def calibrate_many(requests, base: DeviceParams = DeviceParams(),
     """The control value of each (scheme, target_ghz) request at which the
     clean J meets the target.
 
-    Each calibration takes the steps of Brent's method on its scheme's
-    bracket, and all of them advance in lockstep: every round evaluates
-    the pending step of each unfinished calibration in one stacked solve.
-    J at the bracket ends does not depend on the target, so it is
-    evaluated once per end.  An entry is the exception its calibration
+    J at the bracket ends of every request is evaluated in one stacked
+    solve, once per end.  A target equal to J at an end returns that end;
+    one strictly between them is met by the closed-form root (_roots), and
+    the clean J at every such root, from one more stacked solve, must lie
+    within 1e-6 of its target.  An entry is the exception its calibration
     raised instead."""
     requests = list(requests)
     for scheme, _ in requests:
@@ -214,23 +199,31 @@ def calibrate_many(requests, base: DeviceParams = DeviceParams(),
     ends = {setting(k, c): None for k, (scheme, _) in enumerate(requests)
             for c in _BRACKETS[scheme]}
     ends = dict(zip(ends, _j_ghz(base, list(ends), mode)))
-    steps = {k: _calibration(target, *_BRACKETS[scheme],
-                             *(ends[setting(k, c)] for c in _BRACKETS[scheme]),
-                             label=f"calibrate_{scheme}")
-             for k, (scheme, target) in enumerate(requests)}
     out: list = [None] * len(requests)
-    received = dict.fromkeys(steps)  # None starts each generator
-    while received:
-        asks = {}
-        for k, j in received.items():
-            try:
-                asks[k] = steps[k].send(j)
-            except StopIteration as stop:
-                out[k] = stop.value
-            except Exception as exc:  # this calibration's own failure
-                out[k] = exc
-        settings = [setting(k, c) for k, c in asks.items()]
-        received = dict(zip(asks, _j_ghz(base, settings, mode))) if settings else {}
+    for k, (scheme, target) in enumerate(requests):
+        try:
+            out[k] = _end(target, *_BRACKETS[scheme],
+                          *(ends[setting(k, c)] for c in _BRACKETS[scheme]),
+                          label=f"calibrate_{scheme}")
+        except Exception as exc:  # this calibration's own failure
+            out[k] = exc
+    inner = [k for k, c in enumerate(out) if c is None]
+    if not inner:
+        return out
+    roots = _roots([requests[k] for k in inner], base, mode)
+    js = _j_ghz(base, [setting(k, c) for k, c in zip(inner, roots)], mode)
+    for k, c, j in zip(inner, roots, js):
+        scheme, target = requests[k]
+        label = f"calibrate_{scheme}"
+        try:
+            f_root = _miss(label, target, c, j)
+            if abs(f_root) > 1e-6 * abs(target):
+                raise CalibrationError(
+                    f"{label}: root-finder landed at J = {f_root + target:.9g} GHz "
+                    f"for target {target:.9g} GHz")
+            out[k] = c
+        except Exception as exc:  # this calibration's own failure
+            out[k] = exc
     return out
 
 
@@ -268,8 +261,9 @@ class ChiRecord:
 def improvement_factors(targets, imp: Impurity,
                         base: DeviceParams = DeviceParams(),
                         mode: AssemblyMode = AssemblyMode.PAPER) -> list:
-    """improvement_factor at each target: every calibration in lockstep,
-    then both noise records of every target in one stacked solve.
+    """improvement_factor at each target: every calibration in one
+    calibrate_many, then both noise records of every target in one stacked
+    solve.
 
     An entry is its target's first exception instead, in the order tilt
     calibration, barrier calibration, tilt record, barrier record."""
@@ -314,7 +308,7 @@ def matched_j_grid(base: DeviceParams, n: int = 25, j_max_ghz: float = 1.0,
         raise ValueError(f"--points must be at least 2, got {n}")
     if not 0 < j_max_ghz < math.inf:
         raise ValueError(f"--j-max must be positive and finite, got {j_max_ghz}")
-    j0 = exchange_J_ghz(control_point("tilt", base, 0.0), None, mode)
+    (j0,) = unwrap(_j_ghz(base, [control_values("tilt", base, 0.0)], mode))
     if not 0 < j0 < math.inf:
         raise ValueError(f"{AssemblyMode(mode).value} mode: the matched-J grid starts at "
                          f"J0 = J(epsilon = 0) = {j0:.6g} GHz, which must be positive and finite")

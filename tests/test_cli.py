@@ -370,27 +370,35 @@ class TestFlags:
         assert not out.exists()
 
     def test_unconverged_calibration_is_reported(self, monkeypatch, tmp_path, capsys):
-        monkeypatch.setattr(noise, "_CAL_MAXITER", 2)
+        # Every tilt root lands off its target; J0, at the bracket end, has none.
+        real = noise._roots
+        monkeypatch.setattr(noise, "_roots", lambda requests, base, mode: [
+            c + 0.01 if scheme == "tilt" else c
+            for (scheme, _), c in zip(requests, real(requests, base, mode))])
         out = tmp_path / "out.csv"
         assert main(["noise-compare", "--points", "2", "--out", str(out)]) == 2
         err = capsys.readouterr().err
-        assert "calibrate_tilt: no root within 2 iterations" in err
+        assert "J = 1 GHz: calibrate_tilt: root-finder landed at J = " in err
         assert len(data_rows(out.read_text())) == 1 + 2
-
 
     def test_calibrations_that_run_out_fail_only_their_rows(self, monkeypatch, tmp_path, capsys):
         full, cut = tmp_path / "full.csv", tmp_path / "cut.csv"
         assert main(["noise-compare", "--points", "8", "--out", str(full)]) == 0
-        monkeypatch.setattr(noise, "_CAL_MAXITER", 12)
+        grid = [float(j) for j in matched_j_grid(DeviceParams(), n=8)]
+        wrong = {("tilt", grid[2]), ("barrier", grid[2]), ("barrier", grid[5])}
+        real = noise._roots
+        monkeypatch.setattr(noise, "_roots", lambda requests, base, mode: [
+            c + 0.01 if req in wrong else c
+            for req, c in zip(requests, real(requests, base, mode))])
         # Each calibration on its own: the first failure of each J, tilt first.
         expected = []
-        for j in map(float, matched_j_grid(DeviceParams(), n=8)):
+        for j in grid:
             try:
                 calibrate_tilt(j)
                 calibrate_barrier(j)
             except CalibrationError as exc:
                 expected.append(f"dqdsim: error: J = {cli._fmt(j)} GHz: {exc}")
-        assert 0 < len(expected) < 8
+        assert len(expected) == 2
         capsys.readouterr()
         assert main(["noise-compare", "--points", "8", "--out", str(cut)]) == 2
         assert capsys.readouterr().err.splitlines() == expected
@@ -441,6 +449,19 @@ class TestFlags:
         monkeypatch.setattr(hamiltonian, "jacobi_eigh", lambda A: stacks.append(len(A)) or real(A))
         assert main([command, "--out", str(tmp_path / "out.csv")]) == 0
         assert stacks == [2 * values]
+
+    # A matched-J command hands the eigensolver a few stacks however many J
+    # it calibrates: noise-compare J0, the bracket ends, the roots and the
+    # records; qfactor and impurity-scan the last three.
+    @pytest.mark.parametrize("argv,most", [(["noise-compare"], 4), (["qfactor"], 3),
+                                           (["impurity-scan"], 3)])
+    def test_a_matched_j_command_makes_few_stacked_solves(self, argv, most, monkeypatch,
+                                                          tmp_path):
+        stacks = []
+        real = hamiltonian.jacobi_eigh
+        monkeypatch.setattr(hamiltonian, "jacobi_eigh", lambda A: stacks.append(len(A)) or real(A))
+        assert main([*argv, "--out", str(tmp_path / "out.csv")]) == 0
+        assert 0 < len(stacks) <= most
 
     # impurity-scan checks its target and its radii before any calibration.
     @pytest.mark.filterwarnings("error")

@@ -436,6 +436,16 @@ class TestStackedJacobi:
         with pytest.raises(ValueError, match="matrix must be symmetric"):
             jacobi_eigh(np.array([random_symmetric(1), bad]))
 
+    def test_an_infinite_matrix_is_rejected(self):
+        # Symmetric, so only its infinite entries can reject it; solved, it
+        # came back as diag(1, 2, 3, 4) with the identity.
+        A = np.diag([1.0, 2.0, 3.0, 4.0])
+        A[0, 1] = A[1, 0] = math.inf
+        with pytest.raises(ValueError, match="matrix must be symmetric"):
+            jacobi_eigh(A)
+        with pytest.raises(ValueError, match="matrix must be symmetric"):
+            jacobi_eigh(np.array([random_symmetric(1), A]))
+
     def test_an_exactly_symmetric_stack_is_not_scanned(self, monkeypatch):
         stack = np.array([random_symmetric(k) for k in range(5)])
         want = jacobi_eigh(stack)
@@ -529,6 +539,23 @@ class TestSolveMany:
             DeviceParams(), [0.0, 0.1, 0.2, 0.3], [1.3] * 4)
         assert list(failed) == [1] and str(failed[1]) == "matrix must be symmetric"
         kept = built[0][[0, 2, 3]]
+        assert same_bits([H], [kept])
+        for A, e, v in zip(kept, evals, evecs):
+            assert same_bits((e, v), lone_jacobi(A))
+
+    def test_an_infinite_point_of_a_stack_fails_alone(self, monkeypatch):
+        real, built = hamiltonian.assemble_matrix, []
+
+        def corrupted(hp, mode=AssemblyMode.PAPER):
+            H = real(hp, mode)
+            H[1, 0, 1] = H[1, 1, 0] = math.inf
+            built.append(H)
+            return H
+        monkeypatch.setattr(hamiltonian, "assemble_matrix", corrupted)
+        failed, H, evals, evecs, _ = hamiltonian.solve_stack(
+            DeviceParams(), [0.0, 0.1, 0.2], [1.3] * 3)
+        assert list(failed) == [1] and str(failed[1]) == "matrix must be symmetric"
+        kept = built[0][[0, 2]]
         assert same_bits([H], [kept])
         for A, e, v in zip(kept, evals, evecs):
             assert same_bits((e, v), lone_jacobi(A))

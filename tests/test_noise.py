@@ -32,7 +32,8 @@ from dqdsim import (
     t_star_ns,
 )
 from dqdsim import hamiltonian, noise
-from dqdsim.model import control_point
+from dqdsim.crosscheck import sample_device
+from dqdsim.model import MEV_TO_GHZ, control_point
 from dqdsim.noise import calibrate_many, improvement_factors
 
 # Frozen reference values at the default device with the default
@@ -44,45 +45,26 @@ XI_STAR_242MHZ = 0.9745470770110896
 DELTA_U = 0.7814953236075299
 
 
-# Synthetic f(x - r, c) with a root at x = r for c > 0.
-SHAPES = (lambda x, c: x * (1.0 + c * x * x),
-          lambda x, c: math.tanh(c * x) + 0.1 * x**3,
-          lambda x, c: math.expm1(c * x),
-          lambda x, c: math.atan(c * x) - 0.3 * math.sin(x))
-
-
-def count_j_evaluations(monkeypatch) -> list:
-    """The matrices that solves hand to the eigensolver from now on: one
-    per J evaluation, whatever stack it is solved in."""
-    calls = []
+def count_stacks(monkeypatch) -> list:
+    """The size of each stack that solves hand to the eigensolver from now on."""
+    stacks = []
     real = hamiltonian.jacobi_eigh
-    monkeypatch.setattr(hamiltonian, "jacobi_eigh",
-                        lambda A, *a, **kw: calls.extend(A) or real(A, *a, **kw))
-    return calls
+    monkeypatch.setattr(hamiltonian, "jacobi_eigh", lambda A: stacks.append(len(A)) or real(A))
+    return stacks
 
 
-def lone_calibration(j_of, lo, hi, target, label):
-    """One calibration on its own, as before the lockstep: J at both ends,
-    then noise._brentq.  Returns (the root, or the message of the error
-    that ended it, and the controls evaluated between the ends)."""
-    evaluated = []
-
-    def miss(c):
-        evaluated.append(c)
-        return j_of(c) - target
-
-    f_lo, f_hi = j_of(lo) - target, j_of(hi) - target
-    assert (f_lo < 0) != (f_hi < 0)
-    try:
-        root, _ = noise._brentq(miss, lo, hi, f_lo, f_hi, 1e-13, 8.9e-16,
-                                noise._CAL_MAXITER, label)
-    except CalibrationError as exc:
-        return str(exc), evaluated
-    return root, evaluated
+def shift_roots(monkeypatch, wrong, by=0.01):
+    """Make calibrate_many's closed-form root of each (scheme, target)
+    request in wrong land `by` meV off, so its residual check fails."""
+    real = noise._roots
+    monkeypatch.setattr(noise, "_roots", lambda requests, base, mode: [
+        c + by if req in wrong else c for req, c in zip(requests, real(requests, base, mode))])
 
 
-def outcome(result):
-    return str(result) if isinstance(result, Exception) else result
+def landed(scheme, target, control, base=DeviceParams(), mode=AssemblyMode.PAPER):
+    """The message of a calibration whose root landed at control."""
+    j = exchange_J_ghz(control_point(scheme, base, control), None, mode)
+    return f"calibrate_{scheme}: root-finder landed at J = {j:.9g} GHz for target {target:.9g} GHz"
 
 
 class TestDefaultImpurity:
@@ -160,122 +142,133 @@ class TestCalibration:
             calibrate_tilt(math.nan)
 
     def test_running_out_of_steps_names_the_calibration(self, monkeypatch):
-        monkeypatch.setattr(noise, "_CAL_MAXITER", 2)
-        for calibrate in (calibrate_tilt, calibrate_barrier):
-            with pytest.raises(CalibrationError,
-                               match=f"{calibrate.__name__}: no root within 2 iterations"):
+        roots = [calibrate_tilt(0.242), calibrate_barrier(0.242)]
+        shift_roots(monkeypatch, {("tilt", 0.242), ("barrier", 0.242)})
+        for calibrate, root in zip((calibrate_tilt, calibrate_barrier), roots):
+            scheme = calibrate.__name__.removeprefix("calibrate_")
+            with pytest.raises(CalibrationError) as err:
                 calibrate(0.242)
+            assert str(err.value) == landed(scheme, 0.242, root + 0.01)
+
+    def test_reachable_negative_full_mode_targets_calibrate(self, params):
+        # In full mode J runs from -19.53 to -19.19 GHz on the barrier
+        # bracket and up from -19.19 GHz on the tilt bracket.
+        requests = [("barrier", -19.3), ("barrier", -19.5), ("tilt", -19.0), ("tilt", -10.0)]
+        controls = calibrate_many(requests, params, AssemblyMode.FULL)
+        for (scheme, target), c in zip(requests, controls):
+            assert isinstance(c, float), c
+            lo, hi = TILT_BRACKET if scheme == "tilt" else BARRIER_BRACKET
+            assert lo < c < hi
+            j = exchange_J_ghz(control_point(scheme, params, c), None, AssemblyMode.FULL)
+            assert j == pytest.approx(target, rel=1e-12)
+
+    def test_a_target_at_a_bracket_end_returns_that_end(self, params):
+        # J0 is J at epsilon = 0 and xi = 1.3: the low end of the tilt
+        # bracket and the high end of the barrier bracket, where dJ/d epsilon
+        # = 0 leaves the closed form's root ill-conditioned.
+        j0 = float(matched_j_grid(params, n=2)[0])
+        assert params.xi == BARRIER_BRACKET[1]
+        eps, xi = calibrate_many([("tilt", j0), ("barrier", j0)], params)
+        assert eps == 0.0 and math.copysign(1.0, eps) == 1.0
+        assert xi == params.xi
 
 
-class TestBrent:
-    """noise._brentq takes the same steps as scipy.optimize.brentq, from
-    the bracket values that the calibration has already computed."""
+class TestClosedForm:
+    """The closed-form roots of calibrate_many against a 50-digit root-find
+    of J on the 4x4 model."""
 
-    def test_bit_equal_to_scipy_on_synthetic_brackets(self):
-        from scipy.optimize import brentq
-        rng = np.random.default_rng(11)
-        shapes = SHAPES
-        for k in range(2000):
-            r, c = rng.uniform(-2.0, 2.0), rng.uniform(0.1, 5.0)
-            a, b = r - rng.uniform(0.01, 3.0), r + rng.uniform(0.01, 3.0)
-            if k % 2:
-                a, b = b, a
-            xtol = 10.0 ** rng.uniform(-15.0, -3.0)
-            maxiter = int(rng.integers(5, 200))
+    DEVICES = [DeviceParams(), *map(sample_device, [np.random.default_rng(5)] * 4)]
 
-            def f(x, shape=shapes[k % len(shapes)]):
-                return shape(x - r, c)
-            fa, fb = f(a), f(b)
-            if fa == 0.0 or fb == 0.0 or (fa < 0) == (fb < 0):
-                continue
-            try:
-                ref = brentq(f, a, b, xtol=xtol, rtol=8.9e-16, maxiter=maxiter)
-            except RuntimeError:  # scipy ran out of steps
-                with pytest.raises(CalibrationError, match=f"no root within {maxiter}"):
-                    noise._brentq(f, a, b, fa, fb, xtol, 8.9e-16, maxiter, "synthetic")
-                continue
-            root, f_root = noise._brentq(f, a, b, fa, fb, xtol, 8.9e-16, maxiter, "synthetic")
-            assert root == ref and f_root == f(root), (k, a, b)
+    @staticmethod
+    def mp_root(scheme, target, base, mode):
+        """The control on the scheme's bracket at which J of the 4x4 model,
+        built in 50 digits from the float model fields, meets the target:
+        bisection, then secant steps.  J is the T0 level d11 - K minus the
+        lowest of the other three eigenvalues."""
+        mp = pytest.importorskip("mpmath").mp
+        hp = hamiltonian._model(dataclasses.replace(base, epsilon=0.0, xi=0.0), np.zeros(3),
+                                np.array([base.xi, 0.0, 1.0]), np.zeros(3, dtype=int), ())
+        f = mp.mpf
+        full = mode == AssemblyMode.FULL
+        with mp.workdps(50):
+            k, c1, c2 = map(f, (hp.exchange_k, hp.corr_hop1, hp.corr_hop2) if full else (0, 0, 0))
+            x = f(target) / f(MEV_TO_GHZ)
 
-    @pytest.mark.parametrize("target", [0.05, 0.242, 0.9])
+            def miss(c):
+                if scheme == "tilt":
+                    mu1, mu2, t = f(hp.mu1[0]) - c / 2, f(hp.mu2[0]) + c / 2, f(hp.t[0])
+                else:
+                    mu1, mu2 = f(hp.mu1[1]), f(hp.mu2[1])
+                    t = f(hp.t[1]) + (f(hp.t[2]) - f(hp.t[1])) * c
+                d11, h1, h2 = f(hp.U12) - mu1 - mu2, c1 - t, c2 - t
+                H = mp.matrix([[f(hp.U2) - 2 * mu2, h2, h2, k], [h2, d11, k, h1],
+                               [h2, k, d11, h1], [k, h1, h1, f(hp.U1) - 2 * mu1]])
+                levels = sorted(mp.eigsy(H, eigvals_only=True), key=lambda e: abs(e - d11 + k))
+                return d11 - k - min(levels[1:]) - x
+
+            lo, hi = map(f, TILT_BRACKET if scheme == "tilt" else BARRIER_BRACKET)
+            f_lo = miss(lo)
+            for _ in range(20):
+                mid = (lo + hi) / 2
+                f_mid = miss(mid)
+                if (f_mid < 0) == (f_lo < 0):
+                    lo, f_lo = mid, f_mid
+                else:
+                    hi = mid
+            return float(mp.findroot(miss, (lo, hi), solver="secant", tol=f(10) ** -60))
+
     @pytest.mark.parametrize("scheme", ["tilt", "barrier"])
-    def test_calibrations_match_scipy_with_three_fewer_j_evaluations(
-            self, monkeypatch, scheme, target):
-        from scipy.optimize import brentq
-        base = DeviceParams()
-        bracket = TILT_BRACKET if scheme == "tilt" else BARRIER_BRACKET
-        ref, info = brentq(
-            lambda c: exchange_J_ghz(control_point(scheme, base, c)) - target, *bracket,
-            xtol=1e-13, rtol=8.9e-16, maxiter=noise._CAL_MAXITER, full_output=True)
-        # Each J evaluation is one matrix of a stacked eigensolve.
-        calls = count_j_evaluations(monkeypatch)
-        got = calibrate_tilt(target) if scheme == "tilt" else calibrate_barrier(target)
-        assert got == ref
-        # The scipy path evaluated J at both ends, then scipy's own
-        # function calls, then once more at the root.
-        assert len(calls) == (2 + info.function_calls + 1) - 3
+    @pytest.mark.parametrize("mode", list(AssemblyMode))
+    def test_roots_match_a_50_digit_root_find(self, scheme, mode):
+        for base in self.DEVICES:
+            bracket = TILT_BRACKET if scheme == "tilt" else BARRIER_BRACKET
+            j_lo, j_hi = (exchange_J_ghz(control_point(scheme, base, c), None, mode)
+                          for c in bracket)
+            targets = [j_lo + share * (j_hi - j_lo) for share in (0.05, 0.5, 0.95)]
+            for target, c in zip(targets, calibrate_many(
+                    [(scheme, t) for t in targets], base, mode)):
+                ref = self.mp_root(scheme, target, base, mode)
+                assert abs(c - ref) <= 1e-13 * max(1.0, abs(c)), (base, target, c, ref)
+
+    @pytest.mark.parametrize("base", DEVICES)
+    def test_the_hop_is_affine_in_xi(self, base):
+        xi = np.linspace(0.0, 1.5, 16)
+        t = hamiltonian._model(dataclasses.replace(base, epsilon=0.0, xi=0.0), np.zeros(16), xi,
+                               np.zeros(16, dtype=int), ()).t
+        affine = t[0] + (hamiltonian._model(
+            dataclasses.replace(base, epsilon=0.0, xi=0.0), np.zeros(1), np.ones(1),
+            np.zeros(1, dtype=int), ()).t[0] - t[0]) * xi
+        assert np.max(np.abs(t - affine)) <= 1e-15 * np.max(np.abs(t))
 
 
 class TestLockstep:
-    """calibrate_many advances every calibration in lockstep, one stacked
-    solve per round; each calibration takes the steps it takes alone."""
-
-    def test_synthetic_brackets_match_one_at_a_time(self, monkeypatch):
-        rng = np.random.default_rng(11)
-        lo, hi = TILT_BRACKET
-        for k in range(60):
-            shape, r, c = SHAPES[k % len(SHAPES)], rng.uniform(lo, hi), rng.uniform(0.1, 5.0)
-
-            def j_of(x, shape=shape, r=r, c=c):
-                return 10.0 + shape(x - r, c)
-            targets = [j_of(x) for x in rng.uniform(lo, hi, size=int(rng.integers(1, 8)))]
-            refs = [lone_calibration(j_of, lo, hi, t, "calibrate_tilt") for t in targets]
-            rounds = []
-
-            def fake_j_ghz(base, settings, mode, imp=None, j_of=j_of):
-                rounds.append([epsilon for epsilon, _ in settings])
-                return [j_of(epsilon) for epsilon, _ in settings]
-            monkeypatch.setattr(noise, "_j_ghz", fake_j_ghz)
-            got = calibrate_many([("tilt", t) for t in targets])
-            assert [outcome(g) for g in got] == [root for root, _ in refs], k
-            # The ends once, then one round per step of the longest calibration,
-            # holding the pending step of each calibration still running.
-            assert rounds[0] == [lo, hi]
-            assert len(rounds) == 1 + max(len(e) for _, e in refs)
-            assert sorted(sum(rounds[1:], [])) == sorted(sum((e for _, e in refs), []))
+    """calibrate_many calibrates every request of a call together: J at the
+    bracket ends in one stacked solve, every root in closed form, and J at
+    the roots in one more."""
 
     TARGETS = (0.05, 0.15, 0.242, 0.5, 0.9)
+    REQUESTS = [(scheme, t) for t in TARGETS for scheme in ("tilt", "barrier")]
 
-    def lone_references(self):
-        base = DeviceParams()
-        requests = [(scheme, t) for t in self.TARGETS for scheme in ("tilt", "barrier")]
-        refs = [lone_calibration(lambda c, s=scheme: exchange_J_ghz(control_point(s, base, c)),
-                                 *(TILT_BRACKET if scheme == "tilt" else BARRIER_BRACKET),
-                                 t, f"calibrate_{scheme}")
-                for scheme, t in requests]
-        return requests, refs
-
-    def test_real_targets_match_one_at_a_time(self, monkeypatch):
-        requests, refs = self.lone_references()
-        calls = count_j_evaluations(monkeypatch)
-        got = calibrate_many(requests)
-        assert got == [root for root, _ in refs]
-        # J once at each bracket end, then the steps: the tilt bracket starts
-        # where the barrier bracket ends (epsilon = 0, xi = 1.3), so 3 ends.
-        assert len(calls) == 3 + sum(len(e) for _, e in refs)
+    def test_two_stacked_solves(self, monkeypatch):
+        stacks = count_stacks(monkeypatch)
+        got = calibrate_many(self.REQUESTS)
+        # The tilt bracket starts where the barrier bracket ends (epsilon = 0,
+        # xi = 1.3), so 3 ends; then one root per request.
+        assert stacks == [3, len(self.REQUESTS)]
+        for (scheme, target), c in zip(self.REQUESTS, got):
+            j = exchange_J_ghz(control_point(scheme, DeviceParams(), c))
+            assert j == pytest.approx(target, rel=1e-9)
 
     def test_running_out_of_steps_fails_only_that_calibration(self, monkeypatch):
-        monkeypatch.setattr(noise, "_CAL_MAXITER", 13)
-        requests, refs = self.lone_references()
-        failed = [isinstance(root, str) for root, _ in refs]
-        assert any(failed) and not all(failed)
-        got = calibrate_many(requests)
-        for g, (root, _) in zip(got, refs):
-            if isinstance(root, str):
-                assert isinstance(g, CalibrationError) and str(g) == root
-                assert "no root within 13 iterations" in root
+        whole = calibrate_many(self.REQUESTS)
+        wrong = {("tilt", 0.15), ("barrier", 0.5), ("barrier", 0.9)}
+        shift_roots(monkeypatch, wrong)
+        got = calibrate_many(self.REQUESTS)
+        for req, g, c in zip(self.REQUESTS, got, whole):
+            if req in wrong:
+                assert isinstance(g, CalibrationError) and str(g) == landed(*req, c + 0.01)
             else:
-                assert g == root
+                assert g == c
 
     def test_improvement_factors_match_one_at_a_time(self, impurity):
         targets = [0.05, 0.242, 0.9]
