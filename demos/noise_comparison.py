@@ -59,7 +59,7 @@ def matched_comparison(base, imp):
     print(f"  {'J [GHz]':>9s} {'eps* [meV]':>10s} {'xi* [meV]':>9s} "
           f"{'|dJ/J| tilt':>12s} {'|dJ/J| barrier':>15s} {'chi':>9s}")
     grid = [float(j) for j in matched_j_grid(base, n=9)]
-    # Every calibration of the table in one calibrate_many call: two stacked solves.
+    # Every calibration of the table in one calibrate_many call: one stacked solve.
     recs = unwrap(improvement_factors(grid, imp, base))
     controls = unwrap(calibrate_many(
         [(scheme, j) for j in grid for scheme in ("tilt", "barrier")], base))

@@ -223,7 +223,7 @@ def cmd_spectrum(args) -> int:
     if args.charge_e is not None and imp is None:
         raise ValueError("--charge-e given without --impurity or a config impurity: "
                          "there is no impurity to charge")
-    eps_values = _parse_range(args.eps_range or "0:1:0.01")
+    eps_values = _parse_range(args.eps_range)
     xi_values = _parse_range(args.xi_range) if args.xi_range else [1.3, 1.0]
     grid = [(eps, xi) for xi in xi_values for eps in eps_values]
     epsilon, xi = np.array(grid).T
@@ -232,7 +232,7 @@ def cmd_spectrum(args) -> int:
     rows = [(eps, xi, e0, e1, j, j * MEV_TO_GHZ)
             for (eps, xi), (e0, e1), j in zip(grid, evals[:, :2].tolist(), J.tolist())]
     header = _provenance("spectrum", args, base, mode, imp, (
-        f"eps_range = {args.eps_range or '0:1:0.01'}",
+        f"eps_range = {args.eps_range}",
         f"xi_values = {','.join(_fmt(x) for x in xi_values)}",
     ))
     _emit(args.out, header,
@@ -243,11 +243,11 @@ def cmd_spectrum(args) -> int:
 def cmd_exchange_tilt(args) -> int:
     """J and impurity-induced dJ versus detuning at fixed barrier."""
     base, imp, mode = _resolve(args, default_impurity_wanted=True)
-    eps_values = _parse_range(args.eps_range or "0:1:0.01")
+    eps_values = _parse_range(args.eps_range)
     failures: list[str] = []
     rows = _sweep_rows("tilt", eps_values, base, imp, mode, failures)
     header = _provenance("exchange-tilt", args, base, mode, imp, (
-        f"eps_range = {args.eps_range or '0:1:0.01'}",
+        f"eps_range = {args.eps_range}",
     ))
     _emit(args.out, header, NoiseRecord.CSV_FIELDS, rows)
     return _report(failures)
@@ -310,7 +310,7 @@ def cmd_qfactor(args) -> int:
     the calibrated tilt scheme, the calibrated barrier scheme, and a
     constant relative-noise model frozen at the tilt value at 0.242 GHz."""
     base, imp, mode = _resolve(args, default_impurity_wanted=True)
-    j_values = _parse_range(args.j_range or "0.15:0.9:0.05")
+    j_values = _parse_range(args.j_range)
     ref_j = 0.242  # GHz (1 ueV)
     # One calibrate_many call calibrates the reference and both schemes at every J.
     requests = [("tilt", ref_j)] + [
@@ -333,7 +333,7 @@ def cmd_qfactor(args) -> int:
             quality_factor(j_ghz, QualityModel(rel_ref)),
         ))
     header = _provenance("qfactor", args, base, mode, imp, (
-        f"j_range_ghz = {args.j_range or '0.15:0.9:0.05'}",
+        f"j_range_ghz = {args.j_range}",
         f"const_model_ref_ghz = {_fmt(ref_j)}",
     ))
     _emit(args.out, header, ("J_ghz", "Q_tilt", "Q_barrier", "Q_constmodel"), rows)
@@ -650,18 +650,18 @@ def _add_common(p: argparse.ArgumentParser, impurity: bool = True, mode: bool = 
                         "draws random numbers")
 
 
-def _spectrum_flags(p: argparse.ArgumentParser) -> None:
+def _exchange_tilt_flags(p: argparse.ArgumentParser) -> None:
     _add_common(p)
-    p.add_argument("--eps-range", metavar="LO:HI:STEP", help="detuning grid [meV]")
+    p.add_argument("--eps-range", default="0:1:0.01", metavar="LO:HI:STEP",
+                   help="detuning grid [meV]")
+    p.set_defaults(func=cmd_exchange_tilt)
+
+
+def _spectrum_flags(p: argparse.ArgumentParser) -> None:
+    _exchange_tilt_flags(p)  # and a barrier grid
     p.add_argument("--xi-range", metavar="LO:HI:STEP",
                    help="barrier amplitudes [meV] (default: 1.3 and 1.0)")
     p.set_defaults(func=cmd_spectrum)
-
-
-def _exchange_tilt_flags(p: argparse.ArgumentParser) -> None:
-    _add_common(p)
-    p.add_argument("--eps-range", metavar="LO:HI:STEP", help="detuning grid [meV]")
-    p.set_defaults(func=cmd_exchange_tilt)
 
 
 def _exchange_barrier_flags(p: argparse.ArgumentParser) -> None:
@@ -681,7 +681,8 @@ def _matched_j_flags(p: argparse.ArgumentParser) -> None:
 
 def _qfactor_flags(p: argparse.ArgumentParser) -> None:
     _add_common(p)
-    p.add_argument("--j-range", metavar="LO:HI:STEP", help="J grid [GHz]")
+    p.add_argument("--j-range", default="0.15:0.9:0.05", metavar="LO:HI:STEP",
+                   help="J grid [GHz]")
     p.set_defaults(func=cmd_qfactor)
 
 

@@ -188,9 +188,6 @@ def assemble_matrix(hp: HubbardParams, mode: AssemblyMode = AssemblyMode.PAPER) 
 # eigensolver: deterministic cyclic Jacobi over a stack of matrices
 # ---------------------------------------------------------------------------
 
-_ASYMMETRIC = "matrix must be symmetric"
-
-
 def _rejected(A: np.ndarray) -> np.ndarray:
     """For each matrix of a stack (N, n, n): whether it has an entry that is
     not finite, or differs from its transpose by more than 1e-12 of its
@@ -202,6 +199,12 @@ def _rejected(A: np.ndarray) -> np.ndarray:
         atol = 1e-12 * np.fmax(1.0, np.abs(B).max(axis=(-2, -1), keepdims=True))
         asym[asym] = ~np.isclose(B, np.swapaxes(B, -1, -2), rtol=0, atol=atol).all(axis=(-2, -1))
     return asym | ~np.isfinite(A).all(axis=(-2, -1))
+
+
+def _fault(M: np.ndarray) -> ValueError:
+    """The error of a rejected matrix: a non-finite entry, else asymmetry."""
+    return ValueError("matrix must be symmetric" if np.isfinite(M).all()
+                      else "matrix has a non-finite entry")
 
 
 def jacobi_eigh(A: np.ndarray):
@@ -218,14 +221,15 @@ def jacobi_eigh(A: np.ndarray):
     1e-14 max(1, max |A|), and stops after 60 sweeps either way.  Eigenvector
     signs are fixed by making the first non-negligible component positive.
     A stack with a matrix that is not finite or not symmetric raises
-    ValueError.
+    ValueError, naming the first such matrix's fault (see _fault).
     """
     A = np.array(A, dtype=float)
     single = A.ndim == 2
     if single:
         A = A[None]
-    if _rejected(A).any():
-        raise ValueError(_ASYMMETRIC)
+    bad = _rejected(A)
+    if bad.any():
+        raise _fault(A[bad][0])
     A = 0.5 * (A + np.swapaxes(A, -1, -2))
     n = A.shape[-1]
     V, upper = np.empty_like(A), np.triu_indices(n, 1)
@@ -289,15 +293,15 @@ def solve_stack(device: DeviceParams, epsilon, xi, rows=None, impurities=(),
     one device (its own controls play no part) in one stacked eigensolve.
 
     rows[k] is point k's impurity: 0 for none, j for impurities[j - 1]; no
-    point has one without rows.  The device is checked first and raises its
-    own failure (a bad device field).  Returns (failed, H, evals, evecs, J):
-    failed maps the index of each point that failed to its exception (a
-    non-finite control, a matrix that is not symmetric, ...), and the arrays
-    hold the matrices, eigenpairs and J [meV] of the other points, in
-    order.  J is the signed singlet-triplet splitting E(T0) - E(S): the T0
-    vector is an exact eigenvector of every assembly (its eigenpair is
-    found by overlap), and E(S) is the lowest remaining level.  A negative
-    J means the triplet has dropped below the singlet.
+    point has one without rows.  A device that is bad or cannot be built
+    raises.  Returns (failed, H, evals, evecs, J): failed maps the index of
+    each point that failed to its exception (a non-finite control, a matrix
+    that is not finite or not symmetric), and the arrays hold the matrices,
+    eigenpairs and J [meV] of the other points, in order.  J is the signed
+    singlet-triplet splitting E(T0) - E(S): the T0 vector is an exact
+    eigenvector of every assembly (its eigenpair is found by overlap), and
+    E(S) is the lowest remaining level.  A negative J means the triplet has
+    dropped below the singlet.
     """
     device = dataclasses.replace(device, epsilon=0.0, xi=0.0)
     derive_constants(device)
@@ -311,19 +315,12 @@ def solve_stack(device: DeviceParams, epsilon, xi, rows=None, impurities=(),
         except ValueError as exc:  # names the non-finite control
             failed[i] = exc
     built = np.flatnonzero(finite)
-    try:
-        H = assemble_matrix(_model(device, epsilon[built], xi[built], rows[built], impurities),
-                            mode)
-    except Exception as exc:  # the device's own failure, at each point built
-        failed.update(dict.fromkeys(built.tolist(), exc))
-        H = np.empty((0, 4, 4))
-    try:
-        evals, evecs = jacobi_eigh(H)  # checks that each matrix is finite and symmetric
-    except ValueError:  # a matrix that is not fails alone
-        kept = ~_rejected(H)
-        failed.update((i, ValueError(_ASYMMETRIC)) for i in built[~kept].tolist())
-        H = H[kept]
-        evals, evecs = jacobi_eigh(H)
+    H = assemble_matrix(_model(device, epsilon[built], xi[built], rows[built], impurities), mode)
+    bad = _rejected(H)  # a matrix that is not finite or not symmetric fails alone
+    if bad.any():
+        failed.update((i, _fault(M)) for i, M in zip(built[bad].tolist(), H[bad]))
+        H = H[~bad]
+    evals, evecs = jacobi_eigh(H)
     i_t0 = np.argmax(np.abs(T0_VECTOR @ evecs), axis=-1)
     at_t0 = np.arange(evals.shape[-1]) == i_t0[:, None]
     J = evals[at_t0] - np.where(at_t0, np.inf, evals).min(axis=-1)
@@ -335,8 +332,8 @@ def solve_many(points, mode: AssemblyMode = AssemblyMode.PAPER) -> list:
     points of each device in one solve_stack.
 
     Each entry of the result is the point's SpectrumResult, or the
-    exception that point raised (a bad device or control, a matrix that is
-    not symmetric, ...); a failing point never stops the others.
+    exception that point raised (see solve_stack); a failing point never
+    stops the others.
     """
     out: list = [None] * len(points)
     groups: dict[tuple, list[int]] = {}  # device fields -> indices of its points

@@ -136,8 +136,7 @@ def _quadratic(a, b, c):
     """Both roots (2, ...) of a y^2 + b y + c = 0, each without cancellation;
     a root at infinity (a = 0) comes out inf or NaN."""
     q = -0.5 * (b + np.copysign(np.sqrt(np.maximum(b * b - 4.0 * a * c, 0.0)), b))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.stack([q / a, c / q])
+    return np.stack([q / a, c / q])
 
 
 def _roots(requests, base: DeviceParams, mode: AssemblyMode) -> list:
@@ -151,27 +150,29 @@ def _roots(requests, base: DeviceParams, mode: AssemblyMode) -> list:
     a quadratic in D at the device's barrier, and at epsilon = 0 one in the
     hop t, which is affine in xi.  Of its two roots, the one nearest the
     scheme's bracket is taken."""
-    schemes, targets = zip(*requests)
-    x = np.array(targets) / MEV_TO_GHZ
+    schemes = [scheme for scheme, _ in requests]
+    x = np.array([target for _, target in requests], dtype=float) / MEV_TO_GHZ
     hp = _model(dataclasses.replace(base, epsilon=0.0, xi=0.0), np.zeros(3),
                 np.array([base.xi, 0.0, 1.0]), np.zeros(3, dtype=int), ())
     k, c1, c2 = ((hp.exchange_k, hp.corr_hop1, hp.corr_hop2) if mode == AssemblyMode.FULL
                  else (0.0, 0.0, 0.0))
     a1, a2 = hp.U1 - hp.U12, hp.U2 - hp.U12
     # The diagonal of B + J is (P - D, m, Q + D), so with A = P - D and C = Q + D
-    # det(B + J) = m (A C - K^2) - s1^2 A - s2^2 C + 2 K s1 s2.
-    P, Q, m = a2 + k + x, a1 + k + x, 2.0 * k + x
-    h1, h2 = c1 - hp.t[0], c2 - hp.t[0]
-    d_star = _quadratic(-m, m * (a2 - a1) + 2.0 * (h1 * h1 - h2 * h2),
-                        m * (P * Q - k * k) - 2.0 * (h1 * h1 * P + h2 * h2 * Q)
-                        + 4.0 * k * h1 * h2)
-    t_star = _quadratic(4.0 * k - 2.0 * (P + Q), 4.0 * (P * c1 + Q * c2 - k * (c1 + c2)),
-                        m * (P * Q - k * k) - 2.0 * (P * c1 * c1 + Q * c2 * c2)
-                        + 4.0 * k * c1 * c2)
-    eps_star = d_star - (hp.mu2[0] - hp.mu1[0])
-    xi_star = (t_star - hp.t[1]) / (hp.t[2] - hp.t[1])
+    # det(B + J) = m (A C - K^2) - s1^2 A - s2^2 C + 2 K s1 s2.  A root at
+    # infinity, or of a target out of reach, comes out inf or NaN unwarned.
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        P, Q, m = a2 + k + x, a1 + k + x, 2.0 * k + x
+        h1, h2 = c1 - hp.t[0], c2 - hp.t[0]
+        d_star = _quadratic(-m, m * (a2 - a1) + 2.0 * (h1 * h1 - h2 * h2),
+                            m * (P * Q - k * k) - 2.0 * (h1 * h1 * P + h2 * h2 * Q)
+                            + 4.0 * k * h1 * h2)
+        t_star = _quadratic(4.0 * k - 2.0 * (P + Q), 4.0 * (P * c1 + Q * c2 - k * (c1 + c2)),
+                            m * (P * Q - k * k) - 2.0 * (P * c1 * c1 + Q * c2 * c2)
+                            + 4.0 * k * c1 * c2)
+        eps_star = d_star - (hp.mu2[0] - hp.mu1[0])
+        xi_star = (t_star - hp.t[1]) / (hp.t[2] - hp.t[1])
     roots = np.where(np.array(schemes) == "tilt", eps_star, xi_star)
-    lo, hi = np.array([_BRACKETS[s] for s in schemes]).T
+    lo, hi = np.array([_BRACKETS[s] for s in schemes]).reshape(-1, 2).T
     outside = np.fmax(np.fmax(lo - roots, roots - hi), 0.0)
     nearest = np.argmin(np.where(np.isnan(outside), np.inf, outside), axis=0)
     return np.take_along_axis(roots, nearest[None], axis=0)[0].tolist()
@@ -182,48 +183,40 @@ def calibrate_many(requests, base: DeviceParams = DeviceParams(),
     """The control value of each (scheme, target_ghz) request at which the
     clean J meets the target.
 
-    J at the bracket ends of every request is evaluated in one stacked
-    solve, once per end.  A target equal to J at an end returns that end;
-    one strictly between them is met by the closed-form root (_roots), and
-    the clean J at every such root, from one more stacked solve, must lie
-    within 1e-6 of its target.  An entry is the exception its calibration
-    raised instead."""
+    Every request's root comes in closed form (_roots), and J at every
+    distinct bracket end and at every root from one stacked solve.  A
+    target equal to J at an end returns that end; one strictly between them
+    is met by its root, at which the clean J must lie within 1e-6 of the
+    target.  An entry is the exception its calibration raised instead; a
+    device that cannot be built fails every entry with its error."""
     requests = list(requests)
     for scheme, _ in requests:
         if scheme not in _BRACKETS:
             raise ValueError(f"unknown scheme {scheme!r}")
-
-    def setting(k, value):
-        return control_values(requests[k][0], base, value)
-
-    ends = {setting(k, c): None for k, (scheme, _) in enumerate(requests)
-            for c in _BRACKETS[scheme]}
-    ends = dict(zip(ends, _j_ghz(base, list(ends), mode)))
-    out: list = [None] * len(requests)
-    for k, (scheme, target) in enumerate(requests):
-        try:
-            out[k] = _end(target, *_BRACKETS[scheme],
-                          *(ends[setting(k, c)] for c in _BRACKETS[scheme]),
-                          label=f"calibrate_{scheme}")
-        except Exception as exc:  # this calibration's own failure
-            out[k] = exc
-    inner = [k for k, c in enumerate(out) if c is None]
-    if not inner:
-        return out
-    roots = _roots([requests[k] for k in inner], base, mode)
-    js = _j_ghz(base, [setting(k, c) for k, c in zip(inner, roots)], mode)
-    for k, c, j in zip(inner, roots, js):
-        scheme, target = requests[k]
+    try:
+        roots = _roots(requests, base, mode)
+    except Exception as exc:  # the device's own failure
+        return [exc] * len(requests)
+    ends = list(dict.fromkeys(control_values(scheme, base, c)
+                              for scheme, _ in requests for c in _BRACKETS[scheme]))
+    js = _j_ghz(base, ends + [control_values(scheme, base, c)
+                              for (scheme, _), c in zip(requests, roots)], mode)
+    j_at = dict(zip(ends, js))
+    out: list = []
+    for (scheme, target), c, j in zip(requests, roots, js[len(ends):]):
         label = f"calibrate_{scheme}"
         try:
-            f_root = _miss(label, target, c, j)
-            if abs(f_root) > 1e-6 * abs(target):
-                raise CalibrationError(
-                    f"{label}: root-finder landed at J = {f_root + target:.9g} GHz "
-                    f"for target {target:.9g} GHz")
-            out[k] = c
+            end = _end(target, *_BRACKETS[scheme], *(j_at[control_values(scheme, base, e)]
+                                                     for e in _BRACKETS[scheme]), label)
+            if end is None:
+                f_root = _miss(label, target, c, j)
+                if abs(f_root) > 1e-6 * abs(target):
+                    raise CalibrationError(
+                        f"{label}: root-finder landed at J = {f_root + target:.9g} GHz "
+                        f"for target {target:.9g} GHz")
+            out.append(c if end is None else end)
         except Exception as exc:  # this calibration's own failure
-            out[k] = exc
+            out.append(exc)
     return out
 
 

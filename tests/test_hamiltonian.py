@@ -433,7 +433,7 @@ class TestStackedJacobi:
     def test_a_nan_matrix_is_rejected(self, entry):
         bad = random_symmetric(2)
         bad[entry] = bad[entry[::-1]] = math.nan
-        with pytest.raises(ValueError, match="matrix must be symmetric"):
+        with pytest.raises(ValueError, match="matrix has a non-finite entry"):
             jacobi_eigh(np.array([random_symmetric(1), bad]))
 
     def test_an_infinite_matrix_is_rejected(self):
@@ -441,10 +441,21 @@ class TestStackedJacobi:
         # came back as diag(1, 2, 3, 4) with the identity.
         A = np.diag([1.0, 2.0, 3.0, 4.0])
         A[0, 1] = A[1, 0] = math.inf
-        with pytest.raises(ValueError, match="matrix must be symmetric"):
+        with pytest.raises(ValueError, match="matrix has a non-finite entry"):
             jacobi_eigh(A)
-        with pytest.raises(ValueError, match="matrix must be symmetric"):
+        with pytest.raises(ValueError, match="matrix has a non-finite entry"):
             jacobi_eigh(np.array([random_symmetric(1), A]))
+
+    def test_a_non_finite_entry_is_named_before_an_asymmetry(self):
+        # A NaN on one side only is both; a stack names its first bad matrix.
+        lopsided = random_symmetric(2)
+        lopsided[0, 1] = math.nan
+        skew = random_symmetric(3)
+        skew[0, 1] += 1e-3
+        with pytest.raises(ValueError, match="matrix has a non-finite entry"):
+            jacobi_eigh(lopsided)
+        with pytest.raises(ValueError, match="matrix must be symmetric"):
+            jacobi_eigh(np.array([skew, lopsided]))
 
     def test_an_exactly_symmetric_stack_is_not_scanned(self, monkeypatch):
         stack = np.array([random_symmetric(k) for k in range(5)])
@@ -512,15 +523,15 @@ class TestSolveMany:
         points = [good[0], DeviceParams(epsilon=0.1), good[1], DeviceParams(epsilon=0.3),
                   DeviceParams(m_eff=-0.067)]
         results = solve_many([(p, None) for p in points])
-        for k in (1, 3):
+        for k, message in ((1, "matrix has a non-finite entry"), (3, "matrix must be symmetric")):
             assert isinstance(results[k], ValueError)
-            assert str(results[k]) == "matrix must be symmetric"
+            assert str(results[k]) == message
         assert "m_eff must be positive and finite" in str(results[4])
         for res, want in zip(results[0::2], expected):
             assert same_bits((res.eigenvalues, res.eigenvectors),
                              (want.eigenvalues, want.eigenvectors))
             assert res.J == want.J
-        with pytest.raises(ValueError, match="matrix must be symmetric"):
+        with pytest.raises(ValueError, match="matrix has a non-finite entry"):
             solve(DeviceParams(epsilon=0.1))
 
     def test_only_the_asymmetric_point_of_a_stack_fails(self, monkeypatch):
@@ -554,7 +565,7 @@ class TestSolveMany:
         monkeypatch.setattr(hamiltonian, "assemble_matrix", corrupted)
         failed, H, evals, evecs, _ = hamiltonian.solve_stack(
             DeviceParams(), [0.0, 0.1, 0.2], [1.3] * 3)
-        assert list(failed) == [1] and str(failed[1]) == "matrix must be symmetric"
+        assert list(failed) == [1] and str(failed[1]) == "matrix has a non-finite entry"
         kept = built[0][[0, 2]]
         assert same_bits([H], [kept])
         for A, e, v in zip(kept, evals, evecs):

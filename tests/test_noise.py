@@ -1,6 +1,7 @@
 """Tests for charge-noise metrics, calibration, and the quality model."""
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from dqdsim import (
     matched_j_grid,
     quality_factor,
     sigma_total,
+    solve,
     sweep,
     sweet_spot_check,
     t_star_ns,
@@ -34,7 +36,8 @@ from dqdsim import (
 from dqdsim import hamiltonian, noise
 from dqdsim.crosscheck import sample_device
 from dqdsim.model import MEV_TO_GHZ, control_point
-from dqdsim.noise import calibrate_many, improvement_factors
+from dqdsim.hamiltonian import solve_many
+from dqdsim.noise import calibrate_many, improvement_factors, noise_records
 
 # Frozen reference values at the default device with the default
 # impurity at (-600, 600) nm, charge -e.
@@ -242,22 +245,38 @@ class TestClosedForm:
 
 
 class TestLockstep:
-    """calibrate_many calibrates every request of a call together: J at the
-    bracket ends in one stacked solve, every root in closed form, and J at
-    the roots in one more."""
+    """calibrate_many calibrates every request of a call together: every
+    root in closed form, then J at the bracket ends and at the roots in one
+    stacked solve."""
 
     TARGETS = (0.05, 0.15, 0.242, 0.5, 0.9)
     REQUESTS = [(scheme, t) for t in TARGETS for scheme in ("tilt", "barrier")]
 
-    def test_two_stacked_solves(self, monkeypatch):
+    def test_one_stacked_solve(self, monkeypatch):
         stacks = count_stacks(monkeypatch)
         got = calibrate_many(self.REQUESTS)
         # The tilt bracket starts where the barrier bracket ends (epsilon = 0,
-        # xi = 1.3), so 3 ends; then one root per request.
-        assert stacks == [3, len(self.REQUESTS)]
+        # xi = 1.3), so 3 ends, and one root per request.
+        assert stacks == [3 + len(self.REQUESTS)]
         for (scheme, target), c in zip(self.REQUESTS, got):
             j = exchange_J_ghz(control_point(scheme, DeviceParams(), c))
             assert j == pytest.approx(target, rel=1e-9)
+
+    @pytest.mark.parametrize("mode", [AssemblyMode.PAPER, AssemblyMode.FULL])
+    def test_a_mixed_batch_matches_each_request_alone(self, params, mode):
+        # J0 is met at a bracket end of both schemes.  In full mode J0 is
+        # -19.19 GHz, and each inner target is in reach of one scheme only.
+        (j0,) = noise._j_ghz(params, [(0.0, params.xi)], mode)
+        inner = (0.242, 0.5) if mode == AssemblyMode.PAPER else (-19.3, -19.0)
+        requests = [(scheme, target) for target in (j0, *inner, 1e6, math.nan)
+                    for scheme in ("tilt", "barrier")]
+        batch = calibrate_many(requests, params, mode)
+        assert batch[:2] == [0.0, params.xi]
+        assert all(isinstance(c, CalibrationError) for c in batch[-4:])
+        inside = sum(isinstance(c, float) for c in batch[2:6])
+        assert inside == (4 if mode == AssemblyMode.PAPER else 2)
+        assert list(map(repr, batch)) == [repr(calibrate_many([req], params, mode)[0])
+                                          for req in requests]
 
     def test_running_out_of_steps_fails_only_that_calibration(self, monkeypatch):
         whole = calibrate_many(self.REQUESTS)
@@ -285,6 +304,31 @@ class TestLockstep:
     def test_unknown_scheme(self):
         with pytest.raises(ValueError, match="unknown scheme 'magnetic'"):
             calibrate_many([("magnetic", 0.242)])
+
+
+class TestUnbuildableDevice:
+    """A device that passes derive_constants but cannot be built (its
+    overlap rounds to 1.0) fails every point, as a bad device field does."""
+
+    DEVICE = DeviceParams(a=1e-200)
+    MESSAGE = "overlap must be in [0, 1), got 1.0"
+
+    @pytest.mark.parametrize("mode", [AssemblyMode.PAPER, AssemblyMode.FULL])
+    def test_every_entry_of_a_batch_carries_its_error(self, impurity, mode):
+        requests = [("tilt", 0.242), ("barrier", 0.242), ("tilt", math.nan)]
+        controls = [("tilt", 0.3), ("barrier", math.nan), ("barrier", 1.0)]
+        points = [(dataclasses.replace(self.DEVICE, epsilon=e), imp)
+                  for e, imp in ((0.0, None), (math.nan, None), (0.2, impurity))]
+        for entries in (calibrate_many(requests, self.DEVICE, mode),
+                        noise_records(controls, self.DEVICE, impurity, mode),
+                        solve_many(points, mode)):
+            assert [(type(e), str(e)) for e in entries] == [(ValueError, self.MESSAGE)] * 3
+
+    def test_a_lone_solve_raises_it(self):
+        with pytest.raises(ValueError, match=re.escape(self.MESSAGE)):
+            hamiltonian.solve_stack(self.DEVICE, [0.0, math.nan], [1.3, 1.3])
+        with pytest.raises(ValueError, match=re.escape(self.MESSAGE)):
+            solve(self.DEVICE)
 
 
 class TestMatchedGrid:
