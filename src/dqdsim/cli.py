@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import io
 import math
 import sys
@@ -53,13 +54,13 @@ from .noise import (
     ChiRecord,
     NoiseRecord,
     QualityModel,
+    _calibrated,
     calibrate_many,
     default_impurity,
     envelope_closed,
     envelope_numeric,
     improvement_factors,
     matched_j_grid,
-    noise_records,
     quality_factor,
     sweep,
     sweet_spot_check,
@@ -80,8 +81,25 @@ def _fmt(v) -> str:
     return str(v)
 
 
+@functools.cache
+def _row_format(types: tuple) -> tuple[str, tuple[int, ...]]:
+    """The '%' template of a data row whose cells have these types, %.12g
+    for a float and %s for anything else (as _fmt writes them), and the
+    positions of the cells that are not floats."""
+    floats = [issubclass(t, float) for t in types]
+    return (",".join("%.12g" if f else "%s" for f in floats) + "\n",
+            tuple(i for i, f in enumerate(floats) if not f))
+
+
+_QUOTED = frozenset(',"\r\n')  # a text cell with one of these goes through csv
+
+
 def _emit(path: str | None, header_lines: list[str], fieldnames, rows) -> None:
-    """Write provenance comments, a header row, and data rows as CSV."""
+    """Write provenance comments, a header row, and data rows as CSV.
+
+    A data row is written with one '%' template per row of cell types, the
+    bytes csv.writer makes of its _fmt cells; a row whose text csv.writer
+    would quote goes through csv.writer."""
     buf = io.StringIO()
     for line in header_lines:
         buf.write(f"# {line}\n")
@@ -91,7 +109,14 @@ def _emit(path: str | None, header_lines: list[str], fieldnames, rows) -> None:
         if isinstance(row, str):          # interior comment line
             buf.write(f"# {row}\n")
             continue
-        writer.writerow([_fmt(v) for v in row])
+        row = tuple(row)
+        template, text_cells = _row_format(tuple(map(type, row)))
+        if text_cells:
+            texts = [str(row[i]) for i in text_cells]
+            if (len(row) == 1 and texts == [""]) or any(not _QUOTED.isdisjoint(t) for t in texts):
+                writer.writerow([_fmt(v) for v in row])
+                continue
+        buf.write(template % row)
     text = buf.getvalue()
     if path in (None, "-"):
         sys.stdout.write(text)
@@ -312,12 +337,10 @@ def cmd_qfactor(args) -> int:
     base, imp, mode = _resolve(args, default_impurity_wanted=True)
     j_values = _parse_range(args.j_range)
     ref_j = 0.242  # GHz (1 ueV)
-    # One calibrate_many call calibrates the reference and both schemes at every J.
-    requests = [("tilt", ref_j)] + [
-        (scheme, j_ghz) for j_ghz in j_values for scheme in ("tilt", "barrier")]
-    controls = calibrate_many(requests, base, mode)
-    records = noise_records([(scheme, c) for (scheme, _), c in zip(requests, controls)],
-                            base, imp, mode)
+    # One stacked solve calibrates the reference and both schemes at every J
+    # and takes the noise record of each.
+    controls, records = _calibrated([("tilt", ref_j)] + [
+        (scheme, j_ghz) for j_ghz in j_values for scheme in ("tilt", "barrier")], base, mode, imp)
     # The first failure is reported in the order of the steps: the
     # reference, then at each J both calibrations before both records.
     (ref,) = unwrap(records[:1])

@@ -47,6 +47,19 @@ def _j_ghz(base: DeviceParams, settings, mode: AssemblyMode, imp: Impurity | Non
     return [failed[i] if i in failed else next(js) for i in range(len(epsilon))]
 
 
+def _record(scheme: str, value: float, j_clean, j_imp):
+    """The NoiseRecord at one control value from its clean and impurity J
+    [GHz], or the exception either solve raised."""
+    try:
+        j_clean, j_imp = unwrap([j_clean, j_imp])
+    except Exception as exc:  # the point's own failure
+        return exc
+    return NoiseRecord(scheme=scheme, control_mev=value,
+                       J_clean_ghz=j_clean, J_imp_ghz=j_imp,
+                       delta_J_ghz=j_imp - j_clean,
+                       rel_noise=(j_imp - j_clean) / j_clean)
+
+
 def noise_records(controls, base: DeviceParams, imp: Impurity,
                   mode: AssemblyMode = AssemblyMode.PAPER) -> list:
     """The NoiseRecord of each (scheme, value) control: J with and without
@@ -54,6 +67,8 @@ def noise_records(controls, base: DeviceParams, imp: Impurity,
 
     An entry is the exception its control raised instead; a control whose
     value is an exception (a failed calibration) passes it through."""
+    if imp is None:
+        raise ValueError("noise_records needs an impurity, got imp=None")
     controls = list(controls)
     out: list = [None] * len(controls)
     settings, owners = [], []
@@ -69,17 +84,7 @@ def noise_records(controls, base: DeviceParams, imp: Impurity,
         owners.append(i)
     js = _j_ghz(base, settings, mode, imp)
     for i, j_clean, j_imp in zip(owners, js[0::2], js[1::2]):
-        scheme, value = controls[i]
-        try:
-            j_clean, j_imp = unwrap([j_clean, j_imp])
-            out[i] = NoiseRecord(
-                scheme=scheme, control_mev=value,
-                J_clean_ghz=j_clean, J_imp_ghz=j_imp,
-                delta_J_ghz=j_imp - j_clean,
-                rel_noise=(j_imp - j_clean) / j_clean,
-            )
-        except Exception as exc:  # the point's own failure
-            out[i] = exc
+        out[i] = _record(*controls[i], j_clean, j_imp)
     return out
 
 
@@ -152,8 +157,11 @@ def _roots(requests, base: DeviceParams, mode: AssemblyMode) -> list:
     scheme's bracket is taken."""
     schemes = [scheme for scheme, _ in requests]
     x = np.array([target for _, target in requests], dtype=float) / MEV_TO_GHZ
+    # A non-finite base.xi makes every tilt root NaN, unwarned; the tilt
+    # bracket ends then fail on it by name.
+    xi0 = base.xi if math.isfinite(base.xi) else math.nan
     hp = _model(dataclasses.replace(base, epsilon=0.0, xi=0.0), np.zeros(3),
-                np.array([base.xi, 0.0, 1.0]), np.zeros(3, dtype=int), ())
+                np.array([xi0, 0.0, 1.0]), np.zeros(3, dtype=int), ())
     k, c1, c2 = ((hp.exchange_k, hp.corr_hop1, hp.corr_hop2) if mode == AssemblyMode.FULL
                  else (0.0, 0.0, 0.0))
     a1, a2 = hp.U1 - hp.U12, hp.U2 - hp.U12
@@ -178,17 +186,19 @@ def _roots(requests, base: DeviceParams, mode: AssemblyMode) -> list:
     return np.take_along_axis(roots, nearest[None], axis=0)[0].tolist()
 
 
-def calibrate_many(requests, base: DeviceParams = DeviceParams(),
-                   mode: AssemblyMode = AssemblyMode.PAPER) -> list:
-    """The control value of each (scheme, target_ghz) request at which the
-    clean J meets the target.
+def _calibrated(requests, base: DeviceParams, mode: AssemblyMode,
+                imp: Impurity | None = None) -> tuple[list, list]:
+    """(controls, records): the control value of each (scheme, target_ghz)
+    request at which the clean J meets the target, and with an impurity the
+    NoiseRecord there (without one, records is empty).
 
-    Every request's root comes in closed form (_roots), and J at every
-    distinct bracket end and at every root from one stacked solve.  A
-    target equal to J at an end returns that end; one strictly between them
-    is met by its root, at which the clean J must lie within 1e-6 of the
-    target.  An entry is the exception its calibration raised instead; a
-    device that cannot be built fails every entry with its error."""
+    Every request's root comes in closed form (_roots).  One stacked solve
+    takes J at every distinct bracket end and at every root, clean and,
+    given imp, with it too.  A target equal to J at an end returns that end
+    and the end's record; one strictly between them is met by its root, at
+    which the clean J must lie within 1e-6 of the target.  An entry is the
+    exception its calibration, or else its record, raised instead; a device
+    that cannot be built fails every entry with its error."""
     requests = list(requests)
     for scheme, _ in requests:
         if scheme not in _BRACKETS:
@@ -196,28 +206,47 @@ def calibrate_many(requests, base: DeviceParams = DeviceParams(),
     try:
         roots = _roots(requests, base, mode)
     except Exception as exc:  # the device's own failure
-        return [exc] * len(requests)
+        failed = [exc] * len(requests)
+        return failed, (failed if imp is not None else [])
     ends = list(dict.fromkeys(control_values(scheme, base, c)
                               for scheme, _ in requests for c in _BRACKETS[scheme]))
     js = _j_ghz(base, ends + [control_values(scheme, base, c)
-                              for (scheme, _), c in zip(requests, roots)], mode)
-    j_at = dict(zip(ends, js))
-    out: list = []
-    for (scheme, target), c, j in zip(requests, roots, js[len(ends):]):
+                              for (scheme, _), c in zip(requests, roots)], mode, imp)
+    # (clean J, impurity J) at each setting; without an impurity the second is unused.
+    pairs = list(zip(js[0::2], js[1::2]) if imp is not None else zip(js, js))
+    at = dict(zip(ends, pairs))
+    controls: list = []
+    records: list = []
+    for (scheme, target), root, (j, j_imp) in zip(requests, roots, pairs[len(ends):]):
         label = f"calibrate_{scheme}"
         try:
-            end = _end(target, *_BRACKETS[scheme], *(j_at[control_values(scheme, base, e)]
+            end = _end(target, *_BRACKETS[scheme], *(at[control_values(scheme, base, e)][0]
                                                      for e in _BRACKETS[scheme]), label)
             if end is None:
-                f_root = _miss(label, target, c, j)
+                f_root = _miss(label, target, root, j)
                 if abs(f_root) > 1e-6 * abs(target):
                     raise CalibrationError(
                         f"{label}: root-finder landed at J = {f_root + target:.9g} GHz "
                         f"for target {target:.9g} GHz")
-            out.append(c if end is None else end)
+                control = root
+            else:
+                control, (j, j_imp) = end, at[control_values(scheme, base, end)]
         except Exception as exc:  # this calibration's own failure
-            out.append(exc)
-    return out
+            control = exc
+        controls.append(control)
+        if imp is not None:
+            records.append(control if isinstance(control, Exception)
+                           else _record(scheme, control, j, j_imp))
+    return controls, records
+
+
+def calibrate_many(requests, base: DeviceParams = DeviceParams(),
+                   mode: AssemblyMode = AssemblyMode.PAPER) -> list:
+    """The control value of each (scheme, target_ghz) request at which the
+    clean J meets the target, every request from one stacked solve (see
+    _calibrated).  An entry is the exception its calibration raised
+    instead."""
+    return _calibrated(requests, base, mode)[0]
 
 
 def calibrate_tilt(j_target_ghz: float,
@@ -254,17 +283,16 @@ class ChiRecord:
 def improvement_factors(targets, imp: Impurity,
                         base: DeviceParams = DeviceParams(),
                         mode: AssemblyMode = AssemblyMode.PAPER) -> list:
-    """improvement_factor at each target: every calibration in one
-    calibrate_many, then both noise records of every target in one stacked
-    solve.
+    """improvement_factor at each target: both calibrations and both noise
+    records of every target from one stacked solve (see _calibrated).
 
     An entry is its target's first exception instead, in the order tilt
     calibration, barrier calibration, tilt record, barrier record."""
+    if imp is None:
+        raise ValueError("improvement_factors needs an impurity, got imp=None")
     targets = list(targets)
-    requests = [(scheme, j) for j in targets for scheme in ("tilt", "barrier")]
-    controls = calibrate_many(requests, base, mode)
-    records = noise_records([(scheme, c) for (scheme, _), c in zip(requests, controls)],
-                            base, imp, mode)
+    controls, records = _calibrated([(scheme, j) for j in targets
+                                     for scheme in ("tilt", "barrier")], base, mode, imp)
     out = []
     for k, j in enumerate(targets):
         steps = controls[2 * k:2 * k + 2] + records[2 * k:2 * k + 2]

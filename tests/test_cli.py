@@ -1,10 +1,16 @@
 """End-to-end tests for the command-line interface (run as subprocesses)."""
+import contextlib
+import csv
+import io
+import math
 import shutil
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dqdsim import (CalibrationError, DeviceParams, calibrate_barrier, calibrate_tilt, cli,
                     default_impurity, eval_potential, hamiltonian, improvement_factors,
@@ -451,9 +457,10 @@ class TestFlags:
         assert stacks == [2 * values]
 
     # A matched-J command hands the eigensolver a few stacks however many J
-    # it calibrates: noise-compare J0, the bracket ends with the roots, and
-    # the records; qfactor and impurity-scan the last two.
-    @pytest.mark.parametrize("argv,count", [(["noise-compare"], 3), (["qfactor"], 2),
+    # it calibrates: noise-compare J0, then the bracket ends and the roots,
+    # each clean and with the impurity; qfactor only the latter; and
+    # impurity-scan the ends with the roots, then its impurities.
+    @pytest.mark.parametrize("argv,count", [(["noise-compare"], 2), (["qfactor"], 1),
                                             (["impurity-scan"], 2)])
     def test_a_matched_j_command_makes_few_stacked_solves(self, argv, count, monkeypatch,
                                                           tmp_path):
@@ -508,6 +515,54 @@ class TestFlags:
         assert exit_.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
+
+
+def csv_writer_bytes(header_lines, fieldnames, rows) -> str:
+    """What _emit wrote before its row templates: every data cell through
+    _fmt, every row through csv.writer."""
+    buf = io.StringIO()
+    buf.write("".join(f"# {line}\n" for line in header_lines))
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(fieldnames)
+    for row in rows:
+        if isinstance(row, str):
+            buf.write(f"# {row}\n")
+        else:
+            writer.writerow([cli._fmt(v) for v in row])
+    return buf.getvalue()
+
+
+class TestEmit:
+    """_emit writes a data row from one '%' template per row of cell types,
+    byte for byte what csv.writer makes of the row's _fmt cells."""
+
+    ROWS = [
+        (np.float64(0.1), math.nan, math.inf, -math.inf, -0.0, 1e-300, 1e16, 123456789012.5),
+        "an interior comment",
+        ("tilt", 0.3, 1, True, None, np.float32(0.1), np.int64(7)),
+        ("a,b", 2.5),
+        ('say "x"', 2.5),
+        ("line\nbreak", 2.5),
+        ("cr\rhere", 2.5),
+        ("",),
+        ("", ""),
+        (),
+        [1.5, "x"],
+        (np.float64(-0.0), np.float64(math.nan)),
+    ]
+
+    def test_rows_are_the_bytes_csv_writer_makes(self, capsys):
+        cli._emit(None, ["dqdsim test"], ("a", "b"), self.ROWS)
+        assert capsys.readouterr().out == csv_writer_bytes(["dqdsim test"], ("a", "b"), self.ROWS)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.lists(st.one_of(st.floats(), st.text(max_size=4), st.integers()),
+                             max_size=5).map(tuple), max_size=6))
+    def test_any_rows_are_the_bytes_csv_writer_makes(self, rows):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            cli._emit(None, [], ("a",), rows)
+        assert out.getvalue() == csv_writer_bytes([], ("a",), rows)
 
 
 class TestContent:

@@ -108,6 +108,18 @@ class TestDeltaJ:
         with pytest.raises(ValueError, match="unknown scheme"):
             delta_J("magnetic", 0.1, params, impurity)
 
+    # Without an impurity there is no second J to pair with the clean one.
+    @pytest.mark.parametrize("call,name", [
+        (lambda p: noise_records([("tilt", 0.3), ("tilt", 0.5), ("barrier", 1.0)], p, None),
+         "noise_records"),
+        (lambda p: delta_J("tilt", 0.3, p, None), "noise_records"),
+        (lambda p: sweep("tilt", [0.3, 0.5], p, None), "noise_records"),
+        (lambda p: improvement_factors([0.242], None, p), "improvement_factors"),
+    ])
+    def test_no_impurity_is_rejected(self, params, call, name):
+        with pytest.raises(ValueError, match=re.escape(f"{name} needs an impurity, got imp=None")):
+            call(params)
+
     def test_csv_fields(self):
         assert NoiseRecord.CSV_FIELDS == (
             "scheme", "control_mev", "J_clean_ghz", "J_imp_ghz",
@@ -304,6 +316,81 @@ class TestLockstep:
     def test_unknown_scheme(self):
         with pytest.raises(ValueError, match="unknown scheme 'magnetic'"):
             calibrate_many([("magnetic", 0.242)])
+
+    # A base device with a non-finite xi fails every tilt request by name;
+    # a barrier request never reads base.xi and keeps its own outcome.
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("mode", [AssemblyMode.PAPER, AssemblyMode.FULL])
+    @pytest.mark.parametrize("xi", [math.inf, -math.inf, math.nan])
+    def test_a_non_finite_base_xi_fails_only_the_tilt_requests(self, xi, mode):
+        tilt, barrier = calibrate_many([("tilt", 0.242), ("barrier", 0.242)],
+                                       DeviceParams(xi=xi), mode)
+        assert (type(tilt), str(tilt)) == (ValueError, f"xi must be finite, got {xi}")
+        assert repr(barrier) == repr(calibrate_many([("barrier", 0.242)], DeviceParams(), mode)[0])
+
+
+class TestCalibratedRecords:
+    """improvement_factors and qfactor take their controls and noise records
+    from one stacked solve; each entry is the one that calibrate_many and
+    then noise_records give at the same controls."""
+
+    @staticmethod
+    def apart(requests, base, mode, imp):
+        controls = calibrate_many(requests, base, mode)
+        return controls, noise_records([(scheme, c) for (scheme, _), c in zip(requests, controls)],
+                                       base, imp, mode)
+
+    @staticmethod
+    def requests(params, mode):
+        # J0 (met at an exact bracket end of both schemes), two inner targets,
+        # one out of reach and NaN.
+        (j0,) = noise._j_ghz(params, [(0.0, params.xi)], mode)
+        inner = (0.242, 0.5) if mode == AssemblyMode.PAPER else (-19.3, -19.0)
+        return [(scheme, target) for target in (j0, *inner, 1e6, math.nan)
+                for scheme in ("tilt", "barrier")]
+
+    # In each mode, one tilt and one barrier request whose root is shifted.
+    WRONG = {("tilt", 0.242), ("barrier", 0.5), ("tilt", -19.0), ("barrier", -19.3)}
+
+    @pytest.mark.parametrize("mode", [AssemblyMode.PAPER, AssemblyMode.FULL])
+    @pytest.mark.parametrize("wrong", [set(), WRONG])
+    def test_the_qfactor_path_matches_calibrate_then_record(self, params, impurity, mode,
+                                                            wrong, monkeypatch):
+        shift_roots(monkeypatch, wrong)  # a shifted root fails its residual check
+        requests = self.requests(params, mode)
+        controls, records = noise._calibrated(requests, params, mode, impurity)
+        want_controls, want_records = self.apart(requests, params, mode, impurity)
+        assert list(map(repr, controls)) == list(map(repr, want_controls))
+        assert list(map(repr, records)) == list(map(repr, want_records))
+        assert records[0].control_mev == 0.0 and records[1].control_mev == params.xi
+        # 1e6 and NaN fail for both schemes; in full mode each inner target
+        # is out of reach of one scheme.
+        failed = 4 + (0 if mode == AssemblyMode.PAPER else 2) + (2 if wrong else 0)
+        assert sum(isinstance(r, CalibrationError) for r in records) == failed
+
+    @pytest.mark.parametrize("mode", [AssemblyMode.PAPER, AssemblyMode.FULL])
+    @pytest.mark.parametrize("wrong", [set(), WRONG])
+    def test_improvement_factors_match_calibrate_then_record(self, params, impurity, mode,
+                                                             wrong, monkeypatch):
+        shift_roots(monkeypatch, wrong)
+        requests = self.requests(params, mode)
+        targets = [target for scheme, target in requests if scheme == "tilt"]
+        controls, records = self.apart(requests, params, mode, impurity)
+        want = []
+        for k, j in enumerate(targets):
+            steps = controls[2 * k:2 * k + 2] + records[2 * k:2 * k + 2]
+            failed = [r for r in steps if isinstance(r, Exception)]
+            want.append(failed[0] if failed else noise._chi(j, *steps[2:]))
+        got = improvement_factors(targets, impurity, params, mode)
+        assert list(map(repr, got)) == list(map(repr, want))
+        assert isinstance(got[0], ChiRecord)
+
+    def test_one_stack_holds_every_setting_clean_and_with_the_impurity(self, params, impurity,
+                                                                       monkeypatch):
+        stacks = count_stacks(monkeypatch)
+        improvement_factors([0.05, 0.242, 0.9], impurity, params)
+        # 3 bracket ends and 6 roots, each clean and with the impurity.
+        assert stacks == [2 * (3 + 6)]
 
 
 class TestUnbuildableDevice:
