@@ -54,7 +54,11 @@ from .noise import (
     ChiRecord,
     NoiseRecord,
     QualityModel,
+    _BRACKETS,
     _calibrated,
+    _j_ghz,
+    _roots,
+    _settle,
     calibrate_many,
     default_impurity,
     envelope_closed,
@@ -378,7 +382,13 @@ def _positive_finite(flag: str, values: list[float]) -> None:
 
 def cmd_impurity_scan(args) -> int:
     """Relative noise of both schemes versus impurity distance, for an
-    impurity moved outward along three directions at matched clean J."""
+    impurity moved outward along three directions at matched clean J.
+
+    One stacked solve takes the clean J at both schemes' bracket ends and
+    at both closed-form roots (_roots), and J at both roots with each
+    impurity.  Both calibrations settle (_settle, tilt first) before any
+    impurity row is read; one that settles on a bracket end other than its
+    root takes its impurity rows from a second stack at that end."""
     base, _imp, mode = _resolve(args)
     try:
         radii = ([float(r) for r in args.radii.split(",")] if args.radii
@@ -388,19 +398,28 @@ def cmd_impurity_scan(args) -> int:
     _positive_finite("--J-mhz", [args.J_mhz])
     _positive_finite("--radii", radii)
     j_target_ghz = args.J_mhz / 1e3
-    eps_star, xi_star = unwrap(calibrate_many(
-        [("tilt", j_target_ghz), ("barrier", j_target_ghz)], base, mode))
     q = args.charge_e if args.charge_e is not None else -1.0
     impurities = [(name, r_over_a, Impurity(r_over_a * base.a * ux, r_over_a * base.a * uy, q))
                   for name, (ux, uy) in _SCAN_DIRECTIONS.items() for r_over_a in radii]
-    # One stacked solve: the clean J of both operating points, which does not
-    # depend on the impurity, then each impurity at both.
-    settings = [control_values("tilt", base, eps_star), control_values("barrier", base, xi_star)]
-    epsilon, xi = np.array(settings * (1 + len(impurities))).T
-    _, J = _solved(base, epsilon, xi, np.arange(1 + len(impurities)).repeat(2),
-                   [imp for _, _, imp in impurities], mode)
-    js = (J * MEV_TO_GHZ).tolist()
-    j_clean, j_imp = js[:2], js[2:]
+    imps = [imp for _, _, imp in impurities]
+    requests = [("tilt", j_target_ghz), ("barrier", j_target_ghz)]
+    roots = _roots(requests, base, mode)
+    ends = list(dict.fromkeys(control_values(scheme, base, c)
+                              for scheme, _ in requests for c in _BRACKETS[scheme]))
+    at_roots = [control_values(scheme, base, c) for (scheme, _), c in zip(requests, roots)]
+    root_rows = np.arange(1 + len(imps)).repeat(2)  # both roots clean, then with each impurity
+    js = _j_ghz(base, ends + at_roots * (1 + len(imps)), mode,
+                np.r_[[0] * len(ends), root_rows], imps)
+    at = dict(zip(ends, js))
+    eps_star, xi_star = [_settle(scheme, target, root, *(at[control_values(scheme, base, e)]
+                                                         for e in _BRACKETS[scheme]), j_root)
+                         for (scheme, target), root, j_root in zip(requests, roots, js[len(ends):])]
+    settled = [control_values("tilt", base, eps_star), control_values("barrier", base, xi_star)]
+    j_clean = [at.get(setting, j) for setting, j in zip(settled, js[len(ends):])]
+    j_imp = js[len(ends) + 2:]
+    if settled != at_roots:  # a calibration settled on a bracket end, not its root
+        j_imp = _j_ghz(base, settled * len(imps), mode, root_rows[2:], imps)
+    j_imp = unwrap(j_imp)
     rows = []
     for k, (name, r_over_a, _) in enumerate(impurities):
         rel_t, rel_b = ((j - j0) / j0 for j, j0 in zip(j_imp[2 * k:2 * k + 2], j_clean))

@@ -133,17 +133,17 @@ def _device(params: DeviceParams):
 
 
 def _model(device: DeviceParams, epsilon: np.ndarray, xi: np.ndarray, rows: np.ndarray,
-           impurities) -> HubbardParams:
+           impurity_tables) -> HubbardParams:
     """The model at each (epsilon, xi) point of one device, stacked: the
     device's tables at epsilon = xi = 0 plus xi times the bump, plus the
-    impurity of the point's row (0: none, k: impurities[k - 1]), whose
-    matrix is built once for each impurity."""
+    impurity matrix of the point's row (0: none, k: impurity_tables[k - 1],
+    the impurity_table of the impurities the rows index)."""
     basis, tables, bump, two_body = _device(device)
     one_body = tables.kinetic + (tables.confinement + xi[:, None, None] * bump)
     W = None
-    if impurities:
+    if len(impurity_tables):
         # Row 0 is the zero matrix of a point without an impurity.
-        W = np.concatenate([np.zeros((1, 2, 2)), impurity_table(impurities, device)])[rows]
+        W = np.concatenate([np.zeros((1, 2, 2)), impurity_tables])[rows]
     return _hubbard(basis.M, one_body, -0.5 * epsilon, 0.5 * epsilon, W, two_body)
 
 
@@ -151,9 +151,10 @@ def hubbard_parameters(params: DeviceParams, imp: Impurity | None = None) -> Hub
     """The model at one control point: the device's tables at epsilon = 0
     plus params.xi times the bump, plus the impurity elements."""
     derive_constants(params)  # names a bad device field, then a non-finite control
-    (hp,) = _unstack(_model(dataclasses.replace(params, epsilon=0.0, xi=0.0),
-                            np.array([params.epsilon]), np.array([params.xi]),
-                            np.array([0 if imp is None else 1]), [] if imp is None else [imp]))
+    device = dataclasses.replace(params, epsilon=0.0, xi=0.0)
+    (hp,) = _unstack(_model(device, np.array([params.epsilon]), np.array([params.xi]),
+                            np.array([0 if imp is None else 1]),
+                            () if imp is None else impurity_table([imp], device)))
     return hp
 
 
@@ -295,9 +296,10 @@ def solve_stack(device: DeviceParams, epsilon, xi, rows=None, impurities=(),
     rows[k] is point k's impurity: 0 for none, j for impurities[j - 1]; no
     point has one without rows.  A device that is bad or cannot be built
     raises.  Returns (failed, H, evals, evecs, J): failed maps the index of
-    each point that failed to its exception (a non-finite control, a matrix
-    that is not finite or not symmetric), and the arrays hold the matrices,
-    eigenpairs and J [meV] of the other points, in order.  J is the signed
+    each point that failed to its exception (a non-finite control, an
+    impurity whose elements overflow, a matrix that is not finite or not
+    symmetric), and the arrays hold the matrices, eigenpairs and J [meV] of
+    the other points, in order.  J is the signed
     singlet-triplet splitting E(T0) - E(S): the T0 vector is an exact
     eigenvector of every assembly (its eigenpair is found by overlap), and
     E(S) is the lowest remaining level.  A negative J means the triplet has
@@ -314,8 +316,16 @@ def solve_stack(device: DeviceParams, epsilon, xi, rows=None, impurities=(),
             check_controls(float(epsilon[i]), float(xi[i]))
         except ValueError as exc:  # names the non-finite control
             failed[i] = exc
+    # Each impurity's matrix is built once; one that overflows fails its own
+    # points, named, before the model's products could warn of it.
+    tables = impurity_table(impurities, device) if len(impurities) else np.zeros((0, 2, 2))
+    for k in np.flatnonzero(~np.isfinite(tables).all(axis=(-2, -1))).tolist():
+        own = finite & (rows == k + 1)
+        failed.update((i, ValueError(f"{impurities[k]!r}: its matrix elements overflow"))
+                      for i in np.flatnonzero(own).tolist())
+        finite &= ~own
     built = np.flatnonzero(finite)
-    H = assemble_matrix(_model(device, epsilon[built], xi[built], rows[built], impurities), mode)
+    H = assemble_matrix(_model(device, epsilon[built], xi[built], rows[built], tables), mode)
     bad = _rejected(H)  # a matrix that is not finite or not symmetric fails alone
     if bad.any():
         failed.update((i, _fault(M)) for i, M in zip(built[bad].tolist(), H[bad]))

@@ -175,20 +175,27 @@ def impurity_element(i: int, j: int, imp: Impurity, params: DeviceParams) -> flo
 
 def impurity_table(imps, params: DeviceParams) -> np.ndarray:
     """(K, 2, 2) matrices of impurity_element over the dot basis, one per
-    impurity of the sequence imps  [meV]; one i0e call evaluates all 4K
-    Bessel factors."""
+    impurity of the sequence imps  [meV]; one i0e call evaluates the 3K
+    distinct Bessel factors (W[0, 1] = W[1, 0], whose arguments are equal).
+
+    Overflow is not warned: an impurity too far for its squared distance
+    to be finite has elements 0, and one whose charge makes an element
+    overflow has a non-finite entry (solve_stack fails its points by
+    name)."""
     basis = build_basis(params)
     consts = derive_constants(params)
     aB2 = basis.a_B**2
     R = basis.R
-    pairs = [(i, j) for i in range(2) for j in range(2)]
+    pairs = [(0, 0), (0, 1), (1, 1)]
     s = np.array([math.exp(-float(np.sum((R[i] - R[j]) ** 2)) / (4.0 * aB2)) for i, j in pairs])
-    midpoints = np.array([R[i] + R[j] for i, j in pairs])                 # (4, 2)
+    midpoints = np.array([R[i] + R[j] for i, j in pairs])                 # (3, 2)
     rc = np.array([[imp.x_c, imp.y_c] for imp in imps]).reshape(-1, 1, 2)  # (K, 1, 2)
-    arg = np.sum((midpoints - 2.0 * rc) ** 2, axis=-1) / (8.0 * aB2)      # (K, 4)
     pref = consts.coulomb_scale * math.sqrt(math.pi) / basis.a_B
     charge = np.array([-imp.q for imp in imps])
-    return (charge[:, None] * pref * s * i0e(arg)).reshape(-1, 2, 2)
+    with np.errstate(over="ignore", invalid="ignore"):  # inf * 0 is NaN
+        arg = np.sum((midpoints - 2.0 * rc) ** 2, axis=-1) / (8.0 * aB2)  # (K, 3)
+        W = charge[:, None] * pref * s * i0e(arg)
+    return W[:, [0, 1, 1, 2]].reshape(-1, 2, 2)
 
 
 # --------------------------------------------------------------------------

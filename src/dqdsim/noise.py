@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -30,17 +31,13 @@ class NoiseRecord:
                   "delta_J_ghz", "rel_noise")
 
 
-def _j_ghz(base: DeviceParams, settings, mode: AssemblyMode, imp: Impurity | None = None) -> list:
+def _j_ghz(base: DeviceParams, settings, mode: AssemblyMode, rows=None, impurities=()) -> list:
     """J [GHz] at each (epsilon, xi) setting of the device base from one
-    stacked solve, or the exception that point raised.  With an impurity,
-    each setting is solved clean and then with imp, and the list holds both
-    J, clean first."""
-    epsilon, xi = np.array(settings, dtype=float).reshape(-1, 2).T
-    rows, imps = None, ()
-    if imp is not None:
-        epsilon, xi, rows, imps = epsilon.repeat(2), xi.repeat(2), np.tile([0, 1], len(xi)), [imp]
+    stacked solve, or the exception that point raised; rows and impurities
+    place an impurity at each setting as in solve_stack."""
+    epsilon, xi = np.fromiter(itertools.chain.from_iterable(settings), float).reshape(-1, 2).T
     try:
-        failed, _, _, _, J = solve_stack(base, epsilon, xi, rows, imps, mode)
+        failed, _, _, _, J = solve_stack(base, epsilon, xi, rows, impurities, mode)
     except Exception as exc:  # the device's own failure
         return [exc] * len(epsilon)
     js = iter((J * MEV_TO_GHZ).tolist())
@@ -49,11 +46,15 @@ def _j_ghz(base: DeviceParams, settings, mode: AssemblyMode, imp: Impurity | Non
 
 def _record(scheme: str, value: float, j_clean, j_imp):
     """The NoiseRecord at one control value from its clean and impurity J
-    [GHz], or the exception either solve raised."""
+    [GHz], or the exception either solve raised, or a ValueError where the
+    clean J is 0."""
     try:
         j_clean, j_imp = unwrap([j_clean, j_imp])
     except Exception as exc:  # the point's own failure
         return exc
+    if j_clean == 0.0:
+        return ValueError(f"J_clean = 0 at {scheme} control {value:.12g} meV, "
+                          "so rel_noise = delta_J / J_clean is undefined")
     return NoiseRecord(scheme=scheme, control_mev=value,
                        J_clean_ghz=j_clean, J_imp_ghz=j_imp,
                        delta_J_ghz=j_imp - j_clean,
@@ -82,8 +83,9 @@ def noise_records(controls, base: DeviceParams, imp: Impurity,
             out[i] = exc
             continue
         owners.append(i)
-    js = _j_ghz(base, settings, mode, imp)
-    for i, j_clean, j_imp in zip(owners, js[0::2], js[1::2]):
+    n = len(settings)
+    js = _j_ghz(base, settings * 2, mode, np.repeat([0, 1], n), [imp])
+    for i, j_clean, j_imp in zip(owners, js, js[n:]):
         out[i] = _record(*controls[i], j_clean, j_imp)
     return out
 
@@ -120,9 +122,15 @@ def _miss(label, j_target_ghz, c, j):
     return d
 
 
-def _end(j_target_ghz, lo, hi, j_lo, j_hi, label):
-    """The bracket end [lo, hi] at which the clean J [GHz] meets the target
-    exactly, or None when the target lies strictly between J at the ends."""
+def _settle(scheme, j_target_ghz, root, j_lo, j_hi, j_root):
+    """The control value of one calibration, given the clean J [GHz] at its
+    bracket ends and at its closed-form root, each maybe the exception its
+    solve raised: the end at which J meets the target exactly, else the
+    root, at which J must lie within 1e-6 of the target.  A target not
+    strictly between J at the ends raises CalibrationError naming the
+    J reachable there."""
+    label = f"calibrate_{scheme}"
+    lo, hi = _BRACKETS[scheme]
     f_lo = _miss(label, j_target_ghz, lo, j_lo)
     f_hi = _miss(label, j_target_ghz, hi, j_hi)
     if f_lo == 0.0:
@@ -132,9 +140,14 @@ def _end(j_target_ghz, lo, hi, j_lo, j_hi, label):
     if (f_lo < 0) == (f_hi < 0):
         raise CalibrationError(
             f"{label}: target {j_target_ghz:.6g} GHz outside "
-            f"[{min(f_lo, f_hi) + j_target_ghz:.6g}, {max(f_lo, f_hi) + j_target_ghz:.6g}] GHz "
+            f"[{min(j_lo, j_hi):.6g}, {max(j_lo, j_hi):.6g}] GHz "
             f"reachable on the bracket [{lo}, {hi}] meV")
-    return None
+    f_root = _miss(label, j_target_ghz, root, j_root)
+    if abs(f_root) > 1e-6 * abs(j_target_ghz):
+        raise CalibrationError(
+            f"{label}: root-finder landed at J = {f_root + j_target_ghz:.9g} GHz "
+            f"for target {j_target_ghz:.9g} GHz")
+    return root
 
 
 def _quadratic(a, b, c):
@@ -194,9 +207,8 @@ def _calibrated(requests, base: DeviceParams, mode: AssemblyMode,
 
     Every request's root comes in closed form (_roots).  One stacked solve
     takes J at every distinct bracket end and at every root, clean and,
-    given imp, with it too.  A target equal to J at an end returns that end
-    and the end's record; one strictly between them is met by its root, at
-    which the clean J must lie within 1e-6 of the target.  An entry is the
+    given imp, with it too.  Each request settles by _settle, at an end
+    with the end's record or at its root with the root's.  An entry is the
     exception its calibration, or else its record, raised instead; a device
     that cannot be built fails every entry with its error."""
     requests = list(requests)
@@ -210,33 +222,24 @@ def _calibrated(requests, base: DeviceParams, mode: AssemblyMode,
         return failed, (failed if imp is not None else [])
     ends = list(dict.fromkeys(control_values(scheme, base, c)
                               for scheme, _ in requests for c in _BRACKETS[scheme]))
-    js = _j_ghz(base, ends + [control_values(scheme, base, c)
-                              for (scheme, _), c in zip(requests, roots)], mode, imp)
+    settings = ends + [control_values(scheme, base, c) for (scheme, _), c in zip(requests, roots)]
+    n, imps = len(settings), [] if imp is None else [imp]
+    js = _j_ghz(base, settings * (1 + len(imps)), mode, np.arange(1 + len(imps)).repeat(n), imps)
     # (clean J, impurity J) at each setting; without an impurity the second is unused.
-    pairs = list(zip(js[0::2], js[1::2]) if imp is not None else zip(js, js))
+    pairs = list(zip(js, js[n:] if imps else js))
     at = dict(zip(ends, pairs))
     controls: list = []
     records: list = []
-    for (scheme, target), root, (j, j_imp) in zip(requests, roots, pairs[len(ends):]):
-        label = f"calibrate_{scheme}"
+    for (scheme, target), root, at_root in zip(requests, roots, pairs[len(ends):]):
         try:
-            end = _end(target, *_BRACKETS[scheme], *(at[control_values(scheme, base, e)][0]
-                                                     for e in _BRACKETS[scheme]), label)
-            if end is None:
-                f_root = _miss(label, target, root, j)
-                if abs(f_root) > 1e-6 * abs(target):
-                    raise CalibrationError(
-                        f"{label}: root-finder landed at J = {f_root + target:.9g} GHz "
-                        f"for target {target:.9g} GHz")
-                control = root
-            else:
-                control, (j, j_imp) = end, at[control_values(scheme, base, end)]
+            control = _settle(scheme, target, root, *(at[control_values(scheme, base, e)][0]
+                                                      for e in _BRACKETS[scheme]), at_root[0])
         except Exception as exc:  # this calibration's own failure
             control = exc
         controls.append(control)
         if imp is not None:
-            records.append(control if isinstance(control, Exception)
-                           else _record(scheme, control, j, j_imp))
+            records.append(control if isinstance(control, Exception) else _record(
+                scheme, control, *at.get(control_values(scheme, base, control), at_root)))
     return controls, records
 
 

@@ -12,9 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dqdsim import (CalibrationError, DeviceParams, calibrate_barrier, calibrate_tilt, cli,
-                    default_impurity, eval_potential, hamiltonian, improvement_factors,
-                    matched_j_grid, noise, __version__)
+from dqdsim import (CalibrationError, DeviceParams, Impurity, calibrate_barrier, calibrate_tilt,
+                    cli, default_impurity, delta_J, eval_potential, hamiltonian,
+                    improvement_factors, matched_j_grid, noise, __version__)
 from dqdsim.cli import MAX_GRID_POINTS, build_parser, main
 
 CLI = [sys.executable, "-m", "dqdsim.cli"]
@@ -252,8 +252,24 @@ class TestConfig:
         assert main(["spectrum", "--config", str(cfg), "--eps-range", "0:0.1:0.1"]) == 2
         assert "hbar_omega0 must be positive and finite" in capsys.readouterr().err
 
+    # On tightly confined dots J is exactly 0 in float, so every point fails
+    # alone, named: a NaN row, a stderr line, and exit 2 (not 1, which is
+    # validate's code for a failing check).
+    def test_a_zero_clean_j_fails_only_its_rows(self, tmp_path, capsys):
+        cfg = tmp_path / "tight.cfg"
+        cfg.write_text("device.hbar_omega0_mev = 5.0\n")
+        out = tmp_path / "out.csv"
+        assert main(["exchange-tilt", "--config", str(cfg), "--eps-range", "0:0.1:0.05",
+                     "--out", str(out)]) == 2
+        eps = ("0", "0.05", "0.1")
+        assert capsys.readouterr().err.splitlines() == [
+            f"dqdsim: error at tilt control {e} meV: ValueError: J_clean = 0 at tilt control "
+            f"{e} meV, so rel_noise = delta_J / J_clean is undefined" for e in eps]
+        assert data_rows(out.read_text())[1:] == [f"tilt,{e},nan,nan,nan,nan" for e in eps]
+
     # The subcommands that place no impurity reject one from a config file
-    # before any solve, and write nothing.
+    # before any solve, and write nothing.  Every model, that of a closed-form
+    # root included, is built on hamiltonian._device.
     @pytest.mark.parametrize("argv", [("potential-profile",), ("impurity-scan", "--radii", "6")])
     def test_config_impurity_is_rejected_where_unread(self, argv, monkeypatch, tmp_path, capsys):
         cfg = tmp_path / "imp.cfg"
@@ -261,7 +277,7 @@ class TestConfig:
 
         def no_work(*args, **kwargs):
             raise AssertionError("computed before the config was checked")
-        monkeypatch.setattr(cli, "calibrate_many", no_work)
+        monkeypatch.setattr(hamiltonian, "_device", no_work)
         monkeypatch.setattr(cli, "eval_potential", no_work)
         out = tmp_path / "out.csv"
         assert main([*argv, "--config", str(cfg), "--out", str(out)]) == 2
@@ -459,9 +475,10 @@ class TestFlags:
     # A matched-J command hands the eigensolver a few stacks however many J
     # it calibrates: noise-compare J0, then the bracket ends and the roots,
     # each clean and with the impurity; qfactor only the latter; and
-    # impurity-scan the ends with the roots, then its impurities.
+    # impurity-scan the ends and the roots clean with the roots at each of
+    # its impurities.
     @pytest.mark.parametrize("argv,count", [(["noise-compare"], 2), (["qfactor"], 1),
-                                            (["impurity-scan"], 2)])
+                                            (["impurity-scan"], 1)])
     def test_a_matched_j_command_makes_few_stacked_solves(self, argv, count, monkeypatch,
                                                           tmp_path):
         stacks = []
@@ -470,7 +487,8 @@ class TestFlags:
         assert main([*argv, "--out", str(tmp_path / "out.csv")]) == 0
         assert len(stacks) == count
 
-    # impurity-scan checks its target and its radii before any calibration.
+    # impurity-scan checks its target, its radii and the impurities they
+    # place before any model is built (so before a calibration can fail).
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("flags,message", [
         (("--J-mhz", "inf"), "--J-mhz must be positive and finite, got inf"),
@@ -482,16 +500,53 @@ class TestFlags:
         (("--radii", "0"), "--radii must be positive and finite, got 0"),
         (("--radii=-2,6",), "--radii must be positive and finite, got -2"),
         (("--radii", "6,abc"), "--radii expects comma-separated numbers, got '6,abc'"),
+        (("--J-mhz", "10", "--charge-e", "nan"), "impurity q must be finite, got nan"),
+        (("--radii", "1e307"), "impurity x_c must be finite, got -inf"),
     ])
     def test_bad_impurity_scan_input_is_rejected(self, flags, message, monkeypatch,
                                                  tmp_path, capsys):
-        def no_calibration(*args, **kwargs):
-            raise AssertionError("calibrated before the flags were checked")
-        monkeypatch.setattr(cli, "calibrate_many", no_calibration)
+        def no_model(*args, **kwargs):
+            raise AssertionError("computed before the flags were checked")
+        monkeypatch.setattr(hamiltonian, "_device", no_model)
         out = tmp_path / "out.csv"
         assert main(["impurity-scan", *flags, "--out", str(out)]) == 2
         assert f"dqdsim: error: {message}\n" in capsys.readouterr().err
         assert not out.exists()
+
+    # A target out of reach names the J reachable at the bracket ends, which
+    # the target, however large, does not cancel.
+    @pytest.mark.parametrize("j_mhz,target", [("10", "0.01"), ("1e6", "1000"),
+                                              ("1e300", "1e+297")])
+    def test_an_impurity_scan_target_out_of_reach_names_the_reachable_j(self, j_mhz, target,
+                                                                        tmp_path, capsys):
+        out = tmp_path / "out.csv"
+        assert main(["impurity-scan", "--J-mhz", j_mhz, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"dqdsim: error: calibrate_tilt: target {target} GHz outside [0.0328099, 173.752] "
+            "GHz reachable on the bracket [0.0, 1.5] meV\n")
+        assert not out.exists()
+
+    # At J0 both calibrations settle on a bracket end (epsilon = 0, xi = 1.3),
+    # not on their roots, which lie about 1e-6 meV and 2e-13 meV off it; the
+    # rows are those of the end, from a second stack.
+    def test_an_impurity_scan_at_j0_takes_its_rows_at_the_bracket_end(self, monkeypatch):
+        stacks, emitted = [], []
+        real = hamiltonian.jacobi_eigh
+        monkeypatch.setattr(hamiltonian, "jacobi_eigh", lambda A: stacks.append(len(A)) or real(A))
+        monkeypatch.setattr(cli, "_emit", lambda path, header, fields, rows: emitted.append(
+            (header, rows)))
+        assert main(["impurity-scan", "--J-mhz", "32.809933155053", "--radii", "1.5,6,20"]) == 0
+        assert len(stacks) == 2
+        ((header, rows),) = emitted
+        assert header[-2:] == ["eps_star_mev = 0", "xi_star_mev = 1.3"]
+        roots = noise._roots([("tilt", 0.032809933155053), ("barrier", 0.032809933155053)],
+                             DeviceParams(), "paper")
+        assert roots != [0.0, 1.3]
+        for name, r_over_a, rel_t, rel_b in rows:
+            ux, uy = cli._SCAN_DIRECTIONS[name]
+            imp = Impurity(r_over_a * 100.0 * ux, r_over_a * 100.0 * uy)
+            assert rel_t == delta_J("tilt", 0.0, DeviceParams(), imp).rel_noise
+            assert rel_b == delta_J("barrier", 1.3, DeviceParams(), imp).rel_noise
 
     # Flags a subcommand does not read are not registered: argparse rejects
     # them before anything runs, so no output file appears.

@@ -187,7 +187,46 @@ def _impurity_element_scalar(i, j, imp, params):
     return (-imp.q) * pref * s_ij * i0e(arg), arg
 
 
+def _four_entry_table(imps, params):
+    """impurity_table with all four elements evaluated, W[1, 0] included,
+    by one i0e call over the 4K arguments; and those arguments."""
+    basis = build_basis(params)
+    aB2 = basis.a_B**2
+    R = basis.R
+    pairs = [(i, j) for i in range(2) for j in range(2)]
+    s = np.array([math.exp(-float(np.sum((R[i] - R[j]) ** 2)) / (4.0 * aB2)) for i, j in pairs])
+    midpoints = np.array([R[i] + R[j] for i, j in pairs])
+    rc = np.array([[imp.x_c, imp.y_c] for imp in imps]).reshape(-1, 1, 2)
+    arg = np.sum((midpoints - 2.0 * rc) ** 2, axis=-1) / (8.0 * aB2)
+    pref = derive_constants(params).coulomb_scale * math.sqrt(math.pi) / basis.a_B
+    charge = np.array([-imp.q for imp in imps])
+    return (charge[:, None] * pref * s * i0e(arg)).reshape(-1, 2, 2), arg
+
+
 class TestImpurityTable:
+    def test_bit_equal_to_a_four_entry_evaluation(self):
+        # The series stops on the batch's largest term and smallest sum,
+        # which the duplicate W[1, 0] arguments do not change.  Near and
+        # far impurities share each batch, so both i0e branches run.
+        rng = np.random.default_rng(21)
+        args = []
+        for _ in range(100):
+            params = sample_device(rng)
+            imps = [sample_impurity(rng, params.a) for _ in range(6)]
+            ref, arg = _four_entry_table(imps, params)
+            table = impurity_table(imps, params)
+            assert np.array_equal(table.view(np.int64), ref.view(np.int64)), (params, imps)
+            args.append(arg)
+        args = np.concatenate(args)
+        assert ((args < 20.0).any(axis=-1) & (args > 20.0).any(axis=-1)).any()
+
+    def test_an_overflow_is_not_warned(self, params, recwarn):
+        far, charged = impurity_table([Impurity(1e200, 0.0), Impurity(-150.0, 0.0, 1e308)],
+                                      params)
+        assert (far == 0.0).all()
+        assert not np.isfinite(charged).all()
+        assert len(recwarn) == 0
+
     def test_bit_equal_to_one_element_at_a_time(self):
         # sample_impurity draws radii out to 20a, so both i0e branches run.
         rng = np.random.default_rng(20)

@@ -2,6 +2,7 @@
 import dataclasses
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -119,6 +120,16 @@ class TestDeltaJ:
     def test_no_impurity_is_rejected(self, params, call, name):
         with pytest.raises(ValueError, match=re.escape(f"{name} needs an impurity, got imp=None")):
             call(params)
+
+    # Tightly confined dots have J exactly 0 in float (the true J is about
+    # 2e-35 meV), so the relative noise has no value there.
+    def test_a_zero_clean_j_is_a_named_error(self, impurity):
+        base = DeviceParams(hbar_omega0=5.0)
+        assert exchange_J_ghz(base) == 0.0
+        with pytest.raises(ValueError, match=re.escape(
+                "J_clean = 0 at tilt control 0.05 meV, so rel_noise = delta_J / J_clean "
+                "is undefined")):
+            delta_J("tilt", 0.05, base, impurity)
 
     def test_csv_fields(self):
         assert NoiseRecord.CSV_FIELDS == (
@@ -455,6 +466,32 @@ class TestImprovementFactor:
         rec = improvement_factor(0.242, Impurity(-600.0, 600.0, q=0.0))
         assert rec.chi == 1.0  # 0/0 is reported as parity, not an error
         assert rec.rel_tilt == rec.rel_barrier == 0.0
+
+    # An impurity too far for its squared distance to be finite has elements
+    # 0; one whose charge makes an element overflow fails its own records by
+    # name.  Neither warns, so with warnings raised as errors the clean
+    # calibrations, which share the stack, keep their outcome.
+    @pytest.mark.parametrize("imp,failure", [
+        (Impurity(1e200, 0.0), None),
+        (Impurity(-150.0, 0.0, 1e308),
+         "Impurity(x_c=-150.0, y_c=0.0, q=1e+308): its matrix elements overflow")],
+        ids=["far", "charged"])
+    def test_an_overflowing_impurity_fails_only_its_records(self, imp, failure):
+        requests = [(scheme, j) for j in (0.05, 1e6) for scheme in ("tilt", "barrier")]
+        clean = calibrate_many(requests)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            controls, records = noise._calibrated(requests, DeviceParams(), AssemblyMode.PAPER,
+                                                  imp)
+            near, far = improvement_factors([0.05, 1e6], imp)
+        assert list(map(repr, controls)) == list(map(repr, clean))
+        assert isinstance(far, CalibrationError) and repr(far) == repr(clean[2])
+        if failure is None:
+            assert [r.rel_noise for r in records[:2]] == [0.0, 0.0]
+            assert (near.rel_tilt, near.rel_barrier, near.chi) == (0.0, 0.0, 1.0)
+        else:
+            assert [repr(r) for r in records[:2]] == [repr(ValueError(failure))] * 2
+            assert repr(near) == repr(ValueError(failure))
 
 
 class TestHubbardNoiseEstimate:
