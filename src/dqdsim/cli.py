@@ -217,7 +217,7 @@ def _sweep_rows(scheme: str, values: list[float], base: DeviceParams, imp: Impur
     rows = []
     for value, rec in zip(values, sweep(scheme, values, base, imp, mode)):
         if isinstance(rec, NoiseRecord):
-            rows.append(tuple(getattr(rec, f) for f in NoiseRecord.CSV_FIELDS))
+            rows.append(rec)
         else:
             rows.append((scheme, value) + (math.nan,) * 4)
             failures.append(f"dqdsim: error at {scheme} control {_fmt(value)} meV: "
@@ -320,7 +320,7 @@ def cmd_noise_compare(args) -> int:
     rows, failures = [], []
     for j_ghz, rec in zip(grid, improvement_factors(grid, imp, base, mode)):
         if isinstance(rec, ChiRecord):
-            rows.append((rec.J_ghz, rec.rel_tilt, rec.rel_barrier, rec.chi))
+            rows.append(rec)
         elif isinstance(rec, ValueError):  # CalibrationError included
             rows.append((j_ghz, math.nan, math.nan, math.nan))
             failures.append(f"dqdsim: error: J = {_fmt(j_ghz)} GHz: {rec}")
@@ -778,7 +778,8 @@ def _parser(names) -> argparse.ArgumentParser:
     """The parser with the subparsers of the named subcommands.  Its usage
     line, which an unrecognized-arguments error prints, lists every
     subcommand either way (the full parser lists them by itself; a metavar
-    on it would rename the argument in its own error messages)."""
+    on it would rename the argument in its own error messages), so
+    _parser([]) words that error as the full parser does."""
     parser = argparse.ArgumentParser(
         prog="dqdsim",
         description="Exchange interaction and charge-noise simulator for a "
@@ -800,10 +801,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    # Only the invoked subcommand's parser is built; -h, --version and an
-    # unknown command need all of them.
-    invoked = argv[:1] if argv and argv[0] in _SUBCOMMANDS else list(_SUBCOMMANDS)
-    args = _parser(invoked).parse_args(argv)
+    if argv and argv[0] in _SUBCOMMANDS:
+        # Only the invoked subcommand's parser is built, as the full parser
+        # builds it; -h, --version and an unknown command need the full one.
+        name = argv[0]
+        parser = argparse.ArgumentParser(prog=f"dqdsim {name}")
+        _SUBCOMMANDS[name][1](parser)
+        args, extras = parser.parse_known_args(argv[1:])
+        if extras:
+            _parser([]).error("unrecognized arguments: " + " ".join(extras))
+        args.subcommand = name
+    else:
+        args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except Exception as exc:

@@ -149,12 +149,15 @@ def _model(device: DeviceParams, epsilon: np.ndarray, xi: np.ndarray, rows: np.n
 
 def hubbard_parameters(params: DeviceParams, imp: Impurity | None = None) -> HubbardParams:
     """The model at one control point: the device's tables at epsilon = 0
-    plus params.xi times the bump, plus the impurity elements."""
+    plus params.xi times the bump, plus the impurity elements.  An impurity
+    whose elements overflow raises, named, as in solve_stack."""
     derive_constants(params)  # names a bad device field, then a non-finite control
     device = dataclasses.replace(params, epsilon=0.0, xi=0.0)
+    tables = () if imp is None else impurity_table([imp], device)
+    if not np.isfinite(tables).all():
+        raise ValueError(f"{imp!r}: its matrix elements overflow")
     (hp,) = _unstack(_model(device, np.array([params.epsilon]), np.array([params.xi]),
-                            np.array([0 if imp is None else 1]),
-                            () if imp is None else impurity_table([imp], device)))
+                            np.array([0 if imp is None else 1]), tables))
     return hp
 
 

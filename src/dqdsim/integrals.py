@@ -45,7 +45,8 @@ def i0e(x):
 
     Power series below x=20 (all-positive terms, no cancellation),
     asymptotic series above, truncated at its smallest term.  Relative
-    accuracy ~1e-13 or better across [0, 1e5].
+    accuracy ~1e-13 or better across [0, 1e5].  Each series tests its stopping
+    rule every 8 terms: the terms past it are below half an ulp of the sum.
     """
     x_arr = np.abs(np.asarray(x, dtype=float))
     scalar = x_arr.ndim == 0
@@ -61,7 +62,7 @@ def i0e(x):
         for k in range(1, 200):
             term = term * q / (k * k)
             acc += term
-            if term.max() < 1e-18 * acc.min():
+            if k % 8 == 0 and term.max() < 1e-18 * acc.min():
                 break
         out[small] = acc * np.exp(-xs)
 
@@ -75,7 +76,7 @@ def i0e(x):
             active &= np.abs(nxt) < np.abs(term)
             np.add(acc, nxt, out=acc, where=active)
             term = nxt
-            if not active.any() or np.abs(term[active]).max() < 1e-17:
+            if k % 8 == 0 and (not active.any() or np.abs(term[active]).max() < 1e-17):
                 break
         out[~small] = acc / np.sqrt(2.0 * np.pi * xb)
 

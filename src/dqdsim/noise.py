@@ -5,6 +5,7 @@ import dataclasses
 import itertools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -18,8 +19,7 @@ def default_impurity(params: DeviceParams, q: float = -1.0) -> Impurity:
     return Impurity(-DEFAULT_IMPURITY_SCALE * params.a, DEFAULT_IMPURITY_SCALE * params.a, q)
 
 
-@dataclass(frozen=True)
-class NoiseRecord:
+class NoiseRecord(NamedTuple):
     scheme: str
     control_mev: float
     J_clean_ghz: float
@@ -46,19 +46,15 @@ def _j_ghz(base: DeviceParams, settings, mode: AssemblyMode, rows=None, impuriti
 
 def _record(scheme: str, value: float, j_clean, j_imp):
     """The NoiseRecord at one control value from its clean and impurity J
-    [GHz], or the exception either solve raised, or a ValueError where the
-    clean J is 0."""
-    try:
-        j_clean, j_imp = unwrap([j_clean, j_imp])
-    except Exception as exc:  # the point's own failure
-        return exc
+    [GHz], or the exception either solve raised (the clean one's first),
+    or a ValueError where the clean J is 0."""
+    for j in (j_clean, j_imp):
+        if isinstance(j, Exception):
+            return j
     if j_clean == 0.0:
         return ValueError(f"J_clean = 0 at {scheme} control {value:.12g} meV, "
                           "so rel_noise = delta_J / J_clean is undefined")
-    return NoiseRecord(scheme=scheme, control_mev=value,
-                       J_clean_ghz=j_clean, J_imp_ghz=j_imp,
-                       delta_J_ghz=j_imp - j_clean,
-                       rel_noise=(j_imp - j_clean) / j_clean)
+    return NoiseRecord(scheme, value, j_clean, j_imp, j_imp - j_clean, (j_imp - j_clean) / j_clean)
 
 
 def noise_records(controls, base: DeviceParams, imp: Impurity,
@@ -273,8 +269,7 @@ def calibrate_barrier(j_target_ghz: float,
 # matched-J comparison
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ChiRecord:
+class ChiRecord(NamedTuple):
     J_ghz: float
     rel_tilt: float
     rel_barrier: float

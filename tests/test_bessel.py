@@ -105,3 +105,53 @@ def test_dense_batch_is_bit_identical_in_any_chunking():
     assert np.array_equal(_bits(i0e(x)), _bits(alone))
     chunks = np.concatenate([i0e(c) for c in np.array_split(x, 97)])
     assert np.array_equal(_bits(chunks), _bits(alone))
+
+
+def _i0e_checked_every_term(x):
+    """The reference: i0e with each series testing its stopping rule after
+    every term."""
+    x_arr = np.atleast_1d(np.abs(np.asarray(x, dtype=float)))
+    out = np.empty_like(x_arr)
+    small = x_arr < 20.0
+    if small.any():
+        xs = x_arr[small]
+        q = 0.25 * xs * xs
+        term = np.ones_like(xs)
+        acc = np.ones_like(xs)
+        for k in range(1, 200):
+            term = term * q / (k * k)
+            acc += term
+            if term.max() < 1e-18 * acc.min():
+                break
+        out[small] = acc * np.exp(-xs)
+    if (~small).any():
+        xb = x_arr[~small]
+        term = np.ones_like(xb)
+        acc = np.ones_like(xb)
+        active = np.ones(xb.shape, dtype=bool)
+        for k in range(1, 60):
+            nxt = term * (2 * k - 1) ** 2 / (8.0 * k * xb)
+            active &= np.abs(nxt) < np.abs(term)
+            np.add(acc, nxt, out=acc, where=active)
+            term = nxt
+            if not active.any() or np.abs(term[active]).max() < 1e-17:
+                break
+        out[~small] = acc / np.sqrt(2.0 * np.pi * xb)
+    return out
+
+
+def test_stopping_every_8_terms_is_bit_identical_to_every_term():
+    # A term past a stopping rule, and every later one, is below half an ulp
+    # of its sum, so the terms a batch adds before its next test round away.
+    rng = np.random.default_rng(18)
+    special = np.array([0.0, 5e-324, np.nextafter(20.0, 0.0), 20.0 - 1e-9, 20.0])
+    for _ in range(300):
+        n = int(rng.integers(1, 24))
+        x = np.concatenate([rng.choice(special, n // 3),
+                            rng.uniform(0.0, 20.0, n // 3),
+                            10.0 ** rng.uniform(-8.0, 4.0, n - 2 * (n // 3))])
+        rng.shuffle(x)
+        batch = i0e(x)
+        assert np.array_equal(_bits(batch), _bits(_i0e_checked_every_term(x)))
+        for v, b in zip(x, batch):
+            assert _bits(i0e(v)) == _bits(b) == _bits(_i0e_checked_every_term(v)[0])

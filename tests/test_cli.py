@@ -99,6 +99,38 @@ class TestParser:
                 full.parse_args(argv)
             assert exit_.value.code == code and capsys.readouterr() == lazy
 
+    @pytest.mark.parametrize("name", list(ARGV))
+    def test_a_valid_call_never_builds_the_top_level_parser(self, name, monkeypatch):
+        help_text, add_flags = cli._SUBCOMMANDS[name]
+
+        def parse_only(p):
+            add_flags(p)
+            p.set_defaults(func=lambda args: 0)  # the command itself does not run
+        monkeypatch.setitem(cli._SUBCOMMANDS, name, (help_text, parse_only))
+        built = []
+        monkeypatch.setattr(cli, "_parser", lambda names: built.append(names))
+        assert main([name, *self.ARGV[name]]) == 0
+        assert built == []
+
+    # Errors of the subcommand's own parser and arguments left over for the
+    # top level read byte for byte as the full parser's.
+    @pytest.mark.parametrize("argv,text", [
+        (["noise-compare", "--points", "abc"], "argument --points: invalid int value: 'abc'"),
+        (["spectrum", "--eps-range"], "argument --eps-range: expected one argument"),
+        (["spectrum", "--version"], "dqdsim: error: unrecognized arguments: --version"),
+        (["exchange-tilt", "--bogus", "--bad=1"],
+         "dqdsim: error: unrecognized arguments: --bogus --bad=1"),
+    ])
+    def test_an_error_reads_as_the_full_parsers(self, argv, text, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            main(argv)
+        got = capsys.readouterr()
+        with pytest.raises(SystemExit) as full_exit:
+            build_parser().parse_args(argv)
+        assert exit_.value.code == full_exit.value.code == 2
+        assert got == capsys.readouterr() and got.out == ""
+        assert text in got.err
+
     @pytest.mark.parametrize("argv,code,stream,text", [
         (["-h"], 0, "out", "{spectrum,exchange-tilt,exchange-barrier,noise-compare,qfactor,"
                            "impurity-scan,near-impurity,potential-profile,validate}"),

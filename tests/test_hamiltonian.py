@@ -2,6 +2,8 @@
 import dataclasses
 import functools
 import math
+import re
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -13,6 +15,7 @@ from dqdsim import (
     AssemblyMode,
     DeviceParams,
     HubbardParams,
+    Impurity,
     T0_VECTOR,
     assemble_matrix,
     build_basis,
@@ -20,6 +23,7 @@ from dqdsim import (
     exchange_J,
     exchange_J_ghz,
     hubbard_exchange_estimate,
+    hubbard_noise_estimate,
     hubbard_parameters,
     jacobi_eigh,
     overlap_matrix,
@@ -246,6 +250,19 @@ class TestHubbardParameters:
         # Interaction integrals are evaluated on the untilted potential.
         assert hp.t == pytest.approx(T_HOP, rel=1e-13)
         assert hp.U12 == pytest.approx(U_12, rel=1e-13)
+
+    # An impurity whose elements overflow is named before the model's
+    # products can warn of it, as solve_stack names it; the first-order
+    # noise estimate, which reads the model, inherits the error.
+    @pytest.mark.parametrize("call", [hubbard_parameters, hubbard_noise_estimate])
+    def test_an_overflowing_impurity_is_a_named_error(self, params, call):
+        imp = Impurity(-150.0, 0.0, 1e308)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=re.escape(
+                    "Impurity(x_c=-150.0, y_c=0.0, q=1e+308): its matrix elements overflow")):
+                call(params, imp)
+            assert hubbard_parameters(params, Impurity(1e200, 0.0)).Zt1 == 0.0  # too far to act
 
 
 class TestAssembly:

@@ -92,7 +92,8 @@ class TestDeltaJ:
         assert rec.scheme == "tilt" and rec.control_mev == 0.45
         assert rec.delta_J_ghz == pytest.approx(rec.J_imp_ghz - rec.J_clean_ghz)
         assert rec.rel_noise == pytest.approx(rec.delta_J_ghz / rec.J_clean_ghz)
-        assert tuple(f.name for f in dataclasses.fields(rec)) == NoiseRecord.CSV_FIELDS
+        assert NoiseRecord._fields == NoiseRecord.CSV_FIELDS
+        assert tuple(rec) == tuple(getattr(rec, f) for f in NoiseRecord.CSV_FIELDS)  # its CSV row
 
     def test_neutral_charge_gives_exact_zero(self, params):
         rec = delta_J("tilt", 0.3, params, Impurity(-600.0, 600.0, q=0.0))
