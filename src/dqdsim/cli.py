@@ -44,7 +44,6 @@ from .model import (
     Impurity,
     config_to_objects,
     control_point,
-    control_values,
     derive_constants,
     read_config,
     validate_params,
@@ -54,11 +53,7 @@ from .noise import (
     ChiRecord,
     NoiseRecord,
     QualityModel,
-    _BRACKETS,
     _calibrated,
-    _j_ghz,
-    _roots,
-    _settle,
     calibrate_many,
     default_impurity,
     envelope_closed,
@@ -117,7 +112,7 @@ def _emit(path: str | None, header_lines: list[str], fieldnames, rows) -> None:
         template, text_cells = _row_format(tuple(map(type, row)))
         if text_cells:
             texts = [str(row[i]) for i in text_cells]
-            if (len(row) == 1 and texts == [""]) or any(not _QUOTED.isdisjoint(t) for t in texts):
+            if (len(row) == 1 and texts == [""]) or not _QUOTED.isdisjoint("".join(texts)):
                 writer.writerow([_fmt(v) for v in row])
                 continue
         buf.write(template % row)
@@ -343,8 +338,9 @@ def cmd_qfactor(args) -> int:
     ref_j = 0.242  # GHz (1 ueV)
     # One stacked solve calibrates the reference and both schemes at every J
     # and takes the noise record of each.
-    controls, records = _calibrated([("tilt", ref_j)] + [
-        (scheme, j_ghz) for j_ghz in j_values for scheme in ("tilt", "barrier")], base, mode, imp)
+    controls, (records,) = _calibrated([("tilt", ref_j)] + [
+        (scheme, j_ghz) for j_ghz in j_values for scheme in ("tilt", "barrier")],
+        base, mode, [imp])
     # The first failure is reported in the order of the steps: the
     # reference, then at each J both calibrations before both records.
     (ref,) = unwrap(records[:1])
@@ -384,11 +380,10 @@ def cmd_impurity_scan(args) -> int:
     """Relative noise of both schemes versus impurity distance, for an
     impurity moved outward along three directions at matched clean J.
 
-    One stacked solve takes the clean J at both schemes' bracket ends and
-    at both closed-form roots (_roots), and J at both roots with each
-    impurity.  Both calibrations settle (_settle, tilt first) before any
-    impurity row is read; one that settles on a bracket end other than its
-    root takes its impurity rows from a second stack at that end."""
+    Both calibrations and every impurity's records come from _calibrated:
+    one stack, and a second where a calibration settles on a bracket end.
+    The calibrations fail first (tilt before barrier), then the records in
+    row order."""
     base, _imp, mode = _resolve(args)
     try:
         radii = ([float(r) for r in args.radii.split(",")] if args.radii
@@ -401,29 +396,11 @@ def cmd_impurity_scan(args) -> int:
     q = args.charge_e if args.charge_e is not None else -1.0
     impurities = [(name, r_over_a, Impurity(r_over_a * base.a * ux, r_over_a * base.a * uy, q))
                   for name, (ux, uy) in _SCAN_DIRECTIONS.items() for r_over_a in radii]
-    imps = [imp for _, _, imp in impurities]
-    requests = [("tilt", j_target_ghz), ("barrier", j_target_ghz)]
-    roots = _roots(requests, base, mode)
-    ends = list(dict.fromkeys(control_values(scheme, base, c)
-                              for scheme, _ in requests for c in _BRACKETS[scheme]))
-    at_roots = [control_values(scheme, base, c) for (scheme, _), c in zip(requests, roots)]
-    root_rows = np.arange(1 + len(imps)).repeat(2)  # both roots clean, then with each impurity
-    js = _j_ghz(base, ends + at_roots * (1 + len(imps)), mode,
-                np.r_[[0] * len(ends), root_rows], imps)
-    at = dict(zip(ends, js))
-    eps_star, xi_star = [_settle(scheme, target, root, *(at[control_values(scheme, base, e)]
-                                                         for e in _BRACKETS[scheme]), j_root)
-                         for (scheme, target), root, j_root in zip(requests, roots, js[len(ends):])]
-    settled = [control_values("tilt", base, eps_star), control_values("barrier", base, xi_star)]
-    j_clean = [at.get(setting, j) for setting, j in zip(settled, js[len(ends):])]
-    j_imp = js[len(ends) + 2:]
-    if settled != at_roots:  # a calibration settled on a bracket end, not its root
-        j_imp = _j_ghz(base, settled * len(imps), mode, root_rows[2:], imps)
-    j_imp = unwrap(j_imp)
-    rows = []
-    for k, (name, r_over_a, _) in enumerate(impurities):
-        rel_t, rel_b = ((j - j0) / j0 for j, j0 in zip(j_imp[2 * k:2 * k + 2], j_clean))
-        rows.append((name, r_over_a, rel_t, rel_b))
+    controls, records = _calibrated([("tilt", j_target_ghz), ("barrier", j_target_ghz)],
+                                    base, mode, [imp for _, _, imp in impurities])
+    eps_star, xi_star = unwrap(controls)
+    rows = [(name, r_over_a, rec_t.rel_noise, rec_b.rel_noise)
+            for (name, r_over_a, _), (rec_t, rec_b) in zip(impurities, map(unwrap, records))]
     header = _provenance("impurity-scan", args, base, mode, None, (
         f"J_target_mhz = {_fmt(args.J_mhz)}",
         f"charge_e = {_fmt(q)}",

@@ -219,8 +219,8 @@ def jacobi_eigh(A: np.ndarray):
     stack takes exactly the rotations it takes alone, in a fixed (p, q)
     order: it leaves the stack once converged, and a rotation it skips
     (|a_pq| <= 1e-300) is masked out, never applied as an identity (which
-    turns -0 into +0).  A rotation R is two BLAS products over the stack,
-    R^T a and [R^T a; V] R, so each matrix's arithmetic is a lone loop's.  A
+    turns -0 into +0).  A rotation R is two BLAS products over the stack, R^T a
+    in place, then [R^T a; V] R: each matrix's arithmetic is a lone loop's.  A
     matrix has converged once the norm of its upper off-diagonal is at most
     1e-14 max(1, max |A|), and stops after 60 sweeps either way.  Eigenvector
     signs are fixed by making the first non-negligible component positive.
@@ -267,8 +267,11 @@ def jacobi_eigh(A: np.ndarray):
             rot = eye.copy()
             rot[:, p, p] = rot[:, q, q] = c
             rot[:, p, q], rot[:, q, p] = s, -s
-            rotated = np.concatenate([rot.transpose(0, 2, 1) @ av[:, :n], av[:, n:]], axis=1) @ rot
-            av = np.where(skip[:, None, None], av, rotated) if skipped else rotated
+            kept = av[skip] if skipped else None  # a copy, put back after the products
+            np.matmul(rot.transpose(0, 2, 1), av[:, :n], out=av[:, :n])
+            av = av @ rot
+            if skipped:
+                av[skip] = kept
     A[live], V[live] = av[:, :n], av[:, n:]
     diag = np.diagonal(A, axis1=-2, axis2=-1)
     order = np.argsort(diag, axis=-1, kind="stable")

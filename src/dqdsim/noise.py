@@ -40,27 +40,31 @@ def _j_ghz(base: DeviceParams, settings, mode: AssemblyMode, rows=None, impuriti
         failed, _, _, _, J = solve_stack(base, epsilon, xi, rows, impurities, mode)
     except Exception as exc:  # the device's own failure
         return [exc] * len(epsilon)
-    js = iter((J * MEV_TO_GHZ).tolist())
-    return [failed[i] if i in failed else next(js) for i in range(len(epsilon))]
+    js = (J * MEV_TO_GHZ).tolist()
+    for i in sorted(failed):  # in place, lowest index first
+        js.insert(i, failed[i])
+    return js
 
 
 def _record(scheme: str, value: float, j_clean, j_imp):
     """The NoiseRecord at one control value from its clean and impurity J
     [GHz], or the exception either solve raised (the clean one's first),
     or a ValueError where the clean J is 0."""
-    for j in (j_clean, j_imp):
-        if isinstance(j, Exception):
-            return j
+    if isinstance(j_clean, Exception):
+        return j_clean
+    if isinstance(j_imp, Exception):
+        return j_imp
     if j_clean == 0.0:
         return ValueError(f"J_clean = 0 at {scheme} control {value:.12g} meV, "
                           "so rel_noise = delta_J / J_clean is undefined")
-    return NoiseRecord(scheme, value, j_clean, j_imp, j_imp - j_clean, (j_imp - j_clean) / j_clean)
+    delta = j_imp - j_clean
+    return NoiseRecord._make((scheme, value, j_clean, j_imp, delta, delta / j_clean))
 
 
 def noise_records(controls, base: DeviceParams, imp: Impurity,
                   mode: AssemblyMode = AssemblyMode.PAPER) -> list:
     """The NoiseRecord of each (scheme, value) control: J with and without
-    the impurity there, every point in one stacked solve.
+    the impurity there, every distinct point once in one stacked solve.
 
     An entry is the exception its control raised instead; a control whose
     value is an exception (a failed calibration) passes it through."""
@@ -79,10 +83,12 @@ def noise_records(controls, base: DeviceParams, imp: Impurity,
             out[i] = exc
             continue
         owners.append(i)
-    n = len(settings)
-    js = _j_ghz(base, settings * 2, mode, np.repeat([0, 1], n), [imp])
-    for i, j_clean, j_imp in zip(owners, js, js[n:]):
-        out[i] = _record(*controls[i], j_clean, j_imp)
+    distinct = list(dict.fromkeys(settings))
+    n = len(distinct)
+    js = _j_ghz(base, distinct * 2, mode, np.repeat([0, 1], n), [imp])
+    at = dict(zip(distinct, zip(js, js[n:])))
+    for i, setting in zip(owners, settings):
+        out[i] = _record(*controls[i], *at[setting])
     return out
 
 
@@ -195,47 +201,57 @@ def _roots(requests, base: DeviceParams, mode: AssemblyMode) -> list:
     return np.take_along_axis(roots, nearest[None], axis=0)[0].tolist()
 
 
-def _calibrated(requests, base: DeviceParams, mode: AssemblyMode,
-                imp: Impurity | None = None) -> tuple[list, list]:
+def _calibrated(requests, base: DeviceParams, mode: AssemblyMode, imps=()) -> tuple[list, list]:
     """(controls, records): the control value of each (scheme, target_ghz)
-    request at which the clean J meets the target, and with an impurity the
-    NoiseRecord there (without one, records is empty).
+    request at which the clean J meets the target, and for each impurity of
+    imps the NoiseRecord of every request at its control.
 
-    Every request's root comes in closed form (_roots).  One stacked solve
-    takes J at every distinct bracket end and at every root, clean and,
-    given imp, with it too.  Each request settles by _settle, at an end
-    with the end's record or at its root with the root's.  An entry is the
-    exception its calibration, or else its record, raised instead; a device
-    that cannot be built fails every entry with its error."""
-    requests = list(requests)
+    Every root comes in closed form (_roots).  One stack solves the clean J
+    at every distinct bracket end and root, and J with each impurity at
+    every root, and at the ends too given at most one impurity.  A request
+    settles by _settle and takes its records there, at an end not solved
+    with the impurities from a second stack of it with each.  An entry is
+    the exception its calibration, or else its record, raised instead; a
+    device that cannot be built fails every entry with its error."""
+    requests, imps = list(requests), list(imps)
     for scheme, _ in requests:
         if scheme not in _BRACKETS:
             raise ValueError(f"unknown scheme {scheme!r}")
     try:
         roots = _roots(requests, base, mode)
     except Exception as exc:  # the device's own failure
-        failed = [exc] * len(requests)
-        return failed, (failed if imp is not None else [])
+        return [exc] * len(requests), [[exc] * len(requests) for _ in imps]
     ends = list(dict.fromkeys(control_values(scheme, base, c)
                               for scheme, _ in requests for c in _BRACKETS[scheme]))
     settings = ends + [control_values(scheme, base, c) for (scheme, _), c in zip(requests, roots)]
-    n, imps = len(settings), [] if imp is None else [imp]
-    js = _j_ghz(base, settings * (1 + len(imps)), mode, np.arange(1 + len(imps)).repeat(n), imps)
-    # (clean J, impurity J) at each setting; without an impurity the second is unused.
-    pairs = list(zip(js, js[n:] if imps else js))
-    at = dict(zip(ends, pairs))
+    # J [GHz] clean at every setting, then with each impurity in turn at every
+    # setting (given at most one impurity) or only at every root.
+    with_imp = settings if len(imps) <= 1 else settings[len(ends):]
+    n, m = len(settings), len(with_imp)
+    js = _j_ghz(base, settings + with_imp * len(imps), mode,
+                np.arange(1 + len(imps)).repeat([n] + [m] * len(imps)), imps)
+    clean = dict(zip(settings, js))
     controls: list = []
-    records: list = []
-    for (scheme, target), root, at_root in zip(requests, roots, pairs[len(ends):]):
+    for (scheme, target), root, at_root in zip(requests, roots, settings[len(ends):]):
         try:
-            control = _settle(scheme, target, root, *(at[control_values(scheme, base, e)][0]
-                                                      for e in _BRACKETS[scheme]), at_root[0])
+            j_ends = (clean[control_values(scheme, base, e)] for e in _BRACKETS[scheme])
+            controls.append(_settle(scheme, target, root, *j_ends, clean[at_root]))
         except Exception as exc:  # this calibration's own failure
-            control = exc
-        controls.append(control)
-        if imp is not None:
-            records.append(control if isinstance(control, Exception) else _record(
-                scheme, control, *at.get(control_values(scheme, base, control), at_root)))
+            controls.append(exc)
+    settled = [None if isinstance(c, Exception) else control_values(scheme, base, c)
+               for (scheme, _), c in zip(requests, controls)]
+    # J with each impurity in turn at each setting solved with them; an end
+    # settled on but not solved with them is, with each, in a second stack.
+    with_each = {s: js[n + i::m] for i, s in enumerate(with_imp)}
+    left = [s for s in dict.fromkeys(settled) if s is not None and s not in with_each]
+    if left:
+        js = _j_ghz(base, left * len(imps), mode,
+                    np.arange(1, 1 + len(imps)).repeat(len(left)), imps)
+        with_each.update((s, js[i::len(left)]) for i, s in enumerate(left))
+    by_request = [[c] * len(imps) if s is None else
+                  [_record(scheme, c, clean[s], j) for j in with_each[s]]
+                  for (scheme, _), c, s in zip(requests, controls, settled)]
+    records = [[recs[k] for recs in by_request] for k in range(len(imps))]
     return controls, records
 
 
@@ -289,8 +305,8 @@ def improvement_factors(targets, imp: Impurity,
     if imp is None:
         raise ValueError("improvement_factors needs an impurity, got imp=None")
     targets = list(targets)
-    controls, records = _calibrated([(scheme, j) for j in targets
-                                     for scheme in ("tilt", "barrier")], base, mode, imp)
+    controls, (records,) = _calibrated([(scheme, j) for j in targets
+                                        for scheme in ("tilt", "barrier")], base, mode, [imp])
     out = []
     for k, j in enumerate(targets):
         steps = controls[2 * k:2 * k + 2] + records[2 * k:2 * k + 2]

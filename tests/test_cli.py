@@ -493,24 +493,39 @@ class TestFlags:
         assert data_rows(cut.read_text()) == rows
 
     # A default sweep, the barrier's zoom block included, hands the eigensolver
-    # one stack: each control value clean and with the impurity.
+    # one stack: each distinct control value clean and with the impurity (the
+    # barrier's main and zoom grids share 11 values).  Every row is the one a
+    # lone delta_J gives.
+    STACKED = {"exchange-tilt": 2 * 101, "exchange-barrier": 2 * 121}
+
     @pytest.mark.parametrize("command,values", [("exchange-tilt", 101),
                                                 ("exchange-barrier", 81 + 51)])
-    def test_a_default_sweep_is_one_stacked_solve(self, command, values, monkeypatch,
-                                                  tmp_path):
-        stacks = []
+    def test_a_default_sweep_is_one_stacked_solve(self, command, values, monkeypatch):
+        stacks, emitted = [], []
         real = hamiltonian.jacobi_eigh
         monkeypatch.setattr(hamiltonian, "jacobi_eigh", lambda A: stacks.append(len(A)) or real(A))
-        assert main([command, "--out", str(tmp_path / "out.csv")]) == 0
-        assert stacks == [2 * values]
+        monkeypatch.setattr(cli, "_emit", lambda path, header, fields, rows: emitted.extend(
+            row for row in rows if not isinstance(row, str)))
+        assert main([command]) == 0
+        assert len(emitted) == values
+        assert stacks == [self.STACKED[command]]
+        scheme, imp = command.split("-")[1], default_impurity(DeviceParams())
+        assert [repr(row) for row in emitted] == [
+            repr(delta_J(scheme, row.control_mev, DeviceParams(), imp)) for row in emitted]
 
     # A matched-J command hands the eigensolver a few stacks however many J
-    # it calibrates: noise-compare J0, then the bracket ends and the roots,
-    # each clean and with the impurity; qfactor only the latter; and
-    # impurity-scan the ends and the roots clean with the roots at each of
-    # its impurities.
+    # it calibrates: noise-compare J0, then the 3 bracket ends and its 50
+    # roots, each clean and with the impurity; qfactor only the latter (3
+    # ends, 33 roots); and impurity-scan the ends and both roots clean with
+    # the roots at each of its 33 impurities.  At J0 both of its
+    # calibrations settle on the same end, which a second stack holds with
+    # each impurity.
+    MATRICES = {"noise-compare": [1, 106], "qfactor": [72], "impurity-scan": [71],
+                "impurity-scan --J-mhz 32.809933155053": [71, 33]}
+
     @pytest.mark.parametrize("argv,count", [(["noise-compare"], 2), (["qfactor"], 1),
-                                            (["impurity-scan"], 1)])
+                                            (["impurity-scan"], 1),
+                                            (["impurity-scan", "--J-mhz", "32.809933155053"], 2)])
     def test_a_matched_j_command_makes_few_stacked_solves(self, argv, count, monkeypatch,
                                                           tmp_path):
         stacks = []
@@ -518,6 +533,7 @@ class TestFlags:
         monkeypatch.setattr(hamiltonian, "jacobi_eigh", lambda A: stacks.append(len(A)) or real(A))
         assert main([*argv, "--out", str(tmp_path / "out.csv")]) == 0
         assert len(stacks) == count
+        assert stacks == self.MATRICES[" ".join(argv)]
 
     # impurity-scan checks its target, its radii and the impurities they
     # place before any model is built (so before a calibration can fail).

@@ -370,7 +370,7 @@ class TestCalibratedRecords:
                                                             wrong, monkeypatch):
         shift_roots(monkeypatch, wrong)  # a shifted root fails its residual check
         requests = self.requests(params, mode)
-        controls, records = noise._calibrated(requests, params, mode, impurity)
+        controls, (records,) = noise._calibrated(requests, params, mode, [impurity])
         want_controls, want_records = self.apart(requests, params, mode, impurity)
         assert list(map(repr, controls)) == list(map(repr, want_controls))
         assert list(map(repr, records)) == list(map(repr, want_records))
@@ -403,6 +403,29 @@ class TestCalibratedRecords:
         improvement_factors([0.05, 0.242, 0.9], impurity, params)
         # 3 bracket ends and 6 roots, each clean and with the impurity.
         assert stacks == [2 * (3 + 6)]
+
+    # Each request's record with each impurity is the lone delta_J at its
+    # control, J0 (met exactly at the end xi = 1.3 of both schemes) included.
+    # With no impurity there are no records.  One impurity is solved at the
+    # 3 bracket ends and 3 roots in the one stack; three only at the roots,
+    # and both J0 requests take their records from a second stack of that
+    # one end with each impurity.
+    @pytest.mark.parametrize("n_imps,stacked", [(0, [6]), (1, [12]), (3, [6 + 3 * 3, 3])])
+    def test_each_record_is_a_lone_delta_j_at_its_control(self, params, n_imps, stacked,
+                                                          monkeypatch):
+        imps = [Impurity(-600.0, 600.0), Impurity(-150.0, 0.0, -0.5),
+                Impurity(0.0, 300.0, 2.0)][:n_imps]
+        (j0,) = noise._j_ghz(params, [(0.0, params.xi)], AssemblyMode.PAPER)
+        requests = [("tilt", j0), ("barrier", j0), ("barrier", 0.242)]
+        stacks = count_stacks(monkeypatch)
+        controls, records = noise._calibrated(requests, params, AssemblyMode.PAPER, imps)
+        assert stacks == stacked
+        assert controls[:2] == [TILT_BRACKET[0], BARRIER_BRACKET[1]] == [0.0, params.xi]
+        assert controls[2] == pytest.approx(XI_STAR_242MHZ, rel=1e-9)
+        assert len(records) == n_imps
+        for imp, recs in zip(imps, records):
+            assert [repr(rec) for rec in recs] == [
+                repr(delta_J(scheme, c, params, imp)) for (scheme, _), c in zip(requests, controls)]
 
 
 class TestUnbuildableDevice:
@@ -482,8 +505,8 @@ class TestImprovementFactor:
         clean = calibrate_many(requests)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            controls, records = noise._calibrated(requests, DeviceParams(), AssemblyMode.PAPER,
-                                                  imp)
+            controls, (records,) = noise._calibrated(requests, DeviceParams(),
+                                                     AssemblyMode.PAPER, [imp])
             near, far = improvement_factors([0.05, 1e6], imp)
         assert list(map(repr, controls)) == list(map(repr, clean))
         assert isinstance(far, CalibrationError) and repr(far) == repr(clean[2])
