@@ -17,8 +17,6 @@ from dqdsim import (
     hubbard_exchange_estimate,
     hubbard_parameters,
     solve,
-    solve_many,
-    unwrap,
 )
 
 
@@ -40,10 +38,9 @@ def sweep_eps(xi=1.3):
     print(f"  {'eps [meV]':>9s} {'J exact [GHz]':>14s} {'J est [GHz]':>12s} "
           f"{'rel diff':>9s}")
     points = [DeviceParams(epsilon=eps, xi=xi) for eps in [0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7]]
-    results = unwrap(solve_many([(p, None) for p in points]))
-    for p, res in zip(points, results):
+    for p in points:
         est = hubbard_exchange_estimate(hubbard_parameters(p)) * MEV_TO_GHZ
-        j = res.J * MEV_TO_GHZ
+        j = exchange_J_ghz(p)
         print(f"  {p.epsilon:9.2f} {j:14.6f} {est:12.6f} {abs(est - j) / abs(j):9.2%}")
     hp = hubbard_parameters(DeviceParams(epsilon=0.0, xi=xi))
     print(f"  (charge-transfer anticrossing at |eps| = dU = {hp.delta_u:.4f} meV; "
@@ -57,11 +54,10 @@ def sweep_xi():
     print(f"  {'xi [meV]':>8s} {'J exact [GHz]':>14s} {'t [meV]':>11s} "
           f"{'J est [GHz]':>12s} {'rel diff':>9s}")
     points = [DeviceParams(epsilon=0.0, xi=xi) for xi in [0.5, 0.7, 0.9, 1.1, 1.3, 1.5]]
-    results = unwrap(solve_many([(p, None) for p in points]))
-    for p, res in zip(points, results):
+    for p in points:
         hp = hubbard_parameters(p)
         est = hubbard_exchange_estimate(hp) * MEV_TO_GHZ
-        j = res.J * MEV_TO_GHZ
+        j = exchange_J_ghz(p)
         print(f"  {p.xi:8.2f} {j:14.6f} {hp.t:11.3e} {est:12.6f} "
               f"{abs(est - j) / abs(j):9.2%}")
     print("  (near xi = 1.5 the bare hopping t crosses zero, so both J and the "

@@ -56,7 +56,6 @@ from .hamiltonian import (
     hubbard_parameters,
     jacobi_eigh,
     solve,
-    solve_many,
     unwrap,
 )
 from .noise import (
@@ -160,7 +159,6 @@ __all__ = [
     "read_config",
     "sigma_total",
     "solve",
-    "solve_many",
     "sweep",
     "sweet_spot_check",
     "t_star_ns",

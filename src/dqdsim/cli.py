@@ -33,7 +33,7 @@ from .hamiltonian import (
     hubbard_exchange_estimate,
     hubbard_from_tables,
     hubbard_parameters,
-    solve_many,
+    solve,
     solve_stack,
     unwrap,
 )
@@ -220,15 +220,6 @@ def _sweep_rows(scheme: str, values: list[float], base: DeviceParams, imp: Impur
     return rows
 
 
-def _solved(base: DeviceParams, epsilon, xi, rows, impurities, mode: AssemblyMode):
-    """The eigenvalues and J [meV] of every point of one solve_stack,
-    raising the first failure among them."""
-    failed, _, evals, _, J = solve_stack(base, epsilon, xi, rows, impurities, mode)
-    if failed:
-        raise failed[min(failed)]
-    return evals, J
-
-
 def _report(failures: list[str]) -> int:
     """Print the per-point failure lines to stderr; 2 if any, else 0."""
     for msg in failures:
@@ -251,8 +242,10 @@ def cmd_spectrum(args) -> int:
     xi_values = _parse_range(args.xi_range) if args.xi_range else [1.3, 1.0]
     grid = [(eps, xi) for xi in xi_values for eps in eps_values]
     epsilon, xi = np.array(grid).T
-    evals, J = _solved(base, epsilon, xi, None if imp is None else np.ones(len(grid), int),
-                       [] if imp is None else [imp], mode)
+    imp_rows, imps = (None, []) if imp is None else (np.ones(len(grid), int), [imp])
+    failed, _, evals, _, J = solve_stack(base, epsilon, xi, imp_rows, imps, mode)
+    if failed:
+        raise failed[min(failed)]
     rows = [(eps, xi, e0, e1, j, j * MEV_TO_GHZ)
             for (eps, xi), (e0, e1), j in zip(grid, evals[:, :2].tolist(), J.tolist())]
     header = _provenance("spectrum", args, base, mode, imp, (
@@ -416,12 +409,10 @@ def cmd_potential_profile(args) -> int:
     """Confinement potential along a horizontal cut (default y = 0,
     x in [-3a, 3a])."""
     base, _imp, _mode = _resolve(args)
-    if args.x_range:
-        xs = _parse_range(args.x_range)
-        x_spec = args.x_range
-    else:
-        x_spec = f"{_fmt(-3 * base.a)}:{_fmt(3 * base.a)}:{_fmt(base.a / 50)}"
-        xs = _parse_range(x_spec)
+    if not math.isfinite(args.y_nm):
+        raise ValueError(f"--y-nm must be finite, got {_fmt(args.y_nm)}")
+    x_spec = args.x_range or f"{_fmt(-3 * base.a)}:{_fmt(3 * base.a)}:{_fmt(base.a / 50)}"
+    xs = _parse_range(x_spec)
     y = args.y_nm
     values = eval_potential(np.asarray(xs), y, base)
     rows = [(x, y, float(v)) for x, v in zip(xs, values)]
@@ -535,10 +526,9 @@ def cmd_validate(args) -> int:
         # 6. spectral identities at a detuned, impurity-perturbed point
         params = DeviceParams(epsilon=0.37, xi=1.1)
         imp = default_impurity(params)
-        res, mirrored = unwrap(solve_many([
-            (params, imp),
-            (dataclasses.replace(params, epsilon=-params.epsilon), Impurity(-imp.x_c, imp.y_c, imp.q)),
-        ]))
+        res = solve(params, imp)
+        mirrored = solve(dataclasses.replace(params, epsilon=-params.epsilon),
+                         Impurity(-imp.x_c, imp.y_c, imp.q))
         H = assemble_matrix(hubbard_parameters(params, imp))
         scale = float(np.max(np.abs(H)))
         d_t0 = float(np.max(np.abs(H @ T0_VECTOR - res.t0_energy * T0_VECTOR))) / scale
@@ -568,10 +558,8 @@ def cmd_validate(args) -> int:
         base = DeviceParams()
         eps_grid = [0.0, 0.2, 0.4, 0.6, 0.8, 1.0]
         xi_grid = [0.5, 0.7, 0.9, 1.1, 1.3]
-        js = [res.J for res in unwrap(solve_many(
-            [(control_point("tilt", base, e), None) for e in eps_grid]
-            + [(control_point("barrier", base, x), None) for x in xi_grid]))]
-        j_eps, j_xi = js[:len(eps_grid)], js[len(eps_grid):]
+        j_eps = [exchange_J(control_point("tilt", base, e)) for e in eps_grid]
+        j_xi = [exchange_J(control_point("barrier", base, x)) for x in xi_grid]
         add("exchange-monotonic",
             all(b > a for a, b in zip(j_eps, j_eps[1:]))
             and all(b < a for a, b in zip(j_xi, j_xi[1:])),
@@ -618,10 +606,10 @@ def cmd_validate(args) -> int:
         requests = [(scheme, tgt) for tgt in targets for scheme in ("tilt", "barrier")]
         try:
             controls = unwrap(calibrate_many(requests, base))
-            achieved = unwrap(solve_many([(control_point(scheme, base, c), None)
-                                          for (scheme, _), c in zip(requests, controls)]))
-            worst_cal = max(abs(res.J * MEV_TO_GHZ - tgt) / tgt
-                            for (_, tgt), res in zip(requests, achieved))
+            achieved = [exchange_J(control_point(scheme, base, c))
+                        for (scheme, _), c in zip(requests, controls)]
+            worst_cal = max(abs(j * MEV_TO_GHZ - tgt) / tgt
+                            for (_, tgt), j in zip(requests, achieved))
             add("calibration", worst_cal <= 1e-6,
                 f"worst |J(c*) - target|/target = {_fmt(worst_cal)}")
         except CalibrationError as exc:

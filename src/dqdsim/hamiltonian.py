@@ -147,17 +147,47 @@ def _model(device: DeviceParams, epsilon: np.ndarray, xi: np.ndarray, rows: np.n
     return _hubbard(basis.M, one_body, -0.5 * epsilon, 0.5 * epsilon, W, two_body)
 
 
+def _built(device: DeviceParams, epsilon, xi, rows=None, impurities=()):
+    """(failed, built, hp) for the points of solve_stack: failed maps each
+    point whose control is not finite or whose impurity's elements overflow
+    to its exception, and hp is the stacked model of the others, whose
+    indices built holds.  A device that is bad or cannot be built raises."""
+    device = dataclasses.replace(device, epsilon=0.0, xi=0.0)
+    derive_constants(device)
+    epsilon, xi = np.asarray(epsilon, dtype=float), np.asarray(xi, dtype=float)
+    rows = np.zeros(len(epsilon), dtype=int) if rows is None else np.asarray(rows, dtype=int)
+    finite = np.isfinite(epsilon) & np.isfinite(xi)
+    failed: dict[int, Exception] = {}
+    for i in np.flatnonzero(~finite).tolist():
+        try:
+            check_controls(float(epsilon[i]), float(xi[i]))
+        except ValueError as exc:  # names the non-finite control
+            failed[i] = exc
+    # Each impurity's matrix is built once; one that overflows fails its own
+    # points, named, before the model's products could warn of it.
+    tables = impurity_table(impurities, device) if len(impurities) else np.zeros((0, 2, 2))
+    for k in np.flatnonzero(~np.isfinite(tables).all(axis=(-2, -1))).tolist():
+        own = finite & (rows == k + 1)
+        failed.update((i, ValueError(f"{impurities[k]!r}: its matrix elements overflow"))
+                      for i in np.flatnonzero(own).tolist())
+        finite &= ~own
+    built = np.flatnonzero(finite)
+    return failed, built, _model(device, epsilon[built], xi[built], rows[built], tables)
+
+
+def _point(params: DeviceParams, imp: Impurity | None) -> tuple:
+    """solve_stack's arguments, device to impurities, for one point."""
+    return params, [params.epsilon], [params.xi], *((None, ()) if imp is None else ([1], [imp]))
+
+
 def hubbard_parameters(params: DeviceParams, imp: Impurity | None = None) -> HubbardParams:
     """The model at one control point: the device's tables at epsilon = 0
-    plus params.xi times the bump, plus the impurity elements.  An impurity
-    whose elements overflow raises, named, as in solve_stack."""
-    derive_constants(params)  # names a bad device field, then a non-finite control
-    device = dataclasses.replace(params, epsilon=0.0, xi=0.0)
-    tables = () if imp is None else impurity_table([imp], device)
-    if not np.isfinite(tables).all():
-        raise ValueError(f"{imp!r}: its matrix elements overflow")
-    (hp,) = _unstack(_model(device, np.array([params.epsilon]), np.array([params.xi]),
-                            np.array([0 if imp is None else 1]), tables))
+    plus params.xi times the bump, plus the impurity elements.  Raises what
+    the point raises in solve_stack before its matrix is built."""
+    failed, _, hp = _built(*_point(params, imp))
+    if failed:
+        raise failed[0]
+    (hp,) = _unstack(hp)
     return hp
 
 
@@ -192,23 +222,37 @@ def assemble_matrix(hp: HubbardParams, mode: AssemblyMode = AssemblyMode.PAPER) 
 # eigensolver: deterministic cyclic Jacobi over a stack of matrices
 # ---------------------------------------------------------------------------
 
-def _rejected(A: np.ndarray) -> np.ndarray:
-    """For each matrix of a stack (N, n, n): whether it has an entry that is
-    not finite, or differs from its transpose by more than 1e-12 of its
-    largest entry.  A matrix equal to its transpose is not scanned for the
-    latter."""
+def _off_norm2(A: np.ndarray, upper) -> np.ndarray:
+    """Jacobi's convergence measure of each matrix of a stack (N, n, n): the
+    squares of its upper off-diagonal entries, added in order.  float_power
+    rounds like a lone scalar's ** 2, x * x may not."""
+    return np.add.accumulate(np.float_power(A[:, upper[0], upper[1]], 2), axis=1)[:, -1]
+
+
+def _faults(A: np.ndarray) -> dict[int, str]:
+    """The fault of each matrix of a stack (N, n, n) that jacobi_eigh
+    rejects, by its index: an entry that is not finite; else an upper
+    off-diagonal whose squares add up past the largest float, so that Jacobi
+    could never find it converged; else a difference from its transpose by
+    more than 1e-12 of its largest entry.  A matrix equal to its transpose
+    is not scanned for the last."""
     asym = ~(A == np.swapaxes(A, -1, -2)).all(axis=(-2, -1))
     if asym.any():
         B = A[asym]
         atol = 1e-12 * np.fmax(1.0, np.abs(B).max(axis=(-2, -1), keepdims=True))
         asym[asym] = ~np.isclose(B, np.swapaxes(B, -1, -2), rtol=0, atol=atol).all(axis=(-2, -1))
-    return asym | ~np.isfinite(A).all(axis=(-2, -1))
-
-
-def _fault(M: np.ndarray) -> ValueError:
-    """The error of a rejected matrix: a non-finite entry, else asymmetry."""
-    return ValueError("matrix must be symmetric" if np.isfinite(M).all()
-                      else "matrix has a non-finite entry")
+    faults = dict.fromkeys(np.flatnonzero(asym).tolist(), "matrix must be symmetric")
+    # Squares of entries below 1e150 add up past the largest float only in a
+    # matrix of some 1.8e8 pairs, so only a stack with a larger entry or a NaN
+    # is scanned, and only the matrices that hold one are summed.
+    if not np.abs(A).max(initial=0.0) < 1e150:
+        for k in np.flatnonzero(~(np.abs(A) < 1e150).all(axis=(-2, -1))).tolist():
+            with np.errstate(over="ignore"):
+                if not np.isfinite(A[k]).all():
+                    faults[k] = "matrix has a non-finite entry"
+                elif np.isinf(_off_norm2(A[k:k + 1], np.triu_indices(A.shape[-1], 1))[0]):
+                    faults[k] = "matrix off-diagonal norm overflows"
+    return faults
 
 
 def jacobi_eigh(A: np.ndarray):
@@ -224,16 +268,16 @@ def jacobi_eigh(A: np.ndarray):
     matrix has converged once the norm of its upper off-diagonal is at most
     1e-14 max(1, max |A|), and stops after 60 sweeps either way.  Eigenvector
     signs are fixed by making the first non-negligible component positive.
-    A stack with a matrix that is not finite or not symmetric raises
-    ValueError, naming the first such matrix's fault (see _fault).
+    A stack with a matrix that has a fault (see _faults) raises ValueError,
+    naming the first such matrix's fault.
     """
     A = np.array(A, dtype=float)
     single = A.ndim == 2
     if single:
         A = A[None]
-    bad = _rejected(A)
-    if bad.any():
-        raise _fault(A[bad][0])
+    faults = _faults(A)
+    if faults:
+        raise ValueError(faults[min(faults)])
     A = 0.5 * (A + np.swapaxes(A, -1, -2))
     n = A.shape[-1]
     V, upper = np.empty_like(A), np.triu_indices(n, 1)
@@ -243,9 +287,7 @@ def jacobi_eigh(A: np.ndarray):
     eye = np.broadcast_to(np.eye(n), A.shape).copy()
     av = np.concatenate([A, eye], axis=1)
     for _ in range(60):
-        # Pairs add in order; float_power rounds like a lone scalar's ** 2, x * x may not.
-        off = np.add.accumulate(np.float_power(av[:, upper[0], upper[1]], 2), axis=1)[:, -1]
-        done = np.sqrt(off) <= limit
+        done = np.sqrt(_off_norm2(av, upper)) <= limit
         if done.any():
             A[live[done]], V[live[done]] = av[done, :n], av[done, n:]
             live, av, limit, eye = live[~done], av[~done], limit[~done], eye[~done]
@@ -303,81 +345,25 @@ def solve_stack(device: DeviceParams, epsilon, xi, rows=None, impurities=(),
     point has one without rows.  A device that is bad or cannot be built
     raises.  Returns (failed, H, evals, evecs, J): failed maps the index of
     each point that failed to its exception (a non-finite control, an
-    impurity whose elements overflow, a matrix that is not finite or not
-    symmetric), and the arrays hold the matrices, eigenpairs and J [meV] of
+    impurity whose elements overflow, a matrix that jacobi_eigh rejects: see
+    _faults), and the arrays hold the matrices, eigenpairs and J [meV] of
     the other points, in order.  J is the signed
     singlet-triplet splitting E(T0) - E(S): the T0 vector is an exact
     eigenvector of every assembly (its eigenpair is found by overlap), and
     E(S) is the lowest remaining level.  A negative J means the triplet has
     dropped below the singlet.
     """
-    device = dataclasses.replace(device, epsilon=0.0, xi=0.0)
-    derive_constants(device)
-    epsilon, xi = np.asarray(epsilon, dtype=float), np.asarray(xi, dtype=float)
-    rows = np.zeros(len(epsilon), dtype=int) if rows is None else np.asarray(rows, dtype=int)
-    finite = np.isfinite(epsilon) & np.isfinite(xi)
-    failed: dict[int, Exception] = {}
-    for i in np.flatnonzero(~finite).tolist():
-        try:
-            check_controls(float(epsilon[i]), float(xi[i]))
-        except ValueError as exc:  # names the non-finite control
-            failed[i] = exc
-    # Each impurity's matrix is built once; one that overflows fails its own
-    # points, named, before the model's products could warn of it.
-    tables = impurity_table(impurities, device) if len(impurities) else np.zeros((0, 2, 2))
-    for k in np.flatnonzero(~np.isfinite(tables).all(axis=(-2, -1))).tolist():
-        own = finite & (rows == k + 1)
-        failed.update((i, ValueError(f"{impurities[k]!r}: its matrix elements overflow"))
-                      for i in np.flatnonzero(own).tolist())
-        finite &= ~own
-    built = np.flatnonzero(finite)
-    H = assemble_matrix(_model(device, epsilon[built], xi[built], rows[built], tables), mode)
-    bad = _rejected(H)  # a matrix that is not finite or not symmetric fails alone
-    if bad.any():
-        failed.update((i, _fault(M)) for i, M in zip(built[bad].tolist(), H[bad]))
-        H = H[~bad]
+    failed, built, hp = _built(device, epsilon, xi, rows, impurities)
+    H = assemble_matrix(hp, mode)
+    faults = _faults(H)  # a matrix that jacobi_eigh would reject fails alone
+    if faults:
+        failed.update((built[k].item(), ValueError(m)) for k, m in faults.items())
+        H = np.delete(H, list(faults), axis=0)
     evals, evecs = jacobi_eigh(H)
     i_t0 = np.argmax(np.abs(T0_VECTOR @ evecs), axis=-1)
     at_t0 = np.arange(evals.shape[-1]) == i_t0[:, None]
     J = evals[at_t0] - np.where(at_t0, np.inf, evals).min(axis=-1)
     return failed, H, evals, evecs, J
-
-
-def solve_many(points, mode: AssemblyMode = AssemblyMode.PAPER) -> list:
-    """Assemble the model at each (params, imp) point and diagonalize the
-    points of each device in one solve_stack.
-
-    Each entry of the result is the point's SpectrumResult, or the
-    exception that point raised (see solve_stack); a failing point never
-    stops the others.
-    """
-    out: list = [None] * len(points)
-    groups: dict[tuple, list[int]] = {}  # device fields -> indices of its points
-    for i, (params, _) in enumerate(points):
-        groups.setdefault((params.a, params.hbar_omega0, params.m_eff, params.eps_r), []).append(i)
-    for members in groups.values():
-        imps = list(dict.fromkeys(points[i][1] for i in members if points[i][1] is not None))
-        row = {imp: k for k, imp in enumerate(imps, 1)}
-        try:
-            failed, H, evals, evecs, J = solve_stack(
-                points[members[0]][0], [points[i][0].epsilon for i in members],
-                [points[i][0].xi for i in members],
-                [row.get(points[i][1], 0) for i in members], imps, mode)
-        except Exception as exc:  # the device's own failure
-            for i in members:
-                out[i] = exc
-            continue
-        # Per slice a (1, n) @ (n,) product: the same dot as T0 @ H @ T0 on
-        # one matrix, which (K, n) @ (n,) is not, bit for bit.
-        t0_energy = ((T0_VECTOR @ H)[:, None, :] @ T0_VECTOR)[:, 0].tolist()
-        solved = zip(evals, evecs, J.tolist(), t0_energy)
-        for k, i in enumerate(members):
-            if k in failed:
-                out[i] = failed[k]
-            else:
-                e, v, j, t0 = next(solved)
-                out[i] = SpectrumResult(eigenvalues=e, eigenvectors=v, J=j, t0_energy=t0)
-    return out
 
 
 def unwrap(results: list) -> list:
@@ -392,9 +378,12 @@ def unwrap(results: list) -> list:
 def solve(params: DeviceParams, imp: Impurity | None = None,
           mode: AssemblyMode = AssemblyMode.PAPER) -> SpectrumResult:
     """Assemble and diagonalize the two-electron model at one parameter
-    point (see solve_many); raises what the point raises."""
-    (res,) = unwrap(solve_many([(params, imp)], mode))
-    return res
+    point: solve_stack on that point alone.  Raises what the point raises."""
+    failed, H, evals, evecs, J = solve_stack(*_point(params, imp), mode)
+    if failed:
+        raise failed[0]
+    return SpectrumResult(eigenvalues=evals[0], eigenvectors=evecs[0], J=float(J[0]),
+                          t0_energy=float(T0_VECTOR @ H[0] @ T0_VECTOR))
 
 
 def exchange_J(params: DeviceParams, imp: Impurity | None = None,

@@ -51,12 +51,15 @@ def test_cli_does_not_import_scipy():
 
 def test_cli_does_not_import_the_oracle():
     # Only validate runs the quadrature oracle, and only envelope_numeric
-    # needs numpy.polynomial, so a cold CLI start imports none of them.
+    # needs numpy.polynomial, so a cold CLI start imports none of them: of
+    # dqdsim, just the modules that the other commands run.
     code = ("import sys, dqdsim.cli; print(sorted(m for m in sys.modules if m.startswith("
-            "('numpy.polynomial', 'dqdsim.quadrature', 'dqdsim.crosscheck'))))")
+            "('numpy.polynomial', 'dqdsim'))))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    assert proc.stdout.strip() == str([
+        "dqdsim", "dqdsim.cli", "dqdsim.hamiltonian", "dqdsim.integrals", "dqdsim.model",
+        "dqdsim.noise", "dqdsim.orbitals", "dqdsim.potential"])
 
 
 class TestParser:
@@ -536,30 +539,55 @@ class TestFlags:
         assert stacks == self.MATRICES[" ".join(argv)]
 
     # impurity-scan checks its target, its radii and the impurities they
-    # place before any model is built (so before a calibration can fail).
+    # place before any model is built (so before a calibration can fail);
+    # potential-profile checks its cut before it evaluates the potential.
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("flags,message", [
-        (("--J-mhz", "inf"), "--J-mhz must be positive and finite, got inf"),
-        (("--J-mhz", "nan"), "--J-mhz must be positive and finite, got nan"),
-        (("--J-mhz", "0"), "--J-mhz must be positive and finite, got 0"),
-        (("--J-mhz", "-5"), "--J-mhz must be positive and finite, got -5"),
-        (("--radii", "nan"), "--radii must be positive and finite, got nan"),
-        (("--radii", "6,inf"), "--radii must be positive and finite, got inf"),
-        (("--radii", "0"), "--radii must be positive and finite, got 0"),
-        (("--radii=-2,6",), "--radii must be positive and finite, got -2"),
-        (("--radii", "6,abc"), "--radii expects comma-separated numbers, got '6,abc'"),
-        (("--J-mhz", "10", "--charge-e", "nan"), "impurity q must be finite, got nan"),
-        (("--radii", "1e307"), "impurity x_c must be finite, got -inf"),
+        (("impurity-scan", "--J-mhz", "inf"), "--J-mhz must be positive and finite, got inf"),
+        (("impurity-scan", "--J-mhz", "nan"), "--J-mhz must be positive and finite, got nan"),
+        (("impurity-scan", "--J-mhz", "0"), "--J-mhz must be positive and finite, got 0"),
+        (("impurity-scan", "--J-mhz", "-5"), "--J-mhz must be positive and finite, got -5"),
+        (("impurity-scan", "--radii", "nan"), "--radii must be positive and finite, got nan"),
+        (("impurity-scan", "--radii", "6,inf"), "--radii must be positive and finite, got inf"),
+        (("impurity-scan", "--radii", "0"), "--radii must be positive and finite, got 0"),
+        (("impurity-scan", "--radii=-2,6"), "--radii must be positive and finite, got -2"),
+        (("impurity-scan", "--radii", "6,abc"),
+         "--radii expects comma-separated numbers, got '6,abc'"),
+        (("impurity-scan", "--J-mhz", "10", "--charge-e", "nan"),
+         "impurity q must be finite, got nan"),
+        (("impurity-scan", "--radii", "1e307"), "impurity x_c must be finite, got -inf"),
+        (("potential-profile", "--y-nm", "nan"), "--y-nm must be finite, got nan"),
+        (("potential-profile", "--y-nm", "inf"), "--y-nm must be finite, got inf"),
     ])
     def test_bad_impurity_scan_input_is_rejected(self, flags, message, monkeypatch,
                                                  tmp_path, capsys):
         def no_model(*args, **kwargs):
             raise AssertionError("computed before the flags were checked")
         monkeypatch.setattr(hamiltonian, "_device", no_model)
+        monkeypatch.setattr(cli, "eval_potential", no_model)
         out = tmp_path / "out.csv"
-        assert main(["impurity-scan", *flags, "--out", str(out)]) == 2
+        assert main([*flags, "--out", str(out)]) == 2
         assert f"dqdsim: error: {message}\n" in capsys.readouterr().err
         assert not out.exists()
+
+    # A matrix whose off-diagonal norm overflows fails by name, unwarned; a
+    # huge detuning sits only on the diagonal, and is solved.
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("argv,code,err,last_row", [
+        (("impurity-scan", "--charge-e", "1e300", "--radii", "1e6,1.5"), 2,
+         "dqdsim: error: matrix off-diagonal norm overflows\n", None),
+        (("exchange-barrier", "--xi-range", "1e300:1e300:1"), 2,
+         "dqdsim: error at barrier control 1e+300 meV: "
+         "ValueError: matrix off-diagonal norm overflows\n", "barrier,1e+300,nan,nan,nan,nan"),
+        (("exchange-tilt", "--eps-range", "1e160:1e160:1"), 0, "",
+         "tilt,1e+160,2.41799e+162,2.41799e+162,0,0"),
+    ], ids=["impurity-scan", "exchange-barrier", "exchange-tilt"])
+    def test_an_overflowing_matrix_is_a_named_error(self, argv, code, err, last_row, tmp_path,
+                                                    capsys):
+        out = tmp_path / "out.csv"
+        assert main([*argv, "--out", str(out)]) == code
+        assert capsys.readouterr().err == err
+        assert (data_rows(out.read_text())[-1] if out.exists() else None) == last_row
 
     # A target out of reach names the J reachable at the bracket ends, which
     # the target, however large, does not cancel.

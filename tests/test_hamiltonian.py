@@ -31,7 +31,7 @@ from dqdsim import (
 )
 from dqdsim import cli, hamiltonian
 from dqdsim.crosscheck import sample_device, sample_impurity
-from dqdsim.hamiltonian import hubbard_from_tables, solve_many
+from dqdsim.hamiltonian import hubbard_from_tables
 
 # Frozen from high-precision evaluation at the default device
 # (a = 100 nm, hbar_omega0 = 0.1 meV, epsilon = 0, xi = 1.3); the Z
@@ -365,8 +365,8 @@ class TestJacobiEigensolver:
 
 
 # numpy's floating-point warnings are RuntimeWarnings.  Only they are made
-# errors here: hypothesis's failure report trips a DeprecationWarning of its
-# own, which under "error" would abort the whole run.
+# errors here, and pyproject.toml exempts the DeprecationWarning that
+# hypothesis's failure report trips, which as an error would abort the run.
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestStackedJacobi:
     """Every matrix of a stack takes exactly the rotations it takes alone."""
@@ -463,6 +463,24 @@ class TestStackedJacobi:
         with pytest.raises(ValueError, match="matrix has a non-finite entry"):
             jacobi_eigh(np.array([random_symmetric(1), A]))
 
+    def test_an_overflowing_off_diagonal_norm_is_rejected(self):
+        # Two pairs at 1e154 square to past the largest float, so Jacobi's
+        # convergence test could never pass; one pair, or a huge diagonal,
+        # is solved as a lone loop solves it, unwarned.
+        A = np.diag([1.0, 2.0, 3.0, 4.0])
+        A[0, 1] = A[1, 0] = 1e154
+        huge = np.diag([1e300, -1e300, 3.0, 4.0])
+        huge[0, 1] = huge[1, 0] = 1.0
+        self.check_stack([A, huge])
+        A[2, 3] = A[3, 2] = 1e154
+        with pytest.raises(ValueError, match="matrix off-diagonal norm overflows"):
+            jacobi_eigh(A)
+        with pytest.raises(ValueError, match="matrix off-diagonal norm overflows"):
+            jacobi_eigh(np.array([huge, A]))
+        A[0, 0] = math.nan
+        with pytest.raises(ValueError, match="matrix has a non-finite entry"):
+            jacobi_eigh(A)
+
     def test_a_non_finite_entry_is_named_before_an_asymmetry(self):
         # A NaN on one side only is both; a stack names its first bad matrix.
         lopsided = random_symmetric(2)
@@ -493,6 +511,8 @@ class TestStackedJacobi:
 
 @pytest.mark.filterwarnings("error")
 class TestSolveMany:
+    """solve_stack on many points of one device, and solve on each alone."""
+
     # Both signs of J, the charge-transfer pole (dU = 0.78 meV), no barrier
     # and a high one, and a sampled device.
     POINTS = [(0.0, 1.3), (0.37, 1.1), (-0.5, 0.6), (0.9, 1.3), (0.75, 1.3),
@@ -500,32 +520,32 @@ class TestSolveMany:
 
     @pytest.mark.parametrize("mode", [AssemblyMode.PAPER, AssemblyMode.FULL])
     def test_each_point_matches_a_lone_solve(self, impurity, mode):
-        sampled = sample_device(np.random.default_rng(4))
-        points = [(dataclasses.replace(device, epsilon=e, xi=x), imp)
-                  for device in (DeviceParams(), sampled)
-                  for e, x in self.POINTS for imp in (None, impurity)]
-        _, _, _, _, kernel_J = hamiltonian.solve_stack(
-            DeviceParams(), [p.epsilon for p, _ in points[:2 * len(self.POINTS)]],
-            [p.xi for p, _ in points[:2 * len(self.POINTS)]],
-            [0, 1] * len(self.POINTS), [impurity], mode)
-        for k, ((params, imp), res) in enumerate(zip(points, solve_many(points, mode))):
-            # The solve of one point as a plain loop over one matrix, and J
-            # as the T0 level minus the lowest of the others.
-            hp = hubbard_parameters(params, imp)
-            H = assemble_matrix(hp, mode)
-            evals, evecs = lone_jacobi(H)
-            levels = evals.tolist()
-            j_lone = levels.pop(int(np.argmax(np.abs(T0_VECTOR @ evecs))))
-            j_lone -= min(levels)
-            assert same_bits((res.eigenvalues, res.eigenvectors), (evals, evecs))
-            assert same_bits([res.J], [j_lone]) and type(res.J) is float
-            assert res.t0_energy == float(T0_VECTOR @ H @ T0_VECTOR)
-            if k < len(kernel_J):
-                assert same_bits([kernel_J[k]], [j_lone])
+        for device in (DeviceParams(), sample_device(np.random.default_rng(4))):
+            points = [(dataclasses.replace(device, epsilon=e, xi=x), imp)
+                      for e, x in self.POINTS for imp in (None, impurity)]
+            failed, stacked, kernel_evals, kernel_evecs, kernel_J = hamiltonian.solve_stack(
+                device, [p.epsilon for p, _ in points], [p.xi for p, _ in points],
+                [0, 1] * len(self.POINTS), [impurity], mode)
+            assert failed == {}
+            for k, (params, imp) in enumerate(points):
+                # The solve of one point as a plain loop over one matrix, and
+                # J as the T0 level minus the lowest of the others.
+                hp = hubbard_parameters(params, imp)
+                H = assemble_matrix(hp, mode)
+                evals, evecs = lone_jacobi(H)
+                levels = evals.tolist()
+                j_lone = levels.pop(int(np.argmax(np.abs(T0_VECTOR @ evecs))))
+                j_lone -= min(levels)
+                res = solve(params, imp, mode)
+                assert same_bits((res.eigenvalues, res.eigenvectors), (evals, evecs))
+                assert same_bits([res.J], [j_lone]) and type(res.J) is float
+                assert res.t0_energy == float(T0_VECTOR @ H @ T0_VECTOR)
+                assert same_bits((stacked[k], kernel_evals[k], kernel_evecs[k], [kernel_J[k]]),
+                                 (H, evals, evecs, [j_lone]))
 
     def test_a_failing_point_fails_alone(self, monkeypatch):
-        # A NaN and an asymmetric matrix among good ones, plus a bad device.
-        # assemble_matrix builds each device's points as one stack.
+        # A NaN and an asymmetric matrix among good ones, then a bad device.
+        # assemble_matrix builds the device's points as one stack.
         real = hamiltonian.assemble_matrix
 
         def corrupted(hp, mode=AssemblyMode.PAPER):
@@ -534,22 +554,20 @@ class TestSolveMany:
             H[np.isclose(hp.detuning, 0.3), 0, 1] += 1e-3
             return H
 
-        good = [DeviceParams(epsilon=e) for e in (0.0, 0.2)]
-        expected = [solve(p) for p in good]
+        expected = [solve(DeviceParams(epsilon=e)) for e in (0.0, 0.2)]
         monkeypatch.setattr(hamiltonian, "assemble_matrix", corrupted)
-        points = [good[0], DeviceParams(epsilon=0.1), good[1], DeviceParams(epsilon=0.3),
-                  DeviceParams(m_eff=-0.067)]
-        results = solve_many([(p, None) for p in points])
-        for k, message in ((1, "matrix has a non-finite entry"), (3, "matrix must be symmetric")):
-            assert isinstance(results[k], ValueError)
-            assert str(results[k]) == message
-        assert "m_eff must be positive and finite" in str(results[4])
-        for res, want in zip(results[0::2], expected):
-            assert same_bits((res.eigenvalues, res.eigenvectors),
-                             (want.eigenvalues, want.eigenvectors))
-            assert res.J == want.J
+        failed, _, evals, evecs, J = hamiltonian.solve_stack(
+            DeviceParams(), [0.0, 0.1, 0.2, 0.3], [1.3] * 4)
+        assert {k: (type(exc), str(exc)) for k, exc in failed.items()} == {
+            1: (ValueError, "matrix has a non-finite entry"),
+            3: (ValueError, "matrix must be symmetric")}
+        for e, v, j, want in zip(evals, evecs, J.tolist(), expected):
+            assert same_bits((e, v), (want.eigenvalues, want.eigenvectors))
+            assert j == want.J
         with pytest.raises(ValueError, match="matrix has a non-finite entry"):
             solve(DeviceParams(epsilon=0.1))
+        with pytest.raises(ValueError, match="m_eff must be positive and finite"):
+            hamiltonian.solve_stack(DeviceParams(m_eff=-0.067), [0.0], [1.3])
 
     def test_only_the_asymmetric_point_of_a_stack_fails(self, monkeypatch):
         # Off by 1e-3, point 1 fails; off by 1e-13 of its largest entry,
@@ -588,8 +606,23 @@ class TestSolveMany:
         for A, e, v in zip(kept, evals, evecs):
             assert same_bits((e, v), lone_jacobi(A))
 
+    def test_an_overflowing_point_of_a_stack_fails_alone(self):
+        # Its hop is about 1e300 meV; a detuning of 1e160 meV only sits on
+        # the diagonal, and is solved.
+        failed, H, evals, evecs, J = hamiltonian.solve_stack(
+            DeviceParams(), [0.0, 0.0, 1e160], [1.3, 1e300, 1.3])
+        assert list(failed) == [1] and str(failed[1]) == "matrix off-diagonal norm overflows"
+        for k, params in ((0, DeviceParams()), (1, DeviceParams(epsilon=1e160))):
+            alone = solve(params)
+            assert same_bits((evals[k], evecs[k], J[k]),
+                             (alone.eigenvalues, alone.eigenvectors, alone.J))
+        with pytest.raises(ValueError, match="matrix off-diagonal norm overflows"):
+            solve(DeviceParams(xi=1e300))
+
     def test_no_points(self):
-        assert solve_many([]) == []
+        failed, H, evals, evecs, J = hamiltonian.solve_stack(DeviceParams(), [], [])
+        assert failed == {}
+        assert (H.shape, evals.shape, evecs.shape, J.shape) == ((0, 4, 4), (0, 4), (0, 4, 4), (0,))
 
 
 def recording_assembly(calls: list):
@@ -605,7 +638,7 @@ def recording_assembly(calls: list):
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestStackedModel:
-    """solve_many builds the model of each device's points as arrays; each
+    """solve_stack builds the model of a device's points as arrays; each
     point's model, matrix and solve equal those of the point alone."""
 
     @settings(max_examples=40, deadline=None)
@@ -613,41 +646,36 @@ class TestStackedModel:
            mode=st.sampled_from(list(AssemblyMode)))
     def test_each_point_matches_a_one_point_solve(self, seed, n, mode):
         rng = np.random.default_rng(seed)
-        devices = [sample_device(rng) for _ in range(int(rng.integers(1, 4)))]
-        # Absent, repeated and distinct impurities.
+        device = sample_device(rng)
+        # Absent, repeated and distinct impurities: row k is imps[k].
         imps = [None, *(sample_impurity(rng, 100.0) for _ in range(int(rng.integers(1, 4))))]
-        points = []
-        for _ in range(n):
-            device = devices[int(rng.integers(len(devices)))]
-            points.append((dataclasses.replace(device, epsilon=float(rng.uniform(-1.0, 1.0)),
-                                               xi=float(rng.uniform(0.0, 1.5))),
-                           imps[int(rng.integers(len(imps)))]))
+        rows = rng.integers(len(imps), size=n).tolist()
+        epsilon, xi = rng.uniform(-1.0, 1.0, size=n), rng.uniform(0.0, 1.5, size=n)
         calls = []
         with recording_assembly(calls):
-            results = solve_many(points, mode)
-        # One assembly per device, each row the matrix of its own model.
-        assert len(calls) == len({dataclasses.replace(p, epsilon=0.0, xi=0.0)
-                                  for p, _ in points})
-        built = {}  # each point's model, as stacked, with its matrix
-        for stacked, H in calls:
-            assert H.shape == (len(H), 4, 4)
-            for one, row in zip(hamiltonian._unstack(stacked), H):
-                built.setdefault(one, []).append((one, row))
-        for (params, imp), res in zip(points, results):
-            alone = solve(params, imp, mode)
-            hp = hubbard_parameters(params, imp)
-            H = assemble_matrix(hp, mode)
-            assert all(same_bits(dataclasses.astuple(one), dataclasses.astuple(hp))
-                       and same_bits(row, H) for one, row in built[hp])
-            assert same_bits((res.eigenvalues, res.eigenvectors, res.J, res.t0_energy),
-                             (alone.eigenvalues, alone.eigenvectors, alone.J, alone.t0_energy))
+            failed, _, evals, evecs, J = hamiltonian.solve_stack(
+                device, epsilon, xi, rows, imps[1:], mode)
+        # One assembly, each row the matrix of its own model.
+        assert failed == {}
+        ((stacked, built),) = calls
+        assert built.shape == (n, 4, 4)
+        for k, (one, row) in enumerate(zip(hamiltonian._unstack(stacked), built)):
+            params = dataclasses.replace(device, epsilon=float(epsilon[k]), xi=float(xi[k]))
+            alone = solve(params, imps[rows[k]], mode)
+            hp = hubbard_parameters(params, imps[rows[k]])
+            assert same_bits(dataclasses.astuple(one), dataclasses.astuple(hp))
+            assert same_bits(row, assemble_matrix(hp, mode))
+            assert same_bits((evals[k], evecs[k], J[k]),
+                             (alone.eigenvalues, alone.eigenvectors, alone.J))
 
     def test_no_model_is_built_per_point(self, impurity, monkeypatch):
         def per_point(hp):
             raise AssertionError("a model was built per point")
         monkeypatch.setattr(hamiltonian, "_unstack", per_point)
-        points = [(DeviceParams(epsilon=e), imp) for e in (0.0, 0.3) for imp in (None, impurity)]
-        assert not [res for res in solve_many(points) if isinstance(res, Exception)]
+        failed, *_ = hamiltonian.solve_stack(
+            DeviceParams(), [0.0, 0.0, 0.3, 0.3], [1.3] * 4, [0, 1, 0, 1], [impurity])
+        assert failed == {}
+        solve(DeviceParams(epsilon=0.3), impurity)
 
     @pytest.mark.parametrize("field,value,message", [
         ("m_eff", -0.067, "m_eff must be positive and finite, got -0.067"),
@@ -661,17 +689,23 @@ class TestStackedModel:
         with pytest.raises(ValueError) as lone:
             solve(*bad)
         assert str(lone.value) == message
+        points = [good[0], good[1], bad, good[2], good[3]]
+        stack = ([p.epsilon for p, _ in points], [p.xi for p, _ in points],
+                 [0 if imp is None else 1 for _, imp in points], [impurity])
+        if field == "m_eff":  # a bad device fails its whole stack
+            with pytest.raises(ValueError, match=re.escape(message)):
+                hamiltonian.solve_stack(bad[0], *stack)
+            return
         calls = []
         with recording_assembly(calls):
-            results = solve_many([good[0], good[1], bad, good[2], good[3]])
-        assert isinstance(results[2], ValueError) and str(results[2]) == message
+            failed, _, evals, evecs, J = hamiltonian.solve_stack(DeviceParams(), *stack)
+        assert list(failed) == [2] and str(failed[2]) == message
         # Only the good points are built, each as its own model.
         ((stacked, _),) = calls
         assert hamiltonian._unstack(stacked) == [hubbard_parameters(*point) for point in good]
-        for (params, imp), res in zip(good, results[:2] + results[3:]):
+        for (params, imp), e, v, j in zip(good, evals, evecs, J):
             alone = solve(params, imp)
-            assert same_bits((res.eigenvalues, res.eigenvectors, res.J, res.t0_energy),
-                             (alone.eigenvalues, alone.eigenvectors, alone.J, alone.t0_energy))
+            assert same_bits((e, v, j), (alone.eigenvalues, alone.eigenvectors, alone.J))
 
 
 class TestSolve:

@@ -37,7 +37,6 @@ from dqdsim import (
 from dqdsim import hamiltonian, noise
 from dqdsim.crosscheck import sample_device
 from dqdsim.model import MEV_TO_GHZ, control_point
-from dqdsim.hamiltonian import solve_many
 from dqdsim.noise import calibrate_many, improvement_factors, noise_records
 
 # Frozen reference values at the default device with the default
@@ -439,11 +438,8 @@ class TestUnbuildableDevice:
     def test_every_entry_of_a_batch_carries_its_error(self, impurity, mode):
         requests = [("tilt", 0.242), ("barrier", 0.242), ("tilt", math.nan)]
         controls = [("tilt", 0.3), ("barrier", math.nan), ("barrier", 1.0)]
-        points = [(dataclasses.replace(self.DEVICE, epsilon=e), imp)
-                  for e, imp in ((0.0, None), (math.nan, None), (0.2, impurity))]
         for entries in (calibrate_many(requests, self.DEVICE, mode),
-                        noise_records(controls, self.DEVICE, impurity, mode),
-                        solve_many(points, mode)):
+                        noise_records(controls, self.DEVICE, impurity, mode)):
             assert [(type(e), str(e)) for e in entries] == [(ValueError, self.MESSAGE)] * 3
 
     def test_a_lone_solve_raises_it(self):
