@@ -375,8 +375,8 @@ def cmd_impurity_scan(args) -> int:
 
     Both calibrations and every impurity's records come from _calibrated:
     one stack, and a second where a calibration settles on a bracket end.
-    The calibrations fail first (tilt before barrier), then the records in
-    row order."""
+    A failed calibration (tilt first) fails the command; a row whose record
+    fails is NaN, and its error names the impurity."""
     base, _imp, mode = _resolve(args)
     try:
         radii = ([float(r) for r in args.radii.split(",")] if args.radii
@@ -392,8 +392,15 @@ def cmd_impurity_scan(args) -> int:
     controls, records = _calibrated([("tilt", j_target_ghz), ("barrier", j_target_ghz)],
                                     base, mode, [imp for _, _, imp in impurities])
     eps_star, xi_star = unwrap(controls)
-    rows = [(name, r_over_a, rec_t.rel_noise, rec_b.rel_noise)
-            for (name, r_over_a, _), (rec_t, rec_b) in zip(impurities, map(unwrap, records))]
+    rows, failures = [], []
+    for (name, r_over_a, _), recs in zip(impurities, records):
+        failed = [rec for rec in recs if not isinstance(rec, NoiseRecord)]
+        if failed:
+            rows.append((name, r_over_a, math.nan, math.nan))
+            failures.append(f"dqdsim: error at impurity direction {name}, Rc_over_a "
+                            f"{_fmt(r_over_a)}: {type(failed[0]).__name__}: {failed[0]}")
+        else:
+            rows.append((name, r_over_a, recs[0].rel_noise, recs[1].rel_noise))
     header = _provenance("impurity-scan", args, base, mode, None, (
         f"J_target_mhz = {_fmt(args.J_mhz)}",
         f"charge_e = {_fmt(q)}",
@@ -402,7 +409,7 @@ def cmd_impurity_scan(args) -> int:
         f"xi_star_mev = {_fmt(xi_star)}",
     ))
     _emit(args.out, header, ("direction", "Rc_over_a", "rel_tilt", "rel_barrier"), rows)
-    return 0
+    return _report(failures)
 
 
 def cmd_potential_profile(args) -> int:

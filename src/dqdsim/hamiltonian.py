@@ -13,12 +13,13 @@ Two assembly modes:
   corners, and correlated-hopping corrections w1/w2 on the hops — the
   complete Slater-Condon expansion over the orthonormalized orbitals.
 
-The integral tables of the symmetric (epsilon = 0), barrier-free device
-are built once, with the confinement of the Gaussian bump per meV of xi.
-A batch of points is built per device as arrays over its points: each
-distinct impurity's matrix once, from one Bessel call for all of them; a
-control point adds xi times the bump, and detuning enters exactly as the
-chemical potentials mu1 = -eps/2, mu2 = +eps/2 on the diagonal.
+Each device is built once, at epsilon = xi = 0, from one closed-form pass
+over its integrals: its tables, the confinement of the Gaussian bump per
+meV of xi, and its two-body parameters.  A batch of points is built per
+device as arrays over its points: each distinct impurity's matrix once,
+from one Bessel call for all of them; a control point adds xi times the
+bump, and detuning enters exactly as the chemical potentials
+mu1 = -eps/2, mu2 = +eps/2 on the diagonal.
 Evaluating the one-body integrals over the tilt-deformed quartic instead
 amplifies the effective detuning by ~3.9x at the default soft confinement
 (the mu-dependent cubic/quartic tails have large moments when a_B ~ a),
@@ -35,9 +36,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .integrals import IntegralTables, build_tables, impurity_table
-from .model import MEV_TO_GHZ, DeviceParams, Impurity, check_controls, derive_constants
-from .orbitals import OrbitalBasis, build_basis
+from .integrals import IntegralTables, _device_integrals, impurity_table
+from .model import MEV_TO_GHZ, DeviceParams, Impurity, check_controls
+from .orbitals import OrbitalBasis
 
 
 class AssemblyMode(str, enum.Enum):
@@ -123,13 +124,12 @@ def _unstack(hp: HubbardParams) -> list[HubbardParams]:
 
 @functools.lru_cache(maxsize=1)
 def _device(params: DeviceParams):
-    """What the controls never change, for a device at epsilon = xi = 0:
-    its basis, its tables, the bump's confinement per meV of xi, and the
+    """What the controls never change, for a device at epsilon = xi = 0,
+    from one closed-form build: its Lowdin matrix, its kinetic and
+    confinement tables, the bump's confinement per meV of xi, and the
     two-body parameters."""
-    tables = build_tables(params)
-    bump = build_tables(dataclasses.replace(params, xi=1.0)).confinement - tables.confinement
-    basis = build_basis(params)
-    return basis, tables, bump, _two_body(basis.M, tables.coulomb)
+    basis, kinetic, confinement, bump, coulomb = _device_integrals(params)
+    return basis.M, kinetic, confinement, bump, _two_body(basis.M, coulomb)
 
 
 def _model(device: DeviceParams, epsilon: np.ndarray, xi: np.ndarray, rows: np.ndarray,
@@ -138,13 +138,13 @@ def _model(device: DeviceParams, epsilon: np.ndarray, xi: np.ndarray, rows: np.n
     device's tables at epsilon = xi = 0 plus xi times the bump, plus the
     impurity matrix of the point's row (0: none, k: impurity_tables[k - 1],
     the impurity_table of the impurities the rows index)."""
-    basis, tables, bump, two_body = _device(device)
-    one_body = tables.kinetic + (tables.confinement + xi[:, None, None] * bump)
+    M, kinetic, confinement, bump, two_body = _device(device)
+    one_body = kinetic + (confinement + xi[:, None, None] * bump)
     W = None
     if len(impurity_tables):
         # Row 0 is the zero matrix of a point without an impurity.
         W = np.concatenate([np.zeros((1, 2, 2)), impurity_tables])[rows]
-    return _hubbard(basis.M, one_body, -0.5 * epsilon, 0.5 * epsilon, W, two_body)
+    return _hubbard(M, one_body, -0.5 * epsilon, 0.5 * epsilon, W, two_body)
 
 
 def _built(device: DeviceParams, epsilon, xi, rows=None, impurities=()):
@@ -153,7 +153,6 @@ def _built(device: DeviceParams, epsilon, xi, rows=None, impurities=()):
     to its exception, and hp is the stacked model of the others, whose
     indices built holds.  A device that is bad or cannot be built raises."""
     device = dataclasses.replace(device, epsilon=0.0, xi=0.0)
-    derive_constants(device)
     epsilon, xi = np.asarray(epsilon, dtype=float), np.asarray(xi, dtype=float)
     rows = np.zeros(len(epsilon), dtype=int) if rows is None else np.asarray(rows, dtype=int)
     finite = np.isfinite(epsilon) & np.isfinite(xi)
@@ -278,7 +277,7 @@ def jacobi_eigh(A: np.ndarray):
     faults = _faults(A)
     if faults:
         raise ValueError(faults[min(faults)])
-    A = 0.5 * (A + np.swapaxes(A, -1, -2))
+    A = 0.5 * A + 0.5 * np.swapaxes(A, -1, -2)  # A + A^T may overflow
     n = A.shape[-1]
     V, upper = np.empty_like(A), np.triu_indices(n, 1)
     # The matrices still rotating: their indices in the stack, their state

@@ -33,14 +33,19 @@ class NoiseRecord(NamedTuple):
 
 def _j_ghz(base: DeviceParams, settings, mode: AssemblyMode, rows=None, impurities=()) -> list:
     """J [GHz] at each (epsilon, xi) setting of the device base from one
-    stacked solve, or the exception that point raised; rows and impurities
-    place an impurity at each setting as in solve_stack."""
+    stacked solve, or the exception that point raised (a J too large for
+    GHz included); rows and impurities place an impurity at each setting as
+    in solve_stack."""
     epsilon, xi = np.fromiter(itertools.chain.from_iterable(settings), float).reshape(-1, 2).T
     try:
         failed, _, _, _, J = solve_stack(base, epsilon, xi, rows, impurities, mode)
     except Exception as exc:  # the device's own failure
         return [exc] * len(epsilon)
-    js = (J * MEV_TO_GHZ).tolist()
+    with np.errstate(over="ignore"):
+        ghz = J * MEV_TO_GHZ
+    js = ghz.tolist()
+    for k in np.flatnonzero(~np.isfinite(ghz)).tolist():
+        js[k] = ValueError(f"J = {J[k]:.6g} meV overflows in GHz")
     for i in sorted(failed):  # in place, lowest index first
         js.insert(i, failed[i])
     return js

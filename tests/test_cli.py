@@ -570,24 +570,49 @@ class TestFlags:
         assert f"dqdsim: error: {message}\n" in capsys.readouterr().err
         assert not out.exists()
 
-    # A matrix whose off-diagonal norm overflows fails by name, unwarned; a
-    # huge detuning sits only on the diagonal, and is solved.
+    # A matrix whose off-diagonal norm overflows fails by name, unwarned,
+    # and an impurity-scan error names the impurity; a huge detuning sits
+    # only on the diagonal, and is solved.
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("argv,code,err,last_row", [
         (("impurity-scan", "--charge-e", "1e300", "--radii", "1e6,1.5"), 2,
-         "dqdsim: error: matrix off-diagonal norm overflows\n", None),
+         "".join(f"dqdsim: error at impurity direction {d}, Rc_over_a {r}: "
+                 "ValueError: matrix off-diagonal norm overflows\n"
+                 for d in ("x", "y", "xy") for r in ("1000000", "1.5")), "xy,1.5,nan,nan"),
         (("exchange-barrier", "--xi-range", "1e300:1e300:1"), 2,
          "dqdsim: error at barrier control 1e+300 meV: "
          "ValueError: matrix off-diagonal norm overflows\n", "barrier,1e+300,nan,nan,nan,nan"),
         (("exchange-tilt", "--eps-range", "1e160:1e160:1"), 0, "",
          "tilt,1e+160,2.41799e+162,2.41799e+162,0,0"),
-    ], ids=["impurity-scan", "exchange-barrier", "exchange-tilt"])
+        # A J that is finite in meV but overflows in GHz fails its point; at
+        # 1e308 the diagonal is too large for A + A^T.
+        (("exchange-tilt", "--eps-range", "1e307:1e307:1"), 2,
+         "dqdsim: error at tilt control 1e+307 meV: "
+         "ValueError: J = 1e+307 meV overflows in GHz\n", "tilt,1e+307,nan,nan,nan,nan"),
+        (("exchange-tilt", "--eps-range", "1e308:1e308:1"), 2,
+         "dqdsim: error at tilt control 1e+308 meV: "
+         "ValueError: J = 1e+308 meV overflows in GHz\n", "tilt,1e+308,nan,nan,nan,nan"),
+    ], ids=["impurity-scan", "exchange-barrier", "exchange-tilt", "exchange-tilt-ghz-overflow",
+            "exchange-tilt-symmetrize-overflow"])
     def test_an_overflowing_matrix_is_a_named_error(self, argv, code, err, last_row, tmp_path,
                                                     capsys):
         out = tmp_path / "out.csv"
         assert main([*argv, "--out", str(out)]) == code
         assert capsys.readouterr().err == err
         assert (data_rows(out.read_text())[-1] if out.exists() else None) == last_row
+
+    # A far impurity acts on nothing, a near one with a huge charge fails its
+    # own row, named; the command writes every row and exits 2.
+    @pytest.mark.filterwarnings("error")
+    def test_an_impurity_scan_names_the_impurity_whose_record_fails(self, tmp_path, capsys):
+        out = tmp_path / "out.csv"
+        assert main(["impurity-scan", "--charge-e", "1e300", "--radii", "1e200,1.5",
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "".join(
+            f"dqdsim: error at impurity direction {d}, Rc_over_a 1.5: "
+            "ValueError: matrix off-diagonal norm overflows\n" for d in ("x", "y", "xy"))
+        assert data_rows(out.read_text())[1:] == [
+            f"{d},{r}" for d in ("x", "y", "xy") for r in ("1e+200,0,0", "1.5,nan,nan")]
 
     # A target out of reach names the J reachable at the bracket ends, which
     # the target, however large, does not cancel.

@@ -1,6 +1,7 @@
 """Tests for the closed-form one- and two-body matrix elements."""
 import dataclasses
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from dqdsim import (
     kinetic_element,
     potential_element,
 )
+from dqdsim import hamiltonian, integrals, orbitals
 from dqdsim.crosscheck import sample_device, sample_impurity
 from dqdsim.integrals import i0e, impurity_table
 from dqdsim.model import derive_constants
@@ -255,3 +257,48 @@ class TestImpurityTable:
         for imp, W in zip(imps, table):
             (alone,) = impurity_table([imp], params)
             assert np.array_equal(W.view(np.int64), alone.view(np.int64)), imp
+
+
+class TestDeviceIntegrals:
+    """hamiltonian._device builds a device from one closed-form pass, the
+    one the element functions, and so the quadrature oracle, read."""
+
+    def test_a_new_device_builds_one_basis_and_one_bessel_batch(self, monkeypatch):
+        calls = {"build_basis": 0, "i0e": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        # Every module of the package that binds build_basis counts.
+        build_basis = orbitals.build_basis
+        for module in [m for name, m in sys.modules.items() if name.startswith("dqdsim")]:
+            if getattr(module, "build_basis", None) is build_basis:
+                monkeypatch.setattr(module, "build_basis", counted("build_basis", build_basis))
+        monkeypatch.setattr(integrals, "i0e", counted("i0e", i0e))
+        hamiltonian._device.__wrapped__(DeviceParams(epsilon=0.0, xi=0.0))
+        assert calls == {"build_basis": 1, "i0e": 1}
+
+    def test_a_scaled_bessel_moves_the_on_site_repulsion(self, monkeypatch):
+        device = DeviceParams(epsilon=0.0, xi=0.0)
+        u1 = hamiltonian._device.__wrapped__(device)[-1]["U1"]
+        monkeypatch.setattr(integrals, "i0e", lambda x: i0e(x) * 1.001)
+        scaled = hamiltonian._device.__wrapped__(device)[-1]["U1"]
+        assert scaled / u1 - 1.0 == pytest.approx(1e-3, rel=1e-9)
+
+    def test_the_bump_is_the_xi_slope_of_potential_element(self):
+        # The two elements differ by the bump to their own rounding, so the
+        # bound is 1e-14 of the larger element: where the confinement is some
+        # 100 times the bump, that cancellation alone loses ~1e-14 of it.
+        rng = np.random.default_rng(22)
+        for _ in range(100):
+            device = dataclasses.replace(sample_device(rng), xi=0.0)
+            bump = hamiltonian._device.__wrapped__(dataclasses.replace(device, epsilon=0.0))[3]
+            for i in range(2):
+                for j in range(2):
+                    at_1 = potential_element(i, j, dataclasses.replace(device, xi=1.0))
+                    at_0 = potential_element(i, j, device)
+                    assert at_1 - at_0 == pytest.approx(
+                        bump[i, j], rel=0, abs=1e-14 * max(abs(at_1), abs(at_0))), (device, i, j)
