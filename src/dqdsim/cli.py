@@ -14,8 +14,6 @@ bad arguments or any per-point fatal error during a sweep.
 from __future__ import annotations
 
 import argparse
-import csv
-import dataclasses
 import functools
 import io
 import math
@@ -24,48 +22,22 @@ import sys
 import numpy as np
 
 from . import __version__
-from . import integrals as integrals_module
-from .hamiltonian import (
-    AssemblyMode,
-    T0_VECTOR,
-    assemble_matrix,
-    exchange_J,
-    hubbard_exchange_estimate,
-    hubbard_from_tables,
-    hubbard_parameters,
-    solve,
-    solve_stack,
-    unwrap,
-)
-from .integrals import build_tables, i0e
-from .model import (
-    MEV_TO_GHZ,
-    DeviceParams,
-    Impurity,
-    config_to_objects,
-    control_point,
-    derive_constants,
-    read_config,
-    validate_params,
-)
+from .hamiltonian import AssemblyMode, solve_stack, unwrap
+from .model import DeviceParams, Impurity, config_to_objects, read_config
 from .noise import (
     CalibrationError,
     ChiRecord,
     NoiseRecord,
     QualityModel,
     _calibrated,
-    calibrate_many,
     default_impurity,
-    envelope_closed,
-    envelope_numeric,
     improvement_factors,
+    in_ghz,
     matched_j_grid,
     quality_factor,
     sweep,
-    sweet_spot_check,
 )
-from .orbitals import build_basis, overlap_matrix
-from .potential import constraint_report, eval_potential
+from .potential import eval_potential
 
 # ---------------------------------------------------------------------------
 # formatting / output helpers
@@ -90,31 +62,28 @@ def _row_format(types: tuple) -> tuple[str, tuple[int, ...]]:
             tuple(i for i, f in enumerate(floats) if not f))
 
 
-_QUOTED = frozenset(',"\r\n')  # a text cell with one of these goes through csv
+_QUOTED = frozenset(',"\r\n')  # a text cell with one of these would need CSV quoting
 
 
 def _emit(path: str | None, header_lines: list[str], fieldnames, rows) -> None:
     """Write provenance comments, a header row, and data rows as CSV.
 
-    A data row is written with one '%' template per row of cell types, the
-    bytes csv.writer makes of its _fmt cells; a row whose text csv.writer
-    would quote goes through csv.writer."""
+    A data row is written with one '%' template per row of cell types.  No
+    cell is quoted, so a text cell that would need quoting raises
+    ValueError, naming it, before anything is written."""
     buf = io.StringIO()
     for line in header_lines:
         buf.write(f"# {line}\n")
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(fieldnames)
+    buf.write(",".join(fieldnames) + "\n")
     for row in rows:
         if isinstance(row, str):          # interior comment line
             buf.write(f"# {row}\n")
             continue
         row = tuple(row)
         template, text_cells = _row_format(tuple(map(type, row)))
-        if text_cells:
-            texts = [str(row[i]) for i in text_cells]
-            if (len(row) == 1 and texts == [""]) or not _QUOTED.isdisjoint("".join(texts)):
-                writer.writerow([_fmt(v) for v in row])
-                continue
+        for i in text_cells:
+            if not _QUOTED.isdisjoint(str(row[i])):
+                raise ValueError(f"CSV cell {str(row[i])!r} would need quoting")
         buf.write(template % row)
     text = buf.getvalue()
     if path in (None, "-"):
@@ -246,8 +215,8 @@ def cmd_spectrum(args) -> int:
     failed, _, evals, _, J = solve_stack(base, epsilon, xi, imp_rows, imps, mode)
     if failed:
         raise failed[min(failed)]
-    rows = [(eps, xi, e0, e1, j, j * MEV_TO_GHZ)
-            for (eps, xi), (e0, e1), j in zip(grid, evals[:, :2].tolist(), J.tolist())]
+    rows = [(eps, xi, e0, e1, j, j_ghz) for (eps, xi), (e0, e1), j, j_ghz
+            in zip(grid, evals[:, :2].tolist(), J.tolist(), unwrap(in_ghz(J)))]
     header = _provenance("spectrum", args, base, mode, imp, (
         f"eps_range = {args.eps_range}",
         f"xi_values = {','.join(_fmt(x) for x in xi_values)}",
@@ -436,206 +405,11 @@ def cmd_potential_profile(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _check_elements_vs_oracle(rng: np.random.Generator, n_sets: int):
-    """Worst relative disagreement between closed forms and quadrature."""
-    from .crosscheck import oracle_comparisons
-
-    params, kind, idx, _closed, _oracle, rel = max(oracle_comparisons(rng, n_sets),
-                                                   key=lambda c: c[-1])
-    a_over_aB = params.a / derive_constants(params).fock_darwin_radius
-    return rel, f"{kind}{idx} at a/a_B = {_fmt(a_over_aB)}"
-
-
 def cmd_validate(args) -> int:
     """Run the built-in cross-check suite; exit 1 if any check fails."""
-    # Only validate needs the oracle's modules, which are slow to import.
-    from .crosscheck import sample_device
-    from .quadrature import OracleRefusal
+    from .crosscheck import validate  # with the oracle, which is slow to import
 
-    quick = args.quick
-    rng = np.random.default_rng(args.seed)
-    checks: list[tuple[str, bool, str]] = []
-
-    def add(name: str, ok: bool, detail: str) -> None:
-        checks.append((name, bool(ok), detail))
-
-    if args.corrupt_bessel:
-        # Negative control: scale the Bessel routine used by the closed-form
-        # Coulomb/impurity elements and confirm the quadrature cross-check
-        # actually catches it.
-        real_i0e = integrals_module.i0e
-        integrals_module.i0e = lambda x: real_i0e(x) * 1.001
-        print("# negative control: i0e scaled by 1.001; the element "
-              "cross-check below must FAIL")
-        try:
-            worst, label = _check_elements_vs_oracle(rng, 2)
-        finally:
-            integrals_module.i0e = real_i0e
-        add("elements-vs-quadrature", worst <= 1e-6,
-            f"worst rel diff {_fmt(worst)} ({label})")
-    else:
-        # 1. derived constants at the default device
-        c = derive_constants(DeviceParams())
-        add("derived-constants",
-            abs(c.fock_darwin_radius - 106.64464635890039) < 1e-9
-            and abs(c.barrier_height - 0.007327243715762088) < 1e-15
-            and abs(c.coulomb_scale - 109.92091603053434) < 1e-9,
-            f"a_B = {_fmt(c.fock_darwin_radius)} nm, C = {_fmt(c.barrier_height)} meV")
-
-        # 2. potential junction constraints on random controls
-        n_pot = 5 if quick else 20
-        worst_pot = 0.0
-        for _ in range(n_pot):
-            p = dataclasses.replace(DeviceParams(),
-                                    epsilon=float(rng.uniform(0.0, 1.0)),
-                                    xi=float(rng.uniform(0.0, 1.5)))
-            worst_pot = max(worst_pot,
-                            max(abs(row[3]) for row in constraint_report(p)))
-        add("potential-constraints", worst_pot <= 1e-12,
-            f"worst junction residual {_fmt(worst_pot)} over {n_pot} control points")
-
-        report = validate_params(DeviceParams())
-        add("barrier-existence", report.ok,
-            "default device keeps a barrier top at the origin")
-
-        # 3. orthonormalized basis
-        worst_orth = 0.0
-        for _ in range(4):
-            basis = build_basis(sample_device(rng))
-            g = basis.M @ overlap_matrix(basis) @ basis.M
-            worst_orth = max(worst_orth, float(np.max(np.abs(g - np.eye(2)))))
-        add("orthonormalization", worst_orth <= 1e-12,
-            f"max |M S M - 1| = {_fmt(worst_orth)}")
-
-        # 4. scaled Bessel routine: frozen references plus the integral
-        # identity i0e(x) = (1/pi) int_0^pi exp(x (cos th - 1)) dth,
-        # evaluated by midpoint rule (spectrally accurate for this
-        # periodic, even integrand) on both sides of the branch switch.
-        d1 = abs(float(i0e(1.0)) - 0.4657596075936404)
-        d700 = abs(float(i0e(700.0)) - 0.015081295651531358)
-        theta = (np.arange(4096) + 0.5) * (math.pi / 4096)
-        worst_id = max(
-            abs(float(np.mean(np.exp(x * (np.cos(theta) - 1.0)))) / float(i0e(x)) - 1.0)
-            for x in (0.5, 5.0, 19.9, 20.1, 50.0, 700.0))
-        add("bessel-i0e", d1 < 1e-14 and d700 < 1e-14 and worst_id < 5e-13,
-            f"|d(1)| = {_fmt(d1)}, |d(700)| = {_fmt(d700)}, "
-            f"integral-identity defect {_fmt(worst_id)}")
-
-        # 5. closed-form elements vs independent quadrature
-        n_sets = 2 if quick else 12
-        try:
-            worst, label = _check_elements_vs_oracle(rng, n_sets)
-            add("elements-vs-quadrature", worst <= 1e-6,
-                f"worst rel diff {_fmt(worst)} over {n_sets} devices ({label})")
-        except OracleRefusal as exc:
-            add("elements-vs-quadrature", False, f"oracle refused: {exc}")
-
-        # 6. spectral identities at a detuned, impurity-perturbed point
-        params = DeviceParams(epsilon=0.37, xi=1.1)
-        imp = default_impurity(params)
-        res = solve(params, imp)
-        mirrored = solve(dataclasses.replace(params, epsilon=-params.epsilon),
-                         Impurity(-imp.x_c, imp.y_c, imp.q))
-        H = assemble_matrix(hubbard_parameters(params, imp))
-        scale = float(np.max(np.abs(H)))
-        d_t0 = float(np.max(np.abs(H @ T0_VECTOR - res.t0_energy * T0_VECTOR))) / scale
-        resid = float(np.max(np.abs(H @ res.eigenvectors
-                                    - res.eigenvectors * res.eigenvalues))) / scale
-        d_mirror = abs(res.J - mirrored.J) / res.J
-        add("spectral-identities",
-            d_t0 <= 1e-12 and resid <= 1e-10 and d_mirror <= 1e-10,
-            f"T0 defect {_fmt(d_t0)}, eigenresidual {_fmt(resid)}, "
-            f"mirror defect {_fmt(d_mirror)}")
-
-        # a gauge shift of the confinement energy moves only the common level
-        basis = build_basis(params)
-        tables = build_tables(dataclasses.replace(params, epsilon=0.0), imp=imp)
-        shift = 3.7
-        shifted = dataclasses.replace(
-            tables, confinement=tables.confinement + shift * overlap_matrix(basis))
-        ref = dataclasses.asdict(hubbard_from_tables(params, basis, tables))
-        moved = dataclasses.asdict(hubbard_from_tables(params, basis, shifted))
-        d_offset = abs(moved.pop("offset") - ref.pop("offset") - shift)
-        d_rest = max(abs(moved[k] - ref[k]) for k in ref)
-        add("gauge-invariance", d_offset <= 1e-12 and d_rest <= 1e-12,
-            f"offset off the {shift} meV shift by {_fmt(d_offset)} meV, "
-            f"other fields moved by {_fmt(d_rest)} meV")
-
-        # 7. monotonic trends
-        base = DeviceParams()
-        eps_grid = [0.0, 0.2, 0.4, 0.6, 0.8, 1.0]
-        xi_grid = [0.5, 0.7, 0.9, 1.1, 1.3]
-        j_eps = [exchange_J(control_point("tilt", base, e)) for e in eps_grid]
-        j_xi = [exchange_J(control_point("barrier", base, x)) for x in xi_grid]
-        add("exchange-monotonic",
-            all(b > a for a, b in zip(j_eps, j_eps[1:]))
-            and all(b < a for a, b in zip(j_xi, j_xi[1:])),
-            "J increasing in detuning, decreasing in barrier amplitude")
-
-        imp0 = default_impurity(base)
-        n_match = 4 if quick else 8
-        grid = matched_j_grid(base, n=n_match, j_max_ghz=1.0)
-        try:
-            recs = unwrap(improvement_factors([float(j) for j in grid], imp0, base))
-            rel_t = [abs(r.rel_tilt) for r in recs]
-            rel_b = [abs(r.rel_barrier) for r in recs]
-            chi = [r.chi for r in recs]
-            add("matched-noise-trends",
-                all(b > a for a, b in zip(rel_t, rel_t[1:]))
-                and all(b < a for a, b in zip(rel_b, rel_b[1:]))
-                and all(b > a for a, b in zip(chi, chi[1:]))
-                and abs(chi[0] - 1.0) <= 1e-6,
-                f"chi spans {_fmt(chi[0])} .. {_fmt(chi[-1])} over "
-                f"J in [{_fmt(float(grid[0]))}, {_fmt(float(grid[-1]))}] GHz")
-        except CalibrationError as exc:
-            add("matched-noise-trends", False, str(exc))
-
-        # 8. detuning sweet spot at zero tilt
-        slope, err = sweet_spot_check(base)
-        add("sweet-spot", abs(slope) <= max(1e-8, 10.0 * err),
-            f"dJ/deps = {_fmt(slope)} GHz/meV (err est {_fmt(err)})")
-
-        # 9. dephasing model identities
-        sig = 0.05 * 0.242
-        worst_env = max(abs(envelope_closed(sig, t) - envelope_numeric(0.242, sig, t))
-                        for t in (5.0, 20.0, 80.0))
-        q_flat = [quality_factor(j, QualityModel(0.02)) for j in (0.15, 0.5, 0.9)]
-        q_lin = [quality_factor(j, QualityModel(0.0, 0.003)) for j in (0.15, 0.9)]
-        add("dephasing-model",
-            worst_env <= 1e-9
-            and max(q_flat) - min(q_flat) <= 1e-9 * q_flat[0]
-            and abs(q_lin[1] / q_lin[0] - 0.9 / 0.15) <= 1e-12,
-            f"envelope defect {_fmt(worst_env)}; "
-            f"Q flat for relative noise, linear for a constant floor")
-
-        # 10. calibration round trips
-        targets = (0.242,) if quick else (0.15, 0.242, 0.5)
-        requests = [(scheme, tgt) for tgt in targets for scheme in ("tilt", "barrier")]
-        try:
-            controls = unwrap(calibrate_many(requests, base))
-            achieved = [exchange_J(control_point(scheme, base, c))
-                        for (scheme, _), c in zip(requests, controls)]
-            worst_cal = max(abs(j * MEV_TO_GHZ - tgt) / tgt
-                            for (_, tgt), j in zip(requests, achieved))
-            add("calibration", worst_cal <= 1e-6,
-                f"worst |J(c*) - target|/target = {_fmt(worst_cal)}")
-        except CalibrationError as exc:
-            add("calibration", False, str(exc))
-
-        # 11. perturbative exchange estimate near zero detuning
-        hp = hubbard_parameters(DeviceParams())
-        est = hubbard_exchange_estimate(hp)
-        exact = exchange_J(DeviceParams())
-        add("hubbard-estimate", abs(est / exact - 1.0) <= 0.05,
-            f"2t^2 estimate off by {_fmt(abs(est / exact - 1.0))} relative")
-
-    failed = sum(1 for _, ok, _ in checks if not ok)
-    for name, ok, detail in checks:
-        print(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
-    mode_note = " (quick)" if quick else ""
-    print(f"validate{mode_note}: {len(checks) - failed} passed, "
-          f"{failed} failed, {len(checks)} total")
-    return 1 if failed else 0
+    return validate(args.seed, args.quick, args.corrupt_bessel)
 
 
 # ---------------------------------------------------------------------------

@@ -33,6 +33,7 @@ import enum
 import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -324,8 +325,7 @@ def jacobi_eigh(A: np.ndarray):
     return (evals[0], V[0]) if single else (evals, V)
 
 
-@dataclass(frozen=True)
-class SpectrumResult:
+class SpectrumResult(NamedTuple):
     eigenvalues: np.ndarray      # ascending, meV
     eigenvectors: np.ndarray     # columns
     J: float                     # E(T0) - E(lowest singlet), meV

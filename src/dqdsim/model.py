@@ -8,6 +8,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 # --- fundamental combinations in meV/nm units -------------------------------
 HBAR2_OVER_2ME = 38.09982   # hbar^2/(2 m_e)  [meV nm^2]
@@ -47,8 +48,7 @@ class DeviceParams:
         return +0.5 * self.epsilon
 
 
-@dataclass(frozen=True)
-class DerivedConstants:
+class DerivedConstants(NamedTuple):
     """Constants computed once from a DeviceParams."""
     fock_darwin_radius: float    # a_B [nm]
     barrier_height: float        # C = a^2 m* w0^2 / 12 [meV]
@@ -116,15 +116,12 @@ def derive_constants(params: DeviceParams) -> DerivedConstants:
 
 # -- validation ---------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     passed: bool
-    residual: float
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     checks: tuple[CheckResult, ...]
 
     @property
@@ -135,17 +132,14 @@ class ValidationReport:
 def validate_params(params: DeviceParams) -> ValidationReport:
     """Check finite, positive inputs and that the central barrier exists:
     both one-sided central_curvatures are non-positive."""
-    checks = []
-    for name in ("a", "hbar_omega0", "m_eff", "eps_r"):
-        v = getattr(params, name)
-        checks.append(CheckResult(f"0 < {name} < inf", 0 < v < math.inf, min(v, 0.0)))
-    for name in ("epsilon", "xi"):
-        v = getattr(params, name)
-        checks.append(CheckResult(f"{name} finite", math.isfinite(v), 0.0))
+    checks = [CheckResult(f"0 < {name} < inf", 0 < getattr(params, name) < math.inf)
+              for name in ("a", "hbar_omega0", "m_eff", "eps_r")]
+    checks += [CheckResult(f"{name} finite", math.isfinite(getattr(params, name)))
+               for name in ("epsilon", "xi")]
     if all(c.passed for c in checks):
         wells = ("well 1 (x=-a)", "well 2 (x=+a)")
-        for label, resid in zip(wells, central_curvatures(params)):
-            checks.append(CheckResult(f"barrier exists vs {label}", resid <= 0.0, resid))
+        checks += [CheckResult(f"barrier exists vs {label}", curvature <= 0.0)
+                   for label, curvature in zip(wells, central_curvatures(params))]
     return ValidationReport(checks=tuple(checks))
 
 

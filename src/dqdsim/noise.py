@@ -1,16 +1,14 @@
 """Charge-noise metrics, matched-J calibration, chi, and quality factors."""
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .hamiltonian import AssemblyMode, _model, hubbard_parameters, solve_stack, unwrap
-from .model import MEV_TO_GHZ, DeviceParams, Impurity, control_values
+from .model import MEV_TO_GHZ, DeviceParams, Impurity, control_point, control_values
 
 DEFAULT_IMPURITY_SCALE = 6.0  # R_c = (-6a, 6a) is the reference noise source
 
@@ -31,6 +29,16 @@ class NoiseRecord(NamedTuple):
                   "delta_J_ghz", "rel_noise")
 
 
+def in_ghz(J: np.ndarray) -> list:
+    """Each J [meV] in GHz, or a ValueError naming a J that overflows there."""
+    with np.errstate(over="ignore"):
+        ghz = J * MEV_TO_GHZ
+    js = ghz.tolist()
+    for k in np.flatnonzero(~np.isfinite(ghz)).tolist():
+        js[k] = ValueError(f"J = {J[k]:.6g} meV overflows in GHz")
+    return js
+
+
 def _j_ghz(base: DeviceParams, settings, mode: AssemblyMode, rows=None, impurities=()) -> list:
     """J [GHz] at each (epsilon, xi) setting of the device base from one
     stacked solve, or the exception that point raised (a J too large for
@@ -41,11 +49,7 @@ def _j_ghz(base: DeviceParams, settings, mode: AssemblyMode, rows=None, impuriti
         failed, _, _, _, J = solve_stack(base, epsilon, xi, rows, impurities, mode)
     except Exception as exc:  # the device's own failure
         return [exc] * len(epsilon)
-    with np.errstate(over="ignore"):
-        ghz = J * MEV_TO_GHZ
-    js = ghz.tolist()
-    for k in np.flatnonzero(~np.isfinite(ghz)).tolist():
-        js[k] = ValueError(f"J = {J[k]:.6g} meV overflows in GHz")
+    js = in_ghz(J)
     for i in sorted(failed):  # in place, lowest index first
         js.insert(i, failed[i])
     return js
@@ -180,7 +184,8 @@ def _roots(requests, base: DeviceParams, mode: AssemblyMode) -> list:
     # A non-finite base.xi makes every tilt root NaN, unwarned; the tilt
     # bracket ends then fail on it by name.
     xi0 = base.xi if math.isfinite(base.xi) else math.nan
-    hp = _model(dataclasses.replace(base, epsilon=0.0, xi=0.0), np.zeros(3),
+    # The model at xi = base.xi, 0 and 1 of the device at epsilon = xi = 0.
+    hp = _model(control_point("barrier", base, 0.0), np.zeros(3),
                 np.array([xi0, 0.0, 1.0]), np.zeros(3, dtype=int), ())
     k, c1, c2 = ((hp.exchange_k, hp.corr_hop1, hp.corr_hop2) if mode == AssemblyMode.FULL
                  else (0.0, 0.0, 0.0))
@@ -380,8 +385,7 @@ def hubbard_noise_estimate(params: DeviceParams, imp: Impurity) -> float:
 # quality factor
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class QualityModel:
+class QualityModel(NamedTuple):
     """Quasistatic Gaussian J-noise: sigma_tot^2 = (sigma_rel J)^2 + sigma_floor^2."""
     sigma_rel: float
     sigma_floor_ghz: float = 0.0

@@ -11,15 +11,14 @@ symmetric orthonormalization M = O^(-1/2) of O = [[1, s], [s, 1]] is
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .model import DeviceParams, derive_constants
 
 
-@dataclass(frozen=True)
-class OrbitalBasis:
+class OrbitalBasis(NamedTuple):
     centers: tuple[tuple[float, float], tuple[float, float]]
     a_B: float
     s: float

@@ -19,7 +19,7 @@ cubic and quartic coefficients free:
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -27,8 +27,7 @@ from .model import DeviceParams, derive_constants
 from .model import central_curvatures  # noqa: F401  (defined in model, importable here)
 
 
-@dataclass(frozen=True)
-class QuarticPiece:
+class QuarticPiece(NamedTuple):
     """V_piece(u) = -mu + (k2/2) u^2 + c3 u^3 + c4 u^4, u = x - center."""
     center: float
     mu: float

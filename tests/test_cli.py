@@ -50,14 +50,17 @@ def test_cli_does_not_import_scipy():
 
 
 def test_cli_does_not_import_the_oracle():
-    # Only validate runs the quadrature oracle, and only envelope_numeric
-    # needs numpy.polynomial, so a cold CLI start imports none of them: of
-    # dqdsim, just the modules that the other commands run.
-    code = ("import sys, dqdsim.cli; print(sorted(m for m in sys.modules if m.startswith("
-            "('numpy.polynomial', 'dqdsim'))))")
+    # Only validate runs the quadrature oracle and the cross-checks of
+    # dqdsim.crosscheck, only envelope_numeric needs numpy.polynomial, and
+    # _emit writes CSV without the csv module, so a cold CLI start imports
+    # none of them: of dqdsim, just the modules that the other commands run.
+    code = ("import sys, dqdsim.cli; print(sorted(m for m in sys.modules if m in ('csv', '_csv') "
+            "or m.startswith(('numpy.polynomial', 'dqdsim'))))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == str([
+    loaded = proc.stdout.strip()
+    assert "'csv'" not in loaded and "'dqdsim.crosscheck'" not in loaded
+    assert loaded == str([
         "dqdsim", "dqdsim.cli", "dqdsim.hamiltonian", "dqdsim.integrals", "dqdsim.model",
         "dqdsim.noise", "dqdsim.orbitals", "dqdsim.potential"])
 
@@ -592,8 +595,12 @@ class TestFlags:
         (("exchange-tilt", "--eps-range", "1e308:1e308:1"), 2,
          "dqdsim: error at tilt control 1e+308 meV: "
          "ValueError: J = 1e+308 meV overflows in GHz\n", "tilt,1e+308,nan,nan,nan,nan"),
+        # spectrum converts J to GHz as the sweeps do, and fails on its
+        # first failing point, so it writes no CSV (and no inf).
+        (("spectrum", "--eps-range", "1e307:1e307:1"), 2,
+         "dqdsim: error: J = 1e+307 meV overflows in GHz\n", None),
     ], ids=["impurity-scan", "exchange-barrier", "exchange-tilt", "exchange-tilt-ghz-overflow",
-            "exchange-tilt-symmetrize-overflow"])
+            "exchange-tilt-symmetrize-overflow", "spectrum-ghz-overflow"])
     def test_an_overflowing_matrix_is_a_named_error(self, argv, code, err, last_row, tmp_path,
                                                     capsys):
         out = tmp_path / "out.csv"
@@ -674,8 +681,9 @@ class TestFlags:
 
 
 def csv_writer_bytes(header_lines, fieldnames, rows) -> str:
-    """What _emit wrote before its row templates: every data cell through
-    _fmt, every row through csv.writer."""
+    """What csv.writer makes of the comment lines, the header and every data
+    row's _fmt cells, except a lone empty cell, which csv.writer quotes and
+    _emit writes as an empty line."""
     buf = io.StringIO()
     buf.write("".join(f"# {line}\n" for line in header_lines))
     writer = csv.writer(buf, lineterminator="\n")
@@ -683,25 +691,31 @@ def csv_writer_bytes(header_lines, fieldnames, rows) -> str:
     for row in rows:
         if isinstance(row, str):
             buf.write(f"# {row}\n")
+        elif tuple(row) == ("",):
+            buf.write("\n")
         else:
             writer.writerow([cli._fmt(v) for v in row])
     return buf.getvalue()
 
 
+def needs_quoting(rows) -> list[str]:
+    """The text cells of the data rows that csv.writer would quote for a
+    comma, a double quote or a line break."""
+    return [cell for row in rows if not isinstance(row, str) for cell in row
+            if isinstance(cell, str) and any(c in cell for c in ',"\r\n')]
+
+
 class TestEmit:
     """_emit writes a data row from one '%' template per row of cell types,
-    byte for byte what csv.writer makes of the row's _fmt cells."""
+    byte for byte what csv.writer makes of the row's _fmt cells, and raises
+    on a text cell that would need quoting."""
 
     ROWS = [
         (np.float64(0.1), math.nan, math.inf, -math.inf, -0.0, 1e-300, 1e16, 123456789012.5),
         "an interior comment",
         ("tilt", 0.3, 1, True, None, np.float32(0.1), np.int64(7)),
-        ("a,b", 2.5),
-        ('say "x"', 2.5),
-        ("line\nbreak", 2.5),
-        ("cr\rhere", 2.5),
-        ("",),
         ("", ""),
+        ("",),
         (),
         [1.5, "x"],
         (np.float64(-0.0), np.float64(math.nan)),
@@ -711,14 +725,31 @@ class TestEmit:
         cli._emit(None, ["dqdsim test"], ("a", "b"), self.ROWS)
         assert capsys.readouterr().out == csv_writer_bytes(["dqdsim test"], ("a", "b"), self.ROWS)
 
+    @pytest.mark.parametrize("cell", ["a,b", 'say "x"', "line\nbreak", "cr\rhere"])
+    def test_a_cell_that_needs_quoting_raises_and_writes_nothing(self, cell, tmp_path, capsys):
+        out = tmp_path / "out.csv"
+        with pytest.raises(ValueError) as err:
+            cli._emit(str(out), ["dqdsim test"], ("a", "b"), [("tilt", 1.0), (cell, 2.5)])
+        assert str(err.value) == f"CSV cell {cell!r} would need quoting"
+        assert not out.exists()
+        with pytest.raises(ValueError):
+            cli._emit(None, [], ("a", "b"), [(1.0, cell)])
+        assert capsys.readouterr().out == ""
+
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.lists(st.one_of(st.floats(), st.text(max_size=4), st.integers()),
                              max_size=5).map(tuple), max_size=6))
     def test_any_rows_are_the_bytes_csv_writer_makes(self, rows):
         out = io.StringIO()
+        quoted = needs_quoting(rows)
         with contextlib.redirect_stdout(out):
-            cli._emit(None, [], ("a",), rows)
-        assert out.getvalue() == csv_writer_bytes([], ("a",), rows)
+            if quoted:
+                with pytest.raises(ValueError) as err:
+                    cli._emit(None, [], ("a",), rows)
+                assert str(err.value) == f"CSV cell {quoted[0]!r} would need quoting"
+            else:
+                cli._emit(None, [], ("a",), rows)
+        assert out.getvalue() == ("" if quoted else csv_writer_bytes([], ("a",), rows))
 
 
 class TestContent:
