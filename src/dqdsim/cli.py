@@ -22,8 +22,8 @@ import sys
 import numpy as np
 
 from . import __version__
-from .hamiltonian import AssemblyMode, solve_stack, unwrap
-from .model import DeviceParams, Impurity, config_to_objects, read_config
+from .hamiltonian import AssemblyMode, in_ghz, solve_stack, unwrap
+from .model import _SETTINGS, DeviceParams, Impurity, config_to_objects, read_config
 from .noise import (
     CalibrationError,
     ChiRecord,
@@ -32,7 +32,6 @@ from .noise import (
     _calibrated,
     default_impurity,
     improvement_factors,
-    in_ghz,
     matched_j_grid,
     quality_factor,
     sweep,
@@ -98,23 +97,11 @@ def _provenance(sub: str, args, base: DeviceParams, mode: AssemblyMode | None,
     lines = [f"dqdsim {__version__}", f"subcommand = {sub}"]
     if mode is not None:
         lines.append(f"mode = {mode.value}")
-    lines += [
-        f"device.a_nm = {_fmt(base.a)}",
-        f"device.hbar_omega0_mev = {_fmt(base.hbar_omega0)}",
-        f"device.m_eff = {_fmt(base.m_eff)}",
-        f"device.eps_r = {_fmt(base.eps_r)}",
-        f"control.epsilon_mev = {_fmt(base.epsilon)}",
-        f"control.xi_mev = {_fmt(base.xi)}",
-    ]
-    if imp is not None:
-        lines += [
-            f"impurity.x_nm = {_fmt(imp.x_c)}",
-            f"impurity.y_nm = {_fmt(imp.y_c)}",
-            f"impurity.charge_e = {_fmt(imp.q)}",
-        ]
-    lines.append(f"seed = {args.seed}")
-    lines.extend(extra)
-    return lines
+    # The setting lines of the device and the impurity, a --config of both.
+    lines += [f"{key} = {_fmt(getattr(base if record is DeviceParams else imp, name))}"
+              for key, (record, name) in _SETTINGS.items()
+              if record is DeviceParams or imp is not None]
+    return lines + [f"seed = {args.seed}", *extra]
 
 
 MAX_GRID_POINTS = 100_000
@@ -160,7 +147,7 @@ def _resolve(args, *, default_impurity_wanted: bool = False):
     if args.config:
         cfg = read_config(args.config)
         base, imp = config_to_objects(cfg)
-        ignored = sorted(key for key in cfg if key.startswith("impurity."))
+        ignored = sorted(key for key in cfg if _SETTINGS[key][0] is Impurity)
         if ignored and "impurity" not in args:  # the subcommand places no impurity
             raise ValueError(f"{args.config}: {args.subcommand} takes no impurity from "
                              f"a config file, but it sets {', '.join(ignored)}")

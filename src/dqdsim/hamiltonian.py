@@ -391,9 +391,20 @@ def exchange_J(params: DeviceParams, imp: Impurity | None = None,
     return solve(params, imp, mode).J
 
 
+def in_ghz(J: np.ndarray) -> list:
+    """Each J [meV] in GHz, or a ValueError naming a J that overflows there."""
+    with np.errstate(over="ignore"):
+        ghz = J * MEV_TO_GHZ
+    js = ghz.tolist()
+    for k in np.flatnonzero(~np.isfinite(ghz)).tolist():
+        js[k] = ValueError(f"J = {J[k]:.6g} meV overflows in GHz")
+    return js
+
+
 def exchange_J_ghz(params: DeviceParams, imp: Impurity | None = None,
                    mode: AssemblyMode = AssemblyMode.PAPER) -> float:
-    return exchange_J(params, imp, mode) * MEV_TO_GHZ
+    """exchange_J in GHz; raises a ValueError naming a J that overflows there."""
+    return unwrap(in_ghz(np.array([exchange_J(params, imp, mode)])))[0]
 
 
 def hubbard_exchange_estimate(hp: HubbardParams) -> float:

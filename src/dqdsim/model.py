@@ -162,13 +162,18 @@ def central_curvatures(params: DeviceParams) -> tuple[float, float]:
 
 # -- config file --------------------------------------------------------------
 
-_CONFIG_KEYS = {
-    "device.a_nm": ("a", float),
-    "device.hbar_omega0_mev": ("hbar_omega0", float),
-    "device.m_eff": ("m_eff", float),
-    "device.eps_r": ("eps_r", float),
-    "control.epsilon_mev": ("epsilon", float),
-    "control.xi_mev": ("xi", float),
+# Every setting of a config file, in the order a CSV header writes them: its
+# key, and the record and field that its float value sets.
+_SETTINGS = {
+    "device.a_nm": (DeviceParams, "a"),
+    "device.hbar_omega0_mev": (DeviceParams, "hbar_omega0"),
+    "device.m_eff": (DeviceParams, "m_eff"),
+    "device.eps_r": (DeviceParams, "eps_r"),
+    "control.epsilon_mev": (DeviceParams, "epsilon"),
+    "control.xi_mev": (DeviceParams, "xi"),
+    "impurity.x_nm": (Impurity, "x_c"),
+    "impurity.y_nm": (Impurity, "y_c"),
+    "impurity.charge_e": (Impurity, "q"),
 }
 
 
@@ -188,25 +193,24 @@ def read_config(path: str) -> dict[str, str]:
 
 
 def config_to_objects(cfg: dict[str, str]) -> tuple[DeviceParams, Impurity | None]:
-    """Map a flat config dict onto (DeviceParams, Impurity)."""
-    kwargs = {}
-    for key, (field_name, conv) in _CONFIG_KEYS.items():
+    """Map a flat config dict onto (DeviceParams, Impurity) through _SETTINGS.
+
+    A fault is named in this order: a device value, an impurity value, a
+    charge without a position, unknown keys."""
+    given = {DeviceParams: {}, Impurity: {}}
+    for key, (record, name) in _SETTINGS.items():
         if key in cfg:
-            kwargs[field_name] = conv(cfg[key])
-    params = DeviceParams(**kwargs)
+            given[record][name] = cfg[key]
+    params = DeviceParams(**{name: float(v) for name, v in given[DeviceParams].items()})
     derive_constants(params)  # names a non-positive or non-finite device value
-    imp = None
-    if "impurity.x_nm" in cfg or "impurity.y_nm" in cfg:
-        imp = Impurity(
-            x_c=float(cfg.get("impurity.x_nm", 0.0)),
-            y_c=float(cfg.get("impurity.y_nm", 0.0)),
-            q=float(cfg.get("impurity.charge_e", -1.0)),
-        )
-    elif "impurity.charge_e" in cfg:
+    if given[Impurity].keys() == {"q"}:
         raise ValueError("impurity.charge_e given without impurity.x_nm or impurity.y_nm: "
                          "there is no impurity to charge")
-    known = set(_CONFIG_KEYS) | {"impurity.x_nm", "impurity.y_nm", "impurity.charge_e"}
-    unknown = set(cfg) - known
+    imp = None
+    if given[Impurity]:  # a position; a coordinate not given is 0
+        imp = Impurity(**{"x_c": 0.0, "y_c": 0.0}
+                       | {name: float(v) for name, v in given[Impurity].items()})
+    unknown = cfg.keys() - _SETTINGS.keys()
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
     return params, imp

@@ -7,7 +7,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .hamiltonian import AssemblyMode, _model, hubbard_parameters, solve_stack, unwrap
+from .hamiltonian import AssemblyMode, _model, hubbard_parameters, in_ghz, solve_stack, unwrap
 from .model import MEV_TO_GHZ, DeviceParams, Impurity, control_point, control_values
 
 DEFAULT_IMPURITY_SCALE = 6.0  # R_c = (-6a, 6a) is the reference noise source
@@ -27,16 +27,6 @@ class NoiseRecord(NamedTuple):
 
     CSV_FIELDS = ("scheme", "control_mev", "J_clean_ghz", "J_imp_ghz",
                   "delta_J_ghz", "rel_noise")
-
-
-def in_ghz(J: np.ndarray) -> list:
-    """Each J [meV] in GHz, or a ValueError naming a J that overflows there."""
-    with np.errstate(over="ignore"):
-        ghz = J * MEV_TO_GHZ
-    js = ghz.tolist()
-    for k in np.flatnonzero(~np.isfinite(ghz)).tolist():
-        js[k] = ValueError(f"J = {J[k]:.6g} meV overflows in GHz")
-    return js
 
 
 def _j_ghz(base: DeviceParams, settings, mode: AssemblyMode, rows=None, impurities=()) -> list:
@@ -118,7 +108,14 @@ class CalibrationError(ValueError):
 
 TILT_BRACKET = (0.0, 1.5)
 BARRIER_BRACKET = (0.3, 1.3)
-_BRACKETS = {"tilt": TILT_BRACKET, "barrier": BARRIER_BRACKET}
+
+
+def _bracket(scheme: str, base: DeviceParams) -> tuple[float, float]:
+    """The control interval [meV] searched on the device base: TILT_BRACKET, or
+    BARRIER_BRACKET widened to hold a finite base.xi, where J0 is met exactly."""
+    if scheme == "barrier" and math.isfinite(base.xi):
+        return min(BARRIER_BRACKET[0], base.xi), max(BARRIER_BRACKET[1], base.xi)
+    return TILT_BRACKET if scheme == "tilt" else BARRIER_BRACKET
 
 
 def _miss(label, j_target_ghz, c, j):
@@ -133,15 +130,15 @@ def _miss(label, j_target_ghz, c, j):
     return d
 
 
-def _settle(scheme, j_target_ghz, root, j_lo, j_hi, j_root):
-    """The control value of one calibration, given the clean J [GHz] at its
-    bracket ends and at its closed-form root, each maybe the exception its
-    solve raised: the end at which J meets the target exactly, else the
-    root, at which J must lie within 1e-6 of the target.  A target not
-    strictly between J at the ends raises CalibrationError naming the
-    J reachable there."""
+def _settle(scheme, j_target_ghz, base, root, j_lo, j_hi, j_root):
+    """The control value of one calibration on the device base, given the
+    clean J [GHz] at its bracket ends and at its closed-form root, each maybe
+    the exception its solve raised: the end at which J meets the target
+    exactly, else the root, at which J must lie within 1e-6 of the target.
+    A target not strictly between J at the ends raises CalibrationError
+    naming the J reachable there."""
     label = f"calibrate_{scheme}"
-    lo, hi = _BRACKETS[scheme]
+    lo, hi = _bracket(scheme, base)
     f_lo = _miss(label, j_target_ghz, lo, j_lo)
     f_hi = _miss(label, j_target_ghz, hi, j_hi)
     if f_lo == 0.0:
@@ -205,7 +202,7 @@ def _roots(requests, base: DeviceParams, mode: AssemblyMode) -> list:
         eps_star = d_star - (hp.mu2[0] - hp.mu1[0])
         xi_star = (t_star - hp.t[1]) / (hp.t[2] - hp.t[1])
     roots = np.where(np.array(schemes) == "tilt", eps_star, xi_star)
-    lo, hi = np.array([_BRACKETS[s] for s in schemes]).reshape(-1, 2).T
+    lo, hi = np.array([_bracket(s, base) for s in schemes]).reshape(-1, 2).T
     outside = np.fmax(np.fmax(lo - roots, roots - hi), 0.0)
     nearest = np.argmin(np.where(np.isnan(outside), np.inf, outside), axis=0)
     return np.take_along_axis(roots, nearest[None], axis=0)[0].tolist()
@@ -225,14 +222,14 @@ def _calibrated(requests, base: DeviceParams, mode: AssemblyMode, imps=()) -> tu
     device that cannot be built fails every entry with its error."""
     requests, imps = list(requests), list(imps)
     for scheme, _ in requests:
-        if scheme not in _BRACKETS:
+        if scheme not in ("tilt", "barrier"):
             raise ValueError(f"unknown scheme {scheme!r}")
     try:
         roots = _roots(requests, base, mode)
     except Exception as exc:  # the device's own failure
         return [exc] * len(requests), [[exc] * len(requests) for _ in imps]
     ends = list(dict.fromkeys(control_values(scheme, base, c)
-                              for scheme, _ in requests for c in _BRACKETS[scheme]))
+                              for scheme, _ in requests for c in _bracket(scheme, base)))
     settings = ends + [control_values(scheme, base, c) for (scheme, _), c in zip(requests, roots)]
     # J [GHz] clean at every setting, then with each impurity in turn at every
     # setting (given at most one impurity) or only at every root.
@@ -244,8 +241,8 @@ def _calibrated(requests, base: DeviceParams, mode: AssemblyMode, imps=()) -> tu
     controls: list = []
     for (scheme, target), root, at_root in zip(requests, roots, settings[len(ends):]):
         try:
-            j_ends = (clean[control_values(scheme, base, e)] for e in _BRACKETS[scheme])
-            controls.append(_settle(scheme, target, root, *j_ends, clean[at_root]))
+            j_ends = (clean[control_values(scheme, base, e)] for e in _bracket(scheme, base))
+            controls.append(_settle(scheme, target, base, root, *j_ends, clean[at_root]))
         except Exception as exc:  # this calibration's own failure
             controls.append(exc)
     settled = [None if isinstance(c, Exception) else control_values(scheme, base, c)

@@ -24,7 +24,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .model import DeviceParams, derive_constants
-from .model import central_curvatures  # noqa: F401  (defined in model, importable here)
 
 
 class QuarticPiece(NamedTuple):

@@ -1,6 +1,7 @@
 """End-to-end tests for the command-line interface (run as subprocesses)."""
 import contextlib
 import csv
+import dataclasses
 import io
 import math
 import shutil
@@ -16,6 +17,7 @@ from dqdsim import (CalibrationError, DeviceParams, Impurity, calibrate_barrier,
                     cli, default_impurity, delta_J, eval_potential, hamiltonian,
                     improvement_factors, matched_j_grid, noise, __version__)
 from dqdsim.cli import MAX_GRID_POINTS, build_parser, main
+from dqdsim.model import _SETTINGS, config_to_objects, read_config
 
 CLI = [sys.executable, "-m", "dqdsim.cli"]
 
@@ -259,6 +261,29 @@ def test_reruns_are_byte_identical(tmp_path):
         assert a.read_bytes() == b.read_bytes(), case[0]
 
 
+# A small grid of each CSV subcommand.
+SMALL_GRIDS = {
+    "spectrum": ("--eps-range", "0:0.1:0.1"),
+    "exchange-tilt": ("--eps-range", "0:0.1:0.1"),
+    "exchange-barrier": ("--xi-range", "1.0:1.1:0.1"),
+    "noise-compare": ("--points", "2", "--j-max", "0.5"),
+    "qfactor": ("--j-range", "0.2:0.3:0.1"),
+    "impurity-scan": ("--radii", "6"),
+    "near-impurity": ("--points", "2", "--j-max", "0.5"),
+    "potential-profile": ("--x-range=-100:100:100",),
+}
+
+# The impurity each subcommand that takes one places when given none.
+DEFAULT_IMPURITY = {
+    "spectrum": None,
+    "exchange-tilt": Impurity(-600, 600),
+    "exchange-barrier": Impurity(-600, 600),
+    "noise-compare": Impurity(-600, 600),
+    "qfactor": Impurity(-600, 600),
+    "near-impurity": Impurity(-150, 50, -0.01),
+}
+
+
 class TestConfig:
     def test_config_file_feeds_the_device(self, tmp_path):
         cfg = tmp_path / "device.cfg"
@@ -353,6 +378,53 @@ class TestConfig:
         text = out.read_text()
         assert "# impurity.charge_e = -0.5" in text
         assert "# impurity.x_nm = -600" in text
+
+    def test_a_bad_device_value_is_named_before_an_unknown_key(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("device.a_nm = -1\ndevice.bogus = 2\n")
+        assert main(["spectrum", "--config", str(cfg)]) == 2
+        assert capsys.readouterr() == ("", "dqdsim: error: a must be positive and finite, "
+                                           "got -1.0\n")
+
+    # A CSV's device and impurity header lines, with the '# ' removed, are a
+    # --config of its run: they give back the run's device and impurity to
+    # the 12 digits written, and a run from them alone writes the same bytes.
+    # The impurity comes from a config, from the flags, or is the default.
+    @pytest.mark.parametrize("case", ["config", "flags", "default"])
+    @pytest.mark.parametrize("sub", list(SMALL_GRIDS))
+    def test_the_setting_lines_are_a_config_of_the_run(self, sub, case, tmp_path, capsys):
+        takes_impurity = sub in DEFAULT_IMPURITY
+        device, imp, placing, argv = DeviceParams(), None, [], [sub, *SMALL_GRIDS[sub]]
+        if case == "config":
+            device = DeviceParams(eps_r=12.5, epsilon=0.05, xi=1.2)
+            text = "device.eps_r = 12.5\ncontrol.epsilon_mev = 0.05\ncontrol.xi_mev = 1.2\n"
+            if takes_impurity:
+                imp = Impurity(-450, 300, -0.5)
+                text += "impurity.x_nm = -450\nimpurity.y_nm = 300\nimpurity.charge_e = -0.5\n"
+            given = tmp_path / "given.cfg"
+            given.write_text(text)
+            placing = ["--config", str(given)]
+        elif case == "flags" and takes_impurity:
+            imp, placing = Impurity(-300, 200, -0.3), ["--impurity=-300,200", "--charge-e", "-0.3"]
+        elif case == "flags" and sub == "impurity-scan":
+            argv += ["--charge-e", "-0.3"]  # the charge of every scanned impurity: no setting
+        elif case == "default":
+            imp = DEFAULT_IMPURITY.get(sub)
+        assert main(argv + placing) == 0
+        first = capsys.readouterr()
+        lines = [line[2:] for line in first.out.splitlines()
+                 if line.startswith("# ") and line[2:].partition(" = ")[0] in _SETTINGS]
+        assert [line.partition(" = ")[0] for line in lines] == list(_SETTINGS)[
+            :6 if imp is None else 9]
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("".join(f"{line}\n" for line in lines))
+
+        def digits(record):
+            return record and [f"{v:.12g}" for v in dataclasses.astuple(record)]
+        assert list(map(digits, config_to_objects(read_config(str(cfg))))) == [
+            digits(device), digits(imp)]
+        assert main(argv + ["--config", str(cfg)]) == 0
+        assert capsys.readouterr() == first
 
 
 class TestFlags:
@@ -789,6 +861,20 @@ class TestContent:
         expected = [",".join(f"{v:.12g}" for v in (r.J_ghz, r.rel_tilt, r.rel_barrier, r.chi))
                     for r in improvement_factors(grid, default_impurity(base), base)]
         assert data_rows(out.read_text())[1:] == expected
+
+    # J0 is met at the device's own barrier, also where that lies outside
+    # BARRIER_BRACKET, so the first row compares both schemes at one device:
+    # chi = 1.  On the low barrier, tilt cannot lower J, so later rows fail.
+    @pytest.mark.parametrize("xi,code", [("1.5", 0), ("0.2", 2)])
+    def test_noise_compare_starts_at_the_devices_own_barrier(self, xi, code, tmp_path,
+                                                             capsys):
+        cfg = tmp_path / "device.cfg"
+        cfg.write_text(f"control.xi_mev = {xi}\n")
+        assert main(["noise-compare", "--config", str(cfg), "--points", "3"]) == code
+        out, err = capsys.readouterr()
+        first = data_rows(out)[1].split(",")
+        assert first[1] == first[2] and first[3] == "1"
+        assert "calibrate_barrier" not in err and ("nan" in out) == bool(code)
 
     def test_impurity_scan_header_reports_operating_point(self, tmp_path):
         out = tmp_path / "out.csv"

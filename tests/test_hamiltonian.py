@@ -718,6 +718,12 @@ class TestSolve:
         assert res.t0_energy == pytest.approx(U_12, rel=1e-14)
         assert res.J == solve(params, mode=AssemblyMode.PAPER).J  # the default mode
 
+    def test_a_j_that_overflows_in_ghz_is_a_named_error(self):
+        # J = 1e307 meV is finite; in GHz it is not.
+        assert exchange_J(DeviceParams(epsilon=1e307)) == 1e307
+        with pytest.raises(ValueError, match=r"^J = 1e\+307 meV overflows in GHz$"):
+            exchange_J_ghz(DeviceParams(epsilon=1e307))
+
     def test_default_exchange_full_mode(self, params):
         res = solve(params, mode=AssemblyMode.FULL)
         assert res.J == pytest.approx(J_FULL_MEV, rel=1e-12)

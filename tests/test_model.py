@@ -174,6 +174,31 @@ class TestConfig:
         _, imp = config_to_objects({"impurity.y_nm": "300", "impurity.charge_e": "-0.5"})
         assert imp == Impurity(0.0, 300.0, -0.5)
 
+    # Each step mends the fault named before it.  A device value comes
+    # first, then an impurity value, then a charge without a position, whose
+    # value is not read, and unknown keys last.
+    @pytest.mark.parametrize("cfg,steps", [
+        ({"device.bogus": "2", "impurity.x_nm": "abc", "device.a_nm": "-1",
+          "device.m_eff": "zz"}, [
+            ({}, "could not convert string to float: 'zz'"),
+            ({"device.m_eff": "0.07"}, "a must be positive and finite, got -1.0"),
+            ({"device.a_nm": "90"}, "could not convert string to float: 'abc'"),
+            ({"impurity.x_nm": "inf"}, "impurity x_c must be finite, got inf"),
+            ({"impurity.x_nm": "-450"}, "unknown config keys: ['device.bogus']")]),
+        ({"device.bogus": "2", "impurity.charge_e": "abc", "device.a_nm": "-1"}, [
+            ({}, "a must be positive and finite, got -1.0"),
+            ({"device.a_nm": "90"}, "impurity.charge_e given without impurity.x_nm or "
+                                    "impurity.y_nm: there is no impurity to charge"),
+            ({"impurity.y_nm": "300"}, "could not convert string to float: 'abc'"),
+            ({"impurity.charge_e": "-0.5"}, "unknown config keys: ['device.bogus']")]),
+    ])
+    def test_faults_are_named_in_a_fixed_order(self, cfg, steps):
+        for mend, message in steps:
+            cfg.update(mend)
+            with pytest.raises(ValueError) as err:
+                config_to_objects(cfg)
+            assert str(err.value) == message
+
     def test_nonfinite_device_rejected(self):
         with pytest.raises(ValueError, match="^a must be positive and finite, got nan"):
             config_to_objects({"device.a_nm": "nan"})

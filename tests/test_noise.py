@@ -198,6 +198,21 @@ class TestCalibration:
         assert eps == 0.0 and math.copysign(1.0, eps) == 1.0
         assert xi == params.xi
 
+    # J0 is met at the device's own barrier, so the barrier bracket widens to
+    # hold it: on a device whose xi lies outside BARRIER_BRACKET, J0
+    # calibrates to that xi exactly, and a target between J0 and the
+    # bracket's J calibrates inside the widened bracket.
+    @pytest.mark.parametrize("xi", [1.5, 0.2])
+    def test_the_barrier_bracket_holds_the_devices_own_barrier(self, xi):
+        base = DeviceParams(xi=xi)
+        j0 = exchange_J_ghz(base)
+        assert calibrate_barrier(j0, base) == xi
+        j_mid = math.sqrt(j0 * exchange_J_ghz(DeviceParams(xi=1.3 if xi > 1.3 else 0.3)))
+        xi_star = calibrate_barrier(j_mid, base)
+        assert min(xi, 0.3) < xi_star < max(xi, 1.3)
+        assert exchange_J_ghz(control_point("barrier", base, xi_star)) == pytest.approx(
+            j_mid, rel=1e-6)
+
 
 class TestClosedForm:
     """The closed-form roots of calibrate_many against a 50-digit root-find
