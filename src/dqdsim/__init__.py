@@ -38,7 +38,6 @@ from .orbitals import (
     overlap_s,
 )
 from .integrals import (
-    build_tables,
     coulomb_element,
     i0e,
     impurity_element,
@@ -117,7 +116,6 @@ __all__ = [
     "TILT_BRACKET",
     "assemble_matrix",
     "build_basis",
-    "build_tables",
     "calibrate_barrier",
     "calibrate_many",
     "calibrate_tilt",

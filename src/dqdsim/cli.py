@@ -255,6 +255,8 @@ def cmd_noise_compare(args) -> int:
 
     ``near-impurity`` runs the same comparison; without an impurity it
     places a weak charge close to the dots: q = -0.01 e at (-1.5 a, 0.5 a)."""
+    if args.points > MAX_GRID_POINTS:
+        raise ValueError(f"--points must be at most {MAX_GRID_POINTS}, got {args.points}")
     near = args.subcommand == "near-impurity"
     base, imp, mode = _resolve(args, default_impurity_wanted=not near)
     if imp is None:  # near-impurity given no impurity

@@ -32,14 +32,12 @@ import dataclasses
 import enum
 import functools
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .integrals import IntegralTables, _device_integrals, impurity_table
+from .integrals import _device_integrals, impurity_table
 from .model import MEV_TO_GHZ, DeviceParams, Impurity, check_controls
-from .orbitals import OrbitalBasis
 
 
 class AssemblyMode(str, enum.Enum):
@@ -47,8 +45,7 @@ class AssemblyMode(str, enum.Enum):
     FULL = "full"
 
 
-@dataclass(frozen=True)
-class HubbardParams:
+class HubbardParams(NamedTuple):
     """Parameters of the 4x4 model, all in meV."""
     t: float            # bare hopping, -h~_12
     U1: float
@@ -83,15 +80,6 @@ def _two_body(M: np.ndarray, coulomb: np.ndarray) -> dict[str, float]:
                 corr_hop2=float(V4[1, 1, 1, 0]))
 
 
-def hubbard_from_tables(params: DeviceParams, basis: OrbitalBasis,
-                        tables: IntegralTables) -> HubbardParams:
-    """Transform integral tables by the Lowdin matrix and read off the model;
-    the device detuning adds to the per-dot depths of the tables."""
-    (hp,) = _unstack(_hubbard(basis.M, tables.one_body, params.mu1, params.mu2,
-                              tables.impurity, _two_body(basis.M, tables.coulomb)))
-    return hp
-
-
 def _hubbard(M: np.ndarray, one_body: np.ndarray, mu1, mu2, impurity: np.ndarray | None,
              two_body: dict[str, float]) -> HubbardParams:
     """The model of each point of a stack, from its one-body matrix and its
@@ -118,8 +106,7 @@ def _hubbard(M: np.ndarray, one_body: np.ndarray, mu1, mu2, impurity: np.ndarray
 def _unstack(hp: HubbardParams) -> list[HubbardParams]:
     """One HubbardParams of floats per point of a stacked one."""
     shape = np.shape(hp.t)
-    columns = [np.broadcast_to(getattr(hp, f.name), shape).ravel().tolist()
-               for f in dataclasses.fields(hp)]
+    columns = [np.broadcast_to(value, shape).ravel().tolist() for value in hp]
     return [HubbardParams(*row) for row in zip(*columns)]
 
 

@@ -22,7 +22,6 @@ carry every element, and each reduces to Gaussian moments:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,7 +31,7 @@ from .potential import quartic_pieces
 
 __all__ = [
     "i0e", "kinetic_element", "potential_element", "coulomb_element",
-    "impurity_element", "impurity_table", "IntegralTables", "build_tables",
+    "impurity_element", "impurity_table",
 ]
 
 # --------------------------------------------------------------------------
@@ -169,48 +168,25 @@ def _device_integrals(params: DeviceParams):
     return basis, kinetic[_PAIRS], confinement[_PAIRS], bump[_PAIRS], coulomb
 
 
-@dataclass(frozen=True)
-class IntegralTables:
-    """All matrix elements needed by the 4x4 assembly.
-
-    kinetic, confinement : (2, 2) one-body elements in the dot basis
-    coulomb              : (2, 2, 2, 2) two-body tensor, index order
-                           <ij|v|kl> (electron 1: i->k, electron 2: j->l)
-    impurity             : (2, 2) impurity elements, or None
-    """
-    kinetic: np.ndarray
-    confinement: np.ndarray
-    coulomb: np.ndarray
-    impurity: np.ndarray | None
-
-    @property
-    def one_body(self) -> np.ndarray:
-        return self.kinetic + self.confinement
-
-
-def build_tables(params: DeviceParams, imp: Impurity | None = None) -> IntegralTables:
-    """The device's tables at its own detuning and barrier amplitude:
-    _device_integrals with xi times the bump added, and the impurity's."""
-    _, kinetic, confinement, bump, coulomb = _device_integrals(params)
-    W = None if imp is None else impurity_table([imp], params)[0]
-    return IntegralTables(kinetic=kinetic, confinement=confinement + params.xi * bump,
-                          coulomb=coulomb, impurity=W)
+# perfbench/tracing.py times the table build under this name.
+build_tables = _device_integrals
 
 
 def kinetic_element(i: int, j: int, params: DeviceParams) -> float:
     """<phi_i| -hbar^2/(2 m*) lap |phi_j>  [meV]."""
-    return float(build_tables(params).kinetic[i, j])
+    return float(_device_integrals(params)[1][i, j])
 
 
 def potential_element(i: int, j: int, params: DeviceParams) -> float:
     """<phi_i| V |phi_j> for the full confinement potential  [meV]."""
-    return float(build_tables(params).confinement[i, j])
+    _, _, confinement, bump, _ = _device_integrals(params)
+    return float((confinement + params.xi * bump)[i, j])
 
 
 def coulomb_element(i: int, j: int, k: int, l: int, params: DeviceParams) -> float:
     """(ij|kl) = integral of rho_ij(r1) rho_kl(r2) e^2/(4 pi kappa r12),
     with rho_ij = phi_i phi_j  [meV]."""
-    return float(build_tables(params).coulomb[i, k, j, l])
+    return float(_device_integrals(params)[4][i, k, j, l])
 
 
 def impurity_element(i: int, j: int, imp: Impurity, params: DeviceParams) -> float:

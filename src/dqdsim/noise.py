@@ -130,13 +130,16 @@ def _miss(label, j_target_ghz, c, j):
     return d
 
 
-def _settle(scheme, j_target_ghz, base, root, j_lo, j_hi, j_root):
+def _settle(scheme, j_target_ghz, base, root, j_lo, j_hi, j_root, j0):
     """The control value of one calibration on the device base, given the
-    clean J [GHz] at its bracket ends and at its closed-form root, each maybe
-    the exception its solve raised: the end at which J meets the target
-    exactly, else the root, at which J must lie within 1e-6 of the target.
-    A target not strictly between J at the ends raises CalibrationError
-    naming the J reachable there."""
+    clean J [GHz] at its bracket ends, at its closed-form root and at
+    epsilon = 0 on the device's own barrier (J0), each maybe the exception
+    its solve raised: the control of that J0 point, or else of an end, at
+    which J meets the target exactly, else the root, at which J must lie
+    within 1e-6 of the target.  A target not strictly between J at the ends
+    raises CalibrationError naming the J reachable there."""
+    if j0 == j_target_ghz:
+        return 0.0 if scheme == "tilt" else base.xi
     label = f"calibrate_{scheme}"
     lo, hi = _bracket(scheme, base)
     f_lo = _miss(label, j_target_ghz, lo, j_lo)
@@ -214,12 +217,13 @@ def _calibrated(requests, base: DeviceParams, mode: AssemblyMode, imps=()) -> tu
     imps the NoiseRecord of every request at its control.
 
     Every root comes in closed form (_roots).  One stack solves the clean J
-    at every distinct bracket end and root, and J with each impurity at
-    every root, and at the ends too given at most one impurity.  A request
-    settles by _settle and takes its records there, at an end not solved
-    with the impurities from a second stack of it with each.  An entry is
-    the exception its calibration, or else its record, raised instead; a
-    device that cannot be built fails every entry with its error."""
+    at every distinct bracket end, J0 point and root, and J with each
+    impurity at every root, and at the others too given at most one
+    impurity.  A request settles by _settle and takes its records there, at
+    a point not solved with the impurities from a second stack of it with
+    each.  An entry is the exception its calibration, or else its record,
+    raised instead; a device that cannot be built fails every entry with
+    its error."""
     requests, imps = list(requests), list(imps)
     for scheme, _ in requests:
         if scheme not in ("tilt", "barrier"):
@@ -228,8 +232,11 @@ def _calibrated(requests, base: DeviceParams, mode: AssemblyMode, imps=()) -> tu
         roots = _roots(requests, base, mode)
     except Exception as exc:  # the device's own failure
         return [exc] * len(requests), [[exc] * len(requests) for _ in imps]
-    ends = list(dict.fromkeys(control_values(scheme, base, c)
-                              for scheme, _ in requests for c in _bracket(scheme, base)))
+    # J0, at epsilon = 0 on the device's own barrier, is the tilt bracket's
+    # lower end, and is solved with the ends when no tilt request brings it.
+    at_j0 = control_values("tilt", base, 0.0)
+    ends = list(dict.fromkeys([*(control_values(scheme, base, c) for scheme, _ in requests
+                                 for c in _bracket(scheme, base)), at_j0]))
     settings = ends + [control_values(scheme, base, c) for (scheme, _), c in zip(requests, roots)]
     # J [GHz] clean at every setting, then with each impurity in turn at every
     # setting (given at most one impurity) or only at every root.
@@ -242,7 +249,8 @@ def _calibrated(requests, base: DeviceParams, mode: AssemblyMode, imps=()) -> tu
     for (scheme, target), root, at_root in zip(requests, roots, settings[len(ends):]):
         try:
             j_ends = (clean[control_values(scheme, base, e)] for e in _bracket(scheme, base))
-            controls.append(_settle(scheme, target, base, root, *j_ends, clean[at_root]))
+            controls.append(_settle(scheme, target, base, root, *j_ends, clean[at_root],
+                                    clean[at_j0]))
         except Exception as exc:  # this calibration's own failure
             controls.append(exc)
     settled = [None if isinstance(c, Exception) else control_values(scheme, base, c)

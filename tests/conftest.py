@@ -1,5 +1,5 @@
-"""Shared fixtures: the default device, its basis/tables, and the
-reference impurity used across the suite."""
+"""Shared fixtures: the default device, its basis, its closed-form build,
+and the reference impurity used across the suite."""
 
 import os
 from pathlib import Path
@@ -9,10 +9,10 @@ import pytest
 from dqdsim import (
     DeviceParams,
     build_basis,
-    build_tables,
     default_impurity,
     derive_constants,
 )
+from dqdsim.integrals import _device_integrals
 
 # pyproject's pythonpath puts src on this process's path; the CLI tests'
 # subprocesses import the package from the same checkout.
@@ -41,5 +41,6 @@ def impurity(params):
 
 
 @pytest.fixture(scope="session")
-def tables(params, impurity):
-    return build_tables(params, imp=impurity)
+def tables(params):
+    """(basis, kinetic, confinement, bump, coulomb) of the default device."""
+    return _device_integrals(params)

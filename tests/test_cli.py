@@ -7,6 +7,7 @@ import math
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -501,6 +502,22 @@ class TestFlags:
         assert f"error: {message}" in capsys.readouterr().err
         assert not out.exists()
 
+    # A grid of more points than MAX_GRID_POINTS is rejected by its flag
+    # before any grid is built or any J solved.
+    @pytest.mark.parametrize("command", ["noise-compare", "near-impurity"])
+    def test_too_many_matched_j_points_are_rejected_unsolved(self, command, monkeypatch,
+                                                            tmp_path, capsys):
+        def no_work(*args, **kwargs):
+            raise AssertionError("a grid was built or a J solved")
+        monkeypatch.setattr(cli, "matched_j_grid", no_work)
+        monkeypatch.setattr(noise, "solve_stack", no_work)
+        out = tmp_path / "out.csv"
+        points = 1000 * MAX_GRID_POINTS
+        assert main([command, "--points", str(points), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"dqdsim: error: --points must be at most {MAX_GRID_POINTS}, got {points}\n")
+        assert not out.exists()
+
     def test_unconverged_calibration_is_reported(self, monkeypatch, tmp_path, capsys):
         # Every tilt root lands off its target; J0, at the bracket end, has none.
         real = noise._roots
@@ -862,10 +879,10 @@ class TestContent:
                     for r in improvement_factors(grid, default_impurity(base), base)]
         assert data_rows(out.read_text())[1:] == expected
 
-    # J0 is met at the device's own barrier, also where that lies outside
-    # BARRIER_BRACKET, so the first row compares both schemes at one device:
+    # J0 is met at the device's own barrier, inside BARRIER_BRACKET or
+    # outside it, so the first row compares both schemes at one device:
     # chi = 1.  On the low barrier, tilt cannot lower J, so later rows fail.
-    @pytest.mark.parametrize("xi,code", [("1.5", 0), ("0.2", 2)])
+    @pytest.mark.parametrize("xi,code", [("1.5", 0), ("0.2", 2), ("1.1", 0)])
     def test_noise_compare_starts_at_the_devices_own_barrier(self, xi, code, tmp_path,
                                                              capsys):
         cfg = tmp_path / "device.cfg"
@@ -875,6 +892,20 @@ class TestContent:
         first = data_rows(out)[1].split(",")
         assert first[1] == first[2] and first[3] == "1"
         assert "calibrate_barrier" not in err and ("nan" in out) == bool(code)
+
+    # J0 is met at the device's own barrier also where J is not monotone in
+    # xi over the bracket (minimum near xi = 1.15 meV on this device); 1 GHz
+    # lies beyond the barrier's reach there, so only the last row fails.
+    def test_noise_compare_meets_j0_where_j_is_not_monotone_in_xi(self, tmp_path, capsys):
+        cfg = tmp_path / "device.cfg"
+        cfg.write_text("device.a_nm = 110\ndevice.m_eff = 0.07\ncontrol.xi_mev = 1.2\n")
+        assert main(["noise-compare", "--config", str(cfg), "--points", "3"]) == 2
+        out, err = capsys.readouterr()
+        rows = [row.split(",") for row in data_rows(out)[1:]]
+        assert rows[0][1] == rows[0][2] and rows[0][3] == "1"
+        assert [row[0] for row in rows if row[3] == "nan"] == ["1"]
+        assert err.startswith("dqdsim: error: J = 1 GHz: calibrate_barrier: target 1 GHz outside")
+        assert len(err.splitlines()) == 1
 
     def test_impurity_scan_header_reports_operating_point(self, tmp_path):
         out = tmp_path / "out.csv"
@@ -886,10 +917,14 @@ class TestContent:
         assert len(rows) == 1 + 3  # header + one radius in three directions
 
 
-@pytest.mark.skipif(shutil.which("dqdsim") is None,
-                    reason="console script not on PATH")
 def test_console_script_entry_point():
-    proc = subprocess.run(["dqdsim", "--version"],
-                          capture_output=True, text=True, timeout=60)
-    assert proc.returncode == 0
-    assert __version__ in proc.stdout
+    # The console script calls dqdsim.cli:main, as `python -m dqdsim.cli`
+    # does; where the package is installed, the script is on PATH too.
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+    scripts = tomllib.loads(pyproject.read_text())["project"]["scripts"]
+    assert scripts == {"dqdsim": "dqdsim.cli:main"}
+    for command in [CLI, ["dqdsim"]] if shutil.which("dqdsim") else [CLI]:
+        proc = subprocess.run(command + ["--version"], capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0
+        assert __version__ in proc.stdout

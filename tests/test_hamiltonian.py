@@ -18,20 +18,16 @@ from dqdsim import (
     Impurity,
     T0_VECTOR,
     assemble_matrix,
-    build_basis,
-    build_tables,
     exchange_J,
     exchange_J_ghz,
     hubbard_exchange_estimate,
     hubbard_noise_estimate,
     hubbard_parameters,
     jacobi_eigh,
-    overlap_matrix,
     solve,
 )
 from dqdsim import cli, hamiltonian
-from dqdsim.crosscheck import sample_device, sample_impurity
-from dqdsim.hamiltonian import hubbard_from_tables
+from dqdsim.crosscheck import fresh_model, sample_device, sample_impurity
 
 # Frozen from high-precision evaluation at the default device
 # (a = 100 nm, hbar_omega0 = 0.1 meV, epsilon = 0, xi = 1.3); the Z
@@ -663,7 +659,7 @@ class TestStackedModel:
             params = dataclasses.replace(device, epsilon=float(epsilon[k]), xi=float(xi[k]))
             alone = solve(params, imps[rows[k]], mode)
             hp = hubbard_parameters(params, imps[rows[k]])
-            assert same_bits(dataclasses.astuple(one), dataclasses.astuple(hp))
+            assert same_bits(one, hp)
             assert same_bits(row, assemble_matrix(hp, mode))
             assert same_bits((evals[k], evecs[k], J[k]),
                              (alone.eigenvalues, alone.eigenvectors, alone.J))
@@ -752,15 +748,12 @@ class TestSolve:
         barriers = [exchange_J(DeviceParams(xi=x)) for x in (0.5, 0.8, 1.1, 1.3)]
         assert all(b < a for a, b in zip(barriers, barriers[1:]))
 
-    def test_global_energy_shift_leaves_exchange_unchanged(self, basis, impurity):
+    def test_global_energy_shift_leaves_exchange_unchanged(self, impurity):
         # Shifting the one-body operator by c*S only moves the trace: the
         # common level takes the shift and every other parameter stays.
         point = DeviceParams(epsilon=0.37, xi=1.1)
-        tables = build_tables(dataclasses.replace(point, epsilon=0.0), imp=impurity)
-        shifted = dataclasses.replace(
-            tables, confinement=tables.confinement + 3.7 * overlap_matrix(basis))
-        ref = dataclasses.asdict(hubbard_from_tables(point, basis, tables))
-        moved = dataclasses.asdict(hubbard_from_tables(point, basis, shifted))
+        ref = fresh_model(point, impurity)._asdict()
+        moved = fresh_model(point, impurity, 3.7)._asdict()
         assert moved.pop("offset") - ref.pop("offset") == pytest.approx(3.7, rel=0, abs=1e-12)
         for name, value in ref.items():
             assert moved[name] == pytest.approx(value, rel=0, abs=1e-12), name
@@ -768,7 +761,7 @@ class TestSolve:
 
 class TestDeviceBuiltOnce:
     """hubbard_parameters builds each device once and applies the controls
-    on top; that must agree with a build of the tables from scratch."""
+    on top; that must agree with an uncached build of the device."""
 
     @settings(max_examples=100, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), eps=st.floats(-1.0, 1.0),
@@ -780,10 +773,8 @@ class TestDeviceBuiltOnce:
         # The second point of the same device reuses the first one's build.
         for point in (dataclasses.replace(device, epsilon=eps, xi=xi),
                       dataclasses.replace(device, epsilon=-eps, xi=1.5 - xi)):
-            fresh = hubbard_from_tables(point, build_basis(point), build_tables(
-                dataclasses.replace(point, epsilon=0.0), imp=imp))
-            got = dataclasses.asdict(hubbard_parameters(point, imp))
-            for name, value in dataclasses.asdict(fresh).items():
+            got = hubbard_parameters(point, imp)._asdict()
+            for name, value in fresh_model(point, imp)._asdict().items():
                 assert got[name] == pytest.approx(value, rel=0, abs=1e-14), name
 
     @settings(max_examples=30, deadline=None)
@@ -799,10 +790,8 @@ class TestDeviceBuiltOnce:
         for imp in (imp_a, imp_b, imp_a):
             for point in (dataclasses.replace(device, epsilon=eps, xi=xi),
                           dataclasses.replace(device, epsilon=-eps, xi=1.5 - xi)):
-                fresh = hubbard_from_tables(point, build_basis(point), build_tables(
-                    dataclasses.replace(point, epsilon=0.0), imp=imp))
-                got = dataclasses.asdict(hubbard_parameters(point, imp))
-                for name, value in dataclasses.asdict(fresh).items():
+                got = hubbard_parameters(point, imp)._asdict()
+                for name, value in fresh_model(point, imp)._asdict().items():
                     assert got[name] == pytest.approx(value, rel=0, abs=1e-14), name
 
 
@@ -817,7 +806,7 @@ class TestPerturbativeEstimate:
         hp = hubbard_parameters(params)
         errs = []
         for f in (1.0, 0.5, 0.25):
-            small = dataclasses.replace(hp, t=hp.t * f)
+            small = hp._replace(t=hp.t * f)
             H = assemble_matrix(small, AssemblyMode.PAPER)
             evals, evecs = jacobi_eigh(H)
             i = int(np.argmax(np.abs(T0_VECTOR @ evecs)))

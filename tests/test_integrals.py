@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from dqdsim import (
     DeviceParams,
     Impurity,
-    build_tables,
     coulomb_element,
     impurity_element,
     kinetic_element,
@@ -149,31 +148,42 @@ class TestEdgeBehavior:
 
 
 class TestTables:
-    def test_one_body_is_kinetic_plus_confinement(self, tables):
-        np.testing.assert_allclose(
-            tables.one_body, tables.kinetic + tables.confinement,
-            rtol=0.0, atol=0.0)
-
-    def test_entries_match_element_functions(self, params, impurity, tables):
+    def test_one_body_is_kinetic_plus_confinement(self, params, tables):
+        # The one-body matrix of the model (hamiltonian._model) is the sum
+        # of the kinetic and potential elements, bit for bit.
+        _, kinetic, confinement, bump, _ = tables
+        one_body = kinetic + (confinement + params.xi * bump)
         for i in range(2):
             for j in range(2):
-                assert tables.kinetic[i, j] == kinetic_element(i, j, params)
-                assert tables.confinement[i, j] == potential_element(i, j, params)
-                assert tables.impurity[i, j] == impurity_element(
-                    i, j, impurity, params)
+                assert one_body[i, j] == (kinetic_element(i, j, params)
+                                          + potential_element(i, j, params))
+
+    def test_entries_match_element_functions(self, params, impurity, tables):
+        _, kinetic, confinement, bump, _ = tables
+        W = impurity_table([impurity], params)[0]
+        for i in range(2):
+            for j in range(2):
+                assert kinetic[i, j] == kinetic_element(i, j, params)
+                assert confinement[i, j] + params.xi * bump[i, j] == potential_element(
+                    i, j, params)
+                assert W[i, j] == impurity_element(i, j, impurity, params)
 
     def test_coulomb_tensor_uses_bra_bra_ket_ket_order(self, params, tables):
-        # tables.coulomb[i, j, k, l] = <ij|kl> = (ik|jl) in pair notation.
+        # coulomb[i, j, k, l] = <ij|kl> = (ik|jl) in pair notation.
+        coulomb = tables[-1]
         for i in range(2):
             for j in range(2):
                 for k in range(2):
                     for l in range(2):
-                        assert tables.coulomb[i, j, k, l] == coulomb_element(
-                            i, k, j, l, params)
+                        assert coulomb[i, j, k, l] == coulomb_element(i, k, j, l, params)
 
     def test_without_impurity_table_is_absent(self, params):
-        t = build_tables(params)
-        assert t.impurity is None
+        # With no impurity the model carries no impurity matrix at all: its
+        # impurity fields are exact zeros, alone and in a stack.
+        hp = hamiltonian.hubbard_parameters(params)
+        assert (hp.Zt1, hp.Zt2, hp.Zt12) == (0.0, 0.0, 0.0)
+        stacked = hamiltonian._model(dataclasses.replace(params, xi=0.0), np.zeros(2), np.ones(2), np.zeros(2, dtype=int), [])
+        assert (stacked.Zt1, stacked.Zt2, stacked.Zt12) == (0.0, 0.0, 0.0)
 
 
 def _impurity_element_scalar(i, j, imp, params):

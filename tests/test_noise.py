@@ -201,8 +201,9 @@ class TestCalibration:
     # J0 is met at the device's own barrier, so the barrier bracket widens to
     # hold it: on a device whose xi lies outside BARRIER_BRACKET, J0
     # calibrates to that xi exactly, and a target between J0 and the
-    # bracket's J calibrates inside the widened bracket.
-    @pytest.mark.parametrize("xi", [1.5, 0.2])
+    # bracket's J calibrates inside the widened bracket.  Inside the bracket
+    # too, J0 calibrates to xi itself, not to the closed-form root next to it.
+    @pytest.mark.parametrize("xi", [1.5, 0.2, 1.1])
     def test_the_barrier_bracket_holds_the_devices_own_barrier(self, xi):
         base = DeviceParams(xi=xi)
         j0 = exchange_J_ghz(base)

@@ -1,13 +1,14 @@
 """The plain records are typing.NamedTuples with the fields, defaults and
-repr they had as frozen dataclasses; the records that are lru_cache keys,
-or that callers replace or asdict, stay frozen dataclasses."""
+repr they had as frozen dataclasses; the records that are lru_cache keys
+(and that callers copy with dataclasses.replace) stay frozen dataclasses."""
 import dataclasses
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from dqdsim.hamiltonian import HubbardParams, SpectrumResult
-from dqdsim.integrals import IntegralTables
 from dqdsim.model import (CheckResult, DerivedConstants, DeviceParams, Impurity,
                           ValidationReport, validate_params)
 from dqdsim.noise import QualityModel
@@ -46,6 +47,13 @@ RECORDS = {
         lambda: SpectrumResult(np.array([1.0, 2.0]), np.eye(2), 0.5, 1.5),
         "SpectrumResult(eigenvalues=array([1., 2.]), eigenvectors=array([[1., 0.],\n"
         "       [0., 1.]]), J=0.5, t0_energy=1.5)"),
+    HubbardParams: (
+        {"t": None, "U1": None, "U2": None, "U12": None, "mu1": None, "mu2": None,
+         "Zt1": 0.0, "Zt2": 0.0, "Zt12": 0.0, "exchange_k": 0.0, "corr_hop1": 0.0,
+         "corr_hop2": 0.0, "offset": 0.0},
+        lambda: HubbardParams(0.005, 1.33, 1.33, 0.64, -0.25, 0.25, Zt12=0.01),
+        "HubbardParams(t=0.005, U1=1.33, U2=1.33, U12=0.64, mu1=-0.25, mu2=0.25, Zt1=0.0, "
+        "Zt2=0.0, Zt12=0.01, exchange_k=0.0, corr_hop1=0.0, corr_hop2=0.0, offset=0.0)"),
     QualityModel: (
         {"sigma_rel": None, "sigma_floor_ghz": 0.0},
         lambda: QualityModel(0.02),
@@ -87,11 +95,23 @@ def test_methods_and_properties_survive():
     assert basis.M.tolist() == [[1.5, -0.5], [-0.5, 1.5]]
     assert basis.R.tolist() == [[-100.0, 0.0], [100.0, 0.0]]
     assert validate_params(DeviceParams()).ok
+    hp = HubbardParams(0.005, 1.33, 1.33, 0.64, -0.25, 0.25)
+    assert hp.delta_u == 0.5 * (1.33 + 1.33) - 0.64 and hp.detuning == 0.5
     assert not ValidationReport((CheckResult("xi finite", False),)).ok
 
 
-@pytest.mark.parametrize("cls", [HubbardParams, IntegralTables, DeviceParams, Impurity],
-                         ids=lambda cls: cls.__name__)
+@pytest.mark.parametrize("cls", [DeviceParams, Impurity], ids=lambda cls: cls.__name__)
 def test_replaced_and_cached_records_stay_frozen_dataclasses(cls):
     assert dataclasses.is_dataclass(cls) and not issubclass(cls, tuple)
     assert cls.__dataclass_params__.frozen
+
+
+def test_the_cache_keys_are_the_only_dataclasses_the_cli_loads():
+    code = ("import dataclasses, sys, dqdsim.cli\n"
+            "print(sorted(f'{m.__name__}.{k}' for n, m in list(sys.modules.items())"
+            " if n.startswith('dqdsim') for k, v in vars(m).items()"
+            " if isinstance(v, type) and dataclasses.is_dataclass(v)"
+            " and v.__module__ == m.__name__))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "['dqdsim.model.DeviceParams', 'dqdsim.model.Impurity']"
