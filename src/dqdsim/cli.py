@@ -5,7 +5,8 @@ spectra, exchange-vs-control curves, impurity noise sweeps for the tilt and
 barrier schemes, quality factors, and impurity-position scans -- and emit
 deterministic CSV (stable column order, ``%.12g`` floats, provenance in
 ``#`` comment lines, no timestamps), so reruns with equal inputs are
-byte-identical.  ``dqdsim validate`` runs the built-in cross-check suite.
+byte-identical; a table goes out as columns, with nan cells at a failed
+point.  ``dqdsim validate`` runs the built-in cross-check suite.
 
 Exit codes: 0 on success, 1 when ``validate`` finds a failing check, 2 on
 bad arguments or any per-point fatal error during a sweep.
@@ -14,8 +15,8 @@ bad arguments or any per-point fatal error during a sweep.
 from __future__ import annotations
 
 import argparse
-import functools
 import io
+import itertools
 import math
 import sys
 
@@ -30,11 +31,11 @@ from .noise import (
     NoiseRecord,
     QualityModel,
     _calibrated,
+    _noise_table,
     default_impurity,
     improvement_factors,
     matched_j_grid,
     quality_factor,
-    sweep,
 )
 from .potential import eval_potential
 
@@ -51,39 +52,40 @@ def _fmt(v) -> str:
     return str(v)
 
 
-@functools.cache
-def _row_format(types: tuple) -> tuple[str, tuple[int, ...]]:
-    """The '%' template of a data row whose cells have these types, %.12g
-    for a float and %s for anything else (as _fmt writes them), and the
-    positions of the cells that are not floats."""
-    floats = [issubclass(t, float) for t in types]
-    return (",".join("%.12g" if f else "%s" for f in floats) + "\n",
-            tuple(i for i, f in enumerate(floats) if not f))
-
-
 _QUOTED = frozenset(',"\r\n')  # a text cell with one of these would need CSV quoting
 
 
-def _emit(path: str | None, header_lines: list[str], fieldnames, rows) -> None:
-    """Write provenance comments, a header row, and data rows as CSV.
+def _emit(path: str | None, header_lines: list[str], fieldnames, blocks) -> None:
+    """Write provenance comments, a header row, and blocks as CSV.
 
-    A data row is written with one '%' template per row of cell types.  No
-    cell is quoted, so a text cell that would need quoting raises
-    ValueError, naming it, before anything is written."""
+    A block is an interior comment line (str) or rows given as columns (an
+    array's cells are its tolist() values), written with one '%' template:
+    %.12g for a column of floats, and _fmt's text for any other.  No cell is
+    quoted, so a text cell that would need quoting raises ValueError, naming
+    the first in row order, before anything is written."""
     buf = io.StringIO()
     for line in header_lines:
         buf.write(f"# {line}\n")
     buf.write(",".join(fieldnames) + "\n")
-    for row in rows:
-        if isinstance(row, str):          # interior comment line
-            buf.write(f"# {row}\n")
+    for block in blocks:
+        if isinstance(block, str):          # interior comment line
+            buf.write(f"# {block}\n")
             continue
-        row = tuple(row)
-        template, text_cells = _row_format(tuple(map(type, row)))
-        for i in text_cells:
-            if not _QUOTED.isdisjoint(str(row[i])):
-                raise ValueError(f"CSV cell {str(row[i])!r} would need quoting")
-        buf.write(template % row)
+        columns, formats = [], []
+        for col in block:
+            col = col.tolist() if isinstance(col, np.ndarray) else list(col)
+            types = set(map(type, col))
+            floats = all(issubclass(t, float) for t in types)
+            columns.append(col if floats or types <= {str} else list(map(_fmt, col)))
+            formats.append("%.12g" if floats else "%s")
+        # Each distinct text cell is checked once.
+        quoted = {c for col, f in zip(columns, formats) if f == "%s"
+                  for c in set(col) if not _QUOTED.isdisjoint(c)}
+        rows = list(zip(*columns))
+        if quoted:
+            cell = next(c for row in rows for c in row if c in quoted)
+            raise ValueError(f"CSV cell {cell!r} would need quoting")
+        buf.write((",".join(formats) + "\n") * len(rows) % tuple(itertools.chain(*rows)))
     text = buf.getvalue()
     if path in (None, "-"):
         sys.stdout.write(text)
@@ -161,19 +163,23 @@ def _resolve(args, *, default_impurity_wanted: bool = False):
     return base, imp, AssemblyMode(args.mode) if "mode" in args else None
 
 
-def _sweep_rows(scheme: str, values: list[float], base: DeviceParams, imp: Impurity,
-                mode: AssemblyMode, failures: list[str]) -> list[tuple]:
-    """The CSV row of each control value of a sweep: its NoiseRecord, or
-    NaN where the value failed, whose message is appended to failures."""
-    rows = []
-    for value, rec in zip(values, sweep(scheme, values, base, imp, mode)):
-        if isinstance(rec, NoiseRecord):
-            rows.append(rec)
-        else:
-            rows.append((scheme, value) + (math.nan,) * 4)
-            failures.append(f"dqdsim: error at {scheme} control {_fmt(value)} meV: "
-                            f"{type(rec).__name__}: {rec}")
-    return rows
+def _sweep(args, scheme: str, key: str, spec: str, zoom: str | None = None) -> int:
+    """Write the NoiseRecord columns of a sweep over one scheme's control
+    values, the grid spec names (key = spec in the header), NaN in a row
+    whose value failed, with its error on stderr in row order; a zoom grid's
+    rows follow those of spec after an interior comment line."""
+    base, imp, mode = _resolve(args, default_impurity_wanted=True)
+    values = _parse_range(spec)
+    n_main = len(values)
+    values += _parse_range(zoom) if zoom else []
+    table, failed = _noise_table([(scheme, v) for v in values], base, imp, mode)
+    columns = [[scheme] * len(values), values, *table]
+    blocks = [columns] if zoom is None else [
+        [c[:n_main] for c in columns], f"zoom {key} = {zoom}", [c[n_main:] for c in columns]]
+    header = _provenance(f"exchange-{scheme}", args, base, mode, imp, (f"{key} = {spec}",))
+    _emit(args.out, header, NoiseRecord.CSV_FIELDS, blocks)
+    return _report([f"dqdsim: error at {scheme} control {_fmt(values[i])} meV: "
+                    f"{type(exc).__name__}: {exc}" for i, exc in sorted(failed.items())])
 
 
 def _report(failures: list[str]) -> int:
@@ -196,34 +202,25 @@ def cmd_spectrum(args) -> int:
                          "there is no impurity to charge")
     eps_values = _parse_range(args.eps_range)
     xi_values = _parse_range(args.xi_range) if args.xi_range else [1.3, 1.0]
-    grid = [(eps, xi) for xi in xi_values for eps in eps_values]
-    epsilon, xi = np.array(grid).T
-    imp_rows, imps = (None, []) if imp is None else (np.ones(len(grid), int), [imp])
+    epsilon, xi = (a.ravel() for a in np.meshgrid(eps_values, xi_values))  # xi outermost
+    imp_rows, imps = (None, []) if imp is None else (np.ones(len(xi), int), [imp])
     failed, _, evals, _, J = solve_stack(base, epsilon, xi, imp_rows, imps, mode)
-    if failed:
-        raise failed[min(failed)]
-    rows = [(eps, xi, e0, e1, j, j_ghz) for (eps, xi), (e0, e1), j, j_ghz
-            in zip(grid, evals[:, :2].tolist(), J.tolist(), unwrap(in_ghz(J)))]
+    ghz, over = in_ghz(J)
+    for errors in (failed, over):
+        if errors:
+            raise errors[min(errors)]
     header = _provenance("spectrum", args, base, mode, imp, (
         f"eps_range = {args.eps_range}",
         f"xi_values = {','.join(_fmt(x) for x in xi_values)}",
     ))
-    _emit(args.out, header,
-          ("epsilon_mev", "xi_mev", "E0_mev", "E1_mev", "J_mev", "J_ghz"), rows)
+    _emit(args.out, header, ("epsilon_mev", "xi_mev", "E0_mev", "E1_mev", "J_mev", "J_ghz"),
+          [(epsilon, xi, evals[:, 0], evals[:, 1], J, ghz)])
     return 0
 
 
 def cmd_exchange_tilt(args) -> int:
     """J and impurity-induced dJ versus detuning at fixed barrier."""
-    base, imp, mode = _resolve(args, default_impurity_wanted=True)
-    eps_values = _parse_range(args.eps_range)
-    failures: list[str] = []
-    rows = _sweep_rows("tilt", eps_values, base, imp, mode, failures)
-    header = _provenance("exchange-tilt", args, base, mode, imp, (
-        f"eps_range = {args.eps_range}",
-    ))
-    _emit(args.out, header, NoiseRecord.CSV_FIELDS, rows)
-    return _report(failures)
+    return _sweep(args, "tilt", "eps_range", args.eps_range)
 
 
 def cmd_exchange_barrier(args) -> int:
@@ -232,22 +229,8 @@ def cmd_exchange_barrier(args) -> int:
     With the default range a finer zoom block over the low-barrier end is
     appended after an interior comment line.
     """
-    base, imp, mode = _resolve(args, default_impurity_wanted=True)
-    main_spec = args.xi_range or "0.5:1.3:0.01"
-    zoom_spec = "0.5:0.6:0.002"
-    values = _parse_range(main_spec)
-    n_main = len(values)
-    if not args.xi_range:
-        values += _parse_range(zoom_spec)
-    failures: list[str] = []
-    rows: list = _sweep_rows("barrier", values, base, imp, mode, failures)
-    if not args.xi_range:
-        rows.insert(n_main, f"zoom xi_range = {zoom_spec}")
-    header = _provenance("exchange-barrier", args, base, mode, imp, (
-        f"xi_range = {main_spec}",
-    ))
-    _emit(args.out, header, NoiseRecord.CSV_FIELDS, rows)
-    return _report(failures)
+    return _sweep(args, "barrier", "xi_range", args.xi_range or "0.5:1.3:0.01",
+                  None if args.xi_range else "0.5:0.6:0.002")
 
 
 def cmd_noise_compare(args) -> int:
@@ -255,8 +238,11 @@ def cmd_noise_compare(args) -> int:
 
     ``near-impurity`` runs the same comparison; without an impurity it
     places a weak charge close to the dots: q = -0.01 e at (-1.5 a, 0.5 a)."""
-    if args.points > MAX_GRID_POINTS:
-        raise ValueError(f"--points must be at most {MAX_GRID_POINTS}, got {args.points}")
+    if not 2 <= args.points <= MAX_GRID_POINTS:
+        bound = "at least 2" if args.points < 2 else f"at most {MAX_GRID_POINTS}"
+        raise ValueError(f"--points must be {bound}, got {args.points}")
+    if not 0 < args.j_max < math.inf:
+        raise ValueError(f"--j-max must be positive and finite, got {args.j_max}")
     near = args.subcommand == "near-impurity"
     base, imp, mode = _resolve(args, default_impurity_wanted=not near)
     if imp is None:  # near-impurity given no impurity
@@ -276,7 +262,7 @@ def cmd_noise_compare(args) -> int:
         f"points = {args.points}",
         f"j_max_ghz = {_fmt(args.j_max)}",
     ))
-    _emit(args.out, header, ChiRecord.CSV_FIELDS, rows)
+    _emit(args.out, header, ChiRecord.CSV_FIELDS, [list(zip(*rows))])
     return _report(failures)
 
 
@@ -310,7 +296,7 @@ def cmd_qfactor(args) -> int:
         f"j_range_ghz = {args.j_range}",
         f"const_model_ref_ghz = {_fmt(ref_j)}",
     ))
-    _emit(args.out, header, ("J_ghz", "Q_tilt", "Q_barrier", "Q_constmodel"), rows)
+    _emit(args.out, header, ("J_ghz", "Q_tilt", "Q_barrier", "Q_constmodel"), [list(zip(*rows))])
     return 0
 
 
@@ -366,7 +352,8 @@ def cmd_impurity_scan(args) -> int:
         f"eps_star_mev = {_fmt(eps_star)}",
         f"xi_star_mev = {_fmt(xi_star)}",
     ))
-    _emit(args.out, header, ("direction", "Rc_over_a", "rel_tilt", "rel_barrier"), rows)
+    _emit(args.out, header, ("direction", "Rc_over_a", "rel_tilt", "rel_barrier"),
+          [list(zip(*rows))])
     return _report(failures)
 
 
@@ -380,12 +367,11 @@ def cmd_potential_profile(args) -> int:
     xs = _parse_range(x_spec)
     y = args.y_nm
     values = eval_potential(np.asarray(xs), y, base)
-    rows = [(x, y, float(v)) for x, v in zip(xs, values)]
     header = _provenance("potential-profile", args, base, None, None, (
         f"x_range_nm = {x_spec}",
         f"y_nm = {_fmt(y)}",
     ))
-    _emit(args.out, header, ("x_nm", "y_nm", "V_meV"), rows)
+    _emit(args.out, header, ("x_nm", "y_nm", "V_meV"), [(xs, [y] * len(xs), values)])
     return 0
 
 

@@ -378,20 +378,24 @@ def exchange_J(params: DeviceParams, imp: Impurity | None = None,
     return solve(params, imp, mode).J
 
 
-def in_ghz(J: np.ndarray) -> list:
-    """Each J [meV] in GHz, or a ValueError naming a J that overflows there."""
+def in_ghz(J: np.ndarray) -> tuple[np.ndarray, dict]:
+    """(ghz, over): each J [meV] in GHz, NaN where it overflows there, and
+    over mapping the index of each such J to a ValueError naming it."""
     with np.errstate(over="ignore"):
         ghz = J * MEV_TO_GHZ
-    js = ghz.tolist()
-    for k in np.flatnonzero(~np.isfinite(ghz)).tolist():
-        js[k] = ValueError(f"J = {J[k]:.6g} meV overflows in GHz")
-    return js
+    over = np.flatnonzero(~np.isfinite(ghz)).tolist()
+    if over:
+        ghz[over] = math.nan
+    return ghz, {k: ValueError(f"J = {J[k]:.6g} meV overflows in GHz") for k in over}
 
 
 def exchange_J_ghz(params: DeviceParams, imp: Impurity | None = None,
                    mode: AssemblyMode = AssemblyMode.PAPER) -> float:
     """exchange_J in GHz; raises a ValueError naming a J that overflows there."""
-    return unwrap(in_ghz(np.array([exchange_J(params, imp, mode)])))[0]
+    (ghz,), over = in_ghz(np.array([exchange_J(params, imp, mode)]))
+    if over:
+        raise over[0]
+    return float(ghz)
 
 
 def hubbard_exchange_estimate(hp: HubbardParams) -> float:

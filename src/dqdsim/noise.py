@@ -1,4 +1,7 @@
-"""Charge-noise metrics, matched-J calibration, chi, and quality factors."""
+"""Charge-noise metrics, matched-J calibration, chi, and quality factors.
+
+Noise records are computed as columns of float64 arrays, NaN where a point
+failed, with a map from each failed row to its exception (see _table)."""
 from __future__ import annotations
 
 import itertools
@@ -29,65 +32,99 @@ class NoiseRecord(NamedTuple):
                   "delta_J_ghz", "rel_noise")
 
 
-def _j_ghz(base: DeviceParams, settings, mode: AssemblyMode, rows=None, impurities=()) -> list:
-    """J [GHz] at each (epsilon, xi) setting of the device base from one
-    stacked solve, or the exception that point raised (a J too large for
-    GHz included); rows and impurities place an impurity at each setting as
-    in solve_stack."""
+def _j_ghz(base: DeviceParams, settings, mode: AssemblyMode, rows=None,
+           impurities=()) -> tuple[np.ndarray, dict]:
+    """(J, failed): J [GHz] at each (epsilon, xi) setting of the device base
+    from one stacked solve, NaN where a point failed, which failed maps to
+    its exception (a J too large for GHz included); rows and impurities
+    place an impurity at each setting as in solve_stack."""
     epsilon, xi = np.fromiter(itertools.chain.from_iterable(settings), float).reshape(-1, 2).T
     try:
         failed, _, _, _, J = solve_stack(base, epsilon, xi, rows, impurities, mode)
     except Exception as exc:  # the device's own failure
-        return [exc] * len(epsilon)
-    js = in_ghz(J)
-    for i in sorted(failed):  # in place, lowest index first
-        js.insert(i, failed[i])
-    return js
+        return np.full(len(epsilon), math.nan), dict.fromkeys(range(len(epsilon)), exc)
+    ghz, over = in_ghz(J)
+    if not failed:
+        return ghz, over
+    built = np.delete(np.arange(len(epsilon)), list(failed))
+    js = np.full(len(epsilon), math.nan)
+    js[built] = ghz
+    failed.update(zip(built[list(over)].tolist(), over.values()))
+    return js, failed
 
 
-def _record(scheme: str, value: float, j_clean, j_imp):
-    """The NoiseRecord at one control value from its clean and impurity J
-    [GHz], or the exception either solve raised (the clean one's first),
-    or a ValueError where the clean J is 0."""
-    if isinstance(j_clean, Exception):
-        return j_clean
-    if isinstance(j_imp, Exception):
-        return j_imp
-    if j_clean == 0.0:
-        return ValueError(f"J_clean = 0 at {scheme} control {value:.12g} meV, "
-                          "so rel_noise = delta_J / J_clean is undefined")
-    delta = j_imp - j_clean
-    return NoiseRecord._make((scheme, value, j_clean, j_imp, delta, delta / j_clean))
+def _entries(js: np.ndarray, failed: dict) -> list:
+    """The J of each point of _j_ghz as a float, or the exception it raised."""
+    out = js.tolist()
+    for i, exc in failed.items():
+        out[i] = exc
+    return out
+
+
+def _table(controls, js, failed, clean, dirty, out: dict) -> tuple[np.ndarray, dict]:
+    """(table, out): the NoiseRecord columns J_clean, J_imp, delta_J and
+    rel_noise (4, n) of rows at (scheme, value) controls whose clean J and J
+    with the impurity are js[clean[i]] and js[dirty[i]] (_j_ghz's J and
+    failed), or -1 where out already fails the row.  A row that fails is
+    NaN, and out maps it to its clean solve's exception, else its impurity
+    solve's, else a ValueError where J_clean = 0."""
+    table = np.full((4, len(clean)), math.nan)
+    table[:2] = np.append(js, math.nan)[np.array([clean, dirty], dtype=int)]
+    if failed:
+        bad = list(failed)
+        for i in np.flatnonzero(np.isin(clean, bad) | np.isin(dirty, bad)).tolist():
+            out.setdefault(i, failed.get(clean[i], failed.get(dirty[i])))
+    for i in np.flatnonzero(table[0] == 0.0).tolist():
+        out.setdefault(i, ValueError(f"J_clean = 0 at {controls[i][0]} control "
+                                     f"{controls[i][1]:.12g} meV, so rel_noise = "
+                                     "delta_J / J_clean is undefined"))
+    table[:, list(out)] = math.nan
+    with np.errstate(over="ignore"):
+        table[2] = table[1] - table[0]
+        table[3] = table[2] / table[0]
+    return table, out
+
+
+def _records(controls, table: np.ndarray, failed: dict) -> list:
+    """The NoiseRecord of each row of a _table, or its exception."""
+    out = list(map(NoiseRecord._make, zip(*zip(*controls), *table.tolist())))
+    for i, exc in failed.items():
+        out[i] = exc
+    return out
+
+
+def _noise_table(controls, base: DeviceParams, imp: Impurity,
+                 mode: AssemblyMode) -> tuple[np.ndarray, dict]:
+    """The _table of (scheme, value) controls, every distinct setting solved
+    once clean and once with the impurity in one stack; a row whose control
+    raises ValueError fails with it first."""
+    failed, index, at = {}, {}, []
+    for i, (scheme, value) in enumerate(controls):
+        try:
+            at.append(index.setdefault(control_values(scheme, base, value), len(index)))
+        except ValueError as exc:
+            failed[i] = exc
+            at.append(-1)
+    n, at = len(index), np.array(at, dtype=int)
+    js, solved = _j_ghz(base, list(index) * 2, mode, np.repeat([0, 1], n), [imp])
+    return _table(controls, js, solved, at, np.where(at < 0, -1, at + n), failed)
 
 
 def noise_records(controls, base: DeviceParams, imp: Impurity,
                   mode: AssemblyMode = AssemblyMode.PAPER) -> list:
     """The NoiseRecord of each (scheme, value) control: J with and without
-    the impurity there, every distinct point once in one stacked solve.
+    the impurity there (see _noise_table).
 
     An entry is the exception its control raised instead; a control whose
     value is an exception (a failed calibration) passes it through."""
     if imp is None:
         raise ValueError("noise_records needs an impurity, got imp=None")
     controls = list(controls)
-    out: list = [None] * len(controls)
-    settings, owners = [], []
-    for i, (scheme, value) in enumerate(controls):
-        if isinstance(value, Exception):
-            out[i] = value
-            continue
-        try:
-            settings.append(control_values(scheme, base, value))
-        except ValueError as exc:
-            out[i] = exc
-            continue
-        owners.append(i)
-    distinct = list(dict.fromkeys(settings))
-    n = len(distinct)
-    js = _j_ghz(base, distinct * 2, mode, np.repeat([0, 1], n), [imp])
-    at = dict(zip(distinct, zip(js, js[n:])))
-    for i, setting in zip(owners, settings):
-        out[i] = _record(*controls[i], *at[setting])
+    out = [value for _, value in controls]
+    given = [i for i, value in enumerate(out) if not isinstance(value, Exception)]
+    solved = [controls[i] for i in given]
+    for i, rec in zip(given, _records(solved, *_noise_table(solved, base, imp, mode))):
+        out[i] = rec
     return out
 
 
@@ -214,16 +251,15 @@ def _roots(requests, base: DeviceParams, mode: AssemblyMode) -> list:
 def _calibrated(requests, base: DeviceParams, mode: AssemblyMode, imps=()) -> tuple[list, list]:
     """(controls, records): the control value of each (scheme, target_ghz)
     request at which the clean J meets the target, and for each impurity of
-    imps the NoiseRecord of every request at its control.
+    imps the NoiseRecord of every request at its control (one _table).
 
     Every root comes in closed form (_roots).  One stack solves the clean J
     at every distinct bracket end, J0 point and root, and J with each
     impurity at every root, and at the others too given at most one
-    impurity.  A request settles by _settle and takes its records there, at
-    a point not solved with the impurities from a second stack of it with
-    each.  An entry is the exception its calibration, or else its record,
-    raised instead; a device that cannot be built fails every entry with
-    its error."""
+    impurity.  A request settles by _settle; a point it settles on that was
+    not solved with the impurities is, with each, in a second stack.  An
+    entry is the exception its calibration, or else its record, raised
+    instead; a device that cannot be built fails every entry with it."""
     requests, imps = list(requests), list(imps)
     for scheme, _ in requests:
         if scheme not in ("tilt", "barrier"):
@@ -242,9 +278,9 @@ def _calibrated(requests, base: DeviceParams, mode: AssemblyMode, imps=()) -> tu
     # setting (given at most one impurity) or only at every root.
     with_imp = settings if len(imps) <= 1 else settings[len(ends):]
     n, m = len(settings), len(with_imp)
-    js = _j_ghz(base, settings + with_imp * len(imps), mode,
-                np.arange(1 + len(imps)).repeat([n] + [m] * len(imps)), imps)
-    clean = dict(zip(settings, js))
+    js, failed = _j_ghz(base, settings + with_imp * len(imps), mode,
+                        np.arange(1 + len(imps)).repeat([n] + [m] * len(imps)), imps)
+    clean = dict(zip(settings, _entries(js, failed)))
     controls: list = []
     for (scheme, target), root, at_root in zip(requests, roots, settings[len(ends):]):
         try:
@@ -255,19 +291,28 @@ def _calibrated(requests, base: DeviceParams, mode: AssemblyMode, imps=()) -> tu
             controls.append(exc)
     settled = [None if isinstance(c, Exception) else control_values(scheme, base, c)
                for (scheme, _), c in zip(requests, controls)]
-    # J with each impurity in turn at each setting solved with them; an end
-    # settled on but not solved with them is, with each, in a second stack.
-    with_each = {s: js[n + i::m] for i, s in enumerate(with_imp)}
+    # The index in js of J with each impurity in turn at each setting solved
+    # with them; an end settled on but not solved with them is, with each,
+    # in a second stack.
+    with_each = {s: range(n + i, len(js), m) for i, s in enumerate(with_imp)}
     left = [s for s in dict.fromkeys(settled) if s is not None and s not in with_each]
     if left:
-        js = _j_ghz(base, left * len(imps), mode,
-                    np.arange(1, 1 + len(imps)).repeat(len(left)), imps)
-        with_each.update((s, js[i::len(left)]) for i, s in enumerate(left))
-    by_request = [[c] * len(imps) if s is None else
-                  [_record(scheme, c, clean[s], j) for j in with_each[s]]
-                  for (scheme, _), c, s in zip(requests, controls, settled)]
-    records = [[recs[k] for recs in by_request] for k in range(len(imps))]
-    return controls, records
+        more, more_failed = _j_ghz(base, left * len(imps), mode,
+                                   np.arange(1, 1 + len(imps)).repeat(len(left)), imps)
+        failed.update((len(js) + i, exc) for i, exc in more_failed.items())
+        with_each.update((s, range(len(js) + i, len(js) + len(more), len(left)))
+                         for i, s in enumerate(left))
+        js = np.append(js, more)
+    # A row per impurity and request, impurity by impurity; a failed
+    # calibration fails its rows with its exception.
+    at = {s: i for i, s in enumerate(settings)}
+    rows = [(scheme, c) for (scheme, _), c in zip(requests, controls)] * len(imps)
+    unsettled = [r for r, s in enumerate(settled) if s is None]
+    out = _records(rows, *_table(
+        rows, js, failed, [at.get(s, -1) for s in settled] * len(imps),
+        [-1 if s is None else with_each[s][k] for k in range(len(imps)) for s in settled],
+        {k * len(requests) + r: controls[r] for k in range(len(imps)) for r in unsettled}))
+    return controls, [out[k * len(requests):(k + 1) * len(requests)] for k in range(len(imps))]
 
 
 def calibrate_many(requests, base: DeviceParams = DeviceParams(),
@@ -355,10 +400,10 @@ def matched_j_grid(base: DeviceParams, n: int = 25, j_max_ghz: float = 1.0,
                    mode: AssemblyMode = AssemblyMode.PAPER) -> np.ndarray:
     """Geometric grid from the common starting point J0 up to j_max."""
     if n < 2:
-        raise ValueError(f"--points must be at least 2, got {n}")
+        raise ValueError(f"n must be at least 2, got {n}")
     if not 0 < j_max_ghz < math.inf:
-        raise ValueError(f"--j-max must be positive and finite, got {j_max_ghz}")
-    (j0,) = unwrap(_j_ghz(base, [control_values("tilt", base, 0.0)], mode))
+        raise ValueError(f"j_max_ghz must be positive and finite, got {j_max_ghz}")
+    (j0,) = unwrap(_entries(*_j_ghz(base, [control_values("tilt", base, 0.0)], mode)))
     if not 0 < j0 < math.inf:
         raise ValueError(f"{AssemblyMode(mode).value} mode: the matched-J grid starts at "
                          f"J0 = J(epsilon = 0) = {j0:.6g} GHz, which must be positive and finite")
@@ -457,8 +502,8 @@ def sweet_spot_check(base: DeviceParams = DeviceParams(),
     leading truncation term.
     """
     h = 1e-3  # meV
-    j_plus, j_minus, j_half_plus, j_half_minus = unwrap(_j_ghz(
-        base, [control_values("tilt", base, e) for e in (+h, -h, +h / 2, -h / 2)], mode))
+    j_plus, j_minus, j_half_plus, j_half_minus = unwrap(_entries(*_j_ghz(
+        base, [control_values("tilt", base, e) for e in (+h, -h, +h / 2, -h / 2)], mode)))
     d1 = (j_plus - j_minus) / (2.0 * h)
     d2 = (j_half_plus - j_half_minus) / h
     richardson = (4.0 * d2 - d1) / 3.0

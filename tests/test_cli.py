@@ -359,7 +359,7 @@ class TestConfig:
         def no_solve(*args, **kwargs):
             raise AssertionError("solved before the config was checked")
         monkeypatch.setattr(cli, "solve_stack", no_solve)
-        monkeypatch.setattr(cli, "sweep", no_solve)
+        monkeypatch.setattr(noise, "solve_stack", no_solve)
         out = tmp_path / "out.csv"
         assert main([subcommand, "--eps-range", "0:0.1:0.1", "--config", str(cfg),
                      "--out", str(out)]) == 2
@@ -502,6 +502,30 @@ class TestFlags:
         assert f"error: {message}" in capsys.readouterr().err
         assert not out.exists()
 
+    # The flags are checked, side by side, before any device is built, with
+    # the words of the flags rather than of matched_j_grid's parameters.
+    @pytest.mark.parametrize("command", ["noise-compare", "near-impurity"])
+    @pytest.mark.parametrize("flags,message", [
+        (("--points", "1"), "--points must be at least 2, got 1"),
+        (("--points", "-3"), "--points must be at least 2, got -3"),
+        (("--points", str(MAX_GRID_POINTS + 1)),
+         f"--points must be at most {MAX_GRID_POINTS}, got {MAX_GRID_POINTS + 1}"),
+        (("--j-max", "0"), "--j-max must be positive and finite, got 0.0"),
+        (("--j-max", "-1"), "--j-max must be positive and finite, got -1.0"),
+        (("--j-max", "nan"), "--j-max must be positive and finite, got nan"),
+        (("--j-max", "inf"), "--j-max must be positive and finite, got inf"),
+    ])
+    def test_a_bad_matched_j_flag_is_named_before_any_device(self, command, flags, message,
+                                                             monkeypatch, tmp_path, capsys):
+        def no_work(*args, **kwargs):
+            raise AssertionError("a device or a grid was built")
+        monkeypatch.setattr(hamiltonian, "_device", no_work)
+        monkeypatch.setattr(cli, "matched_j_grid", no_work)
+        out = tmp_path / "out.csv"
+        assert main([command, *flags, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"dqdsim: error: {message}\n"
+        assert not out.exists()
+
     # A grid of more points than MAX_GRID_POINTS is rejected by its flag
     # before any grid is built or any J solved.
     @pytest.mark.parametrize("command", ["noise-compare", "near-impurity"])
@@ -587,6 +611,92 @@ class TestFlags:
         rows[2] = f"{scheme},{cli._fmt(bad)},nan,nan,nan,nan"
         assert data_rows(cut.read_text()) == rows
 
+    # The barrier's default main (81 values) and zoom (51) grids share 11
+    # values.  Each distinct value is solved once, clean and with the
+    # impurity, and a shared value writes the same row, bit for bit, in both.
+    def test_a_shared_barrier_value_is_solved_once_and_written_alike(self, monkeypatch,
+                                                                     tmp_path):
+        stacks = []
+        real = hamiltonian.jacobi_eigh
+        monkeypatch.setattr(hamiltonian, "jacobi_eigh",
+                            lambda A: stacks.append(np.array(A)) or real(A))
+        out = tmp_path / "out.csv"
+        assert main(["exchange-barrier", "--out", str(out)]) == 0
+        main_grid, zoom = cli._parse_range("0.5:1.3:0.01"), cli._parse_range("0.5:0.6:0.002")
+        shared = sorted(set(main_grid) & set(zoom))
+        assert len(main_grid) == 81 and len(zoom) == 51 and len(shared) == 11
+        (stack,) = stacks
+        assert len(stack) == 2 * len(set(main_grid + zoom)) == 242
+        assert len(np.unique(stack.reshape(len(stack), -1), axis=0)) == len(stack)
+        rows = data_rows(out.read_text())[1:]
+        assert len(rows) == 132
+        recs = noise.sweep("barrier", main_grid + zoom, DeviceParams(),
+                           default_impurity(DeviceParams()))
+        for value in shared:
+            i, j = main_grid.index(value), 81 + zoom.index(value)
+            assert rows[i] == rows[j]
+            assert repr(recs[i]) == repr(recs[j])
+
+    # Failing points write NaN cells, and their errors go to stderr in row
+    # order, wherever they fail: at the first row and the last (the control
+    # raises), and at a middle row (its setting is not finite, so its solve
+    # fails).  The zoom comment stays right after the main grid's last row.
+    def test_failing_points_anywhere_write_nan_rows_in_row_order(self, monkeypatch, tmp_path,
+                                                                 capsys):
+        whole, cut = tmp_path / "whole.csv", tmp_path / "cut.csv"
+        assert main(["exchange-barrier", "--out", str(whole)]) == 0
+        values = cli._parse_range("0.5:1.3:0.01") + cli._parse_range("0.5:0.6:0.002")
+        first, middle, last = values[0], values[100], values[-1]
+        assert len({first, middle, last}) == 3
+        real = noise.control_values
+
+        def failing(scheme, params, value):
+            if value in (first, last):
+                raise ValueError(f"no device at {value}")
+            return (0.0, math.inf) if value == middle else real(scheme, params, value)
+        monkeypatch.setattr(noise, "control_values", failing)
+        capsys.readouterr()
+        assert main(["exchange-barrier", "--out", str(cut)]) == 2
+        failed = [i for i, v in enumerate(values) if v in (first, middle, last)]
+        assert capsys.readouterr().err.splitlines() == [
+            f"dqdsim: error at barrier control {cli._fmt(values[i])} meV: ValueError: " + (
+                "xi must be finite, got inf" if values[i] == middle
+                else f"no device at {values[i]}") for i in failed]
+        lines = whole.read_text().splitlines()
+        start = lines.index(",".join(noise.NoiseRecord.CSV_FIELDS)) + 1
+        assert lines[start + 81] == "# zoom xi_range = 0.5:0.6:0.002"
+        for i in failed:
+            lines[start + i + (i >= 81)] = f"barrier,{cli._fmt(values[i])},nan,nan,nan,nan"
+        assert cut.read_text().splitlines() == lines
+
+    # A sweep whose every point fails writes a NaN row and a stderr line for
+    # each, in row order, whether its controls raise or its solves fail.
+    @pytest.mark.parametrize("how", ["control", "solve"])
+    def test_a_sweep_where_every_point_fails(self, how, monkeypatch, tmp_path, capsys):
+        def failing(scheme, params, value):
+            if how == "control":
+                raise ValueError(f"no device at {value}")
+            return (math.nan, params.xi)
+        monkeypatch.setattr(noise, "control_values", failing)
+        out = tmp_path / "out.csv"
+        assert main(["exchange-tilt", "--eps-range", "0:0.2:0.1", "--out", str(out)]) == 2
+        eps = ("0", "0.1", "0.2")
+        assert capsys.readouterr().err.splitlines() == [
+            f"dqdsim: error at tilt control {e} meV: ValueError: " + (
+                f"no device at {float(e)}" if how == "control" else "epsilon must be finite, "
+                "got nan") for e in eps]
+        assert data_rows(out.read_text())[1:] == [f"tilt,{e},nan,nan,nan,nan" for e in eps]
+
+    # A direction cell that would need CSV quoting fails the command before
+    # anything is written.
+    def test_a_direction_cell_that_needs_quoting_writes_nothing(self, monkeypatch, tmp_path,
+                                                                capsys):
+        monkeypatch.setattr(cli, "_SCAN_DIRECTIONS", {"x": (-1.0, 0.0), "y,z": (0.0, 1.0)})
+        out = tmp_path / "out.csv"
+        assert main(["impurity-scan", "--radii", "6", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "dqdsim: error: CSV cell 'y,z' would need quoting\n"
+        assert not out.exists()
+
     # A default sweep, the barrier's zoom block included, hands the eigensolver
     # one stack: each distinct control value clean and with the impurity (the
     # barrier's main and zoom grids share 11 values).  Every row is the one a
@@ -599,14 +709,15 @@ class TestFlags:
         stacks, emitted = [], []
         real = hamiltonian.jacobi_eigh
         monkeypatch.setattr(hamiltonian, "jacobi_eigh", lambda A: stacks.append(len(A)) or real(A))
-        monkeypatch.setattr(cli, "_emit", lambda path, header, fields, rows: emitted.extend(
-            row for row in rows if not isinstance(row, str)))
+        monkeypatch.setattr(cli, "_emit", lambda path, header, fields, blocks: emitted.extend(
+            row for block in blocks if not isinstance(block, str) for row in zip(*block)))
         assert main([command]) == 0
         assert len(emitted) == values
         assert stacks == [self.STACKED[command]]
         scheme, imp = command.split("-")[1], default_impurity(DeviceParams())
-        assert [repr(row) for row in emitted] == [
-            repr(delta_J(scheme, row.control_mev, DeviceParams(), imp)) for row in emitted]
+        rows = [(cells[0], *map(float, cells[1:])) for cells in emitted]
+        assert [repr(row) for row in rows] == [
+            repr(tuple(delta_J(scheme, row[1], DeviceParams(), imp))) for row in rows]
 
     # A matched-J command hands the eigensolver a few stacks however many J
     # it calibrates: noise-compare J0, then the 3 bracket ends and its 50
@@ -730,11 +841,13 @@ class TestFlags:
         stacks, emitted = [], []
         real = hamiltonian.jacobi_eigh
         monkeypatch.setattr(hamiltonian, "jacobi_eigh", lambda A: stacks.append(len(A)) or real(A))
-        monkeypatch.setattr(cli, "_emit", lambda path, header, fields, rows: emitted.append(
-            (header, rows)))
+        monkeypatch.setattr(cli, "_emit", lambda path, header, fields, blocks: emitted.append(
+            (header, blocks)))
         assert main(["impurity-scan", "--J-mhz", "32.809933155053", "--radii", "1.5,6,20"]) == 0
         assert len(stacks) == 2
-        ((header, rows),) = emitted
+        ((header, (columns,)),) = emitted
+        rows = list(zip(*columns))
+        assert len(rows) == 9
         assert header[-2:] == ["eps_star_mev = 0", "xi_star_mev = 1.3"]
         roots = noise._roots([("tilt", 0.032809933155053), ("barrier", 0.032809933155053)],
                              DeviceParams(), "paper")
@@ -769,76 +882,112 @@ class TestFlags:
         assert list(tmp_path.iterdir()) == []
 
 
-def csv_writer_bytes(header_lines, fieldnames, rows) -> str:
-    """What csv.writer makes of the comment lines, the header and every data
-    row's _fmt cells, except a lone empty cell, which csv.writer quotes and
-    _emit writes as an empty line."""
+def csv_writer_bytes(header_lines, fieldnames, blocks) -> str:
+    """What csv.writer makes of the comment lines, the header and the _fmt
+    cells of every row of every block of columns, except a lone empty cell,
+    which csv.writer quotes and _emit writes as an empty line."""
     buf = io.StringIO()
     buf.write("".join(f"# {line}\n" for line in header_lines))
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(fieldnames)
-    for row in rows:
-        if isinstance(row, str):
-            buf.write(f"# {row}\n")
-        elif tuple(row) == ("",):
-            buf.write("\n")
-        else:
-            writer.writerow([cli._fmt(v) for v in row])
+    for block in blocks:
+        if isinstance(block, str):
+            buf.write(f"# {block}\n")
+            continue
+        for row in zip(*block):
+            if row == ("",):
+                buf.write("\n")
+            else:
+                writer.writerow([cli._fmt(v) for v in row])
     return buf.getvalue()
 
 
-def needs_quoting(rows) -> list[str]:
-    """The text cells of the data rows that csv.writer would quote for a
-    comma, a double quote or a line break."""
-    return [cell for row in rows if not isinstance(row, str) for cell in row
+def needs_quoting(blocks) -> list[str]:
+    """The text cells of the blocks' rows, in row order, that csv.writer
+    would quote for a comma, a double quote or a line break."""
+    return [cell for block in blocks if not isinstance(block, str)
+            for row in zip(*block) for cell in row
             if isinstance(cell, str) and any(c in cell for c in ',"\r\n')]
 
 
-class TestEmit:
-    """_emit writes a data row from one '%' template per row of cell types,
-    byte for byte what csv.writer makes of the row's _fmt cells, and raises
-    on a text cell that would need quoting."""
+@st.composite
+def column_blocks(draw):
+    """Blocks of 1-5 columns of 0-6 rows between comment lines; a column
+    holds floats (maybe as an array), text, integers, or any of them."""
+    kinds = st.sampled_from([st.floats(), st.text(max_size=4), st.integers(),
+                             st.one_of(st.floats(), st.text(max_size=4), st.integers())])
+    blocks = []
+    for _ in range(draw(st.integers(0, 3))):
+        n = draw(st.integers(0, 6))
+        block = [draw(st.lists(draw(kinds), min_size=n, max_size=n))
+                 for _ in range(draw(st.integers(1, 5)))]
+        blocks += [[np.array(col) if col and all(type(c) is float for c in col)
+                    and draw(st.booleans()) else col for col in block], "a comment"]
+    return blocks
 
-    ROWS = [
-        (np.float64(0.1), math.nan, math.inf, -math.inf, -0.0, 1e-300, 1e16, 123456789012.5),
+
+class TestEmit:
+    """_emit writes each block of columns with one '%' template, byte for
+    byte what csv.writer makes of its rows' _fmt cells, and raises on a
+    text cell that would need quoting before anything is written."""
+
+    BLOCKS = [
+        [[np.float64(0.1), math.nan, math.inf, -math.inf, -0.0, 1e-300, 1e16, 123456789012.5],
+         ["tilt", "", "x", "tilt", "", "barrier", "y", "tilt"],
+         np.array([0.1, -0.0, math.nan, math.inf, -math.inf, 2.5, 1e-7, 3.0]),
+         [np.float64(-0.0), np.float64(math.nan), 0.5, -1.5, np.float64(math.inf), 0.0, 1.0, 2.0]],
         "an interior comment",
-        ("tilt", 0.3, 1, True, None, np.float32(0.1), np.int64(7)),
-        ("", ""),
-        ("",),
-        (),
-        [1.5, "x"],
-        (np.float64(-0.0), np.float64(math.nan)),
+        [["tilt", 0.3, 1, True, None, np.float32(0.1), np.int64(7), -0.0]],
+        [[""], [""]],
+        [[""]],
+        [[], []],
+        "a second comment",
+        ([1.5], ["x"]),
     ]
 
     def test_rows_are_the_bytes_csv_writer_makes(self, capsys):
-        cli._emit(None, ["dqdsim test"], ("a", "b"), self.ROWS)
-        assert capsys.readouterr().out == csv_writer_bytes(["dqdsim test"], ("a", "b"), self.ROWS)
+        cli._emit(None, ["dqdsim test"], ("a", "b"), self.BLOCKS)
+        assert capsys.readouterr().out == csv_writer_bytes(["dqdsim test"], ("a", "b"),
+                                                           self.BLOCKS)
 
     @pytest.mark.parametrize("cell", ["a,b", 'say "x"', "line\nbreak", "cr\rhere"])
     def test_a_cell_that_needs_quoting_raises_and_writes_nothing(self, cell, tmp_path, capsys):
         out = tmp_path / "out.csv"
         with pytest.raises(ValueError) as err:
-            cli._emit(str(out), ["dqdsim test"], ("a", "b"), [("tilt", 1.0), (cell, 2.5)])
+            cli._emit(str(out), ["dqdsim test"], ("a", "b"),
+                      [(["tilt"], [1.0]), "a comment", ([cell], [2.5])])
         assert str(err.value) == f"CSV cell {cell!r} would need quoting"
         assert not out.exists()
         with pytest.raises(ValueError):
-            cli._emit(None, [], ("a", "b"), [(1.0, cell)])
+            cli._emit(None, [], ("a", "b"), [([1.0], [cell])])
         assert capsys.readouterr().out == ""
 
+    # A sweep's scheme column is one text column, checked once per distinct
+    # cell: a scheme that would need quoting raises before anything is written.
+    def test_a_scheme_cell_that_needs_quoting_raises_and_writes_nothing(self, tmp_path):
+        out = tmp_path / "out.csv"
+        with pytest.raises(ValueError, match=r"^CSV cell 'ti,lt' would need quoting$"):
+            cli._emit(str(out), ["dqdsim test"], noise.NoiseRecord.CSV_FIELDS,
+                      [[["ti,lt"] * 3, [0.0, 0.1, 0.2], *np.zeros((4, 3))]])
+        assert not out.exists()
+
+    def test_the_first_cell_in_row_order_is_named(self):
+        with pytest.raises(ValueError, match="^CSV cell 'c,d' would need quoting$"):
+            cli._emit(None, [], ("a", "b"), [(["ok", "a,b"], ["c,d", "ok"])])
+
     @settings(max_examples=200, deadline=None)
-    @given(st.lists(st.lists(st.one_of(st.floats(), st.text(max_size=4), st.integers()),
-                             max_size=5).map(tuple), max_size=6))
-    def test_any_rows_are_the_bytes_csv_writer_makes(self, rows):
+    @given(column_blocks())
+    def test_any_rows_are_the_bytes_csv_writer_makes(self, blocks):
         out = io.StringIO()
-        quoted = needs_quoting(rows)
+        quoted = needs_quoting(blocks)
         with contextlib.redirect_stdout(out):
             if quoted:
                 with pytest.raises(ValueError) as err:
-                    cli._emit(None, [], ("a",), rows)
+                    cli._emit(None, [], ("a",), blocks)
                 assert str(err.value) == f"CSV cell {quoted[0]!r} would need quoting"
             else:
-                cli._emit(None, [], ("a",), rows)
-        assert out.getvalue() == ("" if quoted else csv_writer_bytes([], ("a",), rows))
+                cli._emit(None, [], ("a",), blocks)
+        assert out.getvalue() == ("" if quoted else csv_writer_bytes([], ("a",), blocks))
 
 
 class TestContent:

@@ -305,7 +305,7 @@ class TestLockstep:
     def test_a_mixed_batch_matches_each_request_alone(self, params, mode):
         # J0 is met at a bracket end of both schemes.  In full mode J0 is
         # -19.19 GHz, and each inner target is in reach of one scheme only.
-        (j0,) = noise._j_ghz(params, [(0.0, params.xi)], mode)
+        (j0,) = noise._j_ghz(params, [(0.0, params.xi)], mode)[0].tolist()
         inner = (0.242, 0.5) if mode == AssemblyMode.PAPER else (-19.3, -19.0)
         requests = [(scheme, target) for target in (j0, *inner, 1e6, math.nan)
                     for scheme in ("tilt", "barrier")]
@@ -371,7 +371,7 @@ class TestCalibratedRecords:
     def requests(params, mode):
         # J0 (met at an exact bracket end of both schemes), two inner targets,
         # one out of reach and NaN.
-        (j0,) = noise._j_ghz(params, [(0.0, params.xi)], mode)
+        (j0,) = noise._j_ghz(params, [(0.0, params.xi)], mode)[0].tolist()
         inner = (0.242, 0.5) if mode == AssemblyMode.PAPER else (-19.3, -19.0)
         return [(scheme, target) for target in (j0, *inner, 1e6, math.nan)
                 for scheme in ("tilt", "barrier")]
@@ -430,7 +430,7 @@ class TestCalibratedRecords:
                                                           monkeypatch):
         imps = [Impurity(-600.0, 600.0), Impurity(-150.0, 0.0, -0.5),
                 Impurity(0.0, 300.0, 2.0)][:n_imps]
-        (j0,) = noise._j_ghz(params, [(0.0, params.xi)], AssemblyMode.PAPER)
+        (j0,) = noise._j_ghz(params, [(0.0, params.xi)], AssemblyMode.PAPER)[0].tolist()
         requests = [("tilt", j0), ("barrier", j0), ("barrier", 0.242)]
         stacks = count_stacks(monkeypatch)
         controls, records = noise._calibrated(requests, params, AssemblyMode.PAPER, imps)
@@ -479,6 +479,22 @@ class TestMatchedGrid:
         grid = matched_j_grid(params, n=7, j_max_ghz=0.5)
         assert grid.shape == (7,)
         assert grid[-1] == pytest.approx(0.5, rel=1e-12)
+
+    # A bad size or ceiling is named by its parameter, before any solve.
+    @pytest.mark.parametrize("kwargs,message", [
+        ({"n": 1}, "n must be at least 2, got 1"),
+        ({"n": -3}, "n must be at least 2, got -3"),
+        ({"j_max_ghz": 0.0}, "j_max_ghz must be positive and finite, got 0.0"),
+        ({"j_max_ghz": math.nan}, "j_max_ghz must be positive and finite, got nan"),
+        ({"j_max_ghz": math.inf}, "j_max_ghz must be positive and finite, got inf"),
+    ])
+    def test_a_bad_grid_names_its_parameter(self, params, kwargs, message, monkeypatch):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved before the grid was checked")
+        monkeypatch.setattr(noise, "solve_stack", no_solve)
+        with pytest.raises(ValueError) as err:
+            matched_j_grid(params, **kwargs)
+        assert str(err.value) == message
 
     def test_rejects_a_negative_starting_point(self, params):
         # In full mode the default device has J0 < 0 at zero detuning.
