@@ -31,9 +31,9 @@ from .noise import (
     NoiseRecord,
     QualityModel,
     _calibrated,
+    _chi_table,
     _noise_table,
     default_impurity,
-    improvement_factors,
     matched_j_grid,
     quality_factor,
 )
@@ -248,22 +248,16 @@ def cmd_noise_compare(args) -> int:
     if imp is None:  # near-impurity given no impurity
         q = args.charge_e if args.charge_e is not None else -0.01
         imp = Impurity(-1.5 * base.a, 0.5 * base.a, q)
-    grid = [float(j) for j in matched_j_grid(base, n=args.points, j_max_ghz=args.j_max, mode=mode)]
-    rows, failures = [], []
-    for j_ghz, rec in zip(grid, improvement_factors(grid, imp, base, mode)):
-        if isinstance(rec, ChiRecord):
-            rows.append(rec)
-        elif isinstance(rec, ValueError):  # CalibrationError included
-            rows.append((j_ghz, math.nan, math.nan, math.nan))
-            failures.append(f"dqdsim: error: J = {_fmt(j_ghz)} GHz: {rec}")
-        else:
-            raise rec
+    grid = matched_j_grid(base, n=args.points, j_max_ghz=args.j_max, mode=mode).tolist()
+    table, failed = _chi_table(grid, imp, base, mode)
+    # A ValueError (a CalibrationError too) fails its row; another is raised.
+    unwrap([exc for exc in failed.values() if not isinstance(exc, ValueError)])
     header = _provenance(args.subcommand, args, base, mode, imp, (
         f"points = {args.points}",
         f"j_max_ghz = {_fmt(args.j_max)}",
     ))
-    _emit(args.out, header, ChiRecord.CSV_FIELDS, [list(zip(*rows))])
-    return _report(failures)
+    _emit(args.out, header, ChiRecord.CSV_FIELDS, [(grid, *table)])
+    return _report([f"dqdsim: error: J = {_fmt(grid[k])} GHz: {exc}" for k, exc in failed.items()])
 
 
 def cmd_qfactor(args) -> int:
@@ -275,28 +269,28 @@ def cmd_qfactor(args) -> int:
     ref_j = 0.242  # GHz (1 ueV)
     # One stacked solve calibrates the reference and both schemes at every J
     # and takes the noise record of each.
-    controls, (records,) = _calibrated([("tilt", ref_j)] + [
+    _, calibration_failed, table, out = _calibrated([("tilt", ref_j)] + [
         (scheme, j_ghz) for j_ghz in j_values for scheme in ("tilt", "barrier")],
         base, mode, [imp])
-    # The first failure is reported in the order of the steps: the
-    # reference, then at each J both calibrations before both records.
-    (ref,) = unwrap(records[:1])
-    rel_ref = abs(ref.rel_noise)
-    rows = []
-    for k, j_ghz in enumerate(j_values):
-        t, b = 1 + 2 * k, 2 + 2 * k
-        rec_t, rec_b = unwrap([controls[t], controls[b], records[t], records[b]])[2:]
-        rows.append((
-            j_ghz,
-            quality_factor(j_ghz, QualityModel(abs(rec_t.rel_noise))),
-            quality_factor(j_ghz, QualityModel(abs(rec_b.rel_noise))),
-            quality_factor(j_ghz, QualityModel(rel_ref)),
-        ))
+    # The first failure is raised in the order of the steps: the reference,
+    # then at each J both calibrations, both records and quality_factor.
+    j = np.array(j_values)
+    bad = {(i - 1) // 2 for i in out} | set(np.flatnonzero(j <= 0).tolist())
+    if bad:
+        t = 1 + 2 * min(bad)  # -1 where the reference fails
+        unwrap([out.get(0), calibration_failed.get(t), calibration_failed.get(t + 1),
+                out.get(t), out.get(t + 1)])
+        quality_factor(j_values[t // 2], QualityModel(0.0))  # a J <= 0 raises
+    # quality_factor in columns: sigma_total = hypot(|rel| J, 0) = |rel| J.
+    rel = np.abs(table[3])
+    with np.errstate(divide="ignore"):
+        q = j / (math.sqrt(2.0) * math.pi * (
+            np.array([rel[1::2], rel[2::2], np.full(len(j), rel[0])]) * j))
     header = _provenance("qfactor", args, base, mode, imp, (
         f"j_range_ghz = {args.j_range}",
         f"const_model_ref_ghz = {_fmt(ref_j)}",
     ))
-    _emit(args.out, header, ("J_ghz", "Q_tilt", "Q_barrier", "Q_constmodel"), [list(zip(*rows))])
+    _emit(args.out, header, ("J_ghz", "Q_tilt", "Q_barrier", "Q_constmodel"), [(j_values, *q)])
     return 0
 
 
@@ -331,20 +325,20 @@ def cmd_impurity_scan(args) -> int:
     _positive_finite("--radii", radii)
     j_target_ghz = args.J_mhz / 1e3
     q = args.charge_e if args.charge_e is not None else -1.0
-    impurities = [(name, r_over_a, Impurity(r_over_a * base.a * ux, r_over_a * base.a * uy, q))
-                  for name, (ux, uy) in _SCAN_DIRECTIONS.items() for r_over_a in radii]
-    controls, records = _calibrated([("tilt", j_target_ghz), ("barrier", j_target_ghz)],
-                                    base, mode, [imp for _, _, imp in impurities])
-    eps_star, xi_star = unwrap(controls)
-    rows, failures = [], []
-    for (name, r_over_a, _), recs in zip(impurities, records):
-        failed = [rec for rec in recs if not isinstance(rec, NoiseRecord)]
-        if failed:
-            rows.append((name, r_over_a, math.nan, math.nan))
-            failures.append(f"dqdsim: error at impurity direction {name}, Rc_over_a "
-                            f"{_fmt(r_over_a)}: {type(failed[0]).__name__}: {failed[0]}")
-        else:
-            rows.append((name, r_over_a, recs[0].rel_noise, recs[1].rel_noise))
+    names = [name for name in _SCAN_DIRECTIONS for _ in radii]
+    controls, calibration_failed, table, out = _calibrated(
+        [("tilt", j_target_ghz), ("barrier", j_target_ghz)], base, mode,
+        [Impurity(r_over_a * base.a * ux, r_over_a * base.a * uy, q)
+         for ux, uy in _SCAN_DIRECTIONS.values() for r_over_a in radii])
+    unwrap(list(calibration_failed.values()))  # tilt first
+    eps_star, xi_star = controls.tolist()
+    # A row fails with its tilt record's exception, else its barrier one's.
+    rel = table[3].reshape(-1, 2)
+    bad = sorted({i // 2 for i in out})
+    rel[bad] = math.nan
+    failures = [f"dqdsim: error at impurity direction {names[k]}, Rc_over_a "
+                f"{_fmt(radii[k % len(radii)])}: {type(exc).__name__}: {exc}"
+                for k in bad for exc in [out.get(2 * k, out.get(2 * k + 1))]]
     header = _provenance("impurity-scan", args, base, mode, None, (
         f"J_target_mhz = {_fmt(args.J_mhz)}",
         f"charge_e = {_fmt(q)}",
@@ -353,7 +347,7 @@ def cmd_impurity_scan(args) -> int:
         f"xi_star_mev = {_fmt(xi_star)}",
     ))
     _emit(args.out, header, ("direction", "Rc_over_a", "rel_tilt", "rel_barrier"),
-          [list(zip(*rows))])
+          [(names, radii * len(_SCAN_DIRECTIONS), *rel.T)])
     return _report(failures)
 
 
@@ -493,6 +487,7 @@ _SUBCOMMANDS = {
                           _potential_profile_flags),
     "validate": ("run the built-in cross-check suite", _validate_flags),
 }
+_PARSERS: dict = {}  # subcommand name -> (the add_flags it was built from, its parser)
 
 
 def _parser(names) -> argparse.ArgumentParser:
@@ -521,21 +516,27 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command line, returning its exit code.  A subcommand's parser
+    is built as the full parser builds it, once per add_flags; -h, --version,
+    an unknown command and arguments left over need the full one."""
     argv = sys.argv[1:] if argv is None else list(argv)
     if argv and argv[0] in _SUBCOMMANDS:
-        # Only the invoked subcommand's parser is built, as the full parser
-        # builds it; -h, --version and an unknown command need the full one.
-        name = argv[0]
-        parser = argparse.ArgumentParser(prog=f"dqdsim {name}")
-        _SUBCOMMANDS[name][1](parser)
+        name, add_flags = argv[0], _SUBCOMMANDS[argv[0]][1]
+        built, parser = _PARSERS.get(name, (None, None))
+        if built is not add_flags:
+            parser = argparse.ArgumentParser(prog=f"dqdsim {name}")
+            add_flags(parser)
+            _PARSERS[name] = add_flags, parser
         args, extras = parser.parse_known_args(argv[1:])
         if extras:
             _parser([]).error("unrecognized arguments: " + " ".join(extras))
         args.subcommand = name
     else:
         args = build_parser().parse_args(argv)
+    # A cmd_* function runs as bound now, though the parser was built before.
+    func = globals()[args.func.__name__] if args.func.__module__ == __name__ else args.func
     try:
-        return args.func(args)
+        return func(args)
     except Exception as exc:
         from .quadrature import OracleRefusal  # only validate runs the oracle
         if not isinstance(exc, (CalibrationError, OracleRefusal, ValueError, OSError)):

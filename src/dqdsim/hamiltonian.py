@@ -209,6 +209,15 @@ def assemble_matrix(hp: HubbardParams, mode: AssemblyMode = AssemblyMode.PAPER) 
 # eigensolver: deterministic cyclic Jacobi over a stack of matrices
 # ---------------------------------------------------------------------------
 
+@functools.cache
+def _upper(n: int) -> tuple:
+    """(np.triu_indices(n, 1), its (p, q) pairs in order), made once per n."""
+    upper = np.triu_indices(n, 1)
+    for i in upper:
+        i.flags.writeable = False  # every caller shares them
+    return upper, list(zip(*(i.tolist() for i in upper)))
+
+
 def _off_norm2(A: np.ndarray, upper) -> np.ndarray:
     """Jacobi's convergence measure of each matrix of a stack (N, n, n): the
     squares of its upper off-diagonal entries, added in order.  float_power
@@ -237,7 +246,7 @@ def _faults(A: np.ndarray) -> dict[int, str]:
             with np.errstate(over="ignore"):
                 if not np.isfinite(A[k]).all():
                     faults[k] = "matrix has a non-finite entry"
-                elif np.isinf(_off_norm2(A[k:k + 1], np.triu_indices(A.shape[-1], 1))[0]):
+                elif np.isinf(_off_norm2(A[k:k + 1], _upper(A.shape[-1])[0])[0]):
                     faults[k] = "matrix off-diagonal norm overflows"
     return faults
 
@@ -267,7 +276,7 @@ def jacobi_eigh(A: np.ndarray):
         raise ValueError(faults[min(faults)])
     A = 0.5 * A + 0.5 * np.swapaxes(A, -1, -2)  # A + A^T may overflow
     n = A.shape[-1]
-    V, upper = np.empty_like(A), np.triu_indices(n, 1)
+    V, (upper, pairs) = np.empty_like(A), _upper(n)
     # The matrices still rotating: their indices in the stack, their state
     # (each matrix over its eigenvectors so far), tolerance and identities.
     live, limit = np.arange(len(A)), 1e-14 * np.fmax(1.0, np.abs(A).max(axis=(-2, -1)))
@@ -280,7 +289,7 @@ def jacobi_eigh(A: np.ndarray):
             live, av, limit, eye = live[~done], av[~done], limit[~done], eye[~done]
         if not live.size:
             break
-        for p, q in zip(*(i.tolist() for i in upper)):
+        for p, q in pairs:
             apq = av[:, p, q]
             skip = np.abs(apq) <= 1e-300
             skipped = np.count_nonzero(skip)

@@ -34,11 +34,11 @@ class NoiseRecord(NamedTuple):
 
 def _j_ghz(base: DeviceParams, settings, mode: AssemblyMode, rows=None,
            impurities=()) -> tuple[np.ndarray, dict]:
-    """(J, failed): J [GHz] at each (epsilon, xi) setting of the device base
-    from one stacked solve, NaN where a point failed, which failed maps to
-    its exception (a J too large for GHz included); rows and impurities
-    place an impurity at each setting as in solve_stack."""
-    epsilon, xi = np.fromiter(itertools.chain.from_iterable(settings), float).reshape(-1, 2).T
+    """(J, failed): J [GHz] at each (epsilon, xi) setting (n, 2) of the
+    device base from one stacked solve, NaN where a point failed, which
+    failed maps to its exception (a J too large for GHz included); rows and
+    impurities place an impurity at each setting as in solve_stack."""
+    epsilon, xi = np.asarray(settings, dtype=float).reshape(-1, 2).T
     try:
         failed, _, _, _, J = solve_stack(base, epsilon, xi, rows, impurities, mode)
     except Exception as exc:  # the device's own failure
@@ -53,9 +53,9 @@ def _j_ghz(base: DeviceParams, settings, mode: AssemblyMode, rows=None,
     return js, failed
 
 
-def _entries(js: np.ndarray, failed: dict) -> list:
-    """The J of each point of _j_ghz as a float, or the exception it raised."""
-    out = js.tolist()
+def _entries(values, failed: dict) -> list:
+    """values (an array's as floats) as a list, each index in failed holding its exception."""
+    out = values.tolist() if isinstance(values, np.ndarray) else list(values)
     for i, exc in failed.items():
         out[i] = exc
     return out
@@ -85,14 +85,6 @@ def _table(controls, js, failed, clean, dirty, out: dict) -> tuple[np.ndarray, d
     return table, out
 
 
-def _records(controls, table: np.ndarray, failed: dict) -> list:
-    """The NoiseRecord of each row of a _table, or its exception."""
-    out = list(map(NoiseRecord._make, zip(*zip(*controls), *table.tolist())))
-    for i, exc in failed.items():
-        out[i] = exc
-    return out
-
-
 def _noise_table(controls, base: DeviceParams, imp: Impurity,
                  mode: AssemblyMode) -> tuple[np.ndarray, dict]:
     """The _table of (scheme, value) controls, every distinct setting solved
@@ -106,7 +98,8 @@ def _noise_table(controls, base: DeviceParams, imp: Impurity,
             failed[i] = exc
             at.append(-1)
     n, at = len(index), np.array(at, dtype=int)
-    js, solved = _j_ghz(base, list(index) * 2, mode, np.repeat([0, 1], n), [imp])
+    points = np.fromiter(itertools.chain.from_iterable(index), float, 2 * n).reshape(-1, 2)
+    js, solved = _j_ghz(base, np.tile(points, (2, 1)), mode, np.repeat([0, 1], n), [imp])
     return _table(controls, js, solved, at, np.where(at < 0, -1, at + n), failed)
 
 
@@ -123,7 +116,9 @@ def noise_records(controls, base: DeviceParams, imp: Impurity,
     out = [value for _, value in controls]
     given = [i for i, value in enumerate(out) if not isinstance(value, Exception)]
     solved = [controls[i] for i in given]
-    for i, rec in zip(given, _records(solved, *_noise_table(solved, base, imp, mode))):
+    table, failed = _noise_table(solved, base, imp, mode)
+    for i, rec in zip(given, _entries(map(NoiseRecord._make, zip(
+            *zip(*solved), *table.tolist())), failed)):
         out[i] = rec
     return out
 
@@ -155,49 +150,6 @@ def _bracket(scheme: str, base: DeviceParams) -> tuple[float, float]:
     return TILT_BRACKET if scheme == "tilt" else BARRIER_BRACKET
 
 
-def _miss(label, j_target_ghz, c, j):
-    """J - target at the control value c, given the clean J [GHz] there or
-    the exception its solve raised."""
-    if isinstance(j, Exception):
-        raise j
-    d = j - j_target_ghz
-    if math.isnan(d):
-        raise CalibrationError(f"{label}: J - target is NaN at {c!r} meV "
-                               f"for target {j_target_ghz:.6g} GHz")
-    return d
-
-
-def _settle(scheme, j_target_ghz, base, root, j_lo, j_hi, j_root, j0):
-    """The control value of one calibration on the device base, given the
-    clean J [GHz] at its bracket ends, at its closed-form root and at
-    epsilon = 0 on the device's own barrier (J0), each maybe the exception
-    its solve raised: the control of that J0 point, or else of an end, at
-    which J meets the target exactly, else the root, at which J must lie
-    within 1e-6 of the target.  A target not strictly between J at the ends
-    raises CalibrationError naming the J reachable there."""
-    if j0 == j_target_ghz:
-        return 0.0 if scheme == "tilt" else base.xi
-    label = f"calibrate_{scheme}"
-    lo, hi = _bracket(scheme, base)
-    f_lo = _miss(label, j_target_ghz, lo, j_lo)
-    f_hi = _miss(label, j_target_ghz, hi, j_hi)
-    if f_lo == 0.0:
-        return lo
-    if f_hi == 0.0:
-        return hi
-    if (f_lo < 0) == (f_hi < 0):
-        raise CalibrationError(
-            f"{label}: target {j_target_ghz:.6g} GHz outside "
-            f"[{min(j_lo, j_hi):.6g}, {max(j_lo, j_hi):.6g}] GHz "
-            f"reachable on the bracket [{lo}, {hi}] meV")
-    f_root = _miss(label, j_target_ghz, root, j_root)
-    if abs(f_root) > 1e-6 * abs(j_target_ghz):
-        raise CalibrationError(
-            f"{label}: root-finder landed at J = {f_root + j_target_ghz:.9g} GHz "
-            f"for target {j_target_ghz:.9g} GHz")
-    return root
-
-
 def _quadratic(a, b, c):
     """Both roots (2, ...) of a y^2 + b y + c = 0, each without cancellation;
     a root at infinity (a = 0) comes out inf or NaN."""
@@ -205,9 +157,9 @@ def _quadratic(a, b, c):
     return np.stack([q / a, c / q])
 
 
-def _roots(requests, base: DeviceParams, mode: AssemblyMode) -> list:
-    """The control value of each (scheme, target_ghz) request at which the
-    clean J meets the target, in closed form.
+def _roots(tilt, targets, lo, hi, base: DeviceParams, mode: AssemblyMode) -> np.ndarray:
+    """The control value at which the clean J meets each target [GHz], in
+    closed form: a detuning where tilt is set, else a barrier amplitude.
 
     -J is the lowest eigenvalue of the T0-shifted singlet block
     B = [[U2 - U12 - D + K, s2, K], [s2, 2K, s1], [K, s1, U1 - U12 + D + K]]
@@ -215,9 +167,8 @@ def _roots(requests, base: DeviceParams, mode: AssemblyMode) -> list:
     the hops h_i = c_i - t (paper mode: K = c_i = 0).  So det(B + J) = 0 is
     a quadratic in D at the device's barrier, and at epsilon = 0 one in the
     hop t, which is affine in xi.  Of its two roots, the one nearest the
-    scheme's bracket is taken."""
-    schemes = [scheme for scheme, _ in requests]
-    x = np.array([target for _, target in requests], dtype=float) / MEV_TO_GHZ
+    bracket [lo, hi] is taken."""
+    x = targets / MEV_TO_GHZ
     # A non-finite base.xi makes every tilt root NaN, unwarned; the tilt
     # bracket ends then fail on it by name.
     xi0 = base.xi if math.isfinite(base.xi) else math.nan
@@ -241,78 +192,112 @@ def _roots(requests, base: DeviceParams, mode: AssemblyMode) -> list:
                             + 4.0 * k * c1 * c2)
         eps_star = d_star - (hp.mu2[0] - hp.mu1[0])
         xi_star = (t_star - hp.t[1]) / (hp.t[2] - hp.t[1])
-    roots = np.where(np.array(schemes) == "tilt", eps_star, xi_star)
-    lo, hi = np.array([_bracket(s, base) for s in schemes]).reshape(-1, 2).T
+    roots = np.where(tilt, eps_star, xi_star)
     outside = np.fmax(np.fmax(lo - roots, roots - hi), 0.0)
     nearest = np.argmin(np.where(np.isnan(outside), np.inf, outside), axis=0)
-    return np.take_along_axis(roots, nearest[None], axis=0)[0].tolist()
+    return np.take_along_axis(roots, nearest[None], axis=0)[0]
 
 
-def _calibrated(requests, base: DeviceParams, mode: AssemblyMode, imps=()) -> tuple[list, list]:
-    """(controls, records): the control value of each (scheme, target_ghz)
-    request at which the clean J meets the target, and for each impurity of
-    imps the NoiseRecord of every request at its control (one _table).
+def _calibrated(requests, base: DeviceParams, mode: AssemblyMode, imps=()):
+    """(controls, failed, table, out): the control value of each (scheme,
+    target_ghz) request at which the clean J meets the target, NaN where its
+    calibration fails and failed maps it to its exception; and the _table of
+    every request's NoiseRecord at its control with each impurity of imps in
+    turn (row k n + r for impurity k and request r of n), a failed
+    calibration failing its rows with its exception.
 
     Every root comes in closed form (_roots).  One stack solves the clean J
-    at every distinct bracket end, J0 point and root, and J with each
-    impurity at every root, and at the others too given at most one
-    impurity.  A request settles by _settle; a point it settles on that was
-    not solved with the impurities is, with each, in a second stack.  An
-    entry is the exception its calibration, or else its record, raised
-    instead; a device that cannot be built fails every entry with it."""
+    at every distinct bracket end, J0 point (epsilon = 0 on the device's own
+    barrier) and root, and J with each impurity at every root, and at the
+    others too given at most one impurity; a point settled on that was not
+    solved with the impurities is, with each, in a second stack.  All
+    requests settle or fail in one selection (see step below).  A device
+    that cannot be built fails every entry with its error."""
     requests, imps = list(requests), list(imps)
-    for scheme, _ in requests:
+    schemes = [scheme for scheme, _ in requests]
+    for scheme in schemes:
         if scheme not in ("tilt", "barrier"):
             raise ValueError(f"unknown scheme {scheme!r}")
-    try:
-        roots = _roots(requests, base, mode)
-    except Exception as exc:  # the device's own failure
-        return [exc] * len(requests), [[exc] * len(requests) for _ in imps]
-    # J0, at epsilon = 0 on the device's own barrier, is the tilt bracket's
-    # lower end, and is solved with the ends when no tilt request brings it.
+    brackets = {scheme: _bracket(scheme, base) for scheme in dict.fromkeys(schemes)}
+    # J0, the tilt bracket's low end, is solved with the ends.
     at_j0 = control_values("tilt", base, 0.0)
-    ends = list(dict.fromkeys([*(control_values(scheme, base, c) for scheme, _ in requests
-                                 for c in _bracket(scheme, base)), at_j0]))
-    settings = ends + [control_values(scheme, base, c) for (scheme, _), c in zip(requests, roots)]
+    ends = list(dict.fromkeys([*(control_values(scheme, base, c)
+                                 for scheme, bracket in brackets.items() for c in bracket), at_j0]))
+    # Each request's bracket ends, their indices in ends, and side: 0 tilt, 1 barrier.
+    tilt = np.array(schemes, dtype=str) == "tilt"
+    side = np.where(tilt, 0, 1)
+    lo, hi = np.array([brackets.get(s, (0.0, 0.0)) for s in ("tilt", "barrier")])[side].T
+    i_lo, i_hi = np.array([[ends.index(control_values(s, base, c)) for c in brackets.get(s, ())]
+                           or [0, 0] for s in ("tilt", "barrier")])[side].T
+    targets = np.array([target for _, target in requests], dtype=float)
+    n_req, n_imps = len(requests), len(imps)
+    try:
+        roots = _roots(tilt, targets, lo, hi, base, mode)
+    except Exception as exc:  # the device's own failure
+        return (np.full(n_req, math.nan), dict.fromkeys(range(n_req), exc),
+                np.full((4, n_imps * n_req), math.nan), dict.fromkeys(range(n_imps * n_req), exc))
+    settings = np.concatenate([np.array(ends, dtype=float).reshape(-1, 2), np.stack(
+        [np.where(tilt, roots, 0.0), np.where(tilt, base.xi, roots)], axis=1)])
     # J [GHz] clean at every setting, then with each impurity in turn at every
     # setting (given at most one impurity) or only at every root.
-    with_imp = settings if len(imps) <= 1 else settings[len(ends):]
-    n, m = len(settings), len(with_imp)
-    js, failed = _j_ghz(base, settings + with_imp * len(imps), mode,
-                        np.arange(1 + len(imps)).repeat([n] + [m] * len(imps)), imps)
-    clean = dict(zip(settings, _entries(js, failed)))
-    controls: list = []
-    for (scheme, target), root, at_root in zip(requests, roots, settings[len(ends):]):
-        try:
-            j_ends = (clean[control_values(scheme, base, e)] for e in _bracket(scheme, base))
-            controls.append(_settle(scheme, target, base, root, *j_ends, clean[at_root],
-                                    clean[at_j0]))
-        except Exception as exc:  # this calibration's own failure
-            controls.append(exc)
-    settled = [None if isinstance(c, Exception) else control_values(scheme, base, c)
-               for (scheme, _), c in zip(requests, controls)]
-    # The index in js of J with each impurity in turn at each setting solved
-    # with them; an end settled on but not solved with them is, with each,
-    # in a second stack.
-    with_each = {s: range(n + i, len(js), m) for i, s in enumerate(with_imp)}
-    left = [s for s in dict.fromkeys(settled) if s is not None and s not in with_each]
+    n, start = len(settings), 0 if n_imps <= 1 else len(ends)
+    js, failed = _j_ghz(base, np.concatenate([settings, np.tile(settings[start:], (n_imps, 1))]),
+                        mode, np.arange(1 + n_imps).repeat([n] + [n - start] * n_imps), imps)
+    j = js[:n]
+    with np.errstate(invalid="ignore", over="ignore"):
+        f_lo, f_hi, f_root = j[i_lo] - targets, j[i_hi] - targets, j[len(ends):] - targets
+    # The first step at which each request settles or fails: 0 on the J0
+    # point if J0 meets the target exactly; 1-2 on a failed solve or a NaN
+    # miss at an end, the low end first; 3-4 on an end that meets it
+    # exactly; 5 on a target not strictly between J at the ends; 6 as 1-2 at
+    # the root; 7 on a miss there by more than 1e-6 of it; 8 on the root.
+    step = np.argmax([j[ends.index(at_j0)] == targets, np.isnan(f_lo), np.isnan(f_hi),
+                      f_lo == 0.0, f_hi == 0.0, (f_lo < 0) == (f_hi < 0), np.isnan(f_root),
+                      np.abs(f_root) > 1e-6 * np.abs(targets), np.full(n_req, True)], axis=0)
+    # The index in settings of each settled control, -1 where none.
+    settled = np.choose(step, [ends.index(at_j0), -1, -1, i_lo, i_hi, -1, -1, -1,
+                               np.arange(len(ends), n)])
+    controls = np.where(settled < 0, math.nan, settings[settled, side])
+    calibration_failed = {}
+    for r in np.flatnonzero(settled < 0).tolist():
+        (scheme, target), (b_lo, b_hi) = requests[r], brackets[requests[r][0]]
+        if step[r] == 5:
+            j_lo, j_hi = j[i_lo[r]].item(), j[i_hi[r]].item()
+            exc = CalibrationError(
+                f"calibrate_{scheme}: target {target:.6g} GHz outside [{min(j_lo, j_hi):.6g}, "
+                f"{max(j_lo, j_hi):.6g}] GHz reachable on the bracket [{b_lo}, {b_hi}] meV")
+        elif step[r] == 7:
+            exc = CalibrationError(
+                f"calibrate_{scheme}: root-finder landed at J = "
+                f"{f_root[r].item() + target:.9g} GHz for target {target:.9g} GHz")
+        else:
+            at, c = {1: (i_lo[r].item(), b_lo), 2: (i_hi[r].item(), b_hi)}.get(
+                step[r].item(), (len(ends) + r, roots[r].item()))
+            exc = failed[at] if at in failed else CalibrationError(
+                f"calibrate_{scheme}: J - target is NaN at {c!r} meV for target {target:.6g} GHz")
+        calibration_failed[r] = exc
+    # The index in js of J with the first impurity at each settled control,
+    # and its stride to the next impurity.  An end settled on but not solved
+    # with them (nor equal to a root) is, with each, in a second stack.
+    first, stride, left = n + settled - start, np.full(n_req, n - start), []
+    for e in dict.fromkeys(settled[(0 <= settled) & (settled < start)].tolist()):
+        same = np.flatnonzero((settings[start:] == settings[e]).all(axis=1))
+        if same.size:
+            first[settled == e] = n + same[-1]
+        else:
+            first[settled == e] = len(js) + len(left)
+            left.append(e)
     if left:
-        more, more_failed = _j_ghz(base, left * len(imps), mode,
-                                   np.arange(1, 1 + len(imps)).repeat(len(left)), imps)
+        stride[np.isin(settled, left)] = len(left)
+        more, more_failed = _j_ghz(base, np.tile(settings[left], (n_imps, 1)), mode,
+                                   np.arange(1, 1 + n_imps).repeat(len(left)), imps)
         failed.update((len(js) + i, exc) for i, exc in more_failed.items())
-        with_each.update((s, range(len(js) + i, len(js) + len(more), len(left)))
-                         for i, s in enumerate(left))
         js = np.append(js, more)
-    # A row per impurity and request, impurity by impurity; a failed
-    # calibration fails its rows with its exception.
-    at = {s: i for i, s in enumerate(settings)}
-    rows = [(scheme, c) for (scheme, _), c in zip(requests, controls)] * len(imps)
-    unsettled = [r for r, s in enumerate(settled) if s is None]
-    out = _records(rows, *_table(
-        rows, js, failed, [at.get(s, -1) for s in settled] * len(imps),
-        [-1 if s is None else with_each[s][k] for k in range(len(imps)) for s in settled],
-        {k * len(requests) + r: controls[r] for k in range(len(imps)) for r in unsettled}))
-    return controls, [out[k * len(requests):(k + 1) * len(requests)] for k in range(len(imps))]
+    dirty = np.where(settled < 0, -1, first + stride * np.arange(n_imps)[:, None]).ravel()
+    rows = list(zip(schemes, controls.tolist())) * n_imps
+    table, out = _table(rows, js, failed, np.tile(settled, n_imps), dirty, {
+        k * n_req + r: exc for k in range(n_imps) for r, exc in calibration_failed.items()})
+    return controls, calibration_failed, table, out
 
 
 def calibrate_many(requests, base: DeviceParams = DeviceParams(),
@@ -321,7 +306,7 @@ def calibrate_many(requests, base: DeviceParams = DeviceParams(),
     clean J meets the target, every request from one stacked solve (see
     _calibrated).  An entry is the exception its calibration raised
     instead."""
-    return _calibrated(requests, base, mode)[0]
+    return _entries(*_calibrated(requests, base, mode)[:2])
 
 
 def calibrate_tilt(j_target_ghz: float,
@@ -354,43 +339,48 @@ class ChiRecord(NamedTuple):
     CSV_FIELDS = ("J_ghz", "rel_tilt", "rel_barrier", "chi")
 
 
+def _chi_table(targets, imp: Impurity, base: DeviceParams,
+               mode: AssemblyMode) -> tuple[np.ndarray, dict]:
+    """(table, failed): rel_tilt, rel_barrier and chi (3, n) at n targets
+    [GHz] from one _calibrated call; a target that fails is NaN, and failed
+    maps it, in row order, to its first exception in the order tilt
+    calibration, barrier calibration, tilt record, barrier record."""
+    _, calibration_failed, table, out = _calibrated(
+        [(scheme, j) for j in targets for scheme in ("tilt", "barrier")], base, mode, [imp])
+    failed: dict = {}
+    for i, exc in [*sorted(calibration_failed.items()), *sorted(out.items())]:
+        failed.setdefault(i // 2, exc)
+    rel_t, rel_b = table[3].reshape(-1, 2).T
+    with np.errstate(divide="ignore", invalid="ignore"):
+        chi = np.where(rel_b == 0.0, np.where(rel_t != 0.0, math.inf, 1.0),
+                       np.abs(rel_t) / np.abs(rel_b))
+    table = np.array([rel_t, rel_b, chi])
+    table[:, list(failed)] = math.nan
+    return table, dict(sorted(failed.items()))
+
+
 def improvement_factors(targets, imp: Impurity,
                         base: DeviceParams = DeviceParams(),
                         mode: AssemblyMode = AssemblyMode.PAPER) -> list:
-    """improvement_factor at each target: both calibrations and both noise
-    records of every target from one stacked solve (see _calibrated).
+    """improvement_factor at each target, every target's calibrations and
+    noise records from one stacked solve (see _chi_table).
 
     An entry is its target's first exception instead, in the order tilt
     calibration, barrier calibration, tilt record, barrier record."""
     if imp is None:
         raise ValueError("improvement_factors needs an impurity, got imp=None")
     targets = list(targets)
-    controls, (records,) = _calibrated([(scheme, j) for j in targets
-                                        for scheme in ("tilt", "barrier")], base, mode, [imp])
-    out = []
-    for k, j in enumerate(targets):
-        steps = controls[2 * k:2 * k + 2] + records[2 * k:2 * k + 2]
-        failed = [r for r in steps if isinstance(r, Exception)]
-        out.append(failed[0] if failed else _chi(j, *steps[2:]))
-    return out
-
-
-def _chi(j_target_ghz: float, rec_t: NoiseRecord, rec_b: NoiseRecord) -> ChiRecord:
-    if rec_b.rel_noise == 0.0:
-        chi = math.inf if rec_t.rel_noise != 0.0 else 1.0
-    else:
-        chi = abs(rec_t.rel_noise) / abs(rec_b.rel_noise)
-    return ChiRecord(J_ghz=j_target_ghz, rel_tilt=rec_t.rel_noise,
-                     rel_barrier=rec_b.rel_noise, chi=chi)
+    table, failed = _chi_table(targets, imp, base, mode)
+    return _entries(map(ChiRecord._make, zip(targets, *table.tolist())), failed)
 
 
 def improvement_factor(j_target_ghz: float, imp: Impurity,
                        base: DeviceParams = DeviceParams(),
                        mode: AssemblyMode = AssemblyMode.PAPER) -> ChiRecord:
-    """chi = (dJ/J)_tilt / (dJ/J)_barrier at matched clean J.
+    """chi = |dJ/J|_tilt / |dJ/J|_barrier at matched clean J.
 
-    A vanishing barrier noise is signaled by chi = +inf rather than an
-    exception: matched-J comparisons remain well-defined pointwise.
+    A vanishing barrier noise is signaled by chi = +inf (1 if both vanish)
+    rather than an exception: matched-J comparisons remain well-defined.
     """
     (rec,) = unwrap(improvement_factors([j_target_ghz], imp, base, mode))
     return rec

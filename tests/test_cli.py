@@ -14,9 +14,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dqdsim import (CalibrationError, DeviceParams, Impurity, calibrate_barrier, calibrate_tilt,
-                    cli, default_impurity, delta_J, eval_potential, hamiltonian,
-                    improvement_factors, matched_j_grid, noise, __version__)
+from dqdsim import (CalibrationError, DeviceParams, Impurity, QualityModel, calibrate_barrier,
+                    calibrate_tilt, cli, default_impurity, delta_J, eval_potential, hamiltonian,
+                    improvement_factors, matched_j_grid, noise, quality_factor, __version__)
 from dqdsim.cli import MAX_GRID_POINTS, build_parser, main
 from dqdsim.model import _SETTINGS, config_to_objects, read_config
 
@@ -69,8 +69,9 @@ def test_cli_does_not_import_the_oracle():
 
 
 class TestParser:
-    """main builds the parser of the invoked subcommand alone; it parses and
-    reports exactly as the full parser of build_parser does."""
+    """main builds the parser of the invoked subcommand alone, once per
+    process, and reuses it; it parses and reports exactly as the full parser
+    of build_parser does."""
 
     ARGV = {
         "spectrum": ["--eps-range", "0:0.1:0.1", "--mode", "full", "--impurity=-450,300"],
@@ -95,13 +96,15 @@ class TestParser:
                                 (help_text, lambda p, n=n, add=add_flags: built.append(n) or add(p)))
         for argv in ([name], [name, *self.ARGV[name]]):
             assert cli._parser([name]).parse_args(argv) == build_parser().parse_args(argv)
-        for argv, code, text in (([name, "-h"], 0, f"usage: dqdsim {name} "),
-                                 ([name, "--bogus"], 2, "unrecognized arguments: --bogus")):
+        # main builds this subparser alone on its first call, and reuses it.
+        for argv, code, text, builds in (
+                ([name, "-h"], 0, f"usage: dqdsim {name} ", [name]),
+                ([name, "--bogus"], 2, "unrecognized arguments: --bogus", [])):
             full = build_parser()
             built.clear()
             with pytest.raises(SystemExit) as exit_:
                 main(argv)
-            assert built == [name]  # main built this subparser alone
+            assert built == builds
             lazy = capsys.readouterr()
             assert exit_.value.code == code and text in lazy.out + lazy.err
             with pytest.raises(SystemExit) as exit_:
@@ -158,6 +161,29 @@ class TestParser:
         if argv == ["-h"]:
             for name, (help_text, _) in cli._SUBCOMMANDS.items():
                 assert f"    {name}" in got.out and help_text in got.out
+
+    # A reused parser keeps nothing of an earlier call: the second call,
+    # without the first one's flags, writes what a fresh process writes.
+    def test_a_reused_parser_forgets_the_last_call(self, tmp_path):
+        cfg = tmp_path / "device.cfg"
+        cfg.write_text("device.a_nm = 90\ncontrol.xi_mev = 1.1\n")
+        first = ["exchange-tilt", "--eps-range", "0:0.2:0.1", "--impurity=-450,300",
+                 "--charge-e", "-0.5", "--mode", "full", "--config", str(cfg)]
+        second = ["exchange-tilt", "--eps-range", "0:0.2:0.1"]
+        for k, argv in enumerate((first, second, first)):
+            here, fresh = tmp_path / f"here{k}.csv", tmp_path / f"fresh{k}.csv"
+            assert main([*argv, "--out", str(here)]) == 0
+            run_cli(*argv, "--out", str(fresh))
+            assert here.read_bytes() == fresh.read_bytes()
+
+    # The command runs as bound when it is called, not when its parser was
+    # built: validate -h fills the cache before cmd_validate is replaced.
+    def test_a_replaced_command_runs_after_its_parser_is_reused(self, monkeypatch, capsys):
+        with pytest.raises(SystemExit):
+            main(["validate", "-h"])
+        capsys.readouterr()
+        monkeypatch.setattr(cli, "cmd_validate", lambda args: 7 if args.quick else 8)
+        assert main(["validate", "--quick"]) == 7
 
     def test_an_oracle_refusal_is_reported(self, monkeypatch, capsys):
         from dqdsim.quadrature import OracleRefusal
@@ -545,9 +571,8 @@ class TestFlags:
     def test_unconverged_calibration_is_reported(self, monkeypatch, tmp_path, capsys):
         # Every tilt root lands off its target; J0, at the bracket end, has none.
         real = noise._roots
-        monkeypatch.setattr(noise, "_roots", lambda requests, base, mode: [
-            c + 0.01 if scheme == "tilt" else c
-            for (scheme, _), c in zip(requests, real(requests, base, mode))])
+        monkeypatch.setattr(noise, "_roots", lambda tilt, *args: np.where(
+            tilt, real(tilt, *args) + 0.01, real(tilt, *args)))
         out = tmp_path / "out.csv"
         assert main(["noise-compare", "--points", "2", "--out", str(out)]) == 2
         err = capsys.readouterr().err
@@ -560,9 +585,10 @@ class TestFlags:
         grid = [float(j) for j in matched_j_grid(DeviceParams(), n=8)]
         wrong = {("tilt", grid[2]), ("barrier", grid[2]), ("barrier", grid[5])}
         real = noise._roots
-        monkeypatch.setattr(noise, "_roots", lambda requests, base, mode: [
-            c + 0.01 if req in wrong else c
-            for req, c in zip(requests, real(requests, base, mode))])
+        monkeypatch.setattr(noise, "_roots", lambda tilt, targets, *args: np.where(
+            [req in wrong for req in zip(np.where(tilt, "tilt", "barrier").tolist(),
+                                         targets.tolist())],
+            real(tilt, targets, *args) + 0.01, real(tilt, targets, *args)))
         # Each calibration on its own: the first failure of each J, tilt first.
         expected = []
         for j in grid:
@@ -849,9 +875,9 @@ class TestFlags:
         rows = list(zip(*columns))
         assert len(rows) == 9
         assert header[-2:] == ["eps_star_mev = 0", "xi_star_mev = 1.3"]
-        roots = noise._roots([("tilt", 0.032809933155053), ("barrier", 0.032809933155053)],
-                             DeviceParams(), "paper")
-        assert roots != [0.0, 1.3]
+        roots = noise._roots(np.array([True, False]), np.full(2, 0.032809933155053),
+                             np.array([0.0, 0.3]), np.array([1.5, 1.3]), DeviceParams(), "paper")
+        assert roots.tolist() != [0.0, 1.3]
         for name, r_over_a, rel_t, rel_b in rows:
             ux, uy = cli._SCAN_DIRECTIONS[name]
             imp = Impurity(r_over_a * 100.0 * ux, r_over_a * 100.0 * uy)
@@ -880,6 +906,112 @@ class TestFlags:
         assert exit_.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
+
+
+class TestMatchedJBranches:
+    """Each way a calibration settles or fails, through the matched-J
+    commands: the CSV rows, the stderr lines and the exit code."""
+
+    BASE = DeviceParams()
+    IMP = default_impurity(BASE)
+
+    @classmethod
+    def j_at(cls, scheme, control):
+        return hamiltonian.exchange_J_ghz(noise.control_point(scheme, cls.BASE, control))
+
+    @classmethod
+    def out_of_reach(cls, target):
+        """The message of a barrier target above J at the bracket's low end."""
+        return (f"calibrate_barrier: target {target:.6g} GHz outside "
+                f"[{cls.j_at('barrier', 1.3):.6g}, {cls.j_at('barrier', 0.3):.6g}] GHz "
+                "reachable on the bracket [0.3, 1.3] meV")
+
+    @staticmethod
+    def refuse_the_tilt_top(monkeypatch):
+        """Fail every solve at the tilt bracket's top, epsilon = 1.5 meV."""
+        real = noise.solve_stack
+        monkeypatch.setattr(noise, "solve_stack", lambda device, eps, xi, *args: real(
+            device, np.where(np.asarray(eps) == 1.5, math.nan, eps), xi, *args))
+
+    @classmethod
+    def chi_row(cls, j, eps, xi):
+        rel_t = delta_J("tilt", eps, cls.BASE, cls.IMP).rel_noise
+        rel_b = delta_J("barrier", xi, cls.BASE, cls.IMP).rel_noise
+        return ",".join(f"{v:.12g}" for v in (j, rel_t, rel_b, abs(rel_t) / abs(rel_b)))
+
+    # Row 0 meets J0 exactly, row 1 takes both roots, and row 2 is out of the
+    # barrier's reach; with the tilt top's solve failing, only row 0 is left.
+    @pytest.mark.parametrize("refused", [False, True])
+    def test_noise_compare(self, refused, monkeypatch, tmp_path, capsys):
+        grid = matched_j_grid(self.BASE, n=3, j_max_ghz=2.0).tolist()
+        roots = [calibrate_tilt(grid[1]), calibrate_barrier(grid[1])]
+        if refused:
+            self.refuse_the_tilt_top(monkeypatch)
+        out = tmp_path / "out.csv"
+        assert main(["noise-compare", "--points", "3", "--j-max", "2", "--out", str(out)]) == 2
+        failed = [(j, "epsilon must be finite, got nan") for j in grid[1:]] if refused else [
+            (grid[2], self.out_of_reach(grid[2]))]
+        assert capsys.readouterr().err.splitlines() == [
+            f"dqdsim: error: J = {cli._fmt(j)} GHz: {msg}" for j, msg in failed]
+        assert data_rows(out.read_text()) == [
+            "J_ghz,rel_tilt,rel_barrier,chi", self.chi_row(grid[0], 0.0, 1.3),
+            *([] if refused else [self.chi_row(grid[1], *roots)]),
+            *(f"{cli._fmt(j)},nan,nan,nan" for j, _ in failed)]
+
+    # J0 settles on the J0 point; J at the barrier's low end settles there,
+    # and the tilt calibration on its root.
+    @pytest.mark.parametrize("control", [1.3, 0.3], ids=["J0", "low end"])
+    def test_qfactor_settles_on_an_end(self, control, tmp_path):
+        j = self.j_at("barrier", control)
+        eps = 0.0 if control == 1.3 else calibrate_tilt(j)
+        out = tmp_path / "out.csv"
+        assert main(["qfactor", "--j-range", f"{j!r}:{j!r}:1", "--out", str(out)]) == 0
+        rel_ref = abs(delta_J("tilt", calibrate_tilt(0.242), self.BASE, self.IMP).rel_noise)
+        q = [quality_factor(j, QualityModel(rel)) for rel in (
+            abs(delta_J("tilt", eps, self.BASE, self.IMP).rel_noise),
+            abs(delta_J("barrier", control, self.BASE, self.IMP).rel_noise), rel_ref)]
+        assert data_rows(out.read_text())[1:] == [",".join(f"{v:.12g}" for v in (j, *q))]
+
+    @pytest.mark.parametrize("refused", [False, True], ids=["out of reach", "failing end"])
+    def test_qfactor_fails_on_the_first_failure(self, refused, monkeypatch, tmp_path, capsys):
+        if refused:
+            self.refuse_the_tilt_top(monkeypatch)
+        out = tmp_path / "out.csv"
+        assert main(["qfactor", "--j-range", "0.15:2.05:0.95", "--out", str(out)]) == 2
+        message = "epsilon must be finite, got nan" if refused else self.out_of_reach(
+            0.15 + 2 * 0.95)
+        assert capsys.readouterr().err == f"dqdsim: error: {message}\n"
+        assert not out.exists()
+
+    def test_impurity_scan_settles_on_the_barriers_low_end(self, tmp_path):
+        j = self.j_at("barrier", 0.3)
+        out = tmp_path / "out.csv"
+        assert main(["impurity-scan", "--J-mhz", repr(j * 1e3), "--radii", "6",
+                     "--out", str(out)]) == 0
+        eps = calibrate_tilt(j)
+        text = out.read_text()
+        assert f"# eps_star_mev = {cli._fmt(eps)}\n# xi_star_mev = 0.3\n" in text
+        rows = []
+        for name, (ux, uy) in cli._SCAN_DIRECTIONS.items():
+            imp = Impurity(600.0 * ux, 600.0 * uy)
+            rows.append(f"{name},6,{delta_J('tilt', eps, self.BASE, imp).rel_noise:.12g},"
+                        f"{delta_J('barrier', 0.3, self.BASE, imp).rel_noise:.12g}")
+        assert data_rows(text)[1:] == rows
+
+    # At J on the tilt top the tilt calibration settles there, so the first
+    # failure is the barrier's; with the top's solve failing, the tilt's.
+    @pytest.mark.parametrize("refused", [False, True], ids=["top end", "failing end"])
+    def test_impurity_scan_fails_on_the_first_failure(self, refused, monkeypatch, tmp_path,
+                                                       capsys):
+        j = self.j_at("tilt", 1.5)
+        if refused:
+            self.refuse_the_tilt_top(monkeypatch)
+        out = tmp_path / "out.csv"
+        assert main(["impurity-scan", "--J-mhz", repr(j * 1e3), "--radii", "6",
+                     "--out", str(out)]) == 2
+        message = "epsilon must be finite, got nan" if refused else self.out_of_reach(j)
+        assert capsys.readouterr().err == f"dqdsim: error: {message}\n"
+        assert not out.exists()
 
 
 def csv_writer_bytes(header_lines, fieldnames, blocks) -> str:

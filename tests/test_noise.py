@@ -60,8 +60,56 @@ def shift_roots(monkeypatch, wrong, by=0.01):
     """Make calibrate_many's closed-form root of each (scheme, target)
     request in wrong land `by` meV off, so its residual check fails."""
     real = noise._roots
-    monkeypatch.setattr(noise, "_roots", lambda requests, base, mode: [
-        c + by if req in wrong else c for req, c in zip(requests, real(requests, base, mode))])
+
+    def shifted(tilt, targets, *args):
+        roots = real(tilt, targets, *args)
+        hit = [req in wrong for req in zip(np.where(tilt, "tilt", "barrier").tolist(),
+                                           targets.tolist())]
+        return np.where(hit, roots + by, roots)
+    monkeypatch.setattr(noise, "_roots", shifted)
+
+
+def calibrated(requests, base, mode, imps):
+    """noise._calibrated's controls, and each impurity's records, as lists
+    with the exception of each failed entry in its place."""
+    controls, failed, table, out = noise._calibrated(requests, base, mode, imps)
+    controls = noise._entries(controls, failed)
+    records = noise._entries(map(NoiseRecord._make, zip(
+        *zip(*[(scheme, c) for (scheme, _), c in zip(requests, controls)] * len(imps)),
+        *table.tolist())), out)
+    return controls, [records[k * len(requests):(k + 1) * len(requests)]
+                      for k in range(len(imps))]
+
+
+def chi_record(j, rec_t, rec_b):
+    """The ChiRecord of the tilt and barrier NoiseRecords at target j."""
+    rel_t, rel_b = rec_t.rel_noise, rec_b.rel_noise
+    chi = (math.inf if rel_t != 0.0 else 1.0) if rel_b == 0.0 else abs(rel_t) / abs(rel_b)
+    return ChiRecord(j, rel_t, rel_b, chi)
+
+
+def end_js(base=DeviceParams()):
+    """Clean J [GHz] at each end of both brackets, each from a lone solve."""
+    return {(scheme, c): exchange_J_ghz(control_point(scheme, base, c))
+            for scheme, bracket in (("tilt", TILT_BRACKET), ("barrier", BARRIER_BRACKET))
+            for c in bracket}
+
+
+def refuse(monkeypatch, epsilon=(), xi=()):
+    """Make every solve fail at a point whose epsilon or xi is one of these,
+    as the control check of solve_stack fails a NaN control there."""
+    real = noise.solve_stack
+
+    def solve(device, eps, x, *args):
+        eps, x = np.asarray(eps, dtype=float), np.asarray(x, dtype=float)
+        return real(device, np.where(np.isin(eps, epsilon), math.nan, eps),
+                    np.where(np.isin(x, xi) & ~np.isin(eps, epsilon), math.nan, x), *args)
+    monkeypatch.setattr(noise, "solve_stack", solve)
+
+
+def outcome(entry):
+    """A float control or record as itself, an exception as (type, text)."""
+    return (type(entry), str(entry)) if isinstance(entry, Exception) else entry
 
 
 def landed(scheme, target, control, base=DeviceParams(), mode=AssemblyMode.PAPER):
@@ -356,6 +404,74 @@ class TestLockstep:
         assert repr(barrier) == repr(calibrate_many([("barrier", 0.242)], DeviceParams(), mode)[0])
 
 
+class TestSettleBranches:
+    """Each way a calibration settles or fails, every request of a batch in
+    its place: the control, or the exception's type and text.  A request
+    settles on the J0 point if J0 meets its target exactly, else fails on a
+    bracket end (the low end first), else settles on an end that meets it,
+    else fails on a target out of reach, else takes its root."""
+
+    def test_calibrate_many(self, params):
+        j = end_js(params)
+        j0, j_top, j_low = j["tilt", 0.0], j["tilt", 1.5], j["barrier", 0.3]
+        assert j0 == j["barrier", 1.3] == exchange_J_ghz(params)
+        requests = [("tilt", j0), ("barrier", j0), ("barrier", j_low), ("tilt", j_top),
+                    ("tilt", 1e6), ("barrier", 1e-4), ("tilt", math.nan),
+                    ("barrier", math.nan), ("barrier", 0.242)]
+        got = calibrate_many(requests, params)
+        assert list(map(outcome, got[:8])) == [
+            0.0, 1.3, 0.3, 1.5,
+            (CalibrationError, f"calibrate_tilt: target 1e+06 GHz outside [{j0:.6g}, "
+                               f"{j_top:.6g}] GHz reachable on the bracket [0.0, 1.5] meV"),
+            (CalibrationError, f"calibrate_barrier: target 0.0001 GHz outside [{j0:.6g}, "
+                               f"{j_low:.6g}] GHz reachable on the bracket [0.3, 1.3] meV"),
+            (CalibrationError, "calibrate_tilt: J - target is NaN at 0.0 meV for target nan GHz"),
+            (CalibrationError, "calibrate_barrier: J - target is NaN at 0.3 meV "
+                               "for target nan GHz")]
+        assert all(type(c) is float for c in got[:4]) and math.copysign(1.0, got[0]) == 1.0
+        assert got[8] == pytest.approx(XI_STAR_242MHZ, rel=1e-9)
+        assert list(map(repr, got)) == [repr(calibrate_many([req], params)[0])
+                                        for req in requests]
+
+    # A failed solve at a bracket end fails every request of its scheme that
+    # J0 does not settle first, with that solve's error, the low end's first.
+    def test_a_failing_end(self, params, monkeypatch):
+        j0 = exchange_J_ghz(params)
+        inside = calibrate_many([("barrier", 0.242)], params)
+        refuse(monkeypatch, epsilon=[1.5])
+        got = calibrate_many([("tilt", j0), ("tilt", 0.242), ("barrier", 0.242)], params)
+        assert list(map(outcome, got)) == [
+            0.0, (ValueError, "epsilon must be finite, got nan"), *inside]
+        refuse(monkeypatch, epsilon=[1.5], xi=[1.3])  # now J0, both ends' solves fail
+        got = calibrate_many([("tilt", j0), ("barrier", 0.242), ("barrier", 1.0)], params)
+        assert list(map(outcome, got)) == [(ValueError, "xi must be finite, got nan")] + [
+            (ValueError, "xi must be finite, got nan")] * 2
+
+    def test_improvement_factors(self, params, impurity):
+        j = end_js(params)
+        j0, j_top, j_low = j["tilt", 0.0], j["tilt", 1.5], j["barrier", 0.3]
+        eps_low = calibrate_tilt(j_low, params)
+        got = improvement_factors([j0, j_low, 2.0, j_top, math.nan], impurity, params)
+        out_of_reach = ("calibrate_barrier: target {:.6g} GHz outside [{:.6g}, {:.6g}] GHz "
+                        "reachable on the bracket [0.3, 1.3] meV")
+        assert list(map(outcome, got)) == [
+            chi_record(j0, delta_J("tilt", 0.0, params, impurity),
+                       delta_J("barrier", 1.3, params, impurity)),
+            chi_record(j_low, delta_J("tilt", eps_low, params, impurity),
+                       delta_J("barrier", 0.3, params, impurity)),
+            (CalibrationError, out_of_reach.format(2.0, j0, j_low)),
+            (CalibrationError, out_of_reach.format(j_top, j0, j_low)),
+            (CalibrationError, "calibrate_tilt: J - target is NaN at 0.0 meV for target nan GHz")]
+
+    def test_one_call_brackets_each_scheme_once(self, params, impurity, monkeypatch):
+        calls = []
+        real = noise._bracket
+        monkeypatch.setattr(noise, "_bracket",
+                            lambda scheme, base: calls.append(scheme) or real(scheme, base))
+        improvement_factors([0.05, 0.242, 0.5, 0.9], impurity, params)
+        assert len(calls) <= 2
+
+
 class TestCalibratedRecords:
     """improvement_factors and qfactor take their controls and noise records
     from one stacked solve; each entry is the one that calibrate_many and
@@ -385,7 +501,7 @@ class TestCalibratedRecords:
                                                             wrong, monkeypatch):
         shift_roots(monkeypatch, wrong)  # a shifted root fails its residual check
         requests = self.requests(params, mode)
-        controls, (records,) = noise._calibrated(requests, params, mode, [impurity])
+        controls, (records,) = calibrated(requests, params, mode, [impurity])
         want_controls, want_records = self.apart(requests, params, mode, impurity)
         assert list(map(repr, controls)) == list(map(repr, want_controls))
         assert list(map(repr, records)) == list(map(repr, want_records))
@@ -407,7 +523,10 @@ class TestCalibratedRecords:
         for k, j in enumerate(targets):
             steps = controls[2 * k:2 * k + 2] + records[2 * k:2 * k + 2]
             failed = [r for r in steps if isinstance(r, Exception)]
-            want.append(failed[0] if failed else noise._chi(j, *steps[2:]))
+            if failed:
+                want.append(failed[0])
+                continue
+            want.append(chi_record(j, *steps[2:]))
         got = improvement_factors(targets, impurity, params, mode)
         assert list(map(repr, got)) == list(map(repr, want))
         assert isinstance(got[0], ChiRecord)
@@ -433,7 +552,7 @@ class TestCalibratedRecords:
         (j0,) = noise._j_ghz(params, [(0.0, params.xi)], AssemblyMode.PAPER)[0].tolist()
         requests = [("tilt", j0), ("barrier", j0), ("barrier", 0.242)]
         stacks = count_stacks(monkeypatch)
-        controls, records = noise._calibrated(requests, params, AssemblyMode.PAPER, imps)
+        controls, records = calibrated(requests, params, AssemblyMode.PAPER, imps)
         assert stacks == stacked
         assert controls[:2] == [TILT_BRACKET[0], BARRIER_BRACKET[1]] == [0.0, params.xi]
         assert controls[2] == pytest.approx(XI_STAR_242MHZ, rel=1e-9)
@@ -533,8 +652,8 @@ class TestImprovementFactor:
         clean = calibrate_many(requests)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            controls, (records,) = noise._calibrated(requests, DeviceParams(),
-                                                     AssemblyMode.PAPER, [imp])
+            controls, (records,) = calibrated(requests, DeviceParams(),
+                                              AssemblyMode.PAPER, [imp])
             near, far = improvement_factors([0.05, 1e6], imp)
         assert list(map(repr, controls)) == list(map(repr, clean))
         assert isinstance(far, CalibrationError) and repr(far) == repr(clean[2])
