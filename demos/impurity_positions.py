@@ -18,7 +18,6 @@ from dqdsim import (
     calibrate_many,
     matched_j_grid,
     noise_records,
-    unwrap,
 )
 
 J_TARGET_GHZ = 0.242
@@ -31,8 +30,8 @@ DIRECTIONS = {
 
 
 def radial_scans(base):
-    eps_star, xi_star = unwrap(calibrate_many(
-        [("tilt", J_TARGET_GHZ), ("barrier", J_TARGET_GHZ)], base))
+    eps_star, xi_star = calibrate_many(
+        [("tilt", J_TARGET_GHZ), ("barrier", J_TARGET_GHZ)], base)
     print(f"both schemes calibrated to J = {J_TARGET_GHZ:g} GHz: "
           f"eps* = {eps_star:.4f} meV (tilt), xi* = {xi_star:.4f} meV (barrier)\n")
 
@@ -43,8 +42,8 @@ def radial_scans(base):
         for r in RADII:
             x, y = r * base.a * ux, r * base.a * uy
             imp = Impurity(x, y, q=-1.0)
-            rec_t, rec_b = unwrap(noise_records(
-                [("tilt", eps_star), ("barrier", xi_star)], base, imp))
+            rec_t, rec_b = noise_records(
+                [("tilt", eps_star), ("barrier", xi_star)], base, imp)
             ratio = (abs(rec_t.rel_noise / rec_b.rel_noise)
                      if rec_b.rel_noise != 0.0 else math.inf)
             print(f"  {r:5.1f} ({x:+8.1f}, {y:+7.1f}) {rec_t.rel_noise:+12.4f} "
@@ -67,8 +66,8 @@ def near_impurity(base):
           "barrier scheme vs operating point:")
     print(f"  {'J [GHz]':>9s} {'xi* [meV]':>10s} {'|dJ/J|':>9s}")
     grid = [float(j) for j in matched_j_grid(base, n=8, j_max_ghz=1.0)]
-    xis = unwrap(calibrate_many([("barrier", j) for j in grid], base))
-    recs = unwrap(noise_records([("barrier", xi) for xi in xis], base, imp))
+    xis = calibrate_many([("barrier", j) for j in grid], base)
+    recs = noise_records([("barrier", xi) for xi in xis], base, imp)
     for j, xi, rec in zip(grid, xis, recs):
         print(f"  {j:9.4f} {xi:10.4f} {abs(rec.rel_noise):9.5%}")
     print("  running the qubit faster (larger J, lower barrier) makes even a "

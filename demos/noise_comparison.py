@@ -19,7 +19,6 @@ from dqdsim import (
     matched_j_grid,
     sweep,
     sweet_spot_check,
-    unwrap,
 )
 
 
@@ -31,7 +30,7 @@ def control_axis_tables(base, imp):
     print("tilt scheme (xi fixed at 1.3 meV), sweeping detuning:")
     print(f"  {'eps [meV]':>9s} {'J clean [GHz]':>14s} {'J w/ imp [GHz]':>15s} "
           f"{'dJ/J':>8s}")
-    for r in unwrap(sweep("tilt", eps_values, base, imp)):
+    for r in sweep("tilt", eps_values, base, imp):
         print(f"  {r.control_mev:9.2f} {r.J_clean_ghz:14.6f} "
               f"{r.J_imp_ghz:15.6f} {r.rel_noise:8.2%}")
     print()
@@ -40,7 +39,7 @@ def control_axis_tables(base, imp):
     print("barrier scheme (detuning held at 0), sweeping barrier amplitude:")
     print(f"  {'xi [meV]':>9s} {'J clean [GHz]':>14s} {'J w/ imp [GHz]':>15s} "
           f"{'dJ/J':>8s}")
-    for r in unwrap(sweep("barrier", xi_values, base, imp)):
+    for r in sweep("barrier", xi_values, base, imp):
         print(f"  {r.control_mev:9.2f} {r.J_clean_ghz:14.6f} "
               f"{r.J_imp_ghz:15.6f} {r.rel_noise:8.2%}")
     print()
@@ -60,9 +59,9 @@ def matched_comparison(base, imp):
           f"{'|dJ/J| tilt':>12s} {'|dJ/J| barrier':>15s} {'chi':>9s}")
     grid = [float(j) for j in matched_j_grid(base, n=9)]
     # Every calibration of the table in one calibrate_many call: one stacked solve.
-    recs = unwrap(improvement_factors(grid, imp, base))
-    controls = unwrap(calibrate_many(
-        [(scheme, j) for j in grid for scheme in ("tilt", "barrier")], base))
+    recs = improvement_factors(grid, imp, base)
+    controls = calibrate_many(
+        [(scheme, j) for j in grid for scheme in ("tilt", "barrier")], base)
     for rec, eps_star, xi_star in zip(recs, controls[0::2], controls[1::2]):
         print(f"  {rec.J_ghz:9.4f} {eps_star:10.4f} {xi_star:9.4f} "
               f"{abs(rec.rel_tilt):12.4%} {abs(rec.rel_barrier):15.4%} "

@@ -24,7 +24,6 @@ from dqdsim import (
     quality_factor,
     sigma_total,
     t_star_ns,
-    unwrap,
 )
 
 
@@ -61,7 +60,7 @@ def impurity_driven_q(base, imp):
     print(f"  {'J [GHz]':>8s} {'sigma_tilt':>11s} {'sigma_barr':>11s} "
           f"{'Q tilt':>9s} {'Q barrier':>10s}")
     grid = [float(j) for j in matched_j_grid(base, n=8, j_max_ghz=0.5)]
-    for j, rec in zip(grid, unwrap(improvement_factors(grid, imp, base))):
+    for j, rec in zip(grid, improvement_factors(grid, imp, base)):
         sig_t = abs(rec.rel_tilt) * j
         sig_b = abs(rec.rel_barrier) * j
         q_t = quality_factor(j, QualityModel(sigma_rel=abs(rec.rel_tilt)))

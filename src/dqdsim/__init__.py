@@ -55,7 +55,6 @@ from .hamiltonian import (
     hubbard_parameters,
     jacobi_eigh,
     solve,
-    unwrap,
 )
 from .noise import (
     BARRIER_BRACKET,
@@ -160,7 +159,6 @@ __all__ = [
     "sweep",
     "sweet_spot_check",
     "t_star_ns",
-    "unwrap",
     "validate_params",
     "__version__",
 ]

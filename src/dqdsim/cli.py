@@ -23,7 +23,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .hamiltonian import AssemblyMode, in_ghz, solve_stack, unwrap
+from .hamiltonian import AssemblyMode, in_ghz, solve_stack
 from .model import _SETTINGS, DeviceParams, Impurity, config_to_objects, read_config
 from .noise import (
     CalibrationError,
@@ -33,6 +33,7 @@ from .noise import (
     _calibrated,
     _chi_table,
     _noise_table,
+    _raise_first,
     default_impurity,
     matched_j_grid,
     quality_factor,
@@ -201,7 +202,7 @@ def cmd_spectrum(args) -> int:
         raise ValueError("--charge-e given without --impurity or a config impurity: "
                          "there is no impurity to charge")
     eps_values = _parse_range(args.eps_range)
-    xi_values = _parse_range(args.xi_range) if args.xi_range else [1.3, 1.0]
+    xi_values = [1.3, 1.0] if args.xi_range is None else _parse_range(args.xi_range)
     epsilon, xi = (a.ravel() for a in np.meshgrid(eps_values, xi_values))  # xi outermost
     imp_rows, imps = (None, []) if imp is None else (np.ones(len(xi), int), [imp])
     failed, _, evals, _, J = solve_stack(base, epsilon, xi, imp_rows, imps, mode)
@@ -229,8 +230,9 @@ def cmd_exchange_barrier(args) -> int:
     With the default range a finer zoom block over the low-barrier end is
     appended after an interior comment line.
     """
-    return _sweep(args, "barrier", "xi_range", args.xi_range or "0.5:1.3:0.01",
-                  None if args.xi_range else "0.5:0.6:0.002")
+    if args.xi_range is None:
+        return _sweep(args, "barrier", "xi_range", "0.5:1.3:0.01", "0.5:0.6:0.002")
+    return _sweep(args, "barrier", "xi_range", args.xi_range)
 
 
 def cmd_noise_compare(args) -> int:
@@ -251,7 +253,7 @@ def cmd_noise_compare(args) -> int:
     grid = matched_j_grid(base, n=args.points, j_max_ghz=args.j_max, mode=mode).tolist()
     table, failed = _chi_table(grid, imp, base, mode)
     # A ValueError (a CalibrationError too) fails its row; another is raised.
-    unwrap([exc for exc in failed.values() if not isinstance(exc, ValueError)])
+    _raise_first({k: exc for k, exc in failed.items() if not isinstance(exc, ValueError)})
     header = _provenance(args.subcommand, args, base, mode, imp, (
         f"points = {args.points}",
         f"j_max_ghz = {_fmt(args.j_max)}",
@@ -278,8 +280,9 @@ def cmd_qfactor(args) -> int:
     bad = {(i - 1) // 2 for i in out} | set(np.flatnonzero(j <= 0).tolist())
     if bad:
         t = 1 + 2 * min(bad)  # -1 where the reference fails
-        unwrap([out.get(0), calibration_failed.get(t), calibration_failed.get(t + 1),
-                out.get(t), out.get(t + 1)])
+        _raise_first({k: exc for k, exc in enumerate([
+            out.get(0), calibration_failed.get(t), calibration_failed.get(t + 1),
+            out.get(t), out.get(t + 1)]) if exc is not None})
         quality_factor(j_values[t // 2], QualityModel(0.0))  # a J <= 0 raises
     # quality_factor in columns: sigma_total = hypot(|rel| J, 0) = |rel| J.
     rel = np.abs(table[3])
@@ -317,8 +320,8 @@ def cmd_impurity_scan(args) -> int:
     fails is NaN, and its error names the impurity."""
     base, _imp, mode = _resolve(args)
     try:
-        radii = ([float(r) for r in args.radii.split(",")] if args.radii
-                 else [1.5, 2.0, 3.0, 4.0, 5.0, 6.0, 8.0, 10.0, 12.0, 16.0, 20.0])
+        radii = ([1.5, 2.0, 3.0, 4.0, 5.0, 6.0, 8.0, 10.0, 12.0, 16.0, 20.0]
+                 if args.radii is None else [float(r) for r in args.radii.split(",")])
     except ValueError:
         raise ValueError(f"--radii expects comma-separated numbers, got {args.radii!r}") from None
     _positive_finite("--J-mhz", [args.J_mhz])
@@ -330,7 +333,7 @@ def cmd_impurity_scan(args) -> int:
         [("tilt", j_target_ghz), ("barrier", j_target_ghz)], base, mode,
         [Impurity(r_over_a * base.a * ux, r_over_a * base.a * uy, q)
          for ux, uy in _SCAN_DIRECTIONS.values() for r_over_a in radii])
-    unwrap(list(calibration_failed.values()))  # tilt first
+    _raise_first(calibration_failed)  # tilt first
     eps_star, xi_star = controls.tolist()
     # A row fails with its tilt record's exception, else its barrier one's.
     rel = table[3].reshape(-1, 2)
@@ -357,7 +360,8 @@ def cmd_potential_profile(args) -> int:
     base, _imp, _mode = _resolve(args)
     if not math.isfinite(args.y_nm):
         raise ValueError(f"--y-nm must be finite, got {_fmt(args.y_nm)}")
-    x_spec = args.x_range or f"{_fmt(-3 * base.a)}:{_fmt(3 * base.a)}:{_fmt(base.a / 50)}"
+    x_spec = (f"{_fmt(-3 * base.a)}:{_fmt(3 * base.a)}:{_fmt(base.a / 50)}"
+              if args.x_range is None else args.x_range)
     xs = _parse_range(x_spec)
     y = args.y_nm
     values = eval_potential(np.asarray(xs), y, base)

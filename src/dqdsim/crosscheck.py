@@ -14,7 +14,7 @@ import numpy as np
 from . import integrals
 from .hamiltonian import (T0_VECTOR, HubbardParams, _hubbard, _two_body, _unstack,
                           assemble_matrix, exchange_J, hubbard_exchange_estimate,
-                          hubbard_parameters, solve, unwrap)
+                          hubbard_parameters, solve)
 from .integrals import (coulomb_element, i0e, impurity_element, kinetic_element,
                         potential_element)
 from .model import (HBAR2_OVER_2ME, MEV_TO_GHZ, DeviceParams, Impurity, control_point,
@@ -220,7 +220,7 @@ def validate(seed: int = 0, quick: bool = False, corrupt_bessel: bool = False) -
         n_match = 4 if quick else 8
         grid = matched_j_grid(base, n=n_match, j_max_ghz=1.0)
         try:
-            recs = unwrap(improvement_factors([float(j) for j in grid], imp0, base))
+            recs = improvement_factors([float(j) for j in grid], imp0, base)
             rel_t = [abs(r.rel_tilt) for r in recs]
             rel_b = [abs(r.rel_barrier) for r in recs]
             chi = [r.chi for r in recs]
@@ -256,7 +256,7 @@ def validate(seed: int = 0, quick: bool = False, corrupt_bessel: bool = False) -
         targets = (0.242,) if quick else (0.15, 0.242, 0.5)
         requests = [(scheme, tgt) for tgt in targets for scheme in ("tilt", "barrier")]
         try:
-            controls = unwrap(calibrate_many(requests, base))
+            controls = calibrate_many(requests, base)
             achieved = [exchange_J(control_point(scheme, base, c))
                         for (scheme, _), c in zip(requests, controls)]
             worst_cal = max(abs(j * MEV_TO_GHZ - tgt) / tgt

@@ -361,15 +361,6 @@ def solve_stack(device: DeviceParams, epsilon, xi, rows=None, impurities=(),
     return failed, H, evals, evecs, J
 
 
-def unwrap(results: list) -> list:
-    """The entries of a batched call's result, raising the first exception
-    among them."""
-    for res in results:
-        if isinstance(res, Exception):
-            raise res
-    return results
-
-
 def solve(params: DeviceParams, imp: Impurity | None = None,
           mode: AssemblyMode = AssemblyMode.PAPER) -> SpectrumResult:
     """Assemble and diagonalize the two-electron model at one parameter

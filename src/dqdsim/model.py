@@ -178,7 +178,7 @@ _SETTINGS = {
 
 
 def read_config(path: str) -> dict[str, str]:
-    """Parse a UTF-8 ``key = value`` file; '#' starts a comment."""
+    """Parse a UTF-8 ``key = value`` file; '#' starts a comment.  A key is set once."""
     out: dict[str, str] = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, 1):
@@ -188,8 +188,23 @@ def read_config(path: str) -> dict[str, str]:
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
             key, _, val = line.partition("=")
-            out[key.strip()] = val.strip()
+            key = key.strip()
+            if key in out:
+                raise ValueError(f"{path}:{lineno}: {key} is set twice")
+            out[key] = val.strip()
     return out
+
+
+def _fields(cfg: dict[str, str], record) -> dict[str, float]:
+    """The fields of record that cfg sets, as floats; a value that is not is named by its key."""
+    fields = {}
+    for key, (rec, name) in _SETTINGS.items():
+        if rec is record and key in cfg:
+            try:
+                fields[name] = float(cfg[key])
+            except ValueError as exc:
+                raise ValueError(f"{key}: {exc}") from None
+    return fields
 
 
 def config_to_objects(cfg: dict[str, str]) -> tuple[DeviceParams, Impurity | None]:
@@ -197,19 +212,13 @@ def config_to_objects(cfg: dict[str, str]) -> tuple[DeviceParams, Impurity | Non
 
     A fault is named in this order: a device value, an impurity value, a
     charge without a position, unknown keys."""
-    given = {DeviceParams: {}, Impurity: {}}
-    for key, (record, name) in _SETTINGS.items():
-        if key in cfg:
-            given[record][name] = cfg[key]
-    params = DeviceParams(**{name: float(v) for name, v in given[DeviceParams].items()})
+    params = DeviceParams(**_fields(cfg, DeviceParams))
     derive_constants(params)  # names a non-positive or non-finite device value
-    if given[Impurity].keys() == {"q"}:
+    if "impurity.charge_e" in cfg and not cfg.keys() & {"impurity.x_nm", "impurity.y_nm"}:
         raise ValueError("impurity.charge_e given without impurity.x_nm or impurity.y_nm: "
                          "there is no impurity to charge")
-    imp = None
-    if given[Impurity]:  # a position; a coordinate not given is 0
-        imp = Impurity(**{"x_c": 0.0, "y_c": 0.0}
-                       | {name: float(v) for name, v in given[Impurity].items()})
+    given = _fields(cfg, Impurity)  # a position; a coordinate not given is 0
+    imp = Impurity(**{"x_c": 0.0, "y_c": 0.0} | given) if given else None
     unknown = cfg.keys() - _SETTINGS.keys()
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")

@@ -1,16 +1,18 @@
 """Charge-noise metrics, matched-J calibration, chi, and quality factors.
 
 Noise records are computed as columns of float64 arrays, NaN where a point
-failed, with a map from each failed row to its exception (see _table)."""
+failed, with a map from each failed row to its exception (see _table); the
+public calls raise the exception of their first failed row instead."""
 from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from typing import NamedTuple
 
 import numpy as np
 
-from .hamiltonian import AssemblyMode, _model, hubbard_parameters, in_ghz, solve_stack, unwrap
+from .hamiltonian import AssemblyMode, _model, hubbard_parameters, in_ghz, solve_stack
 from .model import MEV_TO_GHZ, DeviceParams, Impurity, control_point, control_values
 
 DEFAULT_IMPURITY_SCALE = 6.0  # R_c = (-6a, 6a) is the reference noise source
@@ -53,12 +55,11 @@ def _j_ghz(base: DeviceParams, settings, mode: AssemblyMode, rows=None,
     return js, failed
 
 
-def _entries(values, failed: dict) -> list:
-    """values (an array's as floats) as a list, each index in failed holding its exception."""
-    out = values.tolist() if isinstance(values, np.ndarray) else list(values)
-    for i, exc in failed.items():
-        out[i] = exc
-    return out
+def _raise_first(failed: dict, values=()) -> list:
+    """Raise the exception of failed's lowest row, if any; else return values as a list."""
+    if failed:
+        raise failed[min(failed)]
+    return np.asarray(values).tolist()
 
 
 def _table(controls, js, failed, clean, dirty, out: dict) -> tuple[np.ndarray, dict]:
@@ -106,27 +107,19 @@ def _noise_table(controls, base: DeviceParams, imp: Impurity,
 def noise_records(controls, base: DeviceParams, imp: Impurity,
                   mode: AssemblyMode = AssemblyMode.PAPER) -> list:
     """The NoiseRecord of each (scheme, value) control: J with and without
-    the impurity there (see _noise_table).
-
-    An entry is the exception its control raised instead; a control whose
-    value is an exception (a failed calibration) passes it through."""
+    the impurity there (see _noise_table).  Raises the exception of the
+    first control that fails."""
     if imp is None:
         raise ValueError("noise_records needs an impurity, got imp=None")
     controls = list(controls)
-    out = [value for _, value in controls]
-    given = [i for i, value in enumerate(out) if not isinstance(value, Exception)]
-    solved = [controls[i] for i in given]
-    table, failed = _noise_table(solved, base, imp, mode)
-    for i, rec in zip(given, _entries(map(NoiseRecord._make, zip(
-            *zip(*solved), *table.tolist())), failed)):
-        out[i] = rec
-    return out
+    table, failed = _noise_table(controls, base, imp, mode)
+    return list(map(NoiseRecord._make, zip(*zip(*controls), *_raise_first(failed, table))))
 
 
 def delta_J(scheme: str, value: float, base: DeviceParams,
             imp: Impurity, mode: AssemblyMode = AssemblyMode.PAPER) -> NoiseRecord:
     """Evaluate J with and without the impurity at one control point."""
-    (rec,) = unwrap(noise_records([(scheme, value)], base, imp, mode))
+    (rec,) = noise_records([(scheme, value)], base, imp, mode)
     return rec
 
 
@@ -304,9 +297,10 @@ def calibrate_many(requests, base: DeviceParams = DeviceParams(),
                    mode: AssemblyMode = AssemblyMode.PAPER) -> list:
     """The control value of each (scheme, target_ghz) request at which the
     clean J meets the target, every request from one stacked solve (see
-    _calibrated).  An entry is the exception its calibration raised
-    instead."""
-    return _entries(*_calibrated(requests, base, mode)[:2])
+    _calibrated).  Raises the exception of the first request whose
+    calibration fails."""
+    controls, failed = _calibrated(requests, base, mode)[:2]
+    return _raise_first(failed, controls)
 
 
 def calibrate_tilt(j_target_ghz: float,
@@ -314,7 +308,7 @@ def calibrate_tilt(j_target_ghz: float,
                    mode: AssemblyMode = AssemblyMode.PAPER) -> float:
     """Detuning epsilon* >= 0 with clean J(epsilon*) = target at the
     device's own barrier amplitude."""
-    (eps,) = unwrap(calibrate_many([("tilt", j_target_ghz)], base, mode))
+    (eps,) = calibrate_many([("tilt", j_target_ghz)], base, mode)
     return eps
 
 
@@ -322,7 +316,7 @@ def calibrate_barrier(j_target_ghz: float,
                       base: DeviceParams = DeviceParams(),
                       mode: AssemblyMode = AssemblyMode.PAPER) -> float:
     """Barrier amplitude xi* with clean J(xi*) = target (J decreasing in xi)."""
-    (xi,) = unwrap(calibrate_many([("barrier", j_target_ghz)], base, mode))
+    (xi,) = calibrate_many([("barrier", j_target_ghz)], base, mode)
     return xi
 
 
@@ -363,15 +357,14 @@ def improvement_factors(targets, imp: Impurity,
                         base: DeviceParams = DeviceParams(),
                         mode: AssemblyMode = AssemblyMode.PAPER) -> list:
     """improvement_factor at each target, every target's calibrations and
-    noise records from one stacked solve (see _chi_table).
-
-    An entry is its target's first exception instead, in the order tilt
-    calibration, barrier calibration, tilt record, barrier record."""
+    noise records from one stacked solve (see _chi_table).  Raises the first
+    failing target's first exception, in the order tilt calibration,
+    barrier calibration, tilt record, barrier record."""
     if imp is None:
         raise ValueError("improvement_factors needs an impurity, got imp=None")
     targets = list(targets)
     table, failed = _chi_table(targets, imp, base, mode)
-    return _entries(map(ChiRecord._make, zip(targets, *table.tolist())), failed)
+    return list(map(ChiRecord._make, zip(targets, *_raise_first(failed, table))))
 
 
 def improvement_factor(j_target_ghz: float, imp: Impurity,
@@ -382,18 +375,21 @@ def improvement_factor(j_target_ghz: float, imp: Impurity,
     A vanishing barrier noise is signaled by chi = +inf (1 if both vanish)
     rather than an exception: matched-J comparisons remain well-defined.
     """
-    (rec,) = unwrap(improvement_factors([j_target_ghz], imp, base, mode))
+    (rec,) = improvement_factors([j_target_ghz], imp, base, mode)
     return rec
 
 
 def matched_j_grid(base: DeviceParams, n: int = 25, j_max_ghz: float = 1.0,
                    mode: AssemblyMode = AssemblyMode.PAPER) -> np.ndarray:
-    """Geometric grid from the common starting point J0 up to j_max."""
+    """Geometric grid of n points from the common starting point J0 up to j_max."""
+    if not isinstance(n, numbers.Integral):
+        raise ValueError(f"n must be an integer, got {n!r}")
     if n < 2:
         raise ValueError(f"n must be at least 2, got {n}")
     if not 0 < j_max_ghz < math.inf:
         raise ValueError(f"j_max_ghz must be positive and finite, got {j_max_ghz}")
-    (j0,) = unwrap(_entries(*_j_ghz(base, [control_values("tilt", base, 0.0)], mode)))
+    js, failed = _j_ghz(base, [control_values("tilt", base, 0.0)], mode)
+    (j0,) = _raise_first(failed, js)
     if not 0 < j0 < math.inf:
         raise ValueError(f"{AssemblyMode(mode).value} mode: the matched-J grid starts at "
                          f"J0 = J(epsilon = 0) = {j0:.6g} GHz, which must be positive and finite")
@@ -474,7 +470,7 @@ def t_star_ns(sigma_ghz: float) -> float:
 def sweep(scheme: str, values, base: DeviceParams, imp: Impurity,
           mode: AssemblyMode = AssemblyMode.PAPER) -> list:
     """noise_records over one scheme: the NoiseRecord of each control
-    value, in input order, or the exception that value raised."""
+    value, in input order; raises the exception of the first that fails."""
     return noise_records([(scheme, float(v)) for v in values], base, imp, mode)
 
 
@@ -492,8 +488,9 @@ def sweet_spot_check(base: DeviceParams = DeviceParams(),
     leading truncation term.
     """
     h = 1e-3  # meV
-    j_plus, j_minus, j_half_plus, j_half_minus = unwrap(_entries(*_j_ghz(
-        base, [control_values("tilt", base, e) for e in (+h, -h, +h / 2, -h / 2)], mode)))
+    js, failed = _j_ghz(base, [control_values("tilt", base, e)
+                               for e in (+h, -h, +h / 2, -h / 2)], mode)
+    j_plus, j_minus, j_half_plus, j_half_minus = _raise_first(failed, js)
     d1 = (j_plus - j_minus) / (2.0 * h)
     d2 = (j_half_plus - j_half_minus) / h
     richardson = (4.0 * d2 - d1) / 3.0

@@ -406,6 +406,52 @@ class TestConfig:
         assert "# impurity.charge_e = -0.5" in text
         assert "# impurity.x_nm = -600" in text
 
+    # A value that is not a float is named by its key.
+    @pytest.mark.parametrize("text,message", [
+        ("device.a_nm = 0x10\n", "device.a_nm: could not convert string to float: '0x10'"),
+        ("device.a_nm =\n", "device.a_nm: could not convert string to float: ''"),
+        ("impurity.x_nm = -450\nimpurity.y_nm = north\n",
+         "impurity.y_nm: could not convert string to float: 'north'"),
+    ], ids=["hex", "empty", "impurity"])
+    def test_a_value_that_is_not_a_float_names_its_key(self, text, message, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(text)
+        assert main(["spectrum", "--config", str(cfg), "--eps-range", "0:0.1:0.1"]) == 2
+        assert capsys.readouterr() == ("", f"dqdsim: error: {message}\n")
+
+    def test_a_key_set_twice_is_named_with_its_line(self, tmp_path, capsys):
+        cfg = tmp_path / "twice.cfg"
+        cfg.write_text("# device\ndevice.a_nm = 90\ncontrol.xi_mev = 1.1\n"
+                       "device.a_nm = 80  # again\n")
+        out = tmp_path / "out.csv"
+        assert main(["potential-profile", "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr() == ("", f"dqdsim: error: {cfg}:4: device.a_nm is set twice\n")
+        assert not out.exists()
+
+    # The faults of one config are named in the documented order: a device
+    # value (one that is not a float included), an impurity value, a charge
+    # without a position (whose value is not read), unknown keys.
+    @pytest.mark.parametrize("text,message", [
+        ("device.bogus = 1\nimpurity.charge_e = -1\nimpurity.x_nm = west\ndevice.a_nm = -1\n",
+         "a must be positive and finite, got -1.0"),
+        ("device.bogus = 1\nimpurity.charge_e = -1\nimpurity.x_nm = west\ndevice.m_eff = x\n",
+         "device.m_eff: could not convert string to float: 'x'"),
+        ("device.bogus = 1\nimpurity.charge_e = -1\nimpurity.x_nm = west\n",
+         "impurity.x_nm: could not convert string to float: 'west'"),
+        ("device.bogus = 1\nimpurity.y_nm = 1\nimpurity.charge_e = q\n",
+         "impurity.charge_e: could not convert string to float: 'q'"),
+        ("device.bogus = 1\nimpurity.charge_e = q\n",
+         "impurity.charge_e given without impurity.x_nm or impurity.y_nm: "
+         "there is no impurity to charge"),
+        ("device.bogus = 1\n", "unknown config keys: ['device.bogus']"),
+    ], ids=["device-value", "device-float", "impurity-float", "charge-float", "charge",
+            "unknown"])
+    def test_config_faults_are_named_in_order(self, text, message, tmp_path, capsys):
+        cfg = tmp_path / "faults.cfg"
+        cfg.write_text(text)
+        assert main(["exchange-tilt", "--config", str(cfg), "--eps-range", "0:0.1:0.1"]) == 2
+        assert capsys.readouterr() == ("", f"dqdsim: error: {message}\n")
+
     def test_a_bad_device_value_is_named_before_an_unknown_key(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("device.a_nm = -1\ndevice.bogus = 2\n")
@@ -511,6 +557,26 @@ class TestFlags:
             capture_output=True, text=True, timeout=60)
         assert proc.returncode == 2
         assert repr(bad) in proc.stderr
+
+    # Every grid flag given empty is malformed too: it exits 2 with the
+    # message of its spec, before any device is built, and writes nothing,
+    # where an absent flag runs the default grid.
+    @pytest.mark.parametrize("argv,message", [
+        (["spectrum", "--xi-range="], "expected 'lo:hi:step', got ''"),
+        (["exchange-barrier", "--xi-range="], "expected 'lo:hi:step', got ''"),
+        (["potential-profile", "--x-range="], "expected 'lo:hi:step', got ''"),
+        (["impurity-scan", "--radii="], "--radii expects comma-separated numbers, got ''"),
+    ], ids=["spectrum", "exchange-barrier", "potential-profile", "impurity-scan"])
+    def test_an_empty_grid_flag_is_malformed(self, argv, message, monkeypatch, tmp_path,
+                                              capsys):
+        def no_work(*args, **kwargs):
+            raise AssertionError("computed before the grid was checked")
+        monkeypatch.setattr(hamiltonian, "_device", no_work)
+        monkeypatch.setattr(cli, "eval_potential", no_work)
+        out = tmp_path / "out.csv"
+        assert main([*argv, "--out", str(out)]) == 2
+        assert capsys.readouterr() == ("", f"dqdsim: error: {message}\n")
+        assert not out.exists()
 
     # A matched-J grid needs two points and a finite, positive upper end;
     # a bad one is rejected before any row is written or any J evaluated.

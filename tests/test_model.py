@@ -180,16 +180,17 @@ class TestConfig:
     @pytest.mark.parametrize("cfg,steps", [
         ({"device.bogus": "2", "impurity.x_nm": "abc", "device.a_nm": "-1",
           "device.m_eff": "zz"}, [
-            ({}, "could not convert string to float: 'zz'"),
+            ({}, "device.m_eff: could not convert string to float: 'zz'"),
             ({"device.m_eff": "0.07"}, "a must be positive and finite, got -1.0"),
-            ({"device.a_nm": "90"}, "could not convert string to float: 'abc'"),
+            ({"device.a_nm": "90"}, "impurity.x_nm: could not convert string to float: 'abc'"),
             ({"impurity.x_nm": "inf"}, "impurity x_c must be finite, got inf"),
             ({"impurity.x_nm": "-450"}, "unknown config keys: ['device.bogus']")]),
         ({"device.bogus": "2", "impurity.charge_e": "abc", "device.a_nm": "-1"}, [
             ({}, "a must be positive and finite, got -1.0"),
             ({"device.a_nm": "90"}, "impurity.charge_e given without impurity.x_nm or "
                                     "impurity.y_nm: there is no impurity to charge"),
-            ({"impurity.y_nm": "300"}, "could not convert string to float: 'abc'"),
+            ({"impurity.y_nm": "300"},
+             "impurity.charge_e: could not convert string to float: 'abc'"),
             ({"impurity.charge_e": "-0.5"}, "unknown config keys: ['device.bogus']")]),
     ])
     def test_faults_are_named_in_a_fixed_order(self, cfg, steps):

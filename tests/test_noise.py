@@ -69,12 +69,47 @@ def shift_roots(monkeypatch, wrong, by=0.01):
     monkeypatch.setattr(noise, "_roots", shifted)
 
 
+def entries(values, failed):
+    """values as a list, with each row of failed, a column core's {row:
+    exception} map, holding its exception instead."""
+    out = list(values)
+    for i, exc in failed.items():
+        out[i] = exc
+    return out
+
+
+def calibrations(requests, base=DeviceParams(), mode=AssemblyMode.PAPER):
+    """noise._calibrated's control of each request, or its exception."""
+    controls, failed = noise._calibrated(requests, base, mode)[:2]
+    return entries(controls.tolist(), failed)
+
+
+def records(controls, base, imp, mode=AssemblyMode.PAPER):
+    """noise._noise_table's NoiseRecord of each control, or its exception."""
+    table, failed = noise._noise_table(controls, base, imp, mode)
+    return entries(map(NoiseRecord._make, zip(*zip(*controls), *table.tolist())), failed)
+
+
+def chis(targets, imp, base=DeviceParams(), mode=AssemblyMode.PAPER):
+    """noise._chi_table's ChiRecord of each target, or its first exception."""
+    table, failed = noise._chi_table(targets, imp, base, mode)
+    return entries(map(ChiRecord._make, zip(targets, *table.tolist())), failed)
+
+
+def raised_or(call):
+    """What call() returns, or the exception it raises."""
+    try:
+        return call()
+    except Exception as exc:
+        return exc
+
+
 def calibrated(requests, base, mode, imps):
     """noise._calibrated's controls, and each impurity's records, as lists
     with the exception of each failed entry in its place."""
     controls, failed, table, out = noise._calibrated(requests, base, mode, imps)
-    controls = noise._entries(controls, failed)
-    records = noise._entries(map(NoiseRecord._make, zip(
+    controls = entries(controls.tolist(), failed)
+    records = entries(map(NoiseRecord._make, zip(
         *zip(*[(scheme, c) for (scheme, _), c in zip(requests, controls)] * len(imps)),
         *table.tolist())), out)
     return controls, [records[k * len(requests):(k + 1) * len(requests)]
@@ -357,19 +392,19 @@ class TestLockstep:
         inner = (0.242, 0.5) if mode == AssemblyMode.PAPER else (-19.3, -19.0)
         requests = [(scheme, target) for target in (j0, *inner, 1e6, math.nan)
                     for scheme in ("tilt", "barrier")]
-        batch = calibrate_many(requests, params, mode)
+        batch = calibrations(requests, params, mode)
         assert batch[:2] == [0.0, params.xi]
         assert all(isinstance(c, CalibrationError) for c in batch[-4:])
         inside = sum(isinstance(c, float) for c in batch[2:6])
         assert inside == (4 if mode == AssemblyMode.PAPER else 2)
-        assert list(map(repr, batch)) == [repr(calibrate_many([req], params, mode)[0])
-                                          for req in requests]
+        assert list(map(repr, batch)) == [
+            repr(raised_or(lambda: calibrate_many([req], params, mode)[0])) for req in requests]
 
     def test_running_out_of_steps_fails_only_that_calibration(self, monkeypatch):
         whole = calibrate_many(self.REQUESTS)
         wrong = {("tilt", 0.15), ("barrier", 0.5), ("barrier", 0.9)}
         shift_roots(monkeypatch, wrong)
-        got = calibrate_many(self.REQUESTS)
+        got = calibrations(self.REQUESTS)
         for req, g, c in zip(self.REQUESTS, got, whole):
             if req in wrong:
                 assert isinstance(g, CalibrationError) and str(g) == landed(*req, c + 0.01)
@@ -382,7 +417,7 @@ class TestLockstep:
         assert got == [improvement_factor(t, impurity) for t in targets]
 
     def test_failing_targets_fail_alone(self, impurity):
-        got = improvement_factors([0.242, 1e6, 0.5], impurity)
+        got = chis([0.242, 1e6, 0.5], impurity)
         assert got[0] == improvement_factor(0.242, impurity)
         assert got[2] == improvement_factor(0.5, impurity)
         assert isinstance(got[1], CalibrationError)
@@ -398,15 +433,16 @@ class TestLockstep:
     @pytest.mark.parametrize("mode", [AssemblyMode.PAPER, AssemblyMode.FULL])
     @pytest.mark.parametrize("xi", [math.inf, -math.inf, math.nan])
     def test_a_non_finite_base_xi_fails_only_the_tilt_requests(self, xi, mode):
-        tilt, barrier = calibrate_many([("tilt", 0.242), ("barrier", 0.242)],
-                                       DeviceParams(xi=xi), mode)
+        tilt, barrier = calibrations([("tilt", 0.242), ("barrier", 0.242)],
+                                     DeviceParams(xi=xi), mode)
         assert (type(tilt), str(tilt)) == (ValueError, f"xi must be finite, got {xi}")
-        assert repr(barrier) == repr(calibrate_many([("barrier", 0.242)], DeviceParams(), mode)[0])
+        assert repr(barrier) == repr(raised_or(
+            lambda: calibrate_many([("barrier", 0.242)], DeviceParams(), mode)[0]))
 
 
 class TestSettleBranches:
     """Each way a calibration settles or fails, every request of a batch in
-    its place: the control, or the exception's type and text.  A request
+    its place in the columns: the control, or the exception's type and text.  A request
     settles on the J0 point if J0 meets its target exactly, else fails on a
     bracket end (the low end first), else settles on an end that meets it,
     else fails on a target out of reach, else takes its root."""
@@ -418,7 +454,7 @@ class TestSettleBranches:
         requests = [("tilt", j0), ("barrier", j0), ("barrier", j_low), ("tilt", j_top),
                     ("tilt", 1e6), ("barrier", 1e-4), ("tilt", math.nan),
                     ("barrier", math.nan), ("barrier", 0.242)]
-        got = calibrate_many(requests, params)
+        got = calibrations(requests, params)
         assert list(map(outcome, got[:8])) == [
             0.0, 1.3, 0.3, 1.5,
             (CalibrationError, f"calibrate_tilt: target 1e+06 GHz outside [{j0:.6g}, "
@@ -430,7 +466,7 @@ class TestSettleBranches:
                                "for target nan GHz")]
         assert all(type(c) is float for c in got[:4]) and math.copysign(1.0, got[0]) == 1.0
         assert got[8] == pytest.approx(XI_STAR_242MHZ, rel=1e-9)
-        assert list(map(repr, got)) == [repr(calibrate_many([req], params)[0])
+        assert list(map(repr, got)) == [repr(raised_or(lambda: calibrate_many([req], params)[0]))
                                         for req in requests]
 
     # A failed solve at a bracket end fails every request of its scheme that
@@ -439,11 +475,11 @@ class TestSettleBranches:
         j0 = exchange_J_ghz(params)
         inside = calibrate_many([("barrier", 0.242)], params)
         refuse(monkeypatch, epsilon=[1.5])
-        got = calibrate_many([("tilt", j0), ("tilt", 0.242), ("barrier", 0.242)], params)
+        got = calibrations([("tilt", j0), ("tilt", 0.242), ("barrier", 0.242)], params)
         assert list(map(outcome, got)) == [
             0.0, (ValueError, "epsilon must be finite, got nan"), *inside]
         refuse(monkeypatch, epsilon=[1.5], xi=[1.3])  # now J0, both ends' solves fail
-        got = calibrate_many([("tilt", j0), ("barrier", 0.242), ("barrier", 1.0)], params)
+        got = calibrations([("tilt", j0), ("barrier", 0.242), ("barrier", 1.0)], params)
         assert list(map(outcome, got)) == [(ValueError, "xi must be finite, got nan")] + [
             (ValueError, "xi must be finite, got nan")] * 2
 
@@ -451,7 +487,7 @@ class TestSettleBranches:
         j = end_js(params)
         j0, j_top, j_low = j["tilt", 0.0], j["tilt", 1.5], j["barrier", 0.3]
         eps_low = calibrate_tilt(j_low, params)
-        got = improvement_factors([j0, j_low, 2.0, j_top, math.nan], impurity, params)
+        got = chis([j0, j_low, 2.0, j_top, math.nan], impurity, params)
         out_of_reach = ("calibrate_barrier: target {:.6g} GHz outside [{:.6g}, {:.6g}] GHz "
                         "reachable on the bracket [0.3, 1.3] meV")
         assert list(map(outcome, got)) == [
@@ -474,14 +510,20 @@ class TestSettleBranches:
 
 class TestCalibratedRecords:
     """improvement_factors and qfactor take their controls and noise records
-    from one stacked solve; each entry is the one that calibrate_many and
-    then noise_records give at the same controls."""
+    from one stacked solve; each entry is the one that a calibration and
+    then a separate noise table give at the same controls."""
 
     @staticmethod
     def apart(requests, base, mode, imp):
-        controls = calibrate_many(requests, base, mode)
-        return controls, noise_records([(scheme, c) for (scheme, _), c in zip(requests, controls)],
-                                       base, imp, mode)
+        """Each request's control, and its record at that control from a
+        separate noise table, a failed calibration in place of its record."""
+        controls = calibrations(requests, base, mode)
+        given = [i for i, c in enumerate(controls) if isinstance(c, float)]
+        recs = list(controls)
+        for i, rec in zip(given, records([(requests[i][0], controls[i]) for i in given],
+                                         base, imp, mode)):
+            recs[i] = rec
+        return controls, recs
 
     @staticmethod
     def requests(params, mode):
@@ -527,7 +569,7 @@ class TestCalibratedRecords:
                 want.append(failed[0])
                 continue
             want.append(chi_record(j, *steps[2:]))
-        got = improvement_factors(targets, impurity, params, mode)
+        got = chis(targets, impurity, params, mode)
         assert list(map(repr, got)) == list(map(repr, want))
         assert isinstance(got[0], ChiRecord)
 
@@ -562,6 +604,81 @@ class TestCalibratedRecords:
                 repr(delta_J(scheme, c, params, imp)) for (scheme, _), c in zip(requests, controls)]
 
 
+class TestFirstFailure:
+    """A batch call returns plain results, or raises the exception of its
+    lowest failing row: the type and text that the same call raises on that
+    row alone, whatever fails after it.  The first failure is at the first,
+    a middle or the last of five rows, with another failure after it where
+    there is room."""
+
+    NAN_TILT = (CalibrationError, "calibrate_tilt: J - target is NaN at 0.0 meV for "
+                                  "target nan GHz")
+    FAR_TILT = (CalibrationError, "calibrate_tilt: target 1e+06 GHz outside [0.0328099, 173.752] "
+                                  "GHz reachable on the bracket [0.0, 1.5] meV")
+    LOW_BARRIER = (CalibrationError, "calibrate_barrier: target 0.0001 GHz outside [0.0328099, "
+                                     "1.28415] GHz reachable on the bracket [0.3, 1.3] meV")
+    HIGH_BARRIER = (CalibrationError, "calibrate_barrier: target 2 GHz outside [0.0328099, "
+                                      "1.28415] GHz reachable on the bracket [0.3, 1.3] meV")
+    OVERFLOW = (ValueError, "Impurity(x_c=-150.0, y_c=0.0, q=1e+308): its matrix elements "
+                            "overflow")
+
+    @staticmethod
+    def call(name, rows):
+        """The batch call name on rows, at the default device and impurity."""
+        base = DeviceParams()
+        imp = default_impurity(base)
+        return {"calibrate_many": lambda: calibrate_many(rows, base),
+                "noise_records": lambda: noise_records(rows, base, imp),
+                "sweep": lambda: sweep("tilt", rows, base, imp),
+                "improvement_factors": lambda: improvement_factors(rows, imp, base)}[name]()
+
+    # (the call, a row that succeeds, the first failing row and what it
+    # raises, a later failing row)
+    CASES = [
+        ("calibrate_many", ("barrier", 0.242), ("tilt", math.nan), NAN_TILT, ("barrier", 1e-4)),
+        ("calibrate_many", ("tilt", 0.242), ("barrier", 1e-4), LOW_BARRIER, ("tilt", math.nan)),
+        ("noise_records", ("tilt", 0.3), ("barrier", math.nan),
+         (ValueError, "xi must be finite, got nan"), ("magnetic", 0.1)),
+        ("noise_records", ("barrier", 0.9), ("magnetic", 0.1),
+         (ValueError, "unknown scheme 'magnetic'"), ("tilt", math.nan)),
+        ("sweep", 0.3, math.nan, (ValueError, "epsilon must be finite, got nan"), math.inf),
+        ("improvement_factors", 0.242, 2.0, HIGH_BARRIER, 1e6),
+        ("improvement_factors", 0.242, 1e6, FAR_TILT, math.nan),
+    ]
+    IDS = ["calibrate_many-nan", "calibrate_many-unreachable", "noise_records-control",
+           "noise_records-scheme", "sweep", "improvement_factors-barrier",
+           "improvement_factors-tilt"]
+
+    @pytest.mark.parametrize("at", [0, 2, 4], ids=["first", "middle", "last"])
+    @pytest.mark.parametrize("name,good,bad,want,later", CASES, ids=IDS)
+    def test_the_lowest_failing_row_is_raised(self, name, good, bad, want, later, at):
+        rows = [good] * 5
+        rows[at] = bad
+        if at < 4:
+            rows[-1] = later
+        with pytest.raises(Exception) as err:
+            self.call(name, rows)
+        assert (type(err.value), str(err.value)) == want
+        alone = raised_or(lambda: self.call(name, [bad]))
+        assert (type(alone), str(alone)) == want
+
+    @pytest.mark.parametrize("name,good", [case[:2] for case in CASES], ids=IDS)
+    def test_no_returned_list_holds_an_exception(self, name, good):
+        got = self.call(name, [good] * 3)
+        assert type(got) is list and len(got) == 3
+        assert all(type(r) in (float, NoiseRecord, ChiRecord) for r in got)
+
+    # Within a target, the tilt calibration's exception comes first, then
+    # the barrier calibration's, then the tilt record's and the barrier
+    # record's (this impurity's elements overflow, so every record fails).
+    @pytest.mark.parametrize("targets,want", [
+        ([1e6, 0.05], FAR_TILT), ([2.0, 0.05], HIGH_BARRIER), ([0.05, 1e6], OVERFLOW)])
+    def test_improvement_factors_raise_a_targets_first_exception(self, targets, want):
+        with pytest.raises(Exception) as err:
+            improvement_factors(targets, Impurity(-150.0, 0.0, 1e308))
+        assert (type(err.value), str(err.value)) == want
+
+
 class TestUnbuildableDevice:
     """A device that passes derive_constants but cannot be built (its
     overlap rounds to 1.0) fails every point, as a bad device field does."""
@@ -573,9 +690,13 @@ class TestUnbuildableDevice:
     def test_every_entry_of_a_batch_carries_its_error(self, impurity, mode):
         requests = [("tilt", 0.242), ("barrier", 0.242), ("tilt", math.nan)]
         controls = [("tilt", 0.3), ("barrier", math.nan), ("barrier", 1.0)]
-        for entries in (calibrate_many(requests, self.DEVICE, mode),
-                        noise_records(controls, self.DEVICE, impurity, mode)):
-            assert [(type(e), str(e)) for e in entries] == [(ValueError, self.MESSAGE)] * 3
+        for batch in (calibrations(requests, self.DEVICE, mode),
+                      records(controls, self.DEVICE, impurity, mode)):
+            assert [(type(e), str(e)) for e in batch] == [(ValueError, self.MESSAGE)] * 3
+        for call in (lambda: calibrate_many(requests, self.DEVICE, mode),
+                     lambda: noise_records(controls, self.DEVICE, impurity, mode)):
+            with pytest.raises(ValueError, match=re.escape(self.MESSAGE)):
+                call()
 
     def test_a_lone_solve_raises_it(self):
         with pytest.raises(ValueError, match=re.escape(self.MESSAGE)):
@@ -606,6 +727,11 @@ class TestMatchedGrid:
         ({"j_max_ghz": 0.0}, "j_max_ghz must be positive and finite, got 0.0"),
         ({"j_max_ghz": math.nan}, "j_max_ghz must be positive and finite, got nan"),
         ({"j_max_ghz": math.inf}, "j_max_ghz must be positive and finite, got inf"),
+        # A float n, integral or not, is not a point count (2.5 made 3
+        # points past j_max).
+        ({"n": 2.5}, "n must be an integer, got 2.5"),
+        ({"n": 3.0}, "n must be an integer, got 3.0"),
+        ({"n": np.float64(3.0)}, f"n must be an integer, got {np.float64(3.0)!r}"),
     ])
     def test_a_bad_grid_names_its_parameter(self, params, kwargs, message, monkeypatch):
         def no_solve(*args, **kwargs):
@@ -614,6 +740,11 @@ class TestMatchedGrid:
         with pytest.raises(ValueError) as err:
             matched_j_grid(params, **kwargs)
         assert str(err.value) == message
+
+    def test_a_numpy_integer_n_is_a_size(self, params):
+        grid = matched_j_grid(params, n=np.int64(3))
+        assert grid.tolist() == matched_j_grid(params, n=3).tolist()
+        assert len(grid) == 3 and grid[-1] == pytest.approx(1.0, rel=1e-12)
 
     def test_rejects_a_negative_starting_point(self, params):
         # In full mode the default device has J0 < 0 at zero detuning.
@@ -649,19 +780,18 @@ class TestImprovementFactor:
         ids=["far", "charged"])
     def test_an_overflowing_impurity_fails_only_its_records(self, imp, failure):
         requests = [(scheme, j) for j in (0.05, 1e6) for scheme in ("tilt", "barrier")]
-        clean = calibrate_many(requests)
+        clean = calibrations(requests)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            controls, (records,) = calibrated(requests, DeviceParams(),
-                                              AssemblyMode.PAPER, [imp])
-            near, far = improvement_factors([0.05, 1e6], imp)
+            controls, (recs,) = calibrated(requests, DeviceParams(), AssemblyMode.PAPER, [imp])
+            near, far = chis([0.05, 1e6], imp)
         assert list(map(repr, controls)) == list(map(repr, clean))
         assert isinstance(far, CalibrationError) and repr(far) == repr(clean[2])
         if failure is None:
-            assert [r.rel_noise for r in records[:2]] == [0.0, 0.0]
+            assert [r.rel_noise for r in recs[:2]] == [0.0, 0.0]
             assert (near.rel_tilt, near.rel_barrier, near.chi) == (0.0, 0.0, 1.0)
         else:
-            assert [repr(r) for r in records[:2]] == [repr(ValueError(failure))] * 2
+            assert [repr(r) for r in recs[:2]] == [repr(ValueError(failure))] * 2
             assert repr(near) == repr(ValueError(failure))
 
 
@@ -744,22 +874,29 @@ class TestSweep:
 
     def test_captures_per_point_errors(self, impurity):
         bad = DeviceParams(m_eff=-0.067)
-        recs = sweep("tilt", [0.0, 0.2], bad, impurity)
+        recs = records([("tilt", 0.0), ("tilt", 0.2)], bad, impurity)
         for r in recs:
             assert isinstance(r, ValueError)
             assert str(r) == "m_eff must be positive and finite, got -0.067"
+        with pytest.raises(ValueError, match="m_eff must be positive and finite, got -0.067"):
+            sweep("tilt", [0.0, 0.2], bad, impurity)
 
     def test_captures_nonfinite_controls_per_point(self, params, impurity):
-        recs = sweep("barrier", [0.9, math.nan], params, impurity)
+        recs = records([("barrier", 0.9), ("barrier", math.nan)], params, impurity)
         assert isinstance(recs[0], NoiseRecord) and math.isfinite(recs[0].rel_noise)
+        assert recs[0] == delta_J("barrier", 0.9, params, impurity)
         assert isinstance(recs[1], ValueError)
         assert str(recs[1]) == "xi must be finite, got nan"
+        with pytest.raises(ValueError, match="xi must be finite, got nan"):
+            sweep("barrier", [0.9, math.nan], params, impurity)
 
     @pytest.mark.parametrize("field,value", [
         ("a", math.nan), ("hbar_omega0", math.inf), ("eps_r", math.nan)])
     def test_captures_nonfinite_device_per_point(self, impurity, field, value):
         bad = dataclasses.replace(DeviceParams(), **{field: value})
-        recs = sweep("tilt", [0.0, 0.2], bad, impurity)
+        recs = records([("tilt", 0.0), ("tilt", 0.2)], bad, impurity)
         for r in recs:
             assert isinstance(r, ValueError)
             assert str(r).startswith(f"{field} must be positive and finite")
+        with pytest.raises(ValueError, match=f"^{field} must be positive and finite"):
+            sweep("tilt", [0.0, 0.2], bad, impurity)
