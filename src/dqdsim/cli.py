@@ -15,6 +15,7 @@ bad arguments or any per-point fatal error during a sweep.
 from __future__ import annotations
 
 import argparse
+import functools
 import io
 import itertools
 import math
@@ -95,9 +96,9 @@ def _emit(path: str | None, header_lines: list[str], fieldnames, blocks) -> None
             fh.write(text)
 
 
-def _provenance(sub: str, args, base: DeviceParams, mode: AssemblyMode | None,
+def _provenance(args, base: DeviceParams, mode: AssemblyMode | None,
                 imp: Impurity | None = None, extra: tuple[str, ...] = ()) -> list[str]:
-    lines = [f"dqdsim {__version__}", f"subcommand = {sub}"]
+    lines = [f"dqdsim {__version__}", f"subcommand = {args.subcommand}"]
     if mode is not None:
         lines.append(f"mode = {mode.value}")
     # The setting lines of the device and the impurity, a --config of both.
@@ -147,7 +148,7 @@ def _resolve(args, *, default_impurity_wanted: bool = False):
     mode is None for a subcommand without --mode."""
     base = DeviceParams()
     imp: Impurity | None = None
-    if args.config:
+    if args.config is not None:
         cfg = read_config(args.config)
         base, imp = config_to_objects(cfg)
         ignored = sorted(key for key in cfg if _SETTINGS[key][0] is Impurity)
@@ -157,7 +158,7 @@ def _resolve(args, *, default_impurity_wanted: bool = False):
     if imp is None and default_impurity_wanted:
         imp = default_impurity(base)
     if "impurity" in args:  # the subcommand takes --impurity and --charge-e
-        if args.impurity:
+        if args.impurity is not None:
             imp = Impurity(*_parse_xy(args.impurity), imp.q if imp else -1.0)
         if args.charge_e is not None and imp is not None:
             imp = Impurity(imp.x_c, imp.y_c, args.charge_e)
@@ -177,8 +178,8 @@ def _sweep(args, scheme: str, key: str, spec: str, zoom: str | None = None) -> i
     columns = [[scheme] * len(values), values, *table]
     blocks = [columns] if zoom is None else [
         [c[:n_main] for c in columns], f"zoom {key} = {zoom}", [c[n_main:] for c in columns]]
-    header = _provenance(f"exchange-{scheme}", args, base, mode, imp, (f"{key} = {spec}",))
-    _emit(args.out, header, NoiseRecord.CSV_FIELDS, blocks)
+    header = _provenance(args, base, mode, imp, (f"{key} = {spec}",))
+    _emit(args.out, header, NoiseRecord._fields, blocks)
     return _report([f"dqdsim: error at {scheme} control {_fmt(values[i])} meV: "
                     f"{type(exc).__name__}: {exc}" for i, exc in sorted(failed.items())])
 
@@ -210,7 +211,7 @@ def cmd_spectrum(args) -> int:
     for errors in (failed, over):
         if errors:
             raise errors[min(errors)]
-    header = _provenance("spectrum", args, base, mode, imp, (
+    header = _provenance(args, base, mode, imp, (
         f"eps_range = {args.eps_range}",
         f"xi_values = {','.join(_fmt(x) for x in xi_values)}",
     ))
@@ -254,11 +255,11 @@ def cmd_noise_compare(args) -> int:
     table, failed = _chi_table(grid, imp, base, mode)
     # A ValueError (a CalibrationError too) fails its row; another is raised.
     _raise_first({k: exc for k, exc in failed.items() if not isinstance(exc, ValueError)})
-    header = _provenance(args.subcommand, args, base, mode, imp, (
+    header = _provenance(args, base, mode, imp, (
         f"points = {args.points}",
         f"j_max_ghz = {_fmt(args.j_max)}",
     ))
-    _emit(args.out, header, ChiRecord.CSV_FIELDS, [(grid, *table)])
+    _emit(args.out, header, ChiRecord._fields, [(grid, *table)])
     return _report([f"dqdsim: error: J = {_fmt(grid[k])} GHz: {exc}" for k, exc in failed.items()])
 
 
@@ -289,7 +290,7 @@ def cmd_qfactor(args) -> int:
     with np.errstate(divide="ignore"):
         q = j / (math.sqrt(2.0) * math.pi * (
             np.array([rel[1::2], rel[2::2], np.full(len(j), rel[0])]) * j))
-    header = _provenance("qfactor", args, base, mode, imp, (
+    header = _provenance(args, base, mode, imp, (
         f"j_range_ghz = {args.j_range}",
         f"const_model_ref_ghz = {_fmt(ref_j)}",
     ))
@@ -342,7 +343,7 @@ def cmd_impurity_scan(args) -> int:
     failures = [f"dqdsim: error at impurity direction {names[k]}, Rc_over_a "
                 f"{_fmt(radii[k % len(radii)])}: {type(exc).__name__}: {exc}"
                 for k in bad for exc in [out.get(2 * k, out.get(2 * k + 1))]]
-    header = _provenance("impurity-scan", args, base, mode, None, (
+    header = _provenance(args, base, mode, None, (
         f"J_target_mhz = {_fmt(args.J_mhz)}",
         f"charge_e = {_fmt(q)}",
         f"radii_over_a = {','.join(_fmt(r) for r in radii)}",
@@ -365,7 +366,7 @@ def cmd_potential_profile(args) -> int:
     xs = _parse_range(x_spec)
     y = args.y_nm
     values = eval_potential(np.asarray(xs), y, base)
-    header = _provenance("potential-profile", args, base, None, None, (
+    header = _provenance(args, base, None, None, (
         f"x_range_nm = {x_spec}",
         f"y_nm = {_fmt(y)}",
     ))
@@ -415,36 +416,30 @@ def _exchange_tilt_flags(p: argparse.ArgumentParser) -> None:
     _add_common(p)
     p.add_argument("--eps-range", default="0:1:0.01", metavar="LO:HI:STEP",
                    help="detuning grid [meV]")
-    p.set_defaults(func=cmd_exchange_tilt)
 
 
 def _spectrum_flags(p: argparse.ArgumentParser) -> None:
     _exchange_tilt_flags(p)  # and a barrier grid
     p.add_argument("--xi-range", metavar="LO:HI:STEP",
                    help="barrier amplitudes [meV] (default: 1.3 and 1.0)")
-    p.set_defaults(func=cmd_spectrum)
 
 
 def _exchange_barrier_flags(p: argparse.ArgumentParser) -> None:
     _add_common(p)
     p.add_argument("--xi-range", metavar="LO:HI:STEP", help="barrier grid [meV]")
-    p.set_defaults(func=cmd_exchange_barrier)
 
 
 def _matched_j_flags(p: argparse.ArgumentParser) -> None:
-    """A subcommand run by cmd_noise_compare."""
     _add_common(p)
     p.add_argument("--points", type=int, default=25, help="matched-J grid size")
     p.add_argument("--j-max", type=float, default=1.0, metavar="GHZ",
                    help="upper end of the matched-J grid")
-    p.set_defaults(func=cmd_noise_compare)
 
 
 def _qfactor_flags(p: argparse.ArgumentParser) -> None:
     _add_common(p)
     p.add_argument("--j-range", default="0.15:0.9:0.05", metavar="LO:HI:STEP",
                    help="J grid [GHz]")
-    p.set_defaults(func=cmd_qfactor)
 
 
 def _impurity_scan_flags(p: argparse.ArgumentParser) -> None:
@@ -455,14 +450,12 @@ def _impurity_scan_flags(p: argparse.ArgumentParser) -> None:
                    help="clean J both schemes are calibrated to")
     p.add_argument("--radii", metavar="R1,R2,...",
                    help="impurity distances in units of a")
-    p.set_defaults(func=cmd_impurity_scan)
 
 
 def _potential_profile_flags(p: argparse.ArgumentParser) -> None:
     _add_common(p, impurity=False, mode=False)
     p.add_argument("--x-range", metavar="LO:HI:STEP", help="x grid [nm]")
     p.add_argument("--y-nm", type=float, default=0.0, help="cut height [nm]")
-    p.set_defaults(func=cmd_potential_profile)
 
 
 def _validate_flags(p: argparse.ArgumentParser) -> None:
@@ -473,33 +466,40 @@ def _validate_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--corrupt-bessel", action="store_true",
                    help="negative control: corrupt the Bessel routine and "
                         "confirm the element cross-check fails")
-    p.set_defaults(func=cmd_validate)
 
 
-# Each subcommand's help line and the function that adds its flags, in the
-# order of the help listing.
+# Each subcommand's help line, the function that adds its flags and the
+# command it runs, in the order of the help listing.
 _SUBCOMMANDS = {
-    "spectrum": ("lowest singlet/triplet levels vs detuning", _spectrum_flags),
-    "exchange-tilt": ("J and impurity noise vs detuning", _exchange_tilt_flags),
-    "exchange-barrier": ("J and impurity noise vs barrier amplitude", _exchange_barrier_flags),
-    "noise-compare": ("tilt vs barrier noise at matched J, with chi", _matched_j_flags),
-    "qfactor": ("oscillation quality factor vs J", _qfactor_flags),
+    "spectrum": ("lowest singlet/triplet levels vs detuning", _spectrum_flags, cmd_spectrum),
+    "exchange-tilt": ("J and impurity noise vs detuning", _exchange_tilt_flags,
+                      cmd_exchange_tilt),
+    "exchange-barrier": ("J and impurity noise vs barrier amplitude", _exchange_barrier_flags,
+                         cmd_exchange_barrier),
+    "noise-compare": ("tilt vs barrier noise at matched J, with chi", _matched_j_flags,
+                      cmd_noise_compare),
+    "qfactor": ("oscillation quality factor vs J", _qfactor_flags, cmd_qfactor),
     "impurity-scan": ("noise vs impurity distance along three directions",
-                      _impurity_scan_flags),
-    "near-impurity": ("matched-J comparison for a weak nearby charge", _matched_j_flags),
+                      _impurity_scan_flags, cmd_impurity_scan),
+    "near-impurity": ("matched-J comparison for a weak nearby charge", _matched_j_flags,
+                      cmd_noise_compare),
     "potential-profile": ("confinement potential along a horizontal cut",
-                          _potential_profile_flags),
-    "validate": ("run the built-in cross-check suite", _validate_flags),
+                          _potential_profile_flags, cmd_potential_profile),
+    "validate": ("run the built-in cross-check suite", _validate_flags, cmd_validate),
 }
-_PARSERS: dict = {}  # subcommand name -> (the add_flags it was built from, its parser)
 
 
-def _parser(names) -> argparse.ArgumentParser:
-    """The parser with the subparsers of the named subcommands.  Its usage
-    line, which an unrecognized-arguments error prints, lists every
-    subcommand either way (the full parser lists them by itself; a metavar
-    on it would rename the argument in its own error messages), so
-    _parser([]) words that error as the full parser does."""
+@functools.cache
+def _subparser(name: str) -> argparse.ArgumentParser:
+    """The named subcommand's parser, built once per process as the full
+    parser builds it."""
+    parser = argparse.ArgumentParser(prog=f"dqdsim {name}")
+    _SUBCOMMANDS[name][1](parser)
+    return parser
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The full parser: --version and every subcommand's parser."""
     parser = argparse.ArgumentParser(
         prog="dqdsim",
         description="Exchange interaction and charge-noise simulator for a "
@@ -507,40 +507,25 @@ def _parser(names) -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version",
                         version=f"dqdsim {__version__}")
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name in names:
-        help_text, add_flags = _SUBCOMMANDS[name]
+    for name, (help_text, add_flags, _) in _SUBCOMMANDS.items():
         add_flags(sub.add_parser(name, help=help_text))
-    if len(names) < len(_SUBCOMMANDS):
-        sub.metavar = "{" + ",".join(_SUBCOMMANDS) + "}"
     return parser
 
 
-def build_parser() -> argparse.ArgumentParser:
-    return _parser(list(_SUBCOMMANDS))
-
-
 def main(argv=None) -> int:
-    """Run one command line, returning its exit code.  A subcommand's parser
-    is built as the full parser builds it, once per add_flags; -h, --version,
-    an unknown command and arguments left over need the full one."""
+    """Run one command line, returning its exit code.  A valid call is parsed
+    by its subcommand's own parser; -h, --version, an unknown or missing
+    command and arguments left over go to the full parser, which prints
+    them as it words them."""
     argv = sys.argv[1:] if argv is None else list(argv)
+    args, extras = None, argv
     if argv and argv[0] in _SUBCOMMANDS:
-        name, add_flags = argv[0], _SUBCOMMANDS[argv[0]][1]
-        built, parser = _PARSERS.get(name, (None, None))
-        if built is not add_flags:
-            parser = argparse.ArgumentParser(prog=f"dqdsim {name}")
-            add_flags(parser)
-            _PARSERS[name] = add_flags, parser
-        args, extras = parser.parse_known_args(argv[1:])
-        if extras:
-            _parser([]).error("unrecognized arguments: " + " ".join(extras))
-        args.subcommand = name
-    else:
+        args, extras = _subparser(argv[0]).parse_known_args(
+            argv[1:], argparse.Namespace(subcommand=argv[0]))
+    if args is None or extras:
         args = build_parser().parse_args(argv)
-    # A cmd_* function runs as bound now, though the parser was built before.
-    func = globals()[args.func.__name__] if args.func.__module__ == __name__ else args.func
     try:
-        return func(args)
+        return _SUBCOMMANDS[args.subcommand][2](args)
     except Exception as exc:
         from .quadrature import OracleRefusal  # only validate runs the oracle
         if not isinstance(exc, (CalibrationError, OracleRefusal, ValueError, OSError)):

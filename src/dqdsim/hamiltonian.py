@@ -246,7 +246,8 @@ def _faults(A: np.ndarray) -> dict[int, str]:
             with np.errstate(over="ignore"):
                 if not np.isfinite(A[k]).all():
                     faults[k] = "matrix has a non-finite entry"
-                elif np.isinf(_off_norm2(A[k:k + 1], _upper(A.shape[-1])[0])[0]):
+                elif A.shape[-1] > 1 and np.isinf(
+                        _off_norm2(A[k:k + 1], _upper(A.shape[-1])[0])[0]):
                     faults[k] = "matrix off-diagonal norm overflows"
     return faults
 
@@ -265,15 +266,21 @@ def jacobi_eigh(A: np.ndarray):
     1e-14 max(1, max |A|), and stops after 60 sweeps either way.  Eigenvector
     signs are fixed by making the first non-negligible component positive.
     A stack with a matrix that has a fault (see _faults) raises ValueError,
-    naming the first such matrix's fault.
+    naming the first such matrix's fault; so does any other shape, naming
+    it.  A 1x1 matrix is its own eigenvalue, with the eigenvector [1].
     """
     A = np.array(A, dtype=float)
+    if A.ndim not in (2, 3) or A.shape[-1] != A.shape[-2] or A.shape[-1] == 0:
+        raise ValueError(f"expected an (n, n) matrix or an (N, n, n) stack, got shape {A.shape}")
     single = A.ndim == 2
     if single:
         A = A[None]
     faults = _faults(A)
     if faults:
         raise ValueError(faults[min(faults)])
+    if A.shape[-1] == 1:
+        evals, V = A[:, 0], np.ones_like(A)
+        return (evals[0], V[0]) if single else (evals, V)
     A = 0.5 * A + 0.5 * np.swapaxes(A, -1, -2)  # A + A^T may overflow
     n = A.shape[-1]
     V, (upper, pairs) = np.empty_like(A), _upper(n)

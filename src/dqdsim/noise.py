@@ -30,9 +30,6 @@ class NoiseRecord(NamedTuple):
     delta_J_ghz: float
     rel_noise: float
 
-    CSV_FIELDS = ("scheme", "control_mev", "J_clean_ghz", "J_imp_ghz",
-                  "delta_J_ghz", "rel_noise")
-
 
 def _j_ghz(base: DeviceParams, settings, mode: AssemblyMode, rows=None,
            impurities=()) -> tuple[np.ndarray, dict]:
@@ -330,8 +327,6 @@ class ChiRecord(NamedTuple):
     rel_barrier: float
     chi: float
 
-    CSV_FIELDS = ("J_ghz", "rel_tilt", "rel_barrier", "chi")
-
 
 def _chi_table(targets, imp: Impurity, base: DeviceParams,
                mode: AssemblyMode) -> tuple[np.ndarray, dict]:
@@ -427,7 +422,16 @@ class QualityModel(NamedTuple):
     sigma_floor_ghz: float = 0.0
 
 
+def _checked(**values) -> None:
+    """Reject a value that is not finite, or a sigma that is negative, by name."""
+    for name, value in values.items():
+        sigma = name.startswith("sigma")
+        if not math.isfinite(value) or (sigma and value < 0):
+            raise ValueError(f"{name} must be {'non-negative and ' * sigma}finite, got {value}")
+
+
 def sigma_total(j_ghz: float, model: QualityModel) -> float:
+    _checked(J=j_ghz, **model._asdict())
     return math.hypot(model.sigma_rel * j_ghz, model.sigma_floor_ghz)
 
 
@@ -444,11 +448,13 @@ def quality_factor(j_ghz: float, model: QualityModel) -> float:
 
 
 def envelope_closed(sigma_ghz: float, t_ns: float) -> float:
+    _checked(sigma=sigma_ghz, t=t_ns)
     return math.exp(-2.0 * math.pi**2 * sigma_ghz**2 * t_ns**2)
 
 
 def envelope_numeric(j_ghz: float, sigma_ghz: float, t_ns: float) -> float:
     """|E exp(2 pi i J' t)| for J' ~ N(J, sigma^2) by 80-point Gauss-Hermite."""
+    _checked(J=j_ghz, sigma=sigma_ghz, t=t_ns)
     from numpy.polynomial.hermite import hermgauss  # a slow import that only this needs
 
     u, w = hermgauss(80)
@@ -458,6 +464,7 @@ def envelope_numeric(j_ghz: float, sigma_ghz: float, t_ns: float) -> float:
 
 
 def t_star_ns(sigma_ghz: float) -> float:
+    _checked(sigma=sigma_ghz)
     if sigma_ghz == 0.0:
         return math.inf
     return 1.0 / (math.sqrt(2.0) * math.pi * sigma_ghz)

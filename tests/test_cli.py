@@ -69,9 +69,10 @@ def test_cli_does_not_import_the_oracle():
 
 
 class TestParser:
-    """main builds the parser of the invoked subcommand alone, once per
-    process, and reuses it; it parses and reports exactly as the full parser
-    of build_parser does."""
+    """main parses a valid call with the invoked subcommand's own parser,
+    built once per process and reused, and runs the command of its
+    _SUBCOMMANDS entry; it parses and reports exactly as the full parser of
+    build_parser does."""
 
     ARGV = {
         "spectrum": ["--eps-range", "0:0.1:0.1", "--mode", "full", "--impurity=-450,300"],
@@ -85,21 +86,33 @@ class TestParser:
         "validate": ["--quick", "--corrupt-bessel"],
     }
 
+    @pytest.fixture
+    def built(self, monkeypatch):
+        """The subcommands whose flags are added, in order, from a cold cache;
+        each command only returns the parsed arguments' subcommand."""
+        built = []
+        for n, (help_text, add_flags, _) in list(cli._SUBCOMMANDS.items()):
+            monkeypatch.setitem(cli._SUBCOMMANDS, n, (
+                help_text, lambda p, n=n, add=add_flags: built.append(n) or add(p),
+                lambda args: args.subcommand))
+        cli._subparser.cache_clear()
+        yield built
+        cli._subparser.cache_clear()  # drop the parsers built from the wrappers
+
     def test_every_subcommand_is_covered(self):
         assert list(self.ARGV) == list(cli._SUBCOMMANDS)
 
     @pytest.mark.parametrize("name", list(ARGV))
-    def test_one_subparser_parses_like_the_full_parser(self, name, monkeypatch, capsys):
-        built = []  # the subcommands whose flags are added, in order
-        for n, (help_text, add_flags) in list(cli._SUBCOMMANDS.items()):
-            monkeypatch.setitem(cli._SUBCOMMANDS, n,
-                                (help_text, lambda p, n=n, add=add_flags: built.append(n) or add(p)))
+    def test_one_subparser_parses_like_the_full_parser(self, name, built, capsys):
         for argv in ([name], [name, *self.ARGV[name]]):
-            assert cli._parser([name]).parse_args(argv) == build_parser().parse_args(argv)
-        # main builds this subparser alone on its first call, and reuses it.
+            full = vars(build_parser().parse_args(argv))
+            assert {"subcommand": name, **vars(cli._subparser(name).parse_args(argv[1:]))} == full
+        # main builds this subparser alone on its first call, and reuses it;
+        # arguments left over go to the full parser, with every subparser.
+        cli._subparser.cache_clear()
         for argv, code, text, builds in (
                 ([name, "-h"], 0, f"usage: dqdsim {name} ", [name]),
-                ([name, "--bogus"], 2, "unrecognized arguments: --bogus", [])):
+                ([name, "--bogus"], 2, "unrecognized arguments: --bogus", list(self.ARGV))):
             full = build_parser()
             built.clear()
             with pytest.raises(SystemExit) as exit_:
@@ -111,18 +124,15 @@ class TestParser:
                 full.parse_args(argv)
             assert exit_.value.code == code and capsys.readouterr() == lazy
 
+    # A valid call parses with its subcommand's cached parser, built on the
+    # first call alone, and builds no full parser.
     @pytest.mark.parametrize("name", list(ARGV))
-    def test_a_valid_call_never_builds_the_top_level_parser(self, name, monkeypatch):
-        help_text, add_flags = cli._SUBCOMMANDS[name]
-
-        def parse_only(p):
-            add_flags(p)
-            p.set_defaults(func=lambda args: 0)  # the command itself does not run
-        monkeypatch.setitem(cli._SUBCOMMANDS, name, (help_text, parse_only))
-        built = []
-        monkeypatch.setattr(cli, "_parser", lambda names: built.append(names))
-        assert main([name, *self.ARGV[name]]) == 0
-        assert built == []
+    def test_a_valid_call_builds_only_its_own_parser_once(self, name, built, monkeypatch):
+        monkeypatch.setattr(cli, "build_parser", lambda: pytest.fail("built the full parser"))
+        for _ in range(3):
+            assert main([name, *self.ARGV[name]]) == name
+        assert built == [name]
+        assert cli._subparser.cache_info().currsize == 1
 
     # Errors of the subcommand's own parser and arguments left over for the
     # top level read byte for byte as the full parser's.
@@ -159,7 +169,7 @@ class TestParser:
         assert exit_.value.code == code and got == capsys.readouterr()
         assert text in getattr(got, stream)
         if argv == ["-h"]:
-            for name, (help_text, _) in cli._SUBCOMMANDS.items():
+            for name, (help_text, _, _) in cli._SUBCOMMANDS.items():
                 assert f"    {name}" in got.out and help_text in got.out
 
     # A reused parser keeps nothing of an earlier call: the second call,
@@ -176,13 +186,15 @@ class TestParser:
             run_cli(*argv, "--out", str(fresh))
             assert here.read_bytes() == fresh.read_bytes()
 
-    # The command runs as bound when it is called, not when its parser was
-    # built: validate -h fills the cache before cmd_validate is replaced.
+    # A command is looked up in its table entry when it runs, after its
+    # parser was built: validate -h fills the cache before the entry changes.
     def test_a_replaced_command_runs_after_its_parser_is_reused(self, monkeypatch, capsys):
         with pytest.raises(SystemExit):
             main(["validate", "-h"])
         capsys.readouterr()
-        monkeypatch.setattr(cli, "cmd_validate", lambda args: 7 if args.quick else 8)
+        help_text, add_flags, _ = cli._SUBCOMMANDS["validate"]
+        monkeypatch.setitem(cli._SUBCOMMANDS, "validate",
+                            (help_text, add_flags, lambda args: 7 if args.quick else 8))
         assert main(["validate", "--quick"]) == 7
 
     def test_an_oracle_refusal_is_reported(self, monkeypatch, capsys):
@@ -190,7 +202,8 @@ class TestParser:
 
         def refusing(args):
             raise OracleRefusal("error estimate 1e-3 exceeds rtol 1e-7")
-        monkeypatch.setattr(cli, "cmd_validate", refusing)
+        help_text, add_flags, _ = cli._SUBCOMMANDS["validate"]
+        monkeypatch.setitem(cli._SUBCOMMANDS, "validate", (help_text, add_flags, refusing))
         assert main(["validate", "--quick"]) == 2
         assert capsys.readouterr().err == (
             "dqdsim: error: error estimate 1e-3 exceeds rtol 1e-7\n")
@@ -578,6 +591,29 @@ class TestFlags:
         assert capsys.readouterr() == ("", f"dqdsim: error: {message}\n")
         assert not out.exists()
 
+    # An empty --impurity= is a malformed position, not the default impurity,
+    # and an empty --config= a path that cannot be opened, not no config.
+    @pytest.mark.parametrize("argv", [
+        *([name, "--impurity="] for name in ("spectrum", "exchange-tilt", "exchange-barrier",
+                                             "noise-compare", "qfactor", "near-impurity")),
+        *([name, "--config="] for name in ("spectrum", "exchange-tilt", "exchange-barrier",
+                                           "noise-compare", "qfactor", "impurity-scan",
+                                           "near-impurity", "potential-profile")),
+    ], ids=" ".join)
+    def test_an_empty_impurity_or_config_flag_is_an_error(self, argv, monkeypatch, tmp_path,
+                                                          capsys):
+        message = {"--impurity=": "expected 'X_nm,Y_nm', got ''",
+                   "--config=": "[Errno 2] No such file or directory: ''"}[argv[1]]
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("computed before the flag was checked")
+        monkeypatch.setattr(hamiltonian, "_device", no_work)
+        monkeypatch.setattr(cli, "eval_potential", no_work)
+        out = tmp_path / "out.csv"
+        assert main([*argv, "--out", str(out)]) == 2
+        assert capsys.readouterr() == ("", f"dqdsim: error: {message}\n")
+        assert not out.exists()
+
     # A matched-J grid needs two points and a finite, positive upper end;
     # a bad one is rejected before any row is written or any J evaluated.
     @pytest.mark.filterwarnings("error")
@@ -755,7 +791,7 @@ class TestFlags:
                 "xi must be finite, got inf" if values[i] == middle
                 else f"no device at {values[i]}") for i in failed]
         lines = whole.read_text().splitlines()
-        start = lines.index(",".join(noise.NoiseRecord.CSV_FIELDS)) + 1
+        start = lines.index(",".join(noise.NoiseRecord._fields)) + 1
         assert lines[start + 81] == "# zoom xi_range = 0.5:0.6:0.002"
         for i in failed:
             lines[start + i + (i >= 81)] = f"barrier,{cli._fmt(values[i])},nan,nan,nan,nan"
@@ -1165,7 +1201,7 @@ class TestEmit:
     def test_a_scheme_cell_that_needs_quoting_raises_and_writes_nothing(self, tmp_path):
         out = tmp_path / "out.csv"
         with pytest.raises(ValueError, match=r"^CSV cell 'ti,lt' would need quoting$"):
-            cli._emit(str(out), ["dqdsim test"], noise.NoiseRecord.CSV_FIELDS,
+            cli._emit(str(out), ["dqdsim test"], noise.NoiseRecord._fields,
                       [[["ti,lt"] * 3, [0.0, 0.1, 0.2], *np.zeros((4, 3))]])
         assert not out.exists()
 

@@ -504,6 +504,26 @@ class TestStackedJacobi:
         evals, evecs = jacobi_eigh(np.array([A, A]))
         assert evals.shape == (2, 4) and evecs.shape == (2, 4, 4)
 
+    # A 1x1 matrix has no pair to rotate: it is its own eigenvalue, with the
+    # eigenvector [1], however large, and a non-finite one is still named.
+    @pytest.mark.parametrize("entry", [2.0, -0.0, 1e200, -1e300])
+    def test_a_1x1_matrix_is_its_own_eigenvalue(self, entry):
+        assert same_bits(jacobi_eigh([[entry]]), (np.array([entry]), np.array([[1.0]])))
+        evals, evecs = jacobi_eigh(np.full((3, 1, 1), entry))
+        assert same_bits((evals, evecs), (np.full((3, 1), entry), np.ones((3, 1, 1))))
+
+    @pytest.mark.parametrize("entry", [math.nan, math.inf])
+    def test_a_non_finite_1x1_matrix_is_rejected(self, entry):
+        with pytest.raises(ValueError, match="matrix has a non-finite entry"):
+            jacobi_eigh(np.array([[[1.0]], [[entry]]]))
+
+    @pytest.mark.parametrize("shape", [(2, 3), (3,), (), (0, 0), (2, 0, 0), (2, 3, 4),
+                                       (1, 1, 1, 1)])
+    def test_a_shape_that_is_no_square_matrix_is_named(self, shape):
+        with pytest.raises(ValueError, match=re.escape(
+                f"expected an (n, n) matrix or an (N, n, n) stack, got shape {shape}")):
+            jacobi_eigh(np.zeros(shape))
+
 
 @pytest.mark.filterwarnings("error")
 class TestSolveMany:

@@ -174,8 +174,7 @@ class TestDeltaJ:
         assert rec.scheme == "tilt" and rec.control_mev == 0.45
         assert rec.delta_J_ghz == pytest.approx(rec.J_imp_ghz - rec.J_clean_ghz)
         assert rec.rel_noise == pytest.approx(rec.delta_J_ghz / rec.J_clean_ghz)
-        assert NoiseRecord._fields == NoiseRecord.CSV_FIELDS
-        assert tuple(rec) == tuple(getattr(rec, f) for f in NoiseRecord.CSV_FIELDS)  # its CSV row
+        assert tuple(rec) == tuple(getattr(rec, f) for f in NoiseRecord._fields)  # its CSV row
 
     def test_neutral_charge_gives_exact_zero(self, params):
         rec = delta_J("tilt", 0.3, params, Impurity(-600.0, 600.0, q=0.0))
@@ -215,10 +214,11 @@ class TestDeltaJ:
             delta_J("tilt", 0.05, base, impurity)
 
     def test_csv_fields(self):
-        assert NoiseRecord.CSV_FIELDS == (
+        assert NoiseRecord._fields == (
             "scheme", "control_mev", "J_clean_ghz", "J_imp_ghz",
             "delta_J_ghz", "rel_noise")
-        assert ChiRecord.CSV_FIELDS == ("J_ghz", "rel_tilt", "rel_barrier", "chi")
+        assert ChiRecord._fields == ("J_ghz", "rel_tilt", "rel_barrier", "chi")
+        assert not hasattr(NoiseRecord, "CSV_FIELDS") and not hasattr(ChiRecord, "CSV_FIELDS")
 
 
 class TestCalibration:
@@ -863,6 +863,42 @@ class TestQualityModel:
         sigma = 0.015
         assert envelope_closed(sigma, t_star_ns(sigma)) == pytest.approx(math.exp(-1.0), rel=1e-12)
         assert t_star_ns(0.0) == math.inf
+
+    # A non-finite J or t, and a sigma or model field that is not finite or
+    # is negative, is rejected with a message that names it; a J <= 0 keeps
+    # quality_factor's own message, which qfactor prints.
+    @pytest.mark.parametrize("call,message", [
+        (lambda: quality_factor(math.nan, QualityModel(0.1)), "J must be finite, got nan"),
+        (lambda: quality_factor(math.inf, QualityModel(0.1)), "J must be finite, got inf"),
+        (lambda: quality_factor(-math.inf, QualityModel(0.1)), "J must be positive, got -inf"),
+        (lambda: quality_factor(1.0, QualityModel(math.nan)),
+         "sigma_rel must be non-negative and finite, got nan"),
+        (lambda: quality_factor(1.0, QualityModel(0.1, -0.01)),
+         "sigma_floor_ghz must be non-negative and finite, got -0.01"),
+        (lambda: sigma_total(1.0, QualityModel(-0.1)),
+         "sigma_rel must be non-negative and finite, got -0.1"),
+        (lambda: sigma_total(math.nan, QualityModel(0.1)), "J must be finite, got nan"),
+        (lambda: sigma_total(1.0, QualityModel(0.1, math.inf)),
+         "sigma_floor_ghz must be non-negative and finite, got inf"),
+        (lambda: t_star_ns(-0.1), "sigma must be non-negative and finite, got -0.1"),
+        (lambda: t_star_ns(math.nan), "sigma must be non-negative and finite, got nan"),
+        (lambda: envelope_closed(-0.01, 5.0), "sigma must be non-negative and finite, got -0.01"),
+        (lambda: envelope_closed(0.01, math.inf), "t must be finite, got inf"),
+        (lambda: envelope_numeric(0.2, -0.01, 5.0),
+         "sigma must be non-negative and finite, got -0.01"),
+        (lambda: envelope_numeric(math.nan, 0.01, 5.0), "J must be finite, got nan"),
+        (lambda: envelope_numeric(0.2, 0.01, -math.inf), "t must be finite, got -inf"),
+    ])
+    def test_a_bad_input_is_named(self, call, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call()
+
+    # The edges that stay valid: a negative J or t in an envelope, a zero sigma.
+    def test_zero_sigma_and_negative_j_or_t_are_accepted(self):
+        assert envelope_closed(0.0, -3.0) == 1.0
+        assert envelope_numeric(-0.2, 0.01, -5.0) == pytest.approx(
+            envelope_closed(0.01, 5.0), abs=1e-12)
+        assert sigma_total(-1.0, QualityModel(0.1)) == 0.1
 
 
 class TestSweep:
