@@ -27,12 +27,14 @@ from . import __version__
 from .hamiltonian import AssemblyMode, in_ghz, solve_stack
 from .model import _SETTINGS, DeviceParams, Impurity, config_to_objects, read_config
 from .noise import (
+    MAX_GRID_POINTS,
     CalibrationError,
     ChiRecord,
     NoiseRecord,
     QualityModel,
     _calibrated,
     _chi_table,
+    _grid_size,
     _noise_table,
     _raise_first,
     default_impurity,
@@ -46,25 +48,18 @@ from .potential import eval_potential
 # ---------------------------------------------------------------------------
 
 
-def _fmt(v) -> str:
-    """Stable scalar formatting: floats as %.12g (nan, inf, -inf included),
-    everything else via str."""
-    if isinstance(v, float):
-        return f"{v:.12g}"
-    return str(v)
-
-
-_QUOTED = frozenset(',"\r\n')  # a text cell with one of these would need CSV quoting
+def _fmt(v: float) -> str:
+    """A float as the CSV writes it: %.12g (nan, inf, -inf included)."""
+    return f"{v:.12g}"
 
 
 def _emit(path: str | None, header_lines: list[str], fieldnames, blocks) -> None:
     """Write provenance comments, a header row, and blocks as CSV.
 
-    A block is an interior comment line (str) or rows given as columns (an
-    array's cells are its tolist() values), written with one '%' template:
-    %.12g for a column of floats, and _fmt's text for any other.  No cell is
-    quoted, so a text cell that would need quoting raises ValueError, naming
-    the first in row order, before anything is written."""
+    A block is an interior comment line (str) or rows given as columns, each
+    written with one '%' template: %.12g for a float column (a float array or
+    a list of floats), %s for a text column (a list of str; its first cell
+    says which).  No cell is quoted: text cells are scheme and direction names."""
     buf = io.StringIO()
     for line in header_lines:
         buf.write(f"# {line}\n")
@@ -73,21 +68,11 @@ def _emit(path: str | None, header_lines: list[str], fieldnames, blocks) -> None
         if isinstance(block, str):          # interior comment line
             buf.write(f"# {block}\n")
             continue
-        columns, formats = [], []
-        for col in block:
-            col = col.tolist() if isinstance(col, np.ndarray) else list(col)
-            types = set(map(type, col))
-            floats = all(issubclass(t, float) for t in types)
-            columns.append(col if floats or types <= {str} else list(map(_fmt, col)))
-            formats.append("%.12g" if floats else "%s")
-        # Each distinct text cell is checked once.
-        quoted = {c for col, f in zip(columns, formats) if f == "%s"
-                  for c in set(col) if not _QUOTED.isdisjoint(c)}
+        columns = [col.tolist() if isinstance(col, np.ndarray) else col for col in block]
+        template = ",".join("%s" if col and isinstance(col[0], str) else "%.12g"
+                            for col in columns) + "\n"
         rows = list(zip(*columns))
-        if quoted:
-            cell = next(c for row in rows for c in row if c in quoted)
-            raise ValueError(f"CSV cell {cell!r} would need quoting")
-        buf.write((",".join(formats) + "\n") * len(rows) % tuple(itertools.chain(*rows)))
+        buf.write(template * len(rows) % tuple(itertools.chain(*rows)))
     text = buf.getvalue()
     if path in (None, "-"):
         sys.stdout.write(text)
@@ -108,14 +93,14 @@ def _provenance(args, base: DeviceParams, mode: AssemblyMode | None,
     return lines + [f"seed = {args.seed}", *extra]
 
 
-MAX_GRID_POINTS = 100_000
-
-
 def _parse_range(spec: str) -> list[float]:
     """'lo:hi:step' -> inclusive grid lo, lo+step, ... (hi included
     whenever it sits on the grid to within a relative half-ulp guard).
-    Grids of more than MAX_GRID_POINTS points are rejected unbuilt."""
+    Grids of more than MAX_GRID_POINTS points are rejected unbuilt, and so
+    is a spec with whitespace, which its provenance line would carry."""
     try:
+        if any(map(str.isspace, spec)):
+            raise ValueError
         lo_s, hi_s, step_s = spec.split(":")
         lo, hi, step = float(lo_s), float(hi_s), float(step_s)
     except ValueError:
@@ -135,17 +120,28 @@ def _parse_range(spec: str) -> list[float]:
     return [v for v in vals if v <= hi + guard]
 
 
+def _finite(flag: str, values, positive: bool = False) -> None:
+    """Reject a flag value that is not finite (or not positive), naming the flag."""
+    for v in values:
+        if not (0.0 if positive else -math.inf) < v < math.inf:
+            raise ValueError(f"{flag} must be {'positive and ' * positive}finite, got {_fmt(v)}")
+
+
 def _parse_xy(spec: str) -> tuple[float, float]:
     try:
         x_s, y_s = spec.split(",")
-        return float(x_s), float(y_s)
+        xy = float(x_s), float(y_s)
     except ValueError:
         raise ValueError(f"expected 'X_nm,Y_nm', got {spec!r}") from None
+    _finite("--impurity", xy)
+    return xy
 
 
 def _resolve(args, *, default_impurity_wanted: bool = False):
     """Combine defaults, --config, and flags into (params, impurity, mode);
     mode is None for a subcommand without --mode."""
+    if "charge_e" in args and args.charge_e is not None:
+        _finite("--charge-e", [args.charge_e])
     base = DeviceParams()
     imp: Impurity | None = None
     if args.config is not None:
@@ -208,9 +204,8 @@ def cmd_spectrum(args) -> int:
     imp_rows, imps = (None, []) if imp is None else (np.ones(len(xi), int), [imp])
     failed, _, evals, _, J = solve_stack(base, epsilon, xi, imp_rows, imps, mode)
     ghz, over = in_ghz(J)
-    for errors in (failed, over):
-        if errors:
-            raise errors[min(errors)]
+    _raise_first(failed)
+    _raise_first(over)
     header = _provenance(args, base, mode, imp, (
         f"eps_range = {args.eps_range}",
         f"xi_values = {','.join(_fmt(x) for x in xi_values)}",
@@ -241,9 +236,7 @@ def cmd_noise_compare(args) -> int:
 
     ``near-impurity`` runs the same comparison; without an impurity it
     places a weak charge close to the dots: q = -0.01 e at (-1.5 a, 0.5 a)."""
-    if not 2 <= args.points <= MAX_GRID_POINTS:
-        bound = "at least 2" if args.points < 2 else f"at most {MAX_GRID_POINTS}"
-        raise ValueError(f"--points must be {bound}, got {args.points}")
+    _grid_size("--points", args.points)
     if not 0 < args.j_max < math.inf:
         raise ValueError(f"--j-max must be positive and finite, got {args.j_max}")
     near = args.subcommand == "near-impurity"
@@ -305,12 +298,6 @@ _SCAN_DIRECTIONS = {
 }
 
 
-def _positive_finite(flag: str, values: list[float]) -> None:
-    for v in values:
-        if not 0 < v < math.inf:
-            raise ValueError(f"{flag} must be positive and finite, got {_fmt(v)}")
-
-
 def cmd_impurity_scan(args) -> int:
     """Relative noise of both schemes versus impurity distance, for an
     impurity moved outward along three directions at matched clean J.
@@ -325,8 +312,8 @@ def cmd_impurity_scan(args) -> int:
                  if args.radii is None else [float(r) for r in args.radii.split(",")])
     except ValueError:
         raise ValueError(f"--radii expects comma-separated numbers, got {args.radii!r}") from None
-    _positive_finite("--J-mhz", [args.J_mhz])
-    _positive_finite("--radii", radii)
+    _finite("--J-mhz", [args.J_mhz], positive=True)
+    _finite("--radii", radii, positive=True)
     j_target_ghz = args.J_mhz / 1e3
     q = args.charge_e if args.charge_e is not None else -1.0
     names = [name for name in _SCAN_DIRECTIONS for _ in radii]
@@ -359,18 +346,16 @@ def cmd_potential_profile(args) -> int:
     """Confinement potential along a horizontal cut (default y = 0,
     x in [-3a, 3a])."""
     base, _imp, _mode = _resolve(args)
-    if not math.isfinite(args.y_nm):
-        raise ValueError(f"--y-nm must be finite, got {_fmt(args.y_nm)}")
+    _finite("--y-nm", [args.y_nm])
     x_spec = (f"{_fmt(-3 * base.a)}:{_fmt(3 * base.a)}:{_fmt(base.a / 50)}"
               if args.x_range is None else args.x_range)
     xs = _parse_range(x_spec)
-    y = args.y_nm
-    values = eval_potential(np.asarray(xs), y, base)
+    values = eval_potential(np.asarray(xs), args.y_nm, base)
     header = _provenance(args, base, None, None, (
         f"x_range_nm = {x_spec}",
-        f"y_nm = {_fmt(y)}",
+        f"y_nm = {_fmt(args.y_nm)}",
     ))
-    _emit(args.out, header, ("x_nm", "y_nm", "V_meV"), [(xs, [y] * len(xs), values)])
+    _emit(args.out, header, ("x_nm", "y_nm", "V_meV"), [(xs, [args.y_nm] * len(xs), values)])
     return 0
 
 
@@ -381,6 +366,8 @@ def cmd_potential_profile(args) -> int:
 
 def cmd_validate(args) -> int:
     """Run the built-in cross-check suite; exit 1 if any check fails."""
+    if args.seed < 0:
+        raise ValueError(f"--seed must be non-negative, got {args.seed}")
     from .crosscheck import validate  # with the oracle, which is slow to import
 
     return validate(args.seed, args.quick, args.corrupt_bessel)

@@ -104,6 +104,8 @@ def validate(seed: int = 0, quick: bool = False, corrupt_bessel: bool = False) -
     quick samples fewer points; corrupt_bessel runs only the negative
     control, the element cross-check with i0e scaled by 1.001, which must
     fail."""
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
     rng = np.random.default_rng(seed)
     checks: list[tuple[str, bool, str]] = []
 

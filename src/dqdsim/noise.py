@@ -16,6 +16,7 @@ from .hamiltonian import AssemblyMode, _model, hubbard_parameters, in_ghz, solve
 from .model import MEV_TO_GHZ, DeviceParams, Impurity, control_point, control_values
 
 DEFAULT_IMPURITY_SCALE = 6.0  # R_c = (-6a, 6a) is the reference noise source
+MAX_GRID_POINTS = 100_000  # the most points of a matched-J grid or a CLI range
 
 
 def default_impurity(params: DeviceParams, q: float = -1.0) -> Impurity:
@@ -374,13 +375,19 @@ def improvement_factor(j_target_ghz: float, imp: Impurity,
     return rec
 
 
+def _grid_size(name: str, n: int) -> None:
+    """Reject a grid of fewer than 2 or more than MAX_GRID_POINTS points, naming it."""
+    if not 2 <= n <= MAX_GRID_POINTS:
+        bound = "at least 2" if n < 2 else f"at most {MAX_GRID_POINTS}"
+        raise ValueError(f"{name} must be {bound}, got {n}")
+
+
 def matched_j_grid(base: DeviceParams, n: int = 25, j_max_ghz: float = 1.0,
                    mode: AssemblyMode = AssemblyMode.PAPER) -> np.ndarray:
     """Geometric grid of n points from the common starting point J0 up to j_max."""
     if not isinstance(n, numbers.Integral):
         raise ValueError(f"n must be an integer, got {n!r}")
-    if n < 2:
-        raise ValueError(f"n must be at least 2, got {n}")
+    _grid_size("n", n)
     if not 0 < j_max_ghz < math.inf:
         raise ValueError(f"j_max_ghz must be positive and finite, got {j_max_ghz}")
     js, failed = _j_ghz(base, [control_values("tilt", base, 0.0)], mode)

@@ -15,8 +15,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dqdsim import (CalibrationError, DeviceParams, Impurity, QualityModel, calibrate_barrier,
-                    calibrate_tilt, cli, default_impurity, delta_J, eval_potential, hamiltonian,
-                    improvement_factors, matched_j_grid, noise, quality_factor, __version__)
+                    calibrate_tilt, cli, crosscheck, default_impurity, delta_J, eval_potential,
+                    hamiltonian, improvement_factors, matched_j_grid, noise, quality_factor,
+                    __version__)
 from dqdsim.cli import MAX_GRID_POINTS, build_parser, main
 from dqdsim.model import _SETTINGS, config_to_objects, read_config
 
@@ -215,6 +216,12 @@ class TestValidate:
         assert "0 failed" in proc.stdout
         assert "PASS derived-constants" in proc.stdout
         assert "FAIL" not in proc.stdout
+
+    # The library names its parameter, before any check is run.
+    def test_a_negative_seed_is_named(self, capsys):
+        with pytest.raises(ValueError, match="^seed must be non-negative, got -1$"):
+            crosscheck.validate(-1, quick=True)
+        assert capsys.readouterr() == ("", "")
 
     def test_corrupted_bessel_is_caught(self):
         proc = subprocess.run(
@@ -527,7 +534,42 @@ class TestFlags:
     def test_nonfinite_impurity_is_rejected(self, capsys):
         assert main(["exchange-tilt", "--eps-range", "0:0.2:0.2",
                      "--impurity=nan,300"]) == 2
-        assert "impurity x_c must be finite" in capsys.readouterr().err
+        assert capsys.readouterr().err == "dqdsim: error: --impurity must be finite, got nan\n"
+
+    # A non-finite --charge-e or --impurity coordinate, and a negative
+    # validate --seed, are named by their flag before any work is done.
+    CHARGED = ["spectrum --impurity=-450,300", "exchange-tilt", "exchange-barrier",
+               "noise-compare", "qfactor", "impurity-scan", "near-impurity"]
+    PLACED = ["spectrum", "exchange-tilt", "exchange-barrier", "noise-compare", "qfactor",
+              "near-impurity"]
+
+    BAD_FLAGS = [
+        *(([*command.split(), f"--charge-e={q}"], f"--charge-e must be finite, got {q}")
+          for command in CHARGED for q in ("inf", "-inf", "nan")),
+        *(([name, f"--impurity={xy}"], f"--impurity must be finite, got {bad}")
+          for name in PLACED for xy, bad in (("inf,0", "inf"), ("0,-inf", "-inf"))),
+        (["validate", "--seed", "-1"], "--seed must be non-negative, got -1"),
+        (["validate", "--quick", "--seed=-7"], "--seed must be non-negative, got -7"),
+    ]
+
+    @pytest.mark.parametrize("argv,message", BAD_FLAGS,
+                             ids=[" ".join(argv) for argv, _ in BAD_FLAGS])
+    def test_a_bad_flag_value_is_named(self, argv, message, monkeypatch, tmp_path, capsys):
+        def no_work(*args, **kwargs):
+            raise AssertionError("computed before the flag was checked")
+        monkeypatch.setattr(hamiltonian, "_device", no_work)
+        monkeypatch.setattr(crosscheck, "validate", no_work)
+        out = tmp_path / "out.csv"
+        assert main(argv if argv[0] == "validate" else [*argv, "--out", str(out)]) == 2
+        assert capsys.readouterr() == ("", f"dqdsim: error: {message}\n")
+        assert not out.exists()
+
+    # A CSV subcommand only labels its header with --seed, so any is taken.
+    def test_a_csv_subcommand_takes_any_seed(self, tmp_path):
+        out = tmp_path / "out.csv"
+        assert main(["potential-profile", "--x-range=0:100:100", "--seed", "-3",
+                     "--out", str(out)]) == 0
+        assert "\n# seed = -3\n" in out.read_text()
 
     def test_charge_without_an_impurity_is_rejected(self, monkeypatch, tmp_path, capsys):
         charged = tmp_path / "charged.csv"
@@ -815,16 +857,6 @@ class TestFlags:
                 "got nan") for e in eps]
         assert data_rows(out.read_text())[1:] == [f"tilt,{e},nan,nan,nan,nan" for e in eps]
 
-    # A direction cell that would need CSV quoting fails the command before
-    # anything is written.
-    def test_a_direction_cell_that_needs_quoting_writes_nothing(self, monkeypatch, tmp_path,
-                                                                capsys):
-        monkeypatch.setattr(cli, "_SCAN_DIRECTIONS", {"x": (-1.0, 0.0), "y,z": (0.0, 1.0)})
-        out = tmp_path / "out.csv"
-        assert main(["impurity-scan", "--radii", "6", "--out", str(out)]) == 2
-        assert capsys.readouterr().err == "dqdsim: error: CSV cell 'y,z' would need quoting\n"
-        assert not out.exists()
-
     # A default sweep, the barrier's zoom block included, hands the eigensolver
     # one stack: each distinct control value clean and with the impurity (the
     # barrier's main and zoom grids share 11 values).  Every row is the one a
@@ -885,7 +917,7 @@ class TestFlags:
         (("impurity-scan", "--radii", "6,abc"),
          "--radii expects comma-separated numbers, got '6,abc'"),
         (("impurity-scan", "--J-mhz", "10", "--charge-e", "nan"),
-         "impurity q must be finite, got nan"),
+         "--charge-e must be finite, got nan"),
         (("impurity-scan", "--radii", "1e307"), "impurity x_c must be finite, got -inf"),
         (("potential-profile", "--y-nm", "nan"), "--y-nm must be finite, got nan"),
         (("potential-profile", "--y-nm", "inf"), "--y-nm must be finite, got inf"),
@@ -1117,9 +1149,10 @@ class TestMatchedJBranches:
 
 
 def csv_writer_bytes(header_lines, fieldnames, blocks) -> str:
-    """What csv.writer makes of the comment lines, the header and the _fmt
-    cells of every row of every block of columns, except a lone empty cell,
-    which csv.writer quotes and _emit writes as an empty line."""
+    """What csv.writer makes of the comment lines, the header and every row
+    of every block of columns, its float cells as %.12g and its text cells as
+    they are, except a lone empty cell, which csv.writer quotes and _emit
+    writes as an empty line."""
     buf = io.StringIO()
     buf.write("".join(f"# {line}\n" for line in header_lines))
     writer = csv.writer(buf, lineterminator="\n")
@@ -1132,29 +1165,20 @@ def csv_writer_bytes(header_lines, fieldnames, blocks) -> str:
             if row == ("",):
                 buf.write("\n")
             else:
-                writer.writerow([cli._fmt(v) for v in row])
+                writer.writerow([v if isinstance(v, str) else cli._fmt(v) for v in row])
     return buf.getvalue()
-
-
-def needs_quoting(blocks) -> list[str]:
-    """The text cells of the blocks' rows, in row order, that csv.writer
-    would quote for a comma, a double quote or a line break."""
-    return [cell for block in blocks if not isinstance(block, str)
-            for row in zip(*block) for cell in row
-            if isinstance(cell, str) and any(c in cell for c in ',"\r\n')]
 
 
 @st.composite
 def column_blocks(draw):
     """Blocks of 1-5 columns of 0-6 rows between comment lines; a column
-    holds floats (maybe as an array), text, integers, or any of them."""
-    kinds = st.sampled_from([st.floats(), st.text(max_size=4), st.integers(),
-                             st.one_of(st.floats(), st.text(max_size=4), st.integers())])
+    holds floats (maybe as an array) or text that csv.writer would not quote."""
+    text = st.text(st.characters(exclude_characters=',"\r\n'), max_size=4)
     blocks = []
     for _ in range(draw(st.integers(0, 3))):
         n = draw(st.integers(0, 6))
-        block = [draw(st.lists(draw(kinds), min_size=n, max_size=n))
-                 for _ in range(draw(st.integers(1, 5)))]
+        block = [draw(st.lists(draw(st.sampled_from([st.floats(), text])), min_size=n,
+                               max_size=n)) for _ in range(draw(st.integers(1, 5)))]
         blocks += [[np.array(col) if col and all(type(c) is float for c in col)
                     and draw(st.booleans()) else col for col in block], "a comment"]
     return blocks
@@ -1162,8 +1186,8 @@ def column_blocks(draw):
 
 class TestEmit:
     """_emit writes each block of columns with one '%' template, byte for
-    byte what csv.writer makes of its rows' _fmt cells, and raises on a
-    text cell that would need quoting before anything is written."""
+    byte what csv.writer makes of its rows: %.12g for a float column (a list
+    or an array), the cell itself for a text column."""
 
     BLOCKS = [
         [[np.float64(0.1), math.nan, math.inf, -math.inf, -0.0, 1e-300, 1e16, 123456789012.5],
@@ -1171,7 +1195,6 @@ class TestEmit:
          np.array([0.1, -0.0, math.nan, math.inf, -math.inf, 2.5, 1e-7, 3.0]),
          [np.float64(-0.0), np.float64(math.nan), 0.5, -1.5, np.float64(math.inf), 0.0, 1.0, 2.0]],
         "an interior comment",
-        [["tilt", 0.3, 1, True, None, np.float32(0.1), np.int64(7), -0.0]],
         [[""], [""]],
         [[""]],
         [[], []],
@@ -1184,44 +1207,97 @@ class TestEmit:
         assert capsys.readouterr().out == csv_writer_bytes(["dqdsim test"], ("a", "b"),
                                                            self.BLOCKS)
 
-    @pytest.mark.parametrize("cell", ["a,b", 'say "x"', "line\nbreak", "cr\rhere"])
-    def test_a_cell_that_needs_quoting_raises_and_writes_nothing(self, cell, tmp_path, capsys):
-        out = tmp_path / "out.csv"
-        with pytest.raises(ValueError) as err:
-            cli._emit(str(out), ["dqdsim test"], ("a", "b"),
-                      [(["tilt"], [1.0]), "a comment", ([cell], [2.5])])
-        assert str(err.value) == f"CSV cell {cell!r} would need quoting"
-        assert not out.exists()
-        with pytest.raises(ValueError):
-            cli._emit(None, [], ("a", "b"), [([1.0], [cell])])
-        assert capsys.readouterr().out == ""
-
-    # A sweep's scheme column is one text column, checked once per distinct
-    # cell: a scheme that would need quoting raises before anything is written.
-    def test_a_scheme_cell_that_needs_quoting_raises_and_writes_nothing(self, tmp_path):
-        out = tmp_path / "out.csv"
-        with pytest.raises(ValueError, match=r"^CSV cell 'ti,lt' would need quoting$"):
-            cli._emit(str(out), ["dqdsim test"], noise.NoiseRecord._fields,
-                      [[["ti,lt"] * 3, [0.0, 0.1, 0.2], *np.zeros((4, 3))]])
-        assert not out.exists()
-
-    def test_the_first_cell_in_row_order_is_named(self):
-        with pytest.raises(ValueError, match="^CSV cell 'c,d' would need quoting$"):
-            cli._emit(None, [], ("a", "b"), [(["ok", "a,b"], ["c,d", "ok"])])
-
     @settings(max_examples=200, deadline=None)
     @given(column_blocks())
     def test_any_rows_are_the_bytes_csv_writer_makes(self, blocks):
         out = io.StringIO()
-        quoted = needs_quoting(blocks)
         with contextlib.redirect_stdout(out):
-            if quoted:
-                with pytest.raises(ValueError) as err:
-                    cli._emit(None, [], ("a",), blocks)
-                assert str(err.value) == f"CSV cell {quoted[0]!r} would need quoting"
-            else:
-                cli._emit(None, [], ("a",), blocks)
-        assert out.getvalue() == ("" if quoted else csv_writer_bytes([], ("a",), blocks))
+            cli._emit(None, [], ("a",), blocks)
+        assert out.getvalue() == csv_writer_bytes([], ("a",), blocks)
+
+
+# Each CSV subcommand at its defaults, and each range flag on a small grid.
+WELL_FORMED = [(name,) for name in SMALL_GRIDS] + [
+    ("spectrum", "--eps-range", "0:0.1:0.1"),
+    ("spectrum", "--xi-range", "1.0:1.1:0.1"),
+    ("exchange-tilt", "--eps-range", "0:0.1:0.1"),
+    ("exchange-barrier", "--xi-range", "1.0:1.1:0.1"),
+    ("qfactor", "--j-range", "0.2:0.3:0.1"),
+    ("potential-profile", "--x-range=-100:100:100"),
+]
+FIELDS = {invocation[0]: header.split(",") for invocation, header in HEADERS.items()}
+
+# The grid flags whose spec a provenance line echoes, each on a small grid.
+RANGE_FLAGS = [argv for argv in WELL_FORMED if len(argv) > 1]
+
+
+def is_plain(text: str) -> bool:
+    """A CSV field or cell that needs no quoting and holds no line break."""
+    return text.splitlines() == [text] and not set(',"') & set(text)
+
+
+class TestWellFormed:
+    """Every CSV a subcommand writes is its '# ' comment lines, one header
+    row of its fields and rows of the header's width; the only interior
+    comment is exchange-barrier's '# zoom' line."""
+
+    @pytest.mark.parametrize("argv", WELL_FORMED, ids=" ".join)
+    def test_every_csv_is_well_formed(self, argv, tmp_path):
+        out = tmp_path / "out.csv"
+        assert main([*argv, "--out", str(out)]) == 0
+        text = out.read_text(encoding="utf-8")
+        lines = text.splitlines()
+        assert text == "".join(f"{line}\n" for line in lines)  # only '\n' ends a line
+        n = next(i for i, line in enumerate(lines) if not line.startswith("#"))
+        assert n > 0 and all(line.startswith("# ") for line in lines[:n])
+        assert lines[n].split(",") == FIELDS[argv[0]]
+        interior = [line for line in lines[n + 1:] if line.startswith("#")]
+        assert interior == (["# zoom xi_range = 0.5:0.6:0.002"]
+                            if argv == ("exchange-barrier",) else [])
+        rows = [line for line in lines[n + 1:] if not line.startswith("#")]
+        assert rows and all(len(row.split(",")) == len(FIELDS[argv[0]]) for row in rows)
+        assert '"' not in text
+
+    # The invariant that lets _emit quote nothing: no text cell the program
+    # writes, and no header field, holds a comma, a double quote or a line
+    # break.
+    def test_no_text_cell_or_field_needs_quoting(self, monkeypatch, tmp_path):
+        written, real = [], cli._emit
+
+        def spy(path, header_lines, fieldnames, blocks):
+            written.extend(fieldnames)
+            written.extend(cell for block in blocks if not isinstance(block, str)
+                           for col in block if isinstance(col, list)
+                           for cell in col if isinstance(cell, str))
+            real(path, header_lines, fieldnames, blocks)
+        monkeypatch.setattr(cli, "_emit", spy)
+        for argv in WELL_FORMED:
+            assert main([*argv, "--out", str(tmp_path / "out.csv")]) == 0
+        assert {"tilt", "barrier", *cli._SCAN_DIRECTIONS} <= set(written)
+        assert set(FIELDS["spectrum"]) <= set(written)
+        names = ["tilt", "barrier", *cli._SCAN_DIRECTIONS, *noise.NoiseRecord._fields,
+                 *noise.ChiRecord._fields, *written]
+        assert [name for name in names if not is_plain(name)] == []
+
+    # A range spec with whitespace, which float() would strip, is malformed:
+    # its provenance line would carry the whitespace, and a line break there
+    # splits the header.  It exits 2 before any work and writes no file.
+    @pytest.mark.parametrize("space", ["\n", "\r", "\v", "\u2028", " "],
+                             ids=["lf", "cr", "vt", "ls", "space"])
+    @pytest.mark.parametrize("argv", RANGE_FLAGS, ids=" ".join)
+    def test_a_range_with_whitespace_is_rejected(self, argv, space, monkeypatch, tmp_path,
+                                                 capsys):
+        def no_work(*args, **kwargs):
+            raise AssertionError("computed before the range was checked")
+        monkeypatch.setattr(hamiltonian, "_device", no_work)
+        monkeypatch.setattr(cli, "eval_potential", no_work)
+        flag, spec = argv[1].split("=") if "=" in argv[1] else argv[1:]
+        spec = spec + space if space != " " else spec.replace(":", ": ", 1)
+        out = tmp_path / "out.csv"
+        assert main([argv[0], f"{flag}={spec}", "--out", str(out)]) == 2
+        assert capsys.readouterr() == (
+            "", f"dqdsim: error: expected 'lo:hi:step', got {spec!r}\n")
+        assert not out.exists()
 
 
 class TestContent:

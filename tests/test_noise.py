@@ -34,7 +34,7 @@ from dqdsim import (
     sweet_spot_check,
     t_star_ns,
 )
-from dqdsim import hamiltonian, noise
+from dqdsim import cli, hamiltonian, noise
 from dqdsim.crosscheck import sample_device
 from dqdsim.model import MEV_TO_GHZ, control_point
 from dqdsim.noise import calibrate_many, improvement_factors, noise_records
@@ -724,6 +724,10 @@ class TestMatchedGrid:
     @pytest.mark.parametrize("kwargs,message", [
         ({"n": 1}, "n must be at least 2, got 1"),
         ({"n": -3}, "n must be at least 2, got -3"),
+        # Above the bound n is refused unallocated (2**40 points were 8 TiB).
+        ({"n": noise.MAX_GRID_POINTS + 1},
+         f"n must be at most {noise.MAX_GRID_POINTS}, got {noise.MAX_GRID_POINTS + 1}"),
+        ({"n": 2**40}, f"n must be at most {noise.MAX_GRID_POINTS}, got {2**40}"),
         ({"j_max_ghz": 0.0}, "j_max_ghz must be positive and finite, got 0.0"),
         ({"j_max_ghz": math.nan}, "j_max_ghz must be positive and finite, got nan"),
         ({"j_max_ghz": math.inf}, "j_max_ghz must be positive and finite, got inf"),
@@ -740,6 +744,11 @@ class TestMatchedGrid:
         with pytest.raises(ValueError) as err:
             matched_j_grid(params, **kwargs)
         assert str(err.value) == message
+
+    # The bound is inclusive, and the CLI's --points and ranges share it.
+    def test_the_largest_grid_is_taken(self, params):
+        assert len(matched_j_grid(params, n=noise.MAX_GRID_POINTS)) == 100_000
+        assert cli.MAX_GRID_POINTS is noise.MAX_GRID_POINTS
 
     def test_a_numpy_integer_n_is_a_size(self, params):
         grid = matched_j_grid(params, n=np.int64(3))
