@@ -49,7 +49,6 @@ from .hamiltonian import (
     HubbardParams,
     T0_VECTOR,
     assemble_matrix,
-    exchange_J,
     exchange_J_ghz,
     hubbard_exchange_estimate,
     hubbard_parameters,
@@ -130,7 +129,6 @@ __all__ = [
     "envelope_numeric",
     "eval_potential",
     "eval_vx",
-    "exchange_J",
     "exchange_J_ghz",
     "fock_darwin",
     "gaussian_barrier",

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import __version__
 from .hamiltonian import AssemblyMode, in_ghz, solve_stack
-from .model import _SETTINGS, DeviceParams, Impurity, config_to_objects, read_config
+from .model import _SETTINGS, DeviceParams, Impurity, _finite, config_to_objects, read_config
 from .noise import (
     MAX_GRID_POINTS,
     CalibrationError,
@@ -118,13 +118,6 @@ def _parse_range(spec: str) -> list[float]:
     vals = [lo + k * step for k in range(n)]
     guard = step * 1e-9
     return [v for v in vals if v <= hi + guard]
-
-
-def _finite(flag: str, values, positive: bool = False) -> None:
-    """Reject a flag value that is not finite (or not positive), naming the flag."""
-    for v in values:
-        if not (0.0 if positive else -math.inf) < v < math.inf:
-            raise ValueError(f"{flag} must be {'positive and ' * positive}finite, got {_fmt(v)}")
 
 
 def _parse_xy(spec: str) -> tuple[float, float]:
@@ -314,6 +307,9 @@ def cmd_impurity_scan(args) -> int:
         raise ValueError(f"--radii expects comma-separated numbers, got {args.radii!r}") from None
     _finite("--J-mhz", [args.J_mhz], positive=True)
     _finite("--radii", radii, positive=True)
+    for r in radii:  # each impurity sits at r * a nm
+        if math.isinf(r * base.a):
+            raise ValueError(f"--radii {_fmt(r)} times a = {_fmt(base.a)} nm overflows")
     j_target_ghz = args.J_mhz / 1e3
     q = args.charge_e if args.charge_e is not None else -1.0
     names = [name for name in _SCAN_DIRECTIONS for _ in radii]
@@ -477,40 +473,36 @@ _SUBCOMMANDS = {
 
 
 @functools.cache
-def _subparser(name: str) -> argparse.ArgumentParser:
-    """The named subcommand's parser, built once per process as the full
-    parser builds it."""
-    parser = argparse.ArgumentParser(prog=f"dqdsim {name}")
-    _SUBCOMMANDS[name][1](parser)
-    return parser
-
-
-def build_parser() -> argparse.ArgumentParser:
-    """The full parser: --version and every subcommand's parser."""
+def _parser(name: str | None = None) -> argparse.ArgumentParser:
+    """The named subcommand's parser, built once per process; without a name,
+    the top-level one: --version and each subcommand's name and help line."""
+    if name is not None:
+        parser = argparse.ArgumentParser(prog=f"dqdsim {name}")
+        _SUBCOMMANDS[name][1](parser)
+        return parser
     parser = argparse.ArgumentParser(
         prog="dqdsim",
         description="Exchange interaction and charge-noise simulator for a "
                     "two-electron double quantum dot.")
-    parser.add_argument("--version", action="version",
-                        version=f"dqdsim {__version__}")
+    parser.add_argument("--version", action="version", version=f"dqdsim {__version__}")
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name, (help_text, add_flags, _) in _SUBCOMMANDS.items():
-        add_flags(sub.add_parser(name, help=help_text))
+    for name, (help_text, _, _) in _SUBCOMMANDS.items():
+        sub.add_parser(name, help=help_text, add_help=False)  # -h is _parser(name)'s
     return parser
 
 
 def main(argv=None) -> int:
-    """Run one command line, returning its exit code.  A valid call is parsed
-    by its subcommand's own parser; -h, --version, an unknown or missing
-    command and arguments left over go to the full parser, which prints
-    them as it words them."""
+    """Run one command line, returning its exit code.  Its subcommand's own
+    parser parses it; the top-level parser takes -h, --version and a missing
+    or unknown command, and reports arguments left over as argparse would."""
     argv = sys.argv[1:] if argv is None else list(argv)
-    args, extras = None, argv
-    if argv and argv[0] in _SUBCOMMANDS:
-        args, extras = _subparser(argv[0]).parse_known_args(
-            argv[1:], argparse.Namespace(subcommand=argv[0]))
-    if args is None or extras:
-        args = build_parser().parse_args(argv)
+    if not argv or argv[0] not in _SUBCOMMANDS:
+        _parser().parse_args(argv)  # prints the help, the version or an error, and exits
+        _parser().error("the command must come first")  # if argparse skipped what came first
+    args, extras = _parser(argv[0]).parse_known_args(
+        argv[1:], argparse.Namespace(subcommand=argv[0]))
+    if extras:
+        _parser().error(f"unrecognized arguments: {' '.join(extras)}")
     try:
         return _SUBCOMMANDS[args.subcommand][2](args)
     except Exception as exc:

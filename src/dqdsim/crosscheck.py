@@ -13,8 +13,7 @@ import numpy as np
 
 from . import integrals
 from .hamiltonian import (T0_VECTOR, HubbardParams, _hubbard, _two_body, _unstack,
-                          assemble_matrix, exchange_J, hubbard_exchange_estimate,
-                          hubbard_parameters, solve)
+                          assemble_matrix, hubbard_exchange_estimate, hubbard_parameters, solve)
 from .integrals import (coulomb_element, i0e, impurity_element, kinetic_element,
                         potential_element)
 from .model import (HBAR2_OVER_2ME, MEV_TO_GHZ, DeviceParams, Impurity, control_point,
@@ -211,8 +210,8 @@ def validate(seed: int = 0, quick: bool = False, corrupt_bessel: bool = False) -
         base = DeviceParams()
         eps_grid = [0.0, 0.2, 0.4, 0.6, 0.8, 1.0]
         xi_grid = [0.5, 0.7, 0.9, 1.1, 1.3]
-        j_eps = [exchange_J(control_point("tilt", base, e)) for e in eps_grid]
-        j_xi = [exchange_J(control_point("barrier", base, x)) for x in xi_grid]
+        j_eps = [solve(control_point("tilt", base, e)).J for e in eps_grid]
+        j_xi = [solve(control_point("barrier", base, x)).J for x in xi_grid]
         add("exchange-monotonic",
             all(b > a for a, b in zip(j_eps, j_eps[1:]))
             and all(b < a for a, b in zip(j_xi, j_xi[1:])),
@@ -259,7 +258,7 @@ def validate(seed: int = 0, quick: bool = False, corrupt_bessel: bool = False) -
         requests = [(scheme, tgt) for tgt in targets for scheme in ("tilt", "barrier")]
         try:
             controls = calibrate_many(requests, base)
-            achieved = [exchange_J(control_point(scheme, base, c))
+            achieved = [solve(control_point(scheme, base, c)).J
                         for (scheme, _), c in zip(requests, controls)]
             worst_cal = max(abs(j * MEV_TO_GHZ - tgt) / tgt
                             for (_, tgt), j in zip(requests, achieved))
@@ -270,7 +269,7 @@ def validate(seed: int = 0, quick: bool = False, corrupt_bessel: bool = False) -
 
         # 11. perturbative exchange estimate near zero detuning
         est = hubbard_exchange_estimate(hubbard_parameters(DeviceParams()))
-        exact = exchange_J(DeviceParams())
+        exact = solve(DeviceParams()).J
         add("hubbard-estimate", abs(est / exact - 1.0) <= 0.05,
             f"2t^2 estimate off by {abs(est / exact - 1.0):.12g} relative")
 

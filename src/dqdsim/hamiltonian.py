@@ -379,12 +379,6 @@ def solve(params: DeviceParams, imp: Impurity | None = None,
                           t0_energy=float(T0_VECTOR @ H[0] @ T0_VECTOR))
 
 
-def exchange_J(params: DeviceParams, imp: Impurity | None = None,
-               mode: AssemblyMode = AssemblyMode.PAPER) -> float:
-    """Signed exchange splitting J = E(T0) - E(lowest singlet) in meV."""
-    return solve(params, imp, mode).J
-
-
 def in_ghz(J: np.ndarray) -> tuple[np.ndarray, dict]:
     """(ghz, over): each J [meV] in GHz, NaN where it overflows there, and
     over mapping the index of each such J to a ValueError naming it."""
@@ -398,8 +392,9 @@ def in_ghz(J: np.ndarray) -> tuple[np.ndarray, dict]:
 
 def exchange_J_ghz(params: DeviceParams, imp: Impurity | None = None,
                    mode: AssemblyMode = AssemblyMode.PAPER) -> float:
-    """exchange_J in GHz; raises a ValueError naming a J that overflows there."""
-    (ghz,), over = in_ghz(np.array([exchange_J(params, imp, mode)]))
+    """Signed exchange splitting J = E(T0) - E(lowest singlet) in GHz; raises
+    a ValueError naming a J that overflows there."""
+    (ghz,), over = in_ghz(np.array([solve(params, imp, mode).J]))
     if over:
         raise over[0]
     return float(ghz)

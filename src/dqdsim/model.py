@@ -195,16 +195,27 @@ def read_config(path: str) -> dict[str, str]:
     return out
 
 
+def _finite(name: str, values, positive: bool = False) -> None:
+    """Reject a value that is not finite (or not positive), naming it."""
+    for v in values:
+        if not (0.0 if positive else -math.inf) < v < math.inf:
+            raise ValueError(f"{name} must be {'positive and ' * positive}finite, got {v:.12g}")
+
+
 def _fields(cfg: dict[str, str], record) -> dict[str, float]:
-    """The fields of record that cfg sets, as floats; a value that is not is named by its key."""
-    fields = {}
-    for key, (rec, name) in _SETTINGS.items():
+    """The fields of record that cfg sets, as floats.  A value that is not a
+    float, then one that is not finite (or, at a device.* key, not
+    positive), is named by its key."""
+    values = {}
+    for key, (rec, _) in _SETTINGS.items():
         if rec is record and key in cfg:
             try:
-                fields[name] = float(cfg[key])
+                values[key] = float(cfg[key])
             except ValueError as exc:
                 raise ValueError(f"{key}: {exc}") from None
-    return fields
+    for key, v in values.items():
+        _finite(key, [v], positive=key.startswith("device."))  # geometry and material
+    return {_SETTINGS[key][1]: v for key, v in values.items()}
 
 
 def config_to_objects(cfg: dict[str, str]) -> tuple[DeviceParams, Impurity | None]:
@@ -213,7 +224,6 @@ def config_to_objects(cfg: dict[str, str]) -> tuple[DeviceParams, Impurity | Non
     A fault is named in this order: a device value, an impurity value, a
     charge without a position, unknown keys."""
     params = DeviceParams(**_fields(cfg, DeviceParams))
-    derive_constants(params)  # names a non-positive or non-finite device value
     if "impurity.charge_e" in cfg and not cfg.keys() & {"impurity.x_nm", "impurity.y_nm"}:
         raise ValueError("impurity.charge_e given without impurity.x_nm or impurity.y_nm: "
                          "there is no impurity to charge")

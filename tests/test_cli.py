@@ -18,7 +18,7 @@ from dqdsim import (CalibrationError, DeviceParams, Impurity, QualityModel, cali
                     calibrate_tilt, cli, crosscheck, default_impurity, delta_J, eval_potential,
                     hamiltonian, improvement_factors, matched_j_grid, noise, quality_factor,
                     __version__)
-from dqdsim.cli import MAX_GRID_POINTS, build_parser, main
+from dqdsim.cli import MAX_GRID_POINTS, main
 from dqdsim.model import _SETTINGS, config_to_objects, read_config
 
 CLI = [sys.executable, "-m", "dqdsim.cli"]
@@ -30,6 +30,15 @@ def run_cli(*args, expect=0):
     assert proc.returncode == expect, (
         f"exit {proc.returncode} != {expect}\nstdout:\n{proc.stdout}\nstderr:\n{proc.stderr}")
     return proc
+
+
+def j0_mhz() -> str:
+    """The default device's J0 as a --J-mhz value that reads back as J0 to
+    the bit: computed here, so it is the J0 of whichever BLAS kernel runs."""
+    j0 = float(matched_j_grid(DeviceParams(), n=2)[0])
+    arg = repr(j0 * 1e3)
+    assert float(arg) / 1e3 == j0
+    return arg
 
 
 def data_rows(text):
@@ -72,8 +81,9 @@ def test_cli_does_not_import_the_oracle():
 class TestParser:
     """main parses a valid call with the invoked subcommand's own parser,
     built once per process and reused, and runs the command of its
-    _SUBCOMMANDS entry; it parses and reports exactly as the full parser of
-    build_parser does."""
+    _SUBCOMMANDS entry; -h, --version, a missing or unknown command and
+    arguments left over go to the top-level parser, which adds no
+    subcommand's flags.  tests/test_cli_text.py pins their text."""
 
     ARGV = {
         "spectrum": ["--eps-range", "0:0.1:0.1", "--mode", "full", "--impurity=-450,300"],
@@ -96,63 +106,82 @@ class TestParser:
             monkeypatch.setitem(cli._SUBCOMMANDS, n, (
                 help_text, lambda p, n=n, add=add_flags: built.append(n) or add(p),
                 lambda args: args.subcommand))
-        cli._subparser.cache_clear()
+        cli._parser.cache_clear()
         yield built
-        cli._subparser.cache_clear()  # drop the parsers built from the wrappers
+        cli._parser.cache_clear()  # drop the parsers built from the wrappers
 
     def test_every_subcommand_is_covered(self):
         assert list(self.ARGV) == list(cli._SUBCOMMANDS)
 
+    # A subcommand's -h and its leftover arguments add its flags alone, once.
     @pytest.mark.parametrize("name", list(ARGV))
-    def test_one_subparser_parses_like_the_full_parser(self, name, built, capsys):
-        for argv in ([name], [name, *self.ARGV[name]]):
-            full = vars(build_parser().parse_args(argv))
-            assert {"subcommand": name, **vars(cli._subparser(name).parse_args(argv[1:]))} == full
-        # main builds this subparser alone on its first call, and reuses it;
-        # arguments left over go to the full parser, with every subparser.
-        cli._subparser.cache_clear()
-        for argv, code, text, builds in (
-                ([name, "-h"], 0, f"usage: dqdsim {name} ", [name]),
-                ([name, "--bogus"], 2, "unrecognized arguments: --bogus", list(self.ARGV))):
-            full = build_parser()
-            built.clear()
+    def test_help_and_leftovers_add_only_their_own_flags(self, name, built, capsys):
+        for argv, code, text in (([name, "-h"], 0, f"usage: dqdsim {name} "),
+                                 ([name, "--bogus"], 2, "unrecognized arguments: --bogus")):
             with pytest.raises(SystemExit) as exit_:
                 main(argv)
-            assert built == builds
-            lazy = capsys.readouterr()
-            assert exit_.value.code == code and text in lazy.out + lazy.err
-            with pytest.raises(SystemExit) as exit_:
-                full.parse_args(argv)
-            assert exit_.value.code == code and capsys.readouterr() == lazy
+            got = capsys.readouterr()
+            assert exit_.value.code == code and text in got.out + got.err
+        assert built == [name]
 
     # A valid call parses with its subcommand's cached parser, built on the
-    # first call alone, and builds no full parser.
+    # first call alone, and builds no top-level parser.
     @pytest.mark.parametrize("name", list(ARGV))
-    def test_a_valid_call_builds_only_its_own_parser_once(self, name, built, monkeypatch):
-        monkeypatch.setattr(cli, "build_parser", lambda: pytest.fail("built the full parser"))
+    def test_a_valid_call_builds_only_its_own_parser_once(self, name, built):
         for _ in range(3):
             assert main([name, *self.ARGV[name]]) == name
         assert built == [name]
-        assert cli._subparser.cache_info().currsize == 1
+        assert cli._parser.cache_info().currsize == 1
 
-    # Errors of the subcommand's own parser and arguments left over for the
-    # top level read byte for byte as the full parser's.
-    @pytest.mark.parametrize("argv,text", [
-        (["noise-compare", "--points", "abc"], "argument --points: invalid int value: 'abc'"),
-        (["spectrum", "--eps-range"], "argument --eps-range: expected one argument"),
-        (["spectrum", "--version"], "dqdsim: error: unrecognized arguments: --version"),
-        (["exchange-tilt", "--bogus", "--bad=1"],
-         "dqdsim: error: unrecognized arguments: --bogus --bad=1"),
+    # Across every kind of call in one process, each subcommand's flags are
+    # added at most once, and the top-level parser adds none.
+    def test_each_subcommand_adds_its_flags_at_most_once_per_process(self, built, capsys):
+        calls = [["-h"], ["--version"], [], ["bogus"]] + [
+            argv for name in self.ARGV
+            for argv in ([name, "-h"], [name, "--bogus"], [name, *self.ARGV[name]])]
+        for argv in calls + calls:
+            with contextlib.suppress(SystemExit):
+                main(argv)
+            assert built == list(self.ARGV)[:len(built)]
+        capsys.readouterr()
+        assert built == list(self.ARGV)
+        assert cli._parser.cache_info().currsize == 1 + len(self.ARGV)
+
+    # Errors of the subcommand's own parser name it; arguments left over
+    # are reported by the top-level parser, under its usage.
+    @pytest.mark.parametrize("argv,prog,text", [
+        (["noise-compare", "--points", "abc"], "dqdsim noise-compare",
+         "argument --points: invalid int value: 'abc'"),
+        (["spectrum", "--eps-range"], "dqdsim spectrum",
+         "argument --eps-range: expected one argument"),
+        (["spectrum", "--version"], "dqdsim", "unrecognized arguments: --version"),
+        (["exchange-tilt", "--bogus", "--bad=1"], "dqdsim",
+         "unrecognized arguments: --bogus --bad=1"),
     ])
-    def test_an_error_reads_as_the_full_parsers(self, argv, text, capsys):
+    def test_an_error_names_its_parser(self, argv, prog, text, capsys):
         with pytest.raises(SystemExit) as exit_:
             main(argv)
         got = capsys.readouterr()
-        with pytest.raises(SystemExit) as full_exit:
-            build_parser().parse_args(argv)
-        assert exit_.value.code == full_exit.value.code == 2
-        assert got == capsys.readouterr() and got.out == ""
-        assert text in got.err
+        assert exit_.value.code == 2 and got.out == ""
+        assert got.err.startswith(f"usage: {prog} [-h]")
+        assert got.err.endswith(f"\n{prog}: error: {text}\n")
+
+    # An argument before the command is reported with all that follows it,
+    # and a command's -h there prints no flagless help page.
+    @pytest.mark.parametrize("argv,text", [
+        (["-x", "spectrum"], "unrecognized arguments: -x\n"),
+        (["-x", "spectrum", "--eps-range", "0:1:0.5"],
+         "unrecognized arguments: -x --eps-range 0:1:0.5\n"),
+        (["-x", "spectrum", "-h"], "unrecognized arguments: -x -h\n"),
+        (["--out", "x.csv", "spectrum"], "argument subcommand: invalid choice: 'x.csv'"),
+    ])
+    def test_an_argument_before_the_command_is_an_error(self, argv, text, built, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            main(argv)
+        got = capsys.readouterr()
+        assert exit_.value.code == 2 and got.out == ""
+        assert f"\ndqdsim: error: {text}" in got.err
+        assert built == []
 
     @pytest.mark.parametrize("argv,code,stream,text", [
         (["-h"], 0, "out", "{spectrum,exchange-tilt,exchange-barrier,noise-compare,qfactor,"
@@ -161,14 +190,13 @@ class TestParser:
         (["bogus"], 2, "err", "argument subcommand: invalid choice: 'bogus'"),
         ([], 2, "err", "the following arguments are required: subcommand"),
     ])
-    def test_top_level_calls_build_every_subparser(self, argv, code, stream, text, capsys):
+    def test_top_level_calls_add_no_subcommands_flags(self, argv, code, stream, text,
+                                                      built, capsys):
         with pytest.raises(SystemExit) as exit_:
             main(argv)
         got = capsys.readouterr()
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(argv)
-        assert exit_.value.code == code and got == capsys.readouterr()
-        assert text in getattr(got, stream)
+        assert exit_.value.code == code and text in getattr(got, stream)
+        assert built == []
         if argv == ["-h"]:
             for name, (help_text, _, _) in cli._SUBCOMMANDS.items():
                 assert f"    {name}" in got.out and help_text in got.out
@@ -360,7 +388,8 @@ class TestConfig:
         cfg = tmp_path / "device.cfg"
         cfg.write_text("device.hbar_omega0_mev = inf\n")
         assert main(["spectrum", "--config", str(cfg), "--eps-range", "0:0.1:0.1"]) == 2
-        assert "hbar_omega0 must be positive and finite" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "dqdsim: error: device.hbar_omega0_mev must be positive and finite, got inf\n")
 
     # On tightly confined dots J is exactly 0 in float, so every point fails
     # alone, named: a NaN row, a stderr line, and exit 2 (not 1, which is
@@ -453,7 +482,7 @@ class TestConfig:
     # without a position (whose value is not read), unknown keys.
     @pytest.mark.parametrize("text,message", [
         ("device.bogus = 1\nimpurity.charge_e = -1\nimpurity.x_nm = west\ndevice.a_nm = -1\n",
-         "a must be positive and finite, got -1.0"),
+         "device.a_nm must be positive and finite, got -1"),
         ("device.bogus = 1\nimpurity.charge_e = -1\nimpurity.x_nm = west\ndevice.m_eff = x\n",
          "device.m_eff: could not convert string to float: 'x'"),
         ("device.bogus = 1\nimpurity.charge_e = -1\nimpurity.x_nm = west\n",
@@ -476,8 +505,8 @@ class TestConfig:
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("device.a_nm = -1\ndevice.bogus = 2\n")
         assert main(["spectrum", "--config", str(cfg)]) == 2
-        assert capsys.readouterr() == ("", "dqdsim: error: a must be positive and finite, "
-                                           "got -1.0\n")
+        assert capsys.readouterr() == ("", "dqdsim: error: device.a_nm must be positive and "
+                                           "finite, got -1\n")
 
     # A CSV's device and impurity header lines, with the '# ' removed, are a
     # --config of its run: they give back the run's device and impurity to
@@ -887,17 +916,18 @@ class TestFlags:
     # calibrations settle on the same end, which a second stack holds with
     # each impurity.
     MATRICES = {"noise-compare": [1, 106], "qfactor": [72], "impurity-scan": [71],
-                "impurity-scan --J-mhz 32.809933155053": [71, 33]}
+                "impurity-scan --J-mhz J0": [71, 33]}
 
     @pytest.mark.parametrize("argv,count", [(["noise-compare"], 2), (["qfactor"], 1),
                                             (["impurity-scan"], 1),
-                                            (["impurity-scan", "--J-mhz", "32.809933155053"], 2)])
+                                            (["impurity-scan", "--J-mhz", "J0"], 2)])
     def test_a_matched_j_command_makes_few_stacked_solves(self, argv, count, monkeypatch,
                                                           tmp_path):
+        call = [j0_mhz() if a == "J0" else a for a in argv]
         stacks = []
         real = hamiltonian.jacobi_eigh
         monkeypatch.setattr(hamiltonian, "jacobi_eigh", lambda A: stacks.append(len(A)) or real(A))
-        assert main([*argv, "--out", str(tmp_path / "out.csv")]) == 0
+        assert main([*call, "--out", str(tmp_path / "out.csv")]) == 0
         assert len(stacks) == count
         assert stacks == self.MATRICES[" ".join(argv)]
 
@@ -918,7 +948,7 @@ class TestFlags:
          "--radii expects comma-separated numbers, got '6,abc'"),
         (("impurity-scan", "--J-mhz", "10", "--charge-e", "nan"),
          "--charge-e must be finite, got nan"),
-        (("impurity-scan", "--radii", "1e307"), "impurity x_c must be finite, got -inf"),
+        (("impurity-scan", "--radii", "6,1e307"), "--radii 1e+307 times a = 100 nm overflows"),
         (("potential-profile", "--y-nm", "nan"), "--y-nm must be finite, got nan"),
         (("potential-profile", "--y-nm", "inf"), "--y-nm must be finite, got inf"),
     ])
@@ -998,18 +1028,19 @@ class TestFlags:
     # not on their roots, which lie about 1e-6 meV and 2e-13 meV off it; the
     # rows are those of the end, from a second stack.
     def test_an_impurity_scan_at_j0_takes_its_rows_at_the_bracket_end(self, monkeypatch):
+        j_mhz = j0_mhz()
         stacks, emitted = [], []
         real = hamiltonian.jacobi_eigh
         monkeypatch.setattr(hamiltonian, "jacobi_eigh", lambda A: stacks.append(len(A)) or real(A))
         monkeypatch.setattr(cli, "_emit", lambda path, header, fields, blocks: emitted.append(
             (header, blocks)))
-        assert main(["impurity-scan", "--J-mhz", "32.809933155053", "--radii", "1.5,6,20"]) == 0
+        assert main(["impurity-scan", "--J-mhz", j_mhz, "--radii", "1.5,6,20"]) == 0
         assert len(stacks) == 2
         ((header, (columns,)),) = emitted
         rows = list(zip(*columns))
         assert len(rows) == 9
         assert header[-2:] == ["eps_star_mev = 0", "xi_star_mev = 1.3"]
-        roots = noise._roots(np.array([True, False]), np.full(2, 0.032809933155053),
+        roots = noise._roots(np.array([True, False]), np.full(2, float(j_mhz) / 1e3),
                              np.array([0.0, 0.3]), np.array([1.5, 1.3]), DeviceParams(), "paper")
         assert roots.tolist() != [0.0, 1.3]
         for name, r_over_a, rel_t, rel_b in rows:

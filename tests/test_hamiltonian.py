@@ -18,7 +18,6 @@ from dqdsim import (
     Impurity,
     T0_VECTOR,
     assemble_matrix,
-    exchange_J,
     exchange_J_ghz,
     hubbard_exchange_estimate,
     hubbard_noise_estimate,
@@ -736,7 +735,7 @@ class TestSolve:
 
     def test_a_j_that_overflows_in_ghz_is_a_named_error(self):
         # J = 1e307 meV is finite; in GHz it is not.
-        assert exchange_J(DeviceParams(epsilon=1e307)) == 1e307
+        assert solve(DeviceParams(epsilon=1e307)).J == 1e307
         with pytest.raises(ValueError, match=r"^J = 1e\+307 meV overflows in GHz$"):
             exchange_J_ghz(DeviceParams(epsilon=1e307))
 
@@ -756,16 +755,16 @@ class TestSolve:
     @settings(max_examples=30, deadline=None)
     @given(eps=st.floats(0.0, 1.0), xi=st.floats(0.3, 1.5))
     def test_clean_exchange_is_even_in_detuning(self, eps, xi):
-        plus = exchange_J(DeviceParams(epsilon=eps, xi=xi))
-        minus = exchange_J(DeviceParams(epsilon=-eps, xi=xi))
+        plus = solve(DeviceParams(epsilon=eps, xi=xi)).J
+        minus = solve(DeviceParams(epsilon=-eps, xi=xi)).J
         # abs floor: J is a difference of ~1 meV eigenvalues, so it
         # carries ~1e-15 meV of roundoff regardless of its own size.
         assert minus == pytest.approx(plus, rel=1e-10, abs=1e-15)
 
     def test_exchange_grows_with_tilt_and_shrinks_with_barrier(self):
-        tilts = [exchange_J(DeviceParams(epsilon=e)) for e in (0.0, 0.2, 0.4, 0.6)]
+        tilts = [solve(DeviceParams(epsilon=e)).J for e in (0.0, 0.2, 0.4, 0.6)]
         assert all(b > a for a, b in zip(tilts, tilts[1:]))
-        barriers = [exchange_J(DeviceParams(xi=x)) for x in (0.5, 0.8, 1.1, 1.3)]
+        barriers = [solve(DeviceParams(xi=x)).J for x in (0.5, 0.8, 1.1, 1.3)]
         assert all(b < a for a, b in zip(barriers, barriers[1:]))
 
     def test_global_energy_shift_leaves_exchange_unchanged(self, impurity):

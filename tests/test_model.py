@@ -181,12 +181,12 @@ class TestConfig:
         ({"device.bogus": "2", "impurity.x_nm": "abc", "device.a_nm": "-1",
           "device.m_eff": "zz"}, [
             ({}, "device.m_eff: could not convert string to float: 'zz'"),
-            ({"device.m_eff": "0.07"}, "a must be positive and finite, got -1.0"),
+            ({"device.m_eff": "0.07"}, "device.a_nm must be positive and finite, got -1"),
             ({"device.a_nm": "90"}, "impurity.x_nm: could not convert string to float: 'abc'"),
-            ({"impurity.x_nm": "inf"}, "impurity x_c must be finite, got inf"),
+            ({"impurity.x_nm": "inf"}, "impurity.x_nm must be finite, got inf"),
             ({"impurity.x_nm": "-450"}, "unknown config keys: ['device.bogus']")]),
         ({"device.bogus": "2", "impurity.charge_e": "abc", "device.a_nm": "-1"}, [
-            ({}, "a must be positive and finite, got -1.0"),
+            ({}, "device.a_nm must be positive and finite, got -1"),
             ({"device.a_nm": "90"}, "impurity.charge_e given without impurity.x_nm or "
                                     "impurity.y_nm: there is no impurity to charge"),
             ({"impurity.y_nm": "300"},
@@ -200,9 +200,25 @@ class TestConfig:
                 config_to_objects(cfg)
             assert str(err.value) == message
 
-    def test_nonfinite_device_rejected(self):
-        with pytest.raises(ValueError, match="^a must be positive and finite, got nan"):
-            config_to_objects({"device.a_nm": "nan"})
+    # A value out of range is named by its key: every value must be finite,
+    # and a device.* value positive too.
+    @pytest.mark.parametrize("key,value,message", [
+        ("device.a_nm", "nan", "device.a_nm must be positive and finite, got nan"),
+        ("device.eps_r", "0", "device.eps_r must be positive and finite, got 0"),
+        ("control.epsilon_mev", "inf", "control.epsilon_mev must be finite, got inf"),
+        ("control.xi_mev", "-nan", "control.xi_mev must be finite, got nan"),
+        ("impurity.y_nm", "-inf", "impurity.y_nm must be finite, got -inf"),
+    ])
+    def test_a_value_out_of_range_names_its_key(self, key, value, message):
+        with pytest.raises(ValueError) as err:
+            config_to_objects({key: value})
+        assert str(err.value) == message
+
+    def test_the_records_name_their_fields(self):
+        with pytest.raises(ValueError, match=r"^a must be positive and finite, got nan$"):
+            derive_constants(DeviceParams(a=math.nan))
+        with pytest.raises(ValueError, match=r"^impurity x_c must be finite, got inf$"):
+            Impurity(math.inf, 0.0)
 
     def test_bad_scheme_rejected(self):
         # No subcommand reads a scheme from a config, so the key is unknown.

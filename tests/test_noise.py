@@ -763,7 +763,8 @@ class TestMatchedGrid:
 
 class TestImprovementFactor:
     def test_equals_one_at_the_common_origin(self, params, impurity):
-        rec = improvement_factor(J0_GHZ, impurity)
+        # J0 computed, not pinned: the J0 branch needs this BLAS kernel's bits.
+        rec = improvement_factor(float(matched_j_grid(params, n=2)[0]), impurity)
         assert rec.chi == pytest.approx(1.0, abs=1e-6)
         assert rec.rel_tilt == pytest.approx(rec.rel_barrier, rel=1e-6)
 

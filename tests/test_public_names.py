@@ -29,3 +29,7 @@ def test_retired_names_are_gone():
     assert not hasattr(dqdsim, "unwrap")
     assert not hasattr(dqdsim.hamiltonian, "unwrap")
     assert not hasattr(dqdsim.noise, "_entries")
+    assert not hasattr(dqdsim, "exchange_J")
+    assert not hasattr(dqdsim.hamiltonian, "exchange_J")
+    assert not hasattr(dqdsim.cli, "build_parser")
+    assert not hasattr(dqdsim.cli, "_subparser")
