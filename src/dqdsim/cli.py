@@ -195,7 +195,7 @@ def cmd_spectrum(args) -> int:
     xi_values = [1.3, 1.0] if args.xi_range is None else _parse_range(args.xi_range)
     epsilon, xi = (a.ravel() for a in np.meshgrid(eps_values, xi_values))  # xi outermost
     imp_rows, imps = (None, []) if imp is None else (np.ones(len(xi), int), [imp])
-    failed, _, evals, _, J = solve_stack(base, epsilon, xi, imp_rows, imps, mode)
+    failed, _, evals, J = solve_stack(base, epsilon, xi, imp_rows, imps, mode)
     ghz, over = in_ghz(J)
     _raise_first(failed)
     _raise_first(over)
@@ -230,8 +230,7 @@ def cmd_noise_compare(args) -> int:
     ``near-impurity`` runs the same comparison; without an impurity it
     places a weak charge close to the dots: q = -0.01 e at (-1.5 a, 0.5 a)."""
     _grid_size("--points", args.points)
-    if not 0 < args.j_max < math.inf:
-        raise ValueError(f"--j-max must be positive and finite, got {args.j_max}")
+    _finite("--j-max", [args.j_max], positive=True)
     near = args.subcommand == "near-impurity"
     base, imp, mode = _resolve(args, default_impurity_wanted=not near)
     if imp is None:  # near-impurity given no impurity

@@ -1,9 +1,9 @@
 """Two-electron 4x4 Hamiltonian in the orthonormalized two-site basis.
 
-Basis ordering: { |0,ud>, |d,u>, |u,d>, |ud,0> } — the (0,2) singlet,
-the two (1,1) spin configurations, and the (2,0) singlet.  The vector
-(0, 1, -1, 0)/sqrt(2) is the unpolarized triplet T0 and is an exact
-eigenvector; J is the splitting between the lowest two levels.
+Basis ordering: { |0,ud>, |d,u>, |u,d>, |ud,0> } — the (0,2) singlet, the
+two (1,1) spin configurations, and the (2,0) singlet.  The unpolarized
+triplet T0 = (0, 1, -1, 0)/sqrt(2) is an exact eigenvector, of eigenvalue
+H11 - H12; J is the splitting between the lowest two levels.
 
 Two assembly modes:
 
@@ -256,18 +256,12 @@ def jacobi_eigh(A: np.ndarray):
     """Eigen-decomposition of small symmetric matrices by cyclic Jacobi.
 
     A is one (n, n) matrix or a stack (N, n, n).  Returns (eigenvalues
-    ascending, eigenvectors as columns), stacked like A.  Each matrix of a
-    stack takes exactly the rotations it takes alone, in a fixed (p, q)
-    order: it leaves the stack once converged, and a rotation it skips
-    (|a_pq| <= 1e-300) is masked out, never applied as an identity (which
-    turns -0 into +0).  A rotation R is two BLAS products over the stack, R^T a
-    in place, then [R^T a; V] R: each matrix's arithmetic is a lone loop's.  A
-    matrix has converged once the norm of its upper off-diagonal is at most
-    1e-14 max(1, max |A|), and stops after 60 sweeps either way.  Eigenvector
-    signs are fixed by making the first non-negligible component positive.
-    A stack with a matrix that has a fault (see _faults) raises ValueError,
-    naming the first such matrix's fault; so does any other shape, naming
-    it.  A 1x1 matrix is its own eigenvalue, with the eigenvector [1].
+    ascending, eigenvectors as columns), stacked like A: _rotate's, with the
+    identity's rows riding along as the eigenvectors, each with its first
+    non-negligible component positive.  A stack with a matrix that has a
+    fault (see _faults) raises ValueError, naming the first such matrix's
+    fault; so does any other shape, naming it.  A 1x1 matrix is its own
+    eigenvalue, with the eigenvector [1].
     """
     A = np.array(A, dtype=float)
     if A.ndim not in (2, 3) or A.shape[-1] != A.shape[-2] or A.shape[-1] == 0:
@@ -283,16 +277,33 @@ def jacobi_eigh(A: np.ndarray):
         return (evals[0], V[0]) if single else (evals, V)
     A = 0.5 * A + 0.5 * np.swapaxes(A, -1, -2)  # A + A^T may overflow
     n = A.shape[-1]
-    V, (upper, pairs) = np.empty_like(A), _upper(n)
-    # The matrices still rotating: their indices in the stack, their state
-    # (each matrix over its eigenvectors so far), tolerance and identities.
-    live, limit = np.arange(len(A)), 1e-14 * np.fmax(1.0, np.abs(A).max(axis=(-2, -1)))
-    eye = np.broadcast_to(np.eye(n), A.shape).copy()
-    av = np.concatenate([A, eye], axis=1)
+    av = _rotate(np.concatenate([A, np.broadcast_to(np.eye(n), A.shape)], axis=1), n)
+    V, diag = av[:, n:], np.diagonal(av[:, :n], axis1=-2, axis2=-1)
+    order = np.argsort(diag, axis=-1, kind="stable")
+    evals = np.take_along_axis(diag, order, axis=-1)
+    V = np.take_along_axis(V, order[:, None, :], axis=-1)
+    big = np.abs(V) > 1e-12
+    lead = np.take_along_axis(V, np.argmax(big, axis=-2)[:, None, :], axis=-2)[:, 0, :]
+    V = np.where((big.any(axis=-2) & (lead < 0))[:, None, :], -V, V)
+    return (evals[0], V[0]) if single else (evals, V)
+
+
+def _rotate(av: np.ndarray, n: int) -> np.ndarray:
+    """Cyclic Jacobi's sweep loop over a stack av (N, rows, n), overwritten:
+    symmetric matrices in its first n rows, other rows riding along.  Returns
+    it rotated, in av's order.  Each matrix takes exactly the rotations it
+    takes alone, in a fixed (p, q) order, until its upper off-diagonal's norm
+    is at most 1e-14 max(1, max |A|) or for 60 sweeps; one it skips (|a_pq| <=
+    1e-300) is masked out, never applied as an identity (which turns -0 into
+    +0).  A rotation R is two BLAS products, R^T a in place, then av R."""
+    out, (upper, pairs) = np.empty_like(av), _upper(n)
+    # The matrices still rotating: their indices, state, tolerance and identities.
+    live, limit = np.arange(len(av)), 1e-14 * np.fmax(1.0, np.abs(av[:, :n]).max(axis=(-2, -1)))
+    eye = np.broadcast_to(np.eye(n), (len(av), n, n)).copy()
     for _ in range(60):
         done = np.sqrt(_off_norm2(av, upper)) <= limit
         if done.any():
-            A[live[done]], V[live[done]] = av[done, :n], av[done, n:]
+            out[live[done]] = av[done]
             live, av, limit, eye = live[~done], av[~done], limit[~done], eye[~done]
         if not live.size:
             break
@@ -317,15 +328,8 @@ def jacobi_eigh(A: np.ndarray):
             av = av @ rot
             if skipped:
                 av[skip] = kept
-    A[live], V[live] = av[:, :n], av[:, n:]
-    diag = np.diagonal(A, axis1=-2, axis2=-1)
-    order = np.argsort(diag, axis=-1, kind="stable")
-    evals = np.take_along_axis(diag, order, axis=-1)
-    V = np.take_along_axis(V, order[:, None, :], axis=-1)
-    big = np.abs(V) > 1e-12
-    lead = np.take_along_axis(V, np.argmax(big, axis=-2)[:, None, :], axis=-2)[:, 0, :]
-    V = np.where((big.any(axis=-2) & (lead < 0))[:, None, :], -V, V)
-    return (evals[0], V[0]) if single else (evals, V)
+    out[live] = av
+    return out
 
 
 class SpectrumResult(NamedTuple):
@@ -340,43 +344,40 @@ T0_VECTOR = np.array([0.0, 1.0, -1.0, 0.0]) / math.sqrt(2.0)
 
 def solve_stack(device: DeviceParams, epsilon, xi, rows=None, impurities=(),
                 mode: AssemblyMode = AssemblyMode.PAPER):
-    """Diagonalize the model at arrays of detuning and barrier amplitude on
-    one device (its own controls play no part) in one stacked eigensolve.
-
-    rows[k] is point k's impurity: 0 for none, j for impurities[j - 1]; no
-    point has one without rows.  A device that is bad or cannot be built
-    raises.  Returns (failed, H, evals, evecs, J): failed maps the index of
-    each point that failed to its exception (a non-finite control, an
-    impurity whose elements overflow, a matrix that jacobi_eigh rejects: see
-    _faults), and the arrays hold the matrices, eigenpairs and J [meV] of
-    the other points, in order.  J is the signed
-    singlet-triplet splitting E(T0) - E(S): the T0 vector is an exact
-    eigenvector of every assembly (its eigenpair is found by overlap), and
-    E(S) is the lowest remaining level.  A negative J means the triplet has
-    dropped below the singlet.
-    """
+    """The levels of the model at arrays of detuning and barrier amplitude
+    on one device (its own controls play no part), from one run of _rotate
+    over the matrices alone.  rows[k] is point k's impurity: 0 for none, j
+    for impurities[j - 1] (none without rows).  A device that is bad or
+    cannot be built raises.  Returns (failed, H, evals, J): failed maps each
+    failed point's index to its exception (a non-finite control, an impurity
+    whose elements overflow, a matrix that jacobi_eigh rejects: see _faults);
+    the arrays hold the other points' matrices, eigenvalues (jacobi_eigh's,
+    bit for bit) and signed J = E(T0) - E(S) [meV], where E(T0) is the level
+    nearest T0's exact eigenvalue (the lowest on a tie) and E(S) the lowest
+    other level: a negative J puts the triplet below the singlet."""
     failed, built, hp = _built(device, epsilon, xi, rows, impurities)
     H = assemble_matrix(hp, mode)
     faults = _faults(H)  # a matrix that jacobi_eigh would reject fails alone
     if faults:
         failed.update((built[k].item(), ValueError(m)) for k, m in faults.items())
         H = np.delete(H, list(faults), axis=0)
-    evals, evecs = jacobi_eigh(H)
-    i_t0 = np.argmax(np.abs(T0_VECTOR @ evecs), axis=-1)
-    at_t0 = np.arange(evals.shape[-1]) == i_t0[:, None]
+    rotated = _rotate(0.5 * H + 0.5 * np.swapaxes(H, -1, -2), 4)
+    evals = np.sort(np.diagonal(rotated, axis1=-2, axis2=-1), axis=-1, kind="stable")
+    e_t0 = (H[:, 1, 1] - H[:, 1, 2])[:, None]  # T0's exact eigenvalue
+    at_t0 = np.arange(4) == np.abs(evals - e_t0).argmin(axis=-1)[:, None]
     J = evals[at_t0] - np.where(at_t0, np.inf, evals).min(axis=-1)
-    return failed, H, evals, evecs, J
+    return failed, H, evals, J
 
 
 def solve(params: DeviceParams, imp: Impurity | None = None,
           mode: AssemblyMode = AssemblyMode.PAPER) -> SpectrumResult:
-    """Assemble and diagonalize the two-electron model at one parameter
-    point: solve_stack on that point alone.  Raises what the point raises."""
-    failed, H, evals, evecs, J = solve_stack(*_point(params, imp), mode)
+    """The spectrum of the model at one point: solve_stack on that point
+    alone, with jacobi_eigh's eigenvectors.  Raises what the point raises."""
+    failed, H, evals, J = solve_stack(*_point(params, imp), mode)
     if failed:
         raise failed[0]
-    return SpectrumResult(eigenvalues=evals[0], eigenvectors=evecs[0], J=float(J[0]),
-                          t0_energy=float(T0_VECTOR @ H[0] @ T0_VECTOR))
+    return SpectrumResult(eigenvalues=evals[0], eigenvectors=jacobi_eigh(H[0])[1],
+                          J=float(J[0]), t0_energy=float(T0_VECTOR @ H[0] @ T0_VECTOR))
 
 
 def in_ghz(J: np.ndarray) -> tuple[np.ndarray, dict]:

@@ -40,7 +40,7 @@ def _j_ghz(base: DeviceParams, settings, mode: AssemblyMode, rows=None,
     impurities place an impurity at each setting as in solve_stack."""
     epsilon, xi = np.asarray(settings, dtype=float).reshape(-1, 2).T
     try:
-        failed, _, _, _, J = solve_stack(base, epsilon, xi, rows, impurities, mode)
+        failed, _, _, J = solve_stack(base, epsilon, xi, rows, impurities, mode)
     except Exception as exc:  # the device's own failure
         return np.full(len(epsilon), math.nan), dict.fromkeys(range(len(epsilon)), exc)
     ghz, over = in_ghz(J)

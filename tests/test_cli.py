@@ -709,8 +709,8 @@ class TestFlags:
         (("--points", "-3"), "--points must be at least 2, got -3"),
         (("--points", str(MAX_GRID_POINTS + 1)),
          f"--points must be at most {MAX_GRID_POINTS}, got {MAX_GRID_POINTS + 1}"),
-        (("--j-max", "0"), "--j-max must be positive and finite, got 0.0"),
-        (("--j-max", "-1"), "--j-max must be positive and finite, got -1.0"),
+        (("--j-max", "0"), "--j-max must be positive and finite, got 0"),
+        (("--j-max", "-1"), "--j-max must be positive and finite, got -1"),
         (("--j-max", "nan"), "--j-max must be positive and finite, got nan"),
         (("--j-max", "inf"), "--j-max must be positive and finite, got inf"),
     ])
@@ -816,9 +816,9 @@ class TestFlags:
     def test_a_shared_barrier_value_is_solved_once_and_written_alike(self, monkeypatch,
                                                                      tmp_path):
         stacks = []
-        real = hamiltonian.jacobi_eigh
-        monkeypatch.setattr(hamiltonian, "jacobi_eigh",
-                            lambda A: stacks.append(np.array(A)) or real(A))
+        real = hamiltonian._rotate
+        monkeypatch.setattr(hamiltonian, "_rotate",
+                            lambda av, n: stacks.append(np.array(av)) or real(av, n))
         out = tmp_path / "out.csv"
         assert main(["exchange-barrier", "--out", str(out)]) == 0
         main_grid, zoom = cli._parse_range("0.5:1.3:0.01"), cli._parse_range("0.5:0.6:0.002")
@@ -896,8 +896,9 @@ class TestFlags:
                                                 ("exchange-barrier", 81 + 51)])
     def test_a_default_sweep_is_one_stacked_solve(self, command, values, monkeypatch):
         stacks, emitted = [], []
-        real = hamiltonian.jacobi_eigh
-        monkeypatch.setattr(hamiltonian, "jacobi_eigh", lambda A: stacks.append(len(A)) or real(A))
+        real = hamiltonian._rotate
+        monkeypatch.setattr(hamiltonian, "_rotate",
+                            lambda av, n: stacks.append(len(av)) or real(av, n))
         monkeypatch.setattr(cli, "_emit", lambda path, header, fields, blocks: emitted.extend(
             row for block in blocks if not isinstance(block, str) for row in zip(*block)))
         assert main([command]) == 0
@@ -925,8 +926,9 @@ class TestFlags:
                                                           tmp_path):
         call = [j0_mhz() if a == "J0" else a for a in argv]
         stacks = []
-        real = hamiltonian.jacobi_eigh
-        monkeypatch.setattr(hamiltonian, "jacobi_eigh", lambda A: stacks.append(len(A)) or real(A))
+        real = hamiltonian._rotate
+        monkeypatch.setattr(hamiltonian, "_rotate",
+                            lambda av, n: stacks.append(len(av)) or real(av, n))
         assert main([*call, "--out", str(tmp_path / "out.csv")]) == 0
         assert len(stacks) == count
         assert stacks == self.MATRICES[" ".join(argv)]
@@ -1030,8 +1032,9 @@ class TestFlags:
     def test_an_impurity_scan_at_j0_takes_its_rows_at_the_bracket_end(self, monkeypatch):
         j_mhz = j0_mhz()
         stacks, emitted = [], []
-        real = hamiltonian.jacobi_eigh
-        monkeypatch.setattr(hamiltonian, "jacobi_eigh", lambda A: stacks.append(len(A)) or real(A))
+        real = hamiltonian._rotate
+        monkeypatch.setattr(hamiltonian, "_rotate",
+                            lambda av, n: stacks.append(len(av)) or real(av, n))
         monkeypatch.setattr(cli, "_emit", lambda path, header, fields, blocks: emitted.append(
             (header, blocks)))
         assert main(["impurity-scan", "--J-mhz", j_mhz, "--radii", "1.5,6,20"]) == 0

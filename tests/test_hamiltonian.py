@@ -25,7 +25,7 @@ from dqdsim import (
     jacobi_eigh,
     solve,
 )
-from dqdsim import cli, hamiltonian
+from dqdsim import cli, hamiltonian, noise
 from dqdsim.crosscheck import fresh_model, sample_device, sample_impurity
 
 # Frozen from high-precision evaluation at the default device
@@ -121,6 +121,15 @@ def lone_jacobi(A, tol=1e-14, max_sweeps=60):
         if nz.size and v[nz[0]] < 0:
             V[:, col] = -v
     return evals, V
+
+
+def lone_solve(H):
+    """lone_jacobi's eigenpairs of H and J by the T0-overlap rule: the level
+    whose eigenvector overlaps T0 most, minus the lowest of the others."""
+    evals, evecs = lone_jacobi(H)
+    levels = evals.tolist()
+    j = levels.pop(int(np.argmax(np.abs(T0_VECTOR @ evecs))))
+    return evals, evecs, j - min(levels)
 
 
 def same_bits(got, want) -> bool:
@@ -407,15 +416,19 @@ class TestStackedJacobi:
                                       ["impurity-scan", "--radii", "1.5,6,20"],
                                       ["exchange-barrier", "--mode", "full"]])
     def test_every_stack_of_a_cli_call_matches_lone_solves(self, argv, monkeypatch, tmp_path):
-        solved = []
-        real = hamiltonian.jacobi_eigh
-        monkeypatch.setattr(hamiltonian, "jacobi_eigh",
-                            lambda A: solved.append((A, real(A))) or solved[-1][1])
+        solved, rotated = [], []
+        real_solve, real_rotate = hamiltonian.solve_stack, hamiltonian._rotate
+        for module in (cli, noise):
+            monkeypatch.setattr(module, "solve_stack",
+                                lambda *args: solved.append(real_solve(*args)) or solved[-1])
+        monkeypatch.setattr(hamiltonian, "_rotate",
+                            lambda av, n: rotated.append(len(av)) or real_rotate(av, n))
         assert cli.main([*argv, "--out", str(tmp_path / "out.csv")]) == 0
-        assert solved
-        for stack, (evals, evecs) in solved:
-            for A, e, v in zip(stack, evals, evecs):
-                assert same_bits((e, v), lone_jacobi(A))
+        assert solved and rotated == [len(H) for _, H, _, _ in solved]
+        for _, H, evals, J in solved:
+            for A, e, j in zip(H, evals, J):
+                want_e, _, want_j = lone_solve(A)
+                assert same_bits((e, [j]), (want_e, [want_j]))
 
     def test_a_matrix_at_the_threshold_is_not_rotated(self):
         A = at_the_threshold(None)
@@ -538,7 +551,7 @@ class TestSolveMany:
         for device in (DeviceParams(), sample_device(np.random.default_rng(4))):
             points = [(dataclasses.replace(device, epsilon=e, xi=x), imp)
                       for e, x in self.POINTS for imp in (None, impurity)]
-            failed, stacked, kernel_evals, kernel_evecs, kernel_J = hamiltonian.solve_stack(
+            failed, stacked, kernel_evals, kernel_J = hamiltonian.solve_stack(
                 device, [p.epsilon for p, _ in points], [p.xi for p, _ in points],
                 [0, 1] * len(self.POINTS), [impurity], mode)
             assert failed == {}
@@ -547,16 +560,13 @@ class TestSolveMany:
                 # J as the T0 level minus the lowest of the others.
                 hp = hubbard_parameters(params, imp)
                 H = assemble_matrix(hp, mode)
-                evals, evecs = lone_jacobi(H)
-                levels = evals.tolist()
-                j_lone = levels.pop(int(np.argmax(np.abs(T0_VECTOR @ evecs))))
-                j_lone -= min(levels)
+                evals, evecs, j_lone = lone_solve(H)
                 res = solve(params, imp, mode)
                 assert same_bits((res.eigenvalues, res.eigenvectors), (evals, evecs))
                 assert same_bits([res.J], [j_lone]) and type(res.J) is float
                 assert res.t0_energy == float(T0_VECTOR @ H @ T0_VECTOR)
-                assert same_bits((stacked[k], kernel_evals[k], kernel_evecs[k], [kernel_J[k]]),
-                                 (H, evals, evecs, [j_lone]))
+                assert same_bits((stacked[k], kernel_evals[k], [kernel_J[k]]),
+                                 (H, evals, [j_lone]))
 
     def test_a_failing_point_fails_alone(self, monkeypatch):
         # A NaN and an asymmetric matrix among good ones, then a bad device.
@@ -571,13 +581,13 @@ class TestSolveMany:
 
         expected = [solve(DeviceParams(epsilon=e)) for e in (0.0, 0.2)]
         monkeypatch.setattr(hamiltonian, "assemble_matrix", corrupted)
-        failed, _, evals, evecs, J = hamiltonian.solve_stack(
+        failed, _, evals, J = hamiltonian.solve_stack(
             DeviceParams(), [0.0, 0.1, 0.2, 0.3], [1.3] * 4)
         assert {k: (type(exc), str(exc)) for k, exc in failed.items()} == {
             1: (ValueError, "matrix has a non-finite entry"),
             3: (ValueError, "matrix must be symmetric")}
-        for e, v, j, want in zip(evals, evecs, J.tolist(), expected):
-            assert same_bits((e, v), (want.eigenvalues, want.eigenvectors))
+        for e, j, want in zip(evals, J.tolist(), expected):
+            assert same_bits((e,), (want.eigenvalues,))
             assert j == want.J
         with pytest.raises(ValueError, match="matrix has a non-finite entry"):
             solve(DeviceParams(epsilon=0.1))
@@ -596,13 +606,14 @@ class TestSolveMany:
             built.append(H)
             return H
         monkeypatch.setattr(hamiltonian, "assemble_matrix", corrupted)
-        failed, H, evals, evecs, _ = hamiltonian.solve_stack(
+        failed, H, evals, J = hamiltonian.solve_stack(
             DeviceParams(), [0.0, 0.1, 0.2, 0.3], [1.3] * 4)
         assert list(failed) == [1] and str(failed[1]) == "matrix must be symmetric"
         kept = built[0][[0, 2, 3]]
         assert same_bits([H], [kept])
-        for A, e, v in zip(kept, evals, evecs):
-            assert same_bits((e, v), lone_jacobi(A))
+        for A, e, j in zip(kept, evals, J):
+            want_e, _, want_j = lone_solve(A)
+            assert same_bits((e, [j]), (want_e, [want_j]))
 
     def test_an_infinite_point_of_a_stack_fails_alone(self, monkeypatch):
         real, built = hamiltonian.assemble_matrix, []
@@ -613,31 +624,31 @@ class TestSolveMany:
             built.append(H)
             return H
         monkeypatch.setattr(hamiltonian, "assemble_matrix", corrupted)
-        failed, H, evals, evecs, _ = hamiltonian.solve_stack(
+        failed, H, evals, J = hamiltonian.solve_stack(
             DeviceParams(), [0.0, 0.1, 0.2], [1.3] * 3)
         assert list(failed) == [1] and str(failed[1]) == "matrix has a non-finite entry"
         kept = built[0][[0, 2]]
         assert same_bits([H], [kept])
-        for A, e, v in zip(kept, evals, evecs):
-            assert same_bits((e, v), lone_jacobi(A))
+        for A, e, j in zip(kept, evals, J):
+            want_e, _, want_j = lone_solve(A)
+            assert same_bits((e, [j]), (want_e, [want_j]))
 
     def test_an_overflowing_point_of_a_stack_fails_alone(self):
         # Its hop is about 1e300 meV; a detuning of 1e160 meV only sits on
         # the diagonal, and is solved.
-        failed, H, evals, evecs, J = hamiltonian.solve_stack(
+        failed, H, evals, J = hamiltonian.solve_stack(
             DeviceParams(), [0.0, 0.0, 1e160], [1.3, 1e300, 1.3])
         assert list(failed) == [1] and str(failed[1]) == "matrix off-diagonal norm overflows"
         for k, params in ((0, DeviceParams()), (1, DeviceParams(epsilon=1e160))):
             alone = solve(params)
-            assert same_bits((evals[k], evecs[k], J[k]),
-                             (alone.eigenvalues, alone.eigenvectors, alone.J))
+            assert same_bits((evals[k], J[k]), (alone.eigenvalues, alone.J))
         with pytest.raises(ValueError, match="matrix off-diagonal norm overflows"):
             solve(DeviceParams(xi=1e300))
 
     def test_no_points(self):
-        failed, H, evals, evecs, J = hamiltonian.solve_stack(DeviceParams(), [], [])
+        failed, H, evals, J = hamiltonian.solve_stack(DeviceParams(), [], [])
         assert failed == {}
-        assert (H.shape, evals.shape, evecs.shape, J.shape) == ((0, 4, 4), (0, 4), (0, 4, 4), (0,))
+        assert (H.shape, evals.shape, J.shape) == ((0, 4, 4), (0, 4), (0,))
 
 
 def recording_assembly(calls: list):
@@ -668,7 +679,7 @@ class TestStackedModel:
         epsilon, xi = rng.uniform(-1.0, 1.0, size=n), rng.uniform(0.0, 1.5, size=n)
         calls = []
         with recording_assembly(calls):
-            failed, _, evals, evecs, J = hamiltonian.solve_stack(
+            failed, _, evals, J = hamiltonian.solve_stack(
                 device, epsilon, xi, rows, imps[1:], mode)
         # One assembly, each row the matrix of its own model.
         assert failed == {}
@@ -680,8 +691,7 @@ class TestStackedModel:
             hp = hubbard_parameters(params, imps[rows[k]])
             assert same_bits(one, hp)
             assert same_bits(row, assemble_matrix(hp, mode))
-            assert same_bits((evals[k], evecs[k], J[k]),
-                             (alone.eigenvalues, alone.eigenvectors, alone.J))
+            assert same_bits((evals[k], J[k]), (alone.eigenvalues, alone.J))
 
     def test_no_model_is_built_per_point(self, impurity, monkeypatch):
         def per_point(hp):
@@ -713,14 +723,62 @@ class TestStackedModel:
             return
         calls = []
         with recording_assembly(calls):
-            failed, _, evals, evecs, J = hamiltonian.solve_stack(DeviceParams(), *stack)
+            failed, _, evals, J = hamiltonian.solve_stack(DeviceParams(), *stack)
         assert list(failed) == [2] and str(failed[2]) == message
         # Only the good points are built, each as its own model.
         ((stacked, _),) = calls
         assert hamiltonian._unstack(stacked) == [hubbard_parameters(*point) for point in good]
-        for (params, imp), e, v, j in zip(good, evals, evecs, J):
+        for (params, imp), e, j in zip(good, evals, J):
             alone = solve(params, imp)
-            assert same_bits((e, v, j), (alone.eigenvalues, alone.eigenvectors, alone.J))
+            assert same_bits((e, j), (alone.eigenvalues, alone.J))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestT0ByEnergy:
+    """solve_stack takes T0's level as the one nearest its exact eigenvalue
+    H11 - H12.  Where that pick is hardest, each J equals, bit for bit, the
+    J of the T0-overlap rule on lone_jacobi's eigenvectors."""
+
+    @staticmethod
+    def check(device, epsilon, xi, rows=None, impurities=(), mode=AssemblyMode.PAPER):
+        failed, H, evals, J = hamiltonian.solve_stack(device, epsilon, xi, rows, impurities,
+                                                      mode)
+        assert failed == {} and len(J) == len(epsilon)
+        for A, e, j in zip(H, evals, J.tolist()):
+            want_e, _, want_j = lone_solve(A)
+            assert same_bits((e, [j]), (want_e, [want_j]))
+        return J
+
+    # The hop is some 1e-17 meV, so T0 and the lowest singlet are degenerate.
+    @pytest.mark.parametrize("mode", list(AssemblyMode))
+    def test_a_tightly_confined_device_where_j_is_zero(self, impurity, mode):
+        device = DeviceParams(hbar_omega0=5.0)
+        J = self.check(device, [device.epsilon] * 2, [device.xi] * 2, [0, 1], [impurity], mode)
+        assert J[0] == 0.0
+
+    # The default full-mode exchange-tilt grid, clean and with the impurity:
+    # J changes sign between 0.81 and 0.82 meV clean, 0.78 and 0.79 meV with
+    # the impurity.
+    def test_the_full_mode_tilt_grid_across_the_sign_change(self, params, impurity):
+        eps = cli._parse_range("0:1:0.01")
+        n = len(eps)
+        J = self.check(params, eps + eps, [params.xi] * (2 * n), [0] * n + [1] * n, [impurity],
+                       AssemblyMode.FULL)
+        for half, at in ((J[:n], 0.81), (J[n:], 0.78)):
+            k = eps.index(at)
+            assert half[k] < 0 < half[k + 1]
+            assert np.count_nonzero(np.diff(np.sign(half))) == 1
+
+    @pytest.mark.parametrize("mode", list(AssemblyMode))
+    def test_crosscheck_devices_clean_and_with_an_impurity(self, mode):
+        rng = np.random.default_rng(0)
+        for _ in range(8):
+            device = sample_device(rng)
+            imp = sample_impurity(rng, device.a)
+            self.check(device, [device.epsilon] * 2, [device.xi] * 2, [0, 1], [imp], mode)
+
+    def test_an_empty_stack(self, params):
+        assert self.check(params, [], []).shape == (0,)
 
 
 class TestSolve:

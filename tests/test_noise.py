@@ -49,10 +49,10 @@ DELTA_U = 0.7814953236075299
 
 
 def count_stacks(monkeypatch) -> list:
-    """The size of each stack that solves hand to the eigensolver from now on."""
+    """The size of each stack that solves hand to the Jacobi sweep loop from now on."""
     stacks = []
-    real = hamiltonian.jacobi_eigh
-    monkeypatch.setattr(hamiltonian, "jacobi_eigh", lambda A: stacks.append(len(A)) or real(A))
+    real = hamiltonian._rotate
+    monkeypatch.setattr(hamiltonian, "_rotate", lambda av, n: stacks.append(len(av)) or real(av, n))
     return stacks
 
 
