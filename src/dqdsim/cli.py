@@ -24,7 +24,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .hamiltonian import AssemblyMode, in_ghz, solve_stack
+from .hamiltonian import AssemblyMode, _raise_first, in_ghz, solve_stack
 from .model import _SETTINGS, DeviceParams, Impurity, _finite, config_to_objects, read_config
 from .noise import (
     MAX_GRID_POINTS,
@@ -36,7 +36,6 @@ from .noise import (
     _chi_table,
     _grid_size,
     _noise_table,
-    _raise_first,
     default_impurity,
     matched_j_grid,
     quality_factor,
@@ -195,10 +194,9 @@ def cmd_spectrum(args) -> int:
     xi_values = [1.3, 1.0] if args.xi_range is None else _parse_range(args.xi_range)
     epsilon, xi = (a.ravel() for a in np.meshgrid(eps_values, xi_values))  # xi outermost
     imp_rows, imps = (None, []) if imp is None else (np.ones(len(xi), int), [imp])
-    failed, _, evals, J = solve_stack(base, epsilon, xi, imp_rows, imps, mode)
+    J, evals, failed = solve_stack(base, epsilon, xi, imp_rows, imps, mode)
     ghz, over = in_ghz(J)
-    _raise_first(failed)
-    _raise_first(over)
+    _raise_first(failed or over)
     header = _provenance(args, base, mode, imp, (
         f"eps_range = {args.eps_range}",
         f"xi_values = {','.join(_fmt(x) for x in xi_values)}",

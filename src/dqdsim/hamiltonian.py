@@ -2,8 +2,8 @@
 
 Basis ordering: { |0,ud>, |d,u>, |u,d>, |ud,0> } — the (0,2) singlet, the
 two (1,1) spin configurations, and the (2,0) singlet.  The unpolarized
-triplet T0 = (0, 1, -1, 0)/sqrt(2) is an exact eigenvector, of eigenvalue
-H11 - H12; J is the splitting between the lowest two levels.
+triplet T0 = (0, 1, -1, 0)/sqrt(2) is an exact eigenvector, and its energy
+is its eigenvalue H11 - H12; J is T0's level minus the lowest other one.
 
 Two assembly modes:
 
@@ -167,13 +167,19 @@ def _point(params: DeviceParams, imp: Impurity | None) -> tuple:
     return params, [params.epsilon], [params.xi], *((None, ()) if imp is None else ([1], [imp]))
 
 
+def _raise_first(failed: dict, values=()) -> list:
+    """Raise the exception of failed's lowest row, if any; else return values as a list."""
+    if failed:
+        raise failed[min(failed)]
+    return np.asarray(values).tolist()
+
+
 def hubbard_parameters(params: DeviceParams, imp: Impurity | None = None) -> HubbardParams:
     """The model at one control point: the device's tables at epsilon = 0
     plus params.xi times the bump, plus the impurity elements.  Raises what
     the point raises in solve_stack before its matrix is built."""
     failed, _, hp = _built(*_point(params, imp))
-    if failed:
-        raise failed[0]
+    _raise_first(failed)
     (hp,) = _unstack(hp)
     return hp
 
@@ -336,68 +342,75 @@ class SpectrumResult(NamedTuple):
     eigenvalues: np.ndarray      # ascending, meV
     eigenvectors: np.ndarray     # columns
     J: float                     # E(T0) - E(lowest singlet), meV
-    t0_energy: float             # Rayleigh quotient of the T0 vector
+    t0_energy: float             # T0's exact eigenvalue H11 - H12, meV
 
 
 T0_VECTOR = np.array([0.0, 1.0, -1.0, 0.0]) / math.sqrt(2.0)
 
 
+def _exchange(H: np.ndarray, evals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(J, E_T0) of each matrix of H (N, 4, 4) from its ascending levels (N, 4):
+    T0's exact eigenvalue H11 - H12, and J, the level nearest it (the lower
+    of two as near) minus the lowest other one."""
+    e_t0 = H[:, 1, 1] - H[:, 1, 2]
+    at_t0 = np.arange(4) == np.abs(evals - e_t0[:, None]).argmin(axis=-1)[:, None]
+    return evals[at_t0] - np.where(at_t0, np.inf, evals).min(axis=-1), e_t0
+
+
 def solve_stack(device: DeviceParams, epsilon, xi, rows=None, impurities=(),
                 mode: AssemblyMode = AssemblyMode.PAPER):
-    """The levels of the model at arrays of detuning and barrier amplitude
-    on one device (its own controls play no part), from one run of _rotate
-    over the matrices alone.  rows[k] is point k's impurity: 0 for none, j
-    for impurities[j - 1] (none without rows).  A device that is bad or
-    cannot be built raises.  Returns (failed, H, evals, J): failed maps each
-    failed point's index to its exception (a non-finite control, an impurity
-    whose elements overflow, a matrix that jacobi_eigh rejects: see _faults);
-    the arrays hold the other points' matrices, eigenvalues (jacobi_eigh's,
-    bit for bit) and signed J = E(T0) - E(S) [meV], where E(T0) is the level
-    nearest T0's exact eigenvalue (the lowest on a tie) and E(S) the lowest
-    other level: a negative J puts the triplet below the singlet."""
+    """J and the levels of the model at arrays of detuning and barrier
+    amplitude on one device (its own controls play no part), from one run of
+    _rotate over the matrices alone.  rows[k] is point k's impurity: 0 for
+    none, j for impurities[j - 1] (none without rows).  Returns (J, evals,
+    failed) over every point: _exchange's J [meV] and jacobi_eigh's levels,
+    bit for bit, NaN where failed maps the point to its exception (see _built
+    and _faults).  A device that is bad or cannot be built raises."""
     failed, built, hp = _built(device, epsilon, xi, rows, impurities)
     H = assemble_matrix(hp, mode)
     faults = _faults(H)  # a matrix that jacobi_eigh would reject fails alone
     if faults:
         failed.update((built[k].item(), ValueError(m)) for k, m in faults.items())
-        H = np.delete(H, list(faults), axis=0)
+        H, built = np.delete(H, list(faults), axis=0), np.delete(built, list(faults))
     rotated = _rotate(0.5 * H + 0.5 * np.swapaxes(H, -1, -2), 4)
     evals = np.sort(np.diagonal(rotated, axis1=-2, axis2=-1), axis=-1, kind="stable")
-    e_t0 = (H[:, 1, 1] - H[:, 1, 2])[:, None]  # T0's exact eigenvalue
-    at_t0 = np.arange(4) == np.abs(evals - e_t0).argmin(axis=-1)[:, None]
-    J = evals[at_t0] - np.where(at_t0, np.inf, evals).min(axis=-1)
-    return failed, H, evals, J
+    J, _ = _exchange(H, evals)
+    if failed:  # NaN at each failed point
+        spread = np.full((len(built) + len(failed), 5), math.nan)
+        spread[built] = np.column_stack([J, evals])
+        J, evals = spread[:, 0], spread[:, 1:]
+    return J, evals, failed
 
 
 def solve(params: DeviceParams, imp: Impurity | None = None,
           mode: AssemblyMode = AssemblyMode.PAPER) -> SpectrumResult:
-    """The spectrum of the model at one point: solve_stack on that point
-    alone, with jacobi_eigh's eigenvectors.  Raises what the point raises."""
-    failed, H, evals, J = solve_stack(*_point(params, imp), mode)
-    if failed:
-        raise failed[0]
-    return SpectrumResult(eigenvalues=evals[0], eigenvectors=jacobi_eigh(H[0])[1],
-                          J=float(J[0]), t0_energy=float(T0_VECTOR @ H[0] @ T0_VECTOR))
+    """The spectrum of the model at one point from one jacobi_eigh, its J
+    and E_T0 as solve_stack takes them.  Raises what the point raises."""
+    failed, _, hp = _built(*_point(params, imp))
+    _raise_first(failed)
+    H = assemble_matrix(hp, mode)
+    evals, evecs = jacobi_eigh(H[0])
+    (J,), (e_t0,) = _exchange(H, evals[None])
+    return SpectrumResult(eigenvalues=evals, eigenvectors=evecs, J=float(J), t0_energy=float(e_t0))
 
 
 def in_ghz(J: np.ndarray) -> tuple[np.ndarray, dict]:
-    """(ghz, over): each J [meV] in GHz, NaN where it overflows there, and
-    over mapping the index of each such J to a ValueError naming it."""
+    """(ghz, over): each J [meV] in GHz, NaN where it is NaN or overflows
+    there, and over mapping each overflow's index to a ValueError naming it."""
     with np.errstate(over="ignore"):
         ghz = J * MEV_TO_GHZ
-    over = np.flatnonzero(~np.isfinite(ghz)).tolist()
-    if over:
-        ghz[over] = math.nan
+    over = np.flatnonzero(np.isinf(ghz)).tolist()
+    ghz[over] = math.nan
     return ghz, {k: ValueError(f"J = {J[k]:.6g} meV overflows in GHz") for k in over}
 
 
 def exchange_J_ghz(params: DeviceParams, imp: Impurity | None = None,
                    mode: AssemblyMode = AssemblyMode.PAPER) -> float:
-    """Signed exchange splitting J = E(T0) - E(lowest singlet) in GHz; raises
-    a ValueError naming a J that overflows there."""
-    (ghz,), over = in_ghz(np.array([solve(params, imp, mode).J]))
-    if over:
-        raise over[0]
+    """Signed exchange splitting J = E(T0) - E(lowest singlet) in GHz from
+    solve_stack; raises what the point raises there, or in_ghz's error."""
+    J, _, failed = solve_stack(*_point(params, imp), mode)
+    (ghz,), over = in_ghz(J)
+    _raise_first(failed or over)
     return float(ghz)
 
 

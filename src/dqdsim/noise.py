@@ -12,7 +12,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .hamiltonian import AssemblyMode, _model, hubbard_parameters, in_ghz, solve_stack
+from .hamiltonian import AssemblyMode, _model, _raise_first, hubbard_parameters, in_ghz, solve_stack
 from .model import MEV_TO_GHZ, DeviceParams, Impurity, control_point, control_values
 
 DEFAULT_IMPURITY_SCALE = 6.0  # R_c = (-6a, 6a) is the reference noise source
@@ -34,30 +34,16 @@ class NoiseRecord(NamedTuple):
 
 def _j_ghz(base: DeviceParams, settings, mode: AssemblyMode, rows=None,
            impurities=()) -> tuple[np.ndarray, dict]:
-    """(J, failed): J [GHz] at each (epsilon, xi) setting (n, 2) of the
-    device base from one stacked solve, NaN where a point failed, which
-    failed maps to its exception (a J too large for GHz included); rows and
-    impurities place an impurity at each setting as in solve_stack."""
+    """(J, failed): J [GHz] at each (epsilon, xi) setting (n, 2) of the device
+    base from one solve_stack (rows and impurities as there), NaN where failed
+    maps the setting to its exception, a J too large for GHz included."""
     epsilon, xi = np.asarray(settings, dtype=float).reshape(-1, 2).T
     try:
-        failed, _, _, J = solve_stack(base, epsilon, xi, rows, impurities, mode)
+        J, _, failed = solve_stack(base, epsilon, xi, rows, impurities, mode)
     except Exception as exc:  # the device's own failure
         return np.full(len(epsilon), math.nan), dict.fromkeys(range(len(epsilon)), exc)
     ghz, over = in_ghz(J)
-    if not failed:
-        return ghz, over
-    built = np.delete(np.arange(len(epsilon)), list(failed))
-    js = np.full(len(epsilon), math.nan)
-    js[built] = ghz
-    failed.update(zip(built[list(over)].tolist(), over.values()))
-    return js, failed
-
-
-def _raise_first(failed: dict, values=()) -> list:
-    """Raise the exception of failed's lowest row, if any; else return values as a list."""
-    if failed:
-        raise failed[min(failed)]
-    return np.asarray(values).tolist()
+    return ghz, {**failed, **over}
 
 
 def _table(controls, js, failed, clean, dirty, out: dict) -> tuple[np.ndarray, dict]:
@@ -395,6 +381,9 @@ def matched_j_grid(base: DeviceParams, n: int = 25, j_max_ghz: float = 1.0,
     if not 0 < j0 < math.inf:
         raise ValueError(f"{AssemblyMode(mode).value} mode: the matched-J grid starts at "
                          f"J0 = J(epsilon = 0) = {j0:.6g} GHz, which must be positive and finite")
+    if j_max_ghz < j0:
+        raise ValueError(f"{AssemblyMode(mode).value} mode: the matched-J grid's upper end "
+                         f"{j_max_ghz!r} GHz is below its start J0 = J(epsilon = 0) = {j0!r} GHz")
     return j0 * (j_max_ghz / j0) ** (np.arange(n) / (n - 1))
 
 

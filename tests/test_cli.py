@@ -1374,17 +1374,17 @@ class TestContent:
 
     # J0 is met at the device's own barrier, inside BARRIER_BRACKET or
     # outside it, so the first row compares both schemes at one device:
-    # chi = 1.  On the low barrier, tilt cannot lower J, so later rows fail.
-    @pytest.mark.parametrize("xi,code", [("1.5", 0), ("0.2", 2), ("1.1", 0)])
-    def test_noise_compare_starts_at_the_devices_own_barrier(self, xi, code, tmp_path,
-                                                             capsys):
+    # chi = 1.  (At xi = 0.2 meV J0 lies above the grid's upper end, and
+    # the grid is refused: see TestMatchedGrid in test_noise.py.)
+    @pytest.mark.parametrize("xi", ["1.5", "1.1"])
+    def test_noise_compare_starts_at_the_devices_own_barrier(self, xi, tmp_path, capsys):
         cfg = tmp_path / "device.cfg"
         cfg.write_text(f"control.xi_mev = {xi}\n")
-        assert main(["noise-compare", "--config", str(cfg), "--points", "3"]) == code
+        assert main(["noise-compare", "--config", str(cfg), "--points", "3"]) == 0
         out, err = capsys.readouterr()
         first = data_rows(out)[1].split(",")
         assert first[1] == first[2] and first[3] == "1"
-        assert "calibrate_barrier" not in err and ("nan" in out) == bool(code)
+        assert err == "" and "nan" not in out
 
     # J0 is met at the device's own barrier also where J is not monotone in
     # xi over the bracket (minimum near xi = 1.15 meV on this device); 1 GHz

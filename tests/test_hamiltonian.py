@@ -27,6 +27,7 @@ from dqdsim import (
 )
 from dqdsim import cli, hamiltonian, noise
 from dqdsim.crosscheck import fresh_model, sample_device, sample_impurity
+from dqdsim.model import MEV_TO_GHZ
 
 # Frozen from high-precision evaluation at the default device
 # (a = 100 nm, hbar_omega0 = 0.1 meV, epsilon = 0, xi = 1.3); the Z
@@ -130,6 +131,12 @@ def lone_solve(H):
     levels = evals.tolist()
     j = levels.pop(int(np.argmax(np.abs(T0_VECTOR @ evecs))))
     return evals, evecs, j - min(levels)
+
+
+def built_matrices(device, epsilon, xi, rows=None, impurities=(), mode=AssemblyMode.PAPER):
+    """The matrices that solve_stack assembles for these arguments: one per
+    point that passes _built's checks, in order."""
+    return assemble_matrix(hamiltonian._built(device, epsilon, xi, rows, impurities)[2], mode)
 
 
 def same_bits(got, want) -> bool:
@@ -419,14 +426,15 @@ class TestStackedJacobi:
         solved, rotated = [], []
         real_solve, real_rotate = hamiltonian.solve_stack, hamiltonian._rotate
         for module in (cli, noise):
-            monkeypatch.setattr(module, "solve_stack",
-                                lambda *args: solved.append(real_solve(*args)) or solved[-1])
+            monkeypatch.setattr(module, "solve_stack", lambda *args: solved.append(
+                (args, real_solve(*args))) or solved[-1][1])
         monkeypatch.setattr(hamiltonian, "_rotate",
                             lambda av, n: rotated.append(len(av)) or real_rotate(av, n))
         assert cli.main([*argv, "--out", str(tmp_path / "out.csv")]) == 0
-        assert solved and rotated == [len(H) for _, H, _, _ in solved]
-        for _, H, evals, J in solved:
-            for A, e, j in zip(H, evals, J):
+        assert solved and rotated == [len(J) for _, (J, _, _) in solved]
+        for args, (J, evals, failed) in solved:
+            assert failed == {}
+            for A, e, j in zip(built_matrices(*args), evals, J):
                 want_e, _, want_j = lone_solve(A)
                 assert same_bits((e, [j]), (want_e, [want_j]))
 
@@ -551,10 +559,11 @@ class TestSolveMany:
         for device in (DeviceParams(), sample_device(np.random.default_rng(4))):
             points = [(dataclasses.replace(device, epsilon=e, xi=x), imp)
                       for e, x in self.POINTS for imp in (None, impurity)]
-            failed, stacked, kernel_evals, kernel_J = hamiltonian.solve_stack(
-                device, [p.epsilon for p, _ in points], [p.xi for p, _ in points],
-                [0, 1] * len(self.POINTS), [impurity], mode)
+            stack = (device, [p.epsilon for p, _ in points], [p.xi for p, _ in points],
+                     [0, 1] * len(self.POINTS), [impurity], mode)
+            kernel_J, kernel_evals, failed = hamiltonian.solve_stack(*stack)
             assert failed == {}
+            stacked = built_matrices(*stack)
             for k, (params, imp) in enumerate(points):
                 # The solve of one point as a plain loop over one matrix, and
                 # J as the T0 level minus the lowest of the others.
@@ -564,7 +573,8 @@ class TestSolveMany:
                 res = solve(params, imp, mode)
                 assert same_bits((res.eigenvalues, res.eigenvectors), (evals, evecs))
                 assert same_bits([res.J], [j_lone]) and type(res.J) is float
-                assert res.t0_energy == float(T0_VECTOR @ H @ T0_VECTOR)
+                # T0's energy is its exact eigenvalue, as solve_stack takes it.
+                assert same_bits([res.t0_energy], [H[1, 1] - H[1, 2]])
                 assert same_bits((stacked[k], kernel_evals[k], [kernel_J[k]]),
                                  (H, evals, [j_lone]))
 
@@ -581,14 +591,15 @@ class TestSolveMany:
 
         expected = [solve(DeviceParams(epsilon=e)) for e in (0.0, 0.2)]
         monkeypatch.setattr(hamiltonian, "assemble_matrix", corrupted)
-        failed, _, evals, J = hamiltonian.solve_stack(
+        J, evals, failed = hamiltonian.solve_stack(
             DeviceParams(), [0.0, 0.1, 0.2, 0.3], [1.3] * 4)
         assert {k: (type(exc), str(exc)) for k, exc in failed.items()} == {
             1: (ValueError, "matrix has a non-finite entry"),
             3: (ValueError, "matrix must be symmetric")}
-        for e, j, want in zip(evals, J.tolist(), expected):
-            assert same_bits((e,), (want.eigenvalues,))
-            assert j == want.J
+        assert np.isnan(J[[1, 3]]).all() and np.isnan(evals[[1, 3]]).all()
+        for k, want in zip((0, 2), expected):
+            assert same_bits((evals[k],), (want.eigenvalues,))
+            assert J[k] == want.J
         with pytest.raises(ValueError, match="matrix has a non-finite entry"):
             solve(DeviceParams(epsilon=0.1))
         with pytest.raises(ValueError, match="m_eff must be positive and finite"):
@@ -606,12 +617,12 @@ class TestSolveMany:
             built.append(H)
             return H
         monkeypatch.setattr(hamiltonian, "assemble_matrix", corrupted)
-        failed, H, evals, J = hamiltonian.solve_stack(
+        J, evals, failed = hamiltonian.solve_stack(
             DeviceParams(), [0.0, 0.1, 0.2, 0.3], [1.3] * 4)
         assert list(failed) == [1] and str(failed[1]) == "matrix must be symmetric"
-        kept = built[0][[0, 2, 3]]
-        assert same_bits([H], [kept])
-        for A, e, j in zip(kept, evals, J):
+        assert np.isnan(J[1]) and np.isnan(evals[1]).all()
+        kept = [0, 2, 3]
+        for A, e, j in zip(built[0][kept], evals[kept], J[kept]):
             want_e, _, want_j = lone_solve(A)
             assert same_bits((e, [j]), (want_e, [want_j]))
 
@@ -624,31 +635,32 @@ class TestSolveMany:
             built.append(H)
             return H
         monkeypatch.setattr(hamiltonian, "assemble_matrix", corrupted)
-        failed, H, evals, J = hamiltonian.solve_stack(
+        J, evals, failed = hamiltonian.solve_stack(
             DeviceParams(), [0.0, 0.1, 0.2], [1.3] * 3)
         assert list(failed) == [1] and str(failed[1]) == "matrix has a non-finite entry"
-        kept = built[0][[0, 2]]
-        assert same_bits([H], [kept])
-        for A, e, j in zip(kept, evals, J):
+        assert np.isnan(J[1]) and np.isnan(evals[1]).all()
+        kept = [0, 2]
+        for A, e, j in zip(built[0][kept], evals[kept], J[kept]):
             want_e, _, want_j = lone_solve(A)
             assert same_bits((e, [j]), (want_e, [want_j]))
 
     def test_an_overflowing_point_of_a_stack_fails_alone(self):
         # Its hop is about 1e300 meV; a detuning of 1e160 meV only sits on
         # the diagonal, and is solved.
-        failed, H, evals, J = hamiltonian.solve_stack(
+        J, evals, failed = hamiltonian.solve_stack(
             DeviceParams(), [0.0, 0.0, 1e160], [1.3, 1e300, 1.3])
         assert list(failed) == [1] and str(failed[1]) == "matrix off-diagonal norm overflows"
-        for k, params in ((0, DeviceParams()), (1, DeviceParams(epsilon=1e160))):
+        assert np.isnan(J[1]) and np.isnan(evals[1]).all()
+        for k, params in ((0, DeviceParams()), (2, DeviceParams(epsilon=1e160))):
             alone = solve(params)
             assert same_bits((evals[k], J[k]), (alone.eigenvalues, alone.J))
         with pytest.raises(ValueError, match="matrix off-diagonal norm overflows"):
             solve(DeviceParams(xi=1e300))
 
     def test_no_points(self):
-        failed, H, evals, J = hamiltonian.solve_stack(DeviceParams(), [], [])
+        J, evals, failed = hamiltonian.solve_stack(DeviceParams(), [], [])
         assert failed == {}
-        assert (H.shape, evals.shape, J.shape) == ((0, 4, 4), (0, 4), (0,))
+        assert (evals.shape, J.shape) == ((0, 4), (0,))
 
 
 def recording_assembly(calls: list):
@@ -679,8 +691,7 @@ class TestStackedModel:
         epsilon, xi = rng.uniform(-1.0, 1.0, size=n), rng.uniform(0.0, 1.5, size=n)
         calls = []
         with recording_assembly(calls):
-            failed, _, evals, J = hamiltonian.solve_stack(
-                device, epsilon, xi, rows, imps[1:], mode)
+            J, evals, failed = hamiltonian.solve_stack(device, epsilon, xi, rows, imps[1:], mode)
         # One assembly, each row the matrix of its own model.
         assert failed == {}
         ((stacked, built),) = calls
@@ -697,7 +708,7 @@ class TestStackedModel:
         def per_point(hp):
             raise AssertionError("a model was built per point")
         monkeypatch.setattr(hamiltonian, "_unstack", per_point)
-        failed, *_ = hamiltonian.solve_stack(
+        *_, failed = hamiltonian.solve_stack(
             DeviceParams(), [0.0, 0.0, 0.3, 0.3], [1.3] * 4, [0, 1, 0, 1], [impurity])
         assert failed == {}
         solve(DeviceParams(epsilon=0.3), impurity)
@@ -723,12 +734,13 @@ class TestStackedModel:
             return
         calls = []
         with recording_assembly(calls):
-            failed, _, evals, J = hamiltonian.solve_stack(DeviceParams(), *stack)
+            J, evals, failed = hamiltonian.solve_stack(DeviceParams(), *stack)
         assert list(failed) == [2] and str(failed[2]) == message
+        assert np.isnan(J[2]) and np.isnan(evals[2]).all()
         # Only the good points are built, each as its own model.
         ((stacked, _),) = calls
         assert hamiltonian._unstack(stacked) == [hubbard_parameters(*point) for point in good]
-        for (params, imp), e, j in zip(good, evals, J):
+        for (params, imp), e, j in zip(good, evals[[0, 1, 3, 4]], J[[0, 1, 3, 4]]):
             alone = solve(params, imp)
             assert same_bits((e, j), (alone.eigenvalues, alone.J))
 
@@ -741,9 +753,9 @@ class TestT0ByEnergy:
 
     @staticmethod
     def check(device, epsilon, xi, rows=None, impurities=(), mode=AssemblyMode.PAPER):
-        failed, H, evals, J = hamiltonian.solve_stack(device, epsilon, xi, rows, impurities,
-                                                      mode)
+        J, evals, failed = hamiltonian.solve_stack(device, epsilon, xi, rows, impurities, mode)
         assert failed == {} and len(J) == len(epsilon)
+        H = built_matrices(device, epsilon, xi, rows, impurities, mode)
         for A, e, j in zip(H, evals, J.tolist()):
             want_e, _, want_j = lone_solve(A)
             assert same_bits((e, [j]), (want_e, [want_j]))
@@ -779,6 +791,63 @@ class TestT0ByEnergy:
 
     def test_an_empty_stack(self, params):
         assert self.check(params, [], []).shape == (0,)
+
+
+def sometimes_non_finite(low, high):
+    """A control value in [low, high], or now and then NaN or an infinity."""
+    return st.one_of(st.floats(low, high), st.sampled_from([math.nan, math.inf, -math.inf]))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestOneAnswerPerPoint:
+    """solve_stack answers for every point it is given: J and the levels
+    where the point solves, NaN where it fails, and the failure map; the
+    one-point calls agree with it bit for bit and run Jacobi once each."""
+
+    KNOWN = re.compile(r"(epsilon|xi) must be finite, got (nan|inf|-inf)|matrix has a non-finite"
+                       r" entry|matrix off-diagonal norm overflows|matrix must be symmetric|"
+                       r"Impurity\(.*\): its matrix elements overflow")
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), with_impurity=st.booleans(),
+           points=st.lists(st.tuples(sometimes_non_finite(-1.0, 1.0),
+                                     sometimes_non_finite(0.0, 1.5), st.booleans()),
+                           min_size=1, max_size=6),
+           mode=st.sampled_from(list(AssemblyMode)))
+    def test_each_point_is_answered_alone(self, seed, with_impurity, points, mode):
+        rng = np.random.default_rng(seed)
+        device = sample_device(rng)
+        impurities = [sample_impurity(rng, device.a)] if with_impurity else []
+        epsilon, xi, dirty = zip(*points)
+        rows = [int(d and with_impurity) for d in dirty]
+        J, evals, failed = hamiltonian.solve_stack(device, epsilon, xi, rows, impurities, mode)
+        assert J.shape == (len(points),) and evals.shape == (len(points), 4)
+        bad = np.isin(np.arange(len(points)), list(failed))
+        assert np.array_equal(np.isnan(J), bad)
+        assert np.array_equal(np.isnan(evals), np.repeat(bad[:, None], 4, axis=1))
+        for exc in failed.values():
+            assert type(exc) is ValueError and self.KNOWN.fullmatch(str(exc)), exc
+        for k in np.flatnonzero(~bad).tolist():
+            point = dataclasses.replace(device, epsilon=epsilon[k], xi=xi[k])
+            point_imp = impurities[0] if rows[k] else None
+            assert same_bits([J[k]], [solve(point, point_imp, mode).J])
+            assert same_bits([exchange_J_ghz(point, point_imp, mode)], [J[k] * MEV_TO_GHZ])
+
+    # solve rotates its matrix with its eigenvector rows, exchange_J_ghz the
+    # matrix alone; each does so once.
+    @pytest.mark.parametrize("call,shape", [(solve, (1, 8, 4)), (exchange_J_ghz, (1, 4, 4))])
+    def test_a_one_point_call_runs_jacobi_once(self, call, shape, impurity, monkeypatch):
+        rotated, real = [], hamiltonian._rotate
+        monkeypatch.setattr(hamiltonian, "_rotate",
+                            lambda av, n: rotated.append(av.shape) or real(av, n))
+        call(DeviceParams(epsilon=0.3), impurity)
+        assert rotated == [shape]
+
+    def test_in_ghz_names_only_a_j_that_overflows(self):
+        # A failed point's NaN is no J: it is NaN in GHz, and unnamed.
+        ghz, over = hamiltonian.in_ghz(np.array([math.nan, 1e307, 1.0]))
+        assert same_bits([ghz], [[math.nan, math.nan, MEV_TO_GHZ]])
+        assert {k: str(exc) for k, exc in over.items()} == {1: "J = 1e+307 meV overflows in GHz"}
 
 
 class TestSolve:

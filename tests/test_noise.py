@@ -705,6 +705,22 @@ class TestUnbuildableDevice:
             solve(self.DEVICE)
 
 
+class TestJGhz:
+    """noise._j_ghz: one stacked solve, J in GHz, and one failure map whose
+    keys are the settings' own indices."""
+
+    # A NaN control fails before any J; J = 1e307 meV is finite and
+    # overflows in GHz.  Each is named by its own message at its own index.
+    def test_a_failed_point_and_an_overflow_keep_their_own_messages(self):
+        js, failed = noise._j_ghz(DeviceParams(), [(0.0, 1.3), (math.nan, 1.3), (1e307, 1.3),
+                                                   (0.0, math.inf)], AssemblyMode.PAPER)
+        assert {k: (type(exc), str(exc)) for k, exc in failed.items()} == {
+            1: (ValueError, "epsilon must be finite, got nan"),
+            2: (ValueError, "J = 1e+307 meV overflows in GHz"),
+            3: (ValueError, "xi must be finite, got inf")}
+        assert js[0] == exchange_J_ghz(DeviceParams()) and np.isnan(js[1:]).all()
+
+
 class TestMatchedGrid:
     def test_geometric_from_common_origin(self, params):
         grid = matched_j_grid(params)
@@ -744,6 +760,38 @@ class TestMatchedGrid:
         with pytest.raises(ValueError) as err:
             matched_j_grid(params, **kwargs)
         assert str(err.value) == message
+
+    # The grid runs up from J0: an upper end below J0, by far or by one ulp,
+    # is refused with both values, and one at J0 gives a flat grid.
+    def test_an_upper_end_below_j0_is_refused(self, params):
+        j0 = float(matched_j_grid(params, n=2)[0])
+        for j_max in (0.001, math.nextafter(j0, 0.0)):
+            with pytest.raises(ValueError) as err:
+                matched_j_grid(params, n=3, j_max_ghz=j_max)
+            assert str(err.value) == (f"paper mode: the matched-J grid's upper end {j_max!r} GHz "
+                                      f"is below its start J0 = J(epsilon = 0) = {j0!r} GHz")
+        assert matched_j_grid(params, n=3, j_max_ghz=j0).tolist() == [j0] * 3
+
+    # The CLI refuses such a grid with that one message, before any
+    # calibration, and writes no CSV: --j-max 0.001 on the default device,
+    # and the default 1 GHz at xi = 0.2 meV, where J0 is 1.507 GHz.
+    @pytest.mark.parametrize("command", ["noise-compare", "near-impurity"])
+    @pytest.mark.parametrize("xi,flags,j_max", [(1.3, ["--j-max", "0.001"], 0.001),
+                                                (0.2, [], 1.0)])
+    def test_a_cli_grid_below_j0_is_refused(self, command, xi, flags, j_max, monkeypatch,
+                                            tmp_path, capsys):
+        def no_calibration(*args, **kwargs):
+            raise AssertionError("calibrated a grid that falls from J0")
+        j0 = exchange_J_ghz(DeviceParams(xi=xi))
+        monkeypatch.setattr(cli, "_chi_table", no_calibration)
+        cfg, out = tmp_path / "device.cfg", tmp_path / "out.csv"
+        cfg.write_text(f"control.xi_mev = {xi}\n")
+        assert cli.main([command, *flags, "--points", "3", "--config", str(cfg),
+                         "--out", str(out)]) == 2
+        assert capsys.readouterr() == ("", "dqdsim: error: paper mode: the matched-J grid's "
+                                       f"upper end {j_max!r} GHz is below its start "
+                                       f"J0 = J(epsilon = 0) = {j0!r} GHz\n")
+        assert not out.exists()
 
     # The bound is inclusive, and the CLI's --points and ranges share it.
     def test_the_largest_grid_is_taken(self, params):
