@@ -196,7 +196,11 @@ def cmd_spectrum(args) -> int:
     imp_rows, imps = (None, []) if imp is None else (np.ones(len(xi), int), [imp])
     J, evals, failed = solve_stack(base, epsilon, xi, imp_rows, imps, mode)
     ghz, over = in_ghz(J)
-    _raise_first(failed or over)
+    failed.update(over)
+    if failed:  # the first failing point in grid order, xi outermost; no CSV
+        i = min(failed)
+        return _report([f"dqdsim: error at epsilon {_fmt(epsilon[i])} meV, xi {_fmt(xi[i])} "
+                        f"meV: {type(failed[i]).__name__}: {failed[i]}"])
     header = _provenance(args, base, mode, imp, (
         f"eps_range = {args.eps_range}",
         f"xi_values = {','.join(_fmt(x) for x in xi_values)}",

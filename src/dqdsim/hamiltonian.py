@@ -264,10 +264,12 @@ def jacobi_eigh(A: np.ndarray):
     A is one (n, n) matrix or a stack (N, n, n).  Returns (eigenvalues
     ascending, eigenvectors as columns), stacked like A: _rotate's, with the
     identity's rows riding along as the eigenvectors, each with its first
-    non-negligible component positive.  A stack with a matrix that has a
-    fault (see _faults) raises ValueError, naming the first such matrix's
-    fault; so does any other shape, naming it.  A 1x1 matrix is its own
-    eigenvalue, with the eigenvector [1].
+    non-negligible component positive.  One matrix, or a stack of one, is
+    rotated on _rotate_one's Python floats, with the bits and the
+    floating-point warnings it has in any larger stack.  A stack with a
+    matrix that has a fault (see _faults) raises ValueError, naming the
+    first such matrix's fault; so does any other shape, naming it.  A 1x1
+    matrix is its own eigenvalue, with the eigenvector [1].
     """
     A = np.array(A, dtype=float)
     if A.ndim not in (2, 3) or A.shape[-1] != A.shape[-2] or A.shape[-1] == 0:
@@ -301,7 +303,11 @@ def _rotate(av: np.ndarray, n: int) -> np.ndarray:
     takes alone, in a fixed (p, q) order, until its upper off-diagonal's norm
     is at most 1e-14 max(1, max |A|) or for 60 sweeps; one it skips (|a_pq| <=
     1e-300) is masked out, never applied as an identity (which turns -0 into
-    +0).  A rotation R is two BLAS products, R^T a in place, then av R."""
+    +0).  A rotation R is two BLAS products, R^T a in place, then av R.
+    A stack of one matrix goes to _rotate_one, which gives the same bits
+    and warnings."""
+    if len(av) == 1:
+        return _rotate_one(av, n)
     out, (upper, pairs) = np.empty_like(av), _upper(n)
     # The matrices still rotating: their indices, state, tolerance and identities.
     live, limit = np.arange(len(av)), 1e-14 * np.fmax(1.0, np.abs(av[:, :n]).max(axis=(-2, -1)))
@@ -321,11 +327,7 @@ def _rotate(av: np.ndarray, n: int) -> np.ndarray:
                 continue
             if skipped:
                 apq = np.where(skip, 1.0, apq)
-            tau = (av[:, q, q] - av[:, p, p]) / (2.0 * apq)
-            # tan(phi) takes the sign of tau, -0 counting as positive like +0.
-            tphi = np.copysign(1.0 / (np.abs(tau) + np.sqrt(1.0 + tau * tau)), tau + 0.0)
-            c = 1.0 / np.sqrt(1.0 + tphi * tphi)
-            s = tphi * c
+            c, s = _angle((av[:, q, q] - av[:, p, p]) / (2.0 * apq), np.sqrt, np.copysign)
             rot = eye.copy()
             rot[:, p, p] = rot[:, q, q] = c
             rot[:, p, q], rot[:, q, p] = s, -s
@@ -336,6 +338,48 @@ def _rotate(av: np.ndarray, n: int) -> np.ndarray:
                 av[skip] = kept
     out[live] = av
     return out
+
+
+def _angle(tau, sqrt, copysign):
+    """(cos phi, sin phi) of the rotation with tau = (a_qq - a_pp) / 2 a_pq,
+    on arrays (np.sqrt, np.copysign) or on Python floats (math's)."""
+    # tan(phi) takes the sign of tau, -0 counting as positive like +0.
+    tphi = copysign(1.0 / (abs(tau) + sqrt(1.0 + tau * tau)), tau + 0.0)
+    c = 1.0 / sqrt(1.0 + tphi * tphi)
+    return c, tphi * c
+
+
+def _rotate_one(av: np.ndarray, n: int) -> np.ndarray:
+    """_rotate on a stack av (1, rows, n), bit for bit: the same sweeps,
+    convergence test, skip rule and two BLAS products per rotation, on the
+    2-D matrix, with each rotation's angle on Python floats, whose +, -, *,
+    /, sqrt and copysign round as numpy's do.  Python floats overflow and
+    underflow without numpy's warnings, so a tau outside 1e-150 <= |tau| <
+    1e150 (but for an exact 0), where some step of the angle may, takes the
+    angle on a one-element array, with numpy's warnings; a Python ** would
+    raise instead, so the convergence sum stays _off_norm2's."""
+    (upper, pairs), a, eye = _upper(n), av[0], np.eye(n)
+    limit = 1e-14 * max(1.0, np.abs(a[:n]).max().item())
+    for _ in range(60):
+        if math.sqrt(_off_norm2(a[None], upper).item()) <= limit:
+            break
+        for p, q in pairs:
+            apq = a.item(p, q)
+            if abs(apq) <= 1e-300:
+                continue
+            diff = a.item(q, q) - a.item(p, p)
+            tau = diff / (2.0 * apq)
+            if 1e-150 <= abs(tau) < 1e150 or diff == 0.0:
+                c, s = _angle(tau, math.sqrt, math.copysign)
+            else:
+                tau = (a[q:q + 1, q] - a[p:p + 1, p]) / (2.0 * apq)
+                c, s = (x.item() for x in _angle(tau, np.sqrt, np.copysign))
+            rot = eye.copy()
+            rot[p, p] = rot[q, q] = c
+            rot[p, q], rot[q, p] = s, -s
+            np.matmul(rot.T, a[:n], out=a[:n])
+            a = a @ rot
+    return a[None]
 
 
 class SpectrumResult(NamedTuple):

@@ -987,12 +987,21 @@ class TestFlags:
         (("exchange-tilt", "--eps-range", "1e308:1e308:1"), 2,
          "dqdsim: error at tilt control 1e+308 meV: "
          "ValueError: J = 1e+308 meV overflows in GHz\n", "tilt,1e+308,nan,nan,nan,nan"),
-        # spectrum converts J to GHz as the sweeps do, and fails on its
-        # first failing point, so it writes no CSV (and no inf).
+        # spectrum converts J to GHz as the sweeps do, and names its first
+        # failing point in grid order (xi outermost), whichever way it
+        # fails, so it writes no CSV (and no inf).
         (("spectrum", "--eps-range", "1e307:1e307:1"), 2,
-         "dqdsim: error: J = 1e+307 meV overflows in GHz\n", None),
+         "dqdsim: error at epsilon 1e+307 meV, xi 1.3 meV: "
+         "ValueError: J = 1e+307 meV overflows in GHz\n", None),
+        (("spectrum", "--eps-range", "1e307:1e307:1", "--xi-range", "1.3:1e300:1e300"), 2,
+         "dqdsim: error at epsilon 1e+307 meV, xi 1.3 meV: "
+         "ValueError: J = 1e+307 meV overflows in GHz\n", None),
+        (("spectrum", "--eps-range", "0:1e307:1e307", "--xi-range", "1e300:1e300:1"), 2,
+         "dqdsim: error at epsilon 0 meV, xi 1e+300 meV: "
+         "ValueError: matrix off-diagonal norm overflows\n", None),
     ], ids=["impurity-scan", "exchange-barrier", "exchange-tilt", "exchange-tilt-ghz-overflow",
-            "exchange-tilt-symmetrize-overflow", "spectrum-ghz-overflow"])
+            "exchange-tilt-symmetrize-overflow", "spectrum-ghz-overflow",
+            "spectrum-first-failure-in-grid-order", "spectrum-matrix-overflow"])
     def test_an_overflowing_matrix_is_a_named_error(self, argv, code, err, last_row, tmp_path,
                                                     capsys):
         out = tmp_path / "out.csv"

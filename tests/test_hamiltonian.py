@@ -438,6 +438,59 @@ class TestStackedJacobi:
                 want_e, _, want_j = lone_solve(A)
                 assert same_bits((e, [j]), (want_e, [want_j]))
 
+    # _rotate takes a stack of one matrix on its own path, each rotation's
+    # angle on Python floats: matrix k alone must come out with the bits of
+    # row k of the whole stack, which the array path rotates.
+    def test_a_stack_of_one_rotates_as_row_k_of_a_stack(self, impurity):
+        stacks = []
+        for mode in AssemblyMode:
+            for imps in ([], [impurity]):
+                eps, xi = (g.ravel() for g in np.meshgrid(np.linspace(-1.0, 1.0, 9),
+                                                          [0.0, 0.5, 1.3, 1.5]))
+                rows = [len(imps)] * len(eps) if imps else None
+                stacks.append(built_matrices(DeviceParams(), eps, xi, rows, imps, mode))
+        rng = np.random.default_rng(34)
+        for n in range(2, 6):
+            for couplings in ([1.0], [0.0, -0.0], [1e-301, -1e-301, 5e-324, 1.0]):
+                stack = np.array([random_symmetric(int(rng.integers(2**32)), n)
+                                  for _ in range(6)])
+                p, q = np.triu_indices(n, 1)
+                picked = rng.choice(couplings, size=(6, len(p)))
+                hit = rng.random((6, len(p))) < 0.5
+                stack[:, p, q] = np.where(hit, picked, stack[:, p, q])
+                stack[:, q, p] = stack[:, p, q]
+                stacks.append(stack)
+        stacks.append([make(rng) for make in MATRIX_KINDS.values() for _ in range(2)])
+        for stack in stacks:
+            H = np.array(stack, dtype=float)
+            n = H.shape[-1]
+            H = 0.5 * H + 0.5 * np.swapaxes(H, -1, -2)
+            for av in (H, np.concatenate([H, np.broadcast_to(np.eye(n), H.shape)], axis=1)):
+                whole = hamiltonian._rotate(av.copy(), n)
+                for k in range(len(av)):
+                    assert same_bits([hamiltonian._rotate(av[k:k + 1].copy(), n)],
+                                     [whole[k:k + 1]]), (n, k)
+
+    # Where a step of a rotation's angle overflows or underflows, numpy warns
+    # (as its error state says) and Python floats do not, so a lone matrix
+    # takes that angle on numpy: it warns alike alone and in a stack of two.
+    # A tiny a_01 overflows tau * tau; a large one underflows tau.
+    @pytest.mark.parametrize("a01, a11, errstate, first", [
+        (1e-200, 1.0, {}, "overflow encountered in multiply"),
+        (1e100, 1e-250, {"under": "warn"}, "underflow encountered in divide"),
+    ], ids=["tau-overflows", "tau-underflows"])
+    def test_a_flagged_angle_warns_alike_alone_and_stacked(self, a01, a11, errstate, first):
+        A = np.array([[0.0, a01, 1.0], [a01, a11, 0.0], [1.0, 0.0, 2.0]])
+        results, warned = [], []
+        for matrices in (A, np.stack([A, A])):
+            with warnings.catch_warnings(record=True) as caught, np.errstate(**errstate):
+                warnings.simplefilter("always")
+                results.append(jacobi_eigh(matrices))
+            warned.append([str(w.message) for w in caught])
+        assert warned[0] == warned[1] and warned[0][0] == first
+        (alone, (evals, evecs)) = results
+        assert same_bits(alone, (evals[1], evecs[1]))
+
     def test_a_matrix_at_the_threshold_is_not_rotated(self):
         A = at_the_threshold(None)
         assert sweeps_to_converge(A) == 0

@@ -26,6 +26,10 @@ KERNEL_FREE = [
     # The one-point and stacked solves share _rotate and assemble_matrix, so
     # they agree bit for bit on any kernel.
     "tests/test_hamiltonian.py::TestOneAnswerPerPoint::test_each_point_is_answered_alone",
+    # A stack of one matrix rotates on its own path, each angle on Python
+    # floats, with the array path's BLAS products, so it gives the array
+    # path's bits on any kernel.
+    "tests/test_hamiltonian.py::TestStackedJacobi::test_a_stack_of_one_rotates_as_row_k_of_a_stack",
 ]
 
 
