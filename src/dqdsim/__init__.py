@@ -52,7 +52,6 @@ from .hamiltonian import (
     exchange_J_ghz,
     hubbard_exchange_estimate,
     hubbard_parameters,
-    jacobi_eigh,
     solve,
 )
 from .noise import (
@@ -139,7 +138,6 @@ __all__ = [
     "improvement_factor",
     "improvement_factors",
     "impurity_element",
-    "jacobi_eigh",
     "kinetic_element",
     "lowdin_coefficients",
     "matched_j_grid",

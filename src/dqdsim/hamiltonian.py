@@ -232,18 +232,11 @@ def _off_norm2(A: np.ndarray, upper) -> np.ndarray:
 
 
 def _faults(A: np.ndarray) -> dict[int, str]:
-    """The fault of each matrix of a stack (N, n, n) that jacobi_eigh
-    rejects, by its index: an entry that is not finite; else an upper
+    """The fault of each matrix of a stack (N, n, n) that Jacobi cannot
+    solve, by its index: an entry that is not finite; else an upper
     off-diagonal whose squares add up past the largest float, so that Jacobi
-    could never find it converged; else a difference from its transpose by
-    more than 1e-12 of its largest entry.  A matrix equal to its transpose
-    is not scanned for the last."""
-    asym = ~(A == np.swapaxes(A, -1, -2)).all(axis=(-2, -1))
-    if asym.any():
-        B = A[asym]
-        atol = 1e-12 * np.fmax(1.0, np.abs(B).max(axis=(-2, -1), keepdims=True))
-        asym[asym] = ~np.isclose(B, np.swapaxes(B, -1, -2), rtol=0, atol=atol).all(axis=(-2, -1))
-    faults = dict.fromkeys(np.flatnonzero(asym).tolist(), "matrix must be symmetric")
+    could never find it converged."""
+    faults = {}
     # Squares of entries below 1e150 add up past the largest float only in a
     # matrix of some 1.8e8 pairs, so only a stack with a larger entry or a NaN
     # is scanned, and only the matrices that hold one are summed.
@@ -252,91 +245,58 @@ def _faults(A: np.ndarray) -> dict[int, str]:
             with np.errstate(over="ignore"):
                 if not np.isfinite(A[k]).all():
                     faults[k] = "matrix has a non-finite entry"
-                elif A.shape[-1] > 1 and np.isinf(
-                        _off_norm2(A[k:k + 1], _upper(A.shape[-1])[0])[0]):
+                elif np.isinf(_off_norm2(A[k:k + 1], _upper(A.shape[-1])[0])[0]):
                     faults[k] = "matrix off-diagonal norm overflows"
     return faults
 
 
-def jacobi_eigh(A: np.ndarray):
-    """Eigen-decomposition of small symmetric matrices by cyclic Jacobi.
+def jacobi_eigh(H: np.ndarray) -> np.ndarray:
+    """The ascending eigenvalues (N, n) of a stack H (N, n, n) of symmetric
+    matrices that passed _faults, from _rotate on a copy of H."""
+    return np.sort(np.diagonal(_rotate(H.copy()), axis1=-2, axis2=-1), axis=-1, kind="stable")
 
-    A is one (n, n) matrix or a stack (N, n, n).  Returns (eigenvalues
-    ascending, eigenvectors as columns), stacked like A: _rotate's, with the
-    identity's rows riding along as the eigenvectors, each with its first
-    non-negligible component positive.  One matrix, or a stack of one, is
-    rotated on _rotate_one's Python floats, with the bits and the
-    floating-point warnings it has in any larger stack.  A stack with a
-    matrix that has a fault (see _faults) raises ValueError, naming the
-    first such matrix's fault; so does any other shape, naming it.  A 1x1
-    matrix is its own eigenvalue, with the eigenvector [1].
-    """
-    A = np.array(A, dtype=float)
-    if A.ndim not in (2, 3) or A.shape[-1] != A.shape[-2] or A.shape[-1] == 0:
-        raise ValueError(f"expected an (n, n) matrix or an (N, n, n) stack, got shape {A.shape}")
-    single = A.ndim == 2
-    if single:
-        A = A[None]
-    faults = _faults(A)
-    if faults:
-        raise ValueError(faults[min(faults)])
-    if A.shape[-1] == 1:
-        evals, V = A[:, 0], np.ones_like(A)
-        return (evals[0], V[0]) if single else (evals, V)
-    A = 0.5 * A + 0.5 * np.swapaxes(A, -1, -2)  # A + A^T may overflow
+
+def _rotate(A: np.ndarray) -> np.ndarray:
+    """Cyclic Jacobi's sweep loop over a stack A (N, n, n) of symmetric
+    matrices, overwritten.  Returns it rotated, in A's order.  Each matrix
+    takes exactly the rotations it takes alone, in a fixed (p, q) order,
+    until its upper off-diagonal's norm is at most 1e-14 max(1, max |A|) or
+    for 60 sweeps; one it skips (|a_pq| <= 1e-300) is masked out, never
+    applied as an identity (which turns -0 into +0).  A rotation R is two
+    BLAS products, R^T A in place, then A R.  A stack of one matrix goes to
+    _rotate_one, which gives the same bits and warnings."""
+    if len(A) == 1:
+        return _rotate_one(A)
     n = A.shape[-1]
-    av = _rotate(np.concatenate([A, np.broadcast_to(np.eye(n), A.shape)], axis=1), n)
-    V, diag = av[:, n:], np.diagonal(av[:, :n], axis1=-2, axis2=-1)
-    order = np.argsort(diag, axis=-1, kind="stable")
-    evals = np.take_along_axis(diag, order, axis=-1)
-    V = np.take_along_axis(V, order[:, None, :], axis=-1)
-    big = np.abs(V) > 1e-12
-    lead = np.take_along_axis(V, np.argmax(big, axis=-2)[:, None, :], axis=-2)[:, 0, :]
-    V = np.where((big.any(axis=-2) & (lead < 0))[:, None, :], -V, V)
-    return (evals[0], V[0]) if single else (evals, V)
-
-
-def _rotate(av: np.ndarray, n: int) -> np.ndarray:
-    """Cyclic Jacobi's sweep loop over a stack av (N, rows, n), overwritten:
-    symmetric matrices in its first n rows, other rows riding along.  Returns
-    it rotated, in av's order.  Each matrix takes exactly the rotations it
-    takes alone, in a fixed (p, q) order, until its upper off-diagonal's norm
-    is at most 1e-14 max(1, max |A|) or for 60 sweeps; one it skips (|a_pq| <=
-    1e-300) is masked out, never applied as an identity (which turns -0 into
-    +0).  A rotation R is two BLAS products, R^T a in place, then av R.
-    A stack of one matrix goes to _rotate_one, which gives the same bits
-    and warnings."""
-    if len(av) == 1:
-        return _rotate_one(av, n)
-    out, (upper, pairs) = np.empty_like(av), _upper(n)
+    out, (upper, pairs) = np.empty_like(A), _upper(n)
     # The matrices still rotating: their indices, state, tolerance and identities.
-    live, limit = np.arange(len(av)), 1e-14 * np.fmax(1.0, np.abs(av[:, :n]).max(axis=(-2, -1)))
-    eye = np.broadcast_to(np.eye(n), (len(av), n, n)).copy()
+    live, limit = np.arange(len(A)), 1e-14 * np.fmax(1.0, np.abs(A).max(axis=(-2, -1)))
+    eye = np.broadcast_to(np.eye(n), A.shape).copy()
     for _ in range(60):
-        done = np.sqrt(_off_norm2(av, upper)) <= limit
+        done = np.sqrt(_off_norm2(A, upper)) <= limit
         if done.any():
-            out[live[done]] = av[done]
-            live, av, limit, eye = live[~done], av[~done], limit[~done], eye[~done]
+            out[live[done]] = A[done]
+            live, A, limit, eye = live[~done], A[~done], limit[~done], eye[~done]
         if not live.size:
             break
         for p, q in pairs:
-            apq = av[:, p, q]
+            apq = A[:, p, q]
             skip = np.abs(apq) <= 1e-300
             skipped = np.count_nonzero(skip)
             if skipped == len(skip):
                 continue
             if skipped:
                 apq = np.where(skip, 1.0, apq)
-            c, s = _angle((av[:, q, q] - av[:, p, p]) / (2.0 * apq), np.sqrt, np.copysign)
+            c, s = _angle((A[:, q, q] - A[:, p, p]) / (2.0 * apq), np.sqrt, np.copysign)
             rot = eye.copy()
             rot[:, p, p] = rot[:, q, q] = c
             rot[:, p, q], rot[:, q, p] = s, -s
-            kept = av[skip] if skipped else None  # a copy, put back after the products
-            np.matmul(rot.transpose(0, 2, 1), av[:, :n], out=av[:, :n])
-            av = av @ rot
+            kept = A[skip] if skipped else None  # a copy, put back after the products
+            np.matmul(rot.transpose(0, 2, 1), A, out=A)
+            A = A @ rot
             if skipped:
-                av[skip] = kept
-    out[live] = av
+                A[skip] = kept
+    out[live] = A
     return out
 
 
@@ -349,8 +309,8 @@ def _angle(tau, sqrt, copysign):
     return c, tphi * c
 
 
-def _rotate_one(av: np.ndarray, n: int) -> np.ndarray:
-    """_rotate on a stack av (1, rows, n), bit for bit: the same sweeps,
+def _rotate_one(A: np.ndarray) -> np.ndarray:
+    """_rotate on a stack A (1, n, n), bit for bit: the same sweeps,
     convergence test, skip rule and two BLAS products per rotation, on the
     2-D matrix, with each rotation's angle on Python floats, whose +, -, *,
     /, sqrt and copysign round as numpy's do.  Python floats overflow and
@@ -358,8 +318,9 @@ def _rotate_one(av: np.ndarray, n: int) -> np.ndarray:
     1e150 (but for an exact 0), where some step of the angle may, takes the
     angle on a one-element array, with numpy's warnings; a Python ** would
     raise instead, so the convergence sum stays _off_norm2's."""
-    (upper, pairs), a, eye = _upper(n), av[0], np.eye(n)
-    limit = 1e-14 * max(1.0, np.abs(a[:n]).max().item())
+    a, n = A[0], A.shape[-1]
+    (upper, pairs), eye = _upper(n), np.eye(n)
+    limit = 1e-14 * max(1.0, np.abs(a).max().item())
     for _ in range(60):
         if math.sqrt(_off_norm2(a[None], upper).item()) <= limit:
             break
@@ -377,14 +338,13 @@ def _rotate_one(av: np.ndarray, n: int) -> np.ndarray:
             rot = eye.copy()
             rot[p, p] = rot[q, q] = c
             rot[p, q], rot[q, p] = s, -s
-            np.matmul(rot.T, a[:n], out=a[:n])
+            np.matmul(rot.T, a, out=a)
             a = a @ rot
     return a[None]
 
 
 class SpectrumResult(NamedTuple):
     eigenvalues: np.ndarray      # ascending, meV
-    eigenvectors: np.ndarray     # columns
     J: float                     # E(T0) - E(lowest singlet), meV
     t0_energy: float             # T0's exact eigenvalue H11 - H12, meV
 
@@ -404,20 +364,19 @@ def _exchange(H: np.ndarray, evals: np.ndarray) -> tuple[np.ndarray, np.ndarray]
 def solve_stack(device: DeviceParams, epsilon, xi, rows=None, impurities=(),
                 mode: AssemblyMode = AssemblyMode.PAPER):
     """J and the levels of the model at arrays of detuning and barrier
-    amplitude on one device (its own controls play no part), from one run of
-    _rotate over the matrices alone.  rows[k] is point k's impurity: 0 for
-    none, j for impurities[j - 1] (none without rows).  Returns (J, evals,
-    failed) over every point: _exchange's J [meV] and jacobi_eigh's levels,
-    bit for bit, NaN where failed maps the point to its exception (see _built
-    and _faults).  A device that is bad or cannot be built raises."""
+    amplitude on one device (its own controls play no part), from one
+    jacobi_eigh.  rows[k] is point k's impurity: 0 for none, j for
+    impurities[j - 1] (none without rows).  Returns (J, evals, failed) over
+    every point: _exchange's J [meV] and the ascending levels, NaN where
+    failed maps the point to its exception (see _built and _faults).  A
+    device that is bad or cannot be built raises."""
     failed, built, hp = _built(device, epsilon, xi, rows, impurities)
     H = assemble_matrix(hp, mode)
-    faults = _faults(H)  # a matrix that jacobi_eigh would reject fails alone
+    faults = _faults(H)  # a matrix that Jacobi cannot solve fails alone
     if faults:
         failed.update((built[k].item(), ValueError(m)) for k, m in faults.items())
         H, built = np.delete(H, list(faults), axis=0), np.delete(built, list(faults))
-    rotated = _rotate(0.5 * H + 0.5 * np.swapaxes(H, -1, -2), 4)
-    evals = np.sort(np.diagonal(rotated, axis1=-2, axis2=-1), axis=-1, kind="stable")
+    evals = jacobi_eigh(H)
     J, _ = _exchange(H, evals)
     if failed:  # NaN at each failed point
         spread = np.full((len(built) + len(failed), 5), math.nan)
@@ -428,14 +387,15 @@ def solve_stack(device: DeviceParams, epsilon, xi, rows=None, impurities=(),
 
 def solve(params: DeviceParams, imp: Impurity | None = None,
           mode: AssemblyMode = AssemblyMode.PAPER) -> SpectrumResult:
-    """The spectrum of the model at one point from one jacobi_eigh, its J
-    and E_T0 as solve_stack takes them.  Raises what the point raises."""
+    """The levels of the model at one point, its J and E_T0, as solve_stack
+    takes them.  Raises what the point raises there."""
     failed, _, hp = _built(*_point(params, imp))
     _raise_first(failed)
     H = assemble_matrix(hp, mode)
-    evals, evecs = jacobi_eigh(H[0])
-    (J,), (e_t0,) = _exchange(H, evals[None])
-    return SpectrumResult(eigenvalues=evals, eigenvectors=evecs, J=float(J), t0_energy=float(e_t0))
+    _raise_first({k: ValueError(m) for k, m in _faults(H).items()})
+    evals = jacobi_eigh(H)
+    (J,), (e_t0,) = _exchange(H, evals)
+    return SpectrumResult(eigenvalues=evals[0], J=float(J), t0_energy=float(e_t0))
 
 
 def in_ghz(J: np.ndarray) -> tuple[np.ndarray, dict]:

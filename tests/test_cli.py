@@ -818,7 +818,7 @@ class TestFlags:
         stacks = []
         real = hamiltonian._rotate
         monkeypatch.setattr(hamiltonian, "_rotate",
-                            lambda av, n: stacks.append(np.array(av)) or real(av, n))
+                            lambda A: stacks.append(np.array(A)) or real(A))
         out = tmp_path / "out.csv"
         assert main(["exchange-barrier", "--out", str(out)]) == 0
         main_grid, zoom = cli._parse_range("0.5:1.3:0.01"), cli._parse_range("0.5:0.6:0.002")
@@ -898,7 +898,7 @@ class TestFlags:
         stacks, emitted = [], []
         real = hamiltonian._rotate
         monkeypatch.setattr(hamiltonian, "_rotate",
-                            lambda av, n: stacks.append(len(av)) or real(av, n))
+                            lambda A: stacks.append(len(A)) or real(A))
         monkeypatch.setattr(cli, "_emit", lambda path, header, fields, blocks: emitted.extend(
             row for block in blocks if not isinstance(block, str) for row in zip(*block)))
         assert main([command]) == 0
@@ -928,7 +928,7 @@ class TestFlags:
         stacks = []
         real = hamiltonian._rotate
         monkeypatch.setattr(hamiltonian, "_rotate",
-                            lambda av, n: stacks.append(len(av)) or real(av, n))
+                            lambda A: stacks.append(len(A)) or real(A))
         assert main([*call, "--out", str(tmp_path / "out.csv")]) == 0
         assert len(stacks) == count
         assert stacks == self.MATRICES[" ".join(argv)]
@@ -979,8 +979,8 @@ class TestFlags:
          "ValueError: matrix off-diagonal norm overflows\n", "barrier,1e+300,nan,nan,nan,nan"),
         (("exchange-tilt", "--eps-range", "1e160:1e160:1"), 0, "",
          "tilt,1e+160,2.41799e+162,2.41799e+162,0,0"),
-        # A J that is finite in meV but overflows in GHz fails its point; at
-        # 1e308 the diagonal is too large for A + A^T.
+        # A J that is finite in meV but overflows in GHz fails its point, even
+        # at 1e308, where the diagonal is too large to add to itself.
         (("exchange-tilt", "--eps-range", "1e307:1e307:1"), 2,
          "dqdsim: error at tilt control 1e+307 meV: "
          "ValueError: J = 1e+307 meV overflows in GHz\n", "tilt,1e+307,nan,nan,nan,nan"),
@@ -1043,7 +1043,7 @@ class TestFlags:
         stacks, emitted = [], []
         real = hamiltonian._rotate
         monkeypatch.setattr(hamiltonian, "_rotate",
-                            lambda av, n: stacks.append(len(av)) or real(av, n))
+                            lambda A: stacks.append(len(A)) or real(A))
         monkeypatch.setattr(cli, "_emit", lambda path, header, fields, blocks: emitted.append(
             (header, blocks)))
         assert main(["impurity-scan", "--J-mhz", j_mhz, "--radii", "1.5,6,20"]) == 0

@@ -52,7 +52,7 @@ def count_stacks(monkeypatch) -> list:
     """The size of each stack that solves hand to the Jacobi sweep loop from now on."""
     stacks = []
     real = hamiltonian._rotate
-    monkeypatch.setattr(hamiltonian, "_rotate", lambda av, n: stacks.append(len(av)) or real(av, n))
+    monkeypatch.setattr(hamiltonian, "_rotate", lambda A: stacks.append(len(A)) or real(A))
     return stacks
 
 

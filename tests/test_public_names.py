@@ -33,3 +33,5 @@ def test_retired_names_are_gone():
     assert not hasattr(dqdsim.hamiltonian, "exchange_J")
     assert not hasattr(dqdsim.cli, "build_parser")
     assert not hasattr(dqdsim.cli, "_subparser")
+    assert not hasattr(dqdsim, "jacobi_eigh")
+    assert "eigenvectors" not in dqdsim.hamiltonian.SpectrumResult._fields
