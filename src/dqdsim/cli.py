@@ -194,7 +194,7 @@ def cmd_spectrum(args) -> int:
     xi_values = [1.3, 1.0] if args.xi_range is None else _parse_range(args.xi_range)
     epsilon, xi = (a.ravel() for a in np.meshgrid(eps_values, xi_values))  # xi outermost
     imp_rows, imps = (None, []) if imp is None else (np.ones(len(xi), int), [imp])
-    J, evals, failed = solve_stack(base, epsilon, xi, imp_rows, imps, mode)
+    J, evals, _, failed = solve_stack(base, epsilon, xi, imp_rows, imps, mode)
     ghz, over = in_ghz(J)
     failed.update(over)
     if failed:  # the first failing point in grid order, xi outermost; no CSV

@@ -363,13 +363,14 @@ def _exchange(H: np.ndarray, evals: np.ndarray) -> tuple[np.ndarray, np.ndarray]
 
 def solve_stack(device: DeviceParams, epsilon, xi, rows=None, impurities=(),
                 mode: AssemblyMode = AssemblyMode.PAPER):
-    """J and the levels of the model at arrays of detuning and barrier
+    """J, the levels and E_T0 of the model at arrays of detuning and barrier
     amplitude on one device (its own controls play no part), from one
-    jacobi_eigh.  rows[k] is point k's impurity: 0 for none, j for
-    impurities[j - 1] (none without rows).  Returns (J, evals, failed) over
-    every point: _exchange's J [meV] and the ascending levels, NaN where
-    failed maps the point to its exception (see _built and _faults).  A
-    device that is bad or cannot be built raises."""
+    jacobi_eigh; the one place that knows the eigensolver.  rows[k] is point
+    k's impurity: 0 for none, j for impurities[j - 1] (none without rows).
+    Returns (J, evals, t0_energy, failed) over every point: _exchange's J and
+    E_T0 [meV] and the ascending levels, NaN where failed maps the point to
+    its exception (see _built and _faults).  A device that is bad or cannot
+    be built raises."""
     failed, built, hp = _built(device, epsilon, xi, rows, impurities)
     H = assemble_matrix(hp, mode)
     faults = _faults(H)  # a matrix that Jacobi cannot solve fails alone
@@ -377,25 +378,21 @@ def solve_stack(device: DeviceParams, epsilon, xi, rows=None, impurities=(),
         failed.update((built[k].item(), ValueError(m)) for k, m in faults.items())
         H, built = np.delete(H, list(faults), axis=0), np.delete(built, list(faults))
     evals = jacobi_eigh(H)
-    J, _ = _exchange(H, evals)
+    J, e_t0 = _exchange(H, evals)
     if failed:  # NaN at each failed point
-        spread = np.full((len(built) + len(failed), 5), math.nan)
-        spread[built] = np.column_stack([J, evals])
-        J, evals = spread[:, 0], spread[:, 1:]
-    return J, evals, failed
+        spread = np.full((len(built) + len(failed), 6), math.nan)
+        spread[built] = np.column_stack([J, e_t0, evals])
+        J, e_t0, evals = spread[:, 0], spread[:, 1], spread[:, 2:]
+    return J, evals, e_t0, failed
 
 
 def solve(params: DeviceParams, imp: Impurity | None = None,
           mode: AssemblyMode = AssemblyMode.PAPER) -> SpectrumResult:
-    """The levels of the model at one point, its J and E_T0, as solve_stack
-    takes them.  Raises what the point raises there."""
-    failed, _, hp = _built(*_point(params, imp))
+    """The levels of the model at one point, its J and E_T0: solve_stack on
+    the point.  Raises what the point raises there."""
+    (J,), (evals,), (e_t0,), failed = solve_stack(*_point(params, imp), mode)
     _raise_first(failed)
-    H = assemble_matrix(hp, mode)
-    _raise_first({k: ValueError(m) for k, m in _faults(H).items()})
-    evals = jacobi_eigh(H)
-    (J,), (e_t0,) = _exchange(H, evals)
-    return SpectrumResult(eigenvalues=evals[0], J=float(J), t0_energy=float(e_t0))
+    return SpectrumResult(eigenvalues=evals, J=float(J), t0_energy=float(e_t0))
 
 
 def in_ghz(J: np.ndarray) -> tuple[np.ndarray, dict]:
@@ -412,7 +409,7 @@ def exchange_J_ghz(params: DeviceParams, imp: Impurity | None = None,
                    mode: AssemblyMode = AssemblyMode.PAPER) -> float:
     """Signed exchange splitting J = E(T0) - E(lowest singlet) in GHz from
     solve_stack; raises what the point raises there, or in_ghz's error."""
-    J, _, failed = solve_stack(*_point(params, imp), mode)
+    J, _, _, failed = solve_stack(*_point(params, imp), mode)
     (ghz,), over = in_ghz(J)
     _raise_first(failed or over)
     return float(ghz)

@@ -39,7 +39,7 @@ def _j_ghz(base: DeviceParams, settings, mode: AssemblyMode, rows=None,
     maps the setting to its exception, a J too large for GHz included."""
     epsilon, xi = np.asarray(settings, dtype=float).reshape(-1, 2).T
     try:
-        J, _, failed = solve_stack(base, epsilon, xi, rows, impurities, mode)
+        J, _, _, failed = solve_stack(base, epsilon, xi, rows, impurities, mode)
     except Exception as exc:  # the device's own failure
         return np.full(len(epsilon), math.nan), dict.fromkeys(range(len(epsilon)), exc)
     ghz, over = in_ghz(J)

@@ -1,9 +1,11 @@
 """Shared fixtures: the default device, its basis, its closed-form build,
-and the reference impurity used across the suite."""
+the reference impurity used across the suite, and the recorder of the
+levels step."""
 
 import os
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from dqdsim import (
@@ -11,6 +13,7 @@ from dqdsim import (
     build_basis,
     default_impurity,
     derive_constants,
+    hamiltonian,
 )
 from dqdsim.integrals import _device_integrals
 
@@ -44,3 +47,16 @@ def impurity(params):
 def tables(params):
     """(basis, kinetic, confinement, bump, coulomb) of the default device."""
     return _device_integrals(params)
+
+
+@pytest.fixture
+def eigen_stacks(monkeypatch):
+    """start(): from then on, a copy of every stack (N, n, n) that a solve
+    hands to hamiltonian.jacobi_eigh, the one levels step, in call order.
+    Tests count the eigen step here, never inside the eigensolver."""
+    def start() -> list:
+        stacks, real = [], hamiltonian.jacobi_eigh
+        monkeypatch.setattr(hamiltonian, "jacobi_eigh",
+                            lambda H: stacks.append(np.array(H)) or real(H))
+        return stacks
+    return start

@@ -48,14 +48,6 @@ XI_STAR_242MHZ = 0.9745470770110896
 DELTA_U = 0.7814953236075299
 
 
-def count_stacks(monkeypatch) -> list:
-    """The size of each stack that solves hand to the Jacobi sweep loop from now on."""
-    stacks = []
-    real = hamiltonian._rotate
-    monkeypatch.setattr(hamiltonian, "_rotate", lambda A: stacks.append(len(A)) or real(A))
-    return stacks
-
-
 def shift_roots(monkeypatch, wrong, by=0.01):
     """Make calibrate_many's closed-form root of each (scheme, target)
     request in wrong land `by` meV off, so its residual check fails."""
@@ -374,12 +366,12 @@ class TestLockstep:
     TARGETS = (0.05, 0.15, 0.242, 0.5, 0.9)
     REQUESTS = [(scheme, t) for t in TARGETS for scheme in ("tilt", "barrier")]
 
-    def test_one_stacked_solve(self, monkeypatch):
-        stacks = count_stacks(monkeypatch)
+    def test_one_stacked_solve(self, eigen_stacks):
+        stacks = eigen_stacks()
         got = calibrate_many(self.REQUESTS)
         # The tilt bracket starts where the barrier bracket ends (epsilon = 0,
         # xi = 1.3), so 3 ends, and one root per request.
-        assert stacks == [3 + len(self.REQUESTS)]
+        assert [len(H) for H in stacks] == [3 + len(self.REQUESTS)]
         for (scheme, target), c in zip(self.REQUESTS, got):
             j = exchange_J_ghz(control_point(scheme, DeviceParams(), c))
             assert j == pytest.approx(target, rel=1e-9)
@@ -574,11 +566,11 @@ class TestCalibratedRecords:
         assert isinstance(got[0], ChiRecord)
 
     def test_one_stack_holds_every_setting_clean_and_with_the_impurity(self, params, impurity,
-                                                                       monkeypatch):
-        stacks = count_stacks(monkeypatch)
+                                                                       eigen_stacks):
+        stacks = eigen_stacks()
         improvement_factors([0.05, 0.242, 0.9], impurity, params)
         # 3 bracket ends and 6 roots, each clean and with the impurity.
-        assert stacks == [2 * (3 + 6)]
+        assert [len(H) for H in stacks] == [2 * (3 + 6)]
 
     # Each request's record with each impurity is the lone delta_J at its
     # control, J0 (met exactly at the end xi = 1.3 of both schemes) included.
@@ -588,14 +580,14 @@ class TestCalibratedRecords:
     # one end with each impurity.
     @pytest.mark.parametrize("n_imps,stacked", [(0, [6]), (1, [12]), (3, [6 + 3 * 3, 3])])
     def test_each_record_is_a_lone_delta_j_at_its_control(self, params, n_imps, stacked,
-                                                          monkeypatch):
+                                                          eigen_stacks):
         imps = [Impurity(-600.0, 600.0), Impurity(-150.0, 0.0, -0.5),
                 Impurity(0.0, 300.0, 2.0)][:n_imps]
         (j0,) = noise._j_ghz(params, [(0.0, params.xi)], AssemblyMode.PAPER)[0].tolist()
         requests = [("tilt", j0), ("barrier", j0), ("barrier", 0.242)]
-        stacks = count_stacks(monkeypatch)
+        stacks = eigen_stacks()
         controls, records = calibrated(requests, params, AssemblyMode.PAPER, imps)
-        assert stacks == stacked
+        assert [len(H) for H in stacks] == stacked
         assert controls[:2] == [TILT_BRACKET[0], BARRIER_BRACKET[1]] == [0.0, params.xi]
         assert controls[2] == pytest.approx(XI_STAR_242MHZ, rel=1e-9)
         assert len(records) == n_imps
