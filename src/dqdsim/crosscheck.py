@@ -12,8 +12,8 @@ import math
 import numpy as np
 
 from . import integrals
-from .hamiltonian import (T0_VECTOR, HubbardParams, _hubbard, _two_body, _unstack,
-                          assemble_matrix, hubbard_exchange_estimate, hubbard_parameters, solve)
+from .hamiltonian import (T0_VECTOR, HubbardParams, _device, _model, _unstack, assemble_matrix,
+                          hubbard_exchange_estimate, hubbard_parameters, solve)
 from .integrals import (coulomb_element, i0e, impurity_element, kinetic_element,
                         potential_element)
 from .model import (HBAR2_OVER_2ME, MEV_TO_GHZ, DeviceParams, Impurity, control_point,
@@ -61,16 +61,15 @@ def sample_impurity(rng: np.random.Generator, a: float) -> Impurity:
 
 def fresh_model(point: DeviceParams, imp: Impurity | None = None,
                 shift: float = 0.0) -> HubbardParams:
-    """The model at one point from an uncached closed-form build of its
-    device, the confinement raised by shift times the overlap matrix (a
-    gauge shift): what hubbard_parameters gives, at shift = 0, from its
-    cached build."""
-    device = dataclasses.replace(point, epsilon=0.0)
-    basis, kinetic, confinement, bump, coulomb = integrals._device_integrals(device)
-    one_body = kinetic + (confinement + point.xi * bump + shift * overlap_matrix(basis))
-    W = None if imp is None else integrals.impurity_table([imp], device)[0]
-    (hp,) = _unstack(_hubbard(basis.M, one_body, point.mu1, point.mu2, W,
-                              _two_body(basis.M, coulomb)))
+    """The model at one point from an uncached build of its device, the
+    kinetic table raised by shift times the overlap matrix (a gauge shift):
+    what hubbard_parameters gives, at shift = 0, from its cached build."""
+    device = dataclasses.replace(point, epsilon=0.0, xi=0.0)
+    M, kinetic, *rest = _device.__wrapped__(device)
+    kinetic = kinetic + shift * overlap_matrix(build_basis(device))
+    tables = () if imp is None else integrals.impurity_table([imp], device)
+    (hp,) = _unstack(_model((M, kinetic, *rest), np.array([point.epsilon]),
+                            np.array([point.xi]), np.array([0 if imp is None else 1]), tables))
     return hp
 
 

@@ -70,39 +70,6 @@ class HubbardParams(NamedTuple):
         return self.mu2 - self.mu1
 
 
-def _two_body(M: np.ndarray, coulomb: np.ndarray) -> dict[str, float]:
-    """The two-body parameters of the model: the Coulomb tensor transformed
-    by the Lowdin matrix M, read off as HubbardParams fields."""
-    V4 = np.einsum("pi,qj,rk,sl,ijkl->pqrs", M, M, M, M, coulomb)
-    return dict(U1=float(V4[0, 0, 0, 0]), U2=float(V4[1, 1, 1, 1]), U12=float(V4[0, 1, 0, 1]),
-                exchange_k=float(V4[0, 1, 1, 0]),
-                corr_hop1=float(V4[1, 0, 0, 0]),
-                corr_hop2=float(V4[1, 1, 1, 0]))
-
-
-def _hubbard(M: np.ndarray, one_body: np.ndarray, mu1, mu2, impurity: np.ndarray | None,
-             two_body: dict[str, float]) -> HubbardParams:
-    """The model of each point of a stack, from its one-body matrix and its
-    impurity matrix (..., 2, 2), or no impurity anywhere, and its device
-    chemical potentials (...), given the two-body parameters that
-    _two_body read off the same basis.  The fields that vary are arrays
-    over the leading axes; _unstack splits them into one model per point."""
-    h = M @ one_body @ M
-    offset = 0.5 * (h[..., 0, 0] + h[..., 1, 1])
-    # mu_i = -(h_ii - offset) extracts the per-dot depth of the table
-    # potential (zero for the symmetric shape); device detuning adds on top.
-    mu1 = -(h[..., 0, 0] - offset) + mu1
-    mu2 = -(h[..., 1, 1] - offset) + mu2
-
-    Zt1 = Zt2 = Zt12 = 0.0
-    if impurity is not None:
-        Wt = M @ impurity @ M
-        Zt1, Zt2, Zt12 = Wt[..., 0, 0], Wt[..., 1, 1], Wt[..., 0, 1]
-
-    return HubbardParams(t=-h[..., 0, 1], mu1=mu1, mu2=mu2, Zt1=Zt1, Zt2=Zt2, Zt12=Zt12,
-                         offset=offset, **two_body)
-
-
 def _unstack(hp: HubbardParams) -> list[HubbardParams]:
     """One HubbardParams of floats per point of a stacked one."""
     shape = np.shape(hp.t)
@@ -113,26 +80,41 @@ def _unstack(hp: HubbardParams) -> list[HubbardParams]:
 @functools.lru_cache(maxsize=1)
 def _device(params: DeviceParams):
     """What the controls never change, for a device at epsilon = xi = 0,
-    from one closed-form build: its Lowdin matrix, its kinetic and
+    from one closed-form build: its Lowdin matrix M, its kinetic and
     confinement tables, the bump's confinement per meV of xi, and the
-    two-body parameters."""
+    two-body HubbardParams fields, from the Coulomb tensor transformed by M."""
     basis, kinetic, confinement, bump, coulomb = _device_integrals(params)
-    return basis.M, kinetic, confinement, bump, _two_body(basis.M, coulomb)
+    M = basis.M
+    V4 = np.einsum("pi,qj,rk,sl,ijkl->pqrs", M, M, M, M, coulomb)
+    return M, kinetic, confinement, bump, dict(
+        U1=float(V4[0, 0, 0, 0]), U2=float(V4[1, 1, 1, 1]), U12=float(V4[0, 1, 0, 1]),
+        exchange_k=float(V4[0, 1, 1, 0]), corr_hop1=float(V4[1, 0, 0, 0]),
+        corr_hop2=float(V4[1, 1, 1, 0]))
 
 
-def _model(device: DeviceParams, epsilon: np.ndarray, xi: np.ndarray, rows: np.ndarray,
-           impurity_tables) -> HubbardParams:
-    """The model at each (epsilon, xi) point of one device, stacked: the
-    device's tables at epsilon = xi = 0 plus xi times the bump, plus the
-    impurity matrix of the point's row (0: none, k: impurity_tables[k - 1],
-    the impurity_table of the impurities the rows index)."""
-    M, kinetic, confinement, bump, two_body = _device(device)
-    one_body = kinetic + (confinement + xi[:, None, None] * bump)
-    W = None
+def _model(build, epsilon, xi, rows, impurity_tables) -> HubbardParams:
+    """The stacked model at each (epsilon, xi) point of one device from its
+    build (_device's tuple): its tables plus xi times the bump, detuning as
+    mu1 = -eps/2, mu2 = +eps/2, and the impurity matrix of the point's row
+    (0: none, k: impurity_tables[k - 1]), or none at all without tables.
+    _unstack splits the arrays into one model per point."""
+    M, kinetic, confinement, bump, two_body = build
+    h = M @ (kinetic + (confinement + xi[:, None, None] * bump)) @ M
+    offset = 0.5 * (h[..., 0, 0] + h[..., 1, 1])
+    # mu_i = -(h_ii - offset) extracts the per-dot depth of the table
+    # potential (zero for the symmetric shape); detuning adds on top.
+    mu1 = -(h[..., 0, 0] - offset) + -0.5 * epsilon
+    mu2 = -(h[..., 1, 1] - offset) + 0.5 * epsilon
+
+    Zt1 = Zt2 = Zt12 = 0.0
     if len(impurity_tables):
         # Row 0 is the zero matrix of a point without an impurity.
         W = np.concatenate([np.zeros((1, 2, 2)), impurity_tables])[rows]
-    return _hubbard(M, one_body, -0.5 * epsilon, 0.5 * epsilon, W, two_body)
+        Wt = M @ W @ M
+        Zt1, Zt2, Zt12 = Wt[..., 0, 0], Wt[..., 1, 1], Wt[..., 0, 1]
+
+    return HubbardParams(t=-h[..., 0, 1], mu1=mu1, mu2=mu2, Zt1=Zt1, Zt2=Zt2, Zt12=Zt12,
+                         offset=offset, **two_body)
 
 
 def _built(device: DeviceParams, epsilon, xi, rows=None, impurities=()):
@@ -159,7 +141,7 @@ def _built(device: DeviceParams, epsilon, xi, rows=None, impurities=()):
                       for i in np.flatnonzero(own).tolist())
         finite &= ~own
     built = np.flatnonzero(finite)
-    return failed, built, _model(device, epsilon[built], xi[built], rows[built], tables)
+    return failed, built, _model(_device(device), epsilon[built], xi[built], rows[built], tables)
 
 
 def _point(params: DeviceParams, imp: Impurity | None) -> tuple:

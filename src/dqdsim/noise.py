@@ -12,7 +12,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .hamiltonian import AssemblyMode, _model, _raise_first, hubbard_parameters, in_ghz, solve_stack
+from .hamiltonian import (AssemblyMode, _device, _model, _raise_first, hubbard_parameters,
+                          in_ghz, solve_stack)
 from .model import MEV_TO_GHZ, DeviceParams, Impurity, control_point, control_values
 
 DEFAULT_IMPURITY_SCALE = 6.0  # R_c = (-6a, 6a) is the reference noise source
@@ -40,7 +41,7 @@ def _j_ghz(base: DeviceParams, settings, mode: AssemblyMode, rows=None,
     epsilon, xi = np.asarray(settings, dtype=float).reshape(-1, 2).T
     try:
         J, _, _, failed = solve_stack(base, epsilon, xi, rows, impurities, mode)
-    except Exception as exc:  # the device's own failure
+    except ValueError as exc:  # the device's own failure
         return np.full(len(epsilon), math.nan), dict.fromkeys(range(len(epsilon)), exc)
     ghz, over = in_ghz(J)
     return ghz, {**failed, **over}
@@ -150,7 +151,7 @@ def _roots(tilt, targets, lo, hi, base: DeviceParams, mode: AssemblyMode) -> np.
     # bracket ends then fail on it by name.
     xi0 = base.xi if math.isfinite(base.xi) else math.nan
     # The model at xi = base.xi, 0 and 1 of the device at epsilon = xi = 0.
-    hp = _model(control_point("barrier", base, 0.0), np.zeros(3),
+    hp = _model(_device(control_point("barrier", base, 0.0)), np.zeros(3),
                 np.array([xi0, 0.0, 1.0]), np.zeros(3, dtype=int), ())
     k, c1, c2 = ((hp.exchange_k, hp.corr_hop1, hp.corr_hop2) if mode == AssemblyMode.FULL
                  else (0.0, 0.0, 0.0))
@@ -210,7 +211,7 @@ def _calibrated(requests, base: DeviceParams, mode: AssemblyMode, imps=()):
     n_req, n_imps = len(requests), len(imps)
     try:
         roots = _roots(tilt, targets, lo, hi, base, mode)
-    except Exception as exc:  # the device's own failure
+    except ValueError as exc:  # the device's own failure
         return (np.full(n_req, math.nan), dict.fromkeys(range(n_req), exc),
                 np.full((4, n_imps * n_req), math.nan), dict.fromkeys(range(n_imps * n_req), exc))
     settings = np.concatenate([np.array(ends, dtype=float).reshape(-1, 2), np.stack(

@@ -617,12 +617,16 @@ class TestStackedJacobi:
         assert np.all(np.diff(evals, axis=-1) >= 0.0)
         check_stack(stack)
 
-    def test_each_step_of_the_levels_path_has_one_caller(self):
-        # One levels path: of the package's functions, only jacobi_eigh
-        # rotates, so the span that perfbench's tracer puts on it holds
-        # every eigen step; and only solve_stack takes levels and J, so it is
-        # the one place that knows the eigensolver.
-        steps = {"_rotate": set(), "jacobi_eigh": set(), "_exchange": set()}
+    def test_each_step_of_the_model_and_levels_path_has_only_its_callers(self):
+        # One model build: only _device transforms the Coulomb tensor, and
+        # only _model forms the model's fields from a device build, for the
+        # solver, the closed-form calibrations and validate's gauge check
+        # alike.  One levels path: of the package's functions, only
+        # jacobi_eigh rotates, so the span that perfbench's tracer puts on it
+        # holds every eigen step; and only solve_stack takes levels and J, so
+        # it is the one place that knows the eigensolver.
+        steps = {"_device_integrals": set(), "einsum": set(), "_model": set(),
+                 "_rotate": set(), "jacobi_eigh": set(), "_exchange": set()}
         for path in pathlib.Path(hamiltonian.__file__).parent.glob("*.py"):
             for fn in ast.walk(ast.parse(path.read_text())):
                 if isinstance(fn, ast.FunctionDef):
@@ -631,9 +635,16 @@ class TestStackedJacobi:
                             for name in {getattr(node.func, "id", None),
                                          getattr(node.func, "attr", None)} & steps.keys():
                                 steps[name].add((path.name, fn.name))
-        assert steps == {"_rotate": {("hamiltonian.py", "jacobi_eigh")},
-                         "jacobi_eigh": {("hamiltonian.py", "solve_stack")},
-                         "_exchange": {("hamiltonian.py", "solve_stack")}}
+        assert steps == {
+            "_device_integrals": {("hamiltonian.py", "_device"),
+                                  *(("integrals.py", f"{kind}_element")
+                                    for kind in ("kinetic", "potential", "coulomb"))},
+            "einsum": {("hamiltonian.py", "_device")},
+            "_model": {("hamiltonian.py", "_built"), ("noise.py", "_roots"),
+                       ("crosscheck.py", "fresh_model")},
+            "_rotate": {("hamiltonian.py", "jacobi_eigh")},
+            "jacobi_eigh": {("hamiltonian.py", "solve_stack")},
+            "_exchange": {("hamiltonian.py", "solve_stack")}}
 
 
 @pytest.mark.filterwarnings("error")

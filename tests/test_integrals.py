@@ -182,7 +182,7 @@ class TestTables:
         # impurity fields are exact zeros, alone and in a stack.
         hp = hamiltonian.hubbard_parameters(params)
         assert (hp.Zt1, hp.Zt2, hp.Zt12) == (0.0, 0.0, 0.0)
-        stacked = hamiltonian._model(dataclasses.replace(params, xi=0.0), np.zeros(2), np.ones(2), np.zeros(2, dtype=int), [])
+        stacked = hamiltonian._model(hamiltonian._device(dataclasses.replace(params, xi=0.0)), np.zeros(2), np.ones(2), np.zeros(2, dtype=int), [])
         assert (stacked.Zt1, stacked.Zt2, stacked.Zt12) == (0.0, 0.0, 0.0)
 
 

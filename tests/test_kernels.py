@@ -45,6 +45,10 @@ KERNEL_FREE = [
       f"test_crosscheck_devices_clean_and_with_an_impurity[{mode}]" for mode in ("paper", "full")),
     "tests/test_hamiltonian.py::TestT0ByEnergy::test_an_empty_stack",
     "tests/test_hamiltonian.py::TestPerturbativeEstimate::test_improves_as_hopping_shrinks",
+    # Each compares two program paths that take the model through the same products.
+    "tests/test_hamiltonian.py::TestDeviceBuiltOnce::test_matches_a_build_from_scratch",
+    "tests/test_hamiltonian.py::TestDeviceBuiltOnce::test_alternating_impurities_are_never_stale",
+    "tests/test_hamiltonian.py::TestStackedModel::test_each_point_matches_a_one_point_solve",
 ]
 
 

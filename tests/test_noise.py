@@ -2,6 +2,7 @@
 import dataclasses
 import math
 import re
+import traceback
 import warnings
 
 import numpy as np
@@ -303,8 +304,9 @@ class TestClosedForm:
         bisection, then secant steps.  J is the T0 level d11 - K minus the
         lowest of the other three eigenvalues."""
         mp = pytest.importorskip("mpmath").mp
-        hp = hamiltonian._model(dataclasses.replace(base, epsilon=0.0, xi=0.0), np.zeros(3),
-                                np.array([base.xi, 0.0, 1.0]), np.zeros(3, dtype=int), ())
+        build = hamiltonian._device(dataclasses.replace(base, epsilon=0.0, xi=0.0))
+        hp = hamiltonian._model(build, np.zeros(3), np.array([base.xi, 0.0, 1.0]),
+                                np.zeros(3, dtype=int), ())
         f = mp.mpf
         full = mode == AssemblyMode.FULL
         with mp.workdps(50):
@@ -350,11 +352,10 @@ class TestClosedForm:
     @pytest.mark.parametrize("base", DEVICES)
     def test_the_hop_is_affine_in_xi(self, base):
         xi = np.linspace(0.0, 1.5, 16)
-        t = hamiltonian._model(dataclasses.replace(base, epsilon=0.0, xi=0.0), np.zeros(16), xi,
-                               np.zeros(16, dtype=int), ()).t
+        build = hamiltonian._device(dataclasses.replace(base, epsilon=0.0, xi=0.0))
+        t = hamiltonian._model(build, np.zeros(16), xi, np.zeros(16, dtype=int), ()).t
         affine = t[0] + (hamiltonian._model(
-            dataclasses.replace(base, epsilon=0.0, xi=0.0), np.zeros(1), np.ones(1),
-            np.zeros(1, dtype=int), ()).t[0] - t[0]) * xi
+            build, np.zeros(1), np.ones(1), np.zeros(1, dtype=int), ()).t[0] - t[0]) * xi
         assert np.max(np.abs(t - affine)) <= 1e-15 * np.max(np.abs(t))
 
 
@@ -695,6 +696,21 @@ class TestUnbuildableDevice:
             hamiltonian.solve_stack(self.DEVICE, [0.0, math.nan], [1.3, 1.3])
         with pytest.raises(ValueError, match=re.escape(self.MESSAGE)):
             solve(self.DEVICE)
+
+    # Only a ValueError is the device's own failure.  Any other error is a
+    # fault of the program: it propagates from where it is raised, and is
+    # neither spread over the rows nor kept and raised again for the first.
+    @pytest.mark.parametrize("call", [
+        lambda: cli.main(["exchange-tilt", "--eps-range", "0:0.02:0.01"]),
+        lambda: calibrate_many([("tilt", 0.242), ("barrier", 0.242)]),
+    ], ids=["exchange-tilt", "calibrate_many"])
+    def test_an_error_that_is_not_the_devices_propagates(self, monkeypatch, call):
+        def broken(hp, mode=AssemblyMode.PAPER):
+            raise TypeError("injected")
+        monkeypatch.setattr(hamiltonian, "assemble_matrix", broken)
+        with pytest.raises(TypeError, match="injected") as raised:
+            call()
+        assert "_raise_first" not in {frame.name for frame in traceback.extract_tb(raised.tb)}
 
 
 class TestJGhz:
