@@ -192,6 +192,10 @@ def cmd_spectrum(args) -> int:
                          "there is no impurity to charge")
     eps_values = _parse_range(args.eps_range)
     xi_values = [1.3, 1.0] if args.xi_range is None else _parse_range(args.xi_range)
+    points = len(eps_values) * len(xi_values)
+    if points > MAX_GRID_POINTS:
+        raise ValueError(f"--eps-range and --xi-range make {points} points, more than "
+                         f"{MAX_GRID_POINTS}")
     epsilon, xi = (a.ravel() for a in np.meshgrid(eps_values, xi_values))  # xi outermost
     imp_rows, imps = (None, []) if imp is None else (np.ones(len(xi), int), [imp])
     J, evals, _, failed = solve_stack(base, epsilon, xi, imp_rows, imps, mode)
@@ -304,6 +308,10 @@ def cmd_impurity_scan(args) -> int:
                  if args.radii is None else [float(r) for r in args.radii.split(",")])
     except ValueError:
         raise ValueError(f"--radii expects comma-separated numbers, got {args.radii!r}") from None
+    impurities = len(_SCAN_DIRECTIONS) * len(radii)
+    if impurities > MAX_GRID_POINTS:
+        raise ValueError(f"--radii places {impurities} impurities, {len(_SCAN_DIRECTIONS)} per "
+                         f"radius, more than {MAX_GRID_POINTS}")
     _finite("--J-mhz", [args.J_mhz], positive=True)
     _finite("--radii", radii, positive=True)
     for r in radii:  # each impurity sits at r * a nm
@@ -345,7 +353,11 @@ def cmd_potential_profile(args) -> int:
     x_spec = (f"{_fmt(-3 * base.a)}:{_fmt(3 * base.a)}:{_fmt(base.a / 50)}"
               if args.x_range is None else args.x_range)
     xs = _parse_range(x_spec)
-    values = eval_potential(np.asarray(xs), args.y_nm, base)
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = eval_potential(np.asarray(xs), args.y_nm, base)
+    for i in np.flatnonzero(~np.isfinite(values))[:1].tolist():  # the first, in grid order
+        return _report([f"dqdsim: error at x {_fmt(xs[i])} nm, y {_fmt(args.y_nm)} nm: "
+                        f"V = {_fmt(values[i])} meV is not finite"])
     header = _provenance(args, base, None, None, (
         f"x_range_nm = {x_spec}",
         f"y_nm = {_fmt(args.y_nm)}",

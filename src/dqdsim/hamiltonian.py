@@ -245,10 +245,7 @@ def _rotate(A: np.ndarray) -> np.ndarray:
     until its upper off-diagonal's norm is at most 1e-14 max(1, max |A|) or
     for 60 sweeps; one it skips (|a_pq| <= 1e-300) is masked out, never
     applied as an identity (which turns -0 into +0).  A rotation R is two
-    BLAS products, R^T A in place, then A R.  A stack of one matrix goes to
-    _rotate_one, which gives the same bits and warnings."""
-    if len(A) == 1:
-        return _rotate_one(A)
+    BLAS products, R^T A in place, then A R."""
     n = A.shape[-1]
     out, (upper, pairs) = np.empty_like(A), _upper(n)
     # The matrices still rotating: their indices, state, tolerance and identities.
@@ -269,7 +266,12 @@ def _rotate(A: np.ndarray) -> np.ndarray:
                 continue
             if skipped:
                 apq = np.where(skip, 1.0, apq)
-            c, s = _angle((A[:, q, q] - A[:, p, p]) / (2.0 * apq), np.sqrt, np.copysign)
+            # tan(phi) of tau = (a_qq - a_pp) / 2 a_pq takes tau's sign, -0
+            # counting as positive like +0.
+            tau = (A[:, q, q] - A[:, p, p]) / (2.0 * apq)
+            tphi = np.copysign(1.0 / (np.abs(tau) + np.sqrt(1.0 + tau * tau)), tau + 0.0)
+            c = 1.0 / np.sqrt(1.0 + tphi * tphi)
+            s = tphi * c
             rot = eye.copy()
             rot[:, p, p] = rot[:, q, q] = c
             rot[:, p, q], rot[:, q, p] = s, -s
@@ -280,49 +282,6 @@ def _rotate(A: np.ndarray) -> np.ndarray:
                 A[skip] = kept
     out[live] = A
     return out
-
-
-def _angle(tau, sqrt, copysign):
-    """(cos phi, sin phi) of the rotation with tau = (a_qq - a_pp) / 2 a_pq,
-    on arrays (np.sqrt, np.copysign) or on Python floats (math's)."""
-    # tan(phi) takes the sign of tau, -0 counting as positive like +0.
-    tphi = copysign(1.0 / (abs(tau) + sqrt(1.0 + tau * tau)), tau + 0.0)
-    c = 1.0 / sqrt(1.0 + tphi * tphi)
-    return c, tphi * c
-
-
-def _rotate_one(A: np.ndarray) -> np.ndarray:
-    """_rotate on a stack A (1, n, n), bit for bit: the same sweeps,
-    convergence test, skip rule and two BLAS products per rotation, on the
-    2-D matrix, with each rotation's angle on Python floats, whose +, -, *,
-    /, sqrt and copysign round as numpy's do.  Python floats overflow and
-    underflow without numpy's warnings, so a tau outside 1e-150 <= |tau| <
-    1e150 (but for an exact 0), where some step of the angle may, takes the
-    angle on a one-element array, with numpy's warnings; a Python ** would
-    raise instead, so the convergence sum stays _off_norm2's."""
-    a, n = A[0], A.shape[-1]
-    (upper, pairs), eye = _upper(n), np.eye(n)
-    limit = 1e-14 * max(1.0, np.abs(a).max().item())
-    for _ in range(60):
-        if math.sqrt(_off_norm2(a[None], upper).item()) <= limit:
-            break
-        for p, q in pairs:
-            apq = a.item(p, q)
-            if abs(apq) <= 1e-300:
-                continue
-            diff = a.item(q, q) - a.item(p, p)
-            tau = diff / (2.0 * apq)
-            if 1e-150 <= abs(tau) < 1e150 or diff == 0.0:
-                c, s = _angle(tau, math.sqrt, math.copysign)
-            else:
-                tau = (a[q:q + 1, q] - a[p:p + 1, p]) / (2.0 * apq)
-                c, s = (x.item() for x in _angle(tau, np.sqrt, np.copysign))
-            rot = eye.copy()
-            rot[p, p] = rot[q, q] = c
-            rot[p, q], rot[q, p] = s, -s
-            np.matmul(rot.T, a, out=a)
-            a = a @ rot
-    return a[None]
 
 
 class SpectrumResult(NamedTuple):

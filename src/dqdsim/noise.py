@@ -5,6 +5,7 @@ failed, with a map from each failed row to its exception (see _table); the
 public calls raise the exception of their first failed row instead."""
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import numbers
@@ -369,6 +370,15 @@ def _grid_size(name: str, n: int) -> None:
         raise ValueError(f"{name} must be {bound}, got {n}")
 
 
+@functools.lru_cache(maxsize=16)
+def _j0_ghz(base: DeviceParams, mode: AssemblyMode) -> float:
+    """J0 [GHz], the clean J at epsilon = 0 on the device's own barrier, once
+    per device and mode; a device whose J0 fails raises, and is not kept."""
+    js, failed = _j_ghz(base, [control_values("tilt", base, 0.0)], mode)
+    (j0,) = _raise_first(failed, js)
+    return j0
+
+
 def matched_j_grid(base: DeviceParams, n: int = 25, j_max_ghz: float = 1.0,
                    mode: AssemblyMode = AssemblyMode.PAPER) -> np.ndarray:
     """Geometric grid of n points from the common starting point J0 up to j_max."""
@@ -377,8 +387,7 @@ def matched_j_grid(base: DeviceParams, n: int = 25, j_max_ghz: float = 1.0,
     _grid_size("n", n)
     if not 0 < j_max_ghz < math.inf:
         raise ValueError(f"j_max_ghz must be positive and finite, got {j_max_ghz}")
-    js, failed = _j_ghz(base, [control_values("tilt", base, 0.0)], mode)
-    (j0,) = _raise_first(failed, js)
+    j0 = _j0_ghz(base, mode)
     if not 0 < j0 < math.inf:
         raise ValueError(f"{AssemblyMode(mode).value} mode: the matched-J grid starts at "
                          f"J0 = J(epsilon = 0) = {j0:.6g} GHz, which must be positive and finite")

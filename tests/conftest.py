@@ -14,6 +14,7 @@ from dqdsim import (
     default_impurity,
     derive_constants,
     hamiltonian,
+    noise,
 )
 from dqdsim.integrals import _device_integrals
 
@@ -53,8 +54,10 @@ def tables(params):
 def eigen_stacks(monkeypatch):
     """start(): from then on, a copy of every stack (N, n, n) that a solve
     hands to hamiltonian.jacobi_eigh, the one levels step, in call order.
-    Tests count the eigen step here, never inside the eigensolver."""
+    Tests count the eigen step here, never inside the eigensolver.  start
+    forgets every J0 kept so far, so a matched-J grid solves its own."""
     def start() -> list:
+        noise._j0_ghz.cache_clear()
         stacks, real = [], hamiltonian.jacobi_eigh
         monkeypatch.setattr(hamiltonian, "jacobi_eigh",
                             lambda H: stacks.append(np.array(H)) or real(H))

@@ -925,6 +925,16 @@ class TestFlags:
         assert len(stacks) == count
         assert [len(H) for H in stacks] == self.MATRICES[" ".join(argv)]
 
+    # J0 is solved once per device and mode in a process: a second
+    # noise-compare hands the eigensolver only its calibration stack, and
+    # writes the same bytes.
+    def test_a_second_noise_compare_solves_no_j0(self, eigen_stacks, tmp_path):
+        stacks, outs = eigen_stacks(), [tmp_path / "first.csv", tmp_path / "second.csv"]
+        for out in outs:
+            assert main(["noise-compare", "--out", str(out)]) == 0
+        assert [len(H) for H in stacks] == [*self.MATRICES["noise-compare"], 106]
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+
     # impurity-scan checks its target, its radii and the impurities they
     # place before any model is built (so before a calibration can fail);
     # potential-profile checks its cut before it evaluates the potential.
@@ -955,6 +965,53 @@ class TestFlags:
         out = tmp_path / "out.csv"
         assert main([*flags, "--out", str(out)]) == 2
         assert f"dqdsim: error: {message}\n" in capsys.readouterr().err
+        assert not out.exists()
+
+    # spectrum's two ranges multiply, and impurity-scan places three
+    # impurities per radius: past MAX_GRID_POINTS together, the flags are
+    # named before any point is solved, and at the bound the command runs.
+    @pytest.mark.parametrize("flags,points", [
+        (("spectrum", "--eps-range", "0:1:0.001", "--xi-range", "0:1:0.001"), 1_002_001),
+        (("spectrum", "--eps-range", "0:999:1", "--xi-range", "0:99:1"), 100_000),
+        (("spectrum", "--eps-range", "0:99999:1", "--xi-range", "0:0:1"), 100_000),
+        (("spectrum", f"--eps-range=0:{MAX_GRID_POINTS // 2}:1"), 100_002),
+        (("impurity-scan", "--radii", ",".join(["2"] * 40_000)), 120_000),
+        (("impurity-scan", "--radii", ",".join(["2"] * 33_333)), 99_999),
+        (("impurity-scan", "--radii", ",".join(["2"] * 33_334)), 100_002),
+    ], ids=["spectrum-1002001", "spectrum-100000", "spectrum-one-xi", "spectrum-default-xi",
+            "impurity-scan-120000", "impurity-scan-99999", "impurity-scan-100002"])
+    def test_a_grid_past_the_bound_together_is_named_unsolved(self, flags, points, monkeypatch,
+                                                              tmp_path, capsys):
+        class Solved(Exception):
+            pass
+
+        def solved(*args, **kwargs):
+            raise Solved
+        monkeypatch.setattr(cli, "solve_stack", solved)
+        monkeypatch.setattr(cli, "_calibrated", solved)
+        out = tmp_path / "out.csv"
+        if points <= MAX_GRID_POINTS:
+            with pytest.raises(Solved):
+                main([*flags, "--out", str(out)])
+            return
+        assert main([*flags, "--out", str(out)]) == 2
+        message = {"spectrum": f"--eps-range and --xi-range make {points} points",
+                   "impurity-scan": f"--radii places {points} impurities, 3 per radius"}
+        assert capsys.readouterr() == ("", f"dqdsim: error: {message[flags[0]]}, "
+                                           f"more than {MAX_GRID_POINTS}\n")
+        assert not out.exists()
+
+    # A cut whose potential overflows fails its first such point by name,
+    # unwarned, and writes no CSV.
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("flags,x,y", [(("--x-range", "0:0:1", "--y-nm", "1e300"), 0, 1e300),
+                                           (("--x-range", "1e300:1e300:1"), 1e300, 0)],
+                             ids=["y-1e300", "x-1e300"])
+    def test_a_potential_that_overflows_is_named(self, flags, x, y, tmp_path, capsys):
+        out = tmp_path / "out.csv"
+        assert main(["potential-profile", *flags, "--out", str(out)]) == 2
+        assert capsys.readouterr() == ("", f"dqdsim: error at x {x:.12g} nm, y {y:.12g} nm: "
+                                           "V = inf meV is not finite\n")
         assert not out.exists()
 
     # A matrix whose off-diagonal norm overflows fails by name, unwarned,

@@ -14,13 +14,25 @@ leaves them green and a change that breaks the account turns them red:
   grows towards the top of its grid.
 * a09's diagonal barrier clause needs |dJ/J| to fall from R = 1.5a to 2a,
   but the impurity's hop shift Zt12 changes sign in between.
+
+test_a06 and test_a08 fail only through the strength of the reference
+impurity: with the same impurity at q = -0.1 or -0.01 every clause of both
+holds.  At q = -1, a06 fails only its "tilt strictly increasing" clause,
+and a08's full simulation only its Q_tilt spread, which is 2.6459.
 """
 import math
 
 import numpy as np
 import pytest
 
-from dqdsim import DeviceParams, Impurity, hubbard_parameters
+from dqdsim import (
+    DeviceParams,
+    Impurity,
+    default_impurity,
+    hubbard_parameters,
+    improvement_factors,
+    matched_j_grid,
+)
 
 A05_BARRIER_GRID = [float(xi) for xi in np.arange(0.5, 1.3001, 0.1)]
 
@@ -52,3 +64,47 @@ def test_the_hop_shift_changes_sign_on_a09s_diagonal():
             for r in (1.5, 2.0)]
     assert zt12 == pytest.approx([0.00502, -0.01627], rel=0, abs=5e-5)
     assert zt12[0] > 0.0 > zt12[1]
+
+
+Q_IDS = ["q=-0.1", "q=-0.01", "q=-1"]
+
+
+def matched_records(q: float, grid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(chi, |rel_tilt|, |rel_barrier|) on the default device at each J of
+    grid [GHz], with the reference impurity's position at charge q."""
+    base = DeviceParams()
+    recs = improvement_factors([float(j) for j in grid], default_impurity(base, q), base)
+    return tuple(np.abs([[getattr(r, name) for r in recs]
+                         for name in ("chi", "rel_tilt", "rel_barrier")]))
+
+
+# a06's grid and clauses, each met by a margin: chi(J0) = 1 within 1e-7
+# (bound 1e-6); chi, |rel_tilt| and |rel_barrier| step up, up and down by
+# at least 1% at every point (bounds: any step, strictly); the largest chi
+# in [0.1, 1] GHz is at least 20 (bound 10).
+@pytest.mark.parametrize("q,tilt_rises", [(-0.1, True), (-0.01, True), (-1.0, False)],
+                         ids=Q_IDS)
+def test_a06s_clauses_fail_only_at_q_minus_1_and_only_for_the_tilt(q, tilt_rises):
+    grid = matched_j_grid(DeviceParams(), n=25, j_max_ghz=1.0)
+    chi, tilt, barrier = matched_records(q, grid)
+    assert abs(chi[0] - 1.0) <= 1e-7
+    assert np.all(chi[1:] >= 1.01 * chi[:-1])
+    assert np.all(barrier[1:] <= 0.99 * barrier[:-1])
+    assert chi[(0.1 <= grid) & (grid <= 1.0)].max() >= 20.0
+    tilt_step = (tilt[1:] / tilt[:-1]).min()
+    assert tilt_step >= 1.01 if tilt_rises else tilt_step <= 0.99
+
+
+# a08's full simulation on 150-300 MHz: Q_barrier steps up by at least 1%
+# at every point, and the spread max Q_tilt / min Q_tilt decides the test
+# (bound 2).  Q = 1 / (sqrt(2) pi |rel|) at matched J, so the spread of
+# Q_tilt is that of 1 / |rel_tilt|.
+@pytest.mark.parametrize("q,spread", [(-0.1, 1.8457), (-0.01, 1.8025), (-1.0, 2.6459)],
+                         ids=Q_IDS)
+def test_a08s_q_tilt_spread_decides_it_at_q_minus_1(q, spread):
+    _, tilt, barrier = matched_records(q, np.linspace(0.150, 0.300, 7))
+    q_barrier = 1.0 / barrier
+    assert np.all(q_barrier[1:] >= 1.01 * q_barrier[:-1])
+    measured = tilt.max() / tilt.min()
+    assert measured == pytest.approx(spread, rel=0, abs=5e-4)
+    assert (measured < 2.0) == (q != -1.0)

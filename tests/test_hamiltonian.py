@@ -481,9 +481,9 @@ class TestStackedJacobi:
         for H in list(stacks):  # check_stack's own calls are recorded too
             check_stack(H)
 
-    # _rotate takes a stack of one matrix on its own path, each rotation's
-    # angle on Python floats: matrix k alone must come out with the bits of
-    # row k of the whole stack, which the array path rotates.
+    # _rotate takes every stack, a stack of one included, on its one array
+    # path: matrix k alone must come out with the bits of row k of the
+    # whole stack.
     def test_a_stack_of_one_rotates_as_row_k_of_a_stack(self, impurity):
         stacks = []
         for mode in AssemblyMode:
@@ -512,8 +512,8 @@ class TestStackedJacobi:
                                  [whole[k:k + 1]]), (H.shape, k)
 
     # Where a step of a rotation's angle overflows or underflows, numpy warns
-    # (as its error state says) and Python floats do not, so a lone matrix
-    # takes that angle on numpy: it warns alike alone and in a stack of two.
+    # as its error state says, once per step however many matrices it holds:
+    # a matrix warns alike alone and in a stack of two.
     # A tiny a_01 overflows tau * tau; a large one underflows tau.
     @pytest.mark.parametrize("a01, a11, errstate, first", [
         (1e-200, 1.0, {}, "overflow encountered in multiply"),
@@ -604,8 +604,7 @@ class TestStackedJacobi:
 
     # No shape is checked: a stack (N, n, n) of symmetric matrices, n >= 2,
     # gives N rows of n ascending levels, each matrix's as it has them alone
-    # and as the lone loop finds them, and is left as it was given.  Stacks
-    # of one take the Python-float path, the others the array path.
+    # and as the lone loop finds them, and is left as it was given.
     @pytest.mark.parametrize("shape", [(0, 4), (1, 2), (1, 3), (1, 5), (1, 6), (2, 2), (3, 3),
                                        (9, 4), (4, 5), (3, 6)])
     def test_a_stack_of_any_size_matches_lone_jacobi(self, shape):
@@ -624,17 +623,27 @@ class TestStackedJacobi:
         # alike.  One levels path: of the package's functions, only
         # jacobi_eigh rotates, so the span that perfbench's tracer puts on it
         # holds every eigen step; and only solve_stack takes levels and J, so
-        # it is the one place that knows the eigensolver.
+        # it is the one place that knows the eigensolver.  One Jacobi path:
+        # of hamiltonian's own functions _rotate calls only _upper and
+        # _off_norm2, so no second path for some stack size can return.  And
+        # J0 is solved once per device and mode, for matched_j_grid alone.
         steps = {"_device_integrals": set(), "einsum": set(), "_model": set(),
-                 "_rotate": set(), "jacobi_eigh": set(), "_exchange": set()}
+                 "_rotate": set(), "jacobi_eigh": set(), "_exchange": set(), "_j0_ghz": set()}
+        rotate_calls = set()
         for path in pathlib.Path(hamiltonian.__file__).parent.glob("*.py"):
-            for fn in ast.walk(ast.parse(path.read_text())):
+            tree = ast.parse(path.read_text())
+            own = {fn.name for fn in tree.body if isinstance(fn, ast.FunctionDef)}
+            for fn in ast.walk(tree):
                 if isinstance(fn, ast.FunctionDef):
                     for node in ast.walk(fn):
                         if isinstance(node, ast.Call):
-                            for name in {getattr(node.func, "id", None),
-                                         getattr(node.func, "attr", None)} & steps.keys():
+                            names = {getattr(node.func, "id", None),
+                                     getattr(node.func, "attr", None)}
+                            for name in names & steps.keys():
                                 steps[name].add((path.name, fn.name))
+                            if (path.name, fn.name) == ("hamiltonian.py", "_rotate"):
+                                rotate_calls |= names & own
+        assert rotate_calls == {"_upper", "_off_norm2"}
         assert steps == {
             "_device_integrals": {("hamiltonian.py", "_device"),
                                   *(("integrals.py", f"{kind}_element")
@@ -644,7 +653,8 @@ class TestStackedJacobi:
                        ("crosscheck.py", "fresh_model")},
             "_rotate": {("hamiltonian.py", "jacobi_eigh")},
             "jacobi_eigh": {("hamiltonian.py", "solve_stack")},
-            "_exchange": {("hamiltonian.py", "solve_stack")}}
+            "_exchange": {("hamiltonian.py", "solve_stack")},
+            "_j0_ghz": {("noise.py", "matched_j_grid")}}
 
 
 @pytest.mark.filterwarnings("error")

@@ -697,6 +697,17 @@ class TestUnbuildableDevice:
         with pytest.raises(ValueError, match=re.escape(self.MESSAGE)):
             solve(self.DEVICE)
 
+    # J0 is kept only once solved: each matched-J grid on this device solves
+    # it again, and fails again with the same message.
+    def test_a_failed_j0_fails_again_on_the_next_call(self, monkeypatch):
+        solves, real = [], noise.solve_stack
+        monkeypatch.setattr(noise, "solve_stack", lambda *args: solves.append(args) or real(*args))
+        for _ in range(2):
+            with pytest.raises(ValueError) as err:
+                matched_j_grid(self.DEVICE)
+            assert str(err.value) == self.MESSAGE
+        assert len(solves) == 2
+
     # Only a ValueError is the device's own failure.  Any other error is a
     # fault of the program: it propagates from where it is raised, and is
     # neither spread over the rows nor kept and raised again for the first.
