@@ -5,7 +5,7 @@ two (1,1) spin configurations, and the (2,0) singlet.  The unpolarized
 triplet T0 = (0, 1, -1, 0)/sqrt(2) is an exact eigenvector, and its energy
 is its eigenvalue H11 - H12; J is T0's level minus the lowest other one.
 
-Two assembly modes:
+Two assembly modes, which _mode_terms alone tells apart:
 
 * "paper": hopping -t + Z_t12 on all four off-diagonal entries coupling
   (1,1) to the doubly occupied states, zeros elsewhere;
@@ -166,22 +166,23 @@ def hubbard_parameters(params: DeviceParams, imp: Impurity | None = None) -> Hub
     return hp
 
 
+def _mode_terms(hp: HubbardParams, mode: AssemblyMode) -> tuple:
+    """(K, corr_hop1, corr_hop2) in mode: the model's own in full mode, 0 in
+    paper mode; AssemblyMode(mode) raises ValueError for any other mode."""
+    if AssemblyMode(mode) == AssemblyMode.FULL:
+        return hp.exchange_k, hp.corr_hop1, hp.corr_hop2
+    return 0.0, 0.0, 0.0
+
+
 def assemble_matrix(hp: HubbardParams, mode: AssemblyMode = AssemblyMode.PAPER) -> np.ndarray:
     """The 4x4 matrix of the model; fields that are arrays over points give
     a stack of matrices (..., 4, 4)."""
     d02 = hp.U2 - 2 * hp.mu2 + 2 * hp.Zt2
     d11 = hp.U12 - hp.mu1 - hp.mu2 + hp.Zt1 + hp.Zt2
     d20 = hp.U1 - 2 * hp.mu1 + 2 * hp.Zt1
-
-    if mode == AssemblyMode.PAPER:
-        hop2 = hop1 = -hp.t + hp.Zt12
-        k = 0.0
-    elif mode == AssemblyMode.FULL:
-        hop2 = -hp.t + hp.corr_hop2 + hp.Zt12   # (0,2) <-> (1,1)
-        hop1 = -hp.t + hp.corr_hop1 + hp.Zt12   # (1,1) <-> (2,0)
-        k = hp.exchange_k
-    else:  # pragma: no cover
-        raise ValueError(mode)
+    k, c1, c2 = _mode_terms(hp, mode)
+    hop2 = -hp.t + c2 + hp.Zt12   # (0,2) <-> (1,1)
+    hop1 = -hp.t + c1 + hp.Zt12   # (1,1) <-> (2,0)
 
     H = np.zeros(np.broadcast(d02, d11, d20, hop1, hop2, k).shape + (4, 4))
     H[..., 0, 0], H[..., 3, 3] = d02, d20
@@ -208,9 +209,9 @@ def _upper(n: int) -> tuple:
 
 def _off_norm2(A: np.ndarray, upper) -> np.ndarray:
     """Jacobi's convergence measure of each matrix of a stack (N, n, n): the
-    squares of its upper off-diagonal entries, added in order.  float_power
-    rounds like a lone scalar's ** 2, x * x may not."""
-    return np.add.accumulate(np.float_power(A[:, upper[0], upper[1]], 2), axis=1)[:, -1]
+    squares of its upper off-diagonal entries, each correctly rounded (as
+    lone_jacobi in the tests squares them), added in order."""
+    return np.add.accumulate(np.square(A[:, upper[0], upper[1]]), axis=1)[:, -1]
 
 
 def _faults(A: np.ndarray) -> dict[int, str]:

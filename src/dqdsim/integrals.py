@@ -74,10 +74,10 @@ def i0e(x):
         active = np.ones(xb.shape, dtype=bool)
         for k in range(1, 60):
             nxt = term * (2 * k - 1) ** 2 / (8.0 * k * xb)
-            active &= np.abs(nxt) < np.abs(term)
+            active &= nxt < term  # every term is positive, as x >= 20
             np.add(acc, nxt, out=acc, where=active)
             term = nxt
-            if k % 8 == 0 and (not active.any() or np.abs(term[active]).max() < 1e-17):
+            if k % 8 == 0 and (not active.any() or term[active].max() < 1e-17):
                 break
         out[~small] = acc / np.sqrt(2.0 * np.pi * xb)
 

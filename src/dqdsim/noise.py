@@ -13,8 +13,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .hamiltonian import (AssemblyMode, _device, _model, _raise_first, hubbard_parameters,
-                          in_ghz, solve_stack)
+from .hamiltonian import (AssemblyMode, _device, _mode_terms, _model, _raise_first,
+                          hubbard_parameters, in_ghz, solve_stack)
 from .model import MEV_TO_GHZ, DeviceParams, Impurity, control_point, control_values
 
 DEFAULT_IMPURITY_SCALE = 6.0  # R_c = (-6a, 6a) is the reference noise source
@@ -154,8 +154,7 @@ def _roots(tilt, targets, lo, hi, base: DeviceParams, mode: AssemblyMode) -> np.
     # The model at xi = base.xi, 0 and 1 of the device at epsilon = xi = 0.
     hp = _model(_device(control_point("barrier", base, 0.0)), np.zeros(3),
                 np.array([xi0, 0.0, 1.0]), np.zeros(3, dtype=int), ())
-    k, c1, c2 = ((hp.exchange_k, hp.corr_hop1, hp.corr_hop2) if mode == AssemblyMode.FULL
-                 else (0.0, 0.0, 0.0))
+    k, c1, c2 = _mode_terms(hp, mode)
     a1, a2 = hp.U1 - hp.U12, hp.U2 - hp.U12
     # The diagonal of B + J is (P - D, m, Q + D), so with A = P - D and C = Q + D
     # det(B + J) = m (A C - K^2) - s1^2 A - s2^2 C + 2 K s1 s2.  A root at
@@ -387,7 +386,7 @@ def matched_j_grid(base: DeviceParams, n: int = 25, j_max_ghz: float = 1.0,
     _grid_size("n", n)
     if not 0 < j_max_ghz < math.inf:
         raise ValueError(f"j_max_ghz must be positive and finite, got {j_max_ghz}")
-    j0 = _j0_ghz(base, mode)
+    j0 = _j0_ghz(control_point("tilt", base, 0.0), mode)  # keyed at epsilon = 0
     if not 0 < j0 < math.inf:
         raise ValueError(f"{AssemblyMode(mode).value} mode: the matched-J grid starts at "
                          f"J0 = J(epsilon = 0) = {j0:.6g} GHz, which must be positive and finite")

@@ -15,6 +15,11 @@ leaves them green and a change that breaks the account turns them red:
 * a09's diagonal barrier clause needs |dJ/J| to fall from R = 1.5a to 2a,
   but the impurity's hop shift Zt12 changes sign in between.
 
+* a05's barrier clause and a09's "barrier <= tilt" at R = 3a on the
+  transverse axis fail only through the strength of the reference impurity:
+  at q = -0.1 and -0.01 (a09: -0.01) they hold.  a05's eps = 0.80 meV tilt
+  point, 1.02 Delta U, exceeds a05's band even in linear response.
+
 test_a06 and test_a08 fail only through the strength of the reference
 impurity: with the same impurity at q = -0.1 or -0.01 every clause of both
 holds.  At q = -1, a06 fails only its "tilt strictly increasing" clause,
@@ -28,10 +33,14 @@ import pytest
 from dqdsim import (
     DeviceParams,
     Impurity,
+    calibrate_barrier,
+    calibrate_tilt,
     default_impurity,
+    delta_J,
     hubbard_parameters,
     improvement_factors,
     matched_j_grid,
+    sweep,
 )
 
 A05_BARRIER_GRID = [float(xi) for xi in np.arange(0.5, 1.3001, 0.1)]
@@ -108,3 +117,44 @@ def test_a08s_q_tilt_spread_decides_it_at_q_minus_1(q, spread):
     measured = tilt.max() / tilt.min()
     assert measured == pytest.approx(spread, rel=0, abs=5e-4)
     assert (measured < 2.0) == (q != -1.0)
+
+
+# a05's barrier clause (|dJ/J| < 0.01 at every xi of its grid) holds with the
+# reference impurity's position at a weaker charge, its largest value (at xi
+# = 1.3 meV, the top of the grid) at most 0.95 of the bound.  |dJ/J| is close
+# to linear in q here: the largest is 0.0919 at q = -1.
+@pytest.mark.parametrize("q,largest", [(-0.1, 0.008915), (-0.01, 0.000889)],
+                         ids=Q_IDS[:2])
+def test_a05s_barrier_clause_holds_at_a_weaker_charge(q, largest):
+    base = DeviceParams()
+    recs = sweep("barrier", A05_BARRIER_GRID, base, default_impurity(base, q))
+    rel = np.abs([r.rel_noise for r in recs])
+    assert rel.max() == rel[-1] == pytest.approx(largest, rel=1e-3)
+    assert rel.max() <= 0.95 * 0.01
+
+
+# a09's "barrier <= tilt" at R = 3a on the transverse axis, at matched J =
+# 242 MHz: barrier over tilt is 0.376 at q = -0.01, at most half the bound
+# of 1 (at q = -1 it is 7.67, the clause a09 fails).
+def test_a09s_transverse_barrier_is_below_tilt_at_q_minus_0_01():
+    base = DeviceParams()
+    eps_star, xi_star = calibrate_tilt(0.242), calibrate_barrier(0.242)
+    imp = Impurity(0.0, 3.0 * base.a, -0.01)
+    tilt = abs(delta_J("tilt", eps_star, base, imp).rel_noise)
+    barrier = abs(delta_J("barrier", xi_star, base, imp).rel_noise)
+    assert barrier / tilt == pytest.approx(0.3762, abs=5e-4)
+    assert barrier <= 0.5 * tilt
+
+
+# a05's tilt band tops out at 0.9.  Its eps = 0.80 meV point exceeds that in
+# linear response: d(dJ/J)/dq at q = 0, a central difference at q = +-1e-3,
+# gives |dJ/J| = 1.0256 per unit charge, more than 1.1 times the bound, so
+# the reference impurity's q = -1 alone puts it out of the band (its full
+# response is 1.0811).
+def test_a05s_tilt_point_at_0_80_mev_exceeds_the_band_in_linear_response():
+    base, h = DeviceParams(), 1e-3
+    up, down = (delta_J("tilt", 0.80, base, default_impurity(base, q)).rel_noise
+                for q in (h, -h))
+    linear = abs(up - down) / (2.0 * h)
+    assert linear == pytest.approx(1.0256, abs=5e-4)
+    assert linear >= 1.1 * 0.9

@@ -92,7 +92,7 @@ def lone_jacobi(A, tol=1e-14, max_sweeps=60):
     V = np.eye(n)
     scale = max(1.0, np.abs(A).max())
     for _ in range(max_sweeps):
-        off = math.sqrt(sum(A[p, q] ** 2 for p in range(n) for q in range(p + 1, n)))
+        off = math.sqrt(sum(A[p, q] * A[p, q] for p in range(n) for q in range(p + 1, n)))
         if off <= tol * scale:
             break
         for p in range(n - 1):
@@ -374,6 +374,14 @@ class TestAssembly:
         k = hp.exchange_k if mode == AssemblyMode.FULL else 0.0
         assert lam == pytest.approx(d11 - k, rel=1e-14)
 
+    # The paper/full choice is AssemblyMode's: any other mode is refused by it.
+    @pytest.mark.parametrize("mode", ["truncated", "PAPER", None])
+    def test_a_mode_neither_paper_nor_full_is_refused(self, params, mode):
+        hp = hubbard_parameters(params)
+        with pytest.raises(ValueError, match="is not a valid AssemblyMode"):
+            assemble_matrix(hp, mode)
+        assert same_bits([assemble_matrix(hp, "paper")], [assemble_matrix(hp, AssemblyMode.PAPER)])
+
     def test_t0_vector_is_normalized_singlet_triplet_combination(self):
         np.testing.assert_allclose(
             T0_VECTOR, np.array([0.0, 1.0, -1.0, 0.0]) / np.sqrt(2.0), atol=1e-16)
@@ -627,11 +635,16 @@ class TestStackedJacobi:
         # of hamiltonian's own functions _rotate calls only _upper and
         # _off_norm2, so no second path for some stack size can return.  And
         # J0 is solved once per device and mode, for matched_j_grid alone.
+        # One paper/full switch, read by the assembly and the closed-form
+        # calibrations; and Jacobi squares plainly (no float_power).
         steps = {"_device_integrals": set(), "einsum": set(), "_model": set(),
-                 "_rotate": set(), "jacobi_eigh": set(), "_exchange": set(), "_j0_ghz": set()}
+                 "_rotate": set(), "jacobi_eigh": set(), "_exchange": set(), "_j0_ghz": set(),
+                 "_mode_terms": set()}
         rotate_calls = set()
         for path in pathlib.Path(hamiltonian.__file__).parent.glob("*.py"):
-            tree = ast.parse(path.read_text())
+            text = path.read_text()
+            assert "float_power" not in text, path.name
+            tree = ast.parse(text)
             own = {fn.name for fn in tree.body if isinstance(fn, ast.FunctionDef)}
             for fn in ast.walk(tree):
                 if isinstance(fn, ast.FunctionDef):
@@ -654,7 +667,8 @@ class TestStackedJacobi:
             "_rotate": {("hamiltonian.py", "jacobi_eigh")},
             "jacobi_eigh": {("hamiltonian.py", "solve_stack")},
             "_exchange": {("hamiltonian.py", "solve_stack")},
-            "_j0_ghz": {("noise.py", "matched_j_grid")}}
+            "_j0_ghz": {("noise.py", "matched_j_grid")},
+            "_mode_terms": {("hamiltonian.py", "assemble_matrix"), ("noise.py", "_roots")}}
 
 
 @pytest.mark.filterwarnings("error")
@@ -1036,6 +1050,30 @@ class TestSolve:
             others = [e for e in res.eigenvalues
                       if abs(e - res.t0_energy) > 1e-15]
             assert res.J == pytest.approx(res.t0_energy - min(others), abs=1e-15)
+
+    # Hund-Mulliken (Burkard, Loss & DiVincenzo, PRB 59, 2070 (1999)): at
+    # epsilon = 0 a clean device is mirror-symmetric, so the singlet block's
+    # (S(0,2) - S(2,0))/sqrt 2 decouples and full-mode J is E_T0 = d11 - K
+    # less the lowest root of [[d11 + K, 2h], [2h, d02 + K]] with
+    # h = -t + corr_hop2.  Over the default device (J0 = -19.19 GHz) and 40
+    # sampled ones the gap was at most 3.8e-16 max|H|.
+    HUND_MULLIKEN_ATOL = 2e-15
+
+    def test_full_mode_j_at_zero_detuning_is_hund_mulliken(self, params):
+        rng = np.random.default_rng(0)
+        devices = [params] + [dataclasses.replace(sample_device(rng), epsilon=0.0)
+                              for _ in range(8)]
+        assert exchange_J_ghz(params, mode=AssemblyMode.FULL) == pytest.approx(-19.186, abs=1e-3)
+        for device in devices:
+            hp, res = hubbard_parameters(device), solve(device, mode=AssemblyMode.FULL)
+            d11, d02 = hp.U12 - hp.mu1 - hp.mu2, hp.U2 - 2 * hp.mu2
+            with mpmath.workdps(50):
+                a, b = mpmath.mpf(d11) + hp.exchange_k, mpmath.mpf(d02) + hp.exchange_k
+                h = mpmath.mpf(-hp.t) + hp.corr_hop2
+                root = (a + b) / 2 - mpmath.sqrt(((a - b) / 2) ** 2 + 4 * h * h)
+                want = float(mpmath.mpf(d11) - hp.exchange_k - root)
+            scale = np.abs(assemble_matrix(hp, AssemblyMode.FULL)).max()
+            assert abs(res.J - want) <= self.HUND_MULLIKEN_ATOL * scale, (device, res.J, want)
 
     # The x mirror of a clean device swaps its dots (TestMirrors).
     @settings(max_examples=30, deadline=None)

@@ -822,6 +822,14 @@ class TestMatchedGrid:
         assert grid.tolist() == matched_j_grid(params, n=3).tolist()
         assert len(grid) == 3 and grid[-1] == pytest.approx(1.0, rel=1e-12)
 
+    # J0 is taken at epsilon = 0, so it is kept under the device at epsilon
+    # = 0: a second device that differs only in its own detuning solves none.
+    def test_a_device_differing_only_in_detuning_reuses_j0(self, eigen_stacks):
+        stacks = eigen_stacks()
+        grid = matched_j_grid(DeviceParams())
+        assert matched_j_grid(DeviceParams(epsilon=0.3)).tolist() == grid.tolist()
+        assert [len(H) for H in stacks] == [1]
+
     def test_rejects_a_negative_starting_point(self, params):
         # In full mode the default device has J0 < 0 at zero detuning.
         with pytest.raises(ValueError, match=r"full mode: .* J0 = J\(epsilon = 0\) = -19\.186"):
