@@ -28,7 +28,6 @@ from .hamiltonian import AssemblyMode, _raise_first, in_ghz, solve_stack
 from .model import _SETTINGS, DeviceParams, Impurity, _finite, config_to_objects, read_config
 from .noise import (
     MAX_GRID_POINTS,
-    CalibrationError,
     ChiRecord,
     NoiseRecord,
     QualityModel,
@@ -518,7 +517,7 @@ def main(argv=None) -> int:
         return _SUBCOMMANDS[args.subcommand][2](args)
     except Exception as exc:
         from .quadrature import OracleRefusal  # only validate runs the oracle
-        if not isinstance(exc, (CalibrationError, OracleRefusal, ValueError, OSError)):
+        if not isinstance(exc, (OracleRefusal, ValueError, OSError)):
             raise
         print(f"dqdsim: error: {exc}", file=sys.stderr)
         return 2

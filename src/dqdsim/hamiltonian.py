@@ -37,7 +37,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .integrals import _device_integrals, impurity_table
-from .model import MEV_TO_GHZ, DeviceParams, Impurity, check_controls
+from .model import MEV_TO_GHZ, DeviceParams, Impurity, _finite
 
 
 class AssemblyMode(str, enum.Enum):
@@ -129,7 +129,8 @@ def _built(device: DeviceParams, epsilon, xi, rows=None, impurities=()):
     failed: dict[int, Exception] = {}
     for i in np.flatnonzero(~finite).tolist():
         try:
-            check_controls(float(epsilon[i]), float(xi[i]))
+            _finite("epsilon", [epsilon[i]])
+            _finite("xi", [xi[i]])
         except ValueError as exc:  # names the non-finite control
             failed[i] = exc
     # Each impurity's matrix is built once; one that overflows fails its own

@@ -48,6 +48,13 @@ class DeviceParams:
         return +0.5 * self.epsilon
 
 
+def _finite(name: str, values, positive: bool = False) -> None:
+    """Reject a value that is not finite (or not positive), naming it."""
+    for v in values:
+        if not (0.0 if positive else -math.inf) < v < math.inf:
+            raise ValueError(f"{name} must be {'positive and ' * positive}finite, got {v:.12g}")
+
+
 class DerivedConstants(NamedTuple):
     """Constants computed once from a DeviceParams."""
     fock_darwin_radius: float    # a_B [nm]
@@ -65,9 +72,9 @@ class Impurity:
     q: float = -1.0
 
     def __post_init__(self):
-        for name in ("x_c", "y_c", "q"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"impurity {name} must be finite, got {getattr(self, name)}")
+        _finite("impurity x_c", [self.x_c])
+        _finite("impurity y_c", [self.y_c])
+        _finite("impurity q", [self.q])
 
 
 # -- control schemes ----------------------------------------------------------
@@ -88,20 +95,12 @@ def control_point(scheme: str, params: DeviceParams, value: float) -> DevicePara
     return dataclasses.replace(params, epsilon=epsilon, xi=xi)
 
 
-def check_controls(epsilon: float, xi: float) -> None:
-    """Reject a non-finite detuning or barrier amplitude, naming it."""
-    for name, v in (("epsilon", epsilon), ("xi", xi)):
-        if not math.isfinite(v):
-            raise ValueError(f"{name} must be finite, got {v}")
-
-
 def derive_constants(params: DeviceParams) -> DerivedConstants:
     """Populate DerivedConstants; rejects non-positive or non-finite inputs."""
     for name in ("a", "hbar_omega0", "m_eff", "eps_r"):
-        v = getattr(params, name)
-        if not 0 < v < math.inf:
-            raise ValueError(f"{name} must be positive and finite, got {v}")
-    check_controls(params.epsilon, params.xi)
+        _finite(name, [getattr(params, name)], positive=True)
+    _finite("epsilon", [params.epsilon])
+    _finite("xi", [params.xi])
     kin = HBAR2_OVER_2ME / params.m_eff            # hbar^2/(2 m*)
     a_B2 = 2.0 * kin / params.hbar_omega0          # a_B^2 = (hbar^2/m*)/(hbar w0)
     m_omega2 = params.hbar_omega0**2 / (2.0 * kin)  # m* w0^2 in meV/nm^2
@@ -193,13 +192,6 @@ def read_config(path: str) -> dict[str, str]:
                 raise ValueError(f"{path}:{lineno}: {key} is set twice")
             out[key] = val.strip()
     return out
-
-
-def _finite(name: str, values, positive: bool = False) -> None:
-    """Reject a value that is not finite (or not positive), naming it."""
-    for v in values:
-        if not (0.0 if positive else -math.inf) < v < math.inf:
-            raise ValueError(f"{name} must be {'positive and ' * positive}finite, got {v:.12g}")
 
 
 def _fields(cfg: dict[str, str], record) -> dict[str, float]:

@@ -15,7 +15,7 @@ import numpy as np
 
 from .hamiltonian import (AssemblyMode, _device, _mode_terms, _model, _raise_first,
                           hubbard_parameters, in_ghz, solve_stack)
-from .model import MEV_TO_GHZ, DeviceParams, Impurity, control_point, control_values
+from .model import MEV_TO_GHZ, DeviceParams, Impurity, _finite, control_point, control_values
 
 DEFAULT_IMPURITY_SCALE = 6.0  # R_c = (-6a, 6a) is the reference noise source
 MAX_GRID_POINTS = 100_000  # the most points of a matched-J grid or a CLI range
@@ -193,11 +193,9 @@ def _calibrated(requests, base: DeviceParams, mode: AssemblyMode, imps=()):
     that cannot be built fails every entry with its error."""
     requests, imps = list(requests), list(imps)
     schemes = [scheme for scheme, _ in requests]
-    for scheme in schemes:
-        if scheme not in ("tilt", "barrier"):
-            raise ValueError(f"unknown scheme {scheme!r}")
     brackets = {scheme: _bracket(scheme, base) for scheme in dict.fromkeys(schemes)}
-    # J0, the tilt bracket's low end, is solved with the ends.
+    # J0, the tilt bracket's low end, is solved with the ends.  control_values
+    # refuses an unknown scheme here, before any device is built.
     at_j0 = control_values("tilt", base, 0.0)
     ends = list(dict.fromkeys([*(control_values(scheme, base, c)
                                  for scheme, bracket in brackets.items() for c in bracket), at_j0]))
@@ -256,15 +254,11 @@ def _calibrated(requests, base: DeviceParams, mode: AssemblyMode, imps=()):
         calibration_failed[r] = exc
     # The index in js of J with the first impurity at each settled control,
     # and its stride to the next impurity.  An end settled on but not solved
-    # with them (nor equal to a root) is, with each, in a second stack.
-    first, stride, left = n + settled - start, np.full(n_req, n - start), []
-    for e in dict.fromkeys(settled[(0 <= settled) & (settled < start)].tolist()):
-        same = np.flatnonzero((settings[start:] == settings[e]).all(axis=1))
-        if same.size:
-            first[settled == e] = n + same[-1]
-        else:
-            first[settled == e] = len(js) + len(left)
-            left.append(e)
+    # with them is, with each, in a second stack.
+    first, stride = n + settled - start, np.full(n_req, n - start)
+    left = list(dict.fromkeys(settled[(0 <= settled) & (settled < start)].tolist()))
+    for i, e in enumerate(left):
+        first[settled == e] = len(js) + i
     if left:
         stride[np.isin(settled, left)] = len(left)
         more, more_failed = _j_ghz(base, np.tile(settings[left], (n_imps, 1)), mode,
@@ -384,8 +378,7 @@ def matched_j_grid(base: DeviceParams, n: int = 25, j_max_ghz: float = 1.0,
     if not isinstance(n, numbers.Integral):
         raise ValueError(f"n must be an integer, got {n!r}")
     _grid_size("n", n)
-    if not 0 < j_max_ghz < math.inf:
-        raise ValueError(f"j_max_ghz must be positive and finite, got {j_max_ghz}")
+    _finite("j_max_ghz", [j_max_ghz], positive=True)
     j0 = _j0_ghz(control_point("tilt", base, 0.0), mode)  # keyed at epsilon = 0
     if not 0 < j0 < math.inf:
         raise ValueError(f"{AssemblyMode(mode).value} mode: the matched-J grid starts at "
@@ -430,9 +423,10 @@ class QualityModel(NamedTuple):
 def _checked(**values) -> None:
     """Reject a value that is not finite, or a sigma that is negative, by name."""
     for name, value in values.items():
-        sigma = name.startswith("sigma")
-        if not math.isfinite(value) or (sigma and value < 0):
-            raise ValueError(f"{name} must be {'non-negative and ' * sigma}finite, got {value}")
+        if not name.startswith("sigma"):
+            _finite(name, [value])
+        elif not 0.0 <= value < math.inf:
+            raise ValueError(f"{name} must be non-negative and finite, got {value}")
 
 
 def sigma_total(j_ghz: float, model: QualityModel) -> float:

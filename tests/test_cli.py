@@ -302,6 +302,18 @@ def test_writes_to_stdout_without_out_flag():
     assert len(rows) == 4  # header + 3 grid points
 
 
+# --out - is stdout: the same bytes as a call without --out, and no file.
+def test_out_dash_writes_the_bytes_of_no_out_flag(capsysbinary, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    argv = ["exchange-tilt", "--eps-range", "0:0.1:0.05"]
+    assert main(argv) == 0
+    want = capsysbinary.readouterr()
+    assert main([*argv, "--out", "-"]) == 0
+    assert capsysbinary.readouterr() == want
+    assert want.out.startswith(b"# dqdsim ") and want.err == b""
+    assert list(tmp_path.iterdir()) == []
+
+
 # Impurity provenance (x_nm, y_nm, charge_e) of the matched-J commands.
 IMPURITY_RESOLUTION = {
     ("near-impurity",): ("-150", "50", "-0.01"),
@@ -394,9 +406,12 @@ class TestConfig:
     # On tightly confined dots J is exactly 0 in float, so every point fails
     # alone, named: a NaN row, a stderr line, and exit 2 (not 1, which is
     # validate's code for a failing check).
-    def test_a_zero_clean_j_fails_only_its_rows(self, tmp_path, capsys):
+    # At 100 meV the overlap underflows to 0, so the model's matrix is diagonal
+    # and J is 0.0 under any eigensolver; at 5 meV J is 0.0 by Jacobi's tolerance.
+    @pytest.mark.parametrize("hbar_omega0", ["5.0", "100.0"])
+    def test_a_zero_clean_j_fails_only_its_rows(self, hbar_omega0, tmp_path, capsys):
         cfg = tmp_path / "tight.cfg"
-        cfg.write_text("device.hbar_omega0_mev = 5.0\n")
+        cfg.write_text(f"device.hbar_omega0_mev = {hbar_omega0}\n")
         out = tmp_path / "out.csv"
         assert main(["exchange-tilt", "--config", str(cfg), "--eps-range", "0:0.1:0.05",
                      "--out", str(out)]) == 2

@@ -889,10 +889,14 @@ class TestT0ByEnergy:
         check_exact(built_matrices(device, epsilon, xi, rows, impurities, mode), evals, J)
         return J
 
-    # The hop is some 1e-17 meV, so T0 and the lowest singlet are degenerate.
+    # At 5 meV the hop is some 1e-17 meV, so T0 and the lowest singlet are
+    # degenerate to Jacobi's tolerance.  At 100 meV the overlap underflows to
+    # 0, so the hop, K and the correlated hops are 0 and the matrix is
+    # diagonal, with or without the impurity: J is 0 in the float model.
     @pytest.mark.parametrize("mode", list(AssemblyMode))
-    def test_a_tightly_confined_device_where_j_is_zero(self, impurity, mode):
-        device = DeviceParams(hbar_omega0=5.0)
+    @pytest.mark.parametrize("hbar_omega0", [5.0, 100.0])
+    def test_a_tightly_confined_device_where_j_is_zero(self, impurity, hbar_omega0, mode):
+        device = DeviceParams(hbar_omega0=hbar_omega0)
         J = self.check(device, [device.epsilon] * 2, [device.xi] * 2, [0, 1], [impurity], mode)
         assert J[0] == 0.0
 

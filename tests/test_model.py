@@ -220,6 +220,15 @@ class TestConfig:
         with pytest.raises(ValueError, match=r"^impurity x_c must be finite, got inf$"):
             Impurity(math.inf, 0.0)
 
+    # A record's field words a bad value as its config key does, with %.12g.
+    def test_a_field_words_a_bad_value_as_its_key_does(self):
+        with pytest.raises(ValueError) as err:
+            derive_constants(DeviceParams(a=0.0))
+        assert str(err.value) == "a must be positive and finite, got 0"
+        with pytest.raises(ValueError) as err:
+            config_to_objects({"device.a_nm": "0"})
+        assert str(err.value) == "device.a_nm must be positive and finite, got 0"
+
     def test_bad_scheme_rejected(self):
         # No subcommand reads a scheme from a config, so the key is unknown.
         for value in ("diagonal", "barrier"):

@@ -196,10 +196,13 @@ class TestDeltaJ:
         with pytest.raises(ValueError, match=re.escape(f"{name} needs an impurity, got imp=None")):
             call(params)
 
-    # Tightly confined dots have J exactly 0 in float (the true J is about
-    # 2e-35 meV), so the relative noise has no value there.
-    def test_a_zero_clean_j_is_a_named_error(self, impurity):
-        base = DeviceParams(hbar_omega0=5.0)
+    # Tightly confined dots have J exactly 0 in float, so the relative noise
+    # has no value there.  At 5 meV the true J is about 2e-35 meV and Jacobi's
+    # tolerance rounds it to 0; at 100 meV the overlap underflows to 0, the
+    # matrix is diagonal and J is 0 in the float model itself.
+    @pytest.mark.parametrize("hbar_omega0", [5.0, 100.0])
+    def test_a_zero_clean_j_is_a_named_error(self, impurity, hbar_omega0):
+        base = DeviceParams(hbar_omega0=hbar_omega0)
         assert exchange_J_ghz(base) == 0.0
         with pytest.raises(ValueError, match=re.escape(
                 "J_clean = 0 at tilt control 0.05 meV, so rel_noise = delta_J / J_clean "
@@ -420,6 +423,13 @@ class TestLockstep:
         with pytest.raises(ValueError, match="unknown scheme 'magnetic'"):
             calibrate_many([("magnetic", 0.242)])
 
+    # The scheme is checked before the device: this one passes
+    # derive_constants but cannot be built (its overlap rounds to 1.0).
+    def test_an_unknown_scheme_is_named_before_the_device(self):
+        with pytest.raises(ValueError) as err:
+            calibrate_many([("magnetic", 0.2)], DeviceParams(a=1e-200))
+        assert str(err.value) == "unknown scheme 'magnetic'"
+
     # A base device with a non-finite xi fails every tilt request by name;
     # a barrier request never reads base.xi and keeps its own outcome.
     @pytest.mark.filterwarnings("error")
@@ -596,6 +606,27 @@ class TestCalibratedRecords:
             assert [repr(rec) for rec in recs] == [
                 repr(delta_J(scheme, c, params, imp)) for (scheme, _), c in zip(requests, controls)]
 
+    # A root that lands bit for bit on the bracket end its request settles on
+    # is not reused: given two impurities, that end is in the second stack
+    # like any other end, and each record is still the lone delta_J.
+    def test_a_root_on_its_settled_end_takes_the_second_stack(self, params, monkeypatch,
+                                                              eigen_stacks):
+        imps = [Impurity(-600.0, 600.0), Impurity(-150.0, 0.0, -0.5)]
+        (j0,) = noise._j_ghz(params, [(0.0, params.xi)], AssemblyMode.PAPER)[0].tolist()
+        real = noise._roots
+        monkeypatch.setattr(noise, "_roots", lambda tilt, targets, *args: np.where(
+            ~tilt & (targets == j0), BARRIER_BRACKET[1], real(tilt, targets, *args)))
+        requests = [("barrier", j0), ("barrier", 0.242)]
+        stacks = eigen_stacks()
+        controls, records = calibrated(requests, params, AssemblyMode.PAPER, imps)
+        # The 2 ends and 2 roots clean and the roots with each impurity, then
+        # the end xi = 1.3 with each impurity.
+        assert [len(H) for H in stacks] == [4 + 2 * 2, 2]
+        assert controls[0] == BARRIER_BRACKET[1] == params.xi
+        for imp, recs in zip(imps, records):
+            assert [repr(rec) for rec in recs] == [
+                repr(delta_J("barrier", c, params, imp)) for c in controls]
+
 
 class TestFirstFailure:
     """A batch call returns plain results, or raises the exception of its
@@ -763,7 +794,7 @@ class TestMatchedGrid:
         ({"n": noise.MAX_GRID_POINTS + 1},
          f"n must be at most {noise.MAX_GRID_POINTS}, got {noise.MAX_GRID_POINTS + 1}"),
         ({"n": 2**40}, f"n must be at most {noise.MAX_GRID_POINTS}, got {2**40}"),
-        ({"j_max_ghz": 0.0}, "j_max_ghz must be positive and finite, got 0.0"),
+        ({"j_max_ghz": 0.0}, "j_max_ghz must be positive and finite, got 0"),
         ({"j_max_ghz": math.nan}, "j_max_ghz must be positive and finite, got nan"),
         ({"j_max_ghz": math.inf}, "j_max_ghz must be positive and finite, got inf"),
         # A float n, integral or not, is not a point count (2.5 made 3
